@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,31 +32,6 @@ import (
 	"repro/internal/gf256"
 	"repro/internal/stats"
 )
-
-// parseCores expands the -cores argument: a bare integer N becomes the
-// doubling sweep 1,2,4,…,N (N included), a comma-separated list is taken
-// as-is.
-func parseCores(s string) ([]int, error) {
-	var counts []int
-	if !strings.Contains(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-cores: want a positive count or comma-separated list, got %q", s)
-		}
-		for c := 1; c < n; c *= 2 {
-			counts = append(counts, c)
-		}
-		return append(counts, n), nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-cores: bad worker count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
 
 func main() {
 	var (
@@ -72,13 +46,11 @@ func main() {
 		parallel = flag.Int("parallel", experiments.AutoParallel(), "worker goroutines for the figure drivers (results are identical for any value)")
 		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of text tables")
 		gfKernel = flag.String("gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm; see gf256.AvailableKernels)")
-		cores    = flag.String("cores", "", "sharded coding-pipeline scaling sweep: a max worker count (doublings from 1) or a comma-separated list")
 		baseline = flag.String("baseline", "", "write per-kernel GF(256) throughput grid to this JSON file (BENCH_gf256.json)")
 		checkBl  = flag.String("check-baseline", "", "compare current GF(256) throughput against this baseline; exit 1 on >20% portable regression")
-		blSecs   = flag.Float64("bench-secs", 0.25, "seconds per benchmark cell for -cores/-baseline/-check-baseline")
-		telBase  = flag.String("telemetry-baseline", "", "measure telemetry overhead (off vs full hub) and write it to this JSON file (BENCH_telemetry.json)")
-		telCheck = flag.String("check-telemetry-baseline", "", "compare telemetry overhead against this baseline; exit 1 if the off path regressed >20% or enabled overhead exceeds the 10% bound")
-		telRuns  = flag.Int("telemetry-runs", 5, "repetitions per mode for the telemetry overhead benchmark (minimum wall clock wins)")
+		blSecs   = flag.Float64("bench-secs", 0.25, "seconds per benchmark cell for -baseline/-check-baseline")
+		telOver  = flag.Bool("telemetry-overhead", false, "measure telemetry overhead (off vs full hub); exit 1 if enabled overhead exceeds the 10% bound")
+		telRuns  = flag.Int("telemetry-runs", 5, "repetitions per mode for -telemetry-overhead (minimum wall clock wins)")
 	)
 	flag.Parse()
 
@@ -102,8 +74,7 @@ func main() {
 	}
 	var report []entry
 
-	all := *fig == "" && *table == "" && *cores == "" && *baseline == "" && *checkBl == "" &&
-		*telBase == "" && *telCheck == ""
+	all := *fig == "" && *table == "" && *baseline == "" && *checkBl == "" && !*telOver
 	ran := false
 	// run executes one experiment; fn returns the raw result for -json and
 	// a printer for the text tables.
@@ -234,23 +205,6 @@ func main() {
 
 	benchDur := time.Duration(*blSecs * float64(time.Second))
 
-	if *cores != "" {
-		counts, err := parseCores(*cores)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		res := experiments.CodingScaling(counts, 32, 1500, benchDur)
-		if *jsonOut {
-			report = append(report, entry{Name: "sharded coding pipeline scaling", Key: "cores",
-				Seconds: time.Since(start).Seconds(), Result: res})
-		} else {
-			fmt.Printf("=== Sharded coding pipeline scaling ===\n%s\n", res.Table())
-		}
-		ran = true
-	}
-
 	if *baseline != "" || *checkBl != "" {
 		res := experiments.GF256Bench(gf256.AvailableKernels(), 32, experiments.GF256SizeClasses, benchDur)
 		if !*jsonOut {
@@ -293,42 +247,20 @@ func main() {
 		ran = true
 	}
 
-	if *telBase != "" || *telCheck != "" {
+	if *telOver {
+		start := time.Now()
 		res := experiments.TelemetryBench(*telRuns)
-		if !*jsonOut {
+		if *jsonOut {
+			report = append(report, entry{Name: "telemetry overhead", Key: "telemetry-overhead",
+				Seconds: time.Since(start).Seconds(), Result: res})
+		} else {
 			fmt.Printf("=== Telemetry overhead ===\n%s\n", res.Table())
 		}
-		if *telBase != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*telBase, append(data, '\n'), 0o644)
+		if bad := experiments.CompareTelemetryBaselines(res); len(bad) > 0 {
+			for _, m := range bad {
+				fmt.Fprintln(os.Stderr, m)
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-telemetry-baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *telCheck != "" {
-			data, err := os.ReadFile(*telCheck)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-check-telemetry-baseline: %v\n", err)
-				os.Exit(1)
-			}
-			var base experiments.TelemetryBenchResult
-			if err := json.Unmarshal(data, &base); err != nil {
-				fmt.Fprintf(os.Stderr, "-check-telemetry-baseline: %v\n", err)
-				os.Exit(1)
-			}
-			bad := experiments.CompareTelemetryBaselines(&base, res, 0.20)
-			if len(bad) > 0 {
-				fmt.Fprintf(os.Stderr, "telemetry overhead violations:\n")
-				for _, m := range bad {
-					fmt.Fprintf(os.Stderr, "  %s\n", m)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("telemetry overhead check passed: off within 20%% of baseline, on within %.0f%% of off\n",
-				experiments.TelemetryOverheadLimitPct)
+			os.Exit(1)
 		}
 		ran = true
 	}

@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -375,7 +374,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *jsonOut {
-		out, _ := json.MarshalIndent(struct {
+		printJSON(struct {
 			Protocol  string
 			Nodes     int
 			CC        congest.Policy
@@ -384,8 +383,7 @@ func main() {
 			CCStats   congest.Stats
 			Fairness  experiments.FairnessReport
 			Telemetry *telemetry.Report `json:",omitempty"`
-		}{proto.String(), topo.N(), info.CC, rs, counters, info.CCStats, info.Fairness, info.Telemetry}, "", "  ")
-		fmt.Println(string(out))
+		}{proto.String(), topo.N(), info.CC, rs, counters, info.CCStats, info.Fairness, info.Telemetry})
 	} else {
 		fmt.Printf("protocol: %v, cc: %v\n", proto, info.CC)
 		for _, r := range rs {
@@ -485,11 +483,10 @@ func runLearned(topo *graph.Topology, proto experiments.Protocol, pairs []experi
 	opts experiments.Options, jsonOut bool) bool {
 	rep := experiments.GapRun(topo, proto, pairs, opts)
 	if jsonOut {
-		out, _ := json.MarshalIndent(struct {
+		printJSON(struct {
 			Nodes int
 			Gap   experiments.GapReport
-		}{topo.N(), rep}, "", "  ")
-		fmt.Println(string(out))
+		}{topo.N(), rep})
 	} else {
 		fmt.Printf("protocol: %v, state: learned (vs oracle), %d flow(s)\n", proto, rep.Flows)
 		fmt.Printf("%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
@@ -525,8 +522,7 @@ func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
 	points := experiments.ScalingSweep(cfg)
 	ok = true
 	if jsonOut {
-		out, _ := json.MarshalIndent(points, "", "  ")
-		fmt.Println(string(out))
+		printJSON(points)
 		for _, pt := range points {
 			ok = ok && pt.Completed == pt.Flows
 		}
@@ -542,7 +538,7 @@ func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
 	fmt.Println()
 	for _, pt := range points {
 		tpp := "-"
-		if !math.IsNaN(pt.TxPerPacket) {
+		if pt.TxPerPacket != 0 {
 			tpp = fmt.Sprintf("%.2f", pt.TxPerPacket)
 		}
 		fmt.Printf("%8d %8d %10.1f %10.1f %10s %5d/%-2d %12v",
@@ -581,8 +577,7 @@ func runCCSweep(list string, flows int, drop float64, gcfg graph.GeometricConfig
 		allDone = allDone && pt.Completed == pt.Flows
 	}
 	if jsonOut {
-		out, _ := json.MarshalIndent(grid, "", "  ")
-		fmt.Println(string(out))
+		printJSON(grid)
 		return allDone
 	}
 	fmt.Printf("congestion mitigation sweep: proto=%v flows=%d drop=%.2f file=%dB\n",
@@ -591,7 +586,7 @@ func runCCSweep(list string, flows int, drop float64, gcfg graph.GeometricConfig
 		"cc", "nodes", "pkt/s", "tx/pkt", "jainT", "done", "grants", "drops")
 	for _, pt := range grid {
 		tpp := "-"
-		if !math.IsNaN(pt.TxPerPacket) {
+		if pt.TxPerPacket != 0 {
 			tpp = fmt.Sprintf("%.2f", pt.TxPerPacket)
 		}
 		drops := pt.CCStats.TailDrops + pt.CCStats.ChokeDrops + pt.CCStats.StaleDrops
@@ -615,6 +610,18 @@ func parseRings(list string) ([]int, bool) {
 		rings = append(rings, r)
 	}
 	return rings, true
+}
+
+// printJSON writes v to stdout as indented JSON. A value encoding/json
+// cannot encode (a NaN metric) fails the run loudly instead of printing an
+// empty document.
+func printJSON(v interface{}) {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "moresim: -json: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Println(string(out))
 }
 
 // parseCounts parses the -scale node-count list.

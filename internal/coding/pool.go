@@ -15,12 +15,6 @@ package coding
 type Pool struct {
 	k, size int
 	free    []*Packet
-	// Arena mode (NewArenaPool): when the freelist runs dry, carve slabPkts
-	// packets at once out of three contiguous slabs (headers, vectors,
-	// payloads) instead of allocating each packet individually. slabPkts==0
-	// means per-packet allocation.
-	slabPkts int
-	slabs    int
 }
 
 // NewPool creates a pool for packets with K-length vectors and the given
@@ -28,36 +22,6 @@ type Pool struct {
 func NewPool(k, size int) *Pool {
 	return &Pool{k: k, size: size}
 }
-
-// NewArenaPool creates a slab-backed pool: when empty it allocates
-// slabPackets packets in one go, with all vectors carved from one backing
-// array and all payloads from another. Packet payloads end up contiguous in
-// memory, which is what the coding kernels want (combines stream adjacent
-// rows), and a steady-state refill costs three allocations instead of
-// 2*slabPackets+slabPackets. The ownership rules are identical to NewPool.
-func NewArenaPool(k, size, slabPackets int) *Pool {
-	if slabPackets < 1 {
-		slabPackets = 1
-	}
-	return &Pool{k: k, size: size, slabPkts: slabPackets}
-}
-
-// grow carves one slab into the freelist.
-func (p *Pool) grow() {
-	n := p.slabPkts
-	hdrs := make([]Packet, n)
-	vecs := make([]byte, n*p.k)
-	pays := make([]byte, n*p.size)
-	for i := range hdrs {
-		hdrs[i].Vector = vecs[i*p.k : (i+1)*p.k : (i+1)*p.k]
-		hdrs[i].Payload = pays[i*p.size : (i+1)*p.size : (i+1)*p.size]
-		p.free = append(p.free, &hdrs[i])
-	}
-	p.slabs++
-}
-
-// Slabs returns the number of slabs allocated so far (0 for plain pools).
-func (p *Pool) Slabs() int { return p.slabs }
 
 // K returns the pool's batch size.
 func (p *Pool) K() int { return p.k }
@@ -68,9 +32,6 @@ func (p *Pool) PayloadSize() int { return p.size }
 // Get returns a packet with the pool's shape. Its contents are undefined;
 // callers overwrite both vector and payload.
 func (p *Pool) Get() *Packet {
-	if len(p.free) == 0 && p.slabPkts > 0 {
-		p.grow()
-	}
 	if n := len(p.free); n > 0 {
 		q := p.free[n-1]
 		p.free[n-1] = nil

@@ -7,13 +7,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/coding"
 	"repro/internal/gf256"
 )
 
-// Coding-plane benchmarks: per-kernel GF(256) combine throughput across
-// payload size classes (the `morebench -baseline` regression baseline) and
-// the sharded-pipeline core-scaling sweep (`morebench -cores`).
+// Coding-plane benchmark: per-kernel GF(256) combine throughput across
+// payload size classes (the `morebench -baseline` regression baseline).
 
 // GF256Point is one measured cell: a kernel arm, combine flavor, and
 // payload size, with throughput in processed source gigabytes per second
@@ -164,111 +162,4 @@ func CompareGF256Baselines(base, cur *GF256BenchResult, frac float64, kernels []
 		}
 	}
 	return bad
-}
-
-// CodingScalingPoint is one row of the -cores table.
-type CodingScalingPoint struct {
-	Cores   int     `json:"cores"`
-	GBps    float64 `json:"gbps"`    // aggregate coded source bytes per second
-	Batches int     `json:"batches"` // batches fully coded+decoded
-	Speedup float64 `json:"speedup"` // vs the 1-core row
-}
-
-// CodingScalingResult is the -cores sweep output.
-type CodingScalingResult struct {
-	K      int                  `json:"k"`
-	Size   int                  `json:"size"`
-	Kernel string               `json:"kernel"`
-	Points []CodingScalingPoint `json:"points"`
-}
-
-// CodingScaling measures aggregate coding throughput of the sharded
-// pipeline at each worker count. The unit of work is one full batch
-// round-trip on the owning worker — source-code K+2 packets, buffer them,
-// decode the batch — drawn from per-worker arena pools; batches are
-// submitted round-robin until dur elapses. Bytes counted are the source
-// bytes each combine reads (K*size per coded packet), the same currency as
-// GF256Bench, so the two tables compose.
-//
-// Scaling beyond the machine's actual core count cannot help (the workers
-// time-slice one core); the table reports what the hardware gives.
-func CodingScaling(coreCounts []int, k, size int, dur time.Duration) *CodingScalingResult {
-	res := &CodingScalingResult{K: k, Size: size, Kernel: gf256.ActiveKernel()}
-	for _, n := range coreCounts {
-		pt := codingScalingPoint(n, k, size, dur)
-		if len(res.Points) > 0 && res.Points[0].GBps > 0 {
-			pt.Speedup = pt.GBps / res.Points[0].GBps
-		} else {
-			pt.Speedup = 1
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res
-}
-
-func codingScalingPoint(n, k, size int, dur time.Duration) CodingScalingPoint {
-	p := coding.NewPipeline(n)
-	defer p.Close()
-	var done int64
-	results := make([]int64, n) // per-worker packet counts; no sharing
-	start := time.Now()
-	deadline := start.Add(dur)
-	var batch uint64
-	for time.Now().Before(deadline) {
-		// Keep every worker's ring primed without overrunning it.
-		for i := 0; i < 4*n; i++ {
-			b := batch
-			batch++
-			p.Submit(b, func(w *coding.Worker) {
-				rng := rand.New(rand.NewSource(int64(b)))
-				native := make([][]byte, k)
-				for j := range native {
-					native[j] = make([]byte, size)
-					rng.Read(native[j])
-				}
-				src, err := coding.NewSource(native, rng)
-				if err != nil {
-					panic(err)
-				}
-				pool := w.Pool(k, size)
-				src.UsePool(pool)
-				dec := coding.NewDecoder(k, size)
-				dec.UsePool(pool)
-				sent := int64(0)
-				for !dec.Complete() {
-					dec.Add(src.Next())
-					sent++
-				}
-				if _, err := dec.Decode(); err != nil {
-					panic(err)
-				}
-				dec.Reset()
-				results[w.ID()] += sent
-			})
-		}
-		p.Flush()
-		done += int64(4 * n)
-	}
-	elapsed := time.Since(start).Seconds()
-	var packets int64
-	for _, c := range results {
-		packets += c
-	}
-	return CodingScalingPoint{
-		Cores:   n,
-		GBps:    float64(packets) * float64(k*size) / elapsed / 1e9,
-		Batches: int(done),
-	}
-}
-
-// Table renders the scaling sweep.
-func (r *CodingScalingResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sharded coding pipeline, kernel=%s K=%d payload=%dB (batch round-trip: code+decode):\n",
-		r.Kernel, r.K, r.Size)
-	fmt.Fprintf(&b, "  %6s %12s %10s %9s\n", "cores", "agg GB/s", "batches", "speedup")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %6d %12.2f %10d %8.2fx\n", p.Cores, p.GBps, p.Batches, p.Speedup)
-	}
-	return b.String()
 }

@@ -39,24 +39,3 @@ func TestGF256BenchAndBaselineCompare(t *testing.T) {
 		t.Fatal("identical results flagged as regression")
 	}
 }
-
-func TestCodingScaling(t *testing.T) {
-	res := CodingScaling([]int{1, 2}, 8, 128, 10*time.Millisecond)
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(res.Points))
-	}
-	if res.Points[0].Cores != 1 || res.Points[1].Cores != 2 {
-		t.Fatalf("core counts wrong: %+v", res.Points)
-	}
-	for _, p := range res.Points {
-		if p.GBps <= 0 || p.Batches <= 0 {
-			t.Fatalf("empty measurement: %+v", p)
-		}
-	}
-	if res.Points[0].Speedup != 1 {
-		t.Fatalf("1-core speedup = %.2f, want 1", res.Points[0].Speedup)
-	}
-	if !strings.Contains(res.Table(), "cores") {
-		t.Fatal("table missing header")
-	}
-}

@@ -1,0 +1,44 @@
+package experiments
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+)
+
+// TestEngineSameOffsetOrder: a flow start and a timed action registered at
+// the same offset fire in registration order — flows, then actions in list
+// order. The scenario goldens depend on this tie-break (an event declared
+// at a flow's start_s sees the flow already started).
+func TestEngineSameOffsetOrder(t *testing.T) {
+	opts := quickOpts()
+	opts.FileBytes = 32 * 1500
+	sink := countingSink{}
+	opts.Telemetry = sink
+	at := 2 * sim.Second
+	flows := []Flow{{Proto: MORE, Src: 3, Dst: 17, File: opts.file(opts.Seed), Start: at}}
+
+	var order []string
+	note := func(name string) Action {
+		return Action{At: at, Do: func(x *Execution) {
+			if x.Sim.Now() != x.Epoch+at {
+				t.Errorf("%s fired at %v, want %v", name, x.Sim.Now(), x.Epoch+at)
+			}
+			if sink[telemetry.KindBatchStart] == 0 {
+				t.Errorf("%s fired before the flow registered at the same offset started", name)
+			}
+			if sink[telemetry.KindTx] != 0 {
+				t.Errorf("%s fired after the flow's first transmission, not at its start", name)
+			}
+			order = append(order, name)
+		}}
+	}
+	info := Execute(TestbedTopology(), opts, flows, []Action{note("first"), note("second")}).Finish()
+	if !info.Results[0].Completed {
+		t.Fatalf("transfer incomplete: %v", info.Results[0])
+	}
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("actions fired in order %v", order)
+	}
+}

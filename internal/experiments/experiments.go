@@ -129,20 +129,17 @@ type Options struct {
 	// Parallel bounds the worker pool the figure drivers fan their
 	// independent runs out over; 0 or 1 runs serially. Per-run seeds are
 	// derived from Seed and the item index, never from worker identity, so
-	// every figure is byte-identical for any Parallel value. When Trace is
-	// set the drivers force serial execution: the trace callback is a
-	// single shared sink and concurrent sims would interleave into it.
+	// every figure is byte-identical for any Parallel value. When Telemetry
+	// is set the drivers force serial execution: the sink is shared and
+	// concurrent sims would interleave into it.
 	Parallel int
 	// Deadline bounds each run's simulated transfer time, measured from
 	// when flows start (after any learned-state warmup).
 	Deadline sim.Time
-	// Trace, when set, receives the simulator's medium trace (debug
-	// strings; see Telemetry for the typed plane).
-	Trace func(format string, args ...interface{})
 	// Telemetry, when set, receives every typed simulation event
 	// (sim.Simulator.Telem). Pass a *telemetry.Hub for metrics and the
-	// flight recorder, or a bare trace.Recorder for just a ring. Like
-	// Trace, a shared sink forces the figure drivers serial.
+	// flight recorder, or a bare trace.Recorder for just a ring. A shared
+	// sink forces the figure drivers serial.
 	Telemetry telemetry.Sink
 	// Metric selects forwarder ordering for MORE/ExOR (default ETX).
 	Metric routing.OrderMetric
@@ -183,11 +180,6 @@ type Options struct {
 	// on a dead route. Zero (the default) disables repair; runs are
 	// byte-identical to the pre-repair code.
 	Repair sim.Time
-	// Schedule, when set, is invoked by RunDetailed after the learned
-	// warmup and just before flows start — the injection point for
-	// topology events (node crashes, link flaps) and reconvergence
-	// instrumentation in churn experiments. Ordinary runs leave it nil.
-	Schedule func(s *sim.Simulator, cp *ControlPlane, flowsStart sim.Time)
 	// MORE ablation switches.
 	PreCoding              bool
 	InnovativeOnly         bool
@@ -218,9 +210,7 @@ func (o Options) file(seed int64) flow.File {
 	return flow.NewFile(o.FileBytes, o.PktSize, seed)
 }
 
-// SimConfig derives the simulator configuration for a run (exported so the
-// scenario executor compiles specs onto the same substrate the figure
-// drivers use).
+// SimConfig derives the simulator configuration for a run.
 func (o Options) SimConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = o.Seed
@@ -236,31 +226,30 @@ func (o Options) SimConfig() sim.Config {
 	return cfg
 }
 
-// ETXOpts returns the ETX computation options every run routes with.
-func (o Options) ETXOpts() routing.ETXOptions {
+// etxOpts returns the ETX computation options every run routes with.
+func (o Options) etxOpts() routing.ETXOptions {
 	return routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
 }
 
-// PlanOpts returns the forwarder-plan options for MORE/ExOR sources.
-func (o Options) PlanOpts() routing.PlanOptions {
+// planOpts returns the forwarder-plan options for MORE/ExOR sources.
+func (o Options) planOpts() routing.PlanOptions {
 	p := routing.DefaultPlanOptions()
 	p.Metric = o.Metric
-	p.ETX = o.ETXOpts()
+	p.ETX = o.etxOpts()
 	p.PruneFraction = o.PruneFraction
 	return p
 }
 
-// CoreConfig, ExorConfig, and SrcrConfig assemble the per-protocol node
-// configurations for a run. RunDetailed and the scenario executor both
-// build nodes from these, so a new Options knob wired in here reaches
-// every runner — flag-driven and declarative — at once.
+// coreConfig, exorConfig, and srcrConfig assemble the per-protocol node
+// configurations for a run. The engine builds every node from these, so an
+// Options knob wired in here reaches every runner — flag-driven and
+// declarative — at once.
 
-// CoreConfig returns the MORE node configuration.
-func (o Options) CoreConfig() core.Config {
+func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.BatchSize = o.BatchSize
 	cfg.PayloadSize = o.PktSize
-	cfg.Plan = o.PlanOpts()
+	cfg.Plan = o.planOpts()
 	cfg.PreCoding = o.PreCoding
 	cfg.InnovativeOnly = o.InnovativeOnly
 	cfg.CreditOnInnovativeOnly = o.CreditOnInnovativeOnly
@@ -268,20 +257,18 @@ func (o Options) CoreConfig() core.Config {
 	return cfg
 }
 
-// ExorConfig returns the ExOR node configuration.
-func (o Options) ExorConfig() exor.Config {
+func (o Options) exorConfig() exor.Config {
 	cfg := exor.DefaultConfig()
 	cfg.BatchSize = o.BatchSize
 	cfg.PayloadSize = o.PktSize
-	cfg.Plan = o.PlanOpts()
+	cfg.Plan = o.planOpts()
 	cfg.RepairInterval = o.Repair
 	return cfg
 }
 
-// SrcrConfig returns the Srcr node configuration. Reliable is on: the
-// best-path baseline completes its file like MORE and ExOR do (push
-// sources bypass the ARQ regardless).
-func (o Options) SrcrConfig(autorate bool) srcr.Config {
+// srcrConfig has Reliable on: the best-path baseline completes its file
+// like MORE and ExOR do (push sources bypass the ARQ regardless).
+func (o Options) srcrConfig(autorate bool) srcr.Config {
 	cfg := srcr.DefaultConfig()
 	cfg.PayloadSize = o.PktSize
 	cfg.Autorate = autorate
@@ -291,10 +278,10 @@ func (o Options) SrcrConfig(autorate bool) srcr.Config {
 }
 
 // workers returns the driver worker count: Parallel, forced serial when a
-// Trace hook or telemetry sink is installed (one shared callback must not
-// be invoked from concurrent simulations).
+// telemetry sink is installed (one shared sink must not be fed from
+// concurrent simulations).
 func (o Options) workers() int {
-	if o.Trace != nil || o.Telemetry != nil {
+	if o.Telemetry != nil {
 		return 1
 	}
 	return o.Parallel
@@ -393,9 +380,7 @@ type RunInfo struct {
 // ControlPlane carries the per-run control-plane wiring: one routing-state
 // provider per node (the same oracle for every node, or a per-node learned
 // view), the link-state agents behind learned views, and the congestion
-// layers wrapped around the data protocols. It is the machinery RunDetailed
-// always used, exported so the scenario executor (internal/scenario) can
-// compile declarative specs onto exactly the same stack.
+// layers wrapped around the data protocols.
 type ControlPlane struct {
 	n         int
 	providers []flow.RoutingState
@@ -457,7 +442,7 @@ func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 		cp.agents = make([]*linkstate.Agent, n)
 		for i := range cp.agents {
 			cp.agents[i] = linkstate.NewAgent(opts.LinkState, n)
-			etx := opts.ETXOpts()
+			etx := opts.etxOpts()
 			if cp.costs != nil {
 				cp.costs[i] = &linkstate.LoadCost{Agent: cp.agents[i], Weight: opts.LoadPenalty}
 				etx.Cost = cp.costs[i]
@@ -466,7 +451,7 @@ func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 		}
 		return cp
 	}
-	etx := opts.ETXOpts()
+	etx := opts.etxOpts()
 	if cp.costs != nil {
 		cp.loadOracle = &oracleLoad{weight: opts.LoadPenalty, scores: make([]uint8, n)}
 		for i := range cp.costs {
@@ -481,32 +466,11 @@ func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 	return cp
 }
 
-// CostModel returns node id's routing.CostModel for forwarder-plan
-// construction, or nil when the load-aware cost plane is off.
-func (cp *ControlPlane) CostModel(id graph.NodeID) routing.CostModel {
-	if cp.costs == nil {
-		return nil
-	}
-	return cp.costs[id]
-}
-
-// Provider returns the routing-state provider node id routes from.
-func (cp *ControlPlane) Provider(id graph.NodeID) flow.RoutingState {
-	return cp.providers[id]
-}
-
-// Oracle returns the shared ground-truth oracle, or nil for learned-state
-// runs. Scenario schedules invalidate it after mutating the topology.
-func (cp *ControlPlane) Oracle() *flow.Oracle { return cp.oracle }
-
-// Learned reports whether routing state is learned over the air.
-func (cp *ControlPlane) Learned() bool { return cp.agents != nil }
-
-// Attach installs the node's data protocol, wrapping it in a congestion
+// attach installs the node's data protocol, wrapping it in a congestion
 // layer when one is configured and stacking the link-state agent above it
 // (higher priority: control frames are small and periodic) when the run
 // learns its state over the air.
-func (cp *ControlPlane) Attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol) {
+func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol) {
 	if cp.cc.Policy != congest.None {
 		l := congest.New(cp.cc, p)
 		cp.layers = append(cp.layers, l)
@@ -524,13 +488,13 @@ func (cp *ControlPlane) Attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 	s.Attach(id, p)
 }
 
-// WithNodeCost injects node id's cost model into a forwarder-plan options
+// withNodeCost injects node id's cost model into a forwarder-plan options
 // value (both metrics); a no-op when the load-aware cost plane is off, so
 // legacy plans stay bit-identical.
-func (cp *ControlPlane) WithNodeCost(id graph.NodeID, p routing.PlanOptions) routing.PlanOptions {
-	if m := cp.CostModel(id); m != nil {
-		p.ETX.Cost = m
-		p.EOTX.Cost = m
+func (cp *ControlPlane) withNodeCost(id graph.NodeID, p routing.PlanOptions) routing.PlanOptions {
+	if cp.costs != nil {
+		p.ETX.Cost = cp.costs[id]
+		p.EOTX.Cost = cp.costs[id]
 	}
 	return p
 }
@@ -578,10 +542,10 @@ func (cp *ControlPlane) startLoadSampler(s *sim.Simulator) {
 	s.After(loadRefresh, tick)
 }
 
-// QueueHighWater returns the per-node congestion-queue high-water marks
+// queueHighWater returns the per-node congestion-queue high-water marks
 // for sim.Counters.QueueHWM, or nil when load export is off (legacy
 // result documents stay byte-identical).
-func (cp *ControlPlane) QueueHighWater() []int64 {
+func (cp *ControlPlane) queueHighWater() []int64 {
 	if !cp.cc.LoadExport || len(cp.layers) == 0 {
 		return nil
 	}
@@ -595,87 +559,18 @@ func (cp *ControlPlane) QueueHighWater() []int64 {
 }
 
 // converged reports whether every agent's LSA database covers every origin.
-func (cp *ControlPlane) converged(n int) bool {
+func (cp *ControlPlane) converged() bool {
 	for _, a := range cp.agents {
-		if a.KnownOrigins() < n {
+		if a.KnownOrigins() < cp.n {
 			return false
 		}
 	}
 	return true
 }
 
-// Warmup lets the measurement plane flood before flows start and returns
-// the convergence time (see RunInfo.Convergence).
-func (cp *ControlPlane) Warmup(s *sim.Simulator, topo *graph.Topology, opts Options) sim.Time {
-	cp.startLoadSampler(s)
-	if cp.agents == nil {
-		return 0
-	}
-	warmup := opts.Warmup
-	if warmup == 0 {
-		warmup = 30 * sim.Second
-	}
-	if warmup < 0 {
-		return -1 // cold start: flows begin before any flood completes
-	}
-	conv := sim.Time(-1)
-	n := topo.N()
-	s.RunWhile(warmup, func() bool {
-		if conv < 0 && cp.converged(n) {
-			conv = s.Now()
-		}
-		return true
-	})
-	if conv < 0 && cp.converged(n) {
-		conv = s.Now()
-	}
-	return conv
-}
-
-// StartFlow launches one flow. Under the oracle a start failure is final
-// (the ground truth says the destination is unreachable, as before). Under
-// learned state the view may simply not have converged yet — a cold start
-// with Warmup < 0, or a short warmup — so the start is retried each second
-// of simulated time until it succeeds or the deadline passes.
-func (cp *ControlPlane) StartFlow(s *sim.Simulator, deadline sim.Time, try func() error, onFail func()) {
-	if cp.agents == nil {
-		if try() != nil {
-			onFail()
-		}
-		return
-	}
-	var attempt func()
-	attempt = func() {
-		if try() == nil {
-			return
-		}
-		if s.Now()+sim.Second >= deadline {
-			onFail()
-			return
-		}
-		s.After(sim.Second, attempt)
-	}
-	attempt()
-}
-
-// TransferCond wraps a transfer's completion condition with convergence
-// tracking: a cold-started learned run converges under load, after flows
-// have begun, so the warmup-phase check alone would report -1.
-func (cp *ControlPlane) TransferCond(s *sim.Simulator, n int, conv *sim.Time, done func() bool) func() bool {
-	if cp.agents == nil {
-		return done
-	}
-	return func() bool {
-		if *conv < 0 && cp.converged(n) {
-			*conv = s.Now()
-		}
-		return done()
-	}
-}
-
-// ControlTx sums the measurement plane's transmissions (probe broadcasts,
+// controlTx sums the measurement plane's transmissions (probe broadcasts,
 // own + rebroadcast LSAs) across all nodes.
-func (cp *ControlPlane) ControlTx() (probeTx, floodTx int64) {
+func (cp *ControlPlane) controlTx() (probeTx, floodTx int64) {
 	for _, a := range cp.agents {
 		probeTx += a.ProbeTx()
 		floodTx += a.FloodTx
@@ -683,8 +578,8 @@ func (cp *ControlPlane) ControlTx() (probeTx, floodTx int64) {
 	return probeTx, floodTx
 }
 
-// CCStats aggregates every congestion layer's accounting.
-func (cp *ControlPlane) CCStats() congest.Stats {
+// ccStats aggregates every congestion layer's accounting.
+func (cp *ControlPlane) ccStats() congest.Stats {
 	var st congest.Stats
 	for _, l := range cp.layers {
 		st.Add(l.Stats)
@@ -692,13 +587,10 @@ func (cp *ControlPlane) CCStats() congest.Stats {
 	return st
 }
 
-// QueuedData counts frames currently held in congestion-layer queues —
-// traffic pulled from the protocols but not yet on the air. The scenario
-// executor's drain phase runs until this (and the MACs) empties, so
-// datagrams already committed to a queue get their chance to fly after
-// every flow has met its schedule. Queues stranded on failed nodes are
-// excluded: they will never drain.
-func (cp *ControlPlane) QueuedData() int {
+// queuedData counts frames currently held in congestion-layer queues —
+// traffic pulled from the protocols but not yet on the air. Queues
+// stranded on failed nodes are excluded: they will never drain.
+func (cp *ControlPlane) queuedData() int {
 	total := 0
 	for _, l := range cp.layers {
 		if n := l.Node(); n != nil && n.Failed() {
@@ -709,147 +601,21 @@ func (cp *ControlPlane) QueuedData() int {
 	return total
 }
 
-// RunDetailed is the full-fidelity runner behind RunWithCounters: it wires
-// the selected control plane (oracle or learned), runs the measurement
-// warmup when learning, transfers every flow, and reports convergence and
-// control-plane overhead alongside the results.
+// RunDetailed is the full-fidelity runner behind RunWithCounters: len(pairs)
+// concurrent file transfers of one protocol, all starting at the traffic
+// epoch, reported with convergence and control-plane overhead alongside the
+// results.
 func RunDetailed(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options) RunInfo {
-	s := sim.New(topo, opts.SimConfig())
-	if opts.Trace != nil {
-		s.Trace = opts.Trace
-	}
-	if opts.Telemetry != nil {
-		s.Telem = opts.Telemetry
-	}
-	cp := NewControlPlane(topo, opts)
-	remaining := len(pairs)
-	results := make([]flow.Result, len(pairs))
-	markDone := func(i int) func(flow.Result) {
-		return func(r flow.Result) {
-			remaining--
-		}
-	}
-
-	switch proto {
-	case MORE:
-		cfg := opts.CoreConfig()
-		nodes := make([]*core.Node, topo.N())
-		for i := range nodes {
-			ncfg := cfg
-			ncfg.Plan = cp.WithNodeCost(graph.NodeID(i), cfg.Plan)
-			nodes[i] = core.NewNode(ncfg, cp.Provider(graph.NodeID(i)))
-			cp.Attach(s, graph.NodeID(i), nodes[i])
-		}
-		conv := cp.Warmup(s, topo, opts)
-		deadline := s.Now() + opts.Deadline
-		if opts.Schedule != nil {
-			opts.Schedule(s, cp, s.Now())
-		}
-		for i, p := range pairs {
-			i, p := i, p
-			f := opts.file(opts.Seed + int64(i))
-			nodes[p.Dst].ExpectFlow(flow.ID(i+1), f, nil)
-			cp.StartFlow(s, deadline, func() error {
-				return nodes[p.Src].StartFlow(flow.ID(i+1), p.Dst, f, markDone(i))
-			}, func() { remaining-- })
-		}
-		s.RunWhile(deadline, cp.TransferCond(s, topo.N(), &conv, func() bool { return remaining > 0 }))
-		for i, p := range pairs {
-			results[i] = nodes[p.Dst].Result(flow.ID(i + 1))
-		}
-		return finishRun(s, cp, pairs, results, opts, conv)
-	case ExOR:
-		cfg := opts.ExorConfig()
-		nodes := make([]*exor.Node, topo.N())
-		for i := range nodes {
-			ncfg := cfg
-			ncfg.Plan = cp.WithNodeCost(graph.NodeID(i), cfg.Plan)
-			nodes[i] = exor.NewNode(ncfg, cp.Provider(graph.NodeID(i)))
-			cp.Attach(s, graph.NodeID(i), nodes[i])
-		}
-		conv := cp.Warmup(s, topo, opts)
-		deadline := s.Now() + opts.Deadline
-		if opts.Schedule != nil {
-			opts.Schedule(s, cp, s.Now())
-		}
-		for i, p := range pairs {
-			i, p := i, p
-			f := opts.file(opts.Seed + int64(i))
-			nodes[p.Dst].ExpectFlow(flow.ID(i+1), f, markDone(i))
-			cp.StartFlow(s, deadline, func() error {
-				return nodes[p.Src].StartFlow(flow.ID(i+1), p.Dst, f, nil)
-			}, func() { remaining-- })
-		}
-		s.RunWhile(deadline, cp.TransferCond(s, topo.N(), &conv, func() bool { return remaining > 0 }))
-		for i, p := range pairs {
-			results[i] = nodes[p.Dst].Result(flow.ID(i + 1))
-		}
-		return finishRun(s, cp, pairs, results, opts, conv)
-	case Srcr, SrcrAutorate:
-		cfg := opts.SrcrConfig(proto == SrcrAutorate)
-		nodes := make([]*srcr.Node, topo.N())
-		for i := range nodes {
-			nodes[i] = srcr.NewNode(cfg, cp.Provider(graph.NodeID(i)))
-			cp.Attach(s, graph.NodeID(i), nodes[i])
-		}
-		conv := cp.Warmup(s, topo, opts)
-		deadline := s.Now() + opts.Deadline
-		if opts.Schedule != nil {
-			opts.Schedule(s, cp, s.Now())
-		}
-		for i, p := range pairs {
-			i, p := i, p
-			f := opts.file(opts.Seed + int64(i))
-			nodes[p.Dst].ExpectFlow(flow.ID(i+1), f, nil)
-			cp.StartFlow(s, deadline, func() error {
-				return nodes[p.Src].StartFlow(flow.ID(i+1), p.Dst, f, markDone(i))
-			}, func() { remaining-- })
-		}
-		s.RunWhile(deadline, cp.TransferCond(s, topo.N(), &conv, func() bool { return remaining > 0 }))
-		for i, p := range pairs {
-			results[i] = nodes[p.Dst].Result(flow.ID(i + 1))
-		}
-		return finishRun(s, cp, pairs, results, opts, conv)
-	default:
-		panic("experiments: unknown protocol")
-	}
+	return runPairs(topo, proto, pairs, opts, nil)
 }
 
-// finishRun normalizes results (incomplete transfers end at the deadline)
-// and assembles the RunInfo.
-func finishRun(s *sim.Simulator, cp *ControlPlane, pairs []Pair, results []flow.Result, opts Options, conv sim.Time) RunInfo {
-	for i := range results {
-		if results[i].End == 0 {
-			results[i].End = s.Now()
-		}
-		if !results[i].Completed && results[i].End < s.Now() {
-			// Throughput of an unfinished flow is measured over the whole
-			// run, as a stalled flow occupies its slot the whole time.
-			results[i].End = s.Now()
-		}
-		results[i].Src = pairs[i].Src
-		results[i].Dst = pairs[i].Dst
-		// Per-flow transmission attribution: every data frame (and
-		// protocol-level ACK/NACK) carries its flow ID through the MAC, so
-		// multi-flow runs report each flow's own cost instead of the
-		// run-wide counter the MORE source used to record.
-		results[i].Transmissions = s.Counters.TxByFlow[uint32(i+1)]
+// runPairs compiles pairs to flows and runs them with the given actions.
+func runPairs(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, actions []Action) RunInfo {
+	flows := make([]Flow, len(pairs))
+	for i, p := range pairs {
+		flows[i] = Flow{Proto: proto, Src: p.Src, Dst: p.Dst, File: opts.file(opts.Seed + int64(i))}
 	}
-	s.Counters.QueueHWM = cp.QueueHighWater()
-	info := RunInfo{
-		Results:     results,
-		Counters:    s.Counters,
-		State:       opts.State,
-		Convergence: conv,
-		CC:          opts.CC.Policy,
-	}
-	info.ProbeTx, info.FloodTx = cp.ControlTx()
-	info.CCStats = cp.CCStats()
-	info.Fairness = BuildFairness(results, s.Counters)
-	if h, ok := opts.Telemetry.(*telemetry.Hub); ok {
-		info.Telemetry = h.Report()
-	}
-	return info
+	return Execute(topo, opts, flows, actions).Finish()
 }
 
 // SpatialReusePairs finds source-destination pairs whose best ETX path has
@@ -885,7 +651,3 @@ func SpatialReusePairs(topo *graph.Topology, minHops int, senseThreshold, senseR
 	}
 	return out
 }
-
-// routingOrderEOTX re-exports the EOTX ordering constant for callers that
-// do not import routing directly.
-func routingOrderEOTX() routing.OrderMetric { return routing.OrderEOTX }

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // quickOpts returns a reduced-scale configuration so the experiment suite
@@ -353,7 +355,7 @@ func TestEOTXOrderingOption(t *testing.T) {
 	opts := quickOpts()
 	p := RandomPairs(topo, 1, 5)[0]
 	etx := Run(topo, MORE, p, opts)
-	opts.Metric = routingOrderEOTX()
+	opts.Metric = routing.OrderEOTX
 	eotx := Run(topo, MORE, p, opts)
 	if !etx.Completed || !eotx.Completed {
 		t.Fatalf("runs incomplete: %v / %v", etx, eotx)
@@ -399,16 +401,21 @@ func TestFig42AcrossSeedsRobust(t *testing.T) {
 	}
 }
 
+// countingSink counts telemetry events by kind.
+type countingSink map[telemetry.Kind]int
+
+func (c countingSink) Emit(ev telemetry.Event) { c[ev.Kind]++ }
+
 func TestTraceHookPlumbed(t *testing.T) {
 	topo := TestbedTopology()
 	opts := quickOpts()
 	opts.FileBytes = 32 * 1500
-	lines := 0
-	opts.Trace = func(format string, args ...interface{}) { lines++ }
+	sink := countingSink{}
+	opts.Telemetry = sink
 	p := RandomPairs(topo, 1, 3)[0]
 	Run(topo, MORE, p, opts)
-	if lines == 0 {
-		t.Fatal("trace hook never fired")
+	if sink[telemetry.KindTx] == 0 {
+		t.Fatal("telemetry sink saw no transmissions")
 	}
 }
 

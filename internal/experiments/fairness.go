@@ -77,10 +77,10 @@ type FairnessReport struct {
 	ControlTx int64
 }
 
-// BuildFairness assembles the per-flow fairness report from the results
+// buildFairness assembles the per-flow fairness report from the results
 // and the run's per-flow transmission counters. Flow IDs follow the driver
 // convention: flow i (0-based result index) is flow.ID(i+1).
-func BuildFairness(results []flow.Result, counters sim.Counters) FairnessReport {
+func buildFairness(results []flow.Result, counters sim.Counters) FairnessReport {
 	rep := FairnessReport{ControlTx: counters.TxByFlow[0]}
 	tputs := make([]float64, 0, len(results))
 	txs := make([]float64, 0, len(results))

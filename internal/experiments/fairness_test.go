@@ -71,7 +71,7 @@ func TestBuildFairnessStalledFlow(t *testing.T) {
 		{Src: 1, Dst: 6, PacketsDelivered: 0, Start: 0, End: 0},
 	}
 	counters := sim.Counters{TxByFlow: map[uint32]int64{0: 3, 1: 80, 2: 12}}
-	rep := BuildFairness(results, counters)
+	rep := buildFairness(results, counters)
 	for i, f := range rep.Flows {
 		for name, v := range map[string]float64{"Throughput": f.Throughput, "TxPerPacket": f.TxPerPacket} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

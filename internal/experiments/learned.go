@@ -154,64 +154,53 @@ func GapChurnRun(topo *graph.Topology, proto Protocol, pairs []Pair, opts Option
 	}
 	rep := ChurnReport{FailPurge: -1, RecoverRelearn: -1}
 
-	schedule := func(t *graph.Topology, measure bool) func(*sim.Simulator, *ControlPlane, sim.Time) {
-		return func(s *sim.Simulator, cp *ControlPlane, start sim.Time) {
-			s.After(churn.FailAt, func() {
-				t.Isolate(churn.Node)
-				s.FailNode(churn.Node)
-				if o := cp.Oracle(); o != nil {
-					o.Invalidate()
-				}
-				if !measure {
-					return
-				}
-				failedAt := s.Now()
-				var watch func()
-				watch = func() {
-					if purgedFromAll(cp, churn.Node) {
-						rep.FailPurge = s.Now() - failedAt
-						return
-					}
-					s.After(poll, watch)
-				}
-				s.After(poll, watch)
-			})
-			if churn.RecoverAt <= churn.FailAt {
+	// watch polls cond from now on and stores the time it took to hold.
+	watch := func(x *Execution, cond func(*ControlPlane, graph.NodeID) bool, took *sim.Time) {
+		since := x.Sim.Now()
+		var tick func()
+		tick = func() {
+			if cond(x.cp, churn.Node) {
+				*took = x.Sim.Now() - since
 				return
 			}
-			s.After(churn.RecoverAt, func() {
-				t.Restore(churn.Node)
-				s.RecoverNode(churn.Node)
-				if o := cp.Oracle(); o != nil {
-					o.Invalidate()
-				}
-				if !measure {
-					return
-				}
-				recoveredAt := s.Now()
-				var watch func()
-				watch = func() {
-					if knownToAll(cp, churn.Node) {
-						rep.RecoverRelearn = s.Now() - recoveredAt
-						return
-					}
-					s.After(poll, watch)
-				}
-				s.After(poll, watch)
-			})
+			x.Sim.After(poll, tick)
 		}
+		x.Sim.After(poll, tick)
+	}
+	actions := func(t *graph.Topology, measure bool) []Action {
+		acts := []Action{{At: churn.FailAt, Do: func(x *Execution) {
+			t.Isolate(churn.Node)
+			x.Sim.FailNode(churn.Node)
+			if x.Oracle != nil {
+				x.Oracle.Invalidate()
+			}
+			if measure {
+				watch(x, purgedFromAll, &rep.FailPurge)
+			}
+		}}}
+		if churn.RecoverAt <= churn.FailAt {
+			return acts
+		}
+		return append(acts, Action{At: churn.RecoverAt, Do: func(x *Execution) {
+			t.Restore(churn.Node)
+			x.Sim.RecoverNode(churn.Node)
+			if x.Oracle != nil {
+				x.Oracle.Invalidate()
+			}
+			if measure {
+				watch(x, knownToAll, &rep.RecoverRelearn)
+			}
+		}})
 	}
 
 	oTopo, lTopo := topo.Clone(), topo.Clone()
 	oOpts := opts
 	oOpts.State = StateOracle
-	oOpts.Schedule = schedule(oTopo, false)
 	lOpts := opts
 	lOpts.State = StateLearned
-	lOpts.Schedule = schedule(lTopo, true)
 
-	oracle := RunDetailed(oTopo, proto, pairs, oOpts)
-	learned := RunDetailed(lTopo, proto, pairs, lOpts)
+	oracle := runPairs(oTopo, proto, pairs, oOpts, actions(oTopo, false))
+	learned := runPairs(lTopo, proto, pairs, lOpts, actions(lTopo, true))
 
 	rep.GapReport = GapReport{
 		Protocol:    proto,

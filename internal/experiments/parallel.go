@@ -13,15 +13,6 @@ import (
 // so the assembled figures are byte-identical for any worker count,
 // including 1. The determinism test in experiments_test.go locks that in.
 
-// Workers normalizes an Options.Parallel value: 0 or negative means serial
-// (1), and anything else is capped at the item count by forEach.
-func Workers(parallel int) int {
-	if parallel <= 0 {
-		return 1
-	}
-	return parallel
-}
-
 // AutoParallel returns a sensible default worker count for callers that
 // want "use the machine": GOMAXPROCS.
 func AutoParallel() int { return runtime.GOMAXPROCS(0) }
@@ -32,10 +23,9 @@ func AutoParallel() int { return runtime.GOMAXPROCS(0) }
 func ForEachItem(n, workers int, fn func(i int)) { forEach(n, workers, fn) }
 
 // forEach runs fn(0..n-1) on up to `workers` goroutines. fn must confine
-// its writes to per-index state. With workers <= 1 the loop runs inline on
-// the caller's goroutine.
+// its writes to per-index state. With workers <= 1 (an unset
+// Options.Parallel included) the loop runs inline on the caller's goroutine.
 func forEach(n, workers int, fn func(i int)) {
-	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}

@@ -94,8 +94,7 @@ func ScalingSweep(cfg ScalingConfig) []ScalingPoint {
 	return points
 }
 
-// RunScalingPoint builds the i-th point's topology and runs it — exposed so
-// single-shot callers (cmd/moresim) share the exact sweep semantics.
+// runScalingPoint builds the i-th point's topology and runs it.
 func runScalingPoint(cfg ScalingConfig, i int) ScalingPoint {
 	gcfg := cfg.Geometric
 	if gcfg.MidRange == 0 && gcfg.TargetDegree == 0 {
@@ -154,18 +153,4 @@ func measureScalingPoint(topo *graph.Topology, seed int64, proto Protocol, flows
 		pt.TxPerPacket = float64(counters.Transmissions) / float64(delivered)
 	}
 	return pt
-}
-
-// RunAtScale is the single-point convenience used by cmd/moresim: a
-// connected geometric topology of n nodes, F flows, uniform extra drop.
-func RunAtScale(n, flows int, drop float64, gcfg graph.GeometricConfig, proto Protocol, opts Options) ScalingPoint {
-	cfg := ScalingConfig{
-		NodeCounts: []int{n},
-		Flows:      flows,
-		Drop:       drop,
-		Geometric:  gcfg,
-		Protocol:   proto,
-		Opts:       opts,
-	}
-	return runScalingPoint(cfg, 0)
 }

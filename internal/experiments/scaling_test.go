@@ -47,7 +47,7 @@ func TestDenseVsSparseProtocolRuns(t *testing.T) {
 func TestScalingPointSmoke(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FileBytes = 48 << 10
-	pt := RunAtScale(150, 2, 0.1, graph.GeometricConfig{}, MORE, opts)
+	pt := ScalingSweep(ScalingConfig{NodeCounts: []int{150}, Flows: 2, Drop: 0.1, Protocol: MORE, Opts: opts})[0]
 	if pt.Nodes != 150 {
 		t.Fatalf("nodes = %d", pt.Nodes)
 	}
@@ -103,7 +103,7 @@ func TestThousandNodeFlow(t *testing.T) {
 	opts.FileBytes = 48 << 10 // one K=32 batch
 	opts.Seed = 7
 	run := func() ScalingPoint {
-		pt := RunAtScale(1000, 1, 0, graph.GeometricConfig{}, MORE, opts)
+		pt := ScalingSweep(ScalingConfig{NodeCounts: []int{1000}, Flows: 1, Protocol: MORE, Opts: opts})[0]
 		pt.WallClock = 0
 		return pt
 	}

@@ -114,10 +114,9 @@ func TestTelemetryStallDump(t *testing.T) {
 	var cbDumps int
 	hub := telemetry.NewHub(telemetry.Config{OnStall: func(d telemetry.StallDump) { cbDumps++ }})
 	opts.Telemetry = hub
-	opts.Schedule = func(s *sim.Simulator, cp *ControlPlane, flowsStart sim.Time) {
-		s.After(sim.Second, func() { s.FailNode(19) })
-	}
-	info := RunDetailed(topo, MORE, pairs, opts)
+	info := runPairs(topo, MORE, pairs, opts, []Action{
+		{At: sim.Second, Do: func(x *Execution) { x.Sim.FailNode(19) }},
+	})
 	if info.Results[0].Completed {
 		t.Fatal("transfer completed despite dead destination")
 	}
@@ -155,17 +154,12 @@ func TestTelemetryStallDump(t *testing.T) {
 // TestTelemetryBenchGate sanity-checks the overhead comparator without
 // timing anything real.
 func TestTelemetryBenchGate(t *testing.T) {
-	base := &TelemetryBenchResult{OffNsPerRun: 100, OnNsPerRun: 105, OverheadPct: 5}
 	cur := &TelemetryBenchResult{OffNsPerRun: 102, OnNsPerRun: 106, OverheadPct: 3.9}
-	if bad := CompareTelemetryBaselines(base, cur, 0.20); len(bad) != 0 {
-		t.Fatalf("healthy pair flagged: %v", bad)
-	}
-	slow := &TelemetryBenchResult{OffNsPerRun: 150, OnNsPerRun: 155, OverheadPct: 3.3}
-	if bad := CompareTelemetryBaselines(base, slow, 0.20); len(bad) != 1 {
-		t.Fatalf("off-path regression not flagged: %v", bad)
+	if bad := CompareTelemetryBaselines(cur); len(bad) != 0 {
+		t.Fatalf("healthy measurement flagged: %v", bad)
 	}
 	heavy := &TelemetryBenchResult{OffNsPerRun: 100, OnNsPerRun: 120, OverheadPct: 20}
-	if bad := CompareTelemetryBaselines(base, heavy, 0.20); len(bad) != 1 {
+	if bad := CompareTelemetryBaselines(heavy); len(bad) != 1 {
 		t.Fatalf("overhead violation not flagged: %v", bad)
 	}
 }

@@ -31,8 +31,7 @@ package gf256
 // Kernel is a reusable multi-row combine engine. A zero-value Kernel is not
 // usable; obtain one with NewKernel (the active implementation) or
 // NewKernelNamed. Kernels hold scratch state and are not safe for
-// concurrent use — the packet pipeline owns one per flow, and the sharded
-// pipeline in internal/coding owns one per worker.
+// concurrent use — the packet pipeline owns one per flow.
 type Kernel struct {
 	k    int // rows captured by SetRows
 	size int // row length

@@ -3,11 +3,12 @@
 // models (pull file transfers and push CBR/on-off sources), protocol,
 // routing-state and congestion-control knobs, and a time-phased schedule of
 // link-degradation and node-failure events — and the executor compiles it
-// onto the existing experiments.ControlPlane / sim.Stack machinery. What
-// used to live in moresim flag combinations and ad-hoc Go drivers becomes a
-// versionable corpus (see the repository's scenarios/ directory) whose
-// results are byte-identical across runs and pinned by the golden
-// regression suite, so every future change diffs its behavior per scenario.
+// to the flows and timed actions of the run engine every figure driver
+// uses (experiments.Execute). What used to live in moresim flag
+// combinations and ad-hoc Go drivers becomes a versionable corpus (see the
+// repository's scenarios/ directory) whose results are byte-identical
+// across runs and pinned by the golden regression suite, so every future
+// change diffs its behavior per scenario.
 //
 // The mixed-workload scenarios are the point: CHOKe-style AQM (Pan,
 // Prabhakar & Psounis, INFOCOM'00) is motivated by unresponsive flows

@@ -98,7 +98,6 @@ func TestBackoffFreezeAndResume(t *testing.T) {
 
 	var starts []Time
 	var ends []Time
-	s.Trace = func(format string, args ...interface{}) {}
 	// Track transmissions via counters after the run instead: with both
 	// frames delivered and zero collisions, the MAC must have serialized.
 	a.enqueue(&Frame{From: 0, To: graph.Broadcast, Bytes: 1400})

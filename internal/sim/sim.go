@@ -205,9 +205,6 @@ type Simulator struct {
 	active   []*transmission
 	Counters Counters
 
-	// Trace, when set, receives a line per interesting medium event.
-	Trace func(format string, args ...interface{})
-
 	// Telem, when set, receives a typed telemetry.Event per medium and
 	// protocol event (see internal/telemetry). Nil costs one pointer check
 	// per emission site and nothing else.
@@ -374,7 +371,6 @@ func (s *Simulator) FailNode(id graph.NodeID) {
 	}
 	n.failed = true
 	n.mac.silence()
-	s.tracef("node %d failed", id)
 	if s.Telem != nil {
 		s.Telem.Emit(telemetry.Event{At: int64(s.now), Node: int32(id), Kind: telemetry.KindNodeFail})
 	}
@@ -396,7 +392,6 @@ func (s *Simulator) RecoverNode(id graph.NodeID) {
 	}
 	n.failed = false
 	n.mac.revive()
-	s.tracef("node %d recovered", id)
 	if s.Telem != nil {
 		s.Telem.Emit(telemetry.Event{At: int64(s.now), Node: int32(id), Kind: telemetry.KindNodeRecover})
 	}
@@ -438,12 +433,6 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 
 // Pending reports how many live (non-canceled) events are queued.
 func (s *Simulator) Pending() int { return len(s.queue) - s.canceledInQueue }
-
-func (s *Simulator) tracef(format string, args ...interface{}) {
-	if s.Trace != nil {
-		s.Trace("%s "+format, append([]interface{}{s.now}, args...)...)
-	}
-}
 
 // deliveryProb returns the delivery probability from a to b at the frame's
 // rate and size.
@@ -534,7 +523,6 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 	for _, id := range s.senseSet[n.id] {
 		s.nodes[id].mac.carrierUp()
 	}
-	s.tracef("tx start node=%d to=%d bytes=%d rate=%v ack=%v", n.id, f.To, f.Bytes, rate, f.isMACAck)
 
 	s.After(dur, func() { s.endTransmission(tx) })
 	return tx
