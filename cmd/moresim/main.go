@@ -53,7 +53,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -148,9 +147,9 @@ func main() {
 	}
 	opts.LoadPenalty = *loadPen
 	if state == experiments.StateLearned {
-		// linkstate.NewAgent treats a zero AdvertiseInterval as "use all
-		// defaults", which would silently discard -window too; reject the
-		// degenerate knobs here instead.
+		// A zero window or advertise interval would be read as "default"
+		// downstream (and a negative one is meaningless); tell the user
+		// instead of running something they did not ask for.
 		if *window <= 0 || *advertise <= 0 {
 			fmt.Fprintln(os.Stderr, "-window and -advertise must be > 0")
 			os.Exit(2)
@@ -222,13 +221,23 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if *ccSweep {
-			if !runCCSweep(*scaleList, *flows, *drop, gcfg, proto, opts, *jsonOut) {
-				os.Exit(1)
-			}
-			return
+		counts, ok := parseCounts(*scaleList)
+		if !ok {
+			os.Exit(2)
 		}
-		if !runScale(*scaleList, *flows, *drop, gcfg, proto, opts, *jsonOut) {
+		sweep := experiments.ScalingConfig{
+			NodeCounts: counts,
+			Flows:      *flows,
+			Drop:       *drop,
+			Geometric:  gcfg,
+			Protocol:   proto,
+			Opts:       opts,
+		}
+		run := runScale
+		if *ccSweep {
+			run = runCCSweep
+		}
+		if !run(sweep, *jsonOut) {
 			os.Exit(1)
 		}
 		return
@@ -348,27 +357,23 @@ func main() {
 		hub = tc.newHub()
 		opts.Telemetry = hub
 	}
-	var rec *trace.Recorder
+	var txs *txLog
 	if *showTrace {
-		// The recorder is an ordinary telemetry sink: alone it is the whole
+		// The log is an ordinary telemetry sink: alone it is the whole
 		// plane, next to a hub it rides along as an extra consumer.
-		rec = trace.NewRecorder(1 << 16)
+		txs = new(txLog)
 		if hub != nil {
-			hub.AddSink(rec)
+			hub.AddSink(txs)
 		} else {
-			opts.Telemetry = rec
+			opts.Telemetry = txs
 		}
 	}
 	stopProgress := tc.startProgress(hub)
 	info := experiments.RunDetailed(topo, proto, pairs, opts)
 	stopProgress()
 	rs, counters := info.Results, info.Counters
-	if rec != nil {
-		end := rs[0].End
-		if end == 0 {
-			end = sim.Second
-		}
-		fmt.Print(rec.Timeline(0, end, 96))
+	if txs != nil {
+		fmt.Print(txs.timeline(0, timelineEnd(rs), 96))
 	}
 	if hub != nil && !tc.finish(hub) {
 		os.Exit(1)
@@ -502,25 +507,11 @@ func runLearned(topo *graph.Topology, proto experiments.Protocol, pairs []experi
 	return rep.Learned.Completed == rep.Flows
 }
 
-// runScale parses the node-count list, sweeps the scaling driver, and
-// prints the table (or JSON). It reports whether every flow at every point
-// completed.
-func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
-	proto experiments.Protocol, opts experiments.Options, jsonOut bool) bool {
-	counts, ok := parseCounts(list)
-	if !ok {
-		os.Exit(2)
-	}
-	cfg := experiments.ScalingConfig{
-		NodeCounts: counts,
-		Flows:      flows,
-		Drop:       drop,
-		Geometric:  gcfg,
-		Protocol:   proto,
-		Opts:       opts,
-	}
+// runScale sweeps the scaling driver and prints the table (or JSON). It
+// reports whether every flow at every point completed.
+func runScale(cfg experiments.ScalingConfig, jsonOut bool) bool {
 	points := experiments.ScalingSweep(cfg)
-	ok = true
+	ok := true
 	if jsonOut {
 		printJSON(points)
 		for _, pt := range points {
@@ -528,9 +519,9 @@ func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
 		}
 		return ok
 	}
-	learned := opts.State == experiments.StateLearned
+	learned := cfg.Opts.State == experiments.StateLearned
 	fmt.Printf("scaling sweep: proto=%v flows=%d drop=%.2f file=%dB degree=%.0f state=%v\n",
-		proto, flows, drop, opts.FileBytes, gcfg.TargetDegree, opts.State)
+		cfg.Protocol, cfg.Flows, cfg.Drop, cfg.Opts.FileBytes, cfg.Geometric.TargetDegree, cfg.Opts.State)
 	fmt.Printf("%8s %8s %10s %10s %10s %8s %12s", "nodes", "links", "deg", "pkt/s", "tx/pkt", "done", "wall")
 	if learned {
 		fmt.Printf(" %10s %10s %10s", "probe-tx", "flood-tx", "flood/node")
@@ -556,22 +547,8 @@ func runScale(list string, flows int, drop float64, gcfg graph.GeometricConfig,
 // runCCSweep re-runs the scaling sweep once per congestion policy over
 // identical topologies and flows and prints the mitigation table (or
 // JSON). It reports whether every flow at every point completed.
-func runCCSweep(list string, flows int, drop float64, gcfg graph.GeometricConfig,
-	proto experiments.Protocol, opts experiments.Options, jsonOut bool) bool {
-	counts, ok := parseCounts(list)
-	if !ok {
-		os.Exit(2)
-	}
-	grid := experiments.CCSweep(experiments.CCSweepConfig{
-		Scaling: experiments.ScalingConfig{
-			NodeCounts: counts,
-			Flows:      flows,
-			Drop:       drop,
-			Geometric:  gcfg,
-			Protocol:   proto,
-			Opts:       opts,
-		},
-	})
+func runCCSweep(cfg experiments.ScalingConfig, jsonOut bool) bool {
+	grid := experiments.CCSweep(cfg)
 	allDone := true
 	for _, pt := range grid {
 		allDone = allDone && pt.Completed == pt.Flows
@@ -581,7 +558,7 @@ func runCCSweep(list string, flows int, drop float64, gcfg graph.GeometricConfig
 		return allDone
 	}
 	fmt.Printf("congestion mitigation sweep: proto=%v flows=%d drop=%.2f file=%dB\n",
-		proto, flows, drop, opts.FileBytes)
+		cfg.Protocol, cfg.Flows, cfg.Drop, cfg.Opts.FileBytes)
 	fmt.Printf("%-8s %8s %10s %10s %8s %8s %8s %10s\n",
 		"cc", "nodes", "pkt/s", "tx/pkt", "jainT", "done", "grants", "drops")
 	for _, pt := range grid {
@@ -783,6 +760,5 @@ func flagWasSet(name string) bool {
 func planOpts(o experiments.Options) routing.PlanOptions {
 	p := routing.DefaultPlanOptions()
 	p.Metric = o.Metric
-	p.ETX = routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
 	return p
 }

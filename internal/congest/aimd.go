@@ -34,10 +34,7 @@ func (l *Layer) aimdFlowFor(fid uint32, now sim.Time) *aimdFlow {
 }
 
 func (l *Layer) aimdDecrease(af *aimdFlow) {
-	af.rate *= l.cfg.RateBeta
-	if af.rate < l.cfg.RateMin {
-		af.rate = l.cfg.RateMin
-	}
+	af.rate = max(af.rate*rateBeta, rateMin)
 	l.Stats.RateDecreases++
 }
 
@@ -82,10 +79,7 @@ func (l *Layer) aimdCommit(info frameInfo) {
 	if info.hasBatch {
 		if !af.seen || info.batch > af.batch {
 			if af.seen {
-				af.rate += l.cfg.RateStep
-				if af.rate > l.cfg.RateMax {
-					af.rate = l.cfg.RateMax
-				}
+				af.rate = min(af.rate+rateStep, rateMax)
 			}
 			af.seen = true
 			af.batch = info.batch
@@ -97,7 +91,7 @@ func (l *Layer) aimdCommit(info frameInfo) {
 	af.sends++
 	if info.hasBatch {
 		if af.initTh == 0 {
-			af.initTh = int(l.cfg.StagnationFactor * float64(maxInt(1, batchK(info))))
+			af.initTh = int(l.cfg.StagnationFactor * float64(max(1, batchK(info))))
 			af.nextMD = af.initTh
 		}
 		if af.nextMD > 0 && af.sends >= af.nextMD {
@@ -113,11 +107,4 @@ func batchK(info frameInfo) int {
 		return info.more.K
 	}
 	return 32
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

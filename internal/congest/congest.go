@@ -134,6 +134,59 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
+// Fixed tuning of the pacing policies. The comparisons the layer exists for
+// vary the policy at fixed queue parameters (as the AQM literature does), so
+// the grant timers and the AIMD/CUBIC constants are not Config fields.
+const (
+	// gateTimeout is the base interval at which a credit-gated flow still
+	// releases a single probe transmission (the interval doubles while
+	// nothing changes, up to 32×) — the liveness escape hatch when grants
+	// or batch ACKs are lost.
+	gateTimeout = 60 * sim.Millisecond
+	// needAdvertiseMax bounds the per-change positive grants: a granter
+	// re-advertises every change of its remaining need only once the need
+	// is at most this. Larger needs are announced once per batch; the
+	// endgame countdown — the part that decides gating — stays fresh
+	// without a grant per innovative reception.
+	needAdvertiseMax = 8
+	// grantRefresh re-advertises a zero need at most this often while
+	// traffic for the completed batch keeps arriving — the retransmission
+	// path for a lost stop signal, self-limiting because it is driven by
+	// the very traffic it suppresses.
+	grantRefresh = 150 * sim.Millisecond
+	// grantMinInterval floors the spacing between a granter's successive
+	// grants for one flow. Only the gating transitions — need hitting zero
+	// or reappearing — bypass it: every broadcast reception is a grant
+	// opportunity at every listener, so without a floor the endgame
+	// countdown multiplies across the neighborhood into a grant storm that
+	// feeds the very congestion it should damp.
+	grantMinInterval = 50 * sim.Millisecond
+	// grantTTL expires a grant's word: a zero-need grant older than this no
+	// longer gates the sender. A suppressed flow's own residual traffic
+	// refreshes live zeros every grantRefresh, so the gate holds exactly as
+	// long as the granter keeps restating it — and a silence deep enough to
+	// stop the refreshes releases the flow instead of stranding it on probe
+	// backoff.
+	grantTTL = 500 * sim.Millisecond
+
+	// rateMin and rateMax clamp the AIMD and CUBIC pacing rates
+	// (packets/second).
+	rateMin float64 = 64
+	rateMax float64 = 2000
+	// rateStep is the AIMD additive increase per batch advance.
+	rateStep float64 = 30
+	// rateBeta is the AIMD multiplicative decrease factor.
+	rateBeta float64 = 0.5
+
+	// cubicC is the CUBIC growth constant C in windows/second³ (the
+	// RFC 8312 value).
+	cubicC float64 = 0.4
+	// cubicBeta is the CUBIC multiplicative-decrease factor β (RFC 8312):
+	// after a congestion event the window restarts at β·W_max and grows
+	// back along the cubic curve.
+	cubicBeta float64 = 0.7
+)
+
 // Config parameterizes the congestion layer.
 type Config struct {
 	// Policy selects the mechanism; None disables the layer entirely.
@@ -148,36 +201,6 @@ type Config struct {
 	// deeper queues).
 	QueueLen int
 
-	// GateTimeout is the base interval at which a credit-gated flow still
-	// releases a single probe transmission (default 60 ms; the interval
-	// doubles while nothing changes, up to 32×) — the liveness escape
-	// hatch when grants or batch ACKs are lost.
-	GateTimeout sim.Time
-	// NeedAdvertiseMax bounds the per-change positive grants: a granter
-	// re-advertises every change of its remaining need only once the need
-	// is at most this (default 8). Larger needs are announced once per
-	// batch; the endgame countdown — the part that decides gating — stays
-	// fresh without a grant per innovative reception.
-	NeedAdvertiseMax int
-	// GrantRefresh re-advertises a zero need at most this often while
-	// traffic for the completed batch keeps arriving (default 150 ms) —
-	// the retransmission path for a lost stop signal, self-limiting
-	// because it is driven by the very traffic it suppresses.
-	GrantRefresh sim.Time
-	// GrantMinInterval floors the spacing between a granter's successive
-	// grants for one flow (default 50 ms). Only the gating transitions —
-	// need hitting zero or reappearing — bypass it: every broadcast
-	// reception is a grant opportunity at every listener, so without a
-	// floor the endgame countdown multiplies across the neighborhood into
-	// a grant storm that feeds the very congestion it should damp.
-	GrantMinInterval sim.Time
-	// GrantTTL expires a grant's word (default 500 ms): a zero-need grant
-	// older than this no longer gates the sender. A suppressed flow's own
-	// residual traffic refreshes live zeros every GrantRefresh, so the
-	// gate holds exactly as long as the granter keeps restating it — and
-	// a silence deep enough to stop the refreshes releases the flow
-	// instead of stranding it on probe backoff.
-	GrantTTL sim.Time
 	// CreditMinK floors the batch rank the Credit machinery engages at
 	// (default 16): MORE batches with K below the floor bypass grants and
 	// gating entirely and run over the plain bounded queue. In a batch
@@ -186,17 +209,13 @@ type Config struct {
 	// savings, inverting the result credit wins at K = 32 (the sub-batch
 	// workload regression the scaling sweeps flagged). Negative disables
 	// the floor. For K at or above the floor the endgame-countdown
-	// threshold (NeedAdvertiseMax) additionally scales as K/4 so the grant
+	// threshold (needAdvertiseMax) additionally scales as K/4 so the grant
 	// count per batch stays a constant fraction of the batch.
 	CreditMinK int
 
 	// RateInit is the AIMD starting injection rate in packets/second
-	// (default 300). RateMin/RateMax clamp it (defaults 64 and 2000).
-	RateInit, RateMin, RateMax float64
-	// RateStep is the additive increase per batch advance (default 30).
-	RateStep float64
-	// RateBeta is the multiplicative decrease factor (default 0.5).
-	RateBeta float64
+	// (default 300), clamped to [rateMin, rateMax].
+	RateInit float64
 	// StagnationFactor triggers a decrease after StagnationFactor×K sends
 	// within one batch without an advance (default 10; the threshold
 	// doubles after each decrease within the same batch).
@@ -204,13 +223,6 @@ type Config struct {
 	// BucketDepth caps accumulated tokens (default 8 packets).
 	BucketDepth float64
 
-	// CubicC is the CUBIC growth constant C in windows/second³
-	// (default 0.4, the RFC 8312 value).
-	CubicC float64
-	// CubicBeta is the CUBIC multiplicative-decrease factor β
-	// (default 0.7): after a congestion event the window restarts at
-	// β·W_max and grows back along the cubic curve.
-	CubicBeta float64
 	// CubicInitWindow seeds W_max for a new flow (default 32 packets):
 	// with the default 100 ms RTT seed the starting pacing rate lands
 	// near AIMD's RateInit.
@@ -235,50 +247,17 @@ func (c *Config) fillDefaults() {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 2
 	}
-	if c.GateTimeout <= 0 {
-		c.GateTimeout = 60 * sim.Millisecond
-	}
-	if c.NeedAdvertiseMax <= 0 {
-		c.NeedAdvertiseMax = 8
-	}
-	if c.GrantRefresh <= 0 {
-		c.GrantRefresh = 150 * sim.Millisecond
-	}
-	if c.GrantMinInterval <= 0 {
-		c.GrantMinInterval = 50 * sim.Millisecond
-	}
-	if c.GrantTTL <= 0 {
-		c.GrantTTL = 500 * sim.Millisecond
-	}
 	if c.CreditMinK == 0 {
 		c.CreditMinK = 16
 	}
 	if c.RateInit <= 0 {
 		c.RateInit = 300
 	}
-	if c.RateMin <= 0 {
-		c.RateMin = 64
-	}
-	if c.RateMax <= 0 {
-		c.RateMax = 2000
-	}
-	if c.RateStep <= 0 {
-		c.RateStep = 30
-	}
-	if c.RateBeta <= 0 || c.RateBeta >= 1 {
-		c.RateBeta = 0.5
-	}
 	if c.StagnationFactor <= 0 {
 		c.StagnationFactor = 10
 	}
 	if c.BucketDepth <= 0 {
 		c.BucketDepth = 8
-	}
-	if c.CubicC <= 0 {
-		c.CubicC = 0.4
-	}
-	if c.CubicBeta <= 0 || c.CubicBeta >= 1 {
-		c.CubicBeta = 0.7
 	}
 	if c.CubicInitWindow <= 0 {
 		c.CubicInitWindow = 32
@@ -304,7 +283,7 @@ type Stats struct {
 	GrantTx int64
 	// GateSkips counts transmission opportunities a gated frame declined.
 	GateSkips int64
-	// ProbeSends counts gated transmissions released by the GateTimeout
+	// ProbeSends counts gated transmissions released by the gateTimeout
 	// liveness escape.
 	ProbeSends int64
 	// RateDecreases counts AIMD multiplicative-decrease events.

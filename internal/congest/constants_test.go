@@ -1,0 +1,33 @@
+package congest
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// TestFixedParameters pins the pacing policies' tuning constants: the grant
+// timers PERFORMANCE.md's mitigation tables were measured under, the AIMD
+// clamp and step, and the RFC 8312 CUBIC C and β.
+func TestFixedParameters(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want interface{}
+	}{
+		{"gateTimeout", gateTimeout, 60 * sim.Millisecond},
+		{"needAdvertiseMax", needAdvertiseMax, 8},
+		{"grantRefresh", grantRefresh, 150 * sim.Millisecond},
+		{"grantMinInterval", grantMinInterval, 50 * sim.Millisecond},
+		{"grantTTL", grantTTL, 500 * sim.Millisecond},
+		{"rateMin", rateMin, 64.0},
+		{"rateMax", rateMax, 2000.0},
+		{"rateStep", rateStep, 30.0},
+		{"rateBeta", rateBeta, 0.5},
+		{"cubicC", cubicC, 0.4},
+		{"cubicBeta", cubicBeta, 0.7},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}

@@ -23,7 +23,7 @@ import (
 // the gate is pure suppression layered over unchanged MORE crediting, a run
 // can only lose transmissions that provably could not have been
 // innovative downstream. A gated flow still releases one probe per
-// GateTimeout — with the interval doubling while nothing changes, up to
+// gateTimeout — with the interval doubling while nothing changes, up to
 // 32× — so a lost ACK or a starved forwarder chain cannot stall a flow,
 // and a stalled flow cannot storm the medium.
 
@@ -60,7 +60,7 @@ type grantInfo struct {
 // creditFlow is the sender-side gate state for one flow.
 type creditFlow struct {
 	batch     uint32
-	lastProbe sim.Time // last GateTimeout liveness release
+	lastProbe sim.Time // last gateTimeout liveness release
 	backoff   int      // consecutive probes without news (caps the interval)
 	// fwdSig fingerprints the forwarder set the gate's grants were collected
 	// against; route repair rewriting the set mid-batch resets the probe
@@ -135,12 +135,12 @@ func (l *Layer) acceptGrant(f *sim.Frame, g *CreditMsg) {
 // count:
 //
 //   - a new batch (or need reappearing after a purge) is announced once;
-//   - the endgame countdown — need at or below NeedAdvertiseMax — is
+//   - the endgame countdown — need at or below needAdvertiseMax — is
 //     re-advertised on every change, keeping the upstream gate's positive
 //     signal alive through grant losses (each innovative reception is
 //     another chance to be heard);
 //   - a zero need is announced on the transition and then refreshed at
-//     most every GrantRefresh while traffic for the dead batch keeps
+//     most every grantRefresh while traffic for the dead batch keeps
 //     arriving — the lost-stop-signal retransmission path, self-limiting
 //     because the suppressed traffic is what drives it.
 func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
@@ -165,9 +165,9 @@ func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
 		c.adv[fid] = a
 	}
 	now := l.node.Now()
-	advMax := l.needAdvertiseMax(m.K)
+	advMax := endgameThreshold(m.K)
 	if a.valid && a.batch == batch {
-		if (needed > 0) == (a.needed > 0) && now-a.at < l.cfg.GrantMinInterval {
+		if (needed > 0) == (a.needed > 0) && now-a.at < grantMinInterval {
 			// Not a stop/start transition: respect the spacing floor.
 			// Every broadcast reception offers every listener a grant
 			// opportunity, so un-floored chatter scales with the
@@ -181,7 +181,7 @@ func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
 			// storm alive) and a small positive (the top-up path that
 			// keeps the frontier serving) — are worth restating
 			// occasionally; an unchanged mid-batch need is not.
-			if needed > advMax || now-a.at < l.cfg.GrantRefresh {
+			if needed > advMax || now-a.at < grantRefresh {
 				return
 			}
 		case needed > 0 && a.needed > 0 && needed > advMax:
@@ -231,7 +231,7 @@ func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
 	if info.more != nil {
 		// Route repair can rewrite a flow's forwarder set mid-batch; the
 		// probe backoff accumulated against the old set says nothing about
-		// the new one, so drop it and re-probe within one GateTimeout.
+		// the new one, so drop it and re-probe within one gateTimeout.
 		// Without repair a set change implies a batch change, whose reset
 		// above makes this a no-op — legacy runs are byte-identical.
 		if sig := fwdSignature(info.more); sig != cf.fwdSig {
@@ -255,14 +255,14 @@ func fwdSignature(m *core.DataMsg) uint64 {
 }
 
 // creditSuppressed reports the downstream verdict: true when at least one
-// downstream granter has spoken for this batch within GrantTTL and none
+// downstream granter has spoken for this batch within grantTTL and none
 // of them still needs packets. No live grants (cold start, new batch, or
 // a neighborhood gone quiet) means transmit: a zero that is no longer
 // being restated by the traffic it suppresses has expired, and releasing
 // the flow beats stranding it on probe backoff.
 func (l *Layer) creditSuppressed(info frameInfo) bool {
 	m := info.more
-	horizon := l.node.Now() - l.cfg.GrantTTL
+	horizon := l.node.Now() - grantTTL
 	heard := false
 	for key, gi := range l.credit.grants {
 		if key.flow != info.flow || gi.batch != info.batch {
@@ -289,25 +289,21 @@ func (l *Layer) creditBypass(k int) bool {
 	return l.cfg.CreditMinK > 0 && k > 0 && k < l.cfg.CreditMinK
 }
 
-// needAdvertiseMax scales the endgame-countdown threshold with the batch
-// rank: NeedAdvertiseMax (default 8) is tuned for K = 32, where the
-// every-change countdown covers the last quarter of the batch. A smaller
-// batch keeps the same fraction (K/4) so the grant bill per batch shrinks
-// with the batch instead of staying fixed.
-func (l *Layer) needAdvertiseMax(k int) int {
-	max := l.cfg.NeedAdvertiseMax
-	if k > 0 && k/4 < max {
-		max = k / 4
+// endgameThreshold scales the endgame-countdown threshold with the batch
+// rank: needAdvertiseMax is tuned for K = 32, where the every-change
+// countdown covers the last quarter of the batch. A smaller batch keeps the
+// same fraction (K/4) so the grant bill per batch shrinks with the batch
+// instead of staying fixed.
+func endgameThreshold(k int) int {
+	if k <= 0 {
+		return needAdvertiseMax
 	}
-	if max < 1 {
-		max = 1
-	}
-	return max
+	return max(1, min(needAdvertiseMax, k/4))
 }
 
 // creditCanSend gates a data frame when every downstream listener heard
 // from reports zero need for the frame's batch, except for one probe per
-// (exponentially backed-off) GateTimeout. Non-MORE frames pass untouched,
+// (exponentially backed-off) gateTimeout. Non-MORE frames pass untouched,
 // as do sub-floor batches (see creditBypass).
 func (l *Layer) creditCanSend(info frameInfo) bool {
 	if info.more == nil || l.creditBypass(info.more.K) {
@@ -318,7 +314,7 @@ func (l *Layer) creditCanSend(info frameInfo) bool {
 		return true
 	}
 	now := l.node.Now()
-	interval := l.cfg.GateTimeout << uint(minInt(cf.backoff, 5))
+	interval := gateTimeout << uint(min(cf.backoff, 5))
 	if now-cf.lastProbe >= interval {
 		return true // probe due: a send would be the liveness probe
 	}
@@ -402,13 +398,6 @@ func (l *Layer) granterDownstream(granter graph.NodeID, m *core.DataMsg) bool {
 	}
 	// The forwarder list is ordered closest-to-destination first.
 	return granterIdx >= 0 && myIdx >= 0 && granterIdx < myIdx
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // bitLen is the halving-level of a need: needs with the same bit length

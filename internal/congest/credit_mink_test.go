@@ -89,17 +89,16 @@ func TestCreditEngagesAtAndAboveFloor(t *testing.T) {
 // TestNeedAdvertiseMaxScalesWithK checks the endgame-countdown threshold
 // shrinks proportionally with the batch rank.
 func TestNeedAdvertiseMaxScalesWithK(t *testing.T) {
-	l := New(Config{Policy: Credit}, &fakeProto{})
 	for _, c := range []struct{ k, want int }{
 		{32, 8}, // the K=32 tuning point: unchanged
 		{24, 6},
 		{16, 4},
 		{4, 1},  // floor: never below one
-		{0, 8},  // unknown rank: config value
-		{64, 8}, // large K: capped at the config value
+		{0, 8},  // unknown rank: the K=32 value
+		{64, 8}, // large K: capped at the K=32 value
 	} {
-		if got := l.needAdvertiseMax(c.k); got != c.want {
-			t.Errorf("needAdvertiseMax(%d) = %d, want %d", c.k, got, c.want)
+		if got := endgameThreshold(c.k); got != c.want {
+			t.Errorf("endgameThreshold(%d) = %d, want %d", c.k, got, c.want)
 		}
 	}
 }

@@ -66,10 +66,10 @@ func (l *Layer) cubicFlowFor(fid uint32, now sim.Time) *cubicFlow {
 }
 
 // window evaluates the CUBIC curve at simulated time now.
-func (cf *cubicFlow) window(now sim.Time, cfg *Config) float64 {
+func (cf *cubicFlow) window(now sim.Time) float64 {
 	t := (now - cf.epoch).Seconds()
-	k := math.Cbrt(cf.wmax * (1 - cfg.CubicBeta) / cfg.CubicC)
-	w := cfg.CubicC*math.Pow(t-k, 3) + cf.wmax
+	k := math.Cbrt(cf.wmax * (1 - cubicBeta) / cubicC)
+	w := cubicC*math.Pow(t-k, 3) + cf.wmax
 	if w < cubicMinWindow {
 		w = cubicMinWindow
 	}
@@ -82,20 +82,13 @@ func (l *Layer) cubicRate(cf *cubicFlow, now sim.Time) float64 {
 	if srtt <= 0 {
 		srtt = cubicDefaultRTT
 	}
-	r := cf.window(now, &l.cfg) / srtt.Seconds()
-	if r < l.cfg.RateMin {
-		r = l.cfg.RateMin
-	}
-	if r > l.cfg.RateMax {
-		r = l.cfg.RateMax
-	}
-	return r
+	return min(max(cf.window(now)/srtt.Seconds(), rateMin), rateMax)
 }
 
 // cubicOnCongestion registers a congestion event: remember the operating
 // point, shrink multiplicatively, restart the cubic clock.
 func (l *Layer) cubicOnCongestion(cf *cubicFlow) {
-	cf.wmax = cf.window(l.node.Now(), &l.cfg)
+	cf.wmax = cf.window(l.node.Now())
 	cf.epoch = l.node.Now()
 	// The curve restarts at β·W_max by construction: W(0) = W_max − C·K³ =
 	// β·W_max for K as defined above.
@@ -188,7 +181,7 @@ func (l *Layer) cubicCommit(info frameInfo) {
 	cf.lastSend = now
 	if info.hasBatch {
 		if cf.initTh == 0 {
-			cf.initTh = int(l.cfg.StagnationFactor * float64(maxInt(1, batchK(info))))
+			cf.initTh = int(l.cfg.StagnationFactor * float64(max(1, batchK(info))))
 			cf.nextMD = cf.initTh
 		}
 		if cf.nextMD > 0 && cf.sends >= cf.nextMD {

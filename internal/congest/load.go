@@ -84,9 +84,6 @@ func (l *Layer) observeGate(released bool) {
 // LoadSignals returns the current raw signal set.
 func (l *Layer) LoadSignals() Load { return l.loadst.load }
 
-// LoadScore returns the current scalar load in [0, 1].
-func (l *Layer) LoadScore() float64 { return l.loadst.load.Score() }
-
 // LoadByte quantizes the score to the byte LSAs carry (0 = unloaded,
 // 255 = saturated). Both the oracle cost model and the learned plane
 // quantize through this same function, so perfect and learned knowledge

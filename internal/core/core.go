@@ -34,6 +34,11 @@ import (
 	"repro/internal/telemetry"
 )
 
+// ackRedundancy re-queues the batch ACK after this many redundant receptions
+// of an already-decoded batch (the §3.3.2 stopping rule's guard against a
+// lost ACK). No run varies it, so it is not a Config field.
+const ackRedundancy = 8
+
 // Config parameterizes MORE.
 type Config struct {
 	// BatchSize is K, the number of native packets coded together
@@ -58,10 +63,6 @@ type Config struct {
 	CreditOnInnovativeOnly bool
 	// FlowTimeout expires idle per-flow state (§3.3.2 uses 5 minutes).
 	FlowTimeout sim.Time
-	// AckRedundancy re-queues the batch ACK after this many redundant
-	// receptions of an already-decoded batch (the stopping rule's guard
-	// against a lost ACK). Zero uses the default of 8.
-	AckRedundancy int
 	// RepairInterval arms a per-source stall watchdog: a source whose
 	// current batch completes no batch for a full interval rebuilds its
 	// forwarder plan unconditionally from the current routing state, so a
@@ -81,7 +82,6 @@ func DefaultConfig() Config {
 		PreCoding:      true,
 		InnovativeOnly: true,
 		FlowTimeout:    5 * 60 * sim.Second,
-		AckRedundancy:  8,
 	}
 }
 
@@ -178,9 +178,6 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.AckRedundancy <= 0 {
-		cfg.AckRedundancy = 8
-	}
 	return &Node{
 		cfg:     cfg,
 		state:   state,
@@ -236,9 +233,6 @@ type sourceState struct {
 	// built from; a learned view ticks it as estimates drift, and the
 	// source rebuilds the plan at the next batch boundary.
 	planVersion uint64
-	// repairBatch is curBatch as of the last repair-watchdog check; an
-	// unchanged value over a full RepairInterval marks the flow stalled.
-	repairBatch int
 	// multicast is non-nil for multicast flows.
 	multicast *multicastState
 }
@@ -283,49 +277,38 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	n.sources[id] = st
 	n.rrAdd(id)
 	if n.cfg.RepairInterval > 0 {
-		st.repairBatch = -1
-		n.scheduleRepair(st)
+		n.node.WatchStall(n.cfg.RepairInterval,
+			func() (int, bool) { return st.curBatch, st.done },
+			func() { n.repairStalled(st) })
 	}
 	n.node.Wake()
 	return nil
 }
 
-// scheduleRepair runs the stall watchdog for one source: if a whole
-// RepairInterval passes without a batch completing, the forwarder plan is
+// repairStalled is the stall watchdog's verdict for one source: a whole
+// RepairInterval passed without a batch completing, so the forwarder plan is
 // rebuilt from the current routing state regardless of version — the
 // oracle ticks its version on invalidation, and a learned view may have
 // purged a dead forwarder between batch boundaries, but refreshPlan only
 // runs at boundaries a stalled flow never reaches. Multicast sources are
 // left alone (their plan spans several destinations).
-func (n *Node) scheduleRepair(st *sourceState) {
-	n.node.After(n.cfg.RepairInterval, func() {
-		if st.done {
-			return
-		}
-		if n.node.Failed() {
-			// A dead source repairs nothing; keep watching for recovery.
-			st.repairBatch = st.curBatch
-			n.scheduleRepair(st)
-			return
-		}
-		if st.curBatch == st.repairBatch && st.multicast == nil {
-			n.node.Emit(telemetry.Event{
-				Flow: uint32(st.id), Batch: uint32(st.curBatch),
-				Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
-			})
-			st.planVersion = n.state.Version()
-			if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), st.dst, n.cfg.Plan); err == nil {
-				st.fwd = fwdEntries(plan)
-				n.node.Emit(telemetry.Event{
-					Flow: uint32(st.id), Batch: uint32(st.curBatch),
-					Aux: telemetry.ReplanStall, Kind: telemetry.KindReplan,
-				})
-			}
-			n.node.Wake()
-		}
-		st.repairBatch = st.curBatch
-		n.scheduleRepair(st)
+func (n *Node) repairStalled(st *sourceState) {
+	if st.multicast != nil {
+		return
+	}
+	n.node.Emit(telemetry.Event{
+		Flow: uint32(st.id), Batch: uint32(st.curBatch),
+		Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
 	})
+	st.planVersion = n.state.Version()
+	if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), st.dst, n.cfg.Plan); err == nil {
+		st.fwd = fwdEntries(plan)
+		n.node.Emit(telemetry.Event{
+			Flow: uint32(st.id), Batch: uint32(st.curBatch),
+			Aux: telemetry.ReplanStall, Kind: telemetry.KindReplan,
+		})
+	}
+	n.node.Wake()
 }
 
 // fwdEntries flattens a plan's forwarder list into packet-header entries.
@@ -711,7 +694,7 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		// This runs even after the flow is done: the source may still be
 		// waiting on the final batch's ACK.
 		s.redundant++
-		if s.redundant%n.cfg.AckRedundancy == 0 {
+		if s.redundant%ackRedundancy == 0 {
 			n.queueAck(s, uint32(s.decodedUpTo))
 		}
 		return

@@ -20,6 +20,7 @@
 package exor
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/flow"
@@ -28,6 +29,18 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+)
+
+// Fixed ExOR parameters (Biswas & Morris; §2.2.1 here).
+const (
+	// cleanupFraction: once the destination holds this fraction of the
+	// batch, the tail moves via traditional routing (ExOR uses 0.9).
+	cleanupFraction float64 = 0.9
+	// dstGossipRepeat is how many times the destination transmits its
+	// batch map during its turn. ExOR's ultimate destination sends its
+	// map ten times per round to make the highest-priority reception
+	// state survive losses.
+	dstGossipRepeat = 10
 )
 
 // Config parameterizes ExOR.
@@ -39,17 +52,6 @@ type Config struct {
 	// Plan configures forwarder selection (shared with MORE for a fair
 	// comparison).
 	Plan routing.PlanOptions
-	// CleanupFraction: once the destination holds this fraction of the
-	// batch, the tail moves via traditional routing (ExOR uses 0.9).
-	CleanupFraction float64
-	// TurnGap staggers successive priorities' turn starts. Zero derives
-	// one data-packet time from the simulator config at Init.
-	TurnGap sim.Time
-	// DstGossipRepeat is how many times the destination transmits its
-	// batch map during its turn. ExOR's ultimate destination sends its
-	// map ten times per round to make the highest-priority reception
-	// state survive losses.
-	DstGossipRepeat int
 	// RepairInterval arms route repair: a source whose batch makes no
 	// progress for a full interval rebuilds its priority list from the
 	// current routing state and restarts the batch (the turn schedule is
@@ -65,11 +67,9 @@ type Config struct {
 // DefaultConfig matches the paper's ExOR setup.
 func DefaultConfig() Config {
 	return Config{
-		BatchSize:       32,
-		PayloadSize:     1500,
-		Plan:            routing.DefaultPlanOptions(),
-		CleanupFraction: 0.9,
-		DstGossipRepeat: 10,
+		BatchSize:   32,
+		PayloadSize: 1500,
+		Plan:        routing.DefaultPlanOptions(),
 	}
 }
 
@@ -131,6 +131,10 @@ type Node struct {
 	cfg   Config
 	node  *sim.Node
 	state flow.RoutingState
+	// pktTime estimates one data transmission's wall time (frame airtime
+	// plus the MAC's mean contention wait); it staggers successive
+	// priorities' turn starts. Derived at Init from the simulator's rate.
+	pktTime sim.Time
 
 	flows     map[flow.ID]*exorFlow
 	flowOrder []flow.ID    // deterministic iteration order
@@ -168,9 +172,6 @@ type exorFlow struct {
 	// learned views tick it, and the source rebuilds the priority list at
 	// the next batch boundary.
 	planVersion uint64
-	// repairBatch is batch as of the last repair-watchdog check; an
-	// unchanged value over a full RepairInterval marks the flow stalled.
-	repairBatch int
 	// reDoneAt rate-limits destination completion re-announcements.
 	reDoneAt sim.Time
 
@@ -197,12 +198,6 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.CleanupFraction <= 0 {
-		cfg.CleanupFraction = 0.9
-	}
-	if cfg.DstGossipRepeat <= 0 {
-		cfg.DstGossipRepeat = 10
-	}
 	return &Node{
 		cfg:   cfg,
 		state: state,
@@ -213,16 +208,10 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 // Init implements sim.Protocol.
 func (n *Node) Init(sn *sim.Node) {
 	n.node = sn
-	if n.cfg.TurnGap == 0 {
-		c := sn.Sim().Config()
-		h := packet.ExORHeader{BatchMap: make([]uint8, n.cfg.BatchSize), Forwarders: make([]uint8, 8)}
-		n.cfg.TurnGap = sim.AirTime(h.EncodedSize()+n.cfg.PayloadSize, c.DataRate) +
-			c.DIFS + sim.Time(c.CWMin/2)*c.SlotTime
-	}
+	h := packet.ExORHeader{BatchMap: make([]uint8, n.cfg.BatchSize), Forwarders: make([]uint8, 8)}
+	n.pktTime = sim.AirTime(h.EncodedSize()+n.cfg.PayloadSize, sn.Sim().Config().DataRate) +
+		sim.DIFS + sim.Time(sim.CWMin/2)*sim.SlotTime
 }
-
-// pktTime estimates one data transmission's wall time.
-func (n *Node) pktTime() sim.Time { return n.cfg.TurnGap }
 
 // StartFlow begins a batched ExOR transfer to dst.
 func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error {
@@ -263,46 +252,38 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	n.flowOrder = append(n.flowOrder, id)
 	n.loadSourceBatch(f, 0)
 	if n.cfg.RepairInterval > 0 {
-		f.repairBatch = -1
-		n.scheduleRepair(f)
+		n.node.WatchStall(n.cfg.RepairInterval,
+			func() (int, bool) { return f.batch, f.done },
+			func() { n.restartStalled(f) })
 	}
 	n.startTurn(f)
 	return nil
 }
 
-// scheduleRepair runs the stall watchdog for one source flow: a batch that
-// completes nothing for a full RepairInterval is restarted over a priority
-// list rebuilt from the current routing state. Restarting (rather than
-// swapping the list mid-batch) is deliberate: batch-map entries are indices
-// into the priority list, so every participant must see the new list from a
-// clean slate. Receivers keep their payloads — a restarted batch re-merges
-// their maps and skips straight to what is still missing.
-func (n *Node) scheduleRepair(f *exorFlow) {
-	n.node.After(n.cfg.RepairInterval, func() {
-		if f.done {
-			return
-		}
-		if !n.node.Failed() && f.batch == f.repairBatch {
-			n.node.Emit(telemetry.Event{
-				Flow: uint32(f.id), Batch: uint32(f.batch),
-				Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
-			})
-			if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), f.dst, n.cfg.Plan); err == nil {
-				prio := append([]graph.NodeID{f.dst}, plan.Forwarders()...)
-				f.prio = append(prio, n.node.ID())
-				f.myPrio = len(f.prio) - 1
-				n.node.Emit(telemetry.Event{
-					Flow: uint32(f.id), Batch: uint32(f.batch),
-					Aux: telemetry.ReplanStall, Kind: telemetry.KindReplan,
-				})
-			}
-			f.planVersion = n.state.Version()
-			n.loadSourceBatch(f, f.batch)
-			n.startTurn(f)
-		}
-		f.repairBatch = f.batch
-		n.scheduleRepair(f)
+// restartStalled is the stall watchdog's verdict for one source flow: a
+// batch that completed nothing for a full RepairInterval is restarted over a
+// priority list rebuilt from the current routing state. Restarting (rather
+// than swapping the list mid-batch) is deliberate: batch-map entries are
+// indices into the priority list, so every participant must see the new list
+// from a clean slate. Receivers keep their payloads — a restarted batch
+// re-merges their maps and skips straight to what is still missing.
+func (n *Node) restartStalled(f *exorFlow) {
+	n.node.Emit(telemetry.Event{
+		Flow: uint32(f.id), Batch: uint32(f.batch),
+		Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
 	})
+	if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), f.dst, n.cfg.Plan); err == nil {
+		prio := append([]graph.NodeID{f.dst}, plan.Forwarders()...)
+		f.prio = append(prio, n.node.ID())
+		f.myPrio = len(f.prio) - 1
+		n.node.Emit(telemetry.Event{
+			Flow: uint32(f.id), Batch: uint32(f.batch),
+			Aux: telemetry.ReplanStall, Kind: telemetry.KindReplan,
+		})
+	}
+	f.planVersion = n.state.Version()
+	n.loadSourceBatch(f, f.batch)
+	n.startTurn(f)
 }
 
 // loadSourceBatch resets the source's per-batch state. When the routing
@@ -391,12 +372,12 @@ func (n *Node) armTurn(f *exorFlow, senderPrio, fragRemaining int) {
 	if f.myPrio < 0 {
 		return
 	}
-	wait := sim.Time(fragRemaining+1) * n.pktTime()
+	wait := sim.Time(fragRemaining+1) * n.pktTime
 	l := len(f.prio)
 	for p := (senderPrio + 1) % l; p != f.myPrio; p = (p + 1) % l {
 		if p == 0 {
 			// The destination only gossips its map.
-			wait += n.pktTime()
+			wait += n.pktTime
 			continue
 		}
 		held := 0
@@ -405,7 +386,7 @@ func (n *Node) armTurn(f *exorFlow, senderPrio, fragRemaining int) {
 				held++
 			}
 		}
-		wait += sim.Time(held+1) * n.pktTime()
+		wait += sim.Time(held+1) * n.pktTime
 	}
 	if f.turnTimer != nil {
 		f.turnTimer.Cancel()
@@ -420,7 +401,7 @@ func (n *Node) armWatchdog(f *exorFlow) {
 	if f.watchdog != nil {
 		f.watchdog.Cancel()
 	}
-	quiet := sim.Time(f.k+2*len(f.prio)+2)*n.pktTime() + sim.Time(f.myPrio+1)*n.pktTime()
+	quiet := sim.Time(f.k+2*len(f.prio)+2)*n.pktTime + sim.Time(f.myPrio+1)*n.pktTime
 	f.watchdog = n.node.After(quiet, func() {
 		if !n.batchDone(f) {
 			n.takeTurn(f)
@@ -473,7 +454,7 @@ func (n *Node) takeTurn(f *exorFlow) {
 		// Map-only turn: the destination repeats its batch map to make it
 		// survive losses; other nodes gossip once.
 		if f.myPrio == 0 {
-			f.gossipLeft = n.cfg.DstGossipRepeat
+			f.gossipLeft = dstGossipRepeat
 		} else {
 			f.gossipLeft = 1
 		}
@@ -628,7 +609,7 @@ func (n *Node) sinkProgress(f *exorFlow) {
 			count++
 			if f.verify != nil {
 				idx := f.base + i
-				if idx >= len(f.verify) || !bytesEqual(f.payload[i], f.verify[idx]) {
+				if idx >= len(f.verify) || !bytes.Equal(f.payload[i], f.verify[idx]) {
 					f.sinkRes.Verified = false
 				}
 			}
@@ -664,25 +645,13 @@ func (n *Node) sinkProgress(f *exorFlow) {
 	}
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // maybeCleanup enters the 90% cleanup phase: best-known holders unicast the
 // packets the destination still misses along the ETX path.
 func (n *Node) maybeCleanup(f *exorFlow) {
 	if f.myPrio <= 0 || f.k == 0 {
 		return // destination doesn't clean up to itself; non-participants idle
 	}
-	if float64(dstHolds(f)) < n.cfg.CleanupFraction*float64(f.k) {
+	if float64(dstHolds(f)) < cleanupFraction*float64(f.k) {
 		return
 	}
 	f.cleanup = true

@@ -11,47 +11,34 @@ import (
 // behind the PERFORMANCE.md mitigation tables and the `moresim -scale
 // ... -cc-sweep` mode.
 
-// CCSweepConfig parameterizes the mitigation sweep.
-type CCSweepConfig struct {
-	// Scaling is the underlying sweep (node counts, flows, generator,
-	// protocol, options). Its Opts.CC is overridden per policy.
-	Scaling ScalingConfig
-	// Policies lists the congestion policies to compare; empty sweeps all
-	// of them (none, tail, choke, credit, aimd). Each policy runs with
-	// DefaultConfig knobs except QueueLen, which Scaling.Opts.CC.QueueLen
-	// overrides when set.
-	Policies []congest.Policy
-}
-
-// AllPolicies lists every congestion policy in comparison order.
-func AllPolicies() []congest.Policy {
+// allPolicies lists the congestion policies the sweep compares, in
+// comparison order.
+func allPolicies() []congest.Policy {
 	return []congest.Policy{congest.None, congest.Tail, congest.Choke, congest.Credit, congest.AIMD}
 }
 
-// CCSweep runs the scaling sweep once per policy and returns the grid in
-// policy-major order (all node counts for the first policy, then the
-// next); each point's CC field names its policy. Every cell is
-// deterministic in the seed; policies share topologies and flow pairs, so
-// rows are directly comparable.
-func CCSweep(cfg CCSweepConfig) []ScalingPoint {
-	policies := cfg.Policies
-	if len(policies) == 0 {
-		policies = AllPolicies()
-	}
-	queueLen := cfg.Scaling.Opts.CC.QueueLen
+// CCSweep runs the scaling sweep cfg describes once per policy (none, tail,
+// choke, credit, aimd) and returns the grid in policy-major order (all node
+// counts for the first policy, then the next); each point's CC field names
+// its policy. cfg.Opts.CC is overridden per policy: each runs with
+// DefaultConfig knobs except QueueLen, which cfg.Opts.CC.QueueLen overrides
+// when set. Every cell is deterministic in the seed; policies share
+// topologies and flow pairs, so rows are directly comparable.
+func CCSweep(cfg ScalingConfig) []ScalingPoint {
+	queueLen := cfg.Opts.CC.QueueLen
 	type cell struct {
 		policy congest.Policy
 		idx    int
 	}
 	var cells []cell
-	for _, p := range policies {
-		for i := range cfg.Scaling.NodeCounts {
+	for _, p := range allPolicies() {
+		for i := range cfg.NodeCounts {
 			cells = append(cells, cell{p, i})
 		}
 	}
 	points := make([]ScalingPoint, len(cells))
-	forEach(len(cells), cfg.Scaling.Opts.workers(), func(i int) {
-		sc := cfg.Scaling
+	forEach(len(cells), cfg.Opts.workers(), func(i int) {
+		sc := cfg
 		sc.Opts.CC = congest.DefaultConfig(cells[i].policy)
 		sc.Opts.CC.QueueLen = queueLen
 		points[i] = runScalingPoint(sc, cells[i].idx)

@@ -117,8 +117,6 @@ type Options struct {
 	// RateDependentChannel scales delivery probabilities with the transmit
 	// rate (graph.RateScale); required for the autorate experiment.
 	RateDependentChannel bool
-	// CaptureMargin overrides the capture log-odds margin when nonzero.
-	CaptureMargin float64
 	// SenseRange extends carrier sense by geometry (meters); see
 	// sim.Config.SenseRange. The testbed default is 3x the channel's
 	// 50%-delivery distance, so a flow's source and forwarders mostly
@@ -138,8 +136,8 @@ type Options struct {
 	Deadline sim.Time
 	// Telemetry, when set, receives every typed simulation event
 	// (sim.Simulator.Telem). Pass a *telemetry.Hub for metrics and the
-	// flight recorder, or a bare trace.Recorder for just a ring. A shared
-	// sink forces the figure drivers serial.
+	// flight recorder, or any other telemetry.Sink for a single consumer.
+	// A shared sink forces the figure drivers serial.
 	Telemetry telemetry.Sink
 	// Metric selects forwarder ordering for MORE/ExOR (default ETX).
 	Metric routing.OrderMetric
@@ -158,9 +156,6 @@ type Options struct {
 	// load). The transfer deadline starts after the warmup, so oracle and
 	// learned flows get the same simulated transfer time.
 	Warmup sim.Time
-	// Recompute rate-limits each node's learned-view rebuilds (default 1 s
-	// of simulated time between topology/table recomputations).
-	Recompute sim.Time
 	// CC configures the congestion-control layer between every node's
 	// protocol and MAC. The zero value (policy "none") installs no layer:
 	// runs are byte-identical to the pre-congestion code.
@@ -217,25 +212,16 @@ func (o Options) SimConfig() sim.Config {
 	cfg.DataRate = o.DataRate
 	cfg.SenseRange = o.SenseRange
 	cfg.RefFrameBytes = o.PktSize
-	if o.CaptureMargin != 0 {
-		cfg.CaptureMargin = o.CaptureMargin
-	}
 	if o.RateDependentChannel {
 		cfg.RateAdjust = sim.AdaptRateScale(graph.RateScale)
 	}
 	return cfg
 }
 
-// etxOpts returns the ETX computation options every run routes with.
-func (o Options) etxOpts() routing.ETXOptions {
-	return routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
-}
-
 // planOpts returns the forwarder-plan options for MORE/ExOR sources.
 func (o Options) planOpts() routing.PlanOptions {
 	p := routing.DefaultPlanOptions()
 	p.Metric = o.Metric
-	p.ETX = o.etxOpts()
 	p.PruneFraction = o.PruneFraction
 	return p
 }
@@ -295,7 +281,7 @@ type Pair struct {
 // RandomPairs draws n distinct reachable pairs over the topology.
 func RandomPairs(topo *graph.Topology, n int, seed int64) []Pair {
 	rng := rand.New(rand.NewSource(seed))
-	opt := routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
+	opt := routing.DefaultETXOptions()
 	seen := map[Pair]bool{}
 	var out []Pair
 	guard := 0
@@ -400,6 +386,10 @@ type ControlPlane struct {
 	loadOracle *oracleLoad
 }
 
+// viewRecompute rate-limits each node's learned-view rebuilds: at most one
+// topology/table recomputation per second of simulated time.
+const viewRecompute = sim.Second
+
 // loadRefresh is the oracle-mode load sampling cadence: the global
 // knowledge fiction refreshes every node's load score this often and
 // invalidates the oracle when anything moved, mirroring the granularity a
@@ -435,23 +425,19 @@ func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 	}
 	cp.layerByID = make([]*congest.Layer, n)
 	if opts.State == StateLearned {
-		recompute := opts.Recompute
-		if recompute == 0 {
-			recompute = sim.Second
-		}
 		cp.agents = make([]*linkstate.Agent, n)
 		for i := range cp.agents {
 			cp.agents[i] = linkstate.NewAgent(opts.LinkState, n)
-			etx := opts.etxOpts()
+			etx := routing.DefaultETXOptions()
 			if cp.costs != nil {
 				cp.costs[i] = &linkstate.LoadCost{Agent: cp.agents[i], Weight: opts.LoadPenalty}
 				etx.Cost = cp.costs[i]
 			}
-			cp.providers[i] = linkstate.NewView(cp.agents[i], etx, recompute)
+			cp.providers[i] = linkstate.NewView(cp.agents[i], etx, viewRecompute)
 		}
 		return cp
 	}
-	etx := opts.etxOpts()
+	etx := routing.DefaultETXOptions()
 	if cp.costs != nil {
 		cp.loadOracle = &oracleLoad{weight: opts.LoadPenalty, scores: make([]uint8, n)}
 		for i := range cp.costs {
@@ -624,7 +610,7 @@ func runPairs(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, 
 // last hop can transmit concurrently with the first hop"). senseThreshold
 // and senseRange must match the simulator configuration.
 func SpatialReusePairs(topo *graph.Topology, minHops int, senseThreshold, senseRange float64) []Pair {
-	opt := routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
+	opt := routing.DefaultETXOptions()
 	senses := func(a, b graph.NodeID) bool {
 		if topo.Prob(a, b) > senseThreshold {
 			return true

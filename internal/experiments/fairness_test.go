@@ -97,7 +97,7 @@ func TestPerFlowCountersSumToRunTotals(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FileBytes = 24 << 10
 	pairs := RandomPairs(topo, 3, opts.Seed)
-	for _, policy := range AllPolicies() {
+	for _, policy := range allPolicies() {
 		opts.CC = congest.DefaultConfig(policy)
 		for _, proto := range []Protocol{MORE, ExOR, Srcr} {
 			info := RunDetailed(topo, proto, pairs, opts)

@@ -225,11 +225,6 @@ func (t *Topology) InEdges(j NodeID) []Edge {
 	return t.adj().in[j]
 }
 
-// BuildIndex forces construction of the derived adjacency index. Callers
-// that will query OutEdges/InEdges from multiple goroutines can invoke it
-// once up front; lazy builds are also safe, just redundant under races.
-func (t *Topology) BuildIndex() { t.adj() }
-
 // Edges returns the total number of directed links with delivery > 0.
 func (t *Topology) Edges() int {
 	total := 0

@@ -21,19 +21,28 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Fixed dissemination parameters (no run varies them).
+const (
+	// floodJitter delays each advertisement and rebroadcast by a uniform
+	// random amount, so one advertisement does not trigger a synchronized
+	// burst.
+	floodJitter = 200 * sim.Millisecond
+	// minProb drops estimated links below this delivery ratio from the
+	// advertisement (noise suppression).
+	minProb float64 = 0.05
+	// defaultAdvertiseInterval is what a zero Config.AdvertiseInterval
+	// means (a Roofnet-like refresh).
+	defaultAdvertiseInterval = 5 * sim.Second
+)
+
 // Config parameterizes the agent.
 type Config struct {
-	// Probe configures the underlying delivery-ratio measurement.
+	// Probe configures the underlying delivery-ratio measurement. The zero
+	// value means probe.DefaultConfig().
 	Probe probe.Config
 	// AdvertiseInterval is how often a node floods a fresh LSA of its
-	// inbound link estimates.
+	// inbound link estimates. Zero defaults to 5 s.
 	AdvertiseInterval sim.Time
-	// FloodJitter delays each rebroadcast by a uniform random amount, so
-	// one advertisement does not trigger a synchronized burst.
-	FloodJitter sim.Time
-	// MinProb drops estimated links below this delivery ratio from the
-	// advertisement (noise suppression).
-	MinProb float64
 
 	// TriggerDelta enables flood damping: a fresh LSA is flooded only when
 	// some link estimate moved by at least this much since the last
@@ -92,9 +101,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Probe:             probe.DefaultConfig(),
-		AdvertiseInterval: 5 * sim.Second,
-		FloodJitter:       200 * sim.Millisecond,
-		MinProb:           0.05,
+		AdvertiseInterval: defaultAdvertiseInterval,
 	}
 }
 
@@ -161,10 +168,12 @@ type pendingLSA struct {
 	due sim.Time
 }
 
-// NewAgent creates an agent for a network of n nodes.
+// NewAgent creates an agent for a network of n nodes. Zero fields that
+// document a default get it one by one; every other field is taken as
+// written.
 func NewAgent(cfg Config, n int) *Agent {
 	if cfg.AdvertiseInterval == 0 {
-		cfg = DefaultConfig()
+		cfg.AdvertiseInterval = defaultAdvertiseInterval
 	}
 	if cfg.TriggerDelta > 0 && cfg.MaxQuiet == 0 {
 		cfg.MaxQuiet = 6 * cfg.AdvertiseInterval
@@ -234,10 +243,7 @@ func (a *Agent) expire() {
 }
 
 func (a *Agent) scheduleAdvertise() {
-	d := a.cfg.AdvertiseInterval
-	if a.cfg.FloodJitter > 0 {
-		d += sim.Time(a.node.Rand().Int63n(int64(a.cfg.FloodJitter)))
-	}
+	d := a.cfg.AdvertiseInterval + sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
 	a.node.After(d, func() {
 		a.advertise()
 		a.scheduleAdvertise()
@@ -264,7 +270,7 @@ func (a *Agent) advertise() {
 			continue
 		}
 		p := a.prober.DeliveryFrom(id)
-		if p < a.cfg.MinProb {
+		if p < minProb {
 			continue
 		}
 		if estimates != nil {
@@ -473,10 +479,7 @@ func (a *Agent) handleLSA(m *packet.LSA) {
 		fwd = &c
 	}
 	// Rebroadcast after jitter.
-	delay := sim.Time(1)
-	if a.cfg.FloodJitter > 0 {
-		delay = sim.Time(a.node.Rand().Int63n(int64(a.cfg.FloodJitter)))
-	}
+	delay := sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
 	a.node.After(delay, func() {
 		// Only flood if still the freshest we know.
 		if a.latestSeq[fwd.Origin] == fwd.Seq {

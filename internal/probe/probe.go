@@ -21,15 +21,23 @@ import (
 	"repro/internal/sim"
 )
 
+// Fixed probing cadence: every run probes like the Roofnet deployment the
+// paper's testbed measurement step copies (§4.1.2).
+const (
+	// interval between probe broadcasts per node (Roofnet used ~1 s with
+	// jitter).
+	interval = sim.Second
+	// jitter randomizes each interval by ±jitter to avoid synchronization.
+	jitter = 100 * sim.Millisecond
+	// defaultWindow is the estimator window a zero Config.Window means
+	// (De Couto et al.'s ETX averages the last 10 probes).
+	defaultWindow = 10
+)
+
 // Config parameterizes the prober.
 type Config struct {
-	// Interval between probe broadcasts per node (Roofnet used ~1 s with
-	// jitter).
-	Interval sim.Time
-	// Jitter randomizes each interval by ±Jitter to avoid synchronization.
-	Jitter sim.Time
 	// Window is the number of most recent probe slots the estimator
-	// averages over (ETX uses a 10-probe window by default here).
+	// averages over. Zero defaults to 10.
 	Window int
 	// PadToBytes pads probes to this on-air size so the measured loss
 	// matches data-frame loss (0 sends minimal probes).
@@ -46,9 +54,7 @@ type Config struct {
 // DefaultConfig matches a Roofnet-like prober.
 func DefaultConfig() Config {
 	return Config{
-		Interval:   sim.Second,
-		Jitter:     100 * sim.Millisecond,
-		Window:     10,
+		Window:     defaultWindow,
 		PadToBytes: 1500,
 	}
 }
@@ -75,13 +81,16 @@ type Prober struct {
 	ProbeTx int64
 }
 
-// NewProber creates a prober; attach with sim.Attach.
+// NewProber creates a prober; attach with sim.Attach. The wholly zero Config
+// means DefaultConfig() (a zero PadToBytes beside any set field is a real
+// setting — minimal probes — so it cannot be defaulted on its own); in a
+// partly filled one only a zero Window is defaulted.
 func NewProber(cfg Config) *Prober {
-	if cfg.Interval == 0 {
+	if cfg == (Config{}) {
 		cfg = DefaultConfig()
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 10
+		cfg.Window = defaultWindow
 	}
 	return &Prober{
 		cfg:       cfg,
@@ -98,10 +107,7 @@ func (p *Prober) Init(n *sim.Node) {
 }
 
 func (p *Prober) scheduleNext() {
-	d := p.cfg.Interval
-	if p.cfg.Jitter > 0 {
-		d += sim.Time(p.node.Rand().Int63n(int64(2*p.cfg.Jitter))) - p.cfg.Jitter
-	}
+	d := interval + sim.Time(p.node.Rand().Int63n(int64(2*jitter))) - jitter
 	p.node.After(d, func() {
 		// A failed radio generates no probes (its clock keeps running, so a
 		// recovered node resumes on the next tick without a backlog burst).

@@ -52,7 +52,7 @@ type mac struct {
 func newMAC(n *Node) *mac {
 	return &mac{
 		node: n,
-		cw:   n.sim.cfg.CWMin,
+		cw:   CWMin,
 		seen: make(map[uint64]struct{}),
 	}
 }
@@ -119,7 +119,7 @@ func (m *mac) revive() {
 	m.backlogged = false
 	m.cur = nil
 	m.retries = 0
-	m.cw = m.node.sim.cfg.CWMin
+	m.cw = CWMin
 	m.backoffSlots = 0
 	m.backoffArmed = false
 	m.seen = make(map[uint64]struct{})
@@ -143,7 +143,7 @@ func (m *mac) armDIFS() {
 	if m.difsTimer != nil {
 		m.difsTimer.Cancel()
 	}
-	m.difsTimer = m.node.sim.After(m.node.sim.cfg.DIFS, m.difsDone)
+	m.difsTimer = m.node.sim.After(DIFS, m.difsDone)
 }
 
 func (m *mac) difsDone() {
@@ -156,7 +156,7 @@ func (m *mac) difsDone() {
 		return
 	}
 	m.backoffStart = m.node.sim.now
-	dur := Time(m.backoffSlots) * m.node.sim.cfg.SlotTime
+	dur := Time(m.backoffSlots) * SlotTime
 	m.backoffTimer = m.node.sim.After(dur, m.backoffDone)
 }
 
@@ -182,7 +182,7 @@ func (m *mac) carrierUp() {
 	}
 	if m.backoffTimer != nil {
 		// Freeze: credit fully elapsed slots.
-		elapsed := int((m.node.sim.now - m.backoffStart) / m.node.sim.cfg.SlotTime)
+		elapsed := int((m.node.sim.now - m.backoffStart) / SlotTime)
 		if elapsed > m.backoffSlots {
 			elapsed = m.backoffSlots
 		}
@@ -241,8 +241,7 @@ func (m *mac) txFinished(tx *transmission) {
 	}
 	// Unicast: await the MAC ACK.
 	m.state = macWaitAck
-	cfg := m.node.sim.cfg
-	timeout := cfg.SIFS + AirTime(cfg.MACAckBytes, cfg.BasicRate) + 2*cfg.SlotTime
+	timeout := sifs + AirTime(macAckBytes, basicRate) + 2*SlotTime
 	m.ackTimer = m.node.sim.After(timeout, m.ackTimeout)
 }
 
@@ -252,7 +251,7 @@ func (m *mac) ackTimeout() {
 		return
 	}
 	m.retries++
-	if m.retries >= m.node.sim.cfg.RetryLimit {
+	if m.retries >= retryLimit {
 		cur := m.cur
 		cur.Retries = m.retries
 		m.cur = nil
@@ -262,7 +261,7 @@ func (m *mac) ackTimeout() {
 		return
 	}
 	// Exponential backoff and retry.
-	m.cw = min(2*(m.cw+1)-1, m.node.sim.cfg.CWMax)
+	m.cw = min(2*(m.cw+1)-1, cwMax)
 	m.backoffSlots = m.node.sim.rng.Intn(m.cw + 1)
 	m.backoffArmed = true
 	m.state = macContending
@@ -275,7 +274,7 @@ func (m *mac) ackTimeout() {
 // dropped, or broadcast) and keeps contending if more traffic waits.
 // newBackoff forces a fresh post-transmission backoff draw.
 func (m *mac) postTxReset(newBackoff bool) {
-	m.cw = m.node.sim.cfg.CWMin
+	m.cw = CWMin
 	m.retries = 0
 	if newBackoff {
 		m.backoffSlots = m.node.sim.rng.Intn(m.cw + 1)
@@ -334,14 +333,14 @@ func (m *mac) deliver(tx *transmission) {
 // scheduleMACAck sends the 802.11 ACK one SIFS after the data frame.
 func (m *mac) scheduleMACAck(dataTx *transmission) {
 	n := m.node
-	n.sim.After(n.sim.cfg.SIFS, func() {
+	n.sim.After(sifs, func() {
 		if m.onAir > 0 || n.failed {
 			return // radio busy (or dead); sender will time out and retry
 		}
 		ack := &Frame{
 			From:     n.id,
 			To:       dataTx.from.id,
-			Bytes:    n.sim.cfg.MACAckBytes,
+			Bytes:    macAckBytes,
 			isMACAck: true,
 			ackFor:   dataTx,
 		}

@@ -76,6 +76,30 @@ func (n *Node) Rand() *rand.Rand { return n.sim.rng }
 // After schedules fn after delay; the returned event can be canceled.
 func (n *Node) After(delay Time, fn func()) *Event { return n.sim.After(delay, fn) }
 
+// WatchStall runs a batch-stall watchdog on this node: every interval it
+// reads progress — the watched flow's batch index (never negative) and
+// whether the flow is done — and calls stalled when a whole interval passed
+// with the index unmoved. It stops once the flow is done, and keeps watching
+// without firing while the node is failed (a dead source repairs nothing).
+// The timer re-arms after stalled returns, so whatever the callback
+// schedules runs ahead of the next check.
+func (n *Node) WatchStall(interval Time, progress func() (batch int, done bool), stalled func()) {
+	last := -1
+	var check func()
+	check = func() {
+		batch, done := progress()
+		if done {
+			return
+		}
+		if !n.failed && batch == last {
+			stalled()
+		}
+		last, _ = progress()
+		n.After(interval, check)
+	}
+	n.After(interval, check)
+}
+
 // Wake tells the MAC the protocol has traffic; the MAC will contend for the
 // medium and eventually call Pull. Failed nodes ignore wakes.
 func (n *Node) Wake() {
@@ -103,9 +127,6 @@ func (n *Node) Emit(ev telemetry.Event) {
 
 // Failed reports whether the node has been silenced by Simulator.FailNode.
 func (n *Node) Failed() bool { return n.failed }
-
-// Busy reports whether the node's carrier sense currently detects energy.
-func (n *Node) Busy() bool { return n.mac.busy > 0 }
 
 // TxQueueActive reports whether the MAC is currently working on a frame
 // (contending, transmitting, or awaiting a MAC ACK).

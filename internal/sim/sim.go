@@ -10,33 +10,59 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config parameterizes the simulated PHY and MAC.
+// Fixed PHY/MAC parameters. The paper runs every experiment on 802.11b
+// hardware under one MAC (§4.1.2); nothing in the reproduction varies these,
+// so they are constants rather than Config fields a struct literal could
+// zero. SlotTime, DIFS and CWMin are exported because ExOR's schedule timers
+// track the MAC's contention wait (exor.Init).
+const (
+	// basicRate is used for MAC ACK frames.
+	basicRate = Rate2
+
+	// SlotTime, sifs, DIFS are 802.11b MAC timings.
+	SlotTime = 20 * Microsecond
+	sifs     = 10 * Microsecond
+	DIFS     = 50 * Microsecond
+
+	// CWMin and cwMax bound the contention window (in slots).
+	CWMin = 31
+	cwMax = 1023
+
+	// retryLimit is the maximum number of transmission attempts for a
+	// unicast frame before the MAC reports failure.
+	retryLimit = 7
+
+	// macAckBytes is the size of a MAC-level ACK frame.
+	macAckBytes = 14
+
+	// interferenceThreshold: a concurrent transmission from k corrupts
+	// reception at j when p(k->j) exceeds this (subject to capture).
+	interferenceThreshold float64 = 0.01
+
+	// captureMargin is the required strength difference in log-odds of the
+	// delivery probabilities: frame from i survives interference from k at
+	// receiver j when logit(p_ij) - logit(p_kj) >= captureMargin. Delivery
+	// probability is a steep function of SINR, so log-odds distance is the
+	// natural stand-in for the dB margin real capture needs.
+	captureMargin float64 = 2.0
+
+	// minFrameDivisor floors the effective size in the RefFrameBytes model:
+	// even a tiny frame pays preamble detection and fading bursts, so its
+	// delivery never beats that of a RefFrameBytes/10-byte frame.
+	minFrameDivisor = 10
+)
+
+// Config parameterizes the simulated PHY and MAC: the per-run choices. The
+// 802.11b timings, retry limit and interference/capture margins every run
+// shares are the constants above.
 type Config struct {
 	// Seed drives all randomness in the run.
 	Seed int64
 
 	// DataRate is the rate for data frames unless a frame overrides it
-	// (autorate does). The paper runs most experiments at 5.5 Mb/s (§4.1.2).
+	// (autorate does). The paper runs most experiments at 5.5 Mb/s (§4.1.2),
+	// which zero defaults to.
 	DataRate Bitrate
-
-	// BasicRate is used for MAC ACK frames.
-	BasicRate Bitrate
-
-	// SlotTime, SIFS, DIFS are 802.11b MAC timings.
-	SlotTime Time
-	SIFS     Time
-	DIFS     Time
-
-	// CWMin and CWMax bound the contention window (in slots).
-	CWMin int
-	CWMax int
-
-	// RetryLimit is the maximum number of transmission attempts for a
-	// unicast frame before the MAC reports failure.
-	RetryLimit int
-
-	// MACAckBytes is the size of a MAC-level ACK frame.
-	MACAckBytes int
 
 	// SenseThreshold: node j's carrier sense detects i's transmission when
 	// the delivery probability i->j at the reference rate exceeds this.
@@ -50,20 +76,10 @@ type Config struct {
 	// probability-based (useful for synthetic matrix topologies).
 	SenseRange float64
 
-	// InterferenceThreshold: a concurrent transmission from k corrupts
-	// reception at j when p(k->j) exceeds this (subject to capture).
-	InterferenceThreshold float64
-
 	// CaptureEnabled allows the stronger of two overlapping frames to
 	// survive at a receiver (§4.2.3 credits the capture effect for much of
 	// MORE's gain on short paths).
 	CaptureEnabled bool
-	// CaptureMargin is the required strength difference in log-odds of the
-	// delivery probabilities: frame from i survives interference from k at
-	// receiver j when logit(p_ij) - logit(p_kj) >= CaptureMargin. Delivery
-	// probability is a steep function of SINR, so log-odds distance is the
-	// natural stand-in for the dB margin real capture needs.
-	CaptureMargin float64
 
 	// RateAdjust maps the topology's reference-rate delivery probability
 	// to the probability at the transmit rate. Nil keeps probabilities
@@ -79,12 +95,6 @@ type Config struct {
 	// keeps delivery size-independent.
 	RefFrameBytes int
 
-	// MinFrameBytes floors the effective size in the RefFrameBytes model:
-	// even a tiny frame pays preamble detection and fading bursts, so its
-	// delivery never beats that of a MinFrameBytes-byte frame. Zero
-	// defaults to RefFrameBytes/10.
-	MinFrameBytes int
-
 	// DupWindow bounds each node's MAC duplicate-suppression memory: the
 	// most recent DupWindow delivered (sender, sequence) keys are
 	// remembered; older ones are forgotten. Retransmitted duplicates
@@ -94,23 +104,14 @@ type Config struct {
 	DupWindow int
 }
 
-// DefaultConfig returns 802.11b-ish parameters matching the testbed setup.
+// DefaultConfig returns the testbed setup: 5.5 Mb/s data frames, carrier
+// sense at 1% delivery probability, capture on.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                  1,
-		DataRate:              Rate5_5,
-		BasicRate:             Rate2,
-		SlotTime:              20 * Microsecond,
-		SIFS:                  10 * Microsecond,
-		DIFS:                  50 * Microsecond,
-		CWMin:                 31,
-		CWMax:                 1023,
-		RetryLimit:            7,
-		MACAckBytes:           14,
-		SenseThreshold:        0.01,
-		InterferenceThreshold: 0.01,
-		CaptureEnabled:        true,
-		CaptureMargin:         2.0,
+		Seed:           1,
+		DataRate:       Rate5_5,
+		SenseThreshold: 0.01,
+		CaptureEnabled: true,
 	}
 }
 
@@ -227,9 +228,6 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	if cfg.DataRate == 0 {
 		cfg.DataRate = Rate5_5
 	}
-	if cfg.BasicRate == 0 {
-		cfg.BasicRate = Rate2
-	}
 	if cfg.DupWindow <= 0 {
 		cfg.DupWindow = 4096
 	}
@@ -289,7 +287,7 @@ func (s *Simulator) relevantTo(id graph.NodeID) []graph.NodeID {
 	// value is only exact for a rate-independent channel. With RateAdjust
 	// installed, admit every audible link and let the per-receiver check
 	// decide.
-	thresh := s.cfg.InterferenceThreshold
+	thresh := interferenceThreshold
 	if s.cfg.RateAdjust != nil {
 		thresh = 0
 	}
@@ -447,13 +445,7 @@ func (s *Simulator) adjustProb(p float64, rate Bitrate, bytes int) float64 {
 		p = s.cfg.RateAdjust(p, rate)
 	}
 	if s.cfg.RefFrameBytes > 0 && bytes > 0 && p > 0 && p < 1 {
-		minB := s.cfg.MinFrameBytes
-		if minB <= 0 {
-			minB = s.cfg.RefFrameBytes / 10
-		}
-		if bytes < minB {
-			bytes = minB
-		}
+		bytes = max(bytes, s.cfg.RefFrameBytes/minFrameDivisor)
 		p = math.Pow(p, float64(bytes)/float64(s.cfg.RefFrameBytes))
 	}
 	return p
@@ -464,7 +456,7 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 	rate := f.Rate
 	if rate == 0 {
 		if f.isMACAck {
-			rate = s.cfg.BasicRate
+			rate = basicRate
 		} else {
 			rate = s.cfg.DataRate
 		}
@@ -623,10 +615,10 @@ func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, pRef float64) 
 		// Interference strength uses the raw (reference) probability: a
 		// loud neighbor corrupts regardless of its own frame's length.
 		pi := s.deliveryProb(other.from.id, rcv.id, other.rate, 0)
-		if pi <= s.cfg.InterferenceThreshold {
+		if pi <= interferenceThreshold {
 			continue
 		}
-		if s.cfg.CaptureEnabled && logit(p)-logit(pi) >= s.cfg.CaptureMargin {
+		if s.cfg.CaptureEnabled && logit(p)-logit(pi) >= captureMargin {
 			continue // captured: our frame is much stronger at rcv
 		}
 		return rxCollision

@@ -154,7 +154,7 @@ func TestUnicastFailureAfterRetryLimit(t *testing.T) {
 	if !a.sentOK[0] && s.Counters.UnicastFailures != 1 {
 		t.Fatalf("failures = %d", s.Counters.UnicastFailures)
 	}
-	if s.Counters.Transmissions > int64(DefaultConfig().RetryLimit) {
+	if s.Counters.Transmissions > retryLimit {
 		t.Fatalf("transmissions %d exceed retry limit", s.Counters.Transmissions)
 	}
 }
@@ -256,7 +256,7 @@ func TestSpatialReuseConcurrentTransmissions(t *testing.T) {
 	protos[0].node.Wake()
 	protos[3].node.Wake()
 	// Time for n serialized frames on one link:
-	perFrame := AirTime(1500, Rate5_5) + DefaultConfig().SIFS + AirTime(14, Rate2) + DefaultConfig().DIFS + 16*DefaultConfig().SlotTime
+	perFrame := AirTime(1500, Rate5_5) + sifs + AirTime(macAckBytes, basicRate) + DIFS + 16*SlotTime
 	serial := Time(n) * perFrame
 	s.Run(serial + serial/10)
 	// Both transfers must be nearly complete in the time one alone needs.
@@ -286,7 +286,7 @@ func TestNoSpatialReuseWhenInRange(t *testing.T) {
 	}
 	protos[0].node.Wake()
 	protos[2].node.Wake()
-	perFrame := AirTime(1500, Rate5_5) + DefaultConfig().SIFS + AirTime(14, Rate2) + DefaultConfig().DIFS + 16*DefaultConfig().SlotTime
+	perFrame := AirTime(1500, Rate5_5) + sifs + AirTime(macAckBytes, basicRate) + DIFS + 16*SlotTime
 	serial := Time(n) * perFrame
 	s.Run(serial + serial/10) // enough for one transfer, not two
 	total := len(protos[1].received) + len(protos[3].received)

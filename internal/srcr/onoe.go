@@ -2,35 +2,24 @@ package srcr
 
 import "repro/internal/sim"
 
-// OnoeConfig tunes the Onoe-style credit-based bit-rate selection the
-// MadWifi driver uses (§4.4). Onoe evaluates a window of transmission
-// outcomes once per period: heavy retransmission drops the rate immediately;
-// clean windows accumulate credit, and enough credit earns a raise.
-type OnoeConfig struct {
-	// Period between rate decisions.
-	Period sim.Time
-	// RaiseCredit is the credit needed to move up one rate.
-	RaiseCredit int
-	// DownRetryFrac lowers the rate when retries/frame exceeds it.
-	DownRetryFrac float64
-	// CreditRetryFrac earns credit when retries/frame stays below it.
-	CreditRetryFrac float64
-}
-
-// DefaultOnoeConfig matches the classic MadWifi parameters (1 s period,
-// 10 credits to raise, lower on >50% retry, credit under 10% retry).
-func DefaultOnoeConfig() OnoeConfig {
-	return OnoeConfig{
-		Period:          sim.Second,
-		RaiseCredit:     10,
-		DownRetryFrac:   0.5,
-		CreditRetryFrac: 0.1,
-	}
-}
+// Onoe is the credit-based bit-rate selection the MadWifi driver uses
+// (§4.4): it evaluates a window of transmission outcomes once per period;
+// heavy retransmission drops the rate immediately, clean windows accumulate
+// credit, and enough credit earns a raise. The four numbers are the classic
+// MadWifi parameters the paper's autorate comparison ran with.
+const (
+	// onoePeriod is the time between rate decisions.
+	onoePeriod = sim.Second
+	// onoeRaiseCredit is the credit needed to move up one rate.
+	onoeRaiseCredit = 10
+	// onoeDownRetryFrac lowers the rate when retries/frame exceeds it.
+	onoeDownRetryFrac float64 = 0.5
+	// onoeCreditRetryFrac earns credit when retries/frame stays below it.
+	onoeCreditRetryFrac float64 = 0.1
+)
 
 // Onoe tracks one neighbor's rate state.
 type Onoe struct {
-	cfg     OnoeConfig
 	rateIdx int
 	credit  int
 
@@ -42,17 +31,14 @@ type Onoe struct {
 
 // NewOnoe starts at the highest rate (as MadWifi does) and schedules the
 // periodic evaluation on the node's timer wheel.
-func NewOnoe(cfg OnoeConfig, node *sim.Node) *Onoe {
-	if cfg.Period == 0 {
-		cfg = DefaultOnoeConfig()
-	}
-	o := &Onoe{cfg: cfg, rateIdx: len(sim.Rates) - 1}
+func NewOnoe(node *sim.Node) *Onoe {
+	o := &Onoe{rateIdx: len(sim.Rates) - 1}
 	var tick func()
 	tick = func() {
 		o.evaluate()
-		node.After(cfg.Period, tick)
+		node.After(onoePeriod, tick)
 	}
-	node.After(cfg.Period, tick)
+	node.After(onoePeriod, tick)
 	return o
 }
 
@@ -75,14 +61,14 @@ func (o *Onoe) evaluate() {
 	}
 	retryFrac := float64(o.retries) / float64(o.frames)
 	switch {
-	case o.failures > o.frames/2 || retryFrac > o.cfg.DownRetryFrac:
+	case o.failures > o.frames/2 || retryFrac > onoeDownRetryFrac:
 		if o.rateIdx > 0 {
 			o.rateIdx--
 		}
 		o.credit = 0
-	case retryFrac < o.cfg.CreditRetryFrac:
+	case retryFrac < onoeCreditRetryFrac:
 		o.credit++
-		if o.credit >= o.cfg.RaiseCredit {
+		if o.credit >= onoeRaiseCredit {
 			if o.rateIdx < len(sim.Rates)-1 {
 				o.rateIdx++
 			}

@@ -10,12 +10,12 @@ import (
 // onoeHarness builds an Onoe instance on a throwaway simulator so its
 // periodic evaluation timer has somewhere to live, and returns a manual
 // clock-advance function.
-func onoeHarness(t *testing.T, cfg OnoeConfig) (*Onoe, func(sim.Time)) {
+func onoeHarness(t *testing.T) (*Onoe, func(sim.Time)) {
 	t.Helper()
 	s := sim.New(graph.New(1), sim.DefaultConfig())
 	p := &probeLike{}
 	s.Attach(0, p)
-	o := NewOnoe(cfg, s.Node(0))
+	o := NewOnoe(s.Node(0))
 	advance := func(d sim.Time) { s.Run(s.Now() + d) }
 	return o, advance
 }
@@ -29,14 +29,14 @@ func (p *probeLike) Pull() *sim.Frame      { return nil }
 func (p *probeLike) Sent(*sim.Frame, bool) {}
 
 func TestOnoeStartsAtTopRate(t *testing.T) {
-	o, _ := onoeHarness(t, DefaultOnoeConfig())
+	o, _ := onoeHarness(t)
 	if o.Rate() != sim.Rate11 {
 		t.Fatalf("initial rate %v", o.Rate())
 	}
 }
 
 func TestOnoeDropsOnHeavyRetries(t *testing.T) {
-	o, advance := onoeHarness(t, DefaultOnoeConfig())
+	o, advance := onoeHarness(t)
 	for i := 0; i < 20; i++ {
 		o.Report(5, false) // constant failures
 	}
@@ -64,8 +64,7 @@ func TestOnoeDropsOnHeavyRetries(t *testing.T) {
 }
 
 func TestOnoeClimbsBackWithCredit(t *testing.T) {
-	cfg := DefaultOnoeConfig()
-	o, advance := onoeHarness(t, cfg)
+	o, advance := onoeHarness(t)
 	// Crash to the bottom.
 	for w := 0; w < 6; w++ {
 		for i := 0; i < 10; i++ {
@@ -76,22 +75,21 @@ func TestOnoeClimbsBackWithCredit(t *testing.T) {
 	if o.Rate() != sim.Rate1 {
 		t.Fatalf("setup failed: rate %v", o.Rate())
 	}
-	// Clean windows accumulate credit; after RaiseCredit windows the rate
+	// Clean windows accumulate credit; after onoeRaiseCredit windows the rate
 	// steps up.
-	for w := 0; w < cfg.RaiseCredit; w++ {
+	for w := 0; w < onoeRaiseCredit; w++ {
 		for i := 0; i < 50; i++ {
 			o.Report(0, true)
 		}
 		advance(sim.Second)
 	}
 	if o.Rate() != sim.Rate2 {
-		t.Fatalf("rate after %d clean windows: %v, want 2 Mb/s", cfg.RaiseCredit, o.Rate())
+		t.Fatalf("rate after %d clean windows: %v, want 2 Mb/s", onoeRaiseCredit, o.Rate())
 	}
 }
 
 func TestOnoeMiddlingWindowErodesCredit(t *testing.T) {
-	cfg := DefaultOnoeConfig()
-	o, advance := onoeHarness(t, cfg)
+	o, advance := onoeHarness(t)
 	// Drop one step so raises are possible.
 	for i := 0; i < 10; i++ {
 		o.Report(7, false)
@@ -101,7 +99,7 @@ func TestOnoeMiddlingWindowErodesCredit(t *testing.T) {
 		t.Fatalf("setup: %v", o.Rate())
 	}
 	// Almost enough clean windows to raise...
-	for w := 0; w < cfg.RaiseCredit-1; w++ {
+	for w := 0; w < onoeRaiseCredit-1; w++ {
 		for i := 0; i < 50; i++ {
 			o.Report(0, true)
 		}
@@ -123,9 +121,20 @@ func TestOnoeMiddlingWindowErodesCredit(t *testing.T) {
 }
 
 func TestOnoeIdleWindowsAreNeutral(t *testing.T) {
-	o, advance := onoeHarness(t, DefaultOnoeConfig())
+	o, advance := onoeHarness(t)
 	advance(10 * sim.Second) // no traffic at all
 	if o.Rate() != sim.Rate11 {
 		t.Fatalf("idle windows moved the rate to %v", o.Rate())
+	}
+}
+
+// TestOnoeFixedParameters pins the classic MadWifi numbers behind the §4.4
+// autorate comparison: 1 s period, 10 credits to raise, lower above 50%
+// retries, earn credit under 10%.
+func TestOnoeFixedParameters(t *testing.T) {
+	if onoePeriod != sim.Second || onoeRaiseCredit != 10 ||
+		onoeDownRetryFrac != 0.5 || onoeCreditRetryFrac != 0.1 {
+		t.Fatalf("Onoe constants = %v / %d / %v / %v, want 1s / 10 / 0.5 / 0.1",
+			onoePeriod, onoeRaiseCredit, onoeDownRetryFrac, onoeCreditRetryFrac)
 	}
 }

@@ -7,6 +7,7 @@
 package srcr
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/flow"
@@ -27,8 +28,6 @@ type Config struct {
 	Autorate bool
 	// FixedRate pins the data bit-rate when Autorate is off.
 	FixedRate sim.Bitrate
-	// Onoe tunes the autorate algorithm.
-	Onoe OnoeConfig
 	// Reliable runs the end-to-end NACK ARQ (see reliable.go) so the
 	// transfer completes like MORE's and ExOR's do. Off, the source sends
 	// each packet once and losses are final.
@@ -47,7 +46,6 @@ func DefaultConfig() Config {
 	return Config{
 		PayloadSize: 1500,
 		QueueSize:   50,
-		Onoe:        DefaultOnoeConfig(),
 	}
 }
 
@@ -270,7 +268,7 @@ func (n *Node) deliver(m *DataMsg) {
 	s.result.PacketsDelivered = s.delivered
 	s.result.End = n.node.Now()
 	if s.verify != nil {
-		if m.Seq >= len(s.verify) || !bytesEqual(m.Payload, s.verify[m.Seq]) {
+		if m.Seq >= len(s.verify) || !bytes.Equal(m.Payload, s.verify[m.Seq]) {
 			s.result.Verified = false
 		}
 	}
@@ -281,18 +279,6 @@ func (n *Node) deliver(m *DataMsg) {
 			s.onDone(s.result)
 		}
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // HasControl reports whether FIN/NACK control traffic is queued — the
@@ -374,7 +360,7 @@ func (n *Node) frameFor(m *DataMsg) *sim.Frame {
 func (n *Node) onoeFor(neighbor graph.NodeID) *Onoe {
 	o, ok := n.onoe[neighbor]
 	if !ok {
-		o = NewOnoe(n.cfg.Onoe, n.node)
+		o = NewOnoe(n.node)
 		n.onoe[neighbor] = o
 	}
 	return o
