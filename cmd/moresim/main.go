@@ -27,6 +27,11 @@
 //	moresim -scenario scenarios/paper-testbed.json -metrics - -deadline-ms 500
 //	moresim -topo geometric -nodes 500 -progress 5
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run itself
+// (not of flag handling or report printing), for `go tool pprof`:
+//
+//	moresim -scenario scenarios/learned-512.json -cpuprofile cpu.out
+//
 // With -scale the node counts are swept (fanned over -parallel workers) and
 // a throughput/tx-per-packet/wall-clock table — or JSON with -json — is
 // printed. With -proto all the four protocols run over the same pair on
@@ -39,6 +44,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -95,8 +102,12 @@ func main() {
 		deadlineMS = flag.Float64("deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
 		simLimit   = flag.Float64("sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
 		progress   = flag.Float64("progress", 0, "print a progress heartbeat (events seen, simulated clock) to stderr every N wall-clock seconds (0 disables)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this file (go tool pprof)")
 	)
 	flag.Parse()
+	prof := profileCLI{cpu: *cpuProfile, mem: *memProfile}
 
 	tc := telemetryCLI{metrics: *metricsOut, trace: *traceOut, deadlineMS: *deadlineMS, progressS: *progress}
 
@@ -108,7 +119,7 @@ func main() {
 	}
 
 	if *scenFile != "" {
-		if !runScenario(*scenFile, *jsonOut, tc) {
+		if !runScenario(*scenFile, *jsonOut, tc, prof) {
 			os.Exit(1)
 		}
 		return
@@ -237,7 +248,7 @@ func main() {
 		if *ccSweep {
 			run = runCCSweep
 		}
-		if !run(sweep, *jsonOut) {
+		if !prof.around(func() bool { return run(sweep, *jsonOut) }) {
 			os.Exit(1)
 		}
 		return
@@ -322,7 +333,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-proto all compares a single pair; use -flows with one protocol")
 			os.Exit(2)
 		}
-		if !compareAll(topo, pair.Src, pair.Dst, opts) {
+		if !prof.around(func() bool { return compareAll(topo, pair.Src, pair.Dst, opts) }) {
 			os.Exit(1)
 		}
 		return
@@ -346,7 +357,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-trace and the telemetry flags are not supported with -state learned (the gap report runs two simulations)")
 			os.Exit(2)
 		}
-		if !runLearned(topo, proto, pairs, opts, *jsonOut) {
+		if !prof.around(func() bool { return runLearned(topo, proto, pairs, opts, *jsonOut) }) {
 			os.Exit(1)
 		}
 		return
@@ -369,7 +380,8 @@ func main() {
 		}
 	}
 	stopProgress := tc.startProgress(hub)
-	info := experiments.RunDetailed(topo, proto, pairs, opts)
+	var info experiments.RunInfo
+	prof.around(func() bool { info = experiments.RunDetailed(topo, proto, pairs, opts); return true })
 	stopProgress()
 	rs, counters := info.Results, info.Counters
 	if txs != nil {
@@ -419,7 +431,7 @@ func main() {
 // runs of the same spec — pipe it to cmd/scenariocheck to verify; the
 // telemetry flags add an optional Telemetry block, everything else stays
 // identical). It reports whether every flow met its schedule.
-func runScenario(path string, jsonOut bool, tc telemetryCLI) bool {
+func runScenario(path string, jsonOut bool, tc telemetryCLI, prof profileCLI) bool {
 	spec, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -430,7 +442,8 @@ func runScenario(path string, jsonOut bool, tc telemetryCLI) bool {
 		hub = tc.newHub()
 	}
 	stopProgress := tc.startProgress(hub)
-	res, err := scenario.RunWith(spec, hub)
+	var res *scenario.Result
+	prof.around(func() bool { res, err = scenario.RunWith(spec, hub); return true })
 	stopProgress()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -645,6 +658,43 @@ func compareAll(topo *graph.Topology, src, dst graph.NodeID, opts experiments.Op
 		allDone = allDone && results[i].Completed
 	}
 	return allDone
+}
+
+// profileCLI carries -cpuprofile and -memprofile: where to write the
+// runtime/pprof profiles of the run, empty for none.
+type profileCLI struct{ cpu, mem string }
+
+// around calls run and returns its result. CPU samples cover exactly run;
+// the heap profile is taken once run returns, after a collection, so it
+// shows what the run left live and everything it allocated. A file that
+// cannot be created or written is reported on stderr and exits 1.
+func (p profileCLI) around(run func() bool) bool {
+	check := func(flagName string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
+			os.Exit(1)
+		}
+	}
+	var cpu *os.File
+	if p.cpu != "" {
+		var err error
+		cpu, err = os.Create(p.cpu)
+		check("-cpuprofile", err)
+		check("-cpuprofile", pprof.StartCPUProfile(cpu))
+	}
+	ok := run()
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		check("-cpuprofile", cpu.Close())
+	}
+	if p.mem != "" {
+		f, err := os.Create(p.mem)
+		check("-memprofile", err)
+		runtime.GC() // bring the live-heap figures up to date
+		check("-memprofile", pprof.WriteHeapProfile(f))
+		check("-memprofile", f.Close())
+	}
+	return ok
 }
 
 // telemetryCLI groups the observability flag surface: where to write the

@@ -105,7 +105,7 @@ func TestExpiryKeepsAntiReplayState(t *testing.T) {
 	if agents[0].Knows(2) {
 		t.Fatal("stale LSA not expired")
 	}
-	last := agents[0].latestSeq[2]
+	last := agents[0].seqOf(2)
 	if agents[0].accept(&packet.LSA{Origin: 2, Seq: last}) {
 		t.Error("replayed stale LSA accepted after expiry")
 	}

@@ -115,11 +115,15 @@ type Agent struct {
 	seq        uint32
 	pendingAdv []pendingLSA // own advertisement awaiting transmission
 	pendingFwd []pendingLSA // LSAs to rebroadcast
-	latestSeq  map[graph.NodeID]uint32
-	db         map[graph.NodeID]*packet.LSA
-	// receivedAt[origin] is when origin's current database entry was
-	// installed (aging input for MaxAge).
-	receivedAt map[graph.NodeID]sim.Time
+
+	// The LSA database, dense by origin and split by how often a row is
+	// read: every decoded LSA reads hot[origin] for the duplicate check, and
+	// nine in ten stop there; only an installed one touches cold[origin].
+	// Both are allocated on the first accept — n rows per agent, n agents —
+	// so building a control plane stays cheap. known counts held LSAs.
+	hot   []seqRow
+	cold  []lsaRow
+	known int
 
 	// Damping state: the estimates as last flooded, and when.
 	lastAdv    map[graph.NodeID]float64
@@ -160,6 +164,20 @@ type Agent struct {
 	FloodTx int64
 }
 
+// seqRow is an origin's replay horizon: the newest sequence accepted from it.
+// It survives expiry of the database entry.
+type seqRow struct {
+	seq  uint32
+	seen bool
+}
+
+// lsaRow is an origin's database entry (nil once aged out) and when it was
+// installed, the aging input for MaxAge.
+type lsaRow struct {
+	lsa        *packet.LSA
+	receivedAt sim.Time
+}
+
 // pendingLSA is an LSA queued for transmission. due is when a dedicated
 // flood becomes allowed: zero (the non-piggyback default) means immediately;
 // with piggybacking on, the LSA waits for a data-frame ride until due.
@@ -191,13 +209,10 @@ func NewAgent(cfg Config, n int) *Agent {
 		cfg.PiggybackDelay = cfg.AdvertiseInterval / 2
 	}
 	return &Agent{
-		cfg:        cfg,
-		n:          n,
-		prober:     probe.NewProber(cfg.Probe),
-		latestSeq:  make(map[graph.NodeID]uint32),
-		db:         make(map[graph.NodeID]*packet.LSA),
-		receivedAt: make(map[graph.NodeID]sim.Time),
-		lastAdv:    make(map[graph.NodeID]float64),
+		cfg:     cfg,
+		n:       n,
+		prober:  probe.NewProber(cfg.Probe),
+		lastAdv: make(map[graph.NodeID]float64),
 	}
 }
 
@@ -231,12 +246,13 @@ func (a *Agent) scheduleExpiry() {
 // state survives the purge so only a genuinely fresher flood — the reborn
 // origin's own, whose sequence kept advancing — re-installs an origin.
 func (a *Agent) expire() {
-	for origin, at := range a.receivedAt {
-		if origin == a.node.ID() || a.node.Now()-at < a.cfg.MaxAge {
+	for origin := range a.cold {
+		row := &a.cold[origin]
+		if row.lsa == nil || graph.NodeID(origin) == a.node.ID() || a.node.Now()-row.receivedAt < a.cfg.MaxAge {
 			continue
 		}
-		delete(a.db, origin)
-		delete(a.receivedAt, origin)
+		*row = lsaRow{}
+		a.known--
 		a.ExpiredLSAs++
 		a.version++
 	}
@@ -392,15 +408,37 @@ func serialNewer(a, b uint32) bool {
 	return a != b && int32(a-b) > 0
 }
 
-// accept installs an LSA in the local database if it is new.
+// accept installs an LSA in the local database if it is new and well formed:
+// an origin or neighbor outside the network, or fewer probabilities than
+// neighbors, would index out of range when Topology rebuilds the graph.
 func (a *Agent) accept(l *packet.LSA) bool {
-	if last, ok := a.latestSeq[l.Origin]; ok && !serialNewer(l.Seq, last) {
+	if uint(l.Origin) >= uint(len(a.hot)) {
+		if uint(l.Origin) >= uint(a.n) {
+			return false
+		}
+		a.hot = make([]seqRow, a.n)
+		a.cold = make([]lsaRow, a.n)
+	}
+	hot := &a.hot[l.Origin]
+	if hot.seen && !serialNewer(l.Seq, hot.seq) {
 		return false
 	}
-	a.latestSeq[l.Origin] = l.Seq
-	a.db[l.Origin] = l
+	if len(l.Probs) < len(l.Neighbors) {
+		return false
+	}
+	for _, nb := range l.Neighbors {
+		if uint(nb) >= uint(a.n) {
+			return false
+		}
+	}
+	*hot = seqRow{seq: l.Seq, seen: true}
+	row := &a.cold[l.Origin]
+	if row.lsa == nil {
+		a.known++
+	}
+	row.lsa = l
 	if a.node != nil { // tests drive accept without a simulated node
-		a.receivedAt[l.Origin] = a.node.Now()
+		row.receivedAt = a.node.Now()
 	}
 	a.version++
 	return true
@@ -430,10 +468,27 @@ func (a *Agent) SetLoadFunc(f func() uint8) { a.loadFunc = f }
 // LoadOf returns the quantized load this agent has heard for origin (its
 // latest LSA's load byte), or 0 if unknown.
 func (a *Agent) LoadOf(origin graph.NodeID) uint8 {
-	if lsa, ok := a.db[origin]; ok {
+	if lsa := a.entry(origin); lsa != nil {
 		return lsa.Load
 	}
 	return 0
+}
+
+// entry returns the LSA held for origin, or nil: none heard, aged out, or
+// origin outside the network.
+func (a *Agent) entry(origin graph.NodeID) *packet.LSA {
+	if uint(origin) >= uint(len(a.cold)) {
+		return nil
+	}
+	return a.cold[origin].lsa
+}
+
+// seqOf returns the newest sequence accepted from origin (0 if none).
+func (a *Agent) seqOf(origin graph.NodeID) uint32 {
+	if uint(origin) >= uint(len(a.hot)) {
+		return 0
+	}
+	return a.hot[origin].seq
 }
 
 // Version counts LSA database changes (see View).
@@ -482,7 +537,7 @@ func (a *Agent) handleLSA(m *packet.LSA) {
 	delay := sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
 	a.node.After(delay, func() {
 		// Only flood if still the freshest we know.
-		if a.latestSeq[fwd.Origin] == fwd.Seq {
+		if a.seqOf(fwd.Origin) == fwd.Seq {
 			a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: fwd, due: a.holdUntil()})
 			a.node.Wake()
 		}
@@ -563,24 +618,24 @@ func (a *Agent) Sent(f *sim.Frame, ok bool) {
 
 // KnownOrigins returns how many nodes' LSAs this agent holds (including
 // its own).
-func (a *Agent) KnownOrigins() int { return len(a.db) }
+func (a *Agent) KnownOrigins() int { return a.known }
 
 // Knows reports whether this agent currently holds an LSA from origin —
 // false once aging has purged a dead origin, true again after its reborn
 // flood lands. Reconvergence measurements poll it.
-func (a *Agent) Knows(origin graph.NodeID) bool {
-	_, ok := a.db[origin]
-	return ok
-}
+func (a *Agent) Knows(origin graph.NodeID) bool { return a.entry(origin) != nil }
 
 // Topology reconstructs this node's local view of the loss-annotated
 // network graph from its LSA database. Unknown links are 0.
 func (a *Agent) Topology() *graph.Topology {
 	t := graph.New(a.n)
-	for origin, lsa := range a.db {
-		for i, nb := range lsa.Neighbors {
+	for origin, row := range a.cold {
+		if row.lsa == nil {
+			continue
+		}
+		for i, nb := range row.lsa.Neighbors {
 			// LSA reports delivery of nb -> origin.
-			t.SetDirected(nb, origin, packet.UnquantizeProb(lsa.Probs[i]))
+			t.SetDirected(nb, graph.NodeID(origin), packet.UnquantizeProb(row.lsa.Probs[i]))
 		}
 	}
 	return t

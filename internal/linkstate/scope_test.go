@@ -82,13 +82,13 @@ func TestScopedFloodDiesAtRingBoundary(t *testing.T) {
 			t.Fatalf("node %d knows %d/4 origins", i, a.KnownOrigins())
 		}
 	}
-	// latestSeq holds sequence values, so the lag behind the origin's own
+	// seqOf returns sequence values, so the lag behind the origin's own
 	// sequence measures staleness in advertise ticks: the 1-hop neighbor
 	// tracks every update while the 3-hop node last heard a summary — up
 	// to 8 ticks (16 s) ago.
-	near := agents[1].latestSeq[0] // 1 hop from origin 0: full rate
-	far := agents[3].latestSeq[0]  // 3 hops: summaries only (~every 16 s)
-	own := agents[0].latestSeq[0]  // the origin's own sequence
+	near := agents[1].seqOf(0) // 1 hop from origin 0: full rate
+	far := agents[3].seqOf(0)  // 3 hops: summaries only (~every 16 s)
+	own := agents[0].seqOf(0)  // the origin's own sequence
 	if own-near > 2 {
 		t.Errorf("inner ring lags the origin: near=%d own=%d", near, own)
 	}
@@ -150,7 +150,7 @@ func TestSummaryBypassesDamping(t *testing.T) {
 	// ...yet the peer keeps hearing fresh sequence numbers at roughly the
 	// summary cadence. 62 s / 6 s ≥ 9 summaries (bootstrap included); without
 	// the bypass the origin's sequence freezes once estimates settle (~5).
-	if got := agents[1].latestSeq[0]; got < 8 {
+	if got := agents[1].seqOf(0); got < 8 {
 		t.Errorf("peer saw seq %d from origin 0: summaries starved by damping", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestScopedForwardDecrementsCopy(t *testing.T) {
 		s.Attach(graph.NodeID(i), agents[i])
 	}
 	s.Run(30 * sim.Second)
-	a1, a2 := agents[1].db[0], agents[2].db[0]
+	a1, a2 := agents[1].entry(0), agents[2].entry(0)
 	if a1 == nil || a2 == nil {
 		t.Fatal("scoped floods did not cover the chain")
 	}
@@ -182,7 +182,7 @@ func TestScopedForwardDecrementsCopy(t *testing.T) {
 	}
 	// The origin's own database entry must still hold the TTL it sent:
 	// forwarding mutated a copy, not the shared payload.
-	if own := agents[0].db[0]; own.TTL != 2 {
+	if own := agents[0].entry(0); own.TTL != 2 {
 		t.Errorf("origin's own entry TTL = %d, want 2 (shared payload mutated?)", own.TTL)
 	}
 }

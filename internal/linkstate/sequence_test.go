@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/packet"
 )
 
@@ -53,7 +54,53 @@ func TestAcceptSurvivesSequenceWraparound(t *testing.T) {
 	if a.accept(&packet.LSA{Origin: 1, Seq: 1}) {
 		t.Fatal("duplicate sequence accepted")
 	}
-	if got := a.latestSeq[1]; got != 1 {
-		t.Fatalf("latestSeq = %d, want 1", got)
+	if got := a.seqOf(1); got != 1 {
+		t.Fatalf("seqOf(1) = %d, want 1", got)
+	}
+}
+
+// TestAcceptRefusesMalformedLSA: an LSA whose origin or a neighbor lies
+// outside the network, or that carries fewer probabilities than neighbors,
+// used to be installed and then index out of range when Topology rebuilt
+// the graph. accept refuses each shape and leaves the database unmoved.
+func TestAcceptRefusesMalformedLSA(t *testing.T) {
+	const n = 4
+	ids := func(v ...graph.NodeID) []graph.NodeID { return v }
+	malformed := map[string]*packet.LSA{
+		"origin past the end":        {Origin: n, Seq: 1},
+		"origin negative":            {Origin: graph.Broadcast, Seq: 1},
+		"neighbor past the end":      {Origin: 1, Seq: 9, Neighbors: ids(0, n), Probs: []uint8{200, 200}},
+		"neighbor negative":          {Origin: 1, Seq: 9, Neighbors: ids(-1), Probs: []uint8{200}},
+		"fewer probs than neighbors": {Origin: 1, Seq: 9, Neighbors: ids(0, 2), Probs: []uint8{200}},
+	}
+	for _, installed := range []bool{false, true} {
+		a := NewAgent(DefaultConfig(), n)
+		if a.Knows(1) || a.Knows(n) || a.LoadOf(-1) != 0 || a.KnownOrigins() != 0 {
+			t.Fatal("an empty database claims to know something")
+		}
+		if installed { // the same refusals once the tables exist and hold an entry
+			if !a.accept(&packet.LSA{Origin: 1, Seq: 3, Neighbors: ids(0), Probs: []uint8{255}, Load: 7}) {
+				t.Fatal("well-formed LSA refused")
+			}
+		}
+		version, known := a.Version(), a.KnownOrigins()
+		for name, l := range malformed {
+			if a.accept(l) {
+				t.Errorf("installed=%v: %s: accepted", installed, name)
+			}
+		}
+		if a.Version() != version || a.KnownOrigins() != known {
+			t.Errorf("installed=%v: refusals moved the database: version %d -> %d, origins %d -> %d",
+				installed, version, a.Version(), known, a.KnownOrigins())
+		}
+		if a.Knows(n) || a.Knows(-1) || a.LoadOf(n) != 0 {
+			t.Errorf("installed=%v: out-of-range origin reported as known", installed)
+		}
+		topo := a.Topology() // must not index out of range
+		if installed {
+			if got := topo.Prob(0, 1); got != 1 || a.LoadOf(1) != 7 || a.seqOf(1) != 3 {
+				t.Errorf("the installed entry was disturbed: p=%v load=%d seq=%d", got, a.LoadOf(1), a.seqOf(1))
+			}
+		}
 	}
 }

@@ -26,15 +26,18 @@ type mac struct {
 	cw           int // current contention window (slots)
 	backoffSlots int // remaining backoff slots
 	backoffArmed bool
-	difsTimer    *Event
-	backoffTimer *Event
 	backoffStart Time
 
+	// The MAC owns its three timers: Event values bound once in newMAC and
+	// re-armed in place, so contention allocates nothing per arm.
+	difsTimer    Event
+	backoffTimer Event
+	ackTimer     Event
+
 	// Frame in progress.
-	cur      *Frame
-	retries  int
-	ackTimer *Event
-	onAir    int // own transmissions currently in flight
+	cur     *Frame
+	retries int
+	onAir   int // own transmissions currently in flight
 
 	// MAC sequence numbers and duplicate suppression. seen is bounded by
 	// the configured DupWindow: seenRing remembers insertion order and the
@@ -50,11 +53,15 @@ type mac struct {
 }
 
 func newMAC(n *Node) *mac {
-	return &mac{
+	m := &mac{
 		node: n,
 		cw:   CWMin,
 		seen: make(map[uint64]struct{}),
 	}
+	m.difsTimer.init(n.sim, m.difsDone)
+	m.backoffTimer.init(n.sim, m.backoffDone)
+	m.ackTimer.init(n.sim, m.ackTimeout)
+	return m
 }
 
 // recordSeen marks key as delivered, evicting the oldest remembered key
@@ -88,18 +95,9 @@ func (m *mac) wake() {
 // parks idle. Carrier-sense bookkeeping keeps running so the busy count
 // stays balanced with neighbors' transmissions.
 func (m *mac) silence() {
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-		m.difsTimer = nil
-	}
-	if m.backoffTimer != nil {
-		m.backoffTimer.Cancel()
-		m.backoffTimer = nil
-	}
-	if m.ackTimer != nil {
-		m.ackTimer.Cancel()
-		m.ackTimer = nil
-	}
+	m.difsTimer.Cancel()
+	m.backoffTimer.Cancel()
+	m.ackTimer.Cancel()
 	m.cur = nil
 	m.backlogged = false
 	m.backoffArmed = false
@@ -140,14 +138,11 @@ func (m *mac) startContention() {
 }
 
 func (m *mac) armDIFS() {
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-	}
-	m.difsTimer = m.node.sim.After(DIFS, m.difsDone)
+	s := m.node.sim
+	s.armAt(&m.difsTimer, s.now+DIFS)
 }
 
 func (m *mac) difsDone() {
-	m.difsTimer = nil
 	if m.state != macContending || m.busy > 0 {
 		return
 	}
@@ -155,13 +150,12 @@ func (m *mac) difsDone() {
 		m.transmitNow()
 		return
 	}
-	m.backoffStart = m.node.sim.now
-	dur := Time(m.backoffSlots) * SlotTime
-	m.backoffTimer = m.node.sim.After(dur, m.backoffDone)
+	s := m.node.sim
+	m.backoffStart = s.now
+	s.armAt(&m.backoffTimer, s.now+Time(m.backoffSlots)*SlotTime)
 }
 
 func (m *mac) backoffDone() {
-	m.backoffTimer = nil
 	if m.state != macContending {
 		return
 	}
@@ -176,11 +170,8 @@ func (m *mac) carrierUp() {
 	if m.busy != 1 {
 		return
 	}
-	if m.difsTimer != nil {
-		m.difsTimer.Cancel()
-		m.difsTimer = nil
-	}
-	if m.backoffTimer != nil {
+	m.difsTimer.Cancel()
+	if m.backoffTimer.pending() {
 		// Freeze: credit fully elapsed slots.
 		elapsed := int((m.node.sim.now - m.backoffStart) / SlotTime)
 		if elapsed > m.backoffSlots {
@@ -188,7 +179,6 @@ func (m *mac) carrierUp() {
 		}
 		m.backoffSlots -= elapsed
 		m.backoffTimer.Cancel()
-		m.backoffTimer = nil
 	}
 }
 
@@ -241,12 +231,11 @@ func (m *mac) txFinished(tx *transmission) {
 	}
 	// Unicast: await the MAC ACK.
 	m.state = macWaitAck
-	timeout := sifs + AirTime(macAckBytes, basicRate) + 2*SlotTime
-	m.ackTimer = m.node.sim.After(timeout, m.ackTimeout)
+	s := m.node.sim
+	s.armAt(&m.ackTimer, s.now+sifs+AirTime(macAckBytes, basicRate)+2*SlotTime)
 }
 
 func (m *mac) ackTimeout() {
-	m.ackTimer = nil
 	if m.state != macWaitAck {
 		return
 	}
@@ -295,10 +284,7 @@ func (m *mac) deliver(tx *transmission) {
 	f := tx.frame
 	if f.isMACAck {
 		if m.state == macWaitAck && f.To == m.node.id && f.ackFor.frame == m.cur {
-			if m.ackTimer != nil {
-				m.ackTimer.Cancel()
-				m.ackTimer = nil
-			}
+			m.ackTimer.Cancel()
 			cur := m.cur
 			cur.Retries = m.retries
 			m.cur = nil

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,43 +9,41 @@ import (
 )
 
 func TestEventHeapOrdering(t *testing.T) {
-	var h eventHeap
+	s := New(graph.New(1), DefaultConfig())
 	times := []Time{5, 1, 3, 1, 9, 2}
-	for i, at := range times {
-		heap.Push(&h, &Event{at: at, seq: uint64(i)})
-	}
 	var out []Time
-	var seqs []uint64
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(*Event)
-		out = append(out, e.at)
-		seqs = append(seqs, e.seq)
+	var order []int
+	for i, at := range times {
+		s.After(at, func() { out = append(out, s.Now()); order = append(order, i) })
+	}
+	s.Run(Second)
+	if len(out) != len(times) {
+		t.Fatalf("fired %d of %d events", len(out), len(times))
 	}
 	for i := 1; i < len(out); i++ {
 		if out[i] < out[i-1] {
 			t.Fatalf("heap emitted out of order: %v", out)
 		}
-		if out[i] == out[i-1] && seqs[i] < seqs[i-1] {
-			t.Fatalf("ties not broken by insertion order: %v %v", out, seqs)
+		if out[i] == out[i-1] && order[i] < order[i-1] {
+			t.Fatalf("ties not broken by insertion order: %v %v", out, order)
 		}
 	}
 }
 
 func TestEventHeapQuickOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
-		var h eventHeap
-		for i, v := range raw {
-			heap.Push(&h, &Event{at: Time(v), seq: uint64(i)})
-		}
+		s := New(graph.New(1), DefaultConfig())
+		fired, ordered := 0, true
 		prev := Time(-1)
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(*Event)
-			if e.at < prev {
-				return false
-			}
-			prev = e.at
+		for _, v := range raw {
+			s.After(Time(v), func() {
+				fired++
+				ordered = ordered && s.Now() == Time(v) && s.Now() >= prev
+				prev = s.Now()
+			})
 		}
-		return true
+		s.Run(Time(1 << 20))
+		return ordered && fired == len(raw) && s.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -352,4 +349,107 @@ func (p *scriptedProto) Pull() *Frame {
 	f := p.frames[0]
 	p.frames = p.frames[1:]
 	return f
+}
+
+// TestContentionCycleAllocatesNothing walks one node through the cycle that
+// dominates large runs — medium clears, DIFS armed, DIFS expires, backoff
+// armed, medium busy again, backoff frozen — and requires zero allocations:
+// the MAC's timers are its own Event values, re-armed in place.
+func TestContentionCycleAllocatesNothing(t *testing.T) {
+	s, _, _ := pair(t, 1, DefaultConfig())
+	m := s.Node(0).mac
+	m.state, m.backlogged = macContending, true
+	m.backoffSlots, m.backoffArmed = 1000, true // never runs out: each freeze credits 0 slots
+	m.carrierUp()
+	allocs := testing.AllocsPerRun(200, func() {
+		m.carrierDown() // medium idle: armDIFS
+		s.Run(s.Now() + DIFS)
+		if !m.backoffTimer.pending() {
+			t.Fatal("DIFS expiry did not arm the backoff timer")
+		}
+		m.carrierUp() // freeze
+		if m.backoffTimer.pending() || m.difsTimer.pending() || s.Pending() != 0 {
+			t.Fatal("freeze left a timer queued")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("contention cycle allocates %v objects per round, want 0", allocs)
+	}
+}
+
+// idleProto sends the one frame it holds, once per refill, and records
+// nothing — so a transmission's own allocations can be counted.
+type idleProto struct {
+	frame *Frame
+	armed bool
+}
+
+func (p *idleProto) Init(*Node)        {}
+func (p *idleProto) Receive(*Frame)    {}
+func (p *idleProto) Sent(*Frame, bool) {}
+func (p *idleProto) Pull() *Frame {
+	if !p.armed {
+		return nil
+	}
+	p.armed = false
+	return p.frame
+}
+
+// TestBroadcastTransmissionAllocatesNoEvent sends one broadcast frame
+// through contention, the air and reception: the only allocations are the
+// transmission (which embeds the event that ends it) and that event's
+// closure. Before owned events it was up to seven: an Event and a
+// method-value closure for each of DIFS and (when the draw is not zero)
+// backoff, and three for the transmission.
+func TestBroadcastTransmissionAllocatesNoEvent(t *testing.T) {
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 1)
+	s := New(topo, DefaultConfig())
+	p := &idleProto{frame: &Frame{To: graph.Broadcast, Bytes: 400}}
+	s.Attach(0, p)
+	s.Attach(1, &idleProto{})
+	allocs := testing.AllocsPerRun(200, func() {
+		p.armed = true
+		s.Node(0).Wake()
+		s.Run(s.Now() + Second)
+		if p.armed || s.Pending() != 0 {
+			t.Fatal("frame not sent or timers left behind")
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("a broadcast transmission allocates %v objects, want 2 (transmission + end closure)", allocs)
+	}
+	if s.Counters.Deliveries == 0 {
+		t.Fatal("nothing was delivered: the test exercises no reception")
+	}
+}
+
+// TestSilenceCancelsOwnedTimers: FailNode with all three MAC timers pending
+// takes exactly those three out of the queue, and the revived MAC arms them
+// cleanly again.
+func TestSilenceCancelsOwnedTimers(t *testing.T) {
+	s, a, b := pair(t, 1, DefaultConfig())
+	other := s.After(Millisecond, func() {})
+	m := s.Node(0).mac
+	s.armAt(&m.difsTimer, DIFS)
+	s.armAt(&m.backoffTimer, 3*SlotTime)
+	s.armAt(&m.ackTimer, Millisecond)
+	before := s.Pending()
+	s.FailNode(0)
+	if got := s.Pending(); got != before-3 {
+		t.Fatalf("Pending %d -> %d across silence, want down by 3", before, got)
+	}
+	if m.difsTimer.pending() || m.backoffTimer.pending() || m.ackTimer.pending() || other.Canceled() {
+		t.Fatal("silence left a MAC timer queued or cancelled a stranger")
+	}
+	s.Run(10 * Millisecond) // nothing of node 0's may fire
+	s.RecoverNode(0)
+	a.enqueue(&Frame{To: 1, Bytes: 300})
+	s.Run(Second)
+	if len(b.received) != 1 || len(a.sent) != 1 || !a.sentOK[0] {
+		t.Fatalf("revived MAC did not complete a unicast: received=%d sent=%d", len(b.received), len(a.sent))
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after the run", s.Pending())
+	}
 }

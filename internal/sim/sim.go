@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/telemetry"
@@ -181,13 +180,9 @@ type Simulator struct {
 	topo  *graph.Topology
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue []entry // 4-ary min-heap on (at, seq); see event.go
 	rng   *rand.Rand
 	nodes []*Node
-
-	// canceledInQueue counts canceled events still sitting in the heap;
-	// when they outnumber live ones the heap is compacted (see event.go).
-	canceledInQueue int
 
 	// senseSet[i] lists the nodes (including i itself) whose carrier sense
 	// detects a transmission by i, sorted ascending. Precomputed from the
@@ -221,6 +216,7 @@ type transmission struct {
 	rate     Bitrate
 	overlaps []*transmission // other transmissions overlapping in time
 	done     bool
+	endEv    Event // takes the frame off the air at end
 }
 
 // New creates a simulator over the topology.
@@ -308,23 +304,17 @@ func (s *Simulator) relevantTo(id graph.NodeID) []graph.NodeID {
 
 // sortedUniqueIDs sorts ids ascending and removes duplicates in place.
 func sortedUniqueIDs(ids []graph.NodeID) []graph.NodeID {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	if len(out) == 0 {
+	if len(ids) == 0 {
 		return []graph.NodeID{} // non-nil: marks the set as built
 	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // containsID reports whether the sorted set contains id.
 func containsID(set []graph.NodeID, id graph.NodeID) bool {
-	k := sort.Search(len(set), func(i int) bool { return set[i] >= id })
-	return k < len(set) && set[k] == id
+	_, found := slices.BinarySearch(set, id)
+	return found
 }
 
 // Node returns the node with the given ID.
@@ -407,16 +397,9 @@ func (s *Simulator) Run(until Time) Time {
 // RunWhile processes events until the queue empties, the deadline passes,
 // or cond (if non-nil) returns false. cond is checked after every event.
 func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.at > until {
-			break
-		}
-		heap.Pop(&s.queue)
-		if e.canceled {
-			s.canceledInQueue--
-			continue
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= until {
+		e := s.queue[0].ev
+		s.remove(0)
 		s.now = e.at
 		e.fn()
 		if cond != nil && !cond() {
@@ -429,8 +412,8 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 	return s.now
 }
 
-// Pending reports how many live (non-canceled) events are queued.
-func (s *Simulator) Pending() int { return len(s.queue) - s.canceledInQueue }
+// Pending reports how many events are queued.
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // deliveryProb returns the delivery probability from a to b at the frame's
 // rate and size.
@@ -516,7 +499,8 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 		s.nodes[id].mac.carrierUp()
 	}
 
-	s.After(dur, func() { s.endTransmission(tx) })
+	tx.endEv.init(s, func() { s.endTransmission(tx) })
+	s.armAt(&tx.endEv, tx.end)
 	return tx
 }
 

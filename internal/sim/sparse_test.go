@@ -104,55 +104,6 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 	}
 }
 
-// TestHeapCompaction schedules far more doomed timers than live ones — the
-// pattern of long multi-flow runs, where every delivered frame leaves a
-// canceled retransmit timer behind — and checks the heap shrinks instead of
-// growing without bound, while survivors still fire in schedule order.
-func TestHeapCompaction(t *testing.T) {
-	s := New(graph.New(1), DefaultConfig())
-	const total = 16 * compactionFloor
-	fired := make([]bool, total)
-	var order []int
-	liveCount := 0
-	for i := 0; i < total; i++ {
-		i := i
-		// Deliberately non-monotone times so compaction has real heap
-		// structure to preserve: time (i%7) ms, tie-broken by insertion.
-		e := s.After(Time(i%7)*Millisecond, func() { fired[i] = true; order = append(order, i) })
-		if i%8 != 0 {
-			e.Cancel()
-		} else {
-			liveCount++
-		}
-	}
-	// Compaction must have kicked in: dead entries never outnumber live
-	// ones by more than the compaction floor's worth of slack.
-	if len(s.queue) > 2*(liveCount+compactionFloor) {
-		t.Fatalf("queue holds %d entries for %d live events — not compacted",
-			len(s.queue), liveCount)
-	}
-	if got := s.Pending(); got != liveCount {
-		t.Fatalf("Pending = %d, want %d", got, liveCount)
-	}
-	s.Run(Second)
-	for i := range fired {
-		if want := i%8 == 0; fired[i] != want {
-			t.Fatalf("event %d fired=%v, want %v", i, fired[i], want)
-		}
-	}
-	// Survivors fire in (time, insertion) order — exactly the order lazy
-	// deletion would have produced.
-	for k := 1; k < len(order); k++ {
-		ta, tb := order[k-1]%7, order[k]%7
-		if ta > tb || (ta == tb && order[k-1] > order[k]) {
-			t.Fatalf("compaction perturbed order: %d before %d", order[k-1], order[k])
-		}
-	}
-	if len(order) != liveCount {
-		t.Fatalf("fired %d events, want %d", len(order), liveCount)
-	}
-}
-
 // TestRelevantSetRateAdjusted locks in the overlap-tracking filter rule:
 // with a rate-dependent channel, links below the interference threshold at
 // the reference rate can rise above it at robust rates, so they must stay
