@@ -20,9 +20,11 @@
 //     pipeline is allocation-free in steady state (see pool.go for the
 //     ownership rules).
 //
-// The byte crunching — coding at the source, recoding at forwarders,
-// decoding at the destination — runs on gf256.Kernel, the word-wise
-// bit-plane/nibble-table combine engine.
+// The byte crunching runs on the active gf256 kernel arm (GFNI, PSHUFB or
+// the portable word-wise form): multi-row combines — coding at the source,
+// recoding at forwarders, decoding at the destination — through
+// gf256.Kernel, and single-row steps — echelon elimination, pre-coder
+// updates — through gf256.MulAddSlice/ScaleSlice.
 //
 // All randomness is drawn from a caller-supplied *rand.Rand so simulations
 // are deterministic under a fixed seed.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gf256"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -166,15 +167,29 @@ func TestTable41Microbench(t *testing.T) {
 	// Shape, not absolute times: the independence check must be far
 	// cheaper than full coding/decoding (paper: 10 µs vs 270/260 µs), and
 	// coding and decoding should be within a small factor of each other.
-	if r.IndependenceCheck*5 > r.SourceCoding {
-		t.Errorf("independence check (%v) not ≪ source coding (%v)", r.IndependenceCheck, r.SourceCoding)
+	// The paper's figures are scalar code, so the check-vs-coding shape is
+	// asserted on the portable arm: the check's 32 eliminations run on
+	// sub-32-byte vector suffixes, below simdCutoff on every arm, while a
+	// vector arm codes 1500 B rows an order of magnitude faster.
+	// Wall-clock ratios are meaningless under the race detector, which
+	// instruments the check's Go loop and not the kernels' assembly.
+	prev := gf256.ActiveKernel()
+	if err := gf256.SetKernel(gf256.KernelPortable); err != nil {
+		t.Fatal(err)
+	}
+	scalar := Table41CodingCost(32, 1500, 200)
+	if err := gf256.SetKernel(prev); err != nil {
+		t.Fatal(err)
+	}
+	if scalar.IndependenceCheck*5 > scalar.SourceCoding && !raceEnabled {
+		t.Errorf("independence check (%v) not ≪ source coding (%v)", scalar.IndependenceCheck, scalar.SourceCoding)
 	}
 	// Coding and decoding are the same O(K·S) work; allow a wide band
 	// because this test shares the machine with parallel packages and the
 	// paper's own numbers (270 vs 260 µs) only establish same order of
 	// magnitude.
 	ratio := float64(r.SourceCoding) / float64(r.Decoding)
-	if ratio < 0.05 || ratio > 20 {
+	if (ratio < 0.05 || ratio > 20) && !raceEnabled {
 		t.Errorf("coding (%v) and decoding (%v) should be comparable", r.SourceCoding, r.Decoding)
 	}
 	// Modern hardware must far exceed the Celeron's 44 Mb/s. Wall-clock

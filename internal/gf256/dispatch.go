@@ -1,17 +1,19 @@
 package gf256
 
-// Kernel implementation dispatch. The package selects the best combine
-// implementation the CPU supports at startup; the GF256_KERNEL environment
-// variable forces a specific one (the CI matrix runs the whole test suite
-// with GF256_KERNEL=portable so the fallback arm can never rot), and
-// SetKernel switches at runtime (cmd flags: `-gf256 portable`). Selection
-// affects kernels created afterwards — existing Kernel values keep the
-// implementation they were built with.
+// Kernel implementation dispatch. The package selects the best arm the CPU
+// supports at startup; the GF256_KERNEL environment variable forces a
+// specific one (the CI matrix runs the whole test suite with
+// GF256_KERNEL=portable so the fallback arm can never rot), and SetKernel
+// switches at runtime (cmd flags: `-gf256 portable`). The selection is one
+// atomic pointer to the active arm. The slice operations MulSlice,
+// MulAddSlice and ScaleSlice load it on every call, so they follow a switch
+// at once; kernels created afterwards are built on it, while existing
+// Kernel values keep the implementation they were built with.
 
 import (
 	"fmt"
 	"os"
-	"sync"
+	"sync/atomic"
 )
 
 // Names of the kernel implementations accepted by SetKernel, NewKernelNamed
@@ -33,8 +35,45 @@ const (
 	KernelGFNI = "gfni"
 )
 
-var kernelMu sync.Mutex
-var activeKernel string
+// arm is one kernel implementation: its name, and its single-row
+// primitive pair — the one mul and one mulAdd that both its multi-row
+// kernel and, while it is the active arm, MulSlice/MulAddSlice run on.
+// The pair takes equal-length slices and any coefficient; dst may be src
+// exactly, since every form (the three asm bodies included) loads a block
+// of src before it stores that block of dst, but may not otherwise overlap
+// it. The callers own the length check and the c == 0 / c == 1
+// short-circuits.
+type arm struct {
+	name   string
+	mul    func(dst, src []byte, c byte) // dst = c*src
+	mulAdd func(dst, src []byte, c byte) // dst ^= c*src
+	// mulAdd2 fuses two accumulate streams (dst ^= c1*a ^ c2*b) in one pass
+	// over dst, halving the dst traffic of back-to-back mulAdd calls. Nil on
+	// arms without a fused form.
+	mulAdd2 func(dst, a, b []byte, c1, c2 byte)
+}
+
+var (
+	portableArm  = arm{name: KernelPortable, mul: mulSliceWord, mulAdd: mulAddSliceWord}
+	referenceArm = arm{name: KernelReference, mul: mulSliceGeneric, mulAdd: mulAddSliceGeneric}
+)
+
+// simdCutoff is the length below which MulSlice/MulAddSlice stay on the
+// portable table loop whatever arm is active. It is the block of the gfni
+// and AVX2 pshufb bodies: a shorter row gives them nothing to run, so the
+// indirect call would only reach the byte-wise tail loop, and short rows
+// are a hot case — the innovation check and the decoder eliminate on code
+// vector suffixes u[i:] of at most K = 32 bytes. Measured on gfni, table
+// loop vs arm: 8.1 vs 12.6 ns at 12 B, 13.0 vs 14.7 ns at 24 B, 15.5 vs
+// 5.0 ns at 32 B. End to end the choice is inside the noise (fig4-2
+// wall_cal_s, median of 8: cutoff 1 → 0.970 s, 16 → 0.950, 32 → 0.949,
+// 64 → 0.970; PERFORMANCE.md, PR 16), so it is a constant, not a knob.
+const simdCutoff = 32
+
+// active is the arm SetKernel selected. The slice operations load it on
+// every call from every experiment worker, so it is an atomic pointer, not
+// a mutex-guarded name.
+var active atomic.Pointer[arm]
 
 func init() {
 	name := os.Getenv("GF256_KERNEL")
@@ -48,59 +87,63 @@ func init() {
 	}
 }
 
+// arms returns the implementations supported on this machine, best-first.
+func arms() []*arm {
+	return append(archArms(), &portableArm, &referenceArm)
+}
+
 // AvailableKernels returns the implementation names supported on this
 // machine, best-first (the first entry is what auto selects; "reference"
 // is always last).
 func AvailableKernels() []string {
-	names := append([]string{}, archKernels()...)
-	return append(names, KernelPortable, KernelReference)
+	var names []string
+	for _, a := range arms() {
+		names = append(names, a.name)
+	}
+	return names
 }
 
 // ActiveKernel returns the name of the implementation NewKernel currently
-// builds.
-func ActiveKernel() string {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	return activeKernel
-}
+// builds and MulSlice/MulAddSlice currently run on.
+func ActiveKernel() string { return active.Load().name }
 
-// SetKernel selects the implementation NewKernel builds from now on.
-// "auto" (or "") re-runs hardware detection and picks the best supported
-// arm. It errors, leaving the selection unchanged, if the name is unknown
-// or the CPU lacks the required features.
+// SetKernel selects the implementation NewKernel builds, and the slice
+// operations run on, from now on. "auto" (or "") re-runs hardware detection
+// and picks the best supported arm. It errors, leaving the selection
+// unchanged, if the name is unknown or the CPU lacks the required features.
 func SetKernel(name string) error {
 	if name == "" || name == KernelAuto {
-		name = AvailableKernels()[0]
+		name = arms()[0].name
 	}
-	if err := kernelSupported(name); err != nil {
+	a, err := findArm(name)
+	if err != nil {
 		return err
 	}
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	activeKernel = name
+	active.Store(a)
 	return nil
 }
 
-// kernelSupported reports whether name identifies an implementation this
-// machine can run.
-func kernelSupported(name string) error {
-	avail := AvailableKernels()
-	for _, a := range avail {
-		if a == name {
-			return nil
+// findArm returns the named implementation, or an error if this machine
+// cannot run it.
+func findArm(name string) (*arm, error) {
+	for _, a := range arms() {
+		if a.name == name {
+			return a, nil
 		}
 	}
-	return fmt.Errorf("unknown or unsupported gf256 kernel %q (available: %v)", name, avail)
+	return nil, fmt.Errorf("unknown or unsupported gf256 kernel %q (available: %v)", name, AvailableKernels())
 }
 
-// newImpl builds the named implementation. The name must have passed
-// kernelSupported.
-func newImpl(name string) kernelImpl {
-	switch name {
-	case KernelPortable:
-		return &swarKernel{}
-	case KernelReference:
-		return &refKernel{}
+// newKernel builds an empty Kernel backed by a's multi-row implementation.
+func newKernel(a *arm) *Kernel {
+	kn := &Kernel{name: a.name}
+	switch a {
+	case &portableArm:
+		kn.impl = &swarKernel{}
+	case &referenceArm:
+		kn.impl = &refKernel{}
+	default:
+		kn.impl = newArchImpl(a)
 	}
-	return newArchImpl(name)
+	return kn
 }

@@ -13,6 +13,10 @@ import (
 // entry points. Any divergence is a correctness bug in exactly one place:
 // the faster arm.
 //
+// The same scalars also derive one single-row case (checkSingleRowEquivalence):
+// every arm's mul/mulAdd pair, and MulSlice/MulAddSlice/ScaleSlice with that
+// arm active, against the byte-wise reference loops.
+//
 // The fuzzer derives everything from five scalars so the corpus stays small
 // and minimizable. The derivation deliberately exercises the regions where
 // SIMD kernels break in practice:
@@ -41,6 +45,110 @@ func fuzzArms(t testing.TB) []string {
 		t.Fatal("no kernel arms to test")
 	}
 	return arms
+}
+
+// testArm is one arm's single-row pair under test. The label is the arm's
+// name except for bodies dispatch would not pick on this CPU (archTestArms).
+type testArm struct {
+	label string
+	*arm
+}
+
+// testArms returns every single-row pair this machine can execute: the
+// arms dispatch offers (reference included — it must agree with its own
+// oracle through the free functions too) plus the bodies archTestArms adds.
+func testArms() []testArm {
+	var tas []testArm
+	for _, a := range arms() {
+		tas = append(tas, testArm{a.name, a})
+	}
+	return append(tas, archTestArms()...)
+}
+
+// restoreActive puts the arm active now back when the test ends.
+func restoreActive(t testing.TB) {
+	prev := active.Load()
+	t.Cleanup(func() { active.Store(prev) })
+}
+
+// forEachArm runs f as one subtest per testArms entry with that arm
+// active, and restores the selection afterwards.
+func forEachArm(t *testing.T, f func(t *testing.T)) {
+	restoreActive(t)
+	for _, ta := range testArms() {
+		active.Store(ta.arm)
+		t.Run(ta.label, f)
+	}
+}
+
+// checkSingleRowEquivalence derives one single-row case from the fuzz
+// scalars — length 0..97 (sizeRaw), src and dst at different odd offsets
+// inside larger backings (offRaw), c zero, one or random (cRaw) — and
+// crosses every arm's pair, then the free functions with that arm active,
+// against the reference loops, disjoint and with dst == src exactly.
+func checkSingleRowEquivalence(t *testing.T, seed int64, sizeRaw, offRaw, cRaw uint8) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := int(sizeRaw) % 98
+	off := int(offRaw)%31 | 1
+	c := byte(cRaw % 3) // 0 and 1 as they are, 2 stands for random
+	if c == 2 {
+		c = byte(2 + rng.Intn(254))
+	}
+	backing := make([]byte, off+n+7)
+	rng.Read(backing)
+	src := backing[off : off+n]
+	base := make([]byte, n)
+	rng.Read(base)
+
+	wantMul := make([]byte, n)
+	mulSliceGeneric(wantMul, src, c)
+	wantAdd := append([]byte(nil), base...)
+	mulAddSliceGeneric(wantAdd, src, c)
+	wantSelf := append([]byte(nil), src...) // src ^= c*src
+	mulAddSliceGeneric(wantSelf, src, c)
+
+	// fresh returns a copy of b at an odd offset different from src's.
+	fresh := func(b []byte) []byte {
+		buf := make([]byte, off+2+n)
+		copy(buf[off+2:], b)
+		return buf[off+2:]
+	}
+	check := func(label, op string, got, want []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s %s diverges from reference (n=%d off=%d c=%d)\n got %x\nwant %x", label, op, n, off, c, got, want)
+		}
+	}
+	restoreActive(t)
+	for _, ta := range testArms() {
+		got := fresh(bytes.Repeat([]byte{0xa5}, n)) // dirty: mul must overwrite
+		ta.mul(got, src, c)
+		check(ta.label, "mul", got, wantMul)
+		got = fresh(src)
+		ta.mul(got, got, c)
+		check(ta.label, "mul aliased", got, wantMul)
+		got = fresh(base)
+		ta.mulAdd(got, src, c)
+		check(ta.label, "mulAdd", got, wantAdd)
+		got = fresh(src)
+		ta.mulAdd(got, got, c)
+		check(ta.label, "mulAdd aliased", got, wantSelf)
+
+		active.Store(ta.arm)
+		got = fresh(bytes.Repeat([]byte{0x5a}, n))
+		MulSlice(got, src, c)
+		check(ta.label, "MulSlice", got, wantMul)
+		got = fresh(src)
+		ScaleSlice(got, c)
+		check(ta.label, "ScaleSlice", got, wantMul)
+		got = fresh(base)
+		MulAddSlice(got, src, c)
+		check(ta.label, "MulAddSlice", got, wantAdd)
+		got = fresh(src)
+		MulAddSlice(got, got, c)
+		check(ta.label, "MulAddSlice aliased", got, wantSelf)
+	}
 }
 
 // buildFuzzCase derives rows, coefficient vectors, and unaligned backing
@@ -180,8 +288,19 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(8), uint8(15), uint8(9), uint8(30), uint8(0))  // 79, worst unalignment
 	f.Add(int64(9), uint8(47), uint8(95), uint8(17), uint8(3)) // k=48 wide
 	f.Add(int64(10), uint8(0), uint8(77), uint8(11), uint8(1)) // k=1 odd size
+	// Single-row edges (length = sizeRaw%98, c mode = npRaw%3): empty, the
+	// dispatch cutoff and its neighbours, the 64-byte loop edge, the
+	// longest length with c = 0 and c = 1.
+	f.Add(int64(11), uint8(0), uint8(98), uint8(1), uint8(2))
+	f.Add(int64(12), uint8(0), uint8(31), uint8(2), uint8(2))
+	f.Add(int64(13), uint8(0), uint8(32), uint8(4), uint8(2))
+	f.Add(int64(14), uint8(0), uint8(33), uint8(30), uint8(2))
+	f.Add(int64(15), uint8(0), uint8(65), uint8(8), uint8(2))
+	f.Add(int64(16), uint8(0), uint8(97), uint8(6), uint8(0))
+	f.Add(int64(17), uint8(0), uint8(97), uint8(6), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, kRaw, sizeRaw, offRaw, npRaw uint8) {
 		checkKernelEquivalence(t, buildFuzzCase(seed, kRaw, sizeRaw, offRaw, npRaw))
+		checkSingleRowEquivalence(t, seed, sizeRaw, offRaw, npRaw)
 	})
 }
 
@@ -203,6 +322,16 @@ func TestKernelEquivalenceSweep(t *testing.T) {
 			checkKernelEquivalence(t, fc)
 		}
 	}
+	// Single-row pairs: every length 0..97 (the 16/32/64-byte block edges
+	// and the dispatch cutoff with their neighbours all fall inside), three
+	// odd offsets, c zero, one and random.
+	for n := 0; n < 98; n++ {
+		for _, off := range []uint8{0, 12, 30} {
+			for c := uint8(0); c < 3; c++ {
+				checkSingleRowEquivalence(t, int64(n)<<8|int64(off), uint8(n), off, c)
+			}
+		}
+	}
 }
 
 // TestKernelEquivalenceSeedCorpus replays the checked-in fuzz seeds under
@@ -213,10 +342,14 @@ func TestKernelEquivalenceSeedCorpus(t *testing.T) {
 		{4, 31, 16, 0, 1}, {5, 31, 3, 5, 2}, {6, 31, 7, 1, 2},
 		{7, 15, 62, 3, 3}, {8, 15, 9, 30, 0}, {9, 47, 95, 17, 3},
 		{10, 0, 77, 11, 1},
+		{11, 0, 98, 1, 2}, {12, 0, 31, 2, 2}, {13, 0, 32, 4, 2},
+		{14, 0, 33, 30, 2}, {15, 0, 65, 8, 2}, {16, 0, 97, 6, 0},
+		{17, 0, 97, 6, 1},
 	}
 	for _, s := range seeds {
 		t.Run(fmt.Sprintf("seed%d", s[0]), func(t *testing.T) {
 			checkKernelEquivalence(t, buildFuzzCase(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]), uint8(s[4])))
+			checkSingleRowEquivalence(t, int64(s[0]), uint8(s[2]), uint8(s[3]), uint8(s[4]))
 		})
 	}
 }

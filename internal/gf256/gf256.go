@@ -6,13 +6,17 @@
 // (0x11D). Scalar products use the full 64 KiB multiplication table indexed
 // by pairs of bytes, exactly as the paper's implementation does.
 //
-// The slice operations that dominate packet coding are word-wise: MulSlice,
-// MulAddSlice and AddSlice process payloads eight bytes per uint64 load/XOR
-// (with a byte-wise fallback for short slices and tails), and the multi-row
-// Kernel in kernel.go combines whole batches via bit-plane decomposition
-// and 4-bit-nibble subset tables — see the design note at the top of
-// kernel.go. Every word-wise path is fuzz-tested for byte-exact equivalence
-// against the table-based reference loops kept in this file.
+// There is one multiply path. Each kernel arm (gfni, pshufb, portable,
+// reference — kernel.go) has one single-row pair, dst = c·src and
+// dst ^= c·src, and everything is built on the active arm's pair: the
+// slice operations MulSlice, MulAddSlice and ScaleSlice check lengths, load
+// the arm SetKernel published and call it (rows shorter than simdCutoff
+// stay on the portable table loop — dispatch.go), and the multi-row Kernel
+// combines whole batches with the same pair. The portable arm's pair, kept
+// in this file, gathers eight mulTable products into a uint64 per
+// iteration; its multi-row form is the bit-plane/nibble-table kernel in
+// kernel_generic.go. Every arm is fuzz-tested for byte-exact equivalence
+// against the byte-wise reference loops, also kept in this file.
 //
 // The zero value of the field element type (byte 0) is the additive
 // identity; byte 1 is the multiplicative identity.
@@ -124,26 +128,61 @@ func Log(a byte) int {
 }
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
-// same length; dst may alias src exactly (but not partially). This is the
-// inner loop of packet coding; the word path assembles eight product bytes
-// into a uint64 per iteration.
+// same length; dst may alias src exactly (but not partially). Rows of
+// simdCutoff bytes or more run on the active kernel arm's single-row
+// multiply (dispatch.go); shorter ones stay on the table loop.
 func MulSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
-	switch c {
-	case 0:
+	switch {
+	case c == 0:
 		clear(dst)
-		return
-	case 1:
+	case c == 1:
 		copy(dst, src)
-		return
+	case len(dst) < simdCutoff:
+		mulSliceWord(dst, src, c)
+	default:
+		active.Load().mul(dst, src, c)
 	}
+}
+
+// MulAddSlice sets dst[i] += c * src[i] for all i, the fused
+// multiply-accumulate used when folding one coded packet into another.
+// dst and src must have the same length and must not alias unless equal.
+// It dispatches exactly as MulSlice does.
+func MulAddSlice(dst, src []byte, c byte) {
+	if len(dst) != len(src) {
+		panic("gf256: MulAddSlice length mismatch")
+	}
+	switch {
+	case c == 0:
+	case c == 1:
+		AddSlice(dst, src)
+	case len(dst) < simdCutoff:
+		mulAddSliceWord(dst, src, c)
+	default:
+		active.Load().mulAdd(dst, src, c)
+	}
+}
+
+// mulSliceWord and mulAddSliceWord are the portable arm's single-row pair.
+// Like every arm's pair they take equal-length slices (exactly aliased or
+// disjoint) and any c; the length check and the c == 0 / c == 1
+// short-circuits live once, in MulSlice/MulAddSlice.
+func mulSliceWord(dst, src []byte, c byte)    { tableLoop(dst, src, c, 0) }
+func mulAddSliceWord(dst, src []byte, c byte) { tableLoop(dst, src, c, ^uint64(0)) }
+
+// tableLoop sets dst = (dst & keep) ^ c*src: eight mulTable products
+// gathered into a uint64 per iteration, byte-wise over the last len%8
+// bytes. keep is all-zeros to overwrite and all-ones to accumulate; one
+// loop with a mask serves both because the gather, at cost 90, exceeds the
+// inliner's budget as a shared helper and a call per 8 bytes costs this
+// loop a quarter of its throughput, while the extra load and AND do not
+// show (PERFORMANCE.md, PR 16).
+func tableLoop(dst, src []byte, c byte, keep uint64) {
 	row := &mulTable[c]
 	n := len(src) &^ 7
-	// The 8-lane product gather below is duplicated in MulAddSlice: at cost
-	// 90 it exceeds the inliner's budget as a helper, and a call per 8
-	// bytes is measurable on this loop. Keep the two copies in sync.
 	for i := 0; i < n; i += 8 {
 		w := binary.LittleEndian.Uint64(src[i:])
 		p := uint64(row[w&0xff]) |
@@ -154,13 +193,16 @@ func MulSlice(dst, src []byte, c byte) {
 			uint64(row[w>>40&0xff])<<40 |
 			uint64(row[w>>48&0xff])<<48 |
 			uint64(row[w>>56])<<56
-		binary.LittleEndian.PutUint64(dst[i:], p)
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])&keep^p)
 	}
-	mulSliceGeneric(dst[n:], src[n:], c)
+	for i := n; i < len(src); i++ {
+		dst[i] = dst[i]&byte(keep) ^ row[src[i]]
+	}
 }
 
-// mulSliceGeneric is the byte-wise reference for MulSlice (tails, and the
-// oracle the word path is fuzzed against).
+// mulSliceGeneric and mulAddSliceGeneric are the reference arm's pair: one
+// table lookup per byte. They are also every other arm's tail loop and the
+// oracle all of them are fuzzed against.
 func mulSliceGeneric(dst, src []byte, c byte) {
 	row := &mulTable[c]
 	for i := range src {
@@ -168,43 +210,7 @@ func mulSliceGeneric(dst, src []byte, c byte) {
 	}
 }
 
-// MulAddSlice sets dst[i] += c * src[i] for all i, the fused
-// multiply-accumulate used when folding one coded packet into another.
-// dst and src must have the same length and must not alias unless equal.
-func MulAddSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: MulAddSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
-	row := &mulTable[c]
-	n := len(src) &^ 7
-	// Product gather duplicated from MulSlice — see the note there.
-	for i := 0; i < n; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		p := uint64(row[w&0xff]) |
-			uint64(row[w>>8&0xff])<<8 |
-			uint64(row[w>>16&0xff])<<16 |
-			uint64(row[w>>24&0xff])<<24 |
-			uint64(row[w>>32&0xff])<<32 |
-			uint64(row[w>>40&0xff])<<40 |
-			uint64(row[w>>48&0xff])<<48 |
-			uint64(row[w>>56])<<56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^p)
-	}
-	mulAddSliceGeneric(dst[n:], src[n:], c)
-}
-
-// mulAddSliceGeneric is the byte-wise reference for MulAddSlice.
 func mulAddSliceGeneric(dst, src []byte, c byte) {
-	if c == 0 {
-		return
-	}
 	row := &mulTable[c]
 	for i := range src {
 		dst[i] ^= row[src[i]]

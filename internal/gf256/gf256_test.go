@@ -165,13 +165,20 @@ func TestMulSlice(t *testing.T) {
 }
 
 func TestMulSliceAliasing(t *testing.T) {
-	src := []byte{1, 2, 3, 4, 5, 6, 7}
-	want := make([]byte, len(src))
-	MulSlice(want, src, 9)
-	ScaleSlice(src, 9)
-	if !bytes.Equal(src, want) {
-		t.Fatalf("in-place scale mismatch: got %v want %v", src, want)
-	}
+	// ScaleSlice is MulSlice(v, v, c): dst == src exactly, on every arm.
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, n := range wordLengths {
+			src := make([]byte, n)
+			rng.Read(src)
+			want := make([]byte, n)
+			mulSliceGeneric(want, src, 9)
+			ScaleSlice(src, 9)
+			if !bytes.Equal(src, want) {
+				t.Fatalf("in-place scale mismatch at n=%d: got %x want %x", n, src, want)
+			}
+		}
+	})
 }
 
 func TestMulAddSlice(t *testing.T) {

@@ -7,7 +7,10 @@ package gf256
 // that the packet pipeline codes, recodes and decodes through. The façade
 // owns every argument check (so all implementations share identical panic
 // behavior, pinned by kernel_panic_test.go) and dispatches the byte
-// crunching to one of several interchangeable implementations:
+// crunching to one of several interchangeable implementations. Each is an
+// arm (dispatch.go): a name and a single-row primitive pair, mul
+// (dst = c·src) and mulAdd (dst ^= c·src), on which the arm's multi-row
+// form here and the free MulSlice/MulAddSlice/ScaleSlice both run:
 //
 //   - portable: the word-wise SWAR form in kernel_generic.go — bit-plane
 //     decomposition, 4-bit-nibble subset tables, 64-byte register strips.
@@ -26,7 +29,8 @@ package gf256
 // by the GF256_KERNEL environment variable, or switched programmatically
 // with SetKernel — see dispatch.go. Every implementation must produce
 // byte-identical output for identical inputs; FuzzKernelEquivalence crosses
-// all of them on random shapes, tails and alignments.
+// all of them — the multi-row entry points and each arm's single-row pair —
+// on random shapes, tails, alignments and exact dst == src aliasing.
 
 // Kernel is a reusable multi-row combine engine. A zero-value Kernel is not
 // usable; obtain one with NewKernel (the active implementation) or
@@ -55,19 +59,17 @@ type kernelImpl interface {
 // NewKernel returns an empty kernel backed by the active implementation
 // (ActiveKernel; portable SWAR unless the CPU offers better or GF256_KERNEL
 // overrides).
-func NewKernel() *Kernel {
-	name := ActiveKernel()
-	return &Kernel{name: name, impl: newImpl(name)}
-}
+func NewKernel() *Kernel { return newKernel(active.Load()) }
 
 // NewKernelNamed returns an empty kernel backed by the named implementation
 // regardless of the active selection. It errors if the implementation is
 // unknown or not supported on this CPU.
 func NewKernelNamed(name string) (*Kernel, error) {
-	if err := kernelSupported(name); err != nil {
+	a, err := findArm(name)
+	if err != nil {
 		return nil, err
 	}
-	return &Kernel{name: name, impl: newImpl(name)}, nil
+	return newKernel(a), nil
 }
 
 // Name returns the name of the implementation backing this kernel.

@@ -13,8 +13,18 @@
 // GF2P8MULB's hardwired 0x11B polynomial, works for our 0x11D field).
 //
 // Callers guarantee: n > 0, n is a multiple of the form's block size
-// (16 for SSSE3, 32 for AVX2/GFNI), and dst/src do not overlap. Tails are
-// handled byte-wise in Go.
+// (16 for SSSE3, 32 for AVX2/GFNI), and dst is either src exactly or
+// disjoint from it. Exact aliasing is safe because every loop iteration
+// loads its whole block of src (16 bytes; 32 or 64 in the AVX2/GFNI loop64
+// bodies) before its first store to dst, and stores only that block.
+// Tails are handled in Go.
+//
+// The AVX2 and GFNI bodies are VEX-encoded throughout, constant set-up
+// included (VMOVQ, not MOVQ, into an X register): one legacy-SSE write to
+// an XMM register while the upper YMM halves are dirty stalls on the
+// SSE/AVX state transition, which cost every call ~100 ns on the Xeon this
+// was measured on — more than a 1500-byte pass itself (PERFORMANCE.md,
+// PR 16).
 
 #include "textflag.h"
 
@@ -89,7 +99,7 @@ TEXT ·gfMulAVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0   // lo table in both 128-bit lanes
 	VBROADCASTI128 16(DX), Y1 // hi table (VPSHUFB shuffles per lane)
 	MOVQ $0x0f0f0f0f0f0f0f0f, AX
-	MOVQ AX, X2
+	VMOVQ AX, X2
 	VPBROADCASTQ X2, Y2
 	CMPQ CX, $64
 	JB   tail32
@@ -142,7 +152,7 @@ TEXT ·gfMulAddAVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0
 	VBROADCASTI128 16(DX), Y1
 	MOVQ $0x0f0f0f0f0f0f0f0f, AX
-	MOVQ AX, X2
+	VMOVQ AX, X2
 	VPBROADCASTQ X2, Y2
 	CMPQ CX, $64
 	JB   tail32
@@ -195,7 +205,7 @@ TEXT ·gfMulGFNI(SB), NOSPLIT, $0-32
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 	MOVQ mat+24(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0       // multiply-by-c bit matrix in every qword
 	CMPQ CX, $64
 	JB   tail32
@@ -230,7 +240,7 @@ TEXT ·gfMulAddGFNI(SB), NOSPLIT, $0-32
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 	MOVQ mat+24(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	CMPQ CX, $64
 	JB   tail32
@@ -277,7 +287,7 @@ TEXT ·gfMulAdd2AVX2(SB), NOSPLIT, $0-48
 	VBROADCASTI128 (R8), Y12
 	VBROADCASTI128 16(R8), Y13
 	MOVQ $0x0f0f0f0f0f0f0f0f, AX
-	MOVQ AX, X2
+	VMOVQ AX, X2
 	VPBROADCASTQ X2, Y2
 
 loop:
@@ -314,10 +324,10 @@ TEXT ·gfMulAdd2GFNI(SB), NOSPLIT, $0-48
 	MOVQ b+16(FP), BX
 	MOVQ n+24(FP), CX
 	MOVQ matA+32(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	MOVQ matB+40(FP), AX
-	MOVQ AX, X3
+	VMOVQ AX, X3
 	VPBROADCASTQ X3, Y3
 	CMPQ CX, $64
 	JB   tail32

@@ -5,8 +5,8 @@ package gf256
 // Non-amd64 builds carry no accelerated kernels: dispatch offers only the
 // portable SWAR form and the byte-wise reference.
 
-func archKernels() []string { return nil }
+func archArms() []*arm { return nil }
 
-func newArchImpl(name string) kernelImpl {
-	panic("gf256: no accelerated kernel " + name + " on this architecture")
+func newArchImpl(a *arm) kernelImpl {
+	panic("gf256: no accelerated kernel " + a.name + " on this architecture")
 }

@@ -47,46 +47,42 @@ func init() {
 	}
 }
 
-// archKernels returns the accelerated arms this CPU supports, best-first.
-func archKernels() []string {
-	var names []string
+// The accelerated arms. pshufb is one name with two bodies: archArms offers
+// the 32-byte AVX2 form when the CPU has it and the 16-byte SSSE3 form
+// otherwise.
+var (
+	gfniArm       = arm{name: KernelGFNI, mul: gfniMul, mulAdd: gfniMulAdd, mulAdd2: gfniMulAdd2}
+	pshufbWideArm = arm{name: KernelPSHUFB, mul: pshufbMulWide, mulAdd: pshufbMulAddWide, mulAdd2: pshufbMulAdd2Wide}
+	pshufbArm     = arm{name: KernelPSHUFB, mul: pshufbMul, mulAdd: pshufbMulAdd}
+)
+
+// archArms returns the accelerated arms this CPU supports, best-first.
+func archArms() []*arm {
+	var as []*arm
 	if cpuFeat.gfni {
-		names = append(names, KernelGFNI)
+		as = append(as, &gfniArm)
 	}
-	if cpuFeat.ssse3 {
-		names = append(names, KernelPSHUFB)
+	switch {
+	case cpuFeat.avx2:
+		as = append(as, &pshufbWideArm)
+	case cpuFeat.ssse3:
+		as = append(as, &pshufbArm)
 	}
-	return names
+	return as
 }
 
-func newArchImpl(name string) kernelImpl {
-	switch name {
-	case KernelGFNI:
-		return &simdKernel{mul: gfniMulSlice, mulAdd: gfniMulAddSlice, mulAdd2: gfniMulAdd2Slice}
-	case KernelPSHUFB:
-		if cpuFeat.avx2 {
-			return &simdKernel{mul: pshufbMulSliceWide, mulAdd: pshufbMulAddSliceWide, mulAdd2: pshufbMulAdd2SliceWide}
-		}
-		return &simdKernel{mul: pshufbMulSlice, mulAdd: pshufbMulAddSlice}
-	}
-	panic("gf256: unknown arch kernel " + name)
-}
+func newArchImpl(a *arm) kernelImpl { return &simdKernel{arm: a} }
 
-// simdKernel implements kernelImpl as one constant-multiply pass per
-// nonzero coefficient. setRows only snapshots the rows (the per-coefficient
-// tables are global), so SetRows is far cheaper than the portable kernel's
-// subset-table build.
+// simdKernel implements kernelImpl as one constant-multiply pass of its
+// arm's single-row pair per nonzero coefficient. setRows only snapshots the
+// rows (the per-coefficient tables are global), so SetRows is far cheaper
+// than the portable kernel's subset-table build.
 type simdKernel struct {
-	mul    func(dst, src []byte, c byte) // dst = c*src
-	mulAdd func(dst, src []byte, c byte) // dst ^= c*src
-	// mulAdd2 fuses two accumulate streams (dst ^= c1*a ^ c2*b) in one pass
-	// over dst, halving the dst traffic of back-to-back mulAdd calls. Nil on
-	// arms without a fused form (bare SSSE3).
-	mulAdd2 func(dst, a, b []byte, c1, c2 byte)
-	size    int
-	flat    []byte   // row snapshot backing store
-	rows    [][]byte // views into flat
-	sel     []int32  // scratch: indices of nonzero coefficients
+	*arm
+	size int
+	flat []byte   // row snapshot backing store
+	rows [][]byte // views into flat
+	sel  []int32  // scratch: indices of nonzero coefficients
 }
 
 func (kn *simdKernel) setRows(rows [][]byte) {
@@ -143,7 +139,10 @@ func (kn *simdKernel) combineInto(dst []byte, srcs [][]byte, coeffs []byte) {
 }
 
 // Assembly primitives (kernel_amd64.s). n must be a positive multiple of
-// the form's block size; dst and src must not overlap.
+// the form's block size. dst may equal src: every body loads its whole
+// block (16, 32 or 64 bytes) of src before the first store to dst, and a
+// store never reaches past the block just loaded. Any other overlap is
+// undefined.
 
 //go:noescape
 func gfMulSSSE3(dst, src *byte, n int, tab *byte)
@@ -169,19 +168,11 @@ func gfMulAddGFNI(dst, src *byte, n int, mat uint64)
 //go:noescape
 func gfMulAdd2GFNI(dst, a, b *byte, n int, matA, matB uint64)
 
-// The Go-side wrappers run the vector body over the aligned prefix and the
-// byte-wise reference loop over the tail, with the same c==0 / c==1
-// short-circuits as MulSlice/MulAddSlice.
+// The Go-side wrappers run the vector body over the block-aligned prefix
+// and the byte-wise reference loop over the tail. Zero and one need no special
+// case: the all-zero and identity tables and matrices are exact.
 
-func pshufbMulSlice(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		clear(dst)
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
+func pshufbMul(dst, src []byte, c byte) {
 	n := len(dst) &^ 15
 	if n > 0 {
 		gfMulSSSE3(&dst[0], &src[0], n, &nibTab[c][0])
@@ -189,14 +180,7 @@ func pshufbMulSlice(dst, src []byte, c byte) {
 	mulSliceGeneric(dst[n:], src[n:], c)
 }
 
-func pshufbMulAddSlice(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
+func pshufbMulAdd(dst, src []byte, c byte) {
 	n := len(dst) &^ 15
 	if n > 0 {
 		gfMulAddSSSE3(&dst[0], &src[0], n, &nibTab[c][0])
@@ -204,15 +188,7 @@ func pshufbMulAddSlice(dst, src []byte, c byte) {
 	mulAddSliceGeneric(dst[n:], src[n:], c)
 }
 
-func pshufbMulSliceWide(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		clear(dst)
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
+func pshufbMulWide(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
 	if n > 0 {
 		gfMulAVX2(&dst[0], &src[0], n, &nibTab[c][0])
@@ -220,14 +196,7 @@ func pshufbMulSliceWide(dst, src []byte, c byte) {
 	mulSliceGeneric(dst[n:], src[n:], c)
 }
 
-func pshufbMulAddSliceWide(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
+func pshufbMulAddWide(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
 	if n > 0 {
 		gfMulAddAVX2(&dst[0], &src[0], n, &nibTab[c][0])
@@ -235,11 +204,7 @@ func pshufbMulAddSliceWide(dst, src []byte, c byte) {
 	mulAddSliceGeneric(dst[n:], src[n:], c)
 }
 
-// The fused two-stream forms take only nonzero coefficients (combineInto
-// filters zeros); c==1 needs no special case because the identity table and
-// identity matrix are exact.
-
-func pshufbMulAdd2SliceWide(dst, a, b []byte, c1, c2 byte) {
+func pshufbMulAdd2Wide(dst, a, b []byte, c1, c2 byte) {
 	n := len(dst) &^ 31
 	if n > 0 {
 		gfMulAdd2AVX2(&dst[0], &a[0], &b[0], n, &nibTab[c1][0], &nibTab[c2][0])
@@ -248,24 +213,7 @@ func pshufbMulAdd2SliceWide(dst, a, b []byte, c1, c2 byte) {
 	mulAddSliceGeneric(dst[n:], b[n:], c2)
 }
 
-func gfniMulAdd2Slice(dst, a, b []byte, c1, c2 byte) {
-	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAdd2GFNI(&dst[0], &a[0], &b[0], n, gfniMat[c1], gfniMat[c2])
-	}
-	mulAddSliceGeneric(dst[n:], a[n:], c1)
-	mulAddSliceGeneric(dst[n:], b[n:], c2)
-}
-
-func gfniMulSlice(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		clear(dst)
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
+func gfniMul(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
 	if n > 0 {
 		gfMulGFNI(&dst[0], &src[0], n, gfniMat[c])
@@ -273,17 +221,19 @@ func gfniMulSlice(dst, src []byte, c byte) {
 	mulSliceGeneric(dst[n:], src[n:], c)
 }
 
-func gfniMulAddSlice(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
+func gfniMulAdd(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
 	if n > 0 {
 		gfMulAddGFNI(&dst[0], &src[0], n, gfniMat[c])
 	}
 	mulAddSliceGeneric(dst[n:], src[n:], c)
+}
+
+func gfniMulAdd2(dst, a, b []byte, c1, c2 byte) {
+	n := len(dst) &^ 31
+	if n > 0 {
+		gfMulAdd2GFNI(&dst[0], &a[0], &b[0], n, gfniMat[c1], gfniMat[c2])
+	}
+	mulAddSliceGeneric(dst[n:], a[n:], c1)
+	mulAddSliceGeneric(dst[n:], b[n:], c2)
 }
