@@ -2,47 +2,41 @@
 // and reports the results — the quick way to poke at the system.
 //
 //	moresim -proto more -topo testbed -src 3 -dst 17 -file 786432
-//	moresim -proto exor -topo chain -nodes 6
 //	moresim -proto srcr -topo diamond -verbose
-//	moresim -proto all -parallel 4               # compare all four protocols
+//	moresim -scenario scenarios/push-choke.json -json
 //
-// Declarative scenarios replace flag combinations with one versionable
-// file (topology + flows + knobs + event schedule; see scenarios/):
+// Flags are shorthand for a declarative scenario: specFromFlags renders the
+// flag set as a scenario.Spec and admits it through the strict loader a
+// -scenario file goes through, so a knob means the same thing on the command
+// line and in a versionable file (see scenarios/). A single run — flags or
+// file — prints one report, or with -json the digest-sealed, byte-stable
+// result document cmd/scenariocheck verifies. Four modes run a list of specs
+// over -parallel workers (per-spec results identical to serial runs) and
+// print a table of their own, JSON rows with -json:
 //
-//	moresim -scenario scenarios/push-choke.json
-//	moresim -scenario scenarios/paper-testbed.json -json   # byte-identical across runs
+//	moresim -proto all                           # four specs: one pair, every protocol
+//	moresim -state learned -proto more           # the spec and its oracle twin: the gap
+//	moresim -scale 125,250,500,1000 -flows 2     # one geometric spec per node count
+//	moresim -scale 128,256 -flows 4 -cc-sweep    # ... per congestion policy as well
 //
-// Large-topology scenarios run over the sparse random-geometric generator:
-//
-//	moresim -topo geometric -nodes 1000 -flows 4 -drop 0.1
-//	moresim -topo geometric -scale 125,250,500,1000 -flows 2 -json
-//
-// The telemetry plane rides on any single run (flag combination or
-// scenario): -metrics writes latency percentiles and per-node counters,
-// -trace-out a Chrome-trace-event file, -deadline-ms arms the per-packet
-// miss rate, -progress a stderr heartbeat. Stall post-mortems print to
-// stderr the moment a repair watchdog fires:
+// The telemetry plane rides on any single run: -metrics writes latency
+// percentiles and per-node counters, -trace-out a Chrome-trace-event file,
+// -deadline-ms arms the per-packet miss rate, -progress a stderr heartbeat,
+// -trace prints a per-node activity timeline; stall post-mortems print to
+// stderr the moment a repair watchdog fires. -cpuprofile and -memprofile
+// write runtime/pprof profiles of the run itself (not of flag handling or
+// report printing):
 //
 //	moresim -proto more -metrics metrics.json -trace-out trace.json
-//	moresim -scenario scenarios/paper-testbed.json -metrics - -deadline-ms 500
-//	moresim -topo geometric -nodes 500 -progress 5
-//
-// -cpuprofile and -memprofile write runtime/pprof profiles of the run itself
-// (not of flag handling or report printing), for `go tool pprof`:
-//
-//	moresim -scenario scenarios/learned-512.json -cpuprofile cpu.out
-//
-// With -scale the node counts are swept (fanned over -parallel workers) and
-// a throughput/tx-per-packet/wall-clock table — or JSON with -json — is
-// printed. With -proto all the four protocols run over the same pair on
-// -parallel worker goroutines (each in its own simulator; per-protocol
-// results are identical to serial runs) and a comparison table is printed.
+//	moresim -scenario scenarios/learned-512.json -progress 5 -cpuprofile cpu.out
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,424 +46,442 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/experiments"
-	"repro/internal/flow"
 	"repro/internal/gf256"
 	"repro/internal/graph"
-	"repro/internal/linkstate"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
+// cli is the parsed command line.
+type cli struct {
+	proto, topo, state, metric, cc     string
+	scale, scopeRings, scenario, gf256 string
+	parallel, nodes, flows             int
+	degree, floors, src, dst           int
+	file, k, window, ccQueue           int
+	seed                               int64
+	drop, warmup, advertise, damp      float64
+	summaryS, loadPenalty, simDeadline float64
+	jsonOut, piggyback, ccSweep        bool
+	verbose, trace                     bool
+	tc                                 telemetryCLI
+	prof                               profileCLI
+
+	// set holds the flags given on the command line: a knob that does not
+	// apply to the run is carried into the spec only when it was asked for,
+	// so Validate can refuse it instead of the run dropping it silently.
+	set map[string]bool
+}
+
+// parseFlags registers moresim's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{set: map[string]bool{}}
+	fs.StringVar(&c.proto, "proto", "more", "protocol: more, exor, srcr, srcr-auto, or all (comparison)")
+	fs.IntVar(&c.parallel, "parallel", experiments.AutoParallel(), "worker goroutines for the modes that run several specs (-proto all, -state learned, -scale)")
+	fs.StringVar(&c.topo, "topo", "testbed", "topology: testbed, chain, diamond, corridor, grid, geometric")
+	fs.IntVar(&c.nodes, "nodes", 6, "node count for chain/corridor/geometric topologies")
+	fs.IntVar(&c.flows, "flows", 1, "concurrent flows over seeded random reachable pairs")
+	fs.Float64Var(&c.drop, "drop", 0, "uniform extra drop rate layered over every link (0..1)")
+	fs.IntVar(&c.degree, "degree", 10, "target mean neighbor degree for geometric topologies")
+	fs.IntVar(&c.floors, "floors", 1, "building floors for geometric topologies")
+	fs.StringVar(&c.scale, "scale", "", "comma-separated node counts: run one geometric spec per count and print the scaling table")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit machine-readable JSON: the scenario result document for a single run, rows for the table modes")
+	fs.IntVar(&c.src, "src", -1, "source node (default: topology-specific)")
+	fs.IntVar(&c.dst, "dst", -1, "destination node (default: topology-specific)")
+	fs.IntVar(&c.file, "file", 512<<10, "transfer size in bytes")
+	fs.IntVar(&c.k, "k", 32, "batch size K for MORE/ExOR")
+	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&c.metric, "metric", "etx", "forwarder ordering: etx or eotx")
+	fs.StringVar(&c.state, "state", "oracle", "routing state: oracle (global ground truth) or learned (in-sim probes + LSA floods; also runs the oracle twin and reports the gap)")
+	fs.Float64Var(&c.warmup, "warmup", 30, "learned-state measurement warmup before flows start (seconds; 0 starts flows cold)")
+	fs.IntVar(&c.window, "window", 10, "learned-state probe window (probes per estimate, > 0)")
+	fs.Float64Var(&c.advertise, "advertise", 5, "learned-state LSA advertise interval (seconds, > 0)")
+	fs.Float64Var(&c.damp, "damp", 0, "learned-state LSA flood damping trigger: advertise only when an estimate moved this much (0 disables; try 0.2)")
+	fs.StringVar(&c.scopeRings, "scope-rings", "", "learned-state fisheye scope rings: comma-separated ascending hop radii (e.g. 2,8); near rings get every update, the rest wait for summaries (empty disables scoping)")
+	fs.Float64Var(&c.summaryS, "summary-interval", 0, "learned-state network-wide summary flood period with -scope-rings, seconds (0: 8x advertise interval)")
+	fs.BoolVar(&c.piggyback, "piggyback", false, "learned-state: ride pending LSAs on outgoing broadcast data frames instead of dedicated floods")
+	fs.StringVar(&c.cc, "cc", "none", "congestion control: none, tail, choke, credit, aimd, or cubic")
+	fs.IntVar(&c.ccQueue, "cc-queue", 0, "congestion-layer transmit queue bound (0: policy default)")
+	fs.Float64Var(&c.loadPenalty, "load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2)")
+	fs.BoolVar(&c.ccSweep, "cc-sweep", false, "with -scale: run every congestion policy over the same topologies and print the mitigation table")
+	fs.BoolVar(&c.verbose, "verbose", false, "print the first flow's forwarding plan")
+	fs.BoolVar(&c.trace, "trace", false, "print a per-node medium activity timeline")
+	fs.StringVar(&c.scenario, "scenario", "", "run a declarative scenario spec file (scenarios/*.json) instead of compiling one from flags; run-shaping flags do not combine with it")
+	fs.StringVar(&c.gf256, "gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm); coded bytes are identical under every kernel")
+
+	fs.StringVar(&c.tc.metrics, "metrics", "", "write the telemetry metrics report (per-packet latency percentiles, per-node counters, stall count) as JSON to this file (\"-\" for stdout)")
+	fs.StringVar(&c.tc.trace, "trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
+	fs.Float64Var(&c.tc.deadlineMS, "deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
+	fs.Float64Var(&c.simDeadline, "sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
+	fs.Float64Var(&c.tc.progressS, "progress", 0, "print a progress heartbeat (events seen, simulated clock) to stderr every N wall-clock seconds (0 disables)")
+
+	fs.StringVar(&c.prof.cpu, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&c.prof.mem, "memprofile", "", "write a heap profile, taken when the run ends, to this file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	return c, nil
+}
+
 func main() {
-	var (
-		protoName = flag.String("proto", "more", "protocol: more, exor, srcr, srcr-auto, or all (comparison)")
-		parallel  = flag.Int("parallel", experiments.AutoParallel(), "worker goroutines for -proto all and -scale")
-		topoName  = flag.String("topo", "testbed", "topology: testbed, chain, diamond, corridor, grid, geometric")
-		nodes     = flag.Int("nodes", 6, "node count for chain/corridor/geometric topologies")
-		flows     = flag.Int("flows", 1, "concurrent flows (geometric and matrix topologies)")
-		drop      = flag.Float64("drop", 0, "uniform extra drop rate layered over every link (0..1)")
-		degree    = flag.Int("degree", 10, "target mean neighbor degree for geometric topologies")
-		floors    = flag.Int("floors", 1, "building floors for geometric topologies")
-		scaleList = flag.String("scale", "", "comma-separated node counts: sweep the geometric scaling driver")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON (scale sweeps and flow runs)")
-		src       = flag.Int("src", -1, "source node (default: topology-specific)")
-		dst       = flag.Int("dst", -1, "destination node (default: topology-specific)")
-		fileBytes = flag.Int("file", 512<<10, "transfer size in bytes")
-		batch     = flag.Int("k", 32, "batch size K for MORE/ExOR")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		metric    = flag.String("metric", "etx", "forwarder ordering: etx or eotx")
-		stateName = flag.String("state", "oracle", "routing state: oracle (global ground truth) or learned (in-sim probes + LSA floods; also runs the oracle side and reports the gap)")
-		warmup    = flag.Float64("warmup", 30, "learned-state measurement warmup before flows start (seconds; 0 starts flows cold)")
-		window    = flag.Int("window", 10, "learned-state probe window (probes per estimate, > 0)")
-		advertise = flag.Float64("advertise", 5, "learned-state LSA advertise interval (seconds, > 0)")
-		damp      = flag.Float64("damp", 0, "learned-state LSA flood damping trigger: advertise only when an estimate moved this much (0 disables; try 0.2)")
-		scopeList = flag.String("scope-rings", "", "learned-state fisheye scope rings: comma-separated ascending hop radii (e.g. 2,8); near rings get every update, the rest wait for summaries (empty disables scoping)")
-		summaryS  = flag.Float64("summary-interval", 0, "learned-state network-wide summary flood period with -scope-rings, seconds (0: 8x advertise interval)")
-		piggyback = flag.Bool("piggyback", false, "learned-state: ride pending LSAs on outgoing broadcast data frames instead of dedicated floods")
-		ccName    = flag.String("cc", "none", "congestion control: none, tail, choke, credit, aimd, or cubic")
-		ccQueue   = flag.Int("cc-queue", 0, "congestion-layer transmit queue bound (0: policy default)")
-		loadPen   = flag.Float64("load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2)")
-		ccSweep   = flag.Bool("cc-sweep", false, "with -scale: run every congestion policy over the same topologies and print the mitigation table")
-		verbose   = flag.Bool("verbose", false, "print the forwarding plan")
-		showTrace = flag.Bool("trace", false, "print a per-node medium activity timeline")
-		scenFile  = flag.String("scenario", "", "run a declarative scenario spec file (scenarios/*.json); only -json and the telemetry flags combine with it")
-		gfKernel  = flag.String("gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm); coded bytes are identical under every kernel")
-
-		metricsOut = flag.String("metrics", "", "write the telemetry metrics report (per-packet latency percentiles, per-node counters, stall count) as JSON to this file (\"-\" for stdout)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
-		deadlineMS = flag.Float64("deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
-		simLimit   = flag.Float64("sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
-		progress   = flag.Float64("progress", 0, "print a progress heartbeat (events seen, simulated clock) to stderr every N wall-clock seconds (0 disables)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this file (go tool pprof)")
-	)
-	flag.Parse()
-	prof := profileCLI{cpu: *cpuProfile, mem: *memProfile}
-
-	tc := telemetryCLI{metrics: *metricsOut, trace: *traceOut, deadlineMS: *deadlineMS, progressS: *progress}
-
-	if *gfKernel != "" {
-		if err := gf256.SetKernel(*gfKernel); err != nil {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		os.Exit(2) // the flag package has already said why
+	}
+	if c.gf256 != "" {
+		if err := gf256.SetKernel(c.gf256); err != nil {
 			fmt.Fprintf(os.Stderr, "-gf256: %v\n", err)
 			os.Exit(2)
 		}
 	}
-
-	if *scenFile != "" {
-		if !runScenario(*scenFile, *jsonOut, tc, prof) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	opts := experiments.DefaultOptions()
-	opts.FileBytes = *fileBytes
-	opts.BatchSize = *batch
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-	if *simLimit < 0 {
-		fmt.Fprintln(os.Stderr, "-sim-deadline must be >= 0")
-		os.Exit(2)
-	}
-	if *simLimit > 0 {
-		opts.Deadline = sim.Time(*simLimit * float64(sim.Second))
-	}
-	if *metric == "eotx" {
-		opts.Metric = routing.OrderEOTX
-	}
-	state, err := experiments.ParseStateMode(*stateName)
+	specs, reduce, err := compile(c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	ccPolicy, err := congest.ParsePolicy(*ccName)
+	ok, err := run(c, specs, reduce)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
-	opts.CC = congest.DefaultConfig(ccPolicy)
-	opts.CC.QueueLen = *ccQueue
-	if *loadPen < 0 {
-		fmt.Fprintln(os.Stderr, "-load-penalty must be >= 0")
-		os.Exit(2)
-	}
-	opts.LoadPenalty = *loadPen
-	if state == experiments.StateLearned {
-		// A zero window or advertise interval would be read as "default"
-		// downstream (and a negative one is meaningless); tell the user
-		// instead of running something they did not ask for.
-		if *window <= 0 || *advertise <= 0 {
-			fmt.Fprintln(os.Stderr, "-window and -advertise must be > 0")
-			os.Exit(2)
-		}
-		if *warmup > 0 {
-			opts.Warmup = sim.Time(*warmup * float64(sim.Second))
-		} else {
-			opts.Warmup = -1 // explicit cold start (0 would mean "default 30 s")
-		}
-		lcfg := linkstate.DefaultConfig()
-		lcfg.Probe.Window = *window
-		lcfg.AdvertiseInterval = sim.Time(*advertise * float64(sim.Second))
-		lcfg.TriggerDelta = *damp
-		if *scopeList != "" {
-			rings, ok := parseRings(*scopeList)
-			if !ok {
-				os.Exit(2)
-			}
-			lcfg.ScopeRings = rings
-		}
-		if *summaryS < 0 {
-			fmt.Fprintln(os.Stderr, "-summary-interval must be >= 0")
-			os.Exit(2)
-		}
-		lcfg.SummaryInterval = sim.Time(*summaryS * float64(sim.Second))
-		lcfg.Piggyback = *piggyback
-		opts.LinkState = lcfg
-	}
-
-	gcfg := graph.DefaultGeometric(*nodes)
-	gcfg.TargetDegree = float64(*degree)
-	gcfg.Floors = *floors
-
-	var proto experiments.Protocol
-	switch *protoName {
-	case "all":
-		// Handled after the verbose plan dump below.
-	case "more":
-		proto = experiments.MORE
-	case "exor":
-		proto = experiments.ExOR
-	case "srcr":
-		proto = experiments.Srcr
-	case "srcr-auto":
-		proto = experiments.SrcrAutorate
-	default:
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		os.Exit(2)
-	}
-	if proto == experiments.SrcrAutorate {
-		opts.RateDependentChannel = true
-	}
-
-	if *scaleList != "" {
-		if *protoName == "all" {
-			fmt.Fprintln(os.Stderr, "-scale needs a single protocol (default: more)")
-			os.Exit(2)
-		}
-		if tc.active() {
-			fmt.Fprintln(os.Stderr, "-metrics/-trace-out/-deadline-ms/-progress need a single simulation run, not a -scale sweep")
-			os.Exit(2)
-		}
-		if state == experiments.StateLearned {
-			// Each point runs the whole measurement plane in-sim: probes,
-			// scoped LSA floods, per-node learned routing.
-			opts.State = experiments.StateLearned
-			if *ccSweep {
-				fmt.Fprintln(os.Stderr, "-cc-sweep runs the oracle control plane; drop -state learned")
-				os.Exit(2)
-			}
-		}
-		counts, ok := parseCounts(*scaleList)
-		if !ok {
-			os.Exit(2)
-		}
-		sweep := experiments.ScalingConfig{
-			NodeCounts: counts,
-			Flows:      *flows,
-			Drop:       *drop,
-			Geometric:  gcfg,
-			Protocol:   proto,
-			Opts:       opts,
-		}
-		run := runScale
-		if *ccSweep {
-			run = runCCSweep
-		}
-		if !prof.around(func() bool { return run(sweep, *jsonOut) }) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var topo *graph.Topology
-	defSrc, defDst := 0, 0
-	switch *topoName {
-	case "testbed":
-		topo = experiments.TestbedTopology()
-		defSrc, defDst = 3, 17
-	case "chain":
-		topo = graph.LossyChain(*nodes, 15, 30)
-		defSrc, defDst = 0, *nodes-1
-	case "diamond":
-		topo = graph.Diamond()
-		defSrc, defDst = 0, 2
-	case "corridor":
-		topo = graph.Corridor(*nodes, float64(*nodes)*26, 15, 28, *seed)
-		defSrc, defDst = 0, *nodes-1
-	case "grid":
-		topo = graph.Grid(4, 5, 14, 30)
-		defSrc, defDst = 0, topo.N()-1
-	case "geometric":
-		topo, _ = graph.ConnectedGeometric(gcfg, *seed)
-		defSrc, defDst = -1, -1 // chosen after Degrade, below
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoName)
-		os.Exit(2)
-	}
-	if *drop > 0 {
-		topo.Degrade(*drop)
-	}
-	if *src < 0 && defSrc >= 0 {
-		*src = defSrc
-	}
-	if *dst < 0 && defDst >= 0 {
-		*dst = defDst
-	}
-	if *src < 0 || *dst < 0 {
-		// Geometric default endpoints: the first reachable random pair,
-		// drawn on the (possibly degraded) topology actually being run.
-		pairs := experiments.RandomPairs(topo, 1, *seed)
-		if len(pairs) == 0 {
-			fmt.Fprintln(os.Stderr, "no reachable flow pairs on this topology (too much -drop, or disconnected draw)")
-			os.Exit(1)
-		}
-		if *src < 0 {
-			*src = int(pairs[0].Src)
-		}
-		if *dst < 0 {
-			*dst = int(pairs[0].Dst)
-		}
-	}
-
-	pair := experiments.Pair{Src: graph.NodeID(*src), Dst: graph.NodeID(*dst)}
-	if *verbose {
-		s := topo.LinkStats(graph.RouteThreshold)
-		fmt.Printf("topology: %d nodes, %d usable links, mean loss %.2f, mean degree %.1f\n",
-			topo.N(), s.Links, s.MeanLoss, s.MeanDegree)
-		if plan, err := routing.BuildPlan(topo, pair.Src, pair.Dst, planOpts(opts)); err == nil {
-			fmt.Printf("plan %d->%d (%s order): cost %.2f\n", pair.Src, pair.Dst, opts.Metric, plan.TotalCost)
-			for _, id := range plan.Participants() {
-				fmt.Printf("  node %-3d dist=%-7.2f z=%-6.2f credit=%.2f\n",
-					id, plan.Dist[id], plan.Z[id], plan.Credit[id])
-			}
-		}
-		etx := routing.ETXToDestination(topo, pair.Dst, routing.DefaultETXOptions())
-		fmt.Printf("best ETX path: %v (ETX %.2f)\n\n", etx.Path(pair.Src), etx.Dist[pair.Src])
-	}
-
-	if *protoName == "all" {
-		if *showTrace || tc.active() {
-			fmt.Fprintln(os.Stderr, "-trace and the telemetry flags are not supported with -proto all (one simulator per run; pick a protocol)")
-			os.Exit(2)
-		}
-		if state == experiments.StateLearned {
-			fmt.Fprintln(os.Stderr, "-proto all runs the oracle control plane; use -state learned with a single protocol")
-			os.Exit(2)
-		}
-		if *flows > 1 {
-			fmt.Fprintln(os.Stderr, "-proto all compares a single pair; use -flows with one protocol")
-			os.Exit(2)
-		}
-		if !prof.around(func() bool { return compareAll(topo, pair.Src, pair.Dst, opts) }) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	pairs := []experiments.Pair{pair}
-	if *flows > 1 {
-		if flagWasSet("src") || flagWasSet("dst") {
-			fmt.Fprintln(os.Stderr, "-flows > 1 draws random pairs; it cannot be combined with -src/-dst")
-			os.Exit(2)
-		}
-		pairs = experiments.RandomPairs(topo, *flows, *seed)
-		if len(pairs) == 0 {
-			fmt.Fprintln(os.Stderr, "no reachable flow pairs on this topology")
-			os.Exit(1)
-		}
-	}
-
-	if state == experiments.StateLearned {
-		if *showTrace || tc.active() {
-			fmt.Fprintln(os.Stderr, "-trace and the telemetry flags are not supported with -state learned (the gap report runs two simulations)")
-			os.Exit(2)
-		}
-		if !prof.around(func() bool { return runLearned(topo, proto, pairs, opts, *jsonOut) }) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var hub *telemetry.Hub
-	if tc.active() {
-		hub = tc.newHub()
-		opts.Telemetry = hub
-	}
-	var txs *txLog
-	if *showTrace {
-		// The log is an ordinary telemetry sink: alone it is the whole
-		// plane, next to a hub it rides along as an extra consumer.
-		txs = new(txLog)
-		if hub != nil {
-			hub.AddSink(txs)
-		} else {
-			opts.Telemetry = txs
-		}
-	}
-	stopProgress := tc.startProgress(hub)
-	var info experiments.RunInfo
-	prof.around(func() bool { info = experiments.RunDetailed(topo, proto, pairs, opts); return true })
-	stopProgress()
-	rs, counters := info.Results, info.Counters
-	if txs != nil {
-		fmt.Print(txs.timeline(0, timelineEnd(rs), 96))
-	}
-	if hub != nil && !tc.finish(hub) {
+	if err != nil || !ok {
 		os.Exit(1)
-	}
-	if *jsonOut {
-		printJSON(struct {
-			Protocol  string
-			Nodes     int
-			CC        congest.Policy
-			Results   []flow.Result
-			Counters  sim.Counters
-			CCStats   congest.Stats
-			Fairness  experiments.FairnessReport
-			Telemetry *telemetry.Report `json:",omitempty"`
-		}{proto.String(), topo.N(), info.CC, rs, counters, info.CCStats, info.Fairness, info.Telemetry})
-	} else {
-		fmt.Printf("protocol: %v, cc: %v\n", proto, info.CC)
-		for _, r := range rs {
-			fmt.Printf("%s\n", r)
-		}
-		fmt.Printf("medium: %d data tx, %d MAC acks, %d collisions, %d channel losses, air time %v\n",
-			counters.Transmissions, counters.MACAcks, counters.Collisions,
-			counters.ChannelLosses, counters.AirTime)
-		if len(rs) > 1 {
-			fmt.Printf("fairness: Jain(throughput) %.3f, Jain(tx) %.3f, control tx %d\n",
-				info.Fairness.JainThroughput, info.Fairness.JainTx, info.Fairness.ControlTx)
-		}
-		if info.CC != congest.None {
-			st := info.CCStats
-			fmt.Printf("congestion: %d enqueued, %d tail + %d choke + %d stale drops, %d grants, %d probes, %d rate cuts\n",
-				st.Enqueued, st.TailDrops, st.ChokeDrops, st.StaleDrops, st.GrantTx, st.ProbeSends, st.RateDecreases)
-		}
-	}
-	for _, r := range rs {
-		if !r.Completed {
-			os.Exit(1)
-		}
 	}
 }
 
-// runScenario loads, runs, and reports a declarative scenario. With
-// jsonOut it emits the canonical result document (byte-identical across
-// runs of the same spec — pipe it to cmd/scenariocheck to verify; the
-// telemetry flags add an optional Telemetry block, everything else stays
-// identical). It reports whether every flow met its schedule.
-func runScenario(path string, jsonOut bool, tc telemetryCLI, prof profileCLI) bool {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+// run executes the specs and hands the results to the mode's reducer. It
+// reports whether every flow of every run met its schedule.
+func run(c *cli, specs []*scenario.Spec, reduce reducer) (bool, error) {
 	var hub *telemetry.Hub
-	if tc.active() {
-		hub = tc.newHub()
+	var txs *txLog
+	if c.tc.active() || c.trace {
+		hub = c.tc.newHub()
+		if c.trace {
+			txs = new(txLog)
+			hub.AddSink(txs)
+		}
 	}
-	stopProgress := tc.startProgress(hub)
-	var res *scenario.Result
-	prof.around(func() bool { res, err = scenario.RunWith(spec, hub); return true })
+	stopProgress := c.tc.startProgress(hub)
+	var runs []specRun
+	var err error
+	c.prof.around(func() { runs, err = runSpecs(specs, c.parallel, hub) })
 	stopProgress()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return false, err
 	}
-	if hub != nil && !tc.finish(hub) {
-		os.Exit(1)
+	text := os.Stdout // -verbose and -trace; next to -json, stdout is the document alone
+	if c.jsonOut {
+		text = os.Stderr
 	}
-	if jsonOut {
+	if c.verbose {
+		printPlan(text, runs[0])
+	}
+	if txs != nil {
+		fmt.Fprint(text, txs.timeline(0, timelineEnd(runs[0].info().Results), 96))
+	}
+	if hub != nil && !c.tc.finish(hub) {
+		return false, nil
+	}
+	return reduce(c, runs)
+}
+
+// specRun is one executed spec; wall is the host time it took (not
+// deterministic; everything in res is).
+type specRun struct {
+	spec *scenario.Spec
+	res  *scenario.Result
+	wall time.Duration
+}
+
+// info folds the run back into the RunInfo the experiments reducers take.
+func (r specRun) info() experiments.RunInfo {
+	info := experiments.RunInfo{Counters: r.res.Counters, Convergence: r.res.Convergence,
+		ProbeTx: r.res.ProbeTx, FloodTx: r.res.FloodTx}
+	for _, f := range r.res.Flows {
+		info.Results = append(info.Results, f.Result)
+	}
+	return info
+}
+
+// runSpecs runs every spec through scenario.RunWith on up to parallel
+// workers. Each run is hermetic (own topology, own simulator, seeds from the
+// spec alone), so results do not depend on the worker count. A hub is only
+// ever passed with a single spec.
+func runSpecs(specs []*scenario.Spec, parallel int, hub *telemetry.Hub) ([]specRun, error) {
+	runs := make([]specRun, len(specs))
+	errs := make([]error, len(specs))
+	experiments.ForEachItem(len(specs), parallel, func(i int) {
+		start := time.Now()
+		res, err := scenario.RunWith(specs[i], hub)
+		runs[i], errs[i] = specRun{spec: specs[i], res: res, wall: time.Since(start)}, err
+	})
+	return runs, errors.Join(errs...)
+}
+
+// A reducer prints a mode's results — one report, or one table over several
+// runs (JSON with -json) — and reports whether every flow of every run met
+// its schedule.
+type reducer func(c *cli, runs []specRun) (bool, error)
+
+// compile turns the command line into the specs it asks for and the reducer
+// that reports them.
+func compile(c *cli) ([]*scenario.Spec, reducer, error) {
+	if c.scenario != "" {
+		// The file is the whole run; a flag that would shape it is a
+		// contradiction, not a default to drop.
+		for name := range c.set {
+			switch name {
+			case "scenario", "json", "gf256", "parallel", "verbose", "trace",
+				"metrics", "trace-out", "deadline-ms", "progress", "cpuprofile", "memprofile":
+			default:
+				return nil, nil, fmt.Errorf("-%s does not combine with -scenario: the spec file describes the whole run", name)
+			}
+		}
+		spec, err := scenario.Load(c.scenario)
+		return []*scenario.Spec{spec}, printRun, err
+	}
+	base, err := specFromFlags(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	learned := base.State.Mode == "learned"
+	var specs []*scenario.Spec
+	variant := func(name string, edit func(*scenario.Spec)) {
+		s := *base
+		s.Name += name
+		s.Flows = append([]scenario.FlowSpec(nil), base.Flows...)
+		edit(&s)
+		admitted, aerr := admit(&s)
+		specs = append(specs, admitted)
+		if err == nil {
+			err = aerr
+		}
+	}
+	var reduce reducer
+	switch {
+	case c.scale != "":
+		counts, perr := ints("scale", c.scale)
+		switch {
+		case perr != nil:
+			return nil, nil, perr
+		case c.proto == "all":
+			return nil, nil, fmt.Errorf("-scale needs a single protocol (default: more)")
+		case c.ccSweep && learned:
+			return nil, nil, fmt.Errorf("-cc-sweep runs the oracle control plane; drop -state learned")
+		}
+		policies := []string{base.CC.Policy}
+		if c.ccSweep {
+			policies = []string{"none", "tail", "choke", "credit", "aimd"}
+		}
+		for _, policy := range policies {
+			for i, n := range counts {
+				variant(fmt.Sprintf("-%s-%d", policy, n), func(s *scenario.Spec) {
+					// Per-point seeds derive from the seed and the point
+					// index alone, so every policy sees the same topologies
+					// and pairs.
+					s.Seed += int64(i) * 1_000_003
+					s.Topology.Nodes = n
+					s.CC.Policy = policy
+				})
+			}
+		}
+		reduce = printScale
+	case c.ccSweep:
+		return nil, nil, fmt.Errorf("-cc-sweep needs -scale")
+	case c.proto == "all" && learned:
+		return nil, nil, fmt.Errorf("-proto all runs the oracle control plane; use -state learned with a single protocol")
+	case c.proto == "all" && len(base.Flows) > 1:
+		return nil, nil, fmt.Errorf("-proto all compares a single pair; use -flows with one protocol")
+	case c.proto == "all":
+		for _, proto := range []string{"more", "exor", "srcr", "srcr-auto"} {
+			variant("-"+proto, func(s *scenario.Spec) { s.Flows[0].Protocol = proto })
+		}
+		reduce = printComparison
+	case learned:
+		// The gap report: the spec as asked for, then its oracle twin.
+		specs = append(specs, base)
+		variant("-oracle", func(s *scenario.Spec) { s.State = scenario.StateSpec{} })
+		reduce = printGap
+	default:
+		return []*scenario.Spec{base}, printRun, nil
+	}
+	if c.tc.active() || c.trace {
+		return nil, nil, fmt.Errorf("-trace and the telemetry flags need a single simulation run, not -proto all, -state learned or -scale")
+	}
+	return specs, reduce, err
+}
+
+// ints parses a comma-separated integer list flag.
+func ints(name, list string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad -%s entry %q (want comma-separated integers)", name, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// admit passes a spec through the strict loader, as if it had been read
+// from a file: defaults are filled in and every range check — and its
+// message — is Spec.Validate's.
+func admit(s *scenario.Spec) (*scenario.Spec, error) {
+	doc, err := s.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Parse(doc)
+}
+
+// specFromFlags renders the flag set as the scenario it is shorthand for.
+// A knob that does not apply (a geometric knob on a chain, a learned-state
+// knob under the oracle) is carried only when its flag was given, so the
+// loader refuses the contradiction instead of the run dropping it.
+func specFromFlags(c *cli) (*scenario.Spec, error) {
+	if c.k == 0 || c.window == 0 || c.advertise == 0 {
+		return nil, fmt.Errorf("-k, -window and -advertise must be > 0 (a spec reads 0 as \"the default\")")
+	}
+	spec := &scenario.Spec{
+		Name:      "moresim",
+		Seed:      c.seed,
+		DeadlineS: 3600,
+		Batch:     c.k,
+		Topology:  scenario.TopologySpec{Kind: c.topo, Drop: c.drop},
+		State:     scenario.StateSpec{Mode: c.state, Damp: c.damp, SummaryIntervalS: c.summaryS, Piggyback: c.piggyback},
+		CC:        scenario.CCSpec{Policy: c.cc, Queue: c.ccQueue, LoadPenalty: c.loadPenalty},
+	}
+	if c.simDeadline != 0 {
+		spec.DeadlineS = c.simDeadline
+	}
+	if c.metric != "etx" {
+		spec.Metric = c.metric
+	}
+
+	topo := &spec.Topology
+	if c.scale != "" {
+		if c.set["topo"] && c.topo != "geometric" {
+			return nil, fmt.Errorf("-scale sweeps geometric topologies, not -topo %s", c.topo)
+		}
+		topo.Kind = "geometric"
+	}
+	geometric := topo.Kind == "geometric"
+	if geometric || topo.Kind == "chain" || topo.Kind == "corridor" || c.set["nodes"] {
+		topo.Nodes = c.nodes
+	}
+	if geometric || c.set["degree"] {
+		topo.Degree = float64(c.degree)
+	}
+	if geometric || c.set["floors"] {
+		topo.Floors = c.floors
+	}
+
+	state, learned := &spec.State, c.state == "learned"
+	if learned || c.set["warmup"] {
+		state.WarmupS = c.warmup
+		if c.warmup <= 0 {
+			state.WarmupS = -1 // cold start (0 would read as "the 30 s default")
+		}
+	}
+	if learned || c.set["window"] {
+		state.Window = c.window
+	}
+	if learned || c.set["advertise"] {
+		state.AdvertiseS = c.advertise
+	}
+	if c.scopeRings != "" {
+		var err error
+		if state.ScopeRings, err = ints("scope-rings", c.scopeRings); err != nil {
+			return nil, err
+		}
+	}
+
+	// Flows: one explicit pair, or seeded random reachable pairs — which a
+	// geometric mesh needs even for one flow, since no fixed pair is known
+	// to be connected there.
+	flows, explicit := max(c.flows, 1), c.set["src"] || c.set["dst"]
+	switch {
+	case explicit && (flows > 1 || c.scale != ""):
+		return nil, fmt.Errorf("-flows > 1 and -scale draw random pairs; they cannot be combined with -src/-dst")
+	case geometric && c.set["src"] != c.set["dst"]:
+		return nil, fmt.Errorf("geometric topologies draw a random pair; give both -src and -dst or neither")
+	}
+	for i := 0; i < flows; i++ {
+		f := scenario.FlowSpec{
+			Name:     fmt.Sprintf("flow-%d", i+1),
+			Protocol: c.proto,
+			Traffic:  scenario.TrafficSpec{Model: "file", Bytes: c.file},
+		}
+		if f.Protocol == "all" {
+			f.Protocol = "more" // compile rewrites it per comparison row
+		}
+		switch {
+		case flows > 1 || (geometric && !explicit):
+			f.AutoPair = true
+		case topo.Kind == "testbed":
+			f.Src, f.Dst = 3, 17
+		default:
+			f.Dst = topo.NodeCount() - 1 // end to end: chain, corridor, grid, diamond
+		}
+		if c.src >= 0 {
+			f.Src = c.src
+		}
+		if c.dst >= 0 {
+			f.Dst = c.dst
+		}
+		spec.Flows = append(spec.Flows, f)
+	}
+	return admit(spec)
+}
+
+// printPlan prints the -verbose preamble: the topology's link statistics,
+// and the forwarder plan and best ETX path of the first flow's pair (as the
+// run resolved it, for an auto-drawn one).
+func printPlan(w io.Writer, r specRun) {
+	topo, _ := r.spec.Topology.Build(r.spec.Seed) // the run built the same one: cannot fail
+	src, dst := r.res.Flows[0].Result.Src, r.res.Flows[0].Result.Dst
+	s := topo.LinkStats(graph.RouteThreshold)
+	fmt.Fprintf(w, "topology: %d nodes, %d usable links, mean loss %.2f, mean degree %.1f\n",
+		topo.N(), s.Links, s.MeanLoss, s.MeanDegree)
+	popts := routing.DefaultPlanOptions()
+	popts.Metric = r.spec.Options().Metric
+	if plan, err := routing.BuildPlan(topo, src, dst, popts); err == nil {
+		fmt.Fprintf(w, "plan %d->%d (%s order): cost %.2f\n", src, dst, popts.Metric, plan.TotalCost)
+		for _, id := range plan.Participants() {
+			fmt.Fprintf(w, "  node %-3d dist=%-7.2f z=%-6.2f credit=%.2f\n",
+				id, plan.Dist[id], plan.Z[id], plan.Credit[id])
+		}
+	}
+	etx := routing.ETXToDestination(topo, dst, routing.DefaultETXOptions())
+	fmt.Fprintf(w, "best ETX path: %v (ETX %.2f)\n\n", etx.Path(src), etx.Dist[src])
+}
+
+// printRun reports a single run, flags or file. With -json it emits the
+// canonical result document (byte-identical across runs of the same spec —
+// pipe it to cmd/scenariocheck to verify; -trace and the telemetry flags add
+// an optional Telemetry block, everything else stays identical).
+func printRun(c *cli, runs []specRun) (bool, error) {
+	spec, res := runs[0].spec, runs[0].res
+	if c.jsonOut {
 		out, err := res.Encode()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return false, err
 		}
 		os.Stdout.Write(out)
-		return res.Done()
+		return res.Done(), nil
 	}
 	fmt.Printf("scenario: %s (%d nodes, seed %d, state %v, cc %v)\n",
 		res.Scenario, res.Nodes, res.Seed, res.State, res.CC)
 	if spec.Description != "" {
 		fmt.Printf("  %s\n", spec.Description)
 	}
-	fmt.Printf("%-12s %-6s %-6s %6s %12s %10s %10s %6s\n",
+	fmt.Printf("%-12s %-9s %-6s %6s %12s %10s %10s %6s\n",
 		"flow", "proto", "model", "s->d", "delivered", "pkt/s", "tx", "done")
 	for _, f := range res.Flows {
-		fmt.Printf("%-12s %-6s %-6v %3d->%-3d %6d/%-6d %10.1f %10d %6v\n",
+		fmt.Printf("%-12s %-9s %-6v %3d->%-3d %6d/%-6d %10.1f %10d %6v\n",
 			f.Name, f.Protocol, f.Traffic, f.Result.Src, f.Result.Dst,
 			f.Result.PacketsDelivered, f.Result.PacketsTotal,
 			f.Result.Throughput(), f.Result.Transmissions, f.Done)
@@ -491,184 +503,162 @@ func runScenario(path string, jsonOut bool, tc telemetryCLI, prof profileCLI) bo
 			res.Convergence, res.ProbeTx, res.FloodTx)
 	}
 	fmt.Printf("digest: %s\n", res.Digest)
-	return res.Done()
+	return res.Done(), nil
 }
 
-// runLearned runs the flows with routing state learned over the air (and
-// once more from the oracle for comparison) and prints the gap report. It
-// reports whether every learned-state flow completed.
-func runLearned(topo *graph.Topology, proto experiments.Protocol, pairs []experiments.Pair,
-	opts experiments.Options, jsonOut bool) bool {
-	rep := experiments.GapRun(topo, proto, pairs, opts)
-	if jsonOut {
-		printJSON(struct {
-			Nodes int
-			Gap   experiments.GapReport
-		}{topo.N(), rep})
-	} else {
-		fmt.Printf("protocol: %v, state: learned (vs oracle), %d flow(s)\n", proto, rep.Flows)
-		fmt.Printf("%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
-		fmt.Printf("%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", "oracle",
-			rep.Oracle.Throughput, rep.Oracle.TxPerPacket, rep.Oracle.DataTxPerPacket, rep.Oracle.Completed, rep.Flows)
-		fmt.Printf("%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", "learned",
-			rep.Learned.Throughput, rep.Learned.TxPerPacket, rep.Learned.DataTxPerPacket, rep.Learned.Completed, rep.Flows)
-		fmt.Printf("gap: throughput x%.2f, tx/pkt x%.2f (data-only x%.2f)\n",
-			rep.ThroughputRatio, rep.TxPerPacketRatio, rep.DataTxPerPacketRatio)
-		fmt.Printf("measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
-			rep.Convergence, rep.ProbeTx, rep.FloodTx)
-	}
-	return rep.Learned.Completed == rep.Flows
-}
-
-// runScale sweeps the scaling driver and prints the table (or JSON). It
-// reports whether every flow at every point completed.
-func runScale(cfg experiments.ScalingConfig, jsonOut bool) bool {
-	points := experiments.ScalingSweep(cfg)
-	ok := true
-	if jsonOut {
-		printJSON(points)
-		for _, pt := range points {
-			ok = ok && pt.Completed == pt.Flows
-		}
-		return ok
-	}
-	learned := cfg.Opts.State == experiments.StateLearned
-	fmt.Printf("scaling sweep: proto=%v flows=%d drop=%.2f file=%dB degree=%.0f state=%v\n",
-		cfg.Protocol, cfg.Flows, cfg.Drop, cfg.Opts.FileBytes, cfg.Geometric.TargetDegree, cfg.Opts.State)
-	fmt.Printf("%8s %8s %10s %10s %10s %8s %12s", "nodes", "links", "deg", "pkt/s", "tx/pkt", "done", "wall")
-	if learned {
-		fmt.Printf(" %10s %10s %10s", "probe-tx", "flood-tx", "flood/node")
-	}
-	fmt.Println()
-	for _, pt := range points {
-		tpp := "-"
-		if pt.TxPerPacket != 0 {
-			tpp = fmt.Sprintf("%.2f", pt.TxPerPacket)
-		}
-		fmt.Printf("%8d %8d %10.1f %10.1f %10s %5d/%-2d %12v",
-			pt.Nodes, pt.UsableLinks, pt.MeanDegree, pt.Throughput, tpp,
-			pt.Completed, pt.Flows, pt.WallClock.Round(time.Millisecond))
-		if learned {
-			fmt.Printf(" %10d %10d %10.1f", pt.ProbeTx, pt.FloodTx, float64(pt.FloodTx)/float64(pt.Nodes))
-		}
-		fmt.Println()
-		ok = ok && pt.Completed == pt.Flows
-	}
-	return ok
-}
-
-// runCCSweep re-runs the scaling sweep once per congestion policy over
-// identical topologies and flows and prints the mitigation table (or
-// JSON). It reports whether every flow at every point completed.
-func runCCSweep(cfg experiments.ScalingConfig, jsonOut bool) bool {
-	grid := experiments.CCSweep(cfg)
+// printComparison is the -proto all table: every protocol over one pair.
+func printComparison(c *cli, runs []specRun) (bool, error) {
+	first := runs[0].res.Flows[0].Result
+	fmt.Printf("pair %d -> %d, %d B file:\n", first.Src, first.Dst, c.file)
+	fmt.Printf("%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
 	allDone := true
-	for _, pt := range grid {
-		allDone = allDone && pt.Completed == pt.Flows
+	for _, r := range runs {
+		f := r.res.Flows[0]
+		fmt.Printf("%-14s %10.1f %10d %8v %12v\n", f.Protocol, f.Result.Throughput(),
+			r.res.Counters.Transmissions, f.Done, r.res.Counters.AirTime)
+		allDone = allDone && f.Done
 	}
-	if jsonOut {
-		printJSON(grid)
-		return allDone
-	}
-	fmt.Printf("congestion mitigation sweep: proto=%v flows=%d drop=%.2f file=%dB\n",
-		cfg.Protocol, cfg.Flows, cfg.Drop, cfg.Opts.FileBytes)
-	fmt.Printf("%-8s %8s %10s %10s %8s %8s %8s %10s\n",
-		"cc", "nodes", "pkt/s", "tx/pkt", "jainT", "done", "grants", "drops")
-	for _, pt := range grid {
-		tpp := "-"
-		if pt.TxPerPacket != 0 {
-			tpp = fmt.Sprintf("%.2f", pt.TxPerPacket)
-		}
-		drops := pt.CCStats.TailDrops + pt.CCStats.ChokeDrops + pt.CCStats.StaleDrops
-		fmt.Printf("%-8v %8d %10.1f %10s %8.3f %5d/%-2d %8d %8d\n",
-			pt.CC, pt.Nodes, pt.Throughput, tpp, pt.Fairness.JainThroughput,
-			pt.Completed, pt.Flows, pt.CCStats.GrantTx, drops)
-	}
-	return allDone
+	return allDone, nil
 }
 
-// parseRings parses the -scope-rings hop-radius list: ascending positive
-// integers.
-func parseRings(list string) ([]int, bool) {
-	var rings []int
-	for _, part := range strings.Split(list, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || r < 1 || r > 255 || (len(rings) > 0 && r <= rings[len(rings)-1]) {
-			fmt.Fprintf(os.Stderr, "bad -scope-rings entry %q (want ascending radii 1..255)\n", part)
-			return nil, false
+// printGap is the -state learned report: the learned-state run against its
+// oracle twin. It reports whether every learned-state flow completed.
+func printGap(c *cli, runs []specRun) (bool, error) {
+	learned, oracle := runs[0], runs[1]
+	rep := experiments.Gap(oracle.info(), learned.info())
+	done := rep.Learned.Completed == rep.Flows
+	if c.jsonOut {
+		type gap struct {
+			Protocol string // as the spec names it
+			experiments.GapReport
 		}
-		rings = append(rings, r)
+		return done, printJSON(struct {
+			Nodes int
+			Gap   gap
+		}{learned.res.Nodes, gap{c.proto, rep}})
 	}
-	return rings, true
+	fmt.Printf("protocol: %s, state: learned (vs oracle), %d flow(s)\n", c.proto, rep.Flows)
+	fmt.Printf("%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
+	side := func(name string, s experiments.GapSummary) {
+		fmt.Printf("%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", name,
+			s.Throughput, s.TxPerPacket, s.DataTxPerPacket, s.Completed, rep.Flows)
+	}
+	side("oracle", rep.Oracle)
+	side("learned", rep.Learned)
+	fmt.Printf("gap: throughput x%.2f, tx/pkt x%.2f (data-only x%.2f)\n",
+		rep.ThroughputRatio, rep.TxPerPacketRatio, rep.DataTxPerPacketRatio)
+	fmt.Printf("measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
+		rep.Convergence, rep.ProbeTx, rep.FloodTx)
+	return done, nil
+}
+
+// scaleRow is one row of the -scale table (with -cc-sweep, one per policy
+// and node count): one geometric spec's run, reduced. Every field but
+// WallClock is deterministic in the seed.
+type scaleRow struct {
+	Nodes       int
+	SpecSeed    int64 // -topo geometric -nodes Nodes -seed SpecSeed reruns the row alone
+	Flows       int
+	UsableLinks int
+	MeanDegree  float64
+	Completed   int      // flows that finished within the deadline
+	Throughput  float64  // aggregate delivered packets/second
+	TxPerPacket float64  // run-wide transmissions per delivered packet
+	SimTime     sim.Time // when the last flow finished
+	WallClock   time.Duration
+
+	CC       congest.Policy
+	CCStats  congest.Stats
+	Fairness experiments.FairnessReport
+
+	// The measurement plane's bill when the point ran from learned state
+	// (all zero under the oracle).
+	ProbeTx, FloodTx int64
+	Convergence      sim.Time
+}
+
+// printScale is the -scale / -cc-sweep table: throughput, transmission
+// cost, fairness, congestion-layer activity and wall-clock per node count
+// (and, under -cc-sweep, per policy over identical topologies and flows).
+func printScale(c *cli, runs []specRun) (bool, error) {
+	rows, allDone := scaleRows(runs)
+	if c.jsonOut {
+		return allDone, printJSON(rows)
+	}
+	spec := runs[0].spec
+	fmt.Printf("scaling sweep: proto=%s flows=%d drop=%.2f file=%dB degree=%.0f state=%s\n",
+		c.proto, len(spec.Flows), c.drop, c.file, spec.Topology.Degree, spec.State.Mode)
+	fmt.Printf("%-8s %6s %7s %6s %9s %8s %6s %6s %7s %7s %9s %9s %9s\n", "cc", "nodes", "links", "deg",
+		"pkt/s", "tx/pkt", "jainT", "done", "grants", "drops", "wall", "probe-tx", "flood-tx")
+	for _, row := range rows {
+		tpp := "-"
+		if row.TxPerPacket != 0 {
+			tpp = fmt.Sprintf("%.2f", row.TxPerPacket)
+		}
+		st := row.CCStats
+		fmt.Printf("%-8v %6d %7d %6.1f %9.1f %8s %6.3f %3d/%-2d %7d %7d %9v %9d %9d\n",
+			row.CC, row.Nodes, row.UsableLinks, row.MeanDegree, row.Throughput, tpp,
+			row.Fairness.JainThroughput, row.Completed, row.Flows, st.GrantTx,
+			st.TailDrops+st.ChokeDrops+st.StaleDrops, row.WallClock.Round(time.Millisecond),
+			row.ProbeTx, row.FloodTx)
+	}
+	return allDone, nil
+}
+
+// scaleRows reduces each run to its table row and reports whether every
+// flow of every run completed.
+func scaleRows(runs []specRun) (rows []scaleRow, allDone bool) {
+	rows, allDone = make([]scaleRow, len(runs)), true
+	for i, r := range runs {
+		topo, _ := r.spec.Topology.Build(r.spec.Seed) // the run built the same one: cannot fail
+		ls, res := topo.LinkStats(graph.RouteThreshold), r.res
+		row := scaleRow{
+			Nodes: res.Nodes, SpecSeed: res.Seed, Flows: len(res.Flows),
+			UsableLinks: ls.Links, MeanDegree: ls.MeanDegree, WallClock: r.wall,
+			CC: res.CC, CCStats: res.CCStats, Fairness: res.Fairness,
+			ProbeTx: res.ProbeTx, FloodTx: res.FloodTx, Convergence: res.Convergence,
+		}
+		delivered := 0
+		for _, f := range res.Flows {
+			if f.Result.Completed {
+				row.Completed++
+			}
+			delivered += f.Result.PacketsDelivered
+			row.Throughput += f.Result.Throughput()
+			row.SimTime = max(row.SimTime, f.Result.End)
+		}
+		// 0, not NaN, when nothing was delivered: JSON cannot encode NaN
+		// (Completed disambiguates).
+		if delivered > 0 {
+			row.TxPerPacket = float64(res.Counters.Transmissions) / float64(delivered)
+		}
+		rows[i] = row
+		allDone = allDone && row.Completed == row.Flows
+	}
+	return rows, allDone
 }
 
 // printJSON writes v to stdout as indented JSON. A value encoding/json
 // cannot encode (a NaN metric) fails the run loudly instead of printing an
 // empty document.
-func printJSON(v interface{}) {
+func printJSON(v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "moresim: -json: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("moresim: -json: %v", err)
 	}
 	fmt.Println(string(out))
-}
-
-// parseCounts parses the -scale node-count list.
-func parseCounts(list string) ([]int, bool) {
-	var counts []int
-	for _, part := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			fmt.Fprintf(os.Stderr, "bad -scale entry %q\n", part)
-			return nil, false
-		}
-		counts = append(counts, n)
-	}
-	return counts, true
-}
-
-// compareAll runs every protocol over the same pair, fanning the hermetic
-// per-protocol simulations out over opts.Parallel workers, and prints a
-// comparison table. It reports whether every protocol completed the
-// transfer.
-func compareAll(topo *graph.Topology, src, dst graph.NodeID, opts experiments.Options) bool {
-	protos := []experiments.Protocol{
-		experiments.MORE, experiments.ExOR, experiments.Srcr, experiments.SrcrAutorate,
-	}
-	pair := experiments.Pair{Src: src, Dst: dst}
-	results := make([]flow.Result, len(protos))
-	counters := make([]sim.Counters, len(protos))
-	experiments.ForEachItem(len(protos), opts.Parallel, func(i int) {
-		o := opts
-		if protos[i] == experiments.SrcrAutorate {
-			o.RateDependentChannel = true
-		}
-		rs, cs := experiments.RunWithCounters(topo, protos[i], []experiments.Pair{pair}, o)
-		results[i] = rs[0]
-		counters[i] = cs
-	})
-	fmt.Printf("pair %d -> %d, %d B file:\n", src, dst, opts.FileBytes)
-	fmt.Printf("%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
-	allDone := true
-	for i, p := range protos {
-		fmt.Printf("%-14v %10.1f %10d %8v %12v\n",
-			p, results[i].Throughput(), counters[i].Transmissions,
-			results[i].Completed, counters[i].AirTime)
-		allDone = allDone && results[i].Completed
-	}
-	return allDone
+	return nil
 }
 
 // profileCLI carries -cpuprofile and -memprofile: where to write the
 // runtime/pprof profiles of the run, empty for none.
 type profileCLI struct{ cpu, mem string }
 
-// around calls run and returns its result. CPU samples cover exactly run;
+// around calls run. CPU samples cover exactly run;
 // the heap profile is taken once run returns, after a collection, so it
 // shows what the run left live and everything it allocated. A file that
 // cannot be created or written is reported on stderr and exits 1.
-func (p profileCLI) around(run func() bool) bool {
+func (p profileCLI) around(run func()) {
 	check := func(flagName string, err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
@@ -682,7 +672,7 @@ func (p profileCLI) around(run func() bool) bool {
 		check("-cpuprofile", err)
 		check("-cpuprofile", pprof.StartCPUProfile(cpu))
 	}
-	ok := run()
+	run()
 	if cpu != nil {
 		pprof.StopCPUProfile()
 		check("-cpuprofile", cpu.Close())
@@ -694,7 +684,6 @@ func (p profileCLI) around(run func() bool) bool {
 		check("-memprofile", pprof.WriteHeapProfile(f))
 		check("-memprofile", f.Close())
 	}
-	return ok
 }
 
 // telemetryCLI groups the observability flag surface: where to write the
@@ -794,21 +783,4 @@ func (tc telemetryCLI) finish(hub *telemetry.Hub) bool {
 		}
 	}
 	return ok
-}
-
-// flagWasSet reports whether the named flag was given on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func planOpts(o experiments.Options) routing.PlanOptions {
-	p := routing.DefaultPlanOptions()
-	p.Metric = o.Metric
-	return p
 }

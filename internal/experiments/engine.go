@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/exor"
@@ -285,15 +287,18 @@ func (x *Execution) srcrNode(id graph.NodeID) *srcr.Node {
 	return x.nodes[stackSrcr][id].(*srcr.Node)
 }
 
-// Drain keeps the run going, still bounded by the deadline, while traffic
-// already committed to a queue exists. Every flow has met its schedule,
-// but a push source's last packets may still sit in congestion-layer
-// queues, srcr backlogs, or the MACs — datagrams are delivered (or lost)
-// on their own time, and ending the run at the last generation tick would
-// bill the steady-state queue depth as loss. Failed nodes are excluded:
-// their frozen backlogs will never drain.
+// Drain keeps a run with push flows going, still bounded by the deadline,
+// while traffic already committed to a queue exists. Every flow has met its
+// schedule, but a push source's last packets may still sit in
+// congestion-layer queues, srcr backlogs, or the MACs — datagrams are
+// delivered (or lost) on their own time, and ending the run at the last
+// generation tick would bill the steady-state queue depth as loss. Failed
+// nodes are excluded: their frozen backlogs will never drain. File transfers
+// alone leave nothing to wait for: what forwarders hold is already decoded.
 func (x *Execution) Drain() {
-	hasSrcr := x.nodes[stackSrcr] != nil
+	if !slices.ContainsFunc(x.flows, func(f Flow) bool { return f.Push != nil }) {
+		return
+	}
 	inFlight := func() bool {
 		for i := 0; i < x.cp.n; i++ {
 			node := x.Sim.Node(graph.NodeID(i))
@@ -303,7 +308,7 @@ func (x *Execution) Drain() {
 			if node.TxQueueActive() {
 				return true
 			}
-			if hasSrcr && x.srcrNode(graph.NodeID(i)).Backlog() > 0 {
+			if x.srcrNode(graph.NodeID(i)).Backlog() > 0 {
 				return true
 			}
 		}

@@ -2,10 +2,9 @@
 // theory measurements (Chapter 5): one driver per table and figure, all
 // running the three protocols over the simulated testbed with the §4.1.2
 // setup (20 nodes, 5.5 Mb/s, 1500 B packets, K = 32). Beyond the paper it
-// adds the large-topology scaling sweep (random-geometric meshes the
-// 20-node testbed could not ask about) and the oracle-vs-learned gap
-// experiments of learned.go, which run the §3.2.1(b) measurement plane
-// inside the simulation and price the paper's free global ETX oracle.
+// adds the oracle-vs-learned gap reducers of learned.go, which price the
+// paper's free global ETX oracle against the §3.2.1(b) measurement plane
+// run inside the simulation.
 package experiments
 
 import (

@@ -88,6 +88,12 @@ func TestBuildFairnessStalledFlow(t *testing.T) {
 	}
 }
 
+// allPolicies lists the congestion policies compared like for like (the
+// rows of `moresim -scale ... -cc-sweep`).
+func allPolicies() []congest.Policy {
+	return []congest.Policy{congest.None, congest.Tail, congest.Choke, congest.Credit, congest.AIMD}
+}
+
 // TestPerFlowCountersSumToRunTotals is the fairness-accounting invariant:
 // with flow IDs stamped through the MAC, the per-flow transmission
 // counters plus the control bucket must account for every transmission

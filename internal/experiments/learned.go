@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/graph"
-	"repro/internal/linkstate"
 	"repro/internal/sim"
 )
 
@@ -10,10 +9,10 @@ import (
 // globally measured ETX table (§4.1.2); a deployable system learns that
 // state over the air (§3.2.1(b)) and pays for it twice — probe/LSA frames
 // share the medium with data, and routes computed from noisy windowed
-// estimates are not quite the oracle's. GapRun quantifies both costs for
-// one configuration; GapSweep maps them against the two knobs that control
-// the measurement plane's fidelity/overhead trade-off, the probe window and
-// the LSA advertise interval.
+// estimates are not quite the oracle's. Gap quantifies both costs from one
+// oracle run and one learned run of the same flows: `moresim -state learned`
+// feeds it a spec and its oracle twin, GapChurnRun the two sides of a
+// crash/recover cycle.
 
 // GapSummary aggregates one run side (oracle or learned) of a gap
 // comparison.
@@ -59,8 +58,7 @@ func summarize(info RunInfo) GapSummary {
 // GapReport compares one protocol's oracle and learned runs over the same
 // topology, flows, and seed.
 type GapReport struct {
-	Protocol Protocol
-	Flows    int
+	Flows int
 
 	Oracle  GapSummary
 	Learned GapSummary
@@ -83,21 +81,11 @@ type GapReport struct {
 	ProbeTx, FloodTx int64
 }
 
-// GapRun runs the same flows twice — once from the oracle, once from
-// learned state — and reports the gap. Everything but Options.State (and
-// the learned-side measurement knobs) is held identical.
-func GapRun(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options) GapReport {
-	oOpts := opts
-	oOpts.State = StateOracle
-	lOpts := opts
-	lOpts.State = StateLearned
-
-	oracle := RunDetailed(topo, proto, pairs, oOpts)
-	learned := RunDetailed(topo, proto, pairs, lOpts)
-
+// Gap reports the gap between an oracle run and a learned-state run of the
+// same flows over the same topology and seed.
+func Gap(oracle, learned RunInfo) GapReport {
 	rep := GapReport{
-		Protocol:    proto,
-		Flows:       len(pairs),
+		Flows:       len(learned.Results),
 		Oracle:      summarize(oracle),
 		Learned:     summarize(learned),
 		Convergence: learned.Convergence,
@@ -141,12 +129,13 @@ type ChurnReport struct {
 	RecoverRelearn sim.Time
 }
 
-// GapChurnRun is GapRun with a crash/recover cycle injected into both
-// sides: the ground truth flips underneath the protocols (topology
-// mutation + node silencing + oracle invalidation), and the learned side
-// additionally measures how long the measurement plane takes to purge the
-// dead origin and to re-learn it after recovery. Each side runs on its own
-// topology clone, so churn in one cannot leak into the other.
+// GapChurnRun runs the same flows from the oracle and from learned state
+// with a crash/recover cycle injected into both sides: the ground truth
+// flips underneath the protocols (topology mutation + node silencing +
+// oracle invalidation), and the learned side additionally measures how long
+// the measurement plane takes to purge the dead origin and to re-learn it
+// after recovery. Each side runs on its own topology clone, so churn in one
+// cannot leak into the other.
 func GapChurnRun(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, churn ChurnSpec) ChurnReport {
 	poll := churn.Poll
 	if poll <= 0 {
@@ -202,22 +191,7 @@ func GapChurnRun(topo *graph.Topology, proto Protocol, pairs []Pair, opts Option
 	oracle := runPairs(oTopo, proto, pairs, oOpts, actions(oTopo, false))
 	learned := runPairs(lTopo, proto, pairs, lOpts, actions(lTopo, true))
 
-	rep.GapReport = GapReport{
-		Protocol:    proto,
-		Flows:       len(pairs),
-		Oracle:      summarize(oracle),
-		Learned:     summarize(learned),
-		Convergence: learned.Convergence,
-		ProbeTx:     learned.ProbeTx,
-		FloodTx:     learned.FloodTx,
-	}
-	if rep.Oracle.Throughput > 0 {
-		rep.ThroughputRatio = rep.Learned.Throughput / rep.Oracle.Throughput
-	}
-	if rep.Oracle.TxPerPacket > 0 {
-		rep.TxPerPacketRatio = rep.Learned.TxPerPacket / rep.Oracle.TxPerPacket
-		rep.DataTxPerPacketRatio = rep.Learned.DataTxPerPacket / rep.Oracle.TxPerPacket
-	}
+	rep.GapReport = Gap(oracle, learned)
 	return rep
 }
 
@@ -243,126 +217,4 @@ func knownToAll(cp *ControlPlane, origin graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// GapSweepConfig parameterizes the gap sweep over measurement-plane knobs.
-type GapSweepConfig struct {
-	// Windows lists probe window sizes (probes averaged per estimate);
-	// larger windows smooth estimates but slow adaptation.
-	Windows []int
-	// AdvertiseIntervals lists LSA flood periods; shorter floods converge
-	// faster but burn more airtime.
-	AdvertiseIntervals []sim.Time
-	// Damping lists LSA flood-damping trigger deltas (linkstate.Config.
-	// TriggerDelta; 0 = undamped) — the third knob of the grid, added so
-	// the sweep quantifies the frame savings of triggered updates +
-	// hold-down against the fidelity they cost. Empty sweeps only 0.
-	Damping []float64
-	// Protocol under test.
-	Protocol Protocol
-	// Flows is the number of concurrent random flows (≥1).
-	Flows int
-	// Opts carries topology-independent options (file size, seed,
-	// deadline, parallelism, warmup).
-	Opts Options
-
-	// Nodes, when positive, replaces the paper testbed with a connected
-	// random-geometric mesh of that size (graph.DefaultGeometric density),
-	// so the sweep can ask the 512–1024-node questions the 20-node testbed
-	// cannot — where does the measurement plane saturate the medium, and
-	// what does scoping buy. Flows are drawn with RandomPairs.
-	Nodes int
-	// ScopeRings, SummaryInterval, and Piggyback apply fisheye scoping and
-	// data-frame piggybacking to every grid point (linkstate.Config); zero
-	// values keep every flood network-wide, the classic behavior.
-	ScopeRings      []int
-	SummaryInterval sim.Time
-	Piggyback       bool
-}
-
-// DefaultGapSweepConfig sweeps MORE over the paper testbed with a small
-// probe-window × advertise-interval grid.
-func DefaultGapSweepConfig() GapSweepConfig {
-	opts := DefaultOptions()
-	opts.FileBytes = 64 << 10
-	return GapSweepConfig{
-		Windows:            []int{5, 10, 20},
-		AdvertiseIntervals: []sim.Time{2 * sim.Second, 5 * sim.Second, 10 * sim.Second},
-		Protocol:           MORE,
-		Flows:              1,
-		Opts:               opts,
-	}
-}
-
-// StateGapPoint is one row of the sweep: the measurement-plane knobs plus the
-// resulting gap.
-type StateGapPoint struct {
-	Window    int
-	Advertise sim.Time
-	Damping   float64
-	// Nodes is the topology size the point ran on (the testbed's 20 unless
-	// GapSweepConfig.Nodes overrode it); FloodTx/Nodes is the per-node
-	// flood bill scoping is judged on.
-	Nodes int
-	GapReport
-}
-
-// GapSweep runs GapRun at every (window, advertise-interval) grid point
-// over the testbed topology, fanned over cfg.Opts.Parallel workers. Results
-// are deterministic in cfg.Opts.Seed for any worker count (each point is a
-// hermetic pair of simulations).
-func GapSweep(cfg GapSweepConfig) []StateGapPoint {
-	if cfg.Flows < 1 {
-		cfg.Flows = 1
-	}
-	damping := cfg.Damping
-	if len(damping) == 0 {
-		damping = []float64{0}
-	}
-	type knob struct {
-		window    int
-		advertise sim.Time
-		damping   float64
-	}
-	var grid []knob
-	for _, w := range cfg.Windows {
-		for _, adv := range cfg.AdvertiseIntervals {
-			for _, d := range damping {
-				grid = append(grid, knob{w, adv, d})
-			}
-		}
-	}
-	points := make([]StateGapPoint, len(grid))
-	forEach(len(grid), cfg.Opts.workers(), func(i int) {
-		var topo *graph.Topology
-		var pairs []Pair
-		if cfg.Nodes > 0 {
-			gcfg := graph.DefaultGeometric(cfg.Nodes)
-			topo, _ = graph.ConnectedGeometric(gcfg, cfg.Opts.Seed)
-			pairs = RandomPairs(topo, cfg.Flows, cfg.Opts.Seed)
-		} else {
-			topo = TestbedTopology()
-			pairs = []Pair{{Src: 3, Dst: 17}}
-			if cfg.Flows > 1 {
-				pairs = RandomPairs(topo, cfg.Flows, cfg.Opts.Seed)
-			}
-		}
-		opts := cfg.Opts
-		lcfg := linkstate.DefaultConfig()
-		lcfg.Probe.Window = grid[i].window
-		lcfg.AdvertiseInterval = grid[i].advertise
-		lcfg.TriggerDelta = grid[i].damping
-		lcfg.ScopeRings = cfg.ScopeRings
-		lcfg.SummaryInterval = cfg.SummaryInterval
-		lcfg.Piggyback = cfg.Piggyback
-		opts.LinkState = lcfg
-		points[i] = StateGapPoint{
-			Window:    grid[i].window,
-			Advertise: grid[i].advertise,
-			Damping:   grid[i].damping,
-			Nodes:     topo.N(),
-			GapReport: GapRun(topo, cfg.Protocol, pairs, opts),
-		}
-	})
-	return points
 }

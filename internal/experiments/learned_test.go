@@ -47,35 +47,6 @@ func TestOracleStateByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLearnedStateEndToEnd runs each protocol over the paper testbed with
-// routing state built solely from in-simulation probes and LSA floods, and
-// asserts the transfer completes with verified payloads and the learned
-// side stays within a sane gap of the oracle.
-func TestLearnedStateEndToEnd(t *testing.T) {
-	for _, proto := range []Protocol{MORE, ExOR, Srcr} {
-		opts := DefaultOptions()
-		opts.FileBytes = 64 << 10
-		rep := GapRun(TestbedTopology(), proto, []Pair{{Src: 3, Dst: 17}}, opts)
-		if rep.Learned.Completed != 1 {
-			t.Fatalf("%v: learned-state transfer did not complete", proto)
-		}
-		if rep.Convergence <= 0 {
-			t.Errorf("%v: measurement plane never converged (conv=%v)", proto, rep.Convergence)
-		}
-		if rep.ProbeTx == 0 || rep.FloodTx == 0 {
-			t.Errorf("%v: no measurement traffic recorded (probes=%d floods=%d)", proto, rep.ProbeTx, rep.FloodTx)
-		}
-		// Learned routes should be usable, not an order of magnitude off:
-		// throughput within 3x of the oracle, data-plane cost within 3x.
-		if rep.ThroughputRatio < 1.0/3 {
-			t.Errorf("%v: learned throughput ratio %.2f below 1/3 of oracle", proto, rep.ThroughputRatio)
-		}
-		if rep.DataTxPerPacketRatio > 3 {
-			t.Errorf("%v: learned data tx/pkt ratio %.2f above 3x oracle", proto, rep.DataTxPerPacketRatio)
-		}
-	}
-}
-
 // TestLearnedRunDeterministic locks the learned path's determinism: two
 // identical runs must agree bit for bit (the measurement plane shares the
 // simulator RNG, so this guards the whole stack's determinism).
@@ -111,25 +82,6 @@ func TestLearnedColdStart(t *testing.T) {
 	}
 	if info.Convergence <= 0 {
 		t.Errorf("convergence under load not recorded: %v", info.Convergence)
-	}
-}
-
-// TestGapSweepShape checks the sweep produces one point per grid cell with
-// the knobs echoed back.
-func TestGapSweepShape(t *testing.T) {
-	cfg := DefaultGapSweepConfig()
-	cfg.Windows = []int{10}
-	cfg.AdvertiseIntervals = []sim.Time{2 * sim.Second}
-	cfg.Opts.FileBytes = 32 << 10
-	pts := GapSweep(cfg)
-	if len(pts) != 1 {
-		t.Fatalf("want 1 point, got %d", len(pts))
-	}
-	if pts[0].Window != 10 || pts[0].Advertise != 2*sim.Second {
-		t.Fatalf("knobs not echoed: %+v", pts[0])
-	}
-	if pts[0].Learned.Completed != pts[0].Flows {
-		t.Fatalf("sweep point did not complete: %+v", pts[0])
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func AutoParallel() int { return runtime.GOMAXPROCS(0) }
 
 // ForEachItem exposes the bounded worker pool to commands that fan their
-// own independent runs out (cmd/moresim -proto all). fn must confine its
+// own independent runs out (cmd/moresim's spec lists). fn must confine its
 // writes to per-index state.
 func ForEachItem(n, workers int, fn func(i int)) { forEach(n, workers, fn) }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -43,56 +42,6 @@ func TestDenseVsSparseProtocolRuns(t *testing.T) {
 	}
 }
 
-// TestScalingPointSmoke runs one moderate geometric point end to end.
-func TestScalingPointSmoke(t *testing.T) {
-	opts := DefaultOptions()
-	opts.FileBytes = 48 << 10
-	pt := ScalingSweep(ScalingConfig{NodeCounts: []int{150}, Flows: 2, Drop: 0.1, Protocol: MORE, Opts: opts})[0]
-	if pt.Nodes != 150 {
-		t.Fatalf("nodes = %d", pt.Nodes)
-	}
-	if pt.Completed != 2 {
-		t.Fatalf("completed %d/2 flows: %+v", pt.Completed, pt)
-	}
-	if pt.Throughput <= 0 || pt.TxPerPacket <= 0 || math.IsNaN(pt.TxPerPacket) {
-		t.Fatalf("degenerate metrics: %+v", pt)
-	}
-	if pt.UsableLinks <= 0 || pt.MeanDegree <= 0 {
-		t.Fatalf("topology stats missing: %+v", pt)
-	}
-}
-
-// TestScalingSweepDeterministicAcrossWorkers locks in the scaling driver's
-// parallel determinism: any worker count produces identical points (modulo
-// wall-clock, which is zeroed before comparison).
-func TestScalingSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := DefaultScalingConfig()
-	cfg.NodeCounts = []int{60, 90}
-	cfg.Flows = 1
-	cfg.Opts.FileBytes = 24 << 10
-	cfg.Opts.Seed = 3
-
-	run := func(workers int) []ScalingPoint {
-		c := cfg
-		c.Opts.Parallel = workers
-		pts := ScalingSweep(c)
-		for i := range pts {
-			pts[i].WallClock = 0
-		}
-		return pts
-	}
-	serial := run(1)
-	parallel := run(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("sweep depends on worker count:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	for _, pt := range serial {
-		if pt.Completed != 1 {
-			t.Fatalf("point did not complete: %+v", pt)
-		}
-	}
-}
-
 // TestThousandNodeFlow is the acceptance bar: a 1000-node geometric
 // topology runs a MORE flow end to end, deterministically.
 func TestThousandNodeFlow(t *testing.T) {
@@ -102,14 +51,12 @@ func TestThousandNodeFlow(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FileBytes = 48 << 10 // one K=32 batch
 	opts.Seed = 7
-	run := func() ScalingPoint {
-		pt := ScalingSweep(ScalingConfig{NodeCounts: []int{1000}, Flows: 1, Protocol: MORE, Opts: opts})[0]
-		pt.WallClock = 0
-		return pt
-	}
+	topo, _ := graph.ConnectedGeometric(graph.DefaultGeometric(1000), opts.Seed)
+	pairs := RandomPairs(topo, 1, opts.Seed)
+	run := func() RunInfo { return RunDetailed(topo, MORE, pairs, opts) }
 	a := run()
-	if a.Completed != 1 {
-		t.Fatalf("1000-node flow did not complete: %+v", a)
+	if !a.Results[0].Completed {
+		t.Fatalf("1000-node flow did not complete: %+v", a.Results[0])
 	}
 	if b := run(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("1000-node run not deterministic:\n%+v\n%+v", a, b)

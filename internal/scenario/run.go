@@ -74,10 +74,11 @@ func RunWith(spec *Spec, hub *telemetry.Hub) (*Result, error) {
 
 // protocols maps the spec's pull protocol names to the engine's.
 var protocols = map[string]experiments.Protocol{
-	"more":    experiments.MORE,
-	"exor":    experiments.ExOR,
-	"srcr":    experiments.Srcr,
-	ProtoPush: experiments.Srcr, // datagrams ride Srcr forwarding
+	"more":      experiments.MORE,
+	"exor":      experiments.ExOR,
+	"srcr":      experiments.Srcr,
+	"srcr-auto": experiments.SrcrAutorate,
+	ProtoPush:   experiments.Srcr, // datagrams ride Srcr forwarding
 }
 
 // flows compiles the traffic matrix. Auto-drawn pairs are resolved on the

@@ -22,6 +22,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 
 	"repro/internal/congest"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/linkstate"
+	"repro/internal/routing"
 	"repro/internal/sim"
 )
 
@@ -51,6 +53,8 @@ type Spec struct {
 	CC CCSpec `json:"cc,omitempty"`
 	// Batch is K for MORE/ExOR (default 32).
 	Batch int `json:"batch,omitempty"`
+	// Metric orders MORE/ExOR forwarders: etx (default) or eotx.
+	Metric string `json:"metric,omitempty"`
 	// PktSize is the packet payload size in bytes (default 1500).
 	PktSize int `json:"pkt_size,omitempty"`
 	// RepairS arms the protocols' route-repair watchdogs: a source stalled
@@ -136,8 +140,10 @@ type CCSpec struct {
 type FlowSpec struct {
 	// Name identifies the flow in results.
 	Name string `json:"name"`
-	// Protocol carries the flow: more, exor, or srcr for pull file
-	// transfers; push for UDP-like datagrams over Srcr forwarding.
+	// Protocol carries the flow: more, exor, srcr, or srcr-auto (Srcr with
+	// Onoe autorate; one such flow makes the run's channel rate-dependent)
+	// for pull file transfers; push for UDP-like datagrams over Srcr
+	// forwarding.
 	Protocol string `json:"protocol"`
 	// Src and Dst are node IDs. With AutoPair they must be omitted; the
 	// executor draws a reachable pair from the seeded RNG instead.
@@ -344,6 +350,11 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown state mode %q (want oracle or learned)", s.Name, s.State.Mode)
 	}
+	if s.State.Mode != "learned" && !reflect.DeepEqual(s.State, StateSpec{Mode: s.State.Mode}) {
+		// An oracle run has no measurement plane to tune; dropping the knobs
+		// silently would betray a spec author who believes they took effect.
+		return fmt.Errorf("scenario %s: state knobs apply to mode learned only", s.Name)
+	}
 	if s.State.Window < 0 || s.State.AdvertiseS < 0 || s.State.Damp < 0 ||
 		s.State.DeadIntervalS < 0 || s.State.MaxAgeS < 0 || s.State.SummaryIntervalS < 0 {
 		return fmt.Errorf("scenario %s: state knobs must be non-negative", s.Name)
@@ -368,6 +379,11 @@ func (s *Spec) Validate() error {
 	}
 	if s.Batch < 2 {
 		return fmt.Errorf("scenario %s: batch must be >= 2 (got %d)", s.Name, s.Batch)
+	}
+	switch s.Metric {
+	case "", "etx", "eotx":
+	default:
+		return fmt.Errorf("scenario %s: unknown metric %q (want etx or eotx)", s.Name, s.Metric)
 	}
 	if s.PktSize < 64 {
 		return fmt.Errorf("scenario %s: pkt_size must be >= 64 (got %d)", s.Name, s.PktSize)
@@ -480,10 +496,8 @@ func (s *Spec) validateFlow(f *FlowSpec, n int, names map[string]bool) error {
 		return where("duplicate flow name")
 	}
 	names[f.Name] = true
-	switch f.Protocol {
-	case "more", "exor", "srcr", ProtoPush:
-	default:
-		return where("unknown protocol %q (want more, exor, srcr, or push)", f.Protocol)
+	if _, ok := protocols[f.Protocol]; !ok {
+		return where("unknown protocol %q (want more, exor, srcr, srcr-auto, or push)", f.Protocol)
 	}
 	if f.AutoPair {
 		if f.Src != 0 || f.Dst != 0 {
@@ -693,6 +707,13 @@ func (s *Spec) Options() experiments.Options {
 	opts.BatchSize = s.Batch
 	opts.PktSize = s.PktSize
 	opts.Deadline = secs(s.DeadlineS)
+	if s.Metric == "eotx" {
+		opts.Metric = routing.OrderEOTX
+	}
+	for _, f := range s.Flows {
+		// Autorate picks among bit-rates, so the channel must price them.
+		opts.RateDependentChannel = opts.RateDependentChannel || f.Protocol == "srcr-auto"
+	}
 	if s.State.Mode == "learned" {
 		opts.State = experiments.StateLearned
 		lcfg := linkstate.DefaultConfig()

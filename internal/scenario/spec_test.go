@@ -193,6 +193,19 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		{"geometric knobs on a chain", func(m map[string]interface{}) {
 			m["topology"] = map[string]interface{}{"kind": "chain", "nodes": 4, "degree": 8}
 		}, "geometric topologies only"},
+		{"unknown metric", func(m map[string]interface{}) {
+			m["metric"] = "hops"
+		}, "unknown metric"},
+		{"learned knobs under oracle state", func(m map[string]interface{}) {
+			m["state"] = map[string]interface{}{"mode": "oracle", "window": 20}
+		}, "apply to mode learned only"},
+		{"learned knobs with the mode left to default", func(m map[string]interface{}) {
+			m["state"] = map[string]interface{}{"piggyback": true}
+		}, "apply to mode learned only"},
+		{"cbr traffic on srcr-auto", func(m map[string]interface{}) {
+			flow0(m)["protocol"] = "srcr-auto"
+			flow0(m)["traffic"] = map[string]interface{}{"model": "cbr", "rate_pps": 100, "packets": 10}
+		}, "needs protocol push"},
 		{"onoff durations on cbr", func(m map[string]interface{}) {
 			flow0(m)["protocol"] = "push"
 			flow0(m)["traffic"] = map[string]interface{}{
