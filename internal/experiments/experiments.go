@@ -190,7 +190,7 @@ func DefaultOptions() Options {
 		PktSize:        1500,
 		BatchSize:      32,
 		DataRate:       sim.Rate5_5,
-		SenseRange:     3 * graph.DefaultTestbed().MidRange,
+		SenseRange:     3 * graph.MidRange,
 		Seed:           1,
 		Deadline:       3600 * sim.Second,
 		Metric:         routing.OrderETX,

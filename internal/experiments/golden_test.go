@@ -127,8 +127,8 @@ func TestGoldenLearnedState(t *testing.T) {
 }
 
 // TestGoldenGeneratorTopologies pins the generator output (link statistics
-// and spot-checked probabilities) so the sparse-storage port of the
-// Testbed/Grid/Corridor generators provably preserves every draw.
+// and spot-checked probabilities) so a change to the Testbed/Grid/Corridor
+// generators provably preserves every draw.
 func TestGoldenGeneratorTopologies(t *testing.T) {
 	tb := graph.Testbed(graph.DefaultTestbed(), 1)
 	s := tb.LinkStats(graph.RouteThreshold)

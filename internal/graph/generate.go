@@ -104,15 +104,27 @@ func GapTopology(k int, p float64) *Topology {
 
 // TestbedConfig parameterizes the random testbed-like generator.
 type TestbedConfig struct {
-	Nodes     int     // number of nodes (paper: 20)
-	Floors    int     // building floors (paper: 3)
-	FloorW    float64 // floor width, meters
-	FloorH    float64 // floor depth, meters
-	FloorSep  float64 // vertical separation between floors, meters
-	MidRange  float64 // distance at which delivery ≈ 50%
-	Shadowing float64 // std-dev of per-link log-odds noise
-	MinProb   float64 // links below this delivery prob are cut to 0
+	Nodes  int     // number of nodes (paper: 20)
+	Floors int     // building floors (paper: 3)
+	FloorW float64 // floor width, meters
+	FloorH float64 // floor depth, meters
 }
+
+// Fixed channel and building parameters of the Testbed and Geometric
+// generators, tuned so the 20-node draw has §4.1's link-loss spread. No run
+// varies them.
+const (
+	// MidRange is the distance, in meters, at which delivery ≈ 50 % at the
+	// reference rate. Exported because experiments derives the
+	// carrier-sense range from it.
+	MidRange float64 = 28
+	// floorSep is the vertical separation between floors, meters.
+	floorSep float64 = 4
+	// shadowing is the std-dev of the per-link log-odds noise.
+	shadowing float64 = 1.1
+	// minProb cuts links with a weaker delivery probability to zero.
+	minProb float64 = 0.05
+)
 
 // RouteThreshold is the delivery probability above which a link is
 // considered usable for route and forwarder selection. Weaker links still
@@ -127,14 +139,10 @@ const RouteThreshold = 0.2
 // hops.
 func DefaultTestbed() TestbedConfig {
 	return TestbedConfig{
-		Nodes:     20,
-		Floors:    3,
-		FloorW:    120,
-		FloorH:    80,
-		FloorSep:  4,
-		MidRange:  28,
-		Shadowing: 1.1,
-		MinProb:   0.05,
+		Nodes:  20,
+		Floors: 3,
+		FloorW: 120,
+		FloorH: 80,
 	}
 }
 
@@ -144,15 +152,14 @@ func DefaultTestbed() TestbedConfig {
 // both directions), with a small asymmetric component, matching the mildly
 // asymmetric links observed on real meshes.
 //
-// Storage is sparse (neighbor lists, like the geometric generator), so the
-// same code serves arbitrarily large testbed-style layouts; candidate pairs
-// come from a spatial index over the channel cutoff, visited in ascending
-// (i, j) order so every noise draw matches the historical dense all-pairs
-// scan exactly — a pair beyond the cutoff never drew noise there either
-// (its base delivery was exactly zero).
+// Candidate pairs come from a spatial index over the channel cutoff, so the
+// same code serves arbitrarily large testbed-style layouts. They are visited
+// in ascending (i, j) order, which fixes the order of the noise draws
+// independently of the index's internals; a pair beyond the cutoff draws
+// none (its base delivery is exactly zero).
 func Testbed(cfg TestbedConfig, seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
-	t := NewSparse(cfg.Nodes)
+	t := New(cfg.Nodes)
 	perFloor := cfg.Nodes / cfg.Floors
 	for i := 0; i < cfg.Nodes; i++ {
 		floor := i / perFloor
@@ -162,10 +169,10 @@ func Testbed(cfg TestbedConfig, seed int64) *Topology {
 		t.Pos[i] = Position{
 			X: rng.Float64() * cfg.FloorW,
 			Y: rng.Float64() * cfg.FloorH,
-			Z: float64(floor) * cfg.FloorSep,
+			Z: float64(floor) * floorSep,
 		}
 	}
-	cutoff := DeliveryCutoff(cfg.MidRange)
+	cutoff := DeliveryCutoff(MidRange)
 	idx := NewSpatialIndex(t.Pos, cutoff)
 	for i := 0; i < cfg.Nodes; i++ {
 		iid := NodeID(i)
@@ -176,21 +183,21 @@ func Testbed(cfg TestbedConfig, seed int64) *Topology {
 			d := t.Pos[i].Distance(t.Pos[j])
 			// Crossing floors is harder than the straight-line distance
 			// suggests: add an effective distance penalty per floor crossed.
-			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / cfg.FloorSep
+			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / floorSep
 			eff := d + 8*floors
-			p := DeliveryFromDistance(eff, cfg.MidRange)
+			p := DeliveryFromDistance(eff, MidRange)
 			if p <= 0 {
 				continue
 			}
 			// Symmetric shadowing plus small asymmetry, in log-odds space.
-			sym := rng.NormFloat64() * cfg.Shadowing
-			asym := rng.NormFloat64() * cfg.Shadowing * 0.25
+			sym := rng.NormFloat64() * shadowing
+			asym := rng.NormFloat64() * shadowing * 0.25
 			pij := logistic(logit(p) + sym + asym)
 			pji := logistic(logit(p) + sym - asym)
-			if pij >= cfg.MinProb {
+			if pij >= minProb {
 				t.SetDirected(iid, j, pij)
 			}
-			if pji >= cfg.MinProb {
+			if pji >= minProb {
 				t.SetDirected(j, iid, pji)
 			}
 		}
@@ -249,11 +256,11 @@ func (t *Topology) fullyConnected(threshold float64) bool {
 }
 
 // Grid returns an r x c grid with the given spacing and distance-derived
-// delivery probabilities. Storage is sparse and candidate links come from a
-// spatial index over the channel cutoff, so arbitrarily large grids cost
-// memory and time proportional to their links, not rows²·cols².
+// delivery probabilities. Candidate links come from a spatial index over the
+// channel cutoff, so arbitrarily large grids cost memory and time
+// proportional to their links, not rows²·cols².
 func Grid(rows, cols int, spacing, midRange float64) *Topology {
-	t := NewSparse(rows * cols)
+	t := New(rows * cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			t.Pos[r*cols+c] = Position{float64(c) * spacing, float64(r) * spacing, 0}
@@ -279,12 +286,12 @@ func Grid(rows, cols int, spacing, midRange float64) *Topology {
 // Corridor generates a long, thin topology (nodes scattered along a
 // corridor), which yields the 4+-hop paths with first-hop/last-hop
 // concurrency that the spatial-reuse experiment (Fig 4-4) selects for.
-// Sparse-native like Testbed — candidate pairs within the channel cutoff,
-// ascending order, draw-for-draw identical to the historical dense scan —
-// so corridors of any length stay O(links).
+// Like Testbed, candidate pairs within the channel cutoff are visited in
+// ascending order (which fixes the noise draws), so corridors of any length
+// stay O(links).
 func Corridor(n int, length, width, midRange float64, seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
-	t := NewSparse(n)
+	t := New(n)
 	for i := 0; i < n; i++ {
 		// Spread nodes roughly evenly along the corridor with jitter so
 		// hop structure is stable but not degenerate.

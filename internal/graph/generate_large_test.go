@@ -2,33 +2,15 @@ package graph
 
 import "testing"
 
-// The Grid/Corridor/Testbed generators are sparse-native: neighbor lists
-// plus a spatial candidate index, so memory and time scale with links, not
-// nodes². These tests pin the storage flavour and exercise sizes whose
-// dense matrices (10⁸+ float64 cells) would be prohibitive.
-
-func TestGeneratorsAreSparse(t *testing.T) {
-	for name, topo := range map[string]*Topology{
-		"testbed":  Testbed(DefaultTestbed(), 1),
-		"grid":     Grid(4, 5, 14, 30),
-		"corridor": Corridor(12, 12*26, 15, 28, 7),
-	} {
-		if !topo.Sparse() {
-			t.Errorf("%s: not sparse storage", name)
-		}
-		if err := topo.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
+// The Grid/Corridor/Testbed generators build neighbor lists from a spatial
+// candidate index, so memory and time scale with links, not nodes². These
+// tests exercise sizes where N² state (10⁸+ float64 cells) would be
+// prohibitive.
 
 func TestLargeGridFeasible(t *testing.T) {
-	// 120×120 = 14400 nodes: the dense matrix would be 14400² ≈ 2·10⁸
-	// cells (1.6 GB); sparse neighbor lists hold only real links.
+	// 120×120 = 14400 nodes: an N×N matrix would be 14400² ≈ 2·10⁸ cells
+	// (1.6 GB); the neighbor lists hold only real links.
 	topo := Grid(120, 120, 14, 30)
-	if !topo.Sparse() {
-		t.Fatal("large grid not sparse")
-	}
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +32,6 @@ func TestLargeGridFeasible(t *testing.T) {
 
 func TestLargeCorridorFeasible(t *testing.T) {
 	topo := Corridor(5000, 5000*26, 15, 28, 1)
-	if !topo.Sparse() {
-		t.Fatal("large corridor not sparse")
-	}
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +46,6 @@ func TestLargeTestbedFeasible(t *testing.T) {
 	cfg.FloorW = 2000
 	cfg.FloorH = 1500
 	topo := Testbed(cfg, 1)
-	if !topo.Sparse() {
-		t.Fatal("large testbed not sparse")
-	}
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}

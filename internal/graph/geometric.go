@@ -6,32 +6,20 @@ import (
 )
 
 // GeometricConfig parameterizes the random-geometric generator: n nodes
-// placed uniformly over a (possibly multi-floor) area, linked by the
-// distance→delivery channel model plus log-normal shadowing. It is the
-// scaling workhorse — built sparsely, it never materializes N×N state, so
-// thousand-node meshes cost memory proportional to their edges.
+// placed uniformly over a square (possibly multi-floor) area, linked by the
+// testbed generator's channel: the distance→delivery model at MidRange,
+// log-normal shadowing, the weak-link cut and the per-floor penalty. It is
+// the scaling workhorse: thousand-node meshes cost memory proportional to
+// their edges.
 type GeometricConfig struct {
 	Nodes int
-	// Width and Height bound the placement area in meters. When zero they
-	// are derived from TargetDegree: the square whose node density gives
-	// each node about TargetDegree neighbors within MidRange.
-	Width, Height float64
 	// TargetDegree is the desired mean number of neighbors within MidRange
-	// when Width/Height are derived (default 10).
+	// (default 10). It sizes the placement area: the square whose node
+	// density gives each node about that many.
 	TargetDegree float64
-	// MidRange is the distance at which delivery ≈ 50% (default 28, the
-	// testbed's).
-	MidRange float64
-	// Floors stacks the area into identical floors, FloorSep meters apart,
-	// with the same per-floor-crossing penalty as the testbed generator.
-	// Zero or one keeps the layout flat.
-	Floors   int
-	FloorSep float64
-	// Shadowing is the std-dev of per-link log-odds noise (default 1.1).
-	// Negative disables shadowing entirely (exact distance model).
-	Shadowing float64
-	// MinProb cuts links weaker than this to zero (default 0.05).
-	MinProb float64
+	// Floors stacks the area into identical floors. Zero or one keeps the
+	// layout flat.
+	Floors int
 }
 
 // DefaultGeometric returns a geometric config producing testbed-like link
@@ -40,11 +28,7 @@ func DefaultGeometric(nodes int) GeometricConfig {
 	return GeometricConfig{
 		Nodes:        nodes,
 		TargetDegree: 10,
-		MidRange:     28,
 		Floors:       1,
-		FloorSep:     4,
-		Shadowing:    1.1,
-		MinProb:      0.05,
 	}
 }
 
@@ -52,55 +36,35 @@ func (cfg *GeometricConfig) fillDefaults() {
 	if cfg.TargetDegree <= 0 {
 		cfg.TargetDegree = 10
 	}
-	if cfg.MidRange <= 0 {
-		cfg.MidRange = 28
-	}
 	if cfg.Floors < 1 {
 		cfg.Floors = 1
 	}
-	if cfg.FloorSep <= 0 {
-		cfg.FloorSep = 4
-	}
-	if cfg.Shadowing == 0 {
-		cfg.Shadowing = 1.1
-	}
-	if cfg.MinProb <= 0 {
-		cfg.MinProb = 0.05
-	}
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		// Choose the square where a MidRange disc holds ~TargetDegree
-		// nodes: side² = n·π·mid² / degree.
-		side := cfg.MidRange * math.Sqrt(float64(cfg.Nodes)*math.Pi/cfg.TargetDegree)
-		if cfg.Width <= 0 {
-			cfg.Width = side
-		}
-		if cfg.Height <= 0 {
-			cfg.Height = side
-		}
-	}
 }
 
-// Geometric generates a sparse random-geometric topology. The same seed
+// Geometric generates a random-geometric topology. The same seed
 // always produces the same topology, independent of the spatial index's
 // internals: positions are drawn in node order and link noise in ascending
 // (i, j) pair order over the candidate pairs within the channel cutoff.
 func Geometric(cfg GeometricConfig, seed int64) *Topology {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	t := NewSparse(cfg.Nodes)
+	t := New(cfg.Nodes)
+	// The square where a MidRange disc holds ~TargetDegree nodes:
+	// side² = n·π·mid² / degree.
+	side := MidRange * math.Sqrt(float64(cfg.Nodes)*math.Pi/cfg.TargetDegree)
 	perFloor := (cfg.Nodes + cfg.Floors - 1) / cfg.Floors
 	for i := 0; i < cfg.Nodes; i++ {
 		floor := i / perFloor
 		t.Pos[i] = Position{
-			X: rng.Float64() * cfg.Width,
-			Y: rng.Float64() * cfg.Height,
-			Z: float64(floor) * cfg.FloorSep,
+			X: rng.Float64() * side,
+			Y: rng.Float64() * side,
+			Z: float64(floor) * floorSep,
 		}
 	}
 	// Candidate links only within the channel cutoff: beyond it the base
 	// delivery is exactly zero (and the floor penalty only shrinks it), so
 	// the spatial search is exhaustive, not approximate.
-	cutoff := DeliveryCutoff(cfg.MidRange)
+	cutoff := DeliveryCutoff(MidRange)
 	idx := NewSpatialIndex(t.Pos, cutoff)
 	for i := 0; i < cfg.Nodes; i++ {
 		iid := NodeID(i)
@@ -109,22 +73,19 @@ func Geometric(cfg GeometricConfig, seed int64) *Topology {
 				continue
 			}
 			d := t.Pos[i].Distance(t.Pos[j])
-			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / cfg.FloorSep
-			p := DeliveryFromDistance(d+8*floors, cfg.MidRange)
+			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / floorSep
+			p := DeliveryFromDistance(d+8*floors, MidRange)
 			if p <= 0 {
 				continue
 			}
-			pij, pji := p, p
-			if cfg.Shadowing > 0 {
-				sym := rng.NormFloat64() * cfg.Shadowing
-				asym := rng.NormFloat64() * cfg.Shadowing * 0.25
-				pij = logistic(logit(p) + sym + asym)
-				pji = logistic(logit(p) + sym - asym)
-			}
-			if pij >= cfg.MinProb {
+			sym := rng.NormFloat64() * shadowing
+			asym := rng.NormFloat64() * shadowing * 0.25
+			pij := logistic(logit(p) + sym + asym)
+			pji := logistic(logit(p) + sym - asym)
+			if pij >= minProb {
 				t.SetDirected(iid, j, pij)
 			}
-			if pji >= cfg.MinProb {
+			if pji >= minProb {
 				t.SetDirected(j, iid, pji)
 			}
 		}

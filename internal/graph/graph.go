@@ -9,12 +9,11 @@
 // topology carries those marginals; the simulator layers interference and
 // carrier sense on top.
 //
-// Topologies come in two storage flavours sharing one API. New builds the
-// dense N×N matrix the small paper topologies use; NewSparse stores per-node
-// neighbor lists only, so thousand-node meshes never materialize N² state —
-// the scaling extension past the §4.1 testbed's 20 nodes. OutEdges/InEdges
-// expose the neighbor view for both; for dense topologies the adjacency
-// index is derived on first use and rebuilt after mutation. The seeded
+// Links live in one storage: per-node out-edge lists sorted by peer, so
+// memory scales with edges and thousand-node meshes never materialize N²
+// state — the scaling extension past the §4.1 testbed's 20 nodes. Prob and
+// OutEdges read the lists directly; InEdges reads an index derived from
+// them on first use and rebuilt after mutation. The seeded
 // random-geometric generator (geometric.go) draws positions uniformly and
 // maps distance to delivery probability with the same distance-band shape
 // the testbed exhibits (§4.1.1's loss-rate spread), optionally degraded
@@ -54,14 +53,6 @@ type Edge struct {
 	P    float64
 }
 
-// adjacency is the derived neighbor index: out[i] lists i's out-edges and
-// in[j] the edges into j, both sorted ascending by peer ID. For sparse
-// topologies out is nil (Topology.out is authoritative).
-type adjacency struct {
-	out [][]Edge
-	in  [][]Edge
-}
-
 // Topology is a wireless mesh: node positions plus the marginal delivery
 // probabilities at the reference bit-rate. It is the ground truth the
 // channel simulator draws from and (when estimation noise is disabled) the
@@ -69,20 +60,17 @@ type adjacency struct {
 // the same ETX measurements to Srcr, MORE and ExOR (§4.1.2).
 type Topology struct {
 	Pos []Position
-	// P[i][j] is the probability a transmission by i is delivered to j at
-	// the reference rate, with no interference. P[i][i] is ignored. P is
-	// nil for sparse-storage topologies (NewSparse); use Prob/OutEdges,
-	// which work for both flavours.
-	P [][]float64
 
-	// out is the authoritative sparse adjacency (sorted by Node) when P is
-	// nil.
+	// out[i] lists node i's out-edges, sorted ascending by Node: Edge.P is
+	// the probability a transmission by i is delivered to Edge.Node at the
+	// reference rate, with no interference. It is the only link storage.
 	out [][]Edge
 
-	// idx caches the derived adjacency. Concurrent readers may race to
-	// build it; every build yields identical contents, so whichever lands
-	// is correct. Mutators clear it.
-	idx atomic.Pointer[adjacency]
+	// in caches the in-edge lists derived from out: (*in)[j] holds the
+	// edges into j, sorted ascending by transmitter. Concurrent readers may
+	// race to build it; every build yields identical contents, so whichever
+	// lands is correct. Mutators clear it.
+	in atomic.Pointer[[][]Edge]
 
 	// severed remembers the delivery probability of each directed link
 	// removed by FailLink/Isolate so RestoreLink/Restore can put it back.
@@ -95,30 +83,14 @@ type Topology struct {
 // linkKey identifies one directed link a -> b in the severed-link record.
 type linkKey struct{ a, b NodeID }
 
-// New creates an empty dense topology with n nodes at the origin and zero
+// New creates an empty topology with n nodes at the origin and zero
 // connectivity.
 func New(n int) *Topology {
-	t := &Topology{
-		Pos: make([]Position, n),
-		P:   make([][]float64, n),
-	}
-	for i := range t.P {
-		t.P[i] = make([]float64, n)
-	}
-	return t
-}
-
-// NewSparse creates an empty sparse topology with n nodes. Memory scales
-// with edges, not n², so it is the flavour large generators build.
-func NewSparse(n int) *Topology {
 	return &Topology{
 		Pos: make([]Position, n),
 		out: make([][]Edge, n),
 	}
 }
-
-// Sparse reports whether the topology uses sparse storage.
-func (t *Topology) Sparse() bool { return t.P == nil }
 
 // N returns the number of nodes.
 func (t *Topology) N() int { return len(t.Pos) }
@@ -129,13 +101,9 @@ func (t *Topology) SetLink(a, b NodeID, p float64) {
 	t.SetDirected(b, a, p)
 }
 
-// SetDirected sets the delivery probability a -> b only.
+// SetDirected sets the delivery probability a -> b only; p <= 0 removes the
+// link. A node has no link to itself, so a == b is ignored.
 func (t *Topology) SetDirected(a, b NodeID, p float64) {
-	if t.P != nil {
-		t.P[a][b] = p
-		t.idx.Store(nil)
-		return
-	}
 	if a == b {
 		return
 	}
@@ -154,16 +122,13 @@ func (t *Topology) SetDirected(a, b NodeID, p float64) {
 		row[k] = Edge{Node: b, P: p}
 		t.out[a] = row
 	}
-	t.idx.Store(nil)
+	t.in.Store(nil)
 }
 
 // Prob returns the delivery probability from a to b.
 func (t *Topology) Prob(a, b NodeID) float64 {
 	if a == b {
 		return 1
-	}
-	if t.P != nil {
-		return t.P[a][b]
 	}
 	row := t.out[a]
 	k := sort.Search(len(row), func(i int) bool { return row[i].Node >= b })
@@ -177,52 +142,32 @@ func (t *Topology) Prob(a, b NodeID) float64 {
 // Chapter 3's credit calculations.
 func (t *Topology) Loss(a, b NodeID) float64 { return 1 - t.Prob(a, b) }
 
-// adj returns the derived adjacency index, building it on first use.
-func (t *Topology) adj() *adjacency {
-	if a := t.idx.Load(); a != nil {
-		return a
+// inEdges returns the derived in-edge index, building it on first use.
+func (t *Topology) inEdges() [][]Edge {
+	if in := t.in.Load(); in != nil {
+		return *in
 	}
-	n := t.N()
-	a := &adjacency{in: make([][]Edge, n)}
-	if t.P != nil {
-		a.out = make([][]Edge, n)
-		for i := 0; i < n; i++ {
-			for j, p := range t.P[i] {
-				if p > 0 && j != i {
-					a.out[i] = append(a.out[i], Edge{Node: NodeID(j), P: p})
-				}
-			}
+	in := make([][]Edge, t.N())
+	// Visited in ascending source order so each in-list comes out sorted by
+	// Edge.Node.
+	for i, row := range t.out {
+		for _, e := range row {
+			in[e.Node] = append(in[e.Node], Edge{Node: NodeID(i), P: e.P})
 		}
 	}
-	out := a.out
-	if out == nil {
-		out = t.out
-	}
-	// In-edges, visited in ascending source order so each in-list comes out
-	// sorted by Edge.Node.
-	for i := 0; i < n; i++ {
-		for _, e := range out[i] {
-			a.in[e.Node] = append(a.in[e.Node], Edge{Node: NodeID(i), P: e.P})
-		}
-	}
-	t.idx.CompareAndSwap(nil, a)
-	return t.idx.Load()
+	t.in.CompareAndSwap(nil, &in)
+	return *t.in.Load()
 }
 
 // OutEdges returns node i's outgoing links (delivery > 0), sorted ascending
 // by neighbor ID. The returned slice is shared — callers must not mutate it.
-func (t *Topology) OutEdges(i NodeID) []Edge {
-	if t.P == nil {
-		return t.out[i]
-	}
-	return t.adj().out[i]
-}
+func (t *Topology) OutEdges(i NodeID) []Edge { return t.out[i] }
 
 // InEdges returns the links into node j — Edge.Node is the transmitter,
 // Edge.P the delivery probability toward j — sorted ascending by
 // transmitter ID. The returned slice is shared — callers must not mutate it.
 func (t *Topology) InEdges(j NodeID) []Edge {
-	return t.adj().in[j]
+	return t.inEdges()[j]
 }
 
 // Edges returns the total number of directed links with delivery > 0.
@@ -256,24 +201,16 @@ func (t *Topology) Degrade(drop float64) {
 		drop = 1
 	}
 	keep := 1 - drop
-	if t.P != nil {
-		for i := range t.P {
-			for j := range t.P[i] {
-				t.P[i][j] *= keep
-			}
+	for i := range t.out {
+		if keep == 0 {
+			t.out[i] = nil
+			continue
 		}
-	} else {
-		for i := range t.out {
-			if keep == 0 {
-				t.out[i] = nil
-				continue
-			}
-			for k := range t.out[i] {
-				t.out[i][k].P *= keep
-			}
+		for k := range t.out[i] {
+			t.out[i][k].P *= keep
 		}
 	}
-	t.idx.Store(nil)
+	t.in.Store(nil)
 }
 
 // sever zeroes the directed link a -> b, remembering its prior delivery
@@ -329,8 +266,8 @@ func (t *Topology) RestoreLink(a, b NodeID) {
 // reads link probabilities live, so deliveries stop with the links).
 // Restore undoes it.
 func (t *Topology) Isolate(id NodeID) {
-	// Collect both edge sets before mutating: OutEdges/InEdges may read the
-	// derived index the severing invalidates.
+	// Collect both edge sets before mutating: OutEdges is the live row the
+	// severing edits, InEdges the derived index it invalidates.
 	var out, in []NodeID
 	for _, e := range t.OutEdges(id) {
 		out = append(out, e.Node)
@@ -368,23 +305,14 @@ func (t *Topology) Restore(id NodeID) {
 	}
 }
 
-// Clone returns a deep copy (same storage flavour), including any pending
-// failure state (severed links, down nodes), so a clone of a mid-churn
-// topology restores exactly like the original would.
+// Clone returns a deep copy, including any pending failure state (severed
+// links, down nodes), so a clone of a mid-churn topology restores exactly
+// like the original would.
 func (t *Topology) Clone() *Topology {
-	var c *Topology
-	if t.P != nil {
-		c = New(t.N())
-		copy(c.Pos, t.Pos)
-		for i := range t.P {
-			copy(c.P[i], t.P[i])
-		}
-	} else {
-		c = NewSparse(t.N())
-		copy(c.Pos, t.Pos)
-		for i := range t.out {
-			c.out[i] = append([]Edge(nil), t.out[i]...)
-		}
+	c := New(t.N())
+	copy(c.Pos, t.Pos)
+	for i := range t.out {
+		c.out[i] = append([]Edge(nil), t.out[i]...)
 	}
 	if t.severed != nil {
 		c.severed = make(map[linkKey]float64, len(t.severed))
@@ -401,38 +329,9 @@ func (t *Topology) Clone() *Topology {
 	return c
 }
 
-// Sparsify returns a sparse-storage copy of the topology: identical
-// positions and link probabilities, neighbor-list representation. It is the
-// bridge from the dense paper topologies to the large-scale code paths (and
-// the regression hook proving both give byte-identical simulations).
-func (t *Topology) Sparsify() *Topology {
-	c := NewSparse(t.N())
-	copy(c.Pos, t.Pos)
-	for i := 0; i < t.N(); i++ {
-		c.out[i] = append([]Edge(nil), t.OutEdges(NodeID(i))...)
-	}
-	return c
-}
-
 // Validate checks the link representation is well formed.
 func (t *Topology) Validate() error {
 	n := t.N()
-	if t.P != nil {
-		if len(t.P) != n {
-			return fmt.Errorf("graph: P has %d rows for %d nodes", len(t.P), n)
-		}
-		for i := range t.P {
-			if len(t.P[i]) != n {
-				return fmt.Errorf("graph: P row %d has %d cols", i, len(t.P[i]))
-			}
-			for j, p := range t.P[i] {
-				if p < 0 || p > 1 {
-					return fmt.Errorf("graph: P[%d][%d] = %v out of range", i, j, p)
-				}
-			}
-		}
-		return nil
-	}
 	if len(t.out) != n {
 		return fmt.Errorf("graph: %d neighbor lists for %d nodes", len(t.out), n)
 	}

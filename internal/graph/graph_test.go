@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -206,9 +209,77 @@ func TestHopCountUnreachable(t *testing.T) {
 
 func TestValidateCatchesBadProb(t *testing.T) {
 	topo := New(2)
-	topo.P[0][1] = 1.5
+	topo.SetDirected(0, 1, 1.5)
 	if topo.Validate() == nil {
 		t.Fatal("Validate accepted probability > 1")
+	}
+}
+
+// withRow returns an n-node topology whose node-i out-edge list is row as
+// written, bypassing SetDirected's ordering and range discipline.
+func withRow(n int, i NodeID, row ...Edge) *Topology {
+	topo := New(n)
+	topo.out[i] = row
+	return topo
+}
+
+// TestValidateCatchesMalformedRows covers what only a neighbor list can get
+// wrong: SetDirected cannot produce these rows, so Validate is the one guard
+// against code inside the package that edits out directly.
+func TestValidateCatchesMalformedRows(t *testing.T) {
+	for name, topo := range map[string]*Topology{
+		"peer past the last node": withRow(3, 0, Edge{Node: 3, P: 0.5}),
+		"negative peer":           withRow(3, 0, Edge{Node: -1, P: 0.5}),
+		"self-edge":               withRow(3, 1, Edge{Node: 1, P: 0.5}),
+		"unsorted row":            withRow(3, 0, Edge{Node: 2, P: 0.5}, Edge{Node: 1, P: 0.5}),
+		"duplicate peer":          withRow(3, 0, Edge{Node: 1, P: 0.5}, Edge{Node: 1, P: 0.6}),
+		"zero-probability edge":   withRow(3, 0, Edge{Node: 1, P: 0}),
+		"row count":               {Pos: make([]Position, 3), out: make([][]Edge, 2)},
+	} {
+		if topo.Validate() == nil {
+			t.Errorf("Validate accepted a topology with a %s", name)
+		}
+	}
+	if err := withRow(3, 0, Edge{Node: 1, P: 0.5}, Edge{Node: 2, P: 1}).Validate(); err != nil {
+		t.Errorf("Validate rejected a well-formed row: %v", err)
+	}
+}
+
+// TestInEdgeIndexConcurrentFirstUse: figure drivers hand one topology to
+// opts.Parallel workers, whose first InEdges calls race to build the lazy
+// index. Every reader must see the same lists (run under -race in CI).
+func TestInEdgeIndexConcurrentFirstUse(t *testing.T) {
+	topo := Testbed(DefaultTestbed(), 1)
+	n := topo.N()
+	ref := topo.Clone()
+	want := make([][]Edge, n)
+	for j := range want {
+		want[j] = ref.InEdges(NodeID(j))
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				j := NodeID((k + g) % n)
+				if got := topo.InEdges(j); !slices.Equal(got, want[j]) {
+					errs <- fmt.Errorf("reader %d: InEdges(%d) = %v, want %v", g, j, got, want[j])
+					return
+				}
+				if got := topo.OutEdges(j); !slices.Equal(got, ref.OutEdges(j)) {
+					errs <- fmt.Errorf("reader %d: OutEdges(%d) = %v, want %v", g, j, got, ref.OutEdges(j))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

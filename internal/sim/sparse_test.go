@@ -9,8 +9,7 @@ import (
 
 // floodOnce makes every node broadcast `frames` frames over the topology and
 // returns a digest of everything observable: counters, per-node reception
-// and send logs. Used to prove dense and sparse topology storage drive the
-// simulator through byte-identical executions.
+// and send logs.
 func floodOnce(t *testing.T, topo *graph.Topology, cfg Config, frames int) string {
 	t.Helper()
 	s := New(topo, cfg)
@@ -38,37 +37,10 @@ func floodOnce(t *testing.T, topo *graph.Topology, cfg Config, frames int) strin
 	return digest
 }
 
-// TestSparseTopologyByteIdentical locks in the tentpole regression: the
-// neighbor-indexed simulator must produce byte-identical outcomes whether
-// the topology is stored densely (N×N matrix) or sparsely (neighbor lists),
-// over the paper topologies and with every sense/interference feature on.
-func TestSparseTopologyByteIdentical(t *testing.T) {
-	testbed, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
-	topos := map[string]*graph.Topology{
-		"diamond": graph.Diamond(),
-		"chain":   graph.LossyChain(6, 15, 30),
-		"testbed": testbed,
-	}
-	cfg := DefaultConfig()
-	cfg.SenseRange = 84
-	cfg.RefFrameBytes = 1500
-	for name, topo := range topos {
-		dense := floodOnce(t, topo, cfg, 3)
-		sparse := floodOnce(t, topo.Sparsify(), cfg, 3)
-		if dense != sparse {
-			t.Errorf("%s: dense and sparse runs diverge:\n--- dense ---\n%s--- sparse ---\n%s",
-				name, dense, sparse)
-		}
-	}
-}
-
-// TestGeometricTopologyRuns sanity-checks the simulator over a sparse
+// TestGeometricTopologyRuns sanity-checks the simulator over a geometric
 // generator output: traffic flows, and the run is seed-deterministic.
 func TestGeometricTopologyRuns(t *testing.T) {
 	topo, _ := graph.ConnectedGeometric(graph.DefaultGeometric(60), 3)
-	if !topo.Sparse() {
-		t.Fatal("geometric topology should be sparse")
-	}
 	cfg := DefaultConfig()
 	cfg.SenseRange = 84
 	a := floodOnce(t, topo, cfg, 2)
