@@ -33,6 +33,32 @@ type NodeID int
 // Broadcast is the pseudo-destination of broadcast frames.
 const Broadcast NodeID = -1
 
+// NodeSet is a set of node IDs, one bit each: 64 bytes for 512 nodes, so a
+// membership test on a set many nodes consult in a row stays in L1.
+type NodeSet []uint64
+
+// NewNodeSet returns an empty set over nodes 0..n-1.
+func NewNodeSet(n int) NodeSet { return make(NodeSet, (n+63)/64) }
+
+// Has reports whether id is in the set. IDs outside 0..n-1 never are.
+func (s NodeSet) Has(id NodeID) bool {
+	w := uint(id) >> 6
+	return w < uint(len(s)) && s[w]&(1<<(uint(id)&63)) != 0
+}
+
+// Add puts id in the set and reports whether it was there already. An ID
+// outside 0..n-1 is not recorded.
+func (s NodeSet) Add(id NodeID) bool {
+	w := uint(id) >> 6
+	if w >= uint(len(s)) {
+		return false
+	}
+	bit := uint64(1) << (uint(id) & 63)
+	had := s[w]&bit != 0
+	s[w] |= bit
+	return had
+}
+
 // Position is a point in 3-D space (meters). The testbed spans three floors,
 // so Z matters.
 type Position struct {

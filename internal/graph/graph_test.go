@@ -329,3 +329,28 @@ func TestPositionDistance(t *testing.T) {
 		t.Fatalf("vertical distance = %v", a.Distance(c))
 	}
 }
+
+// TestNodeSet: one bit per node, Add reports prior membership, and IDs the
+// set has no bit for (Broadcast, anything past n) are never members.
+func TestNodeSet(t *testing.T) {
+	s := NewNodeSet(130)
+	if len(s) != 3 {
+		t.Fatalf("130 nodes take %d words, want 3", len(s))
+	}
+	for _, id := range []NodeID{0, 63, 64, 129} {
+		if s.Has(id) || s.Add(id) || !s.Has(id) || !s.Add(id) {
+			t.Errorf("node %d: Has/Add disagree", id)
+		}
+	}
+	if s.Has(1) || s.Has(65) || s.Has(128) {
+		t.Error("a neighbour of a set bit reads as set")
+	}
+	for _, id := range []NodeID{Broadcast, 192, 1 << 20} {
+		if s.Add(id) || s.Has(id) || s.Add(id) {
+			t.Errorf("node %d is outside the set and was recorded", id)
+		}
+	}
+	if NodeSet(nil).Has(0) || NodeSet(nil).Add(0) {
+		t.Error("the nil set has a member")
+	}
+}

@@ -109,7 +109,8 @@ func DefaultConfig() Config {
 type Agent struct {
 	cfg    Config
 	node   *sim.Node
-	n      int // network size
+	id     graph.NodeID // node.ID() (0 before Init), at hand for the heard-set test in accept
+	n      int          // network size
 	prober *probe.Prober
 
 	seq        uint32
@@ -218,7 +219,7 @@ func NewAgent(cfg Config, n int) *Agent {
 
 // Init implements sim.Protocol.
 func (a *Agent) Init(node *sim.Node) {
-	a.node = node
+	a.node, a.id = node, node.ID()
 	a.prober.Init(node)
 	a.scheduleAdvertise()
 	if a.cfg.MaxAge > 0 {
@@ -272,7 +273,7 @@ func (a *Agent) scheduleAdvertise() {
 // hold-down, and MaxQuiet bounds how long an unchanged node stays quiet).
 func (a *Agent) advertise() {
 	a.seq++
-	lsa := &packet.LSA{Origin: a.node.ID(), Seq: a.seq}
+	lsa := &packet.LSA{Origin: a.node.ID(), Seq: a.seq, Heard: newHeardSet(a.n)}
 	// The damping comparison wants the raw estimates; collect them in the
 	// same ascending pass that builds the LSA, and only when damping is on
 	// (the undamped default pays neither the map nor a second scan).
@@ -374,7 +375,7 @@ func (a *Agent) holdUntil() sim.Time {
 	due := a.node.Now() + a.cfg.PiggybackDelay
 	// The node may go idle before the deadline; make sure the MAC pulls
 	// again once the fallback flood becomes eligible.
-	a.node.After(a.cfg.PiggybackDelay+1, func() { a.node.Wake() })
+	a.node.WakeAfter(a.cfg.PiggybackDelay + 1)
 	return due
 }
 
@@ -408,10 +409,26 @@ func serialNewer(a, b uint32) bool {
 	return a != b && int32(a-b) > 0
 }
 
+// newHeardSet allocates an advertisement's heard-set. A variable so that a
+// test can strip the set and compare a run against the unfiltered path.
+var newHeardSet = graph.NewNodeSet
+
 // accept installs an LSA in the local database if it is new and well formed:
 // an origin or neighbor outside the network, or fewer probabilities than
 // neighbors, would index out of range when Topology rebuilds the graph.
+//
+// Most calls are a node hearing the same flood again from another neighbor,
+// so the advertisement's heard-set is asked first: all receivers of a frame
+// test the same few words, where hot[origin] is a cache miss per receiver.
+// The answer is exact. A node that has run accept on (origin, s) either
+// found it malformed — and would again, the copies of a flood differ only in
+// TTL — or holds hot.seq serial-≥ s from then on, on the one assumption that
+// fewer than 2³¹ advertisements of one origin pass between two receptions of
+// one flood.
 func (a *Agent) accept(l *packet.LSA) bool {
+	if l.Heard.Add(a.id) {
+		return false
+	}
 	if uint(l.Origin) >= uint(len(a.hot)) {
 		if uint(l.Origin) >= uint(a.n) {
 			return false

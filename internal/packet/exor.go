@@ -196,6 +196,13 @@ type LSA struct {
 	// not encoded at all (count-byte flag, like Load), so unscoped runs
 	// produce byte-identical LSAs.
 	TTL uint8
+	// Heard is simulation-side state, like sim.Frame's MAC sequence number:
+	// the nodes that have already processed this advertisement, allocated
+	// once by the origin and shared by every TTL-decremented copy (copying
+	// the struct copies the slice header). It is never encoded, decoded or
+	// compared; an LSA without one — every DecodeLSA result — is simply
+	// checked against the receiver's own database.
+	Heard graph.NodeSet
 }
 
 // lsaLoadFlag marks an LSA that carries a trailing load byte. It rides the

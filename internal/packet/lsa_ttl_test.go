@@ -57,3 +57,35 @@ func TestLSAZeroTTLBytesIdentical(t *testing.T) {
 		t.Fatalf("legacy bytes decoded with TTL %d, err %v", got.TTL, err)
 	}
 }
+
+// TestHeardSetNotOnTheWire: LSA.Heard is simulation-side state. Encode and
+// EncodedSize ignore it, DecodeLSA never produces one, and a struct copy —
+// how a forwarder decrements the TTL — shares the original's set.
+func TestHeardSetNotOnTheWire(t *testing.T) {
+	bare := &LSA{Origin: 7, Seq: 41, Neighbors: []graph.NodeID{1, 9}, Probs: []uint8{200, 31}, Load: 3, TTL: 2}
+	marked := *bare
+	marked.Heard = graph.NewNodeSet(512)
+	marked.Heard.Add(300)
+
+	a, err := bare.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := marked.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) || bare.EncodedSize() != marked.EncodedSize() {
+		t.Fatalf("a heard-set changed the wire form: % x (%d) vs % x (%d)", a, bare.EncodedSize(), b, marked.EncodedSize())
+	}
+	got, _, err := DecodeLSA(b)
+	if err != nil || got.Heard != nil || !reflect.DeepEqual(got, bare) {
+		t.Fatalf("decoded %+v (err %v), want %+v with no heard-set", got, err, bare)
+	}
+
+	fwd := marked
+	fwd.TTL--
+	if fwd.Heard.Add(5); !marked.Heard.Has(5) || !fwd.Heard.Has(300) {
+		t.Fatal("a TTL-decremented copy does not share its parent's heard-set")
+	}
+}

@@ -1,5 +1,19 @@
 package sim
 
+// The event core is three structures that together fire everything in one
+// strict (time, sequence) order, the sequence number drawn from Simulator.seq
+// at the moment a firing is requested:
+//
+//   - the heap: a 4-ary indexed min-heap of Events, for arbitrary delays;
+//   - the DIFS lane: a doubly linked list of MACs waiting out a DIFS. Every
+//     such wait is now+DIFS on a clock that never runs backwards, so arm
+//     order is already firing order and arm, cancel and fire are O(1);
+//   - one wake FIFO per node: the keys of requested Node.WakeAfter calls,
+//     of which only the earliest is in the heap, on the node's own Event.
+//
+// RunWhile takes whichever of lane head and heap top is first. Tests hold
+// all three against a container/heap model (event_test.go).
+
 // Event is a scheduled callback. Events may be canceled before they fire.
 // After returns a one-shot Event; the MAC timers and a transmission's end
 // are Event values embedded in their owner, bound once with init and armed
@@ -121,16 +135,21 @@ func (s *Simulator) remove(i int) {
 // The sequence number is drawn here, at arm time, so simultaneous events
 // fire in the order they were armed.
 func (s *Simulator) armAt(e *Event, at Time) {
-	if e.pending() {
-		s.remove(int(e.pos))
-	}
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
+	s.armAtSeq(e, at, s.seq)
+}
+
+// armAtSeq queues e under a key drawn earlier (a wake FIFO's head).
+func (s *Simulator) armAtSeq(e *Event, at Time, seq uint64) {
+	if e.pending() {
+		s.remove(int(e.pos))
+	}
 	e.at, e.canceled = at, false
 	s.queue = append(s.queue, entry{})
-	s.siftUp(len(s.queue)-1, entry{at: at, seq: s.seq, ev: e})
+	s.siftUp(len(s.queue)-1, entry{at: at, seq: seq, ev: e})
 }
 
 // After schedules fn to run delay after the current time and returns a
@@ -140,4 +159,117 @@ func (s *Simulator) After(delay Time, fn func()) *Event {
 	e.init(s, fn)
 	s.armAt(e, s.now+delay)
 	return e
+}
+
+// armDIFS appends m to the DIFS lane, to fire m.difsDone one DIFS from now,
+// replacing any pending wait. It draws the sequence number an armAt in its
+// place would, so lane and heap interleave exactly as one queue.
+func (s *Simulator) armDIFS(m *mac) {
+	s.cancelDIFS(m)
+	s.seq++
+	m.difsAt, m.difsSeq = s.now+DIFS, s.seq
+	m.difsPrev, m.difsNext = s.laneTail, nil
+	if s.laneTail != nil {
+		s.laneTail.difsNext = m
+	} else {
+		s.laneHead = m
+	}
+	s.laneTail = m
+	s.offHeap++
+}
+
+// cancelDIFS unlinks m from the DIFS lane if it is waiting there.
+func (s *Simulator) cancelDIFS(m *mac) {
+	if !m.difsPending() {
+		return
+	}
+	if m.difsPrev != nil {
+		m.difsPrev.difsNext = m.difsNext
+	} else {
+		s.laneHead = m.difsNext
+	}
+	if m.difsNext != nil {
+		m.difsNext.difsPrev = m.difsPrev
+	} else {
+		s.laneTail = m.difsPrev
+	}
+	m.difsPrev, m.difsNext, m.difsSeq = nil, nil, 0
+	s.offHeap--
+}
+
+// next advances the clock to the earliest firing due by until, takes it out
+// of its structure and returns it: a heap event, or a MAC whose DIFS is over.
+// Both are nil when nothing is due.
+func (s *Simulator) next(until Time) (*Event, *mac) {
+	m := s.laneHead
+	if len(s.queue) > 0 {
+		top := &s.queue[0]
+		if m == nil || top.before(&entry{at: m.difsAt, seq: m.difsSeq}) {
+			if top.at > until {
+				return nil, nil
+			}
+			e := top.ev
+			s.remove(0)
+			s.now = e.at
+			return e, nil
+		}
+	}
+	if m == nil || m.difsAt > until {
+		return nil, nil
+	}
+	s.now = m.difsAt
+	s.cancelDIFS(m)
+	return nil, m
+}
+
+// wakeKey is the reserved firing key of one WakeAfter request.
+type wakeKey struct {
+	at  Time
+	seq uint64
+}
+
+// WakeAfter calls Wake after delay: After(delay, n.Wake) without an Event
+// and a closure per request. The request's (time, sequence) key is drawn
+// here, where After would draw it, and waits in the node's FIFO; the node's
+// one wake Event sits in the heap under the earliest key and moves to the
+// next when it fires, so every wake fires exactly where its own one-shot
+// timer would have. Requests cannot be canceled.
+func (n *Node) WakeAfter(delay Time) {
+	s := n.sim
+	s.seq++
+	k := wakeKey{at: s.now + max(delay, 0), seq: s.seq}
+	live := len(n.wakes) - n.wakeHead
+	if len(n.wakes) == cap(n.wakes) && n.wakeHead >= live {
+		// Out of room, and the fired keys before the head take at least half
+		// of it: slide the live ones down instead of growing. Amortised O(1),
+		// and a FIFO that never drains stays bounded by its backlog.
+		n.wakes, n.wakeHead = n.wakes[:copy(n.wakes, n.wakes[n.wakeHead:])], 0
+	}
+	// Keep the FIFO sorted. Callers ask in time order, so the loop body runs
+	// only in tests; k holds the newest sequence number there is, so it goes
+	// behind every key not later than it.
+	i := len(n.wakes)
+	n.wakes = append(n.wakes, k)
+	for ; i > n.wakeHead && n.wakes[i-1].at > k.at; i-- {
+		n.wakes[i] = n.wakes[i-1]
+	}
+	n.wakes[i] = k
+	if i == n.wakeHead {
+		s.armAtSeq(&n.wakeEv, k.at, k.seq)
+	}
+	if live > 0 {
+		s.offHeap++ // one more key behind a head
+	}
+}
+
+// wakeDue fires the FIFO's head: hand the wake Event to the next key, then
+// wake the MAC.
+func (n *Node) wakeDue() {
+	n.wakeHead++
+	if n.wakeHead < len(n.wakes) {
+		k := n.wakes[n.wakeHead]
+		n.sim.armAtSeq(&n.wakeEv, k.at, k.seq)
+		n.sim.offHeap--
+	}
+	n.Wake()
 }

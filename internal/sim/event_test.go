@@ -12,7 +12,10 @@ import (
 // container/heap over *refEvent, lazy cancellation, compaction — moved here
 // with only its names changed (and a compaction counter, so the differential
 // test can tell it exercised that path). An owned timer in this model is the
-// old MAC idiom: cancel the previous handle, keep the new one.
+// old MAC idiom: cancel the previous handle, keep the new one. A DIFS wait is
+// an owned timer of delay DIFS, and WakeAfter a plain After whose callback
+// wakes the node: one heap holds what the simulator splits over heap, DIFS
+// lane and wake FIFOs.
 
 type refEvent struct {
 	at       Time
@@ -146,12 +149,53 @@ type eventQueue interface {
 	bindOwned(fns []func())
 	armOwned(k int, d Time)
 	cancelOwned(k int)
+	// Script node k contends for the medium: armLane starts (or restarts)
+	// its DIFS wait and cancelLane abandons it, as a clearing and a busy
+	// medium do; wakeAfter is Node.WakeAfter — a wake that finds the node
+	// idle starts the wait. pulled(k) runs when a wait ends.
+	bindLanes(n int, pulled func(k int))
+	armLane(k int)
+	cancelLane(k int)
+	wakeAfter(k int, d Time)
 }
 
 type refQueue struct {
 	refSim
 	fns   []func()
 	owned []*refEvent
+
+	pulled              func(k int)
+	lane                []*refEvent
+	idle                []bool
+	laneFired, wakeDone int
+}
+
+func (q *refQueue) bindLanes(n int, pulled func(k int)) {
+	q.pulled, q.lane, q.idle = pulled, make([]*refEvent, n), make([]bool, n)
+	for k := range q.idle {
+		q.idle[k] = true
+	}
+}
+func (q *refQueue) armLane(k int) {
+	q.idle[k] = false
+	q.lane[k].Cancel()
+	q.lane[k] = q.After(DIFS, func() {
+		q.laneFired++
+		q.idle[k] = true
+		q.pulled(k)
+	})
+}
+func (q *refQueue) cancelLane(k int) {
+	q.lane[k].Cancel()
+	q.idle[k] = true
+}
+func (q *refQueue) wakeAfter(k int, d Time) {
+	q.After(d, func() {
+		q.wakeDone++
+		if q.idle[k] {
+			q.armLane(k)
+		}
+	})
 }
 
 func (q *refQueue) after(d Time, fn func()) interface{ Cancel() } { return q.After(d, fn) }
@@ -170,8 +214,37 @@ type indexedQueue struct {
 }
 
 func newIndexedQueue() *indexedQueue {
-	return &indexedQueue{Simulator: New(graph.New(1), DefaultConfig())}
+	return &indexedQueue{Simulator: New(graph.New(scriptLanes), DefaultConfig())}
 }
+
+// pullLogger is the protocol of a script node: the MAC pulls when the node's
+// DIFS wait ends (its backoff is pinned at zero slots), finds nothing to
+// send and goes idle.
+type pullLogger struct{ pulled func() }
+
+func (p pullLogger) Init(*Node)        {}
+func (p pullLogger) Receive(*Frame)    {}
+func (p pullLogger) Sent(*Frame, bool) {}
+func (p pullLogger) Pull() *Frame      { p.pulled(); return nil }
+
+func (q *indexedQueue) bindLanes(n int, pulled func(k int)) {
+	for k := 0; k < n; k++ {
+		q.Attach(graph.NodeID(k), pullLogger{func() { pulled(k) }})
+		m := q.nodes[k].mac
+		m.backoffArmed, m.backoffSlots = true, 0 // no draw, no backoff timer
+	}
+}
+func (q *indexedQueue) armLane(k int) {
+	m := q.nodes[k].mac
+	m.state = macContending
+	q.armDIFS(m)
+}
+func (q *indexedQueue) cancelLane(k int) {
+	m := q.nodes[k].mac
+	q.cancelDIFS(m)
+	m.state = macIdle
+}
+func (q *indexedQueue) wakeAfter(k int, d Time) { q.nodes[k].WakeAfter(d) }
 
 func (q *indexedQueue) after(d Time, fn func()) interface{ Cancel() } { return q.After(d, fn) }
 func (q *indexedQueue) bindOwned(fns []func()) {
@@ -192,8 +265,10 @@ type step struct {
 }
 
 const (
-	scriptUnit  = 10 * Microsecond // delays are 0..7 units: same-instant ties are common
+	scriptUnit  = 10 * Microsecond // delays are 0..7 units (DIFS is 5): same-instant ties are common
 	scriptOwned = 6
+	scriptLanes = 16 // script nodes; their firings log ids scriptOwned..scriptOwned+scriptLanes-1
+	scriptWoken = 4  // half the WakeAfter operations go to this many of them, so their FIFOs run a few keys deep
 )
 
 // runScript interprets ops against q and returns everything observable:
@@ -205,7 +280,7 @@ const (
 func runScript(q eventQueue, ops []byte) []step {
 	var log []step
 	var handles []interface{ Cancel() }
-	nextID := scriptOwned
+	nextID := scriptOwned + scriptLanes
 	recent := func(arg byte) interface{ Cancel() } {
 		return handles[len(handles)-1-int(arg)%min(64, len(handles))]
 	}
@@ -240,10 +315,19 @@ func runScript(q eventQueue, ops []byte) []step {
 		}
 	}
 	q.bindOwned(fns)
+	q.bindLanes(scriptLanes, func(k int) {
+		log = append(log, step{scriptOwned + k, q.Now(), q.Pending()})
+		switch k {
+		case 0:
+			oneShot(0) // a heap entry behind whatever the lane holds at this instant
+		case 1:
+			q.wakeAfter(2, Time(len(log)%6)*scriptUnit)
+		}
+	})
 
 	for i := 0; i+2 < len(ops); i += 3 {
 		a, b := ops[i+1], ops[i+2]
-		switch op := ops[i] % 16; {
+		switch op := ops[i] % 24; {
 		case op < 6:
 			oneShot(Time(a%8) * scriptUnit)
 		case op < 8:
@@ -260,8 +344,18 @@ func runScript(q eventQueue, ops []byte) []step {
 		case op == 11:
 			q.cancelOwned(int(a) % scriptOwned)
 		case op < 15:
-			left := 1 + int(b%16)
+			left := 1 + int(b%64)
 			q.RunWhile(q.Now()+Time(a%4)*scriptUnit, func() bool { left--; return left > 0 })
+		case op == 16:
+			q.armLane(int(a) % scriptLanes)
+		case op == 17:
+			q.cancelLane(int(a) % scriptLanes)
+		case op > 17:
+			k := int(a) % scriptLanes
+			if b >= 128 {
+				k %= scriptWoken
+			}
+			q.wakeAfter(k, Time(b%32)*scriptUnit)
 		default:
 			// The long-run pattern: far more doomed timers than live ones.
 			for j := 0; j < 96; j++ {
@@ -303,12 +397,12 @@ func diffScript(t *testing.T, ops []byte) (fired int, ref *refQueue) {
 	return fired, ref
 }
 
-// TestEventQueueDifferential drives the indexed 4-ary queue and the
-// container/heap reference with the same 120 000 mixed operations and
-// requires the same firing order, the same Now() at each firing and the
-// same Pending() after every step.
+// TestEventQueueDifferential drives the event core — heap, DIFS lane and wake
+// FIFOs — and the container/heap reference with the same 160 000 mixed
+// operations and requires the same firing order, the same Now() at each
+// firing and the same Pending() after every step.
 func TestEventQueueDifferential(t *testing.T) {
-	ops := make([]byte, 3*120_000)
+	ops := make([]byte, 3*160_000)
 	rand.New(rand.NewSource(14)).Read(ops)
 	fired, ref := diffScript(t, ops)
 	if fired < 100_000 {
@@ -317,6 +411,10 @@ func TestEventQueueDifferential(t *testing.T) {
 	if ref.compactions == 0 {
 		t.Error("the reference never compacted: no burst of doomed timers was exercised")
 	}
+	if ref.laneFired < 10_000 || ref.wakeDone < 10_000 {
+		t.Errorf("%d DIFS waits ended and %d wakes fired, want 10 000 of each", ref.laneFired, ref.wakeDone)
+	}
+	t.Logf("%d firings: %d DIFS waits, %d wakes", fired, ref.laneFired, ref.wakeDone)
 }
 
 // FuzzEventQueueOrder takes the operation stream from the fuzzer.
@@ -324,6 +422,15 @@ func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 3, 0, 6, 0, 0, 12, 3, 15})           // tie, cancel one, run
 	f.Add([]byte{9, 0, 2, 9, 0, 5, 11, 0, 0, 9, 0, 1, 12, 3, 15}) // re-arm pending, cancel, re-arm
 	f.Add([]byte{15, 0, 0, 8, 5, 0, 12, 3, 15, 15, 0, 0})         // bursts around a run
+	// A wake requested before, and firing after, a burst of same-instant ties;
+	// a second key waits behind it in the node's FIFO.
+	f.Add([]byte{19, 1, 5, 19, 1, 5, 15, 0, 0, 0, 5, 0, 16, 2, 0, 12, 3, 15, 12, 3, 15})
+	// DIFS waits of nodes 0..4 queued in order, then the middle, the tail and
+	// the head canceled; one re-armed behind the survivors.
+	f.Add([]byte{16, 0, 0, 16, 1, 0, 16, 2, 0, 16, 3, 0, 16, 4, 0, 17, 2, 0, 17, 4, 0, 17, 0, 0, 16, 2, 0, 12, 3, 15})
+	// WakeAfter out of order on one node: 70 us, then 20 us twice, then now,
+	// with a heap entry and a DIFS wait armed in between.
+	f.Add([]byte{19, 3, 7, 0, 2, 0, 19, 3, 2, 16, 3, 0, 19, 3, 2, 19, 3, 0, 12, 3, 15, 12, 3, 15})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*4096 {
 			ops = ops[:3*4096]

@@ -16,10 +16,25 @@ const (
 // with freeze-on-busy for channel access, SIFS-spaced MAC ACKs plus
 // retransmission for unicast frames, and fire-and-forget broadcast.
 type mac struct {
+	// What a carrier edge reads comes first and together: the edge handlers
+	// of an idle MAC — most nodes, on most frames they sense — read state,
+	// difsSeq and backoffTimer's slot and nothing else.
+	sim   *Simulator
 	node  *Node
 	state macState
 
-	busy       int  // carrier-sense count of audible transmissions
+	// The MAC owns its timers, so contention allocates nothing per arm. The
+	// DIFS wait is a link in the simulator's DIFS lane (event.go): its firing
+	// key, zero difsSeq when not waiting, and its neighbours in the lane. The
+	// links live here and not in Event because every After and every
+	// transmission carries an Event. The backoff and ACK timers are Event
+	// values bound once in init and re-armed in place.
+	difsSeq            uint64
+	backoffTimer       Event
+	difsAt             Time
+	difsPrev, difsNext *mac
+	ackTimer           Event
+
 	backlogged bool // protocol asked for a transmission opportunity
 
 	// Contention state.
@@ -27,12 +42,6 @@ type mac struct {
 	backoffSlots int // remaining backoff slots
 	backoffArmed bool
 	backoffStart Time
-
-	// The MAC owns its three timers: Event values bound once in newMAC and
-	// re-armed in place, so contention allocates nothing per arm.
-	difsTimer    Event
-	backoffTimer Event
-	ackTimer     Event
 
 	// Frame in progress.
 	cur     *Frame
@@ -52,22 +61,19 @@ type mac struct {
 	seenNext int                 // ring slot holding the oldest key
 }
 
-func newMAC(n *Node) *mac {
-	m := &mac{
-		node: n,
-		cw:   CWMin,
-		seen: make(map[uint64]struct{}),
-	}
-	m.difsTimer.init(n.sim, m.difsDone)
+// init binds a MAC of the simulator's slab to its node.
+func (m *mac) init(n *Node) {
+	m.sim, m.node = n.sim, n
+	m.cw = CWMin
+	m.seen = make(map[uint64]struct{})
 	m.backoffTimer.init(n.sim, m.backoffDone)
 	m.ackTimer.init(n.sim, m.ackTimeout)
-	return m
 }
 
 // recordSeen marks key as delivered, evicting the oldest remembered key
 // once the duplicate-suppression window is full.
 func (m *mac) recordSeen(key uint64) {
-	w := m.node.sim.cfg.DupWindow
+	w := m.sim.cfg.DupWindow
 	if len(m.seenRing) < w {
 		m.seenRing = append(m.seenRing, key)
 	} else {
@@ -92,10 +98,11 @@ func (m *mac) wake() {
 // silence abandons all MAC activity permanently (Simulator.FailNode): timers
 // are canceled, the pending frame is forgotten without a Sent callback (the
 // dead node's protocol state no longer matters), and the state machine
-// parks idle. Carrier-sense bookkeeping keeps running so the busy count
-// stays balanced with neighbors' transmissions.
+// parks idle. Carrier-sense bookkeeping keeps running (Simulator.busy is not
+// the MAC's to reset) so the count stays balanced with neighbors'
+// transmissions.
 func (m *mac) silence() {
-	m.difsTimer.Cancel()
+	m.sim.cancelDIFS(m)
 	m.backoffTimer.Cancel()
 	m.ackTimer.Cancel()
 	m.cur = nil
@@ -109,9 +116,9 @@ func (m *mac) silence() {
 // rebooted radio would have. The MAC sequence counter is NOT reset —
 // neighbors still remember the pre-crash (sender, sequence) keys, and
 // reusing them would make their duplicate suppression swallow the reborn
-// node's first frames. The carrier-sense count is left alone too: it tracks
-// neighbors' in-flight transmissions, which silence kept counting, and
-// zeroing it would unbalance the pending carrierDown events.
+// node's first frames. The carrier-sense count, Simulator.busy, is left alone
+// too: it tracks neighbors' in-flight transmissions, which kept being
+// counted while the node was down.
 func (m *mac) revive() {
 	m.state = macIdle
 	m.backlogged = false
@@ -128,29 +135,32 @@ func (m *mac) revive() {
 func (m *mac) startContention() {
 	m.state = macContending
 	if !m.backoffArmed {
-		m.backoffSlots = m.node.sim.rng.Intn(m.cw + 1)
+		m.backoffSlots = m.sim.rng.Intn(m.cw + 1)
 		m.backoffArmed = true
 	}
-	if m.busy == 0 {
+	if m.mediumIdle() {
 		m.armDIFS()
 	}
 	// Otherwise carrierDown will arm DIFS when the medium clears.
 }
 
-func (m *mac) armDIFS() {
-	s := m.node.sim
-	s.armAt(&m.difsTimer, s.now+DIFS)
-}
+func (m *mac) armDIFS() { m.sim.armDIFS(m) }
+
+// difsPending reports whether the MAC is waiting out a DIFS.
+func (m *mac) difsPending() bool { return m.difsSeq != 0 }
+
+// mediumIdle reports whether this node senses no transmission.
+func (m *mac) mediumIdle() bool { return m.sim.busy[m.node.id] == 0 }
 
 func (m *mac) difsDone() {
-	if m.state != macContending || m.busy > 0 {
+	if m.state != macContending || !m.mediumIdle() {
 		return
 	}
 	if m.backoffSlots == 0 {
 		m.transmitNow()
 		return
 	}
-	s := m.node.sim
+	s := m.sim
 	m.backoffStart = s.now
 	s.armAt(&m.backoffTimer, s.now+Time(m.backoffSlots)*SlotTime)
 }
@@ -163,17 +173,29 @@ func (m *mac) backoffDone() {
 	m.transmitNow()
 }
 
-// carrierUp is called when a transmission this node can sense begins
-// (including its own).
-func (m *mac) carrierUp() {
-	m.busy++
-	if m.busy != 1 {
-		return
+// senseStart counts a transmission node id can sense (its own included) as it
+// begins, and tells the MAC when it is the first.
+func (s *Simulator) senseStart(id graph.NodeID) {
+	if s.busy[id]++; s.busy[id] == 1 {
+		s.macs[id].carrierUp()
 	}
-	m.difsTimer.Cancel()
+}
+
+// senseEnd counts a sensed transmission out as it ends, and tells the MAC
+// when it was the last.
+func (s *Simulator) senseEnd(id graph.NodeID) {
+	if s.busy[id]--; s.busy[id] == 0 {
+		s.macs[id].carrierDown()
+	}
+}
+
+// carrierUp is called when the medium turns busy at this node: the first
+// transmission it can sense (its own included) begins.
+func (m *mac) carrierUp() {
+	m.sim.cancelDIFS(m)
 	if m.backoffTimer.pending() {
 		// Freeze: credit fully elapsed slots.
-		elapsed := int((m.node.sim.now - m.backoffStart) / SlotTime)
+		elapsed := int((m.sim.now - m.backoffStart) / SlotTime)
 		if elapsed > m.backoffSlots {
 			elapsed = m.backoffSlots
 		}
@@ -182,12 +204,9 @@ func (m *mac) carrierUp() {
 	}
 }
 
-// carrierDown is called when a sensed transmission ends.
+// carrierDown is called when the medium clears at this node: the last
+// transmission it could sense ends.
 func (m *mac) carrierDown() {
-	m.busy--
-	if m.busy != 0 {
-		return
-	}
 	if m.state == macContending {
 		m.armDIFS()
 	}
@@ -208,7 +227,7 @@ func (m *mac) transmitNow() {
 		m.retries = 0
 	}
 	m.state = macTransmitting
-	m.node.sim.startTransmission(m.node, m.cur)
+	m.sim.startTransmission(m.node, m.cur)
 }
 
 // txFinished is called when this node's own transmission leaves the air.
@@ -231,7 +250,7 @@ func (m *mac) txFinished(tx *transmission) {
 	}
 	// Unicast: await the MAC ACK.
 	m.state = macWaitAck
-	s := m.node.sim
+	s := m.sim
 	s.armAt(&m.ackTimer, s.now+sifs+AirTime(macAckBytes, basicRate)+2*SlotTime)
 }
 
@@ -244,17 +263,17 @@ func (m *mac) ackTimeout() {
 		cur := m.cur
 		cur.Retries = m.retries
 		m.cur = nil
-		m.node.sim.Counters.UnicastFailures++
+		m.sim.Counters.UnicastFailures++
 		m.postTxReset(true)
 		m.node.proto.Sent(cur, false)
 		return
 	}
 	// Exponential backoff and retry.
 	m.cw = min(2*(m.cw+1)-1, cwMax)
-	m.backoffSlots = m.node.sim.rng.Intn(m.cw + 1)
+	m.backoffSlots = m.sim.rng.Intn(m.cw + 1)
 	m.backoffArmed = true
 	m.state = macContending
-	if m.busy == 0 {
+	if m.mediumIdle() {
 		m.armDIFS()
 	}
 }
@@ -266,12 +285,12 @@ func (m *mac) postTxReset(newBackoff bool) {
 	m.cw = CWMin
 	m.retries = 0
 	if newBackoff {
-		m.backoffSlots = m.node.sim.rng.Intn(m.cw + 1)
+		m.backoffSlots = m.sim.rng.Intn(m.cw + 1)
 		m.backoffArmed = true
 	}
 	if m.backlogged || m.cur != nil {
 		m.state = macContending
-		if m.busy == 0 {
+		if m.mediumIdle() {
 			m.armDIFS()
 		}
 	} else {
@@ -288,7 +307,7 @@ func (m *mac) deliver(tx *transmission) {
 			cur := m.cur
 			cur.Retries = m.retries
 			m.cur = nil
-			m.node.sim.Counters.UnicastSuccesses++
+			m.sim.Counters.UnicastSuccesses++
 			m.postTxReset(true)
 			m.node.proto.Sent(cur, true)
 		}
@@ -319,7 +338,7 @@ func (m *mac) deliver(tx *transmission) {
 // scheduleMACAck sends the 802.11 ACK one SIFS after the data frame.
 func (m *mac) scheduleMACAck(dataTx *transmission) {
 	n := m.node
-	n.sim.After(sifs, func() {
+	m.sim.After(sifs, func() {
 		if m.onAir > 0 || n.failed {
 			return // radio busy (or dead); sender will time out and retry
 		}

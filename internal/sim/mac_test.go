@@ -354,26 +354,73 @@ func (p *scriptedProto) Pull() *Frame {
 // TestContentionCycleAllocatesNothing walks one node through the cycle that
 // dominates large runs — medium clears, DIFS armed, DIFS expires, backoff
 // armed, medium busy again, backoff frozen — and requires zero allocations:
-// the MAC's timers are its own Event values, re-armed in place.
+// the MAC's timers are its own — two Event values re-armed in place and a
+// link in the DIFS lane.
 func TestContentionCycleAllocatesNothing(t *testing.T) {
 	s, _, _ := pair(t, 1, DefaultConfig())
 	m := s.Node(0).mac
 	m.state, m.backlogged = macContending, true
 	m.backoffSlots, m.backoffArmed = 1000, true // never runs out: each freeze credits 0 slots
-	m.carrierUp()
+	s.senseStart(0)
 	allocs := testing.AllocsPerRun(200, func() {
-		m.carrierDown() // medium idle: armDIFS
+		s.senseEnd(0) // medium idle: armDIFS
+		if !m.difsPending() || s.Pending() != 1 {
+			t.Fatal("a clear medium did not start the DIFS wait")
+		}
 		s.Run(s.Now() + DIFS)
 		if !m.backoffTimer.pending() {
 			t.Fatal("DIFS expiry did not arm the backoff timer")
 		}
-		m.carrierUp() // freeze
-		if m.backoffTimer.pending() || m.difsTimer.pending() || s.Pending() != 0 {
+		s.senseStart(0) // freeze
+		if m.backoffTimer.pending() || m.difsPending() || s.Pending() != 0 {
 			t.Fatal("freeze left a timer queued")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("contention cycle allocates %v objects per round, want 0", allocs)
+	}
+}
+
+// TestWakeAfterAllocatesNothing is the twin for the wake FIFO: once a node's
+// FIFO has grown to its working depth, requesting and firing wakes allocates
+// nothing — whether the FIFO drains between bursts or, as on a node that
+// always has an LSA waiting for a ride, never empties (the live keys slide
+// down the slice instead of growing it).
+func TestWakeAfterAllocatesNothing(t *testing.T) {
+	s, a, _ := pair(t, 1, DefaultConfig())
+	n := a.node
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			n.WakeAfter(Time(i) * Millisecond)
+		}
+		s.Run(s.Now() + Second)
+		if s.Pending() != 0 {
+			t.Fatalf("Pending = %d after the burst drained", s.Pending())
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("a draining burst of wakes allocates %v objects, want 0", allocs)
+	}
+
+	for i := 1; i <= 6; i++ {
+		n.WakeAfter(Time(i) * Millisecond)
+	}
+	step := func() { // one wake requested, one fires, six stay queued
+		n.WakeAfter(6*Millisecond + 500*Microsecond)
+		s.Run(s.Now() + Millisecond)
+		if got := len(n.wakes) - n.wakeHead; got != 6 {
+			t.Fatalf("%d keys queued, want 6", got)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+		t.Errorf("a standing FIFO allocates %v objects per wake, want 0", allocs)
+	}
+	if cap(n.wakes) > 32 {
+		t.Errorf("a FIFO six keys deep grew to cap %d", cap(n.wakes))
 	}
 }
 
@@ -431,7 +478,7 @@ func TestSilenceCancelsOwnedTimers(t *testing.T) {
 	s, a, b := pair(t, 1, DefaultConfig())
 	other := s.After(Millisecond, func() {})
 	m := s.Node(0).mac
-	s.armAt(&m.difsTimer, DIFS)
+	s.armDIFS(m)
 	s.armAt(&m.backoffTimer, 3*SlotTime)
 	s.armAt(&m.ackTimer, Millisecond)
 	before := s.Pending()
@@ -439,7 +486,7 @@ func TestSilenceCancelsOwnedTimers(t *testing.T) {
 	if got := s.Pending(); got != before-3 {
 		t.Fatalf("Pending %d -> %d across silence, want down by 3", before, got)
 	}
-	if m.difsTimer.pending() || m.backoffTimer.pending() || m.ackTimer.pending() || other.Canceled() {
+	if m.difsPending() || m.backoffTimer.pending() || m.ackTimer.pending() || other.Canceled() {
 		t.Fatal("silence left a MAC timer queued or cancelled a stranger")
 	}
 	s.Run(10 * Millisecond) // nothing of node 0's may fire

@@ -53,11 +53,19 @@ type Node struct {
 	proto  Protocol
 	mac    *mac
 	failed bool
+
+	// Requested WakeAfter firings, earliest first from wakeHead on; wakeEv
+	// is in the event heap under the earliest one's key (event.go).
+	wakes    []wakeKey
+	wakeHead int
+	wakeEv   Event
 }
 
 func newNode(s *Simulator, id graph.NodeID) *Node {
 	n := &Node{sim: s, id: id}
-	n.mac = newMAC(n)
+	n.mac = &s.macs[id]
+	n.mac.init(n)
+	n.wakeEv.init(s, n.wakeDue)
 	return n
 }
 

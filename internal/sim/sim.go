@@ -176,13 +176,24 @@ type Counters struct {
 
 // Simulator is the event loop plus medium state.
 type Simulator struct {
-	cfg   Config
-	topo  *graph.Topology
-	now   Time
-	seq   uint64
-	queue []entry // 4-ary min-heap on (at, seq); see event.go
-	rng   *rand.Rand
+	cfg  Config
+	topo *graph.Topology
+	rng  *rand.Rand
+
+	// The event core (event.go): the clock, the sequence counter every
+	// firing key is drawn from, the 4-ary min-heap on (at, seq), the DIFS
+	// lane, and how many pending firings are outside the heap — lane entries
+	// plus wake-FIFO keys behind their node's head.
+	now                Time
+	seq                uint64
+	queue              []entry
+	laneHead, laneTail *mac
+	offHeap            int
+
+	// nodes[i].mac is &macs[i]: a carrier edge reaches the MAC by index,
+	// without loading the Node (5 % of learned-512's wall time).
 	nodes []*Node
+	macs  []mac
 
 	// senseSet[i] lists the nodes (including i itself) whose carrier sense
 	// detects a transmission by i, sorted ascending. Precomputed from the
@@ -190,13 +201,28 @@ type Simulator struct {
 	// the whole-population scan on every transmission start/end.
 	senseSet [][]graph.NodeID
 
-	// relevant[i] lists the transmitters whose concurrent frames can affect
-	// reception of i's frames at any of i's receivers: i's out-neighbors
-	// (half-duplex) plus every node audible above the interference
-	// threshold at one of them. Overlap tracking records only these pairs;
-	// anything else could never change a reception outcome. Built lazily —
-	// nodes that never transmit pay nothing.
-	relevant [][]graph.NodeID
+	// busy[i] is node i's carrier-sense count: the transmissions on the air
+	// that i can sense, its own included. It lives here, dense, and not in
+	// the MAC: every transmission touches the count of every node in its
+	// sense set twice, and only the 0 -> 1 and 1 -> 0 edges concern the MAC
+	// (carrierUp, carrierDown). The count follows the medium, not the node:
+	// FailNode and RecoverNode leave it alone, since it tracks neighbors'
+	// in-flight transmissions and zeroing it would unbalance their ends.
+	busy []int32
+
+	// relevant[i] is the set of transmitters whose concurrent frames can
+	// affect reception of i's frames at any of i's receivers: i's
+	// out-neighbors (half-duplex) plus every node audible above the
+	// interference threshold at one of them. Overlap tracking records only
+	// these pairs; anything else could never change a reception outcome.
+	// Built lazily, at i's first transmission and never again — nodes that
+	// never transmit pay nothing.
+	relevant []graph.NodeSet
+
+	// probMemo[i][k] remembers the last scaleProb result for the k-th
+	// out-edge of transmitter i; see linkProb. Rows are sized at a node's
+	// first transmission end, so construction pays nothing.
+	probMemo [][]probSlot
 
 	active   []*transmission
 	Counters Counters
@@ -237,11 +263,14 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	s.Counters.TxByNode = make([]int64, topo.N())
 	s.Counters.TxByFlow = make(map[uint32]int64)
 	s.nodes = make([]*Node, topo.N())
+	s.macs = make([]mac, topo.N())
 	for i := range s.nodes {
 		s.nodes[i] = newNode(s, graph.NodeID(i))
 	}
 	s.buildSenseSets()
-	s.relevant = make([][]graph.NodeID, topo.N())
+	s.busy = make([]int32, topo.N())
+	s.relevant = make([]graph.NodeSet, topo.N())
+	s.probMemo = make([][]probSlot, topo.N())
 	return s
 }
 
@@ -271,9 +300,9 @@ func (s *Simulator) buildSenseSets() {
 	}
 }
 
-// relevantTo returns (building on first use) the sorted set of transmitters
-// whose overlapping frames can influence reception of id's frames.
-func (s *Simulator) relevantTo(id graph.NodeID) []graph.NodeID {
+// relevantTo returns (building on first use) the set of transmitters whose
+// overlapping frames can influence reception of id's frames.
+func (s *Simulator) relevantTo(id graph.NodeID) graph.NodeSet {
 	if r := s.relevant[id]; r != nil {
 		return r
 	}
@@ -287,17 +316,15 @@ func (s *Simulator) relevantTo(id graph.NodeID) []graph.NodeID {
 	if s.cfg.RateAdjust != nil {
 		thresh = 0
 	}
-	out := s.topo.OutEdges(id)
-	set := make([]graph.NodeID, 0, len(out)*4)
-	for _, e := range out {
-		set = append(set, e.Node) // half-duplex: a busy receiver misses us
+	r := graph.NewNodeSet(s.topo.N())
+	for _, e := range s.topo.OutEdges(id) {
+		r.Add(e.Node) // half-duplex: a busy receiver misses us
 		for _, in := range s.topo.InEdges(e.Node) {
 			if in.Node != id && in.P > thresh {
-				set = append(set, in.Node)
+				r.Add(in.Node)
 			}
 		}
 	}
-	r := sortedUniqueIDs(set)
 	s.relevant[id] = r
 	return r
 }
@@ -309,12 +336,6 @@ func sortedUniqueIDs(ids []graph.NodeID) []graph.NodeID {
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
-}
-
-// containsID reports whether the sorted set contains id.
-func containsID(set []graph.NodeID, id graph.NodeID) bool {
-	_, found := slices.BinarySearch(set, id)
-	return found
 }
 
 // Node returns the node with the given ID.
@@ -397,11 +418,15 @@ func (s *Simulator) Run(until Time) Time {
 // RunWhile processes events until the queue empties, the deadline passes,
 // or cond (if non-nil) returns false. cond is checked after every event.
 func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
-	for len(s.queue) > 0 && s.queue[0].at <= until {
-		e := s.queue[0].ev
-		s.remove(0)
-		s.now = e.at
-		e.fn()
+	for {
+		e, m := s.next(until)
+		if e != nil {
+			e.fn()
+		} else if m != nil {
+			m.difsDone()
+		} else {
+			break
+		}
 		if cond != nil && !cond() {
 			break
 		}
@@ -413,7 +438,7 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 }
 
 // Pending reports how many events are queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.queue) + s.offHeap }
 
 // deliveryProb returns the delivery probability from a to b at the frame's
 // rate and size.
@@ -424,14 +449,62 @@ func (s *Simulator) deliveryProb(a, b graph.NodeID, rate Bitrate, bytes int) flo
 // adjustProb maps a reference-rate delivery probability to the frame's rate
 // and size.
 func (s *Simulator) adjustProb(p float64, rate Bitrate, bytes int) float64 {
+	return s.scaleProb(p, rate, s.effectiveBytes(bytes))
+}
+
+// effectiveBytes is the size the frame-length model charges a frame of the
+// given size: at least RefFrameBytes/minFrameDivisor — or 0 when size does
+// not move the probability: no RefFrameBytes, a sizeless query, or exactly
+// the reference size (an exponent of one).
+func (s *Simulator) effectiveBytes(bytes int) int {
+	if s.cfg.RefFrameBytes <= 0 || bytes <= 0 || bytes == s.cfg.RefFrameBytes {
+		return 0
+	}
+	return max(bytes, s.cfg.RefFrameBytes/minFrameDivisor)
+}
+
+// scaleProb is adjustProb on an effective size.
+func (s *Simulator) scaleProb(p float64, rate Bitrate, effBytes int) float64 {
 	if s.cfg.RateAdjust != nil {
 		p = s.cfg.RateAdjust(p, rate)
 	}
-	if s.cfg.RefFrameBytes > 0 && bytes > 0 && p > 0 && p < 1 {
-		bytes = max(bytes, s.cfg.RefFrameBytes/minFrameDivisor)
-		p = math.Pow(p, float64(bytes)/float64(s.cfg.RefFrameBytes))
+	if effBytes > 0 && p > 0 && p < 1 {
+		p = math.Pow(p, float64(effBytes)/float64(s.cfg.RefFrameBytes))
 	}
 	return p
+}
+
+// probSlot is one link's memo: the last scaleProb arguments and result.
+type probSlot struct {
+	pRef     float64
+	rate     Bitrate
+	effBytes int
+	val      float64
+}
+
+// probRow returns transmitter id's memo row, grown to cover k out-edges.
+func (s *Simulator) probRow(id graph.NodeID, k int) []probSlot {
+	if len(s.probMemo[id]) < k {
+		s.probMemo[id] = make([]probSlot, k)
+	}
+	return s.probMemo[id]
+}
+
+// linkProb is scaleProb(pRef, rate, effBytes) through a link's memo slot.
+// Control frames dominate large runs and nearly all share one effective size
+// (an LSA of up to 47 neighbors is under the RefFrameBytes/minFrameDivisor
+// floor), so the math.Pow per receiver becomes three compares. The slot
+// caches a pure function of its key — RateAdjust and RefFrameBytes are fixed
+// for the run — so it stays exact when topology mutators move or change the
+// edge the slot sits beside: a shifted row just misses.
+func (s *Simulator) linkProb(slot *probSlot, pRef float64, rate Bitrate, effBytes int) float64 {
+	if effBytes == 0 && s.cfg.RateAdjust == nil {
+		return pRef // nothing to scale by, nothing to remember
+	}
+	if slot.pRef != pRef || slot.rate != rate || slot.effBytes != effBytes {
+		*slot = probSlot{pRef, rate, effBytes, s.scaleProb(pRef, rate, effBytes)}
+	}
+	return slot.val
 }
 
 // startTransmission puts a frame on the air from node n.
@@ -461,10 +534,10 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 	// bounding overlap lists by the two-hop neighborhood, not N.
 	relTx := s.relevantTo(n.id)
 	for _, other := range s.active {
-		if containsID(relTx, other.from.id) {
+		if relTx.Has(other.from.id) {
 			tx.overlaps = append(tx.overlaps, other)
 		}
-		if containsID(s.relevantTo(other.from.id), n.id) {
+		if s.relevantTo(other.from.id).Has(n.id) {
 			other.overlaps = append(other.overlaps, tx)
 		}
 	}
@@ -496,7 +569,7 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 
 	// Raise carrier at every sensing node (including the transmitter).
 	for _, id := range s.senseSet[n.id] {
-		s.nodes[id].mac.carrierUp()
+		s.senseStart(id)
 	}
 
 	tx.endEv.init(s, func() { s.endTransmission(tx) })
@@ -516,19 +589,22 @@ func (s *Simulator) endTransmission(tx *transmission) {
 	}
 	// Drop carrier at every sensing node.
 	for _, id := range s.senseSet[tx.from.id] {
-		s.nodes[id].mac.carrierDown()
+		s.senseEnd(id)
 	}
 
 	// Resolve reception at the transmitter's out-neighbors — the only nodes
 	// with nonzero delivery probability. Ascending neighbor order keeps the
 	// RNG draw sequence identical to the old whole-population scan, which
 	// skipped zero-probability receivers before drawing.
-	for _, e := range s.topo.OutEdges(tx.from.id) {
+	out := s.topo.OutEdges(tx.from.id)
+	memo := s.probRow(tx.from.id, len(out))
+	effBytes := s.effectiveBytes(tx.frame.Bytes)
+	for k, e := range out {
 		rcv := s.nodes[e.Node]
 		if rcv.failed {
 			continue // a dead radio decodes nothing (and draws no RNG)
 		}
-		outcome := s.receptionOutcome(tx, rcv, e.P)
+		outcome := s.receptionOutcome(tx, rcv, s.linkProb(&memo[k], e.P, tx.rate, effBytes))
 		switch outcome {
 		case rxOK:
 			s.Counters.Deliveries++
@@ -580,11 +656,10 @@ const (
 	rxCollision
 )
 
-// receptionOutcome decides whether receiver rcv decodes transmission tx.
-// pRef is the reference-rate delivery probability of the tx.from -> rcv
-// link, supplied by the caller's neighbor iteration.
-func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, pRef float64) rxOutcome {
-	p := s.adjustProb(pRef, tx.rate, tx.frame.Bytes)
+// receptionOutcome decides whether receiver rcv decodes transmission tx. p
+// is the delivery probability of the tx.from -> rcv link at the frame's rate
+// and size, supplied by the caller's neighbor iteration.
+func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, p float64) rxOutcome {
 	if p <= 0 {
 		return rxOutOfRange
 	}

@@ -88,13 +88,13 @@ func TestRelevantSetRateAdjusted(t *testing.T) {
 	cfg := DefaultConfig()
 
 	plain := New(topo, cfg)
-	if containsID(plain.relevantTo(0), 2) {
+	if plain.relevantTo(0).Has(2) {
 		t.Fatal("rate-independent channel: sub-threshold interferer should be pre-filtered")
 	}
 
 	cfg.RateAdjust = AdaptRateScale(graph.RateScale) // Rate2: 0.008^0.5 ≈ 0.089 > 0.01
 	adjusted := New(topo, cfg)
-	if !containsID(adjusted.relevantTo(0), 2) {
+	if !adjusted.relevantTo(0).Has(2) {
 		t.Fatal("rate-dependent channel: weak interferer must stay relevant")
 	}
 }
