@@ -236,9 +236,10 @@ func (b *Buffer) Innovative(vector []byte) bool {
 		if b.rows[i] == nil {
 			return true
 		}
-		// u -= rows[i]*u[i]; both have zeros before i, so the suffix
-		// suffices.
-		gf256.MulAddSlice(u[i:], b.rows[i].Vector[i:], u[i])
+		// u -= rows[i]*u[i]. Both are zero before i, so the suffix would
+		// suffice — but at K = 32 the whole vector is one SIMD block and
+		// every proper suffix falls back to the table loop.
+		gf256.MulAddSlice(u, b.rows[i].Vector, u[i])
 	}
 	return false
 }
@@ -269,8 +270,9 @@ func (b *Buffer) Add(p *Packet) bool {
 			return true
 		}
 		// p -= row * c (row's leading element is 1 at index i; vector
-		// prefixes before i are zero on both sides).
-		gf256.MulAddSlice(p.Vector[i:], row.Vector[i:], c)
+		// prefixes before i are zero on both sides, so eliminating on the
+		// whole vector, as Innovative does, changes no byte).
+		gf256.MulAddSlice(p.Vector, row.Vector, c)
 		gf256.MulAddSlice(p.Payload, row.Payload, c)
 	}
 	if b.pool != nil {
@@ -506,8 +508,9 @@ func (d *Decoder) Add(p *Packet) bool {
 			d.rank++
 			return true
 		}
-		// Zeros before i on both sides: eliminate the suffix only.
-		gf256.MulAddSlice(u[i:], d.ech[i][i:], c)
+		// Zeros before i on both sides; whole vectors for the reason
+		// Buffer.Innovative gives.
+		gf256.MulAddSlice(u, d.ech[i], c)
 	}
 	if d.pool != nil {
 		d.pool.Put(p)

@@ -70,8 +70,7 @@ func (p *fakeProto) Pull() *sim.Frame {
 type ctrlMsg struct{}
 
 func moreFrame(fid flow.ID, batch uint32, src, from graph.NodeID) *sim.Frame {
-	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: 4}
-	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: 100, Payload: m, FlowID: uint32(fid)}
+	return moreFrameWithFwd(fid, batch, src, from, nil)
 }
 
 // newTestLayer builds a layer over a 2-node simulator so node handles,
@@ -283,10 +282,11 @@ func TestCreditGate(t *testing.T) {
 }
 
 func moreFrameWithFwd(fid flow.ID, batch uint32, src, from graph.NodeID, fwd []graph.NodeID) *sim.Frame {
-	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: 4}
-	for _, id := range fwd {
-		m.Forwarders = append(m.Forwarders, core.FwdEntry{Node: id, Credit: 1})
+	entries := make([]core.FwdEntry, len(fwd))
+	for i, id := range fwd {
+		entries[i] = core.FwdEntry{Node: id, Credit: 1}
 	}
+	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: 4, Forwarders: core.NewFwdList(entries)}
 	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: 100, Payload: m, FlowID: uint32(fid)}
 }
 

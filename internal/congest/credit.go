@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -44,17 +46,12 @@ func (g *CreditMsg) frame(from graph.NodeID) *sim.Frame {
 	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: grantWireBytes, Payload: g}
 }
 
-// grantKey identifies a granter's latest word on a flow.
-type grantKey struct {
-	flow    uint32
-	granter graph.NodeID
-}
-
-// grantInfo is the latest grant received from one granter.
+// grantInfo is one granter's latest word on a flow.
 type grantInfo struct {
-	batch  uint32
-	needed int
-	at     sim.Time
+	granter graph.NodeID
+	batch   uint32
+	needed  int
+	at      sim.Time
 }
 
 // creditFlow is the sender-side gate state for one flow.
@@ -77,14 +74,16 @@ type advertised struct {
 }
 
 type creditState struct {
-	grants map[grantKey]*grantInfo
+	// grants holds, per flow, one entry per granter ever heard on it, in
+	// order of first word (about a dozen: the granters in earshot).
+	grants map[uint32][]grantInfo
 	flows  map[uint32]*creditFlow
 	adv    map[uint32]*advertised
 }
 
 func newCreditState() *creditState {
 	return &creditState{
-		grants: make(map[grantKey]*grantInfo),
+		grants: make(map[uint32][]grantInfo),
 		flows:  make(map[uint32]*creditFlow),
 		adv:    make(map[uint32]*advertised),
 	}
@@ -94,13 +93,13 @@ func newCreditState() *creditState {
 // traffic it ungates.
 func (l *Layer) acceptGrant(f *sim.Frame, g *CreditMsg) {
 	c := l.credit
-	key := grantKey{uint32(g.Flow), f.From}
-	gi, ok := c.grants[key]
-	if !ok {
-		gi = &grantInfo{}
-		c.grants[key] = gi
+	word := grantInfo{granter: f.From, batch: g.Batch, needed: g.Needed, at: l.node.Now()}
+	heard := c.grants[uint32(g.Flow)]
+	if i := slices.IndexFunc(heard, func(gi grantInfo) bool { return gi.granter == f.From }); i >= 0 {
+		heard[i] = word
+	} else {
+		c.grants[uint32(g.Flow)] = append(heard, word)
 	}
-	gi.batch, gi.needed, gi.at = g.Batch, g.Needed, l.node.Now()
 	if g.Needed > 0 {
 		// Fresh demand: reset the probe backoff so a re-opened gate reacts
 		// quickly, and grant the advertised credit upstream — if this node
@@ -220,7 +219,7 @@ func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
 	if !ok {
 		cf = &creditFlow{batch: info.batch}
 		if info.more != nil {
-			cf.fwdSig = fwdSignature(info.more)
+			cf.fwdSig = info.more.Forwarders.Sig()
 		}
 		c.flows[info.flow] = cf
 	}
@@ -234,24 +233,12 @@ func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
 		// the new one, so drop it and re-probe within one gateTimeout.
 		// Without repair a set change implies a batch change, whose reset
 		// above makes this a no-op — legacy runs are byte-identical.
-		if sig := fwdSignature(info.more); sig != cf.fwdSig {
+		if sig := info.more.Forwarders.Sig(); sig != cf.fwdSig {
 			cf.fwdSig = sig
 			cf.backoff = 0
 		}
 	}
 	return cf
-}
-
-// fwdSignature fingerprints a packet's forwarder ordering (FNV-1a over the
-// node IDs, order-sensitive — the ordering is what grants are judged
-// against).
-func fwdSignature(m *core.DataMsg) uint64 {
-	h := uint64(14695981039346656037)
-	for _, e := range m.Forwarders {
-		h ^= uint64(e.Node)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // creditSuppressed reports the downstream verdict: true when at least one
@@ -260,15 +247,19 @@ func fwdSignature(m *core.DataMsg) uint64 {
 // a neighborhood gone quiet) means transmit: a zero that is no longer
 // being restated by the traffic it suppresses has expired, and releasing
 // the flow beats stranding it on probe backoff.
+//
+// The verdict is a pure function of the set of the flow's grants — false if
+// any live downstream granter of this batch needs packets, else whether any
+// spoke within grantTTL — so it does not depend on the order the entries are
+// visited in, which is what lets the table be a slice in order of first word.
 func (l *Layer) creditSuppressed(info frameInfo) bool {
 	m := info.more
+	me := l.node.ID()
+	isSrc, myIdx := m.Src == me, m.Forwarders.Index(me)
 	horizon := l.node.Now() - grantTTL
 	heard := false
-	for key, gi := range l.credit.grants {
-		if key.flow != info.flow || gi.batch != info.batch {
-			continue
-		}
-		if !l.granterDownstream(key.granter, m) {
+	for _, gi := range l.credit.grants[info.flow] {
+		if gi.batch != info.batch || !granterDownstream(gi.granter, m, isSrc, myIdx) {
 			continue
 		}
 		if gi.needed > 0 {
@@ -347,16 +338,7 @@ func (l *Layer) senderUpstream(sender graph.NodeID, m *core.DataMsg) bool {
 	if sender == m.Src {
 		return true
 	}
-	me := l.node.ID()
-	myIdx, senderIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == sender {
-			senderIdx = i
-		}
-	}
+	myIdx, senderIdx := m.Forwarders.Index(l.node.ID()), m.Forwarders.Index(sender)
 	if myIdx < 0 {
 		// We are the destination (or a multicast destination): everyone in
 		// the list is upstream of us.
@@ -367,37 +349,20 @@ func (l *Layer) senderUpstream(sender graph.NodeID, m *core.DataMsg) bool {
 
 // granterDownstream reports whether the granter sits below this node in
 // the packet's forwarder ordering (closer to the destination), i.e. whether
-// its need is the demand this node's transmissions serve.
-func (l *Layer) granterDownstream(granter graph.NodeID, m *core.DataMsg) bool {
-	if granter == m.Dst {
+// its need is the demand this node's transmissions serve. The node is the
+// packet's source (isSrc) or sits at myIdx in its forwarder list (-1 when
+// unlisted).
+func granterDownstream(granter graph.NodeID, m *core.DataMsg, isSrc bool, myIdx int) bool {
+	if granter == m.Dst || slices.Contains(m.Dsts, granter) {
 		return true
 	}
-	for _, d := range m.Dsts {
-		if d == granter {
-			return true
-		}
-	}
-	me := l.node.ID()
-	if m.Src == me {
+	granterIdx := m.Forwarders.Index(granter)
+	if isSrc {
 		// Every forwarder is downstream of the source.
-		for _, e := range m.Forwarders {
-			if e.Node == granter {
-				return true
-			}
-		}
-		return false
-	}
-	myIdx, granterIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == granter {
-			granterIdx = i
-		}
+		return granterIdx >= 0
 	}
 	// The forwarder list is ordered closest-to-destination first.
-	return granterIdx >= 0 && myIdx >= 0 && granterIdx < myIdx
+	return granterIdx >= 0 && granterIdx < myIdx
 }
 
 // bitLen is the halving-level of a need: needs with the same bit length

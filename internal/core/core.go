@@ -101,25 +101,16 @@ type DataMsg struct {
 	// Packet is the coded packet (code vector + payload).
 	Packet *coding.Packet
 	// Forwarders is the ordered candidate list with TX credits, copied
-	// from the source's plan into every packet (§3.3.1).
-	Forwarders []FwdEntry
-}
-
-// FwdEntry is one forwarder-list entry.
-type FwdEntry struct {
-	Node   graph.NodeID
-	Credit float64
+	// from the source's plan into every packet (§3.3.1) — by reference:
+	// every packet and relay of a plan shares the source's one list.
+	Forwarders *FwdList
 }
 
 // wireBytes returns the on-air frame size for the message.
 func (m *DataMsg) wireBytes() int {
-	h := packet.MOREHeader{
-		Type:       packet.TypeData,
-		CodeVector: m.Packet.Vector,
-		Forwarders: make([]packet.Forwarder, len(m.Forwarders)),
-	}
 	// Multicast destinations ride as one extra hashed byte each.
-	return h.EncodedSize() + len(m.Dsts) + len(m.Packet.Payload)
+	return packet.MOREHeaderSize(len(m.Packet.Vector), len(m.Forwarders.Entries)) +
+		len(m.Dsts) + len(m.Packet.Payload)
 }
 
 // AckMsg is the payload of a MORE batch ACK, unicast hop by hop along the
@@ -224,7 +215,7 @@ type sourceState struct {
 	batches   [][][]byte // native payloads per batch
 	curBatch  int
 	src       *coding.Source
-	fwd       []FwdEntry
+	fwd       *FwdList
 	result    flow.Result
 	done      bool
 	onDone    func(flow.Result)
@@ -311,13 +302,13 @@ func (n *Node) repairStalled(st *sourceState) {
 	n.node.Wake()
 }
 
-// fwdEntries flattens a plan's forwarder list into packet-header entries.
-func fwdEntries(plan *routing.Plan) []FwdEntry {
+// fwdEntries flattens a plan's forwarder list into the packet-header list.
+func fwdEntries(plan *routing.Plan) *FwdList {
 	fwd := make([]FwdEntry, 0, len(plan.Order))
 	for _, fid := range plan.Forwarders() {
 		fwd = append(fwd, FwdEntry{Node: fid, Credit: plan.Credit[fid]})
 	}
-	return fwd
+	return NewFwdList(fwd)
 }
 
 // refreshPlan rebuilds the forwarder plan when the routing state has moved
@@ -382,7 +373,7 @@ type relayState struct {
 	raw          []*coding.Packet // only when InnovativeOnly is off
 	credit       float64
 	myCredit     float64
-	fwdList      []FwdEntry
+	fwdList      *FwdList       // as last received, restated in recoded packets (§3.3.1)
 	dsts         []graph.NodeID // multicast destinations, nil for unicast
 	totalBatches int
 	lastActivity sim.Time
@@ -514,23 +505,12 @@ func (n *Node) TopUpRelayCredit(id flow.ID, batch uint32, granter graph.NodeID, 
 		// downstream still needs packets.
 		return
 	}
-	downstream := granter == r.dst
-	if !downstream {
-		me := n.node.ID()
-		myIdx, granterIdx := -1, -1
-		for i, e := range r.fwdList {
-			if e.Node == me {
-				myIdx = i
-			}
-			if e.Node == granter {
-				granterIdx = i
-			}
-		}
+	if granter != r.dst {
 		// The forwarder list is ordered closest-to-destination first.
-		downstream = myIdx >= 0 && granterIdx >= 0 && granterIdx < myIdx
-	}
-	if !downstream {
-		return
+		granterIdx := r.fwdList.Index(granter)
+		if granterIdx < 0 || granterIdx >= r.fwdList.Index(n.node.ID()) {
+			return
+		}
 	}
 	if r.credit < c {
 		r.credit = c
@@ -600,21 +580,15 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 			return
 		}
 	}
-	if src, ok := n.sources[m.Flow]; ok && m.Src == me {
-		_ = src // our own flow echoed back through the mesh; ignore.
-		return
+	if _, ok := n.sources[m.Flow]; ok && m.Src == me {
+		return // our own flow echoed back through the mesh; ignore.
 	}
 	// Forwarder path: only if listed in the packet's forwarder list.
-	myCredit := -1.0
-	for _, e := range m.Forwarders {
-		if e.Node == me {
-			myCredit = e.Credit
-			break
-		}
-	}
-	if myCredit < 0 {
+	myIdx := m.Forwarders.Index(me)
+	if myIdx < 0 {
 		return
 	}
+	myCredit := m.Forwarders.Entries[myIdx].Credit
 	r := n.relayFor(m, myCredit)
 	r.lastActivity = n.node.Now()
 	r.myCredit = myCredit
@@ -635,7 +609,7 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 	// Credit for receptions from upstream: the source or a forwarder
 	// farther from the destination (listed after us). Eq. (3.3) credits
 	// every upstream reception; the ablation credits only innovative ones.
-	if n.isUpstream(f.From, me, m) && (!n.cfg.CreditOnInnovativeOnly || innovative) {
+	if isUpstream(f.From, myIdx, m) && (!n.cfg.CreditOnInnovativeOnly || innovative) {
 		r.credit += r.myCredit
 	}
 	if innovative {
@@ -657,26 +631,18 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 }
 
 // isUpstream reports whether sender is farther from the destination than
-// me within the packet's forwarder ordering (the source is the farthest).
-func (n *Node) isUpstream(sender, me graph.NodeID, m *DataMsg) bool {
+// the receiving forwarder, listed at myIdx in the packet's forwarder
+// ordering (the source is the farthest).
+func isUpstream(sender graph.NodeID, myIdx int, m *DataMsg) bool {
 	if sender == m.Src {
 		return true
 	}
 	if sender == m.Dst {
 		return false
 	}
-	myIdx, senderIdx := -1, -1
-	for i, e := range m.Forwarders {
-		if e.Node == me {
-			myIdx = i
-		}
-		if e.Node == sender {
-			senderIdx = i
-		}
-	}
 	// Forwarder list is ordered by proximity to the destination, closest
 	// first; a later index is farther, i.e. upstream of an earlier one.
-	return senderIdx > myIdx
+	return m.Forwarders.Index(sender) > myIdx
 }
 
 func (n *Node) sinkReceive(m *DataMsg) {
@@ -896,9 +862,9 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Dsts:         r.dsts,
 			Batch:        r.curBatch,
 			K:            r.k,
-			TotalBatches: r.totalBatchesHint(),
+			TotalBatches: r.totalBatches,
 			Packet:       pkt,
-			Forwarders:   n.fwdListFor(r),
+			Forwarders:   r.fwdList,
 		}
 		n.DataSent++
 		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
@@ -926,14 +892,6 @@ func (n *Node) recodeAll(r *relayState) *coding.Packet {
 	}
 	return pkt
 }
-
-// relayState carries the forwarder list it last saw so recoded packets can
-// restate it (§3.3.1: fields are copied from received packets).
-func (n *Node) fwdListFor(r *relayState) []FwdEntry {
-	return r.fwdList
-}
-
-func (r *relayState) totalBatchesHint() int { return r.totalBatches }
 
 // Sent implements sim.Protocol.
 func (n *Node) Sent(f *sim.Frame, ok bool) {
@@ -965,8 +923,7 @@ func (n *Node) wakeIfBacklogged() {
 		n.node.Wake()
 		return
 	}
-	for id, st := range n.sources {
-		_ = id
+	for _, st := range n.sources {
 		if !st.done {
 			n.node.Wake()
 			return

@@ -89,7 +89,7 @@ func (n *Node) StartMulticastFlow(id flow.ID, dsts []graph.NodeID, file flow.Fil
 		id:        id,
 		dst:       dsts[0],
 		batches:   batches,
-		fwd:       fwd,
+		fwd:       NewFwdList(fwd),
 		onDone:    onDone,
 		txAtStart: n.node.Sim().Counters.Transmissions,
 		multicast: &multicastState{

@@ -91,11 +91,7 @@ type DataMsg struct {
 }
 
 func (m *DataMsg) wireBytes() int {
-	h := packet.ExORHeader{
-		BatchMap:   m.BMap,
-		Forwarders: make([]uint8, len(m.Prio)),
-	}
-	return h.EncodedSize() + len(m.Payload)
+	return packet.ExORHeaderSize(len(m.BMap), len(m.Prio)) + len(m.Payload)
 }
 
 // CleanupMsg carries one tail packet via traditional unicast routing.
@@ -108,8 +104,7 @@ type CleanupMsg struct {
 }
 
 func (m *CleanupMsg) wireBytes() int {
-	h := packet.SrcrHeader{Route: make([]graph.NodeID, 4)}
-	return h.EncodedSize() + len(m.Payload)
+	return packet.SrcrHeaderSize(4) + len(m.Payload)
 }
 
 // DoneMsg tells the source (hop-by-hop unicast) that the destination holds
@@ -208,8 +203,7 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 // Init implements sim.Protocol.
 func (n *Node) Init(sn *sim.Node) {
 	n.node = sn
-	h := packet.ExORHeader{BatchMap: make([]uint8, n.cfg.BatchSize), Forwarders: make([]uint8, 8)}
-	n.pktTime = sim.AirTime(h.EncodedSize()+n.cfg.PayloadSize, sn.Sim().Config().DataRate) +
+	n.pktTime = sim.AirTime(packet.ExORHeaderSize(n.cfg.BatchSize, 8)+n.cfg.PayloadSize, sn.Sim().Config().DataRate) +
 		sim.DIFS + sim.Time(sim.CWMin/2)*sim.SlotTime
 }
 

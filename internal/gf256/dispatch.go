@@ -61,13 +61,15 @@ var (
 // simdCutoff is the length below which MulSlice/MulAddSlice stay on the
 // portable table loop whatever arm is active. It is the block of the gfni
 // and AVX2 pshufb bodies: a shorter row gives them nothing to run, so the
-// indirect call would only reach the byte-wise tail loop, and short rows
-// are a hot case — the innovation check and the decoder eliminate on code
-// vector suffixes u[i:] of at most K = 32 bytes. Measured on gfni, table
-// loop vs arm: 8.1 vs 12.6 ns at 12 B, 13.0 vs 14.7 ns at 24 B, 15.5 vs
-// 5.0 ns at 32 B. End to end the choice is inside the noise (fig4-2
-// wall_cal_s, median of 8: cutoff 1 → 0.970 s, 16 → 0.950, 32 → 0.949,
-// 64 → 0.970; PERFORMANCE.md, PR 16), so it is a constant, not a knob.
+// indirect call would only reach the byte-wise tail loop. Measured on
+// gfni, table loop vs arm: 8.1 vs 12.6 ns at 12 B, 13.0 vs 14.7 ns at
+// 24 B, 15.5 vs 5.0 ns at 32 B — which is why the innovation check and
+// the decoder eliminate on whole K = 32 code vectors, one block, and not
+// on the suffixes u[i:] that would do (PERFORMANCE.md, PR 20); short rows
+// now mean batches of K < 32. End to end the choice is inside the noise
+// (fig4-2 wall_cal_s, median of 8: cutoff 1 → 0.970 s, 16 → 0.950,
+// 32 → 0.949, 64 → 0.970; PERFORMANCE.md, PR 16), so it is a constant,
+// not a knob.
 const simdCutoff = 32
 
 // active is the arm SetKernel selected. The slice operations load it on

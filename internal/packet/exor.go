@@ -36,9 +36,15 @@ type ExORHeader struct {
 // BatchMapUnknown marks a packet with no known holder.
 const BatchMapUnknown = 0xFF
 
+// ExORHeaderSize is the on-air size of a header carrying a batch map of
+// batchMap entries and a priority list of forwarders one-byte hashes.
+func ExORHeaderSize(batchMap, forwarders int) int {
+	return 4 + 4 + 1 + 1 + 1 + 1 + 1 + batchMap + 1 + forwarders
+}
+
 // EncodedSize returns the on-air header size.
 func (h *ExORHeader) EncodedSize() int {
-	return 4 + 4 + 1 + 1 + 1 + 1 + 1 + len(h.BatchMap) + 1 + len(h.Forwarders)
+	return ExORHeaderSize(len(h.BatchMap), len(h.Forwarders))
 }
 
 // Encode appends the wire form of h to dst.
@@ -103,8 +109,12 @@ type SrcrHeader struct {
 	Route  []graph.NodeID
 }
 
-// EncodedSize returns the on-air header size (2 bytes per recorded hop).
-func (h *SrcrHeader) EncodedSize() int { return 4 + 4 + 1 + 1 + 2*len(h.Route) }
+// SrcrHeaderSize is the on-air size of a header recording hops hops (2 bytes
+// each).
+func SrcrHeaderSize(hops int) int { return 4 + 4 + 1 + 1 + 2*hops }
+
+// EncodedSize returns the on-air header size.
+func (h *SrcrHeader) EncodedSize() int { return SrcrHeaderSize(len(h.Route)) }
 
 // Encode appends the wire form of h to dst.
 func (h *SrcrHeader) Encode(dst []byte) ([]byte, error) {

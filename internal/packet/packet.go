@@ -95,9 +95,17 @@ func BatchNewer(a, b uint8) bool {
 // optional-field length bytes.
 const dataHeaderFixed = 1 + 2 + 1 + 1 + 1 + 1 + 1
 
+// MOREHeaderSize is the on-air size of a header carrying a code vector of
+// vectorLen coefficients and a forwarder list of forwarders entries (one
+// hash byte and a 16-bit credit each): what a sender needs to charge a frame
+// without materializing the header.
+func MOREHeaderSize(vectorLen, forwarders int) int {
+	return dataHeaderFixed + vectorLen + 3*forwarders
+}
+
 // EncodedSize returns the on-air size of the header in bytes.
 func (h *MOREHeader) EncodedSize() int {
-	return dataHeaderFixed + len(h.CodeVector) + 3*len(h.Forwarders)
+	return MOREHeaderSize(len(h.CodeVector), len(h.Forwarders))
 }
 
 // Encode appends the wire form of h to dst and returns the result.

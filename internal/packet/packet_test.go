@@ -313,3 +313,38 @@ func TestQuantizeProb(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderSizeMatchesEncode: the size functions senders charge frames by
+// equal the length of the encoding, for every shape Encode accepts (each
+// count is one length byte: 0..255).
+func TestHeaderSizeMatchesEncode(t *testing.T) {
+	var (
+		buf []byte
+		err error
+	)
+	more := &MOREHeader{Type: TypeData}
+	exor := &ExORHeader{}
+	vector, fwd, hashes := make([]byte, 255), make([]Forwarder, 255), make([]uint8, 255)
+	for a := 0; a <= 255; a++ {
+		for b := 0; b <= 255; b++ {
+			more.CodeVector, more.Forwarders = vector[:a], fwd[:b]
+			buf, err = more.Encode(buf[:0])
+			if err != nil || len(buf) != MOREHeaderSize(a, b) || len(buf) != more.EncodedSize() {
+				t.Fatalf("MORE vector %d forwarders %d: encoded %d B (%v), MOREHeaderSize %d, EncodedSize %d",
+					a, b, len(buf), err, MOREHeaderSize(a, b), more.EncodedSize())
+			}
+			exor.BatchMap, exor.Forwarders = vector[:a], hashes[:b]
+			buf, err = exor.Encode(buf[:0])
+			if err != nil || len(buf) != ExORHeaderSize(a, b) || len(buf) != exor.EncodedSize() {
+				t.Fatalf("ExOR batch map %d priority list %d: encoded %d B (%v), ExORHeaderSize %d, EncodedSize %d",
+					a, b, len(buf), err, ExORHeaderSize(a, b), exor.EncodedSize())
+			}
+		}
+		srcr := &SrcrHeader{Route: make([]graph.NodeID, a)}
+		buf, err = srcr.Encode(buf[:0])
+		if err != nil || len(buf) != SrcrHeaderSize(a) || len(buf) != srcr.EncodedSize() {
+			t.Fatalf("Srcr route %d: encoded %d B (%v), SrcrHeaderSize %d, EncodedSize %d",
+				a, len(buf), err, SrcrHeaderSize(a), srcr.EncodedSize())
+		}
+	}
+}
