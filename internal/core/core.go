@@ -215,6 +215,7 @@ type sourceState struct {
 	batches   [][][]byte // native payloads per batch
 	curBatch  int
 	src       *coding.Source
+	pool      *coding.Pool // coded packets come back in Sent, once off the air
 	fwd       *FwdList
 	result    flow.Result
 	done      bool
@@ -259,11 +260,9 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		PacketsTotal: len(payloads),
 		Start:        n.node.Now(),
 	}
-	src, err := coding.NewSource(batches[0], n.node.Rand())
-	if err != nil {
+	if err := st.codeBatch(n); err != nil {
 		return err
 	}
-	st.src = src
 	n.node.Emit(telemetry.Event{Flow: uint32(id), Kind: telemetry.KindBatchStart})
 	n.sources[id] = st
 	n.rrAdd(id)
@@ -330,6 +329,22 @@ func (n *Node) refreshPlan(st *sourceState, dst graph.NodeID) {
 	}
 }
 
+// codeBatch points st.src at the current batch. Its coded packets come from
+// st.pool, which outlives the batch while the shape stays the same (every
+// batch but a short last one).
+func (st *sourceState) codeBatch(n *Node) error {
+	src, err := coding.NewSource(st.batches[st.curBatch], n.node.Rand())
+	if err != nil {
+		return err
+	}
+	if st.pool == nil || st.pool.K() != src.K() || st.pool.PayloadSize() != src.PayloadSize() {
+		st.pool = coding.NewPool(src.K(), src.PayloadSize())
+	}
+	src.UsePool(st.pool)
+	st.src = src
+	return nil
+}
+
 // advanceBatch moves the source to the next batch after an ACK.
 func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 	if st.done || int(acked) != st.curBatch {
@@ -348,11 +363,9 @@ func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 		return
 	}
 	n.refreshPlan(st, st.dst)
-	src, err := coding.NewSource(st.batches[st.curBatch], n.node.Rand())
-	if err != nil {
+	if err := st.codeBatch(n); err != nil {
 		panic(err) // batches are validated at StartFlow
 	}
-	st.src = src
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(st.id), Batch: uint32(st.curBatch), Kind: telemetry.KindBatchStart,
 	})
@@ -912,8 +925,17 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 			n.node.Wake()
 		}
 	case *DataMsg:
-		// Broadcasts always "succeed"; nothing to do. The stopping rule
+		// Broadcasts always "succeed". The frame is off the air and every
+		// receiver copied what it kept (clonePacket, sinkReceive), so the
+		// coded packet goes back to the pool it was drawn from; Put drops it
+		// if the flow has moved on to another shape. The stopping rule
 		// (ACKs, batch advance) governs whether more traffic exists.
+		if st, ok := n.sources[m.Flow]; ok {
+			st.pool.Put(m.Packet)
+		} else if r, ok := n.relays[m.Flow]; ok {
+			r.pool.Put(m.Packet)
+		}
+		m.Packet = nil
 		n.wakeIfBacklogged()
 	}
 }

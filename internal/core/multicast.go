@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/coding"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -104,11 +103,9 @@ func (n *Node) StartMulticastFlow(id flow.ID, dsts []graph.NodeID, file flow.Fil
 		PacketsTotal: len(payloads),
 		Start:        n.node.Now(),
 	}
-	src, err := coding.NewSource(batches[0], n.node.Rand())
-	if err != nil {
+	if err := st.codeBatch(n); err != nil {
 		return err
 	}
-	st.src = src
 	n.sources[id] = st
 	n.rrAdd(id)
 	n.node.Wake()

@@ -382,25 +382,24 @@ func (n *Node) armTurn(f *exorFlow, senderPrio, fragRemaining int) {
 		}
 		wait += sim.Time(held+1) * n.pktTime
 	}
-	if f.turnTimer != nil {
-		f.turnTimer.Cancel()
+	if f.turnTimer == nil {
+		f.turnTimer = n.node.NewTimer(func() { n.takeTurn(f) })
 	}
-	f.turnTimer = n.node.After(wait, func() { n.takeTurn(f) })
+	f.turnTimer.Reset(wait)
 	n.armWatchdog(f)
 }
 
 // armWatchdog guarantees liveness: if the flow goes silent with the batch
 // incomplete, the node re-enters the schedule (staggered by priority).
 func (n *Node) armWatchdog(f *exorFlow) {
-	if f.watchdog != nil {
-		f.watchdog.Cancel()
+	if f.watchdog == nil {
+		f.watchdog = n.node.NewTimer(func() {
+			if !n.batchDone(f) {
+				n.takeTurn(f)
+			}
+		})
 	}
-	quiet := sim.Time(f.k+2*len(f.prio)+2)*n.pktTime + sim.Time(f.myPrio+1)*n.pktTime
-	f.watchdog = n.node.After(quiet, func() {
-		if !n.batchDone(f) {
-			n.takeTurn(f)
-		}
-	})
+	f.watchdog.Reset(sim.Time(f.k+2*len(f.prio)+2)*n.pktTime + sim.Time(f.myPrio+1)*n.pktTime)
 }
 
 // batchDone reports whether this node's map shows the destination holding

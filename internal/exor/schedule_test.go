@@ -116,6 +116,36 @@ func TestEligibilityRespectsPriority(t *testing.T) {
 
 func packet3() uint8 { return 2 } // src prio in a 3-node list
 
+// TestArmTurnAllocatesNothing pins the turn timer and the watchdog as timers
+// their flow owns (sim.Node.NewTimer): every data packet a participant hears
+// restarts both, and a restart makes no Event and no closure.
+func TestArmTurnAllocatesNothing(t *testing.T) {
+	topo := graph.New(3)
+	topo.SetLink(0, 1, 1)
+	topo.SetLink(1, 2, 1)
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
+	n := NewNode(smallCfg(3), oracle)
+	s.Attach(1, n)
+	n.receiveData(&DataMsg{
+		Flow: 1, Src: 0, Dst: 2, Batch: 0, K: 3, TotalBatches: 1,
+		PktIdx: 0, FragRemaining: 2, SenderPrio: 2,
+		BMap: []uint8{packet3(), packet3(), packet3()}, Prio: []graph.NodeID{2, 1, 0},
+		Payload: make([]byte, 10),
+	})
+	f := n.flows[1]
+	turn, watchdog := f.turnTimer, f.watchdog
+	if turn == nil || watchdog == nil {
+		t.Fatal("hearing a data packet armed no timers")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.armTurn(f, 2, 1) }); allocs != 0 {
+		t.Fatalf("restarting the turn timer and the watchdog allocates %v objects, want 0", allocs)
+	}
+	if f.turnTimer != turn || f.watchdog != watchdog || s.Pending() != 2 {
+		t.Fatalf("timers replaced instead of restarted: %d events pending, want 2", s.Pending())
+	}
+}
+
 func TestDataFrameChargesBatchMap(t *testing.T) {
 	// Every ExOR data frame pays for its batch map and forwarder list on
 	// the air: bigger K means bigger frames.

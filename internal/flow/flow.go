@@ -6,8 +6,10 @@ package flow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -22,12 +24,25 @@ type File struct {
 	Seed    int64
 	Bytes   int
 	PktSize int
+
+	// content holds the file's bytes once generated; every copy of a File
+	// made by NewFile shares it. A literal File{…} has none and generates
+	// its bytes on each Payloads call.
+	content *content
+}
+
+// content is a file's bytes, generated on first use. The Once makes the
+// first use safe from any goroutine: parallel experiment workers may hold
+// copies of one File.
+type content struct {
+	once  sync.Once
+	bytes []byte
 }
 
 // NewFile describes a file of the given size carried in pktSize-byte
 // packets (the paper transfers 5 MB files in 1500 B packets).
 func NewFile(bytes, pktSize int, seed int64) File {
-	return File{Seed: seed, Bytes: bytes, PktSize: pktSize}
+	return File{Seed: seed, Bytes: bytes, PktSize: pktSize, content: new(content)}
 }
 
 // NumPackets returns the number of packets the file splits into.
@@ -44,25 +59,59 @@ func (f File) TailSize() int {
 	return f.PktSize
 }
 
-// Payloads materializes the packet payloads. Every call returns identical
+// Payloads returns the packet payloads. Every call returns identical
 // contents, so receivers can verify byte-exact delivery. The payloads carry
 // exactly Bytes bytes in total: when Bytes is not a multiple of PktSize the
 // final payload is truncated to the remainder, never padded — so byte-based
 // delivery accounting and content verification see the real file, not a
 // rounded-up one. (Protocols that need fixed-size symbols — MORE's network
 // coding — pad internally on the wire and strip the padding at delivery.)
+//
+// The payloads are views into one array that every Payloads call on a
+// NewFile-made File shares, so their bytes are read-only to every caller.
+// The outer slice is the caller's own (MORE's source replaces its last
+// element with a padded copy), and each view's capacity ends where it does,
+// so an append copies instead of running into the next packet.
 func (f File) Payloads() [][]byte {
-	rng := rand.New(rand.NewSource(f.Seed))
-	n := f.NumPackets()
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = make([]byte, f.PktSize)
-		rng.Read(out[i])
+	var buf []byte
+	if c := f.content; c != nil {
+		c.once.Do(func() { c.bytes = generate(f.Seed, f.Bytes) })
+		buf = c.bytes
+	} else {
+		buf = generate(f.Seed, f.Bytes)
 	}
-	if n > 0 {
-		out[n-1] = out[n-1][:f.TailSize()]
+	out := make([][]byte, f.NumPackets())
+	for i := range out {
+		lo := i * f.PktSize
+		hi := min(lo+f.PktSize, len(buf))
+		out[i] = buf[lo:hi:hi]
 	}
 	return out
+}
+
+// generate returns the first n bytes math/rand's Rand.Read yields for the
+// seed, in any split into calls: Read hands out each Source.Int63 value as
+// seven little-endian bytes and carries the unused ones into the next call,
+// so one contiguous fill equals the per-packet Reads it replaces.
+// TestPayloadsMatchMathRand pins the equality against rand.Read itself.
+func generate(seed int64, n int) []byte {
+	src := rand.NewSource(seed)
+	buf := make([]byte, n)
+	i := 0
+	// While eight bytes fit, store the whole value; the next store
+	// overwrites the eighth.
+	for ; i+8 <= n; i += 7 {
+		binary.LittleEndian.PutUint64(buf[i:], uint64(src.Int63()))
+	}
+	for i < n {
+		v := src.Int63()
+		for k := 0; k < 7 && i < n; k++ {
+			buf[i] = byte(v)
+			v >>= 8
+			i++
+		}
+	}
+	return buf
 }
 
 // VerifyPayload checks a delivered payload against the expected one. got

@@ -2,6 +2,8 @@ package flow
 
 import (
 	"bytes"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -139,4 +141,110 @@ func TestVerifyPayload(t *testing.T) {
 	if VerifyPayload([]byte{1, 2, 9}, want) {
 		t.Fatal("corrupt payload accepted")
 	}
+}
+
+// perPacketRead is the parent's Payloads: one math/rand Read per packet.
+func perPacketRead(f File) [][]byte {
+	rng := rand.New(rand.NewSource(f.Seed))
+	out := make([][]byte, f.NumPackets())
+	for i := range out {
+		out[i] = make([]byte, f.PktSize)
+		rng.Read(out[i])
+	}
+	if n := len(out); n > 0 {
+		out[n-1] = out[n-1][:f.TailSize()]
+	}
+	return out
+}
+
+// TestPayloadsMatchMathRand pins the generated bytes to math/rand's own
+// Read, packet by packet: a drift in either the fill or the library fails.
+func TestPayloadsMatchMathRand(t *testing.T) {
+	cases := []struct {
+		name string
+		f    File
+	}{
+		{"aligned", NewFile(6*1500, 1500, 11)},
+		{"unaligned", NewFile(65536, 1500, 12)},
+		{"one-packet", NewFile(1500, 1500, 13)},
+		{"one-short-packet", NewFile(5, 1500, 14)},
+		{"seven-multiple", NewFile(7*64*3, 7*64, 15)},
+		{"tail-of-eight", NewFile(1500+8, 1500, 16)},
+		{"empty", NewFile(0, 1500, 17)},
+		{"literal", File{Seed: 18, Bytes: 4000, PktSize: 1500}},
+	}
+	for _, tc := range cases {
+		for call := 0; call < 2; call++ {
+			got, want := tc.f.Payloads(), perPacketRead(tc.f)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d packets, want %d", tc.name, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s call %d: packet %d differs from rand.Read", tc.name, call, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPayloadsSharedAndIsolated pins who owns what: the bytes are shared,
+// the outer slice is each caller's, and a view cannot grow into the next.
+func TestPayloadsSharedAndIsolated(t *testing.T) {
+	f := NewFile(4000, 1500, 21)
+	a, b := f.Payloads(), f.Payloads()
+	for i := range a {
+		if &a[i][0] != &b[i][0] {
+			t.Fatalf("packet %d: two calls do not share storage", i)
+		}
+		if cap(a[i]) != len(a[i]) {
+			t.Fatalf("packet %d: cap %d beyond len %d", i, cap(a[i]), len(a[i]))
+		}
+	}
+	// What core.padForCoding does to the source's copy must not reach the
+	// sink's.
+	last := len(a) - 1
+	a[last] = make([]byte, f.PktSize)
+	if len(b[last]) != f.TailSize() || !bytes.Equal(b[last], perPacketRead(f)[last]) {
+		t.Fatal("replacing an element of one call's outer slice changed the other's")
+	}
+	next := append([]byte(nil), b[1]...)
+	grown := append(b[0], 0xEE)
+	if &grown[0] == &b[0][0] || !bytes.Equal(b[1], next) {
+		t.Fatal("append to a packet view wrote into the next packet")
+	}
+	// A copy of the File shares the content; a literal generates its own.
+	g := f
+	if c := g.Payloads(); &c[0][0] != &b[0][0] {
+		t.Fatal("a copied File regenerated its content")
+	}
+	lit := File{Seed: 21, Bytes: 4000, PktSize: 1500}
+	if c := lit.Payloads(); &c[0][0] == &b[0][0] || !bytes.Equal(c[0], b[0]) {
+		t.Fatal("a literal File must generate equal bytes of its own")
+	}
+	if n := testing.AllocsPerRun(20, func() { f.Payloads() }); n > 1 {
+		t.Fatalf("a repeated Payloads call allocates %v objects, want at most the outer slice", n)
+	}
+}
+
+// TestPayloadsConcurrentFirstUse has parallel workers race for the first
+// generation of one File's content (run under -race in CI).
+func TestPayloadsConcurrentFirstUse(t *testing.T) {
+	f := NewFile(65536, 1500, 31)
+	want := perPacketRead(f)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(f File) {
+			defer wg.Done()
+			got := f.Payloads()
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("packet %d differs under concurrent first use", i)
+					return
+				}
+			}
+		}(f)
+	}
+	wg.Wait()
 }

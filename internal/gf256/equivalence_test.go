@@ -298,6 +298,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(15), uint8(0), uint8(65), uint8(8), uint8(2))
 	f.Add(int64(16), uint8(0), uint8(97), uint8(6), uint8(0))
 	f.Add(int64(17), uint8(0), uint8(97), uint8(6), uint8(1))
+	// Lengths 28 mod 32 — a 1500-byte row's tail — below, at and past one
+	// 64-byte loop: the SIMD arms finish them on padded blocks.
+	f.Add(int64(18), uint8(5), uint8(28), uint8(3), uint8(2))
+	f.Add(int64(19), uint8(5), uint8(60), uint8(9), uint8(2))
+	f.Add(int64(20), uint8(5), uint8(92), uint8(30), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, kRaw, sizeRaw, offRaw, npRaw uint8) {
 		checkKernelEquivalence(t, buildFuzzCase(seed, kRaw, sizeRaw, offRaw, npRaw))
 		checkSingleRowEquivalence(t, seed, sizeRaw, offRaw, npRaw)
@@ -345,11 +350,79 @@ func TestKernelEquivalenceSeedCorpus(t *testing.T) {
 		{11, 0, 98, 1, 2}, {12, 0, 31, 2, 2}, {13, 0, 32, 4, 2},
 		{14, 0, 33, 30, 2}, {15, 0, 65, 8, 2}, {16, 0, 97, 6, 0},
 		{17, 0, 97, 6, 1},
+		{18, 5, 28, 3, 2}, {19, 5, 60, 9, 2}, {20, 5, 92, 30, 2},
 	}
 	for _, s := range seeds {
 		t.Run(fmt.Sprintf("seed%d", s[0]), func(t *testing.T) {
 			checkKernelEquivalence(t, buildFuzzCase(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]), uint8(s[4])))
 			checkSingleRowEquivalence(t, int64(s[0]), uint8(s[2]), uint8(s[3]), uint8(s[4]))
 		})
+	}
+}
+
+// TestArmTailsMatchReference crosses every single-row body this machine can
+// run — mul, mulAdd and, where the arm has one, mulAdd2 — with the byte-wise
+// reference loops on every length 0..200, so every split into vector prefix
+// and padded tail block occurs, disjoint and with dst == src exactly. Each
+// destination sits between guard bytes: a tail finished on a whole block
+// must not write past the slice, before or after.
+func TestArmTailsMatchReference(t *testing.T) {
+	const guard = 40 // more than one block on either side
+	rng := rand.New(rand.NewSource(28))
+	for _, ta := range testArms() {
+		for n := 0; n <= 200; n++ {
+			c1, c2 := byte(2+rng.Intn(254)), byte(rng.Intn(256))
+			a, b, base := make([]byte, n), make([]byte, n), make([]byte, n)
+			rng.Read(a)
+			rng.Read(b)
+			rng.Read(base)
+			// run hands op a guarded copy of init as dst (and as src too when
+			// aliased) and compares with the reference's result.
+			run := func(opName string, init []byte, aliased bool, op, ref func(dst, src []byte)) {
+				t.Helper()
+				buf := bytes.Repeat([]byte{0xc3}, guard+n+guard)
+				dst := buf[guard : guard+n : guard+n]
+				copy(dst, init)
+				want := append([]byte(nil), init...)
+				if aliased {
+					op(dst, dst)
+					ref(want, want)
+				} else {
+					op(dst, a)
+					ref(want, a)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s %s n=%d aliased=%v diverges from reference\n got %x\nwant %x", ta.label, opName, n, aliased, dst, want)
+				}
+				for i, g := range buf {
+					if (i < guard || i >= guard+n) && g != 0xc3 {
+						t.Fatalf("%s %s n=%d aliased=%v wrote outside dst, at offset %d", ta.label, opName, n, aliased, i-guard)
+					}
+				}
+			}
+			for _, aliased := range []bool{false, true} {
+				init := base
+				if aliased {
+					init = a
+				}
+				run("mul", init, aliased,
+					func(dst, src []byte) { ta.mul(dst, src, c1) },
+					func(dst, src []byte) { mulSliceGeneric(dst, src, c1) })
+				run("mulAdd", init, aliased,
+					func(dst, src []byte) { ta.mulAdd(dst, src, c1) },
+					func(dst, src []byte) { mulAddSliceGeneric(dst, src, c1) })
+				if ta.mulAdd2 != nil {
+					// Aliased: dst is the first source. The second pass of the
+					// reference must not read the first pass's output.
+					run("mulAdd2", init, aliased,
+						func(dst, src []byte) { ta.mulAdd2(dst, src, b, c1, c2) },
+						func(dst, src []byte) {
+							first := append([]byte(nil), src...)
+							mulAddSliceGeneric(dst, first, c1)
+							mulAddSliceGeneric(dst, b, c2)
+						})
+				}
+			}
+		}
 	}
 }

@@ -139,10 +139,10 @@ func (kn *simdKernel) combineInto(dst []byte, srcs [][]byte, coeffs []byte) {
 }
 
 // Assembly primitives (kernel_amd64.s). n must be a positive multiple of
-// the form's block size. dst may equal src: every body loads its whole
-// block (16, 32 or 64 bytes) of src before the first store to dst, and a
-// store never reaches past the block just loaded. Any other overlap is
-// undefined.
+// the form's block size; the wrappers below pad a shorter tail up to one.
+// dst may equal src: every body loads its whole block (16, 32 or 64 bytes)
+// of src before the first store to dst, and a store never reaches past the
+// block just loaded. Any other overlap is undefined.
 
 //go:noescape
 func gfMulSSSE3(dst, src *byte, n int, tab *byte)
@@ -169,23 +169,55 @@ func gfMulAddGFNI(dst, src *byte, n int, mat uint64)
 func gfMulAdd2GFNI(dst, a, b *byte, n int, matA, matB uint64)
 
 // The Go-side wrappers run the vector body over the block-aligned prefix
-// and the byte-wise reference loop over the tail. Zero and one need no special
-// case: the all-zero and identity tables and matrices are exact.
+// and then once more for the tail, on zero-padded blocks on the stack:
+// 0*c = 0, so the padding is inert. (A 1500-byte row is 1472 + 28: the
+// byte-wise loop over those 28 cost 60 % of what the body did over the 1472.)
+//
+//   - A multiply stages the source tail at the front of a block, multiplies
+//     the block in place and copies the tail's bytes out.
+//   - A multiply-accumulate re-runs the body over the last whole block of
+//     dst, in place, against a source block that is zero wherever the prefix
+//     pass has already been: those bytes are XORed with 0. Only a dst shorter
+//     than one block is staged too.
+//
+// The source tail is copied out before any destination byte of the tail is
+// written, so dst == src stays safe. Zero and one need no special case: the
+// all-zero and identity tables and matrices are exact.
+
+// padN returns b (shorter than a block) at the front of a zero block, tailN
+// the last t bytes of b at the end of one.
+func pad16(b []byte) (blk [16]byte)         { copy(blk[:], b); return }
+func pad32(b []byte) (blk [32]byte)         { copy(blk[:], b); return }
+func tail16(b []byte, t int) (blk [16]byte) { copy(blk[16-t:], b[len(b)-t:]); return }
+func tail32(b []byte, t int) (blk [32]byte) { copy(blk[32-t:], b[len(b)-t:]); return }
 
 func pshufbMul(dst, src []byte, c byte) {
 	n := len(dst) &^ 15
 	if n > 0 {
 		gfMulSSSE3(&dst[0], &src[0], n, &nibTab[c][0])
 	}
-	mulSliceGeneric(dst[n:], src[n:], c)
+	if n < len(dst) {
+		s := pad16(src[n:])
+		gfMulSSSE3(&s[0], &s[0], 16, &nibTab[c][0])
+		copy(dst[n:], s[:])
+	}
 }
 
 func pshufbMulAdd(dst, src []byte, c byte) {
 	n := len(dst) &^ 15
-	if n > 0 {
-		gfMulAddSSSE3(&dst[0], &src[0], n, &nibTab[c][0])
+	if n == 0 {
+		if len(dst) > 0 {
+			d, s := pad16(dst), pad16(src)
+			gfMulAddSSSE3(&d[0], &s[0], 16, &nibTab[c][0])
+			copy(dst, d[:])
+		}
+		return
 	}
-	mulAddSliceGeneric(dst[n:], src[n:], c)
+	gfMulAddSSSE3(&dst[0], &src[0], n, &nibTab[c][0])
+	if t := len(dst) - n; t > 0 {
+		s := tail16(src, t)
+		gfMulAddSSSE3(&dst[len(dst)-16], &s[0], 16, &nibTab[c][0])
+	}
 }
 
 func pshufbMulWide(dst, src []byte, c byte) {
@@ -193,24 +225,45 @@ func pshufbMulWide(dst, src []byte, c byte) {
 	if n > 0 {
 		gfMulAVX2(&dst[0], &src[0], n, &nibTab[c][0])
 	}
-	mulSliceGeneric(dst[n:], src[n:], c)
+	if n < len(dst) {
+		s := pad32(src[n:])
+		gfMulAVX2(&s[0], &s[0], 32, &nibTab[c][0])
+		copy(dst[n:], s[:])
+	}
 }
 
 func pshufbMulAddWide(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAddAVX2(&dst[0], &src[0], n, &nibTab[c][0])
+	if n == 0 {
+		if len(dst) > 0 {
+			d, s := pad32(dst), pad32(src)
+			gfMulAddAVX2(&d[0], &s[0], 32, &nibTab[c][0])
+			copy(dst, d[:])
+		}
+		return
 	}
-	mulAddSliceGeneric(dst[n:], src[n:], c)
+	gfMulAddAVX2(&dst[0], &src[0], n, &nibTab[c][0])
+	if t := len(dst) - n; t > 0 {
+		s := tail32(src, t)
+		gfMulAddAVX2(&dst[len(dst)-32], &s[0], 32, &nibTab[c][0])
+	}
 }
 
 func pshufbMulAdd2Wide(dst, a, b []byte, c1, c2 byte) {
 	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAdd2AVX2(&dst[0], &a[0], &b[0], n, &nibTab[c1][0], &nibTab[c2][0])
+	if n == 0 {
+		if len(dst) > 0 {
+			d, sa, sb := pad32(dst), pad32(a), pad32(b)
+			gfMulAdd2AVX2(&d[0], &sa[0], &sb[0], 32, &nibTab[c1][0], &nibTab[c2][0])
+			copy(dst, d[:])
+		}
+		return
 	}
-	mulAddSliceGeneric(dst[n:], a[n:], c1)
-	mulAddSliceGeneric(dst[n:], b[n:], c2)
+	gfMulAdd2AVX2(&dst[0], &a[0], &b[0], n, &nibTab[c1][0], &nibTab[c2][0])
+	if t := len(dst) - n; t > 0 {
+		sa, sb := tail32(a, t), tail32(b, t)
+		gfMulAdd2AVX2(&dst[len(dst)-32], &sa[0], &sb[0], 32, &nibTab[c1][0], &nibTab[c2][0])
+	}
 }
 
 func gfniMul(dst, src []byte, c byte) {
@@ -218,22 +271,43 @@ func gfniMul(dst, src []byte, c byte) {
 	if n > 0 {
 		gfMulGFNI(&dst[0], &src[0], n, gfniMat[c])
 	}
-	mulSliceGeneric(dst[n:], src[n:], c)
+	if n < len(dst) {
+		s := pad32(src[n:])
+		gfMulGFNI(&s[0], &s[0], 32, gfniMat[c])
+		copy(dst[n:], s[:])
+	}
 }
 
 func gfniMulAdd(dst, src []byte, c byte) {
 	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAddGFNI(&dst[0], &src[0], n, gfniMat[c])
+	if n == 0 {
+		if len(dst) > 0 {
+			d, s := pad32(dst), pad32(src)
+			gfMulAddGFNI(&d[0], &s[0], 32, gfniMat[c])
+			copy(dst, d[:])
+		}
+		return
 	}
-	mulAddSliceGeneric(dst[n:], src[n:], c)
+	gfMulAddGFNI(&dst[0], &src[0], n, gfniMat[c])
+	if t := len(dst) - n; t > 0 {
+		s := tail32(src, t)
+		gfMulAddGFNI(&dst[len(dst)-32], &s[0], 32, gfniMat[c])
+	}
 }
 
 func gfniMulAdd2(dst, a, b []byte, c1, c2 byte) {
 	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAdd2GFNI(&dst[0], &a[0], &b[0], n, gfniMat[c1], gfniMat[c2])
+	if n == 0 {
+		if len(dst) > 0 {
+			d, sa, sb := pad32(dst), pad32(a), pad32(b)
+			gfMulAdd2GFNI(&d[0], &sa[0], &sb[0], 32, gfniMat[c1], gfniMat[c2])
+			copy(dst, d[:])
+		}
+		return
 	}
-	mulAddSliceGeneric(dst[n:], a[n:], c1)
-	mulAddSliceGeneric(dst[n:], b[n:], c2)
+	gfMulAdd2GFNI(&dst[0], &a[0], &b[0], n, gfniMat[c1], gfniMat[c2])
+	if t := len(dst) - n; t > 0 {
+		sa, sb := tail32(a, t), tail32(b, t)
+		gfMulAdd2GFNI(&dst[len(dst)-32], &sa[0], &sb[0], 32, gfniMat[c1], gfniMat[c2])
+	}
 }

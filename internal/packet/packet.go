@@ -123,8 +123,11 @@ func (h *MOREHeader) Encode(dst []byte) ([]byte, error) {
 	dst = append(dst, h.CodeVector...)
 	dst = append(dst, byte(len(h.Forwarders)))
 	for _, f := range h.Forwarders {
+		// A zero Hash on an entry that names its node is "not filled in".
+		// On a decoded entry (Node == -1) it is the hash that was on the
+		// wire — some node IDs do hash to 0 — and goes back as it came.
 		hash := f.Hash
-		if hash == 0 {
+		if hash == 0 && f.Node >= 0 {
 			hash = NodeHash(f.Node)
 		}
 		dst = append(dst, hash)

@@ -21,6 +21,7 @@ func TestFixedParameters(t *testing.T) {
 		{"interferenceThreshold", interferenceThreshold, 0.01},
 		{"captureMargin", captureMargin, 2.0},
 		{"minFrameDivisor", minFrameDivisor, 10},
+		{"dupWindow", dupWindow, 4096},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)

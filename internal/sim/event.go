@@ -15,9 +15,10 @@ package sim
 // all three against a container/heap model (event_test.go).
 
 // Event is a scheduled callback. Events may be canceled before they fire.
-// After returns a one-shot Event; the MAC timers and a transmission's end
-// are Event values embedded in their owner, bound once with init and armed
-// any number of times through armAt.
+// After returns a one-shot Event; the MAC timers, a transmission's end and a
+// MAC ACK's SIFS wait are Event values embedded in their owner, bound once
+// with init and armed any number of times through armAt. Node.NewTimer and
+// Reset are the same for a protocol's own timers.
 type Event struct {
 	fn       func()
 	sim      *Simulator
@@ -160,6 +161,11 @@ func (s *Simulator) After(delay Time, fn func()) *Event {
 	s.armAt(e, s.now+delay)
 	return e
 }
+
+// Reset arms the event to fire delay from now, replacing any pending firing:
+// Cancel and After on a timer made once by Node.NewTimer, without the new
+// Event and closure, drawing the same sequence number.
+func (e *Event) Reset(delay Time) { e.sim.armAt(e, e.sim.now+delay) }
 
 // armDIFS appends m to the DIFS lane, to fire m.difsDone one DIFS from now,
 // replacing any pending wait. It draws the sequence number an armAt in its

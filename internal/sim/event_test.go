@@ -210,7 +210,7 @@ func (q *refQueue) cancelOwned(k int) { q.owned[k].Cancel() }
 
 type indexedQueue struct {
 	*Simulator
-	owned []Event
+	owned []*Event
 }
 
 func newIndexedQueue() *indexedQueue {
@@ -247,14 +247,30 @@ func (q *indexedQueue) cancelLane(k int) {
 func (q *indexedQueue) wakeAfter(k int, d Time) { q.nodes[k].WakeAfter(d) }
 
 func (q *indexedQueue) after(d Time, fn func()) interface{ Cancel() } { return q.After(d, fn) }
+
+// The owned events are armed through both doors: the even ones as the MAC
+// arms its embedded timers, the odd ones as a protocol restarts a timer of
+// its own (Node.NewTimer, Event.Reset). The reference's Cancel-and-After is
+// what either replaces.
 func (q *indexedQueue) bindOwned(fns []func()) {
-	q.owned = make([]Event, len(fns))
+	q.owned = make([]*Event, len(fns))
 	for k, fn := range fns {
-		q.owned[k].init(q.Simulator, fn)
+		if k%2 == 0 {
+			q.owned[k] = new(Event)
+			q.owned[k].init(q.Simulator, fn)
+		} else {
+			q.owned[k] = q.nodes[0].NewTimer(fn)
+		}
 	}
 }
-func (q *indexedQueue) armOwned(k int, d Time) { q.armAt(&q.owned[k], q.now+d) }
-func (q *indexedQueue) cancelOwned(k int)      { q.owned[k].Cancel() }
+func (q *indexedQueue) armOwned(k int, d Time) {
+	if k%2 == 0 {
+		q.armAt(q.owned[k], q.now+d)
+	} else {
+		q.owned[k].Reset(d)
+	}
+}
+func (q *indexedQueue) cancelOwned(k int) { q.owned[k].Cancel() }
 
 // step is one observation of a script run: an event firing (id ≥ 0) or the
 // state after an operation (id −1).

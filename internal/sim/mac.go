@@ -48,40 +48,72 @@ type mac struct {
 	retries int
 	onAir   int // own transmissions currently in flight
 
-	// MAC sequence numbers and duplicate suppression. seen is bounded by
-	// the configured DupWindow: seenRing remembers insertion order and the
-	// oldest key is evicted once the window fills, so memory stays O(window)
-	// on arbitrarily long runs. Real 802.11 duplicate detection keeps one
-	// recent (address, sequence) cache per peer for the same reason — a
-	// retransmitted duplicate always arrives within a few frames of the
-	// original, never a million frames later.
-	nextSeq  uint64
-	seen     map[uint64]struct{} // (from<<40 | seq) of delivered unicasts
-	seenRing []uint64            // insertion order of seen keys
-	seenNext int                 // ring slot holding the oldest key
+	// MAC sequence numbers and duplicate suppression.
+	nextSeq uint64
+	dups    dupTable
+}
+
+// dupWindow bounds each node's MAC duplicate-suppression memory: the most
+// recent dupWindow delivered (sender, sequence) keys are remembered, older
+// ones forgotten. Real 802.11 duplicate detection keeps one recent (address,
+// sequence) cache per peer for the same reason — a retransmitted duplicate
+// always arrives within a few frames of the original, never a million frames
+// later — so any value comfortably above the per-neighbor retry depth is
+// behavior-identical.
+const dupWindow = 4096
+
+// dupTable remembers which of the last `window` unicast keys a MAC recorded,
+// in one entry per sender heard — at most the node's in-neighbours, so a
+// linear scan, and memory that does not grow with the run or the network.
+//
+// One entry per sender is exact, not an approximation of the window: a MAC
+// sends its frames one at a time and its sequence counter only grows (it
+// survives silence/revive), so the keys a receiver hears from one sender are
+// non-decreasing in sequence (TestMACSequencePerSenderNeverDecreases). The
+// only key of sender s that can arrive again is therefore its latest, and
+// "the key is among the last window keys recorded" is "it is s's latest key
+// and fewer than window keys were recorded since it was".
+type dupTable struct {
+	recorded uint64 // keys recorded so far
+	senders  []dupEntry
+}
+
+type dupEntry struct {
+	from       graph.NodeID
+	lastSeq    uint64 // the sender's latest recorded sequence number
+	recordedAt uint64 // dupTable.recorded just after recording it
+}
+
+// duplicate reports whether (from, seq) is among the last window keys
+// recorded, and records it when it is not.
+func (t *dupTable) duplicate(from graph.NodeID, seq, window uint64) bool {
+	e := t.entry(from)
+	if e == nil {
+		t.senders = append(t.senders, dupEntry{from: from})
+		e = &t.senders[len(t.senders)-1]
+	} else if e.lastSeq == seq && t.recorded-e.recordedAt < window {
+		return true
+	}
+	t.recorded++
+	e.lastSeq, e.recordedAt = seq, t.recorded
+	return false
+}
+
+func (t *dupTable) entry(from graph.NodeID) *dupEntry {
+	for i := range t.senders {
+		if t.senders[i].from == from {
+			return &t.senders[i]
+		}
+	}
+	return nil
 }
 
 // init binds a MAC of the simulator's slab to its node.
 func (m *mac) init(n *Node) {
 	m.sim, m.node = n.sim, n
 	m.cw = CWMin
-	m.seen = make(map[uint64]struct{})
 	m.backoffTimer.init(n.sim, m.backoffDone)
 	m.ackTimer.init(n.sim, m.ackTimeout)
-}
-
-// recordSeen marks key as delivered, evicting the oldest remembered key
-// once the duplicate-suppression window is full.
-func (m *mac) recordSeen(key uint64) {
-	w := m.sim.cfg.DupWindow
-	if len(m.seenRing) < w {
-		m.seenRing = append(m.seenRing, key)
-	} else {
-		delete(m.seen, m.seenRing[m.seenNext])
-		m.seenRing[m.seenNext] = key
-		m.seenNext = (m.seenNext + 1) % w
-	}
-	m.seen[key] = struct{}{}
 }
 
 // wake is called by the protocol when it has traffic.
@@ -127,9 +159,7 @@ func (m *mac) revive() {
 	m.cw = CWMin
 	m.backoffSlots = 0
 	m.backoffArmed = false
-	m.seen = make(map[uint64]struct{})
-	m.seenRing = nil
-	m.seenNext = 0
+	m.dups = dupTable{}
 }
 
 func (m *mac) startContention() {
@@ -302,7 +332,7 @@ func (m *mac) postTxReset(newBackoff bool) {
 func (m *mac) deliver(tx *transmission) {
 	f := tx.frame
 	if f.isMACAck {
-		if m.state == macWaitAck && f.To == m.node.id && f.ackFor.frame == m.cur {
+		if m.state == macWaitAck && f.To == m.node.id && f.ack.data == m.cur {
 			m.ackTimer.Cancel()
 			cur := m.cur
 			cur.Retries = m.retries
@@ -316,39 +346,54 @@ func (m *mac) deliver(tx *transmission) {
 	if f.To == m.node.id {
 		// Acknowledge even duplicates (the sender missed our ACK).
 		m.scheduleMACAck(tx)
-		key := uint64(f.From)<<40 | f.seq
-		if _, dup := m.seen[key]; dup {
-			return
-		}
-		m.recordSeen(key)
-		m.node.proto.Receive(f)
-		return
 	}
-	// Broadcast or overheard unicast.
-	if f.To != graph.Broadcast {
-		key := uint64(f.From)<<40 | f.seq
-		if _, dup := m.seen[key]; dup {
-			return
-		}
-		m.recordSeen(key)
+	// A unicast, ours or overheard, is handed up once.
+	if f.To != graph.Broadcast && m.dups.duplicate(f.From, f.seq, dupWindow) {
+		return
 	}
 	m.node.proto.Receive(f)
 }
 
-// scheduleMACAck sends the 802.11 ACK one SIFS after the data frame.
+// macAck is one 802.11 ACK from the SIFS wait behind the data frame to the
+// end of its own transmission: the wait's event, bound once, and the ACK
+// frame itself. An ACK frame never leaves the simulator (deliver consumes it,
+// txFinished ignores it), so the record is recycled through
+// Simulator.ackFree: when the wait finds the radio busy, or when the ACK
+// leaves the air.
+type macAck struct {
+	wait  Event
+	m     *mac   // the acknowledging MAC
+	data  *Frame // the data frame acknowledged
+	frame Frame
+}
+
+// scheduleMACAck sends the 802.11 ACK one SIFS after the data frame. It
+// keeps the data frame and its sender's ID, not the transmission: that one
+// is recycled when it leaves the air (Simulator.release).
 func (m *mac) scheduleMACAck(dataTx *transmission) {
-	n := m.node
-	m.sim.After(sifs, func() {
-		if m.onAir > 0 || n.failed {
-			return // radio busy (or dead); sender will time out and retry
-		}
-		ack := &Frame{
-			From:     n.id,
-			To:       dataTx.from.id,
-			Bytes:    macAckBytes,
-			isMACAck: true,
-			ackFor:   dataTx,
-		}
-		n.sim.startTransmission(n, ack)
-	})
+	s := m.sim
+	a := popFree(&s.ackFree)
+	if a == nil {
+		a = new(macAck)
+		a.wait.init(s, a.send)
+	}
+	a.m, a.data = m, dataTx.frame
+	a.frame = Frame{From: m.node.id, To: dataTx.from.id, Bytes: macAckBytes, isMACAck: true, ack: a}
+	s.armAt(&a.wait, s.now+sifs)
+}
+
+// send puts the ACK on the air when its SIFS is over.
+func (a *macAck) send() {
+	n := a.m.node
+	if a.m.onAir > 0 || n.failed {
+		n.sim.releaseAck(a) // radio busy (or dead); sender will time out and retry
+		return
+	}
+	n.sim.startTransmission(n, &a.frame)
+}
+
+// releaseAck recycles a, which is neither waiting nor on the air any more.
+func (s *Simulator) releaseAck(a *macAck) {
+	a.m, a.data = nil, nil
+	s.ackFree = append(s.ackFree, a)
 }

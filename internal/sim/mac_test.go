@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,42 +246,38 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	if draw(1) == draw(2) {
 		t.Fatal("different seeds agree")
 	}
-	_ = rand.Int // keep math/rand imported for clarity of intent
 }
 
 // TestDupWindowBoundsSeenMemory checks that the MAC's duplicate-suppression
-// memory stays at the configured window: once more keys than DupWindow have
-// been recorded, the oldest are evicted (and so would be re-accepted), and
-// the map never exceeds the window.
+// memory is the last `window` keys and nothing more: a sender's latest key
+// is a duplicate while fewer than window keys were recorded after it and is
+// re-accepted once they were, and the table holds one entry per sender heard
+// however many keys pass through it.
 func TestDupWindowBoundsSeenMemory(t *testing.T) {
-	topo := graph.New(2)
-	cfg := DefaultConfig()
-	cfg.DupWindow = 8
-	s := New(topo, cfg)
-	m := s.Node(0).mac
-	for k := uint64(1); k <= 100; k++ {
-		m.recordSeen(k)
-		if len(m.seen) > 8 || len(m.seenRing) > 8 {
-			t.Fatalf("seen memory exceeded window after %d inserts: map=%d ring=%d",
-				k, len(m.seen), len(m.seenRing))
+	const window = 8
+	var tab dupTable
+	if tab.duplicate(7, 1, window) {
+		t.Fatal("first sight of a key reported as duplicate")
+	}
+	// Seven more keys from other senders: (7, 1) is the oldest of eight.
+	for k := uint64(1); k <= 7; k++ {
+		if tab.duplicate(graph.NodeID(k%3), k, window) {
+			t.Fatalf("fresh key %d reported as duplicate", k)
 		}
 	}
-	// The most recent 8 keys are remembered, everything older forgotten.
-	for k := uint64(93); k <= 100; k++ {
-		if _, ok := m.seen[k]; !ok {
-			t.Fatalf("recent key %d evicted early", k)
-		}
+	if !tab.duplicate(7, 1, window) {
+		t.Fatal("key inside the window forgotten")
 	}
-	if _, ok := m.seen[92]; ok {
+	// A duplicate records nothing; one more fresh key pushes (7, 1) out.
+	tab.duplicate(0, 8, window)
+	if tab.duplicate(7, 1, window) {
 		t.Fatal("key outside the window still remembered")
 	}
-}
-
-// TestDupWindowDefault checks the zero value gets the documented default.
-func TestDupWindowDefault(t *testing.T) {
-	s := New(graph.New(1), Config{})
-	if s.cfg.DupWindow != 4096 {
-		t.Fatalf("default DupWindow = %d, want 4096", s.cfg.DupWindow)
+	for k := uint64(9); k <= 1000; k++ {
+		tab.duplicate(graph.NodeID(k%3), k, window)
+	}
+	if len(tab.senders) != 4 {
+		t.Fatalf("table holds %d entries for 4 senders heard", len(tab.senders))
 	}
 }
 

@@ -84,6 +84,14 @@ func (n *Node) Rand() *rand.Rand { return n.sim.rng }
 // After schedules fn after delay; the returned event can be canceled.
 func (n *Node) After(delay Time, fn func()) *Event { return n.sim.After(delay, fn) }
 
+// NewTimer returns an unarmed event bound to fn, for a timer the protocol
+// restarts time and again with Event.Reset.
+func (n *Node) NewTimer(fn func()) *Event {
+	e := new(Event)
+	e.init(n.sim, fn)
+	return e
+}
+
 // WatchStall runs a batch-stall watchdog on this node: every interval it
 // reads progress — the watched flow's batch index (never negative) and
 // whether the flow is done — and calls stalled when a whole interval passed

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLinkProbMemo drives the per-link lookup the way endTransmission does —
-// the transmitter's memo row, one slot per out-edge, the frame's effective
+// the transmitter's memo, two slots per out-edge, the frame's effective
 // size — over random rates and sizes while the live topology's edges move,
 // change and come and go under it, and requires the bits of a direct
 // adjustProb call every time: the memo is a cache, never a second opinion.
@@ -63,11 +63,11 @@ func TestLinkProbMemo(t *testing.T) {
 			memo := s.probRow(from, len(out))
 			eff := s.effectiveBytes(bytes)
 			for k, e := range out {
-				if memo[k].pRef == e.P && memo[k].rate == rate && memo[k].effBytes == eff {
+				if memo.recent[k].holds(e.P, rate, eff) || memo.older != nil && memo.older[k].holds(e.P, rate, eff) {
 					hits++
 				}
 				lookups++
-				got, want := s.linkProb(&memo[k], e.P, rate, eff), s.adjustProb(e.P, rate, bytes)
+				got, want := s.linkProb(memo, k, e.P, rate, eff), s.adjustProb(e.P, rate, bytes)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("round %d, link %d->%d p=%v rate=%v bytes=%d: memo %v, adjustProb %v",
 						round, from, e.Node, e.P, rate, bytes, got, want)
@@ -82,7 +82,8 @@ func TestLinkProbMemo(t *testing.T) {
 	// Without a length model and without a rate mapping the probability is
 	// the topology's, whatever the slot holds.
 	s := New(graph.New(2), DefaultConfig())
-	if got := s.linkProb(&probSlot{pRef: 0.5, rate: Rate11, val: 0.9}, 0.5, Rate11, s.effectiveBytes(700)); got != 0.5 {
+	stale := &linkMemo{recent: []probSlot{{pRef: 0.5, rate: Rate11, val: 0.9}}}
+	if got := s.linkProb(stale, 0, 0.5, Rate11, s.effectiveBytes(700)); got != 0.5 {
 		t.Errorf("size-independent channel: linkProb = %v, want the reference 0.5", got)
 	}
 }

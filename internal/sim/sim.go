@@ -93,14 +93,6 @@ type Config struct {
 	// far more reliably than full data frames, as on real hardware. Zero
 	// keeps delivery size-independent.
 	RefFrameBytes int
-
-	// DupWindow bounds each node's MAC duplicate-suppression memory: the
-	// most recent DupWindow delivered (sender, sequence) keys are
-	// remembered; older ones are forgotten. Retransmitted duplicates
-	// always arrive within the retry window, so any value comfortably
-	// above the per-neighbor retry depth is behavior-identical while
-	// keeping memory bounded on very long runs. Zero defaults to 4096.
-	DupWindow int
 }
 
 // DefaultConfig returns the testbed setup: 5.5 Mb/s data frames, carrier
@@ -146,7 +138,7 @@ type Frame struct {
 
 	seq      uint64 // MAC sequence number for duplicate suppression
 	isMACAck bool
-	ackFor   *transmission
+	ack      *macAck // a MAC ACK's own record; it names the data frame acknowledged
 }
 
 // Counters aggregates statistics over a run.
@@ -219,12 +211,17 @@ type Simulator struct {
 	// never transmit pay nothing.
 	relevant []graph.NodeSet
 
-	// probMemo[i][k] remembers the last scaleProb result for the k-th
-	// out-edge of transmitter i; see linkProb. Rows are sized at a node's
-	// first transmission end, so construction pays nothing.
-	probMemo [][]probSlot
+	// probMemo[i] remembers scaleProb results for transmitter i's out-edges;
+	// see linkProb. Rows are sized at a node's first transmission end, so
+	// construction pays nothing.
+	probMemo []linkMemo
 
+	// active is what is on the air; txFree is the transmissions nothing
+	// refers to any more, ready for reuse (newTransmission, release), and
+	// ackFree the MAC ACK records whose ACK is sent or given up.
 	active   []*transmission
+	txFree   []*transmission
+	ackFree  []*macAck
 	Counters Counters
 
 	// Telem, when set, receives a typed telemetry.Event per medium and
@@ -233,7 +230,13 @@ type Simulator struct {
 	Telem telemetry.Sink
 }
 
-// transmission is a frame in flight.
+// transmission is a frame in flight. Transmissions are recycled: one is held
+// by s.active from start to end, and by the overlaps list of every
+// transmission it overlapped until that one ends; refs counts exactly those
+// holders, and release puts the object on s.txFree when the last lets go.
+// Nothing else may keep a *transmission past the call it was handed to —
+// a MAC ACK's record (macAck) remembers the data *Frame and the sender's ID
+// instead.
 type transmission struct {
 	frame    *Frame
 	from     *Node
@@ -241,17 +244,48 @@ type transmission struct {
 	end      Time
 	rate     Bitrate
 	overlaps []*transmission // other transmissions overlapping in time
-	done     bool
-	endEv    Event // takes the frame off the air at end
+	refs     int32           // s.active while on the air + one per overlaps list holding it
+	endEv    Event           // takes the frame off the air at end; bound once, in newTransmission
+}
+
+// popFree takes the last object off a free list; nil when the list is empty.
+func popFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// newTransmission takes a transmission off the free list, or makes one and
+// binds its end event: the closure is per object, not per frame on the air.
+func (s *Simulator) newTransmission() *transmission {
+	if tx := popFree(&s.txFree); tx != nil {
+		return tx
+	}
+	tx := new(transmission)
+	tx.endEv.init(s, func() { s.endTransmission(tx) })
+	return tx
+}
+
+// release drops one holder of tx and recycles it with the last. The node is
+// cleared (the frame was, when it left the air) so a recycled object retains
+// nothing, and so a reference that outlived the count faults instead of
+// reading another frame's transmitter.
+func (s *Simulator) release(tx *transmission) {
+	if tx.refs--; tx.refs == 0 {
+		tx.from = nil
+		s.txFree = append(s.txFree, tx)
+	}
 }
 
 // New creates a simulator over the topology.
 func New(topo *graph.Topology, cfg Config) *Simulator {
 	if cfg.DataRate == 0 {
 		cfg.DataRate = Rate5_5
-	}
-	if cfg.DupWindow <= 0 {
-		cfg.DupWindow = 4096
 	}
 	s := &Simulator{
 		cfg:  cfg,
@@ -270,7 +304,7 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	s.buildSenseSets()
 	s.busy = make([]int32, topo.N())
 	s.relevant = make([]graph.NodeSet, topo.N())
-	s.probMemo = make([][]probSlot, topo.N())
+	s.probMemo = make([]linkMemo, topo.N())
 	return s
 }
 
@@ -474,7 +508,7 @@ func (s *Simulator) scaleProb(p float64, rate Bitrate, effBytes int) float64 {
 	return p
 }
 
-// probSlot is one link's memo: the last scaleProb arguments and result.
+// probSlot is one memoised scaleProb call: its arguments and its result.
 type probSlot struct {
 	pRef     float64
 	rate     Bitrate
@@ -482,33 +516,58 @@ type probSlot struct {
 	val      float64
 }
 
-// probRow returns transmitter id's memo row, grown to cover k out-edges.
-func (s *Simulator) probRow(id graph.NodeID, k int) []probSlot {
-	if len(s.probMemo[id]) < k {
-		s.probMemo[id] = make([]probSlot, k)
-	}
-	return s.probMemo[id]
+func (p *probSlot) holds(pRef float64, rate Bitrate, effBytes int) bool {
+	return p.pRef == pRef && p.rate == rate && p.effBytes == effBytes
 }
 
-// linkProb is scaleProb(pRef, rate, effBytes) through a link's memo slot.
-// Control frames dominate large runs and nearly all share one effective size
-// (an LSA of up to 47 neighbors is under the RefFrameBytes/minFrameDivisor
-// floor), so the math.Pow per receiver becomes three compares. The slot
-// caches a pure function of its key — RateAdjust and RefFrameBytes are fixed
-// for the run — so it stays exact when topology mutators move or change the
-// edge the slot sits beside: a shifted row just misses.
-func (s *Simulator) linkProb(slot *probSlot, pRef float64, rate Bitrate, effBytes int) float64 {
+// linkMemo is one transmitter's memo: for its k-th out-edge, the scaleProb
+// call made last and the different one made before it.
+type linkMemo struct {
+	recent []probSlot
+	older  []probSlot // made at the transmitter's first miss in recent
+}
+
+// probRow returns transmitter id's memo, grown to cover k out-edges.
+func (s *Simulator) probRow(id graph.NodeID, k int) *linkMemo {
+	m := &s.probMemo[id]
+	if len(m.recent) < k {
+		*m = linkMemo{recent: make([]probSlot, k)}
+	}
+	return m
+}
+
+// linkProb is scaleProb(pRef, rate, effBytes) through the memo of a
+// transmitter's k-th out-edge. Control frames dominate large runs and nearly
+// all share one effective size (an LSA of up to 47 neighbors is under the
+// RefFrameBytes/minFrameDivisor floor), so the math.Pow per receiver becomes
+// three compares on the recent row and the older row is never made. A node
+// on a unicast path alternates data frames with the MAC ACKs for the ones it
+// receives — two sizes and two rates, turn by turn (40 % of fig4-2's Srcr
+// lookups) — which is what the older row catches. The slots cache a pure
+// function of their key — RateAdjust and RefFrameBytes are fixed for the run
+// — so they stay exact when topology mutators move or change the edge they
+// sit beside: a shifted row just misses.
+func (s *Simulator) linkProb(m *linkMemo, k int, pRef float64, rate Bitrate, effBytes int) float64 {
 	if effBytes == 0 && s.cfg.RateAdjust == nil {
 		return pRef // nothing to scale by, nothing to remember
 	}
-	if slot.pRef != pRef || slot.rate != rate || slot.effBytes != effBytes {
-		*slot = probSlot{pRef, rate, effBytes, s.scaleProb(pRef, rate, effBytes)}
+	a := &m.recent[k]
+	if a.holds(pRef, rate, effBytes) {
+		return a.val
 	}
-	return slot.val
+	if m.older == nil {
+		m.older = make([]probSlot, len(m.recent))
+	}
+	b := &m.older[k]
+	if !b.holds(pRef, rate, effBytes) {
+		*b = probSlot{pRef, rate, effBytes, s.scaleProb(pRef, rate, effBytes)}
+	}
+	*a, *b = *b, *a
+	return a.val
 }
 
 // startTransmission puts a frame on the air from node n.
-func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
+func (s *Simulator) startTransmission(n *Node, f *Frame) {
 	rate := f.Rate
 	if rate == 0 {
 		if f.isMACAck {
@@ -519,13 +578,10 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 		f.Rate = rate
 	}
 	dur := AirTime(f.Bytes, rate)
-	tx := &transmission{
-		frame: f,
-		from:  n,
-		start: s.now,
-		end:   s.now + dur,
-		rate:  rate,
-	}
+	tx := s.newTransmission()
+	tx.frame, tx.from, tx.rate = f, n, rate
+	tx.start, tx.end = s.now, s.now+dur
+	tx.refs = 1 // s.active
 	// Record overlaps with everything already on the air — but only where
 	// the overlap could change a reception outcome: other's transmitter
 	// must be relevant to us (it interferes at one of our receivers or is
@@ -536,9 +592,11 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 	for _, other := range s.active {
 		if relTx.Has(other.from.id) {
 			tx.overlaps = append(tx.overlaps, other)
+			other.refs++
 		}
 		if s.relevantTo(other.from.id).Has(n.id) {
 			other.overlaps = append(other.overlaps, tx)
+			tx.refs++
 		}
 	}
 	s.active = append(s.active, tx)
@@ -572,15 +630,12 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) *transmission {
 		s.senseStart(id)
 	}
 
-	tx.endEv.init(s, func() { s.endTransmission(tx) })
 	s.armAt(&tx.endEv, tx.end)
-	return tx
 }
 
 // endTransmission takes the frame off the air and resolves reception at
 // every node.
 func (s *Simulator) endTransmission(tx *transmission) {
-	tx.done = true
 	for i, a := range s.active {
 		if a == tx {
 			s.active = append(s.active[:i], s.active[i+1:]...)
@@ -604,7 +659,7 @@ func (s *Simulator) endTransmission(tx *transmission) {
 		if rcv.failed {
 			continue // a dead radio decodes nothing (and draws no RNG)
 		}
-		outcome := s.receptionOutcome(tx, rcv, s.linkProb(&memo[k], e.P, tx.rate, effBytes))
+		outcome := s.receptionOutcome(tx, rcv, s.linkProb(memo, k, e.P, tx.rate, effBytes))
 		switch outcome {
 		case rxOK:
 			s.Counters.Deliveries++
@@ -634,6 +689,22 @@ func (s *Simulator) endTransmission(tx *transmission) {
 	}
 	tx.from.mac.onAir--
 	tx.from.mac.txFinished(tx)
+
+	// The frame is off the air: tx lets go of it (a MAC ACK's goes back to
+	// its free list). Nothing reads a finished transmission's own overlap
+	// list again either: let go of what it holds (keeping the list's
+	// capacity), then of s.active's hold on tx itself. tx lives on, as a
+	// time span and a transmitter, while a later starter still lists it.
+	if tx.frame.isMACAck {
+		s.releaseAck(tx.frame.ack)
+	}
+	tx.frame = nil
+	for i, other := range tx.overlaps {
+		s.release(other)
+		tx.overlaps[i] = nil
+	}
+	tx.overlaps = tx.overlaps[:0]
+	s.release(tx)
 }
 
 // logit maps a probability to log-odds, clamped for the extremes.
