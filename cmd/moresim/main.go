@@ -115,7 +115,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.StringVar(&c.tc.trace, "trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
 	fs.Float64Var(&c.tc.deadlineMS, "deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
 	fs.Float64Var(&c.simDeadline, "sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
-	fs.Float64Var(&c.tc.progressS, "progress", 0, "print a progress heartbeat (events seen, simulated clock) to stderr every N wall-clock seconds (0 disables)")
+	fs.Float64Var(&c.tc.progressS, "progress", 0, "print a progress heartbeat (events seen and events/s, simulated clock and sim-seconds per wall-second since the last tick) to stderr every N wall-clock seconds (0 disables)")
 
 	fs.StringVar(&c.prof.cpu, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&c.prof.mem, "memprofile", "", "write a heap profile, taken when the run ends, to this file (go tool pprof)")
@@ -720,6 +720,28 @@ func (tc telemetryCLI) newHub() *telemetry.Hub {
 	})
 }
 
+// progressTick is one reading of the heartbeat's inputs: wall time since the
+// run began, telemetry events seen, and the simulated clock of the last one.
+type progressTick struct {
+	wall   time.Duration
+	events int64
+	simAt  sim.Time
+}
+
+// progressLine renders one heartbeat: the running totals, each followed by
+// its rate since the previous tick — events per wall second, and simulated
+// seconds per wall second (above 1 the simulation outruns the network it
+// models). A tick that follows its predecessor by no wall time has no rates.
+func progressLine(prev, cur progressTick) string {
+	var evRate, simRate float64
+	if dt := (cur.wall - prev.wall).Seconds(); dt > 0 {
+		evRate = float64(cur.events-prev.events) / dt
+		simRate = (cur.simAt - prev.simAt).Seconds() / dt
+	}
+	return fmt.Sprintf("moresim: %v elapsed, %d events (%.0f/s), sim clock %v (%.3g sim-s/s)",
+		cur.wall.Round(time.Second), cur.events, evRate, cur.simAt, simRate)
+}
+
 // startProgress launches the stderr heartbeat goroutine and returns its
 // stop function. The hub's atomic counters are the only shared state, so
 // reading them mid-run is safe; the simulated clock of the last event is
@@ -735,13 +757,15 @@ func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
 		tick := time.NewTicker(time.Duration(tc.progressS * float64(time.Second)))
 		defer tick.Stop()
 		start := time.Now()
+		var prev progressTick
 		for {
 			select {
 			case <-stop:
 				return
 			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "moresim: %v elapsed, %d events, sim clock %v\n",
-					time.Since(start).Round(time.Second), hub.Events(), sim.Time(hub.LastAt()))
+				cur := progressTick{wall: time.Since(start), events: hub.Events(), simAt: sim.Time(hub.LastAt())}
+				fmt.Fprintln(os.Stderr, progressLine(prev, cur))
+				prev = cur
 			}
 		}
 	}()

@@ -59,6 +59,13 @@ func (s NodeSet) Add(id NodeID) bool {
 	return had
 }
 
+// Remove takes id out of the set.
+func (s NodeSet) Remove(id NodeID) {
+	if w := uint(id) >> 6; w < uint(len(s)) {
+		s[w] &^= 1 << (uint(id) & 63)
+	}
+}
+
 // Position is a point in 3-D space (meters). The testbed spans three floors,
 // so Z matters.
 type Position struct {

@@ -116,6 +116,7 @@ type Agent struct {
 	seq        uint32
 	pendingAdv []pendingLSA // own advertisement awaiting transmission
 	pendingFwd []pendingLSA // LSAs to rebroadcast
+	fwdFree    *fwdTimer    // jitter timers not waiting on an LSA, linked through next
 
 	// The LSA database, dense by origin and split by how often a row is
 	// read: every decoded LSA reads hot[origin] for the duplicate check, and
@@ -185,6 +186,19 @@ type lsaRow struct {
 type pendingLSA struct {
 	lsa *packet.LSA
 	due sim.Time
+}
+
+// fwdTimer is one accepted LSA waiting out its rebroadcast jitter: the timer,
+// bound to the record once, and the LSA it will queue. A record is on the
+// agent's fwdFree list exactly while its timer is not pending — it has one
+// firing at a time, so Node.NewTimer and Event.Reset fit, and a node holding
+// several LSAs in jitter at once holds as many records. The list is linked
+// through the records, so taking and returning one touches no memory but
+// the record: at 512 nodes every line a forward touches is a cold one.
+type fwdTimer struct {
+	ev   *sim.Event
+	lsa  *packet.LSA
+	next *fwdTimer // the free list's link; nil while the timer is pending
 }
 
 // NewAgent creates an agent for a network of n nodes. Zero fields that
@@ -552,13 +566,34 @@ func (a *Agent) handleLSA(m *packet.LSA) {
 	}
 	// Rebroadcast after jitter.
 	delay := sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
-	a.node.After(delay, func() {
-		// Only flood if still the freshest we know.
-		if a.seqOf(fwd.Origin) == fwd.Seq {
-			a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: fwd, due: a.holdUntil()})
-			a.node.Wake()
-		}
-	})
+	t := a.takeFwdTimer()
+	t.lsa = fwd
+	t.ev.Reset(delay)
+}
+
+// takeFwdTimer takes a record off the free list, or makes one and binds its
+// timer: the Event and the closure are per record, not per LSA forwarded.
+func (a *Agent) takeFwdTimer() *fwdTimer {
+	if t := a.fwdFree; t != nil {
+		a.fwdFree, t.next = t.next, nil
+		return t
+	}
+	t := new(fwdTimer)
+	t.ev = a.node.NewTimer(func() { a.forwardDue(t) })
+	return t
+}
+
+// forwardDue runs when an LSA's jitter is over: the record goes back on the
+// free list, and the LSA is queued for flooding if it is still the freshest
+// this node knows of its origin.
+func (a *Agent) forwardDue(t *fwdTimer) {
+	fwd := t.lsa
+	t.lsa = nil
+	t.next, a.fwdFree = a.fwdFree, t
+	if a.seqOf(fwd.Origin) == fwd.Seq {
+		a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: fwd, due: a.holdUntil()})
+		a.node.Wake()
+	}
 }
 
 // Pull implements sim.Protocol: own advertisements, then rebroadcasts,

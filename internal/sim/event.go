@@ -1,35 +1,58 @@
 package sim
 
-// The event core is three structures that together fire everything in one
+// The event core is four structures that together fire everything in one
 // strict (time, sequence) order, the sequence number drawn from Simulator.seq
 // at the moment a firing is requested:
 //
-//   - the heap: a 4-ary indexed min-heap of Events, for arbitrary delays;
+//   - the far heap (Simulator.queue): a 4-ary indexed min-heap of Events, for
+//     arbitrary delays — protocol timers, probe and advertise ticks, seconds
+//     away and thousands deep on a large run;
+//   - the near heap (Simulator.near): the same heap, run by the same
+//     functions, for the events whose owner arms them at most a contention
+//     window or one airtime ahead — a MAC's backoff timer, a transmission's
+//     end. Among themselves they sift through a few dozen entries instead of
+//     climbing past, and sinking under, every long-dated timer;
 //   - the DIFS lane: a doubly linked list of MACs waiting out a DIFS. Every
 //     such wait is now+DIFS on a clock that never runs backwards, so arm
 //     order is already firing order and arm, cancel and fire are O(1);
 //   - one wake FIFO per node: the keys of requested Node.WakeAfter calls,
-//     of which only the earliest is in the heap, on the node's own Event.
+//     of which only the earliest is in the far heap, on the node's own Event.
 //
-// RunWhile takes whichever of lane head and heap top is first. Tests hold
-// all three against a container/heap model (event_test.go).
+// RunWhile takes whichever of lane head, near top and far top is first. Tests
+// hold all four against a container/heap model (event_test.go).
 
 // Event is a scheduled callback. Events may be canceled before they fire.
 // After returns a one-shot Event; the MAC timers, a transmission's end and a
 // MAC ACK's SIFS wait are Event values embedded in their owner, bound once
-// with init and armed any number of times through armAt. Node.NewTimer and
-// Reset are the same for a protocol's own timers.
+// with init (or initNear) and armed any number of times through armAt.
+// Node.NewTimer and Reset are the same for a protocol's own timers.
 type Event struct {
 	fn       func()
 	sim      *Simulator
 	at       Time
-	pos      int32 // slot in sim.queue; -1 when not queued
+	pos      int32 // slot in its heap; -1 when not queued
 	canceled bool
+	near     bool // queued in sim.near, not sim.queue; the owner's choice at init, for good
 }
 
 // init binds an event to its simulator and callback, not yet queued.
 func (e *Event) init(s *Simulator, fn func()) {
 	e.fn, e.sim, e.pos = fn, s, -1
+}
+
+// initNear is init for an event that is only ever armed a short way ahead:
+// it lives in the near heap.
+func (e *Event) initNear(s *Simulator, fn func()) {
+	e.init(s, fn)
+	e.near = true
+}
+
+// heap returns the heap the event is queued in when it is pending.
+func (e *Event) heap() *[]entry {
+	if e.near {
+		return &e.sim.near
+	}
+	return &e.sim.queue
 }
 
 // Cancel prevents the event from firing and removes it from the queue at
@@ -40,7 +63,7 @@ func (e *Event) Cancel() {
 	}
 	e.canceled = true
 	if e.pending() {
-		e.sim.remove(int(e.pos))
+		remove(e.heap(), int(e.pos))
 	}
 }
 
@@ -53,7 +76,7 @@ func (e *Event) At() Time { return e.at }
 // pending reports whether the event is queued to fire.
 func (e *Event) pending() bool { return e.pos >= 0 }
 
-// entry is one slot of the event queue. The (time, sequence) key lives in
+// entry is one slot of an event heap. The (time, sequence) key lives in
 // the slot so ordering never dereferences the event.
 type entry struct {
 	at  Time
@@ -67,15 +90,14 @@ func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// heapArity is the fan-out of the event heap: a constant, not a parameter.
+// heapArity is the fan-out of the event heaps: a constant, not a parameter.
 // On learned-512 a binary heap ran 9 % slower and arity 8 within 2 %
 // (PERFORMANCE.md, PR 14); 4 halves a binary heap's depth and keeps a
 // node's children in two cache lines.
 const heapArity = 4
 
-// siftUp places ent at slot i or above, moving later entries down.
-func (s *Simulator) siftUp(i int, ent entry) {
-	q := s.queue
+// siftUp places ent at slot i of heap q or above, moving later entries down.
+func siftUp(q []entry, i int, ent entry) {
 	for i > 0 {
 		p := (i - 1) / heapArity
 		if !ent.before(&q[p]) {
@@ -89,9 +111,8 @@ func (s *Simulator) siftUp(i int, ent entry) {
 	ent.ev.pos = int32(i)
 }
 
-// siftDown places ent at slot i or below, moving earlier entries up.
-func (s *Simulator) siftDown(i int, ent entry) {
-	q := s.queue
+// siftDown places ent at slot i of heap q or below, moving earlier entries up.
+func siftDown(q []entry, i int, ent entry) {
 	for {
 		first := heapArity*i + 1
 		if first >= len(q) {
@@ -114,21 +135,22 @@ func (s *Simulator) siftDown(i int, ent entry) {
 	ent.ev.pos = int32(i)
 }
 
-// remove takes the entry at slot i out of the queue.
-func (s *Simulator) remove(i int) {
-	q := s.queue
+// remove takes the entry at slot i out of heap *h.
+func remove(h *[]entry, i int) {
+	q := *h
 	q[i].ev.pos = -1
 	n := len(q) - 1
 	last := q[n]
 	q[n] = entry{}
-	s.queue = q[:n]
+	q = q[:n]
+	*h = q
 	if i == n {
 		return
 	}
 	if i > 0 && last.before(&q[(i-1)/heapArity]) {
-		s.siftUp(i, last)
+		siftUp(q, i, last)
 	} else {
-		s.siftDown(i, last)
+		siftDown(q, i, last)
 	}
 }
 
@@ -145,12 +167,13 @@ func (s *Simulator) armAt(e *Event, at Time) {
 
 // armAtSeq queues e under a key drawn earlier (a wake FIFO's head).
 func (s *Simulator) armAtSeq(e *Event, at Time, seq uint64) {
+	h := e.heap()
 	if e.pending() {
-		s.remove(int(e.pos))
+		remove(h, int(e.pos))
 	}
 	e.at, e.canceled = at, false
-	s.queue = append(s.queue, entry{})
-	s.siftUp(len(s.queue)-1, entry{at: at, seq: seq, ev: e})
+	*h = append(*h, entry{})
+	siftUp(*h, len(*h)-1, entry{at: at, seq: seq, ev: e})
 }
 
 // After schedules fn to run delay after the current time and returns a
@@ -207,15 +230,19 @@ func (s *Simulator) cancelDIFS(m *mac) {
 // of its structure and returns it: a heap event, or a MAC whose DIFS is over.
 // Both are nil when nothing is due.
 func (s *Simulator) next(until Time) (*Event, *mac) {
+	h := &s.queue
+	if len(s.near) > 0 && (len(s.queue) == 0 || s.near[0].before(&s.queue[0])) {
+		h = &s.near
+	}
 	m := s.laneHead
-	if len(s.queue) > 0 {
-		top := &s.queue[0]
+	if len(*h) > 0 {
+		top := &(*h)[0]
 		if m == nil || top.before(&entry{at: m.difsAt, seq: m.difsSeq}) {
 			if top.at > until {
 				return nil, nil
 			}
 			e := top.ev
-			s.remove(0)
+			remove(h, 0)
 			s.now = e.at
 			return e, nil
 		}
@@ -237,7 +264,7 @@ type wakeKey struct {
 // WakeAfter calls Wake after delay: After(delay, n.Wake) without an Event
 // and a closure per request. The request's (time, sequence) key is drawn
 // here, where After would draw it, and waits in the node's FIFO; the node's
-// one wake Event sits in the heap under the earliest key and moves to the
+// one wake Event sits in the far heap under the earliest key and moves to the
 // next when it fires, so every wake fires exactly where its own one-shot
 // timer would have. Requests cannot be canceled.
 func (n *Node) WakeAfter(delay Time) {

@@ -12,9 +12,10 @@ import (
 // container/heap over *refEvent, lazy cancellation, compaction — moved here
 // with only its names changed (and a compaction counter, so the differential
 // test can tell it exercised that path). An owned timer in this model is the
-// old MAC idiom: cancel the previous handle, keep the new one. A DIFS wait is
-// an owned timer of delay DIFS, and WakeAfter a plain After whose callback
-// wakes the node: one heap holds what the simulator splits over heap, DIFS
+// old MAC idiom: cancel the previous handle, keep the new one — whichever of
+// the simulator's two heaps the timer lives in. A DIFS wait is an owned timer
+// of delay DIFS, and WakeAfter a plain After whose callback wakes the node:
+// one heap holds what the simulator splits over far heap, near heap, DIFS
 // lane and wake FIFOs.
 
 type refEvent struct {
@@ -236,13 +237,13 @@ func (q *indexedQueue) bindLanes(n int, pulled func(k int)) {
 }
 func (q *indexedQueue) armLane(k int) {
 	m := q.nodes[k].mac
-	m.state = macContending
+	m.setState(macContending)
 	q.armDIFS(m)
 }
 func (q *indexedQueue) cancelLane(k int) {
 	m := q.nodes[k].mac
 	q.cancelDIFS(m)
-	m.state = macIdle
+	m.setState(macIdle)
 }
 func (q *indexedQueue) wakeAfter(k int, d Time) { q.nodes[k].WakeAfter(d) }
 
@@ -251,23 +252,36 @@ func (q *indexedQueue) after(d Time, fn func()) interface{ Cancel() } { return q
 // The owned events are armed through both doors: the even ones as the MAC
 // arms its embedded timers, the odd ones as a protocol restarts a timer of
 // its own (Node.NewTimer, Event.Reset). The reference's Cancel-and-After is
-// what either replaces.
+// what either replaces. The last scriptNear of them live in the near heap,
+// as a MAC's backoff timer and a transmission's end do.
 func (q *indexedQueue) bindOwned(fns []func()) {
 	q.owned = make([]*Event, len(fns))
 	for k, fn := range fns {
-		if k%2 == 0 {
+		switch {
+		case k >= scriptOwned:
+			q.owned[k] = new(Event)
+			q.owned[k].initNear(q.Simulator, fn)
+		case k%2 == 0:
 			q.owned[k] = new(Event)
 			q.owned[k].init(q.Simulator, fn)
-		} else {
+		default:
 			q.owned[k] = q.nodes[0].NewTimer(fn)
 		}
 	}
 }
 func (q *indexedQueue) armOwned(k int, d Time) {
+	e := q.owned[k]
 	if k%2 == 0 {
-		q.armAt(q.owned[k], q.now+d)
+		q.armAt(e, q.now+d)
 	} else {
-		q.owned[k].Reset(d)
+		e.Reset(d)
+	}
+	h := q.queue
+	if k >= scriptOwned {
+		h = q.near
+	}
+	if int(e.pos) >= len(h) || h[e.pos].ev != e {
+		panic("an armed event is not in its owner's heap")
 	}
 }
 func (q *indexedQueue) cancelOwned(k int) { q.owned[k].Cancel() }
@@ -281,10 +295,12 @@ type step struct {
 }
 
 const (
-	scriptUnit  = 10 * Microsecond // delays are 0..7 units (DIFS is 5): same-instant ties are common
-	scriptOwned = 6
-	scriptLanes = 16 // script nodes; their firings log ids scriptOwned..scriptOwned+scriptLanes-1
-	scriptWoken = 4  // half the WakeAfter operations go to this many of them, so their FIFOs run a few keys deep
+	scriptUnit   = 10 * Microsecond // delays are 0..7 units (DIFS is 5): same-instant ties are common
+	scriptOwned  = 6                // owned timers in the far heap, ids 0..5
+	scriptNear   = 2                // and in the near heap: owned[scriptOwned+j] logs id scriptNearID+j
+	scriptNearID = 1 << 30
+	scriptLanes  = 16 // script nodes; their firings log ids scriptOwned..scriptOwned+scriptLanes-1
+	scriptWoken  = 4  // half the WakeAfter operations go to this many of them, so their FIFOs run a few keys deep
 )
 
 // runScript interprets ops against q and returns everything observable:
@@ -318,10 +334,14 @@ func runScript(q eventQueue, ops []byte) []step {
 		})
 		handles = append(handles, self)
 	}
-	fns := make([]func(), scriptOwned)
+	fns := make([]func(), scriptOwned+scriptNear)
 	for k := range fns {
+		id := k
+		if k >= scriptOwned {
+			id = scriptNearID + k - scriptOwned
+		}
 		fns[k] = func() {
-			log = append(log, step{k, q.Now(), q.Pending()})
+			log = append(log, step{id, q.Now(), q.Pending()})
 			switch k % 3 {
 			case 0:
 				q.armOwned(k, Time(1+k%2)*scriptUnit) // a periodic timer
@@ -343,7 +363,7 @@ func runScript(q eventQueue, ops []byte) []step {
 
 	for i := 0; i+2 < len(ops); i += 3 {
 		a, b := ops[i+1], ops[i+2]
-		switch op := ops[i] % 24; {
+		switch op := ops[i] % 28; {
 		case op < 6:
 			oneShot(Time(a%8) * scriptUnit)
 		case op < 8:
@@ -366,12 +386,24 @@ func runScript(q eventQueue, ops []byte) []step {
 			q.armLane(int(a) % scriptLanes)
 		case op == 17:
 			q.cancelLane(int(a) % scriptLanes)
-		case op > 17:
+		case op > 17 && op < 24:
 			k := int(a) % scriptLanes
 			if b >= 128 {
 				k %= scriptWoken
 			}
 			q.wakeAfter(k, Time(b%32)*scriptUnit)
+		case op == 24 || op == 25:
+			q.armOwned(scriptOwned+int(a)%scriptNear, Time(b%8)*scriptUnit)
+		case op == 26:
+			q.cancelOwned(scriptOwned + int(a)%scriptNear)
+		case op == 27:
+			// One instant, all four sources: a far one-shot, a near timer, a
+			// DIFS wait and a wake, due together and told apart by the order
+			// they were asked for.
+			oneShot(DIFS)
+			q.armOwned(scriptOwned+int(a)%scriptNear, DIFS)
+			q.armLane(int(b) % scriptLanes)
+			q.wakeAfter(int(b)%scriptWoken, DIFS)
 		default:
 			// The long-run pattern: far more doomed timers than live ones.
 			for j := 0; j < 96; j++ {
@@ -391,10 +423,10 @@ func runScript(q eventQueue, ops []byte) []step {
 }
 
 // diffScript runs ops through both queues and reports the first divergence.
-func diffScript(t *testing.T, ops []byte) (fired int, ref *refQueue) {
+func diffScript(t *testing.T, ops []byte) (fired int, ref *refQueue, want []step) {
 	t.Helper()
 	ref = &refQueue{}
-	want := runScript(ref, ops)
+	want = runScript(ref, ops)
 	got := runScript(newIndexedQueue(), ops)
 	if len(got) != len(want) {
 		t.Fatalf("observed %d steps, reference %d", len(got), len(want))
@@ -410,19 +442,47 @@ func diffScript(t *testing.T, ops []byte) (fired int, ref *refQueue) {
 	if last := want[len(want)-1]; last.pending != 0 {
 		t.Fatalf("script left %d events pending after the drain", last.pending)
 	}
-	return fired, ref
+	return fired, ref, want
 }
 
-// TestEventQueueDifferential drives the event core — heap, DIFS lane and wake
-// FIFOs — and the container/heap reference with the same 160 000 mixed
-// operations and requires the same firing order, the same Now() at each
-// firing and the same Pending() after every step.
+// TestEventQueueDifferential drives the event core — far heap, near heap,
+// DIFS lane and wake FIFOs — and the container/heap reference with the same
+// 160 000 mixed operations and requires the same firing order, the same Now()
+// at each firing and the same Pending() after every step.
 func TestEventQueueDifferential(t *testing.T) {
 	ops := make([]byte, 3*160_000)
 	rand.New(rand.NewSource(14)).Read(ops)
-	fired, ref := diffScript(t, ops)
+	fired, ref, log := diffScript(t, ops)
 	if fired < 100_000 {
 		t.Errorf("only %d events fired: the script is not exercising the queue", fired)
+	}
+	// Instants at which the far heap, the near heap and the DIFS lane all
+	// fired: the three-way merge in next decided by sequence number alone.
+	// (A wake shows as the DIFS wait it starts.)
+	const far, near, lane = 1, 2, 4
+	nearFired, ties, seen, at := 0, 0, 0, Time(-1)
+	for _, st := range log {
+		if st.id < 0 {
+			continue
+		}
+		if st.now != at {
+			at, seen = st.now, 0
+		}
+		src := far
+		switch {
+		case st.id >= scriptNearID:
+			src = near
+			nearFired++
+		case st.id >= scriptOwned && st.id < scriptOwned+scriptLanes:
+			src = lane
+		}
+		if seen |= src; seen == far|near|lane {
+			ties++
+			seen = 0
+		}
+	}
+	if nearFired < 5_000 || ties < 2_000 {
+		t.Errorf("%d near-heap firings and %d instants shared by far heap, near heap and DIFS lane, want 5 000 and 2 000", nearFired, ties)
 	}
 	if ref.compactions == 0 {
 		t.Error("the reference never compacted: no burst of doomed timers was exercised")
@@ -447,6 +507,12 @@ func FuzzEventQueueOrder(f *testing.F) {
 	// WakeAfter out of order on one node: 70 us, then 20 us twice, then now,
 	// with a heap entry and a DIFS wait armed in between.
 	f.Add([]byte{19, 3, 7, 0, 2, 0, 19, 3, 2, 16, 3, 0, 19, 3, 2, 19, 3, 0, 12, 3, 15, 12, 3, 15})
+	// A near timer armed, re-armed earlier while pending, canceled, armed
+	// again and left to fire between two far one-shots at its own instant.
+	f.Add([]byte{24, 0, 5, 24, 0, 2, 26, 0, 0, 0, 3, 0, 24, 0, 3, 0, 3, 0, 25, 1, 3, 12, 3, 15, 12, 3, 15})
+	// All four sources due at one instant, twice over with the order of the
+	// requests reversed by a cancel and re-arm of the near timer.
+	f.Add([]byte{27, 0, 1, 27, 1, 2, 26, 0, 0, 24, 0, 5, 17, 1, 0, 16, 1, 0, 13, 3, 40, 13, 3, 40})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*4096 {
 			ops = ops[:3*4096]

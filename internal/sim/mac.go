@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/graph"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // macState is the CSMA/CA state machine state.
 type macState int
@@ -16,9 +20,9 @@ const (
 // with freeze-on-busy for channel access, SIFS-spaced MAC ACKs plus
 // retransmission for unicast frames, and fire-and-forget broadcast.
 type mac struct {
-	// What a carrier edge reads comes first and together: the edge handlers
-	// of an idle MAC — most nodes, on most frames they sense — read state,
-	// difsSeq and backoffTimer's slot and nothing else.
+	// What a carrier edge reads comes first and together: state (written
+	// only by setState, which keeps Simulator.listening), difsSeq and
+	// backoffTimer's slot.
 	sim   *Simulator
 	node  *Node
 	state macState
@@ -112,7 +116,7 @@ func (t *dupTable) entry(from graph.NodeID) *dupEntry {
 func (m *mac) init(n *Node) {
 	m.sim, m.node = n.sim, n
 	m.cw = CWMin
-	m.backoffTimer.init(n.sim, m.backoffDone)
+	m.backoffTimer.initNear(n.sim, m.backoffDone)
 	m.ackTimer.init(n.sim, m.ackTimeout)
 }
 
@@ -127,12 +131,27 @@ func (m *mac) wake() {
 	}
 }
 
+// setState is the only writer of m.state. A MAC entering macContending joins
+// Simulator.listening and counts what it can sense on the air; one leaving
+// it drops out, and its busy count means nothing until it is back.
+func (m *mac) setState(st macState) {
+	was := m.state == macContending
+	m.state = st
+	if is := st == macContending; is != was {
+		s, id := m.sim, m.node.id
+		if is {
+			s.listening.Add(id)
+			s.busy[id] = s.sensedBy(id)
+		} else {
+			s.listening.Remove(id)
+		}
+	}
+}
+
 // silence abandons all MAC activity permanently (Simulator.FailNode): timers
 // are canceled, the pending frame is forgotten without a Sent callback (the
 // dead node's protocol state no longer matters), and the state machine
-// parks idle. Carrier-sense bookkeeping keeps running (Simulator.busy is not
-// the MAC's to reset) so the count stays balanced with neighbors'
-// transmissions.
+// parks idle — out of Simulator.listening, so carrier edges pass it by.
 func (m *mac) silence() {
 	m.sim.cancelDIFS(m)
 	m.backoffTimer.Cancel()
@@ -140,7 +159,7 @@ func (m *mac) silence() {
 	m.cur = nil
 	m.backlogged = false
 	m.backoffArmed = false
-	m.state = macIdle
+	m.setState(macIdle)
 }
 
 // revive resets a silenced MAC for a recovered node (Simulator.RecoverNode):
@@ -148,11 +167,10 @@ func (m *mac) silence() {
 // rebooted radio would have. The MAC sequence counter is NOT reset —
 // neighbors still remember the pre-crash (sender, sequence) keys, and
 // reusing them would make their duplicate suppression swallow the reborn
-// node's first frames. The carrier-sense count, Simulator.busy, is left alone
-// too: it tracks neighbors' in-flight transmissions, which kept being
-// counted while the node was down.
+// node's first frames. Transmissions that started while the node was down
+// are not lost on it: it counts the air when it next contends (setState).
 func (m *mac) revive() {
-	m.state = macIdle
+	m.setState(macIdle)
 	m.backlogged = false
 	m.cur = nil
 	m.retries = 0
@@ -163,7 +181,7 @@ func (m *mac) revive() {
 }
 
 func (m *mac) startContention() {
-	m.state = macContending
+	m.setState(macContending)
 	if !m.backoffArmed {
 		m.backoffSlots = m.sim.rng.Intn(m.cw + 1)
 		m.backoffArmed = true
@@ -179,7 +197,8 @@ func (m *mac) armDIFS() { m.sim.armDIFS(m) }
 // difsPending reports whether the MAC is waiting out a DIFS.
 func (m *mac) difsPending() bool { return m.difsSeq != 0 }
 
-// mediumIdle reports whether this node senses no transmission.
+// mediumIdle reports whether this node senses no transmission. Only a
+// contending MAC may ask: busy is kept for those alone.
 func (m *mac) mediumIdle() bool { return m.sim.busy[m.node.id] == 0 }
 
 func (m *mac) difsDone() {
@@ -203,24 +222,36 @@ func (m *mac) backoffDone() {
 	m.transmitNow()
 }
 
-// senseStart counts a transmission node id can sense (its own included) as it
-// begins, and tells the MAC when it is the first.
-func (s *Simulator) senseStart(id graph.NodeID) {
-	if s.busy[id]++; s.busy[id] == 1 {
-		s.macs[id].carrierUp()
+// carrierStart counts a starting transmission in at every listening MAC of
+// its sense set, and tells those for which it is the first.
+func (s *Simulator) carrierStart(sense graph.NodeSet) {
+	for w, word := range sense {
+		for x := word & s.listening[w]; x != 0; x &= x - 1 {
+			id := w<<6 | bits.TrailingZeros64(x)
+			if s.busy[id]++; s.busy[id] == 1 {
+				s.macs[id].carrierUp()
+			}
+		}
 	}
 }
 
-// senseEnd counts a sensed transmission out as it ends, and tells the MAC
-// when it was the last.
-func (s *Simulator) senseEnd(id graph.NodeID) {
-	if s.busy[id]--; s.busy[id] == 0 {
-		s.macs[id].carrierDown()
+// carrierEnd counts an ending transmission out, and tells the MACs for which
+// it was the last. Ascending node order is part of the contract: carrierDown
+// draws a sequence number per MAC (armDIFS). Neither edge handler changes a
+// MAC's state, so the listening word read once per 64 nodes stays true.
+func (s *Simulator) carrierEnd(sense graph.NodeSet) {
+	for w, word := range sense {
+		for x := word & s.listening[w]; x != 0; x &= x - 1 {
+			id := w<<6 | bits.TrailingZeros64(x)
+			if s.busy[id]--; s.busy[id] == 0 {
+				s.macs[id].carrierDown()
+			}
+		}
 	}
 }
 
-// carrierUp is called when the medium turns busy at this node: the first
-// transmission it can sense (its own included) begins.
+// carrierUp is called when the medium turns busy at this contending node:
+// the first transmission it can sense (its own MAC ACK included) begins.
 func (m *mac) carrierUp() {
 	m.sim.cancelDIFS(m)
 	if m.backoffTimer.pending() {
@@ -234,13 +265,9 @@ func (m *mac) carrierUp() {
 	}
 }
 
-// carrierDown is called when the medium clears at this node: the last
-// transmission it could sense ends.
-func (m *mac) carrierDown() {
-	if m.state == macContending {
-		m.armDIFS()
-	}
-}
+// carrierDown is called when the medium clears at this contending node: the
+// last transmission it could sense ends.
+func (m *mac) carrierDown() { m.armDIFS() }
 
 // transmitNow fetches a frame if needed and puts it on the air.
 func (m *mac) transmitNow() {
@@ -248,7 +275,7 @@ func (m *mac) transmitNow() {
 		m.cur = m.node.proto.Pull()
 		if m.cur == nil {
 			m.backlogged = false
-			m.state = macIdle
+			m.setState(macIdle)
 			return
 		}
 		m.cur.From = m.node.id
@@ -256,7 +283,7 @@ func (m *mac) transmitNow() {
 		m.cur.seq = m.nextSeq
 		m.retries = 0
 	}
-	m.state = macTransmitting
+	m.setState(macTransmitting)
 	m.sim.startTransmission(m.node, m.cur)
 }
 
@@ -279,7 +306,7 @@ func (m *mac) txFinished(tx *transmission) {
 		return
 	}
 	// Unicast: await the MAC ACK.
-	m.state = macWaitAck
+	m.setState(macWaitAck)
 	s := m.sim
 	s.armAt(&m.ackTimer, s.now+sifs+AirTime(macAckBytes, basicRate)+2*SlotTime)
 }
@@ -302,7 +329,7 @@ func (m *mac) ackTimeout() {
 	m.cw = min(2*(m.cw+1)-1, cwMax)
 	m.backoffSlots = m.sim.rng.Intn(m.cw + 1)
 	m.backoffArmed = true
-	m.state = macContending
+	m.setState(macContending)
 	if m.mediumIdle() {
 		m.armDIFS()
 	}
@@ -319,12 +346,12 @@ func (m *mac) postTxReset(newBackoff bool) {
 		m.backoffArmed = true
 	}
 	if m.backlogged || m.cur != nil {
-		m.state = macContending
+		m.setState(macContending)
 		if m.mediumIdle() {
 			m.armDIFS()
 		}
 	} else {
-		m.state = macIdle
+		m.setState(macIdle)
 	}
 }
 

@@ -354,11 +354,15 @@ func (p *scriptedProto) Pull() *Frame {
 func TestContentionCycleAllocatesNothing(t *testing.T) {
 	s, _, _ := pair(t, 1, DefaultConfig())
 	m := s.Node(0).mac
-	m.state, m.backlogged = macContending, true
+	m.setState(macContending)
+	m.backlogged = true
 	m.backoffSlots, m.backoffArmed = 1000, true // never runs out: each freeze credits 0 slots
-	s.senseStart(0)
+	// The sense set of a transmission only node 0 hears.
+	heard := graph.NewNodeSet(2)
+	heard.Add(0)
+	s.carrierStart(heard)
 	allocs := testing.AllocsPerRun(200, func() {
-		s.senseEnd(0) // medium idle: armDIFS
+		s.carrierEnd(heard) // medium idle: armDIFS
 		if !m.difsPending() || s.Pending() != 1 {
 			t.Fatal("a clear medium did not start the DIFS wait")
 		}
@@ -366,7 +370,7 @@ func TestContentionCycleAllocatesNothing(t *testing.T) {
 		if !m.backoffTimer.pending() {
 			t.Fatal("DIFS expiry did not arm the backoff timer")
 		}
-		s.senseStart(0) // freeze
+		s.carrierStart(heard) // freeze
 		if m.backoffTimer.pending() || m.difsPending() || s.Pending() != 0 {
 			t.Fatal("freeze left a timer queued")
 		}

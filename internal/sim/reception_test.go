@@ -88,11 +88,13 @@ func TestLinkProbMemo(t *testing.T) {
 	}
 }
 
-// TestCarrierCountsBalanced crashes and revives nodes while frames — theirs
-// and their neighbors' — are on the air. The carrier-sense counts are the
-// medium's, not the MAC's: a crash must not reset them, and once nothing is
-// on the air every one is zero.
-func TestCarrierCountsBalanced(t *testing.T) {
+// TestCarrierCountsFollowListeners crashes and revives nodes while frames —
+// theirs and their neighbors' — are on the air, and checks the carrier
+// invariant at every step: a listening MAC's busy count is the brute-force
+// count of the transmissions on the air it can sense, a MAC listens exactly
+// while it contends, and no MAC outside the listening set has a DIFS or a
+// backoff pending — so a carrier edge that passes it by had nothing to do.
+func TestCarrierCountsFollowListeners(t *testing.T) {
 	topo := graph.LossyChain(6, 15, 30)
 	cfg := DefaultConfig()
 	cfg.SenseRange = 40
@@ -102,46 +104,64 @@ func TestCarrierCountsBalanced(t *testing.T) {
 		protos[i] = &chatterProto{}
 		s.Attach(graph.NodeID(i), protos[i])
 	}
+	check := func(step int) {
+		t.Helper()
+		for i := range s.macs {
+			id, m := graph.NodeID(i), &s.macs[i]
+			if got, want := s.listening.Has(id), m.state == macContending; got != want {
+				t.Fatalf("step %d: node %d listening=%v in state %d", step, i, got, m.state)
+			}
+			if !s.listening.Has(id) {
+				if m.difsPending() || m.backoffTimer.pending() {
+					t.Fatalf("step %d: node %d is not listening with difs=%v backoff=%v pending",
+						step, i, m.difsPending(), m.backoffTimer.pending())
+				}
+				continue
+			}
+			want := int32(0)
+			for _, tx := range s.active {
+				if s.senseOf(tx.from.id).Has(id) {
+					want++
+				}
+			}
+			if s.busy[i] != want {
+				t.Fatalf("step %d: busy[%d] = %d with %d sensed transmissions on the air", step, i, s.busy[i], want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
-	midFlight := 0
+	midFlight, listeners := 0, 0
 	for step := 0; step < 400; step++ {
 		s.Run(s.Now() + Time(rng.Intn(900))*Microsecond)
+		check(step)
 		id := graph.NodeID(rng.Intn(topo.N()))
-		if s.busy[id] > 0 {
+		if s.sensedBy(id) > 0 {
 			midFlight++
+		}
+		if s.listening.Has(id) {
+			listeners++
 		}
 		if s.Node(id).Failed() {
 			s.RecoverNode(id)
 		} else {
 			s.FailNode(id)
 		}
-		for i, b := range s.busy {
-			want := int32(0)
-			for _, tx := range s.active {
-				for _, h := range s.senseSet[tx.from.id] {
-					if int(h) == i {
-						want++
-					}
-				}
-			}
-			if b != want {
-				t.Fatalf("step %d: busy[%d] = %d with %d sensed transmissions on the air", step, i, b, want)
-			}
-		}
+		check(step)
 	}
-	if midFlight < 100 {
-		t.Fatalf("only %d of 400 crashes and recoveries hit a node sensing a frame", midFlight)
+	if midFlight < 100 || listeners < 50 {
+		t.Fatalf("of 400 crashes and recoveries %d hit a node sensing a frame and %d a listening one", midFlight, listeners)
 	}
 	for i := range protos {
 		s.FailNode(graph.NodeID(i)) // nobody starts another frame
 	}
 	s.Run(s.Now() + Second)
+	check(400)
 	if len(s.active) != 0 {
 		t.Fatalf("%d transmissions still on the air", len(s.active))
 	}
-	for i, b := range s.busy {
-		if b != 0 {
-			t.Errorf("busy[%d] = %d with nothing on the air", i, b)
+	for _, word := range s.listening {
+		if word != 0 {
+			t.Fatalf("listening = %x with every node down", s.listening)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/telemetry"
@@ -173,12 +172,13 @@ type Simulator struct {
 	rng  *rand.Rand
 
 	// The event core (event.go): the clock, the sequence counter every
-	// firing key is drawn from, the 4-ary min-heap on (at, seq), the DIFS
-	// lane, and how many pending firings are outside the heap — lane entries
+	// firing key is drawn from, the two 4-ary min-heaps on (at, seq) — queue
+	// for arbitrary delays, near for backoff and frame-end timers — the DIFS
+	// lane, and how many pending firings are outside the heaps: lane entries
 	// plus wake-FIFO keys behind their node's head.
 	now                Time
 	seq                uint64
-	queue              []entry
+	queue, near        []entry
 	laneHead, laneTail *mac
 	offHeap            int
 
@@ -187,20 +187,27 @@ type Simulator struct {
 	nodes []*Node
 	macs  []mac
 
-	// senseSet[i] lists the nodes (including i itself) whose carrier sense
-	// detects a transmission by i, sorted ascending. Precomputed from the
-	// topology's neighbor lists plus the geometric sense range, it replaces
-	// the whole-population scan on every transmission start/end.
-	senseSet [][]graph.NodeID
+	// sense[i] is the set of nodes (i itself among them) whose carrier sense
+	// detects a transmission by i: its out-neighbors above the sense threshold
+	// plus, with SenseRange set, everything within range by geometry. Built
+	// at i's first transmission from the topology as it stands then, like
+	// relevant[i], so construction pays nothing; spatial is the grid the
+	// geometric part is read from, made with the first row that needs it.
+	sense   []graph.NodeSet
+	spatial *graph.SpatialIndex
 
-	// busy[i] is node i's carrier-sense count: the transmissions on the air
-	// that i can sense, its own included. It lives here, dense, and not in
-	// the MAC: every transmission touches the count of every node in its
-	// sense set twice, and only the 0 -> 1 and 1 -> 0 edges concern the MAC
-	// (carrierUp, carrierDown). The count follows the medium, not the node:
-	// FailNode and RecoverNode leave it alone, since it tracks neighbors'
-	// in-flight transmissions and zeroing it would unbalance their ends.
-	busy []int32
+	// listening is the set of MACs in macContending, the only state in which
+	// a carrier edge has anything to do (a pending DIFS or backoff implies
+	// it); mac.setState is its one writer. A transmission's start and end
+	// walk sense[from] AND listening, word by word, in ascending node order.
+	//
+	// busy[i] is node i's carrier-sense count — the transmissions on the air
+	// that i can sense, its own included — and is defined only while i
+	// listens: counted from s.active when i starts to (sensedBy), kept by the
+	// walks from then on. Only the 0 -> 1 and 1 -> 0 edges concern the MAC
+	// (carrierUp, carrierDown).
+	listening graph.NodeSet
+	busy      []int32
 
 	// relevant[i] is the set of transmitters whose concurrent frames can
 	// affect reception of i's frames at any of i's receivers: i's
@@ -215,6 +222,11 @@ type Simulator struct {
 	// see linkProb. Rows are sized at a node's first transmission end, so
 	// construction pays nothing.
 	probMemo []linkMemo
+
+	// interferers is endTransmission's scratch: for each transmission that
+	// overlapped the ending one, what is left of its transmitter's out-edge
+	// row from the receiver being resolved onwards (receptionOutcome).
+	interferers [][]graph.Edge
 
 	// active is what is on the air; txFree is the transmissions nothing
 	// refers to any more, ready for reuse (newTransmission, release), and
@@ -267,7 +279,7 @@ func (s *Simulator) newTransmission() *transmission {
 		return tx
 	}
 	tx := new(transmission)
-	tx.endEv.init(s, func() { s.endTransmission(tx) })
+	tx.endEv.initNear(s, func() { s.endTransmission(tx) })
 	return tx
 }
 
@@ -301,37 +313,51 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	for i := range s.nodes {
 		s.nodes[i] = newNode(s, graph.NodeID(i))
 	}
-	s.buildSenseSets()
+	s.sense = make([]graph.NodeSet, topo.N())
+	s.listening = graph.NewNodeSet(topo.N())
 	s.busy = make([]int32, topo.N())
 	s.relevant = make([]graph.NodeSet, topo.N())
 	s.probMemo = make([]linkMemo, topo.N())
 	return s
 }
 
-// buildSenseSets precomputes, per transmitter, the sorted set of nodes whose
-// carrier sense hears it: the transmitter itself, its out-neighbors above
-// the sense threshold, and (when SenseRange is set) everything within range
-// by geometry, found through a spatial grid rather than an all-pairs scan.
-func (s *Simulator) buildSenseSets() {
-	n := s.topo.N()
-	s.senseSet = make([][]graph.NodeID, n)
-	var spatial *graph.SpatialIndex
+// senseOf returns (building on first use) the set of nodes whose carrier
+// sense hears transmitter id: id itself, its out-neighbors above the sense
+// threshold, and (when SenseRange is set) everything within range by
+// geometry, found through a spatial grid rather than an all-pairs scan.
+func (s *Simulator) senseOf(id graph.NodeID) graph.NodeSet {
+	if set := s.sense[id]; set != nil {
+		return set
+	}
+	set := graph.NewNodeSet(s.topo.N())
+	set.Add(id)
+	for _, e := range s.topo.OutEdges(id) {
+		if e.P > s.cfg.SenseThreshold {
+			set.Add(e.Node)
+		}
+	}
 	if s.cfg.SenseRange > 0 {
-		spatial = graph.NewSpatialIndex(s.topo.Pos, s.cfg.SenseRange)
-	}
-	for i := 0; i < n; i++ {
-		id := graph.NodeID(i)
-		set := []graph.NodeID{id}
-		for _, e := range s.topo.OutEdges(id) {
-			if e.P > s.cfg.SenseThreshold {
-				set = append(set, e.Node)
-			}
+		if s.spatial == nil {
+			s.spatial = graph.NewSpatialIndex(s.topo.Pos, s.cfg.SenseRange)
 		}
-		if spatial != nil {
-			set = append(set, spatial.Near(id, s.cfg.SenseRange)...)
+		for _, near := range s.spatial.Near(id, s.cfg.SenseRange) {
+			set.Add(near)
 		}
-		s.senseSet[i] = sortedUniqueIDs(set)
 	}
+	s.sense[id] = set
+	return set
+}
+
+// sensedBy counts the transmissions on the air that node id can sense: what
+// busy[id] must read when id starts listening.
+func (s *Simulator) sensedBy(id graph.NodeID) int32 {
+	var c int32
+	for _, tx := range s.active {
+		if s.sense[tx.from.id].Has(id) {
+			c++
+		}
+	}
+	return c
 }
 
 // relevantTo returns (building on first use) the set of transmitters whose
@@ -361,15 +387,6 @@ func (s *Simulator) relevantTo(id graph.NodeID) graph.NodeSet {
 	}
 	s.relevant[id] = r
 	return r
-}
-
-// sortedUniqueIDs sorts ids ascending and removes duplicates in place.
-func sortedUniqueIDs(ids []graph.NodeID) []graph.NodeID {
-	if len(ids) == 0 {
-		return []graph.NodeID{} // non-nil: marks the set as built
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
 }
 
 // Node returns the node with the given ID.
@@ -405,8 +422,8 @@ func (s *Simulator) Attach(id graph.NodeID, p Protocol) {
 // but its MAC-level outcome is never reported to the dead node's protocol.
 // Callers that want routing to learn the loss should also remove the node's
 // links from the topology (the simulator reads delivery probabilities live;
-// precomputed carrier-sense sets keep their pre-failure reach, which only
-// matters for frames the dead node no longer sends).
+// a carrier-sense set is the reach its transmitter had at its first frame,
+// and the dead node's own matters only for frames it no longer sends).
 func (s *Simulator) FailNode(id graph.NodeID) {
 	n := s.nodes[id]
 	if n.failed {
@@ -472,13 +489,7 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 }
 
 // Pending reports how many events are queued.
-func (s *Simulator) Pending() int { return len(s.queue) + s.offHeap }
-
-// deliveryProb returns the delivery probability from a to b at the frame's
-// rate and size.
-func (s *Simulator) deliveryProb(a, b graph.NodeID, rate Bitrate, bytes int) float64 {
-	return s.adjustProb(s.topo.Prob(a, b), rate, bytes)
-}
+func (s *Simulator) Pending() int { return len(s.queue) + len(s.near) + s.offHeap }
 
 // adjustProb maps a reference-rate delivery probability to the frame's rate
 // and size.
@@ -625,10 +636,7 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) {
 		})
 	}
 
-	// Raise carrier at every sensing node (including the transmitter).
-	for _, id := range s.senseSet[n.id] {
-		s.senseStart(id)
-	}
+	s.carrierStart(s.senseOf(n.id))
 
 	s.armAt(&tx.endEv, tx.end)
 }
@@ -642,10 +650,7 @@ func (s *Simulator) endTransmission(tx *transmission) {
 			break
 		}
 	}
-	// Drop carrier at every sensing node.
-	for _, id := range s.senseSet[tx.from.id] {
-		s.senseEnd(id)
-	}
+	s.carrierEnd(s.sense[tx.from.id])
 
 	// Resolve reception at the transmitter's out-neighbors — the only nodes
 	// with nonzero delivery probability. Ascending neighbor order keeps the
@@ -654,6 +659,10 @@ func (s *Simulator) endTransmission(tx *transmission) {
 	out := s.topo.OutEdges(tx.from.id)
 	memo := s.probRow(tx.from.id, len(out))
 	effBytes := s.effectiveBytes(tx.frame.Bytes)
+	s.interferers = s.interferers[:0]
+	for _, other := range tx.overlaps {
+		s.interferers = append(s.interferers, s.topo.OutEdges(other.from.id))
+	}
 	for k, e := range out {
 		rcv := s.nodes[e.Node]
 		if rcv.failed {
@@ -729,7 +738,10 @@ const (
 
 // receptionOutcome decides whether receiver rcv decodes transmission tx. p
 // is the delivery probability of the tx.from -> rcv link at the frame's rate
-// and size, supplied by the caller's neighbor iteration.
+// and size, supplied by the caller's neighbor iteration. The caller visits
+// receivers in ascending ID and every out-edge row is sorted the same way, so
+// an interferer's link to rcv is found by moving a cursor along its row
+// (s.interferers[i], for tx.overlaps[i]) — a merge, not a search per pair.
 func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, p float64) rxOutcome {
 	if p <= 0 {
 		return rxOutOfRange
@@ -741,10 +753,19 @@ func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, p float64) rxO
 		}
 	}
 	// Interference from overlapping transmissions audible at rcv.
-	for _, other := range tx.overlaps {
+	for i, other := range tx.overlaps {
+		row := s.interferers[i]
+		for len(row) > 0 && row[0].Node < rcv.id {
+			row = row[1:]
+		}
+		s.interferers[i] = row
+		pi := 0.0 // no link from the interferer to rcv
+		if len(row) > 0 && row[0].Node == rcv.id {
+			pi = row[0].P
+		}
 		// Interference strength uses the raw (reference) probability: a
 		// loud neighbor corrupts regardless of its own frame's length.
-		pi := s.deliveryProb(other.from.id, rcv.id, other.rate, 0)
+		pi = s.adjustProb(pi, other.rate, 0)
 		if pi <= interferenceThreshold {
 			continue
 		}

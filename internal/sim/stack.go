@@ -15,6 +15,9 @@ package sim
 // layer that supplied the frame.
 type Stack struct {
 	layers []Protocol
+	// riders[i] is layers[i] as a Piggybacker, nil when it is not one;
+	// resolved in NewStack so that Pull asserts no types.
+	riders []Piggybacker
 	// puller is the layer that supplied the frame currently in the MAC.
 	// The MAC handles exactly one pulled frame at a time (Sent always
 	// fires before the next Pull), so one slot suffices.
@@ -33,7 +36,11 @@ type Piggybacker interface {
 
 // NewStack composes the given protocols, first layer highest priority.
 func NewStack(layers ...Protocol) *Stack {
-	return &Stack{layers: layers}
+	s := &Stack{layers: layers, riders: make([]Piggybacker, len(layers))}
+	for i, l := range layers {
+		s.riders[i], _ = l.(Piggybacker)
+	}
+	return s
 }
 
 // Init implements Protocol.
@@ -60,11 +67,8 @@ func (s *Stack) Pull() *Frame {
 			continue
 		}
 		s.puller = l
-		for j, o := range s.layers {
-			if j == i {
-				continue
-			}
-			if pb, ok := o.(Piggybacker); ok {
+		for j, pb := range s.riders {
+			if j != i && pb != nil {
 				pb.Piggyback(f)
 			}
 		}
