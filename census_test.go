@@ -1,14 +1,20 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestEveryConfigFieldHasAnAssigner is the option census: every exported
@@ -128,4 +134,142 @@ func TestEveryConfigFieldHasAnAssigner(t *testing.T) {
 	for _, o := range orphans {
 		t.Errorf("%s is assigned by nothing outside its own package's defaults: make it a constant", o)
 	}
+}
+
+// TestSpecSurfaceIsRun is the usage census: what the spec loader admits is
+// what the golden corpus runs. Every JSON key reachable from scenario.Spec
+// must be set, and every value of every closed vocabulary
+// (scenario.Vocabulary — the tables Spec.Validate itself checks against) must
+// be named, by at least one spec under scenarios/, each of which
+// scenario.TestGoldenScenarios runs against its golden. A key or value that
+// fails here has no run saying it works: give it a spec, or delete it.
+//
+// Keys are matched by path, so topology.seed is not covered by the top-level
+// seed. A key counts as set when a document spells it; the corpus is kept in
+// canonical form, which omits zero values, so that means set to something.
+func TestSpecSurfaceIsRun(t *testing.T) {
+	keys := specKeyPaths(reflect.TypeOf(scenario.Spec{}), "")
+	if len(keys) < 50 {
+		t.Fatalf("census found only %d spec keys; the walk is broken", len(keys))
+	}
+	vocab := scenario.Vocabulary()
+	for key := range vocab {
+		if !slices.Contains(keys, key) {
+			t.Errorf("vocabulary is keyed by %q, which is not a spec key path", key)
+		}
+	}
+	unusedKeys, unusedValues := surfaceGaps(keys, vocab, specCorpus(t))
+	for _, k := range unusedKeys {
+		t.Errorf("spec key %s is set by no spec under scenarios/", k)
+	}
+	for _, v := range unusedValues {
+		t.Errorf("admitted value %s is named by no spec under scenarios/", v)
+	}
+}
+
+// TestSpecSurfaceCensusNamesGaps feeds the census a corpus with one key and
+// one value taken out and expects exactly those two named: a census that
+// cannot fail is not a census.
+func TestSpecSurfaceCensusNamesGaps(t *testing.T) {
+	docs := specCorpus(t)
+	for _, doc := range docs {
+		spec := doc.(map[string]any)
+		if spec["metric"] == "eotx" {
+			spec["metric"] = "etx"
+		}
+		for _, f := range spec["flows"].([]any) {
+			delete(f.(map[string]any), "stop_s")
+		}
+	}
+	keys := specKeyPaths(reflect.TypeOf(scenario.Spec{}), "")
+	unusedKeys, unusedValues := surfaceGaps(keys, scenario.Vocabulary(), docs)
+	if want := []string{"flows.stop_s"}; !slices.Equal(unusedKeys, want) {
+		t.Errorf("unused keys %v, want %v", unusedKeys, want)
+	}
+	if want := []string{"metric=eotx"}; !slices.Equal(unusedValues, want) {
+		t.Errorf("unused values %v, want %v", unusedValues, want)
+	}
+}
+
+// specCorpus decodes every spec under scenarios/ as raw JSON.
+func specCorpus(t *testing.T) []any {
+	t.Helper()
+	paths, err := filepath.Glob("scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario specs under scenarios/: %v", err)
+	}
+	docs := make([]any, len(paths))
+	for i, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &docs[i]); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	return docs
+}
+
+// specKeyPaths lists the JSON key path of every field reachable from struct
+// type t, dotted and sorted ("flows.traffic.model"). A slice or pointer adds
+// no path element.
+func specKeyPaths(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if name == "" || name == "-" {
+			continue
+		}
+		out = append(out, prefix+name)
+		ft := t.Field(i).Type
+		for ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			out = append(out, specKeyPaths(ft, prefix+name+".")...)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// surfaceGaps returns, sorted, the key paths no document sets and the
+// vocabulary values ("path=value") no document names at their path.
+func surfaceGaps(keys []string, vocab map[string][]string, docs []any) (unusedKeys, unusedValues []string) {
+	used := map[string]bool{} // "path" for a key, "path=value" for a string value
+	var walk func(v any, path string)
+	walk = func(v any, path string) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, elem := range x {
+				sub := strings.TrimPrefix(path+"."+k, ".")
+				used[sub] = true
+				walk(elem, sub)
+			}
+		case []any:
+			for _, elem := range x {
+				walk(elem, path)
+			}
+		case string:
+			used[path+"="+x] = true
+		}
+	}
+	for _, doc := range docs {
+		walk(doc, "")
+	}
+	for _, k := range keys {
+		if !used[k] {
+			unusedKeys = append(unusedKeys, k)
+		}
+	}
+	for key, values := range vocab {
+		for _, v := range values {
+			if !used[key+"="+v] {
+				unusedValues = append(unusedValues, key+"="+v)
+			}
+		}
+	}
+	sort.Strings(unusedValues)
+	return unusedKeys, unusedValues
 }

@@ -40,6 +40,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -78,10 +79,12 @@ type cli struct {
 // parseFlags registers moresim's flags on fs and parses args.
 func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	c := &cli{set: map[string]bool{}}
-	fs.StringVar(&c.proto, "proto", "more", "protocol: more, exor, srcr, srcr-auto, or all (comparison)")
+	vocab := scenario.Vocabulary()
+	oneOf := func(key string) string { return strings.Join(vocab[key], ", ") }
+	fs.StringVar(&c.proto, "proto", "more", "protocol: "+strings.Join(pullProtocols(), ", ")+", or all (comparison)")
 	fs.IntVar(&c.parallel, "parallel", experiments.AutoParallel(), "worker goroutines for the modes that run several specs (-proto all, -state learned, -scale)")
-	fs.StringVar(&c.topo, "topo", "testbed", "topology: testbed, chain, diamond, corridor, grid, geometric")
-	fs.IntVar(&c.nodes, "nodes", 6, "node count for chain/corridor/geometric topologies")
+	fs.StringVar(&c.topo, "topo", "testbed", "topology: "+oneOf("topology.kind"))
+	fs.IntVar(&c.nodes, "nodes", 6, "node count for chain/geometric topologies")
 	fs.IntVar(&c.flows, "flows", 1, "concurrent flows over seeded random reachable pairs")
 	fs.Float64Var(&c.drop, "drop", 0, "uniform extra drop rate layered over every link (0..1)")
 	fs.IntVar(&c.degree, "degree", 10, "target mean neighbor degree for geometric topologies")
@@ -93,7 +96,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.IntVar(&c.file, "file", 512<<10, "transfer size in bytes")
 	fs.IntVar(&c.k, "k", 32, "batch size K for MORE/ExOR")
 	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
-	fs.StringVar(&c.metric, "metric", "etx", "forwarder ordering: etx or eotx")
+	fs.StringVar(&c.metric, "metric", "etx", "forwarder ordering: "+oneOf("metric"))
 	fs.StringVar(&c.state, "state", "oracle", "routing state: oracle (global ground truth) or learned (in-sim probes + LSA floods; also runs the oracle twin and reports the gap)")
 	fs.Float64Var(&c.warmup, "warmup", 30, "learned-state measurement warmup before flows start (seconds; 0 starts flows cold)")
 	fs.IntVar(&c.window, "window", 10, "learned-state probe window (probes per estimate, > 0)")
@@ -102,7 +105,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.StringVar(&c.scopeRings, "scope-rings", "", "learned-state fisheye scope rings: comma-separated ascending hop radii (e.g. 2,8); near rings get every update, the rest wait for summaries (empty disables scoping)")
 	fs.Float64Var(&c.summaryS, "summary-interval", 0, "learned-state network-wide summary flood period with -scope-rings, seconds (0: 8x advertise interval)")
 	fs.BoolVar(&c.piggyback, "piggyback", false, "learned-state: ride pending LSAs on outgoing broadcast data frames instead of dedicated floods")
-	fs.StringVar(&c.cc, "cc", "none", "congestion control: none, tail, choke, credit, aimd, or cubic")
+	fs.StringVar(&c.cc, "cc", "none", "congestion control: "+oneOf("cc.policy"))
 	fs.IntVar(&c.ccQueue, "cc-queue", 0, "congestion-layer transmit queue bound (0: policy default)")
 	fs.Float64Var(&c.loadPenalty, "load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2)")
 	fs.BoolVar(&c.ccSweep, "cc-sweep", false, "with -scale: run every congestion policy over the same topologies and print the mitigation table")
@@ -171,6 +174,7 @@ func run(c *cli, specs []*scenario.Spec, reduce reducer) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	reportStartErrors(os.Stderr, runs)
 	text := os.Stdout // -verbose and -trace; next to -json, stdout is the document alone
 	if c.jsonOut {
 		text = os.Stderr
@@ -218,6 +222,18 @@ func runSpecs(specs []*scenario.Spec, parallel int, hub *telemetry.Hub) ([]specR
 		runs[i], errs[i] = specRun{spec: specs[i], res: res, wall: time.Since(start)}, err
 	})
 	return runs, errors.Join(errs...)
+}
+
+// reportStartErrors says why each flow that never started did not — without
+// it such a run is a document with Done false and nothing else to go on.
+func reportStartErrors(w io.Writer, runs []specRun) {
+	for _, r := range runs {
+		for _, f := range r.res.Flows {
+			if f.StartErr != nil {
+				fmt.Fprintf(w, "%s: %s: %v\n", r.spec.Name, f.Name, f.StartErr)
+			}
+		}
+	}
 }
 
 // A reducer prints a mode's results — one report, or one table over several
@@ -273,7 +289,7 @@ func compile(c *cli) ([]*scenario.Spec, reducer, error) {
 		}
 		policies := []string{base.CC.Policy}
 		if c.ccSweep {
-			policies = []string{"none", "tail", "choke", "credit", "aimd"}
+			policies = scenario.Vocabulary()["cc.policy"]
 		}
 		for _, policy := range policies {
 			for i, n := range counts {
@@ -295,7 +311,7 @@ func compile(c *cli) ([]*scenario.Spec, reducer, error) {
 	case c.proto == "all" && len(base.Flows) > 1:
 		return nil, nil, fmt.Errorf("-proto all compares a single pair; use -flows with one protocol")
 	case c.proto == "all":
-		for _, proto := range []string{"more", "exor", "srcr", "srcr-auto"} {
+		for _, proto := range pullProtocols() {
 			variant("-"+proto, func(s *scenario.Spec) { s.Flows[0].Protocol = proto })
 		}
 		reduce = printComparison
@@ -311,6 +327,12 @@ func compile(c *cli) ([]*scenario.Spec, reducer, error) {
 		return nil, nil, fmt.Errorf("-trace and the telemetry flags need a single simulation run, not -proto all, -state learned or -scale")
 	}
 	return specs, reduce, err
+}
+
+// pullProtocols lists the protocols that carry a file transfer — what -proto
+// takes and -proto all compares: every admitted protocol but push.
+func pullProtocols() []string {
+	return slices.DeleteFunc(scenario.Vocabulary()["flows.protocol"], func(p string) bool { return p == scenario.ProtoPush })
 }
 
 // ints parses a comma-separated integer list flag.
@@ -369,7 +391,7 @@ func specFromFlags(c *cli) (*scenario.Spec, error) {
 		topo.Kind = "geometric"
 	}
 	geometric := topo.Kind == "geometric"
-	if geometric || topo.Kind == "chain" || topo.Kind == "corridor" || c.set["nodes"] {
+	if geometric || topo.Kind == "chain" || c.set["nodes"] {
 		topo.Nodes = c.nodes
 	}
 	if geometric || c.set["degree"] {
@@ -424,7 +446,7 @@ func specFromFlags(c *cli) (*scenario.Spec, error) {
 		case topo.Kind == "testbed":
 			f.Src, f.Dst = 3, 17
 		default:
-			f.Dst = topo.NodeCount() - 1 // end to end: chain, corridor, grid, diamond
+			f.Dst = topo.NodeCount() - 1 // end to end: chain, grid, diamond
 		}
 		if c.src >= 0 {
 			f.Src = c.src

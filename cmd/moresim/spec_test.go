@@ -5,10 +5,13 @@ import (
 	"flag"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -188,6 +191,14 @@ func TestSpecFromFlags(t *testing.T) {
 // (or, for what a spec cannot say, specFromFlags' own) — never a panic, and
 // never a silent default.
 func TestBadFlagsAreValidateErrors(t *testing.T) {
+	// A spec file carrying a key the loader no longer has is refused like any
+	// unknown one.
+	removedKey := filepath.Join(t.TempDir(), "credit-min-k.json")
+	if err := os.WriteFile(removedKey, []byte(`{"name":"x","seed":1,"deadline_s":10,"topology":{"kind":"testbed"},
+		"cc":{"policy":"credit","credit_min_k":8},
+		"flows":[{"name":"f","protocol":"more","src":3,"dst":17,"traffic":{"model":"file","bytes":1000}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for args, want := range map[string]string{
 		"-k 1":                             "batch must be >= 2",
 		"-k 0":                             "must be > 0",
@@ -199,6 +210,8 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-topo torus":                      "unknown topology kind",
 		"-proto tcp":                       "unknown protocol",
 		"-cc red":                          "unknown policy",
+		"-cc aimd":                         `unknown policy "aimd" (want none, tail, choke, credit, cubic)`,
+		"-topo corridor":                   `unknown topology kind "corridor" (want testbed, chain, diamond, grid, geometric)`,
 		"-metric hops":                     "unknown metric",
 		"-state psychic":                   "unknown state mode",
 		"-sim-deadline -5":                 "deadline_s must be > 0",
@@ -231,11 +244,33 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-scenario x.json -seed 5":            "-seed does not combine with -scenario",
 		"-scenario x.json -json -cc choke":    "-cc does not combine with -scenario",
 		"-scenario /nonexistent/x.json -json": "no such file",
+		"-scenario " + removedKey + " -json":  `unknown field "credit_min_k"`,
 	} {
 		_, _, err := compile(parse(t, strings.Fields(args)...))
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one containing %q", args, err, want)
 		}
+	}
+}
+
+// TestStartErrorIsReported: a flow whose source has no route when its start
+// fires is named on stderr with the protocol's error.
+func TestStartErrorIsReported(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.json")
+	if err := os.WriteFile(path, []byte(`{"name":"cut","seed":1,"deadline_s":30,"topology":{"kind":"diamond"},
+		"flows":[{"name":"flow-1","protocol":"more","dst":2,"start_s":1,"traffic":{"model":"file","bytes":32768}}],
+		"events":[{"at_s":0,"action":"fail_node","node":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	reportStartErrors(&stderr, runFlags(t, "-scenario", path))
+	if got, want := stderr.String(), "cut: flow-1: core: flow 1: routing: destination 2 unreachable from 0\n"; got != want {
+		t.Errorf("stderr %q, want %q", got, want)
+	}
+	stderr.Reset()
+	reportStartErrors(&stderr, runFlags(t, "-topo", "diamond", "-file", "32768"))
+	if stderr.Len() != 0 {
+		t.Errorf("a run whose flow started reported %q", stderr.String())
 	}
 }
 
@@ -335,18 +370,26 @@ func TestLearnedStateEndToEnd(t *testing.T) {
 }
 
 // TestScaleRowsMatchParent pins the deterministic columns of -scale rows to
-// the parent's, including the per-point seed derivation. The last row is an
-// unbounded -cc credit cell: ending it any later than its last flow's
-// completion lets forwarders that missed the final ACK keep each other busy
-// until the 3600 s deadline (ROADMAP item 3), a thousandfold tx/pkt.
+// the parent's, including the per-point seed derivation. The last two rows
+// are -cc-sweep cells — the sweep is congest.Policies(), one cell per policy
+// and node count — pinned to the parent's single `-cc credit` and `-cc
+// cubic` runs of the same point. They are unbounded credit cells: ending one
+// any later than its last flow's completion lets forwarders that missed the
+// final ACK keep each other busy until the 3600 s deadline (ROADMAP item 3),
+// a thousandfold tx/pkt.
 func TestScaleRowsMatchParent(t *testing.T) {
-	credit := runFlags(t, strings.Fields("-scale 60 -flows 2 -file 24576 -seed 3 -cc credit")...)
+	sweep := runFlags(t, strings.Fields("-scale 60 -flows 2 -file 24576 -seed 3 -cc-sweep")...)
+	if len(sweep) != len(congest.Policies()) {
+		t.Fatalf("-cc-sweep ran %d cells for one node count, want one per policy (%d)", len(sweep), len(congest.Policies()))
+	}
+	credit, cubic := sweep[congest.Credit], sweep[congest.Cubic]
 	rows, done := scaleRows(append(
-		runFlags(t, strings.Fields("-topo geometric -scale 60,90 -file 24576 -seed 3")...), credit...))
+		runFlags(t, strings.Fields("-topo geometric -scale 60,90 -file 24576 -seed 3")...), credit, cubic))
 	want := []scaleRow{
 		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 1, Throughput: 52.79437522515248, TxPerPacket: 15.235294117647058, SimTime: 341202000},
 		{Nodes: 90, SpecSeed: 1000006, UsableLinks: 568, Completed: 1, Throughput: 69.76435562280146, TxPerPacket: 6.882352941176471, SimTime: 271246536},
-		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 2, Throughput: 76.46944422764953, TxPerPacket: 28.5, SimTime: 619296635},
+		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 2, Throughput: 76.46944422764953, TxPerPacket: 28.5, SimTime: 619296635, CC: congest.Credit},
+		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 2, Throughput: 76.46944422764953, TxPerPacket: 28.5, SimTime: 619296635, CC: congest.Cubic},
 	}
 	if !done || len(rows) != len(want) {
 		t.Fatalf("done=%v, %d rows", done, len(rows))
@@ -354,13 +397,13 @@ func TestScaleRowsMatchParent(t *testing.T) {
 	for i, w := range want {
 		r := rows[i]
 		got := scaleRow{Nodes: r.Nodes, SpecSeed: r.SpecSeed, UsableLinks: r.UsableLinks, Completed: r.Completed,
-			Throughput: r.Throughput, TxPerPacket: r.TxPerPacket, SimTime: r.SimTime}
+			Throughput: r.Throughput, TxPerPacket: r.TxPerPacket, SimTime: r.SimTime, CC: r.CC}
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("row %d: got %+v, want %+v", i, got, w)
 		}
 	}
 	// The run itself ends once the last flow's source has its final ACK.
-	if end := credit[0].res.End; end > rows[2].SimTime+sim.Second {
+	if end := credit.res.End; end > rows[2].SimTime+sim.Second {
 		t.Errorf("credit cell ran until %v, its last flow was decoded at %v", end, rows[2].SimTime)
 	}
 }
@@ -385,19 +428,27 @@ func TestScalePointSmoke(t *testing.T) {
 
 // TestScalingSweepDeterministicAcrossWorkers locks in the spec-list fan-out's
 // parallel determinism: any worker count produces the same digest-sealed
-// documents, under -scale and under -cc-sweep.
+// documents, under -scale and under -cc-sweep. The sweep's rows are
+// congest.Policies(), policy-major — the list is derived, so a policy cannot
+// be admitted by -cc and missing from the sweep (cubic was, until PR 23).
 func TestScalingSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, mode := range []string{"-scale 60,90 -file 24576 -seed 3", "-scale 60,90 -flows 2 -file 24576 -seed 5 -cc-sweep"} {
-		digests := func(workers string) []string {
-			var out []string
+		digests := func(workers string) (out []string, swept []congest.Policy) {
 			for _, r := range runFlags(t, append(strings.Fields(mode), "-parallel", workers)...) {
 				out = append(out, r.res.Digest)
+				if r.res.Nodes == 60 {
+					swept = append(swept, r.res.CC)
+				}
 			}
-			return out
+			return out, swept
 		}
-		serial, parallel := digests("1"), digests("4")
+		serial, swept := digests("1")
+		parallel, _ := digests("4")
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("%s depends on worker count:\nserial:   %v\nparallel: %v", mode, serial, parallel)
+		}
+		if strings.Contains(mode, "-cc-sweep") && !reflect.DeepEqual(swept, congest.Policies()) {
+			t.Errorf("%s swept %v, want every policy: %v", mode, swept, congest.Policies())
 		}
 	}
 }

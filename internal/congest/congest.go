@@ -18,15 +18,10 @@
 //     upstream cannot starve the frontier — receiver-driven flow control
 //     that throttles the innovation-less retransmission storms the
 //     open-loop credits cannot see;
-//   - per-source AIMD rate adaptation: a token bucket paces each source's
-//     packet injection, additively speeding up on batch progress and
-//     multiplicatively backing off when a batch stagnates (many sends, no
-//     advance) or unicast sends fail — end-to-end control in the spirit of
-//     utility-based on-line congestion control;
 //   - CUBIC pacing (Policy Cubic): the Credit machinery's grants and gating
 //     plus a per-flow RTT estimator at each source — grant and FIN/ACK
 //     round trips are the samples — driving a CUBIC-style window whose
-//     W(t)/sRTT rate replaces AIMD's fixed token bucket (cubic.go).
+//     W(t)/sRTT rate refills each source's token bucket (cubic.go).
 //
 // The layer also tracks per-node load signals (queue-depth EWMA, drop
 // rate, credit-grant starvation — load.go) that, when Config.LoadExport is
@@ -44,6 +39,7 @@ package congest
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exor"
@@ -70,35 +66,33 @@ const (
 	// downstream nodes grant credits (their remaining rank deficit) and
 	// upstream nodes stop transmitting a batch its listeners cannot use.
 	Credit
-	// AIMD paces each source's injection rate with a token bucket,
-	// additively increasing on batch progress and multiplicatively backing
-	// off on stagnation or unicast failure.
-	AIMD
-	// Cubic keeps the Credit machinery's grants and gating and replaces
-	// the source-side token bucket with a per-flow RTT estimator driving a
-	// CUBIC-style window: grant and FIN/ACK round trips are the RTT sample
-	// source, and the pacing rate is W(t)/sRTT (see cubic.go).
+	// Cubic keeps the Credit machinery's grants and gating and paces each
+	// source with a per-flow RTT estimator driving a CUBIC-style window:
+	// grant and FIN/ACK round trips are the RTT sample source, and the
+	// pacing rate is W(t)/sRTT (see cubic.go).
 	Cubic
 )
 
+// policyNames is the one table of policy spellings, indexed by Policy: the
+// -cc flag, the spec's cc.policy key, -json output and every error message
+// that lists the admitted set read it.
+var policyNames = [...]string{None: "none", Tail: "tail", Choke: "choke", Credit: "credit", Cubic: "cubic"}
+
+// Policies lists every policy, in declaration order.
+func Policies() []Policy {
+	out := make([]Policy, len(policyNames))
+	for i := range out {
+		out[i] = Policy(i)
+	}
+	return out
+}
+
 // String renders the -cc flag spelling of the policy.
 func (p Policy) String() string {
-	switch p {
-	case None:
-		return "none"
-	case Tail:
-		return "tail"
-	case Choke:
-		return "choke"
-	case Credit:
-		return "credit"
-	case AIMD:
-		return "aimd"
-	case Cubic:
-		return "cubic"
-	default:
+	if p < 0 || int(p) >= len(policyNames) {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+	return policyNames[p]
 }
 
 // MarshalText lets Policy fields render readably in -json output.
@@ -114,29 +108,22 @@ func (p *Policy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParsePolicy parses a -cc flag value.
+// ParsePolicy parses a -cc flag value; the empty string is None.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "none":
+	if s == "" {
 		return None, nil
-	case "tail":
-		return Tail, nil
-	case "choke":
-		return Choke, nil
-	case "credit":
-		return Credit, nil
-	case "aimd":
-		return AIMD, nil
-	case "cubic":
-		return Cubic, nil
-	default:
-		return 0, fmt.Errorf("congest: unknown policy %q (want none, tail, choke, credit, aimd, or cubic)", s)
 	}
+	for p, name := range policyNames {
+		if s == name {
+			return Policy(p), nil
+		}
+	}
+	return 0, fmt.Errorf("congest: unknown policy %q (want %s)", s, strings.Join(policyNames[:], ", "))
 }
 
 // Fixed tuning of the pacing policies. The comparisons the layer exists for
 // vary the policy at fixed queue parameters (as the AQM literature does), so
-// the grant timers and the AIMD/CUBIC constants are not Config fields.
+// the grant timers and the CUBIC constants are not Config fields.
 const (
 	// gateTimeout is the base interval at which a credit-gated flow still
 	// releases a single probe transmission (the interval doubles while
@@ -169,14 +156,9 @@ const (
 	// backoff.
 	grantTTL = 500 * sim.Millisecond
 
-	// rateMin and rateMax clamp the AIMD and CUBIC pacing rates
-	// (packets/second).
+	// rateMin and rateMax clamp the CUBIC pacing rate (packets/second).
 	rateMin float64 = 64
 	rateMax float64 = 2000
-	// rateStep is the AIMD additive increase per batch advance.
-	rateStep float64 = 30
-	// rateBeta is the AIMD multiplicative decrease factor.
-	rateBeta float64 = 0.5
 
 	// cubicC is the CUBIC growth constant C in windows/second³ (the
 	// RFC 8312 value).
@@ -213,9 +195,6 @@ type Config struct {
 	// count per batch stays a constant fraction of the batch.
 	CreditMinK int
 
-	// RateInit is the AIMD starting injection rate in packets/second
-	// (default 300), clamped to [rateMin, rateMax].
-	RateInit float64
 	// StagnationFactor triggers a decrease after StagnationFactor×K sends
 	// within one batch without an advance (default 10; the threshold
 	// doubles after each decrease within the same batch).
@@ -224,8 +203,8 @@ type Config struct {
 	BucketDepth float64
 
 	// CubicInitWindow seeds W_max for a new flow (default 32 packets):
-	// with the default 100 ms RTT seed the starting pacing rate lands
-	// near AIMD's RateInit.
+	// with the default 100 ms RTT seed the starting pacing rate is about
+	// 320 packets/second.
 	CubicInitWindow float64
 
 	// LoadExport turns on export of the layer's load signals (queue-depth
@@ -249,9 +228,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CreditMinK == 0 {
 		c.CreditMinK = 16
-	}
-	if c.RateInit <= 0 {
-		c.RateInit = 300
 	}
 	if c.StagnationFactor <= 0 {
 		c.StagnationFactor = 10
@@ -286,7 +262,7 @@ type Stats struct {
 	// ProbeSends counts gated transmissions released by the gateTimeout
 	// liveness escape.
 	ProbeSends int64
-	// RateDecreases counts AIMD multiplicative-decrease events.
+	// RateDecreases counts CUBIC multiplicative-decrease events.
 	RateDecreases int64
 }
 
@@ -358,7 +334,6 @@ type Layer struct {
 	queue []*sim.Frame
 
 	credit *creditState
-	aimd   map[uint32]*aimdFlow
 	cubic  map[uint32]*cubicFlow
 
 	// loadst is the always-on load tracking (see load.go); cfg.LoadExport
@@ -391,9 +366,6 @@ func New(cfg Config, proto sim.Protocol) *Layer {
 	l := &Layer{cfg: cfg, proto: proto}
 	if cfg.Policy == Credit || cfg.Policy == Cubic {
 		l.credit = newCreditState()
-	}
-	if cfg.Policy == AIMD {
-		l.aimd = make(map[uint32]*aimdFlow)
 	}
 	if cfg.Policy == Cubic {
 		l.cubic = make(map[uint32]*cubicFlow)
@@ -683,8 +655,6 @@ func (l *Layer) canSend(info frameInfo) bool {
 	switch l.cfg.Policy {
 	case Credit:
 		return l.creditCanSend(info)
-	case AIMD:
-		return l.aimdCanSend(info)
 	case Cubic:
 		// Receiver-driven gating and source-side window pacing compose:
 		// a frame needs both verdicts to reach the air.
@@ -698,8 +668,6 @@ func (l *Layer) commitSend(info frameInfo) {
 	switch l.cfg.Policy {
 	case Credit:
 		l.creditCommit(info)
-	case AIMD:
-		l.aimdCommit(info)
 	case Cubic:
 		l.creditCommit(info)
 		l.cubicCommit(info)
@@ -716,15 +684,11 @@ func (l *Layer) Sent(f *sim.Frame, ok bool) {
 		return
 	}
 	l.proto.Sent(f, ok)
-	if (l.cfg.Policy == AIMD || l.cfg.Policy == Cubic) && !ok {
+	if l.cfg.Policy == Cubic && !ok {
 		if info, isData := l.dataInfo(f); isData && info.isSource && !info.hasBatch {
 			// Batch-less unicast source (Srcr): a MAC-level failure is the
 			// congestion signal batch stagnation provides elsewhere.
-			if l.cfg.Policy == AIMD {
-				l.aimdDecrease(l.aimdFlowFor(info.flow, l.node.Now()))
-			} else {
-				l.cubicOnCongestion(l.cubicFlowFor(info.flow, l.node.Now()))
-			}
+			l.cubicOnCongestion(l.cubicFlowFor(info.flow, l.node.Now()))
 		}
 	}
 	if len(l.queue) > 0 || len(l.pendingGrants) > 0 {

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,14 +12,22 @@ import (
 )
 
 func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{None, Tail, Choke, Credit, AIMD, Cubic} {
+	if got := Policies(); len(got) != 5 || got[0] != None || got[len(got)-1] != Cubic {
+		t.Fatalf("Policies() = %v, want the five policies None..Cubic", got)
+	}
+	for _, p := range Policies() {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("round trip %v: got %v, %v", p, got, err)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
+	// The error names the admitted set, from the same table.
+	_, err := ParsePolicy("bogus")
+	if err == nil || !strings.Contains(err.Error(), "want none, tail, choke, credit, cubic") {
+		t.Errorf("bogus policy: error %v, want one listing the admitted set", err)
+	}
+	if got := Policy(len(Policies())).String(); got != "Policy(5)" {
+		t.Errorf("out-of-table policy renders as %q", got)
 	}
 	if p, err := ParsePolicy(""); err != nil || p != None {
 		t.Errorf("empty policy: got %v, %v", p, err)
@@ -288,52 +297,6 @@ func moreFrameWithFwd(fid flow.ID, batch uint32, src, from graph.NodeID, fwd []g
 	}
 	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: 4, Forwarders: core.NewFwdList(entries)}
 	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: 100, Payload: m, FlowID: uint32(fid)}
-}
-
-func TestAIMDGatesSourceAndAdapts(t *testing.T) {
-	p := &fakeProto{}
-	// A long backlog of source frames for one batch: the token bucket must
-	// gate once BucketDepth is spent, and the stagnation rule must
-	// eventually halve the rate.
-	for i := 0; i < 200; i++ {
-		p.frames = append(p.frames, moreFrame(1, 0, 0, 0))
-	}
-	l, s := newTestLayer(t, Config{Policy: AIMD, BucketDepth: 4, StagnationFactor: 1, RateInit: 100}, p)
-	sent := 0
-	for i := 0; i < 20; i++ {
-		if l.Pull() != nil {
-			sent++
-		}
-	}
-	if sent > 5 {
-		t.Errorf("token bucket did not gate: %d sends with depth 4", sent)
-	}
-	if l.Stats.RateDecreases != 0 {
-		// 4 sends of a 4-packet batch at factor 1 is exactly the
-		// threshold; tolerate either side but record it.
-		t.Logf("early decreases: %d", l.Stats.RateDecreases)
-	}
-	// Advance simulated time so the bucket refills.
-	s.After(sim.Second, func() {})
-	s.Run(2 * sim.Second)
-	if l.Pull() == nil {
-		t.Error("bucket did not refill after simulated time passed")
-	}
-	// Relay frames (not sourced here) are never gated: offered next by the
-	// protocol (a real protocol round-robins its flows), one surfaces
-	// within a few opportunities even while the source flow is paced.
-	p.frames = append([]*sim.Frame{moreFrame(2, 0, 5, 0)}, p.frames...)
-	var relay *sim.Frame
-	for i := 0; i < 10 && relay == nil; i++ {
-		if f := l.Pull(); f != nil {
-			if fi, _ := l.dataInfo(f); fi.flow == 2 {
-				relay = f
-			}
-		}
-	}
-	if relay == nil {
-		t.Error("relay frame was gated by source pacing")
-	}
 }
 
 func TestStatsAdd(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestFixedParameters pins the pacing policies' tuning constants: the grant
-// timers PERFORMANCE.md's mitigation tables were measured under, the AIMD
-// clamp and step, and the RFC 8312 CUBIC C and β.
+// timers PERFORMANCE.md's mitigation tables were measured under, the pacing
+// rate clamp, and the RFC 8312 CUBIC C and β.
 func TestFixedParameters(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -21,8 +21,6 @@ func TestFixedParameters(t *testing.T) {
 		{"grantTTL", grantTTL, 500 * sim.Millisecond},
 		{"rateMin", rateMin, 64.0},
 		{"rateMax", rateMax, 2000.0},
-		{"rateStep", rateStep, 30.0},
-		{"rateBeta", rateBeta, 0.5},
 		{"cubicC", cubicC, 0.4},
 		{"cubicBeta", cubicBeta, 0.7},
 	} {

@@ -6,24 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-// The Cubic policy replaces AIMD's fixed token bucket with a measured,
-// per-flow adaptive window: each source maintains an RTT estimator fed by
-// the feedback the network already sends it — credit grants from its
-// downstream neighborhood (the Cubic policy keeps the Credit machinery's
-// grants and gating in force) and the protocol's own end-to-end signals
-// (MORE batch ACKs, ExOR batch completions, Srcr FIN/NACK round trips) —
-// and paces its injection at W(t)/sRTT packets per second, where W(t) is
-// the CUBIC window
+// The Cubic policy paces each source with a measured, per-flow adaptive
+// window: each source maintains an RTT estimator fed by the feedback the
+// network already sends it — credit grants from its downstream neighborhood
+// (the Cubic policy keeps the Credit machinery's grants and gating in force)
+// and the protocol's own end-to-end signals (MORE batch ACKs, ExOR batch
+// completions, Srcr FIN/NACK round trips) — and paces its injection at
+// W(t)/sRTT packets per second, where W(t) is the CUBIC window
 //
 //	W(t) = C·(t − K)³ + W_max,   K = ∛(W_max·(1 − β)/C)
 //
 // grown as a function of time since the last congestion event (Ha, Rhee &
-// Xu, CUBIC). Congestion events are the same signals AIMD reacts to — a
-// batch stagnating (many sends, no advance) or a batch-less unicast
-// source's MAC failure — but the response is CUBIC's: remember W_max,
-// shrink to β·W_max, then grow back along the cubic curve, plateauing near
-// the old operating point instead of sawtoothing through it. Everything is
-// driven by simulated time and per-flow state, so runs stay deterministic.
+// Xu, CUBIC). A congestion event is a batch stagnating (many sends, no
+// advance) or a batch-less unicast source's MAC failure, and the response is
+// CUBIC's: remember W_max, shrink to β·W_max, then grow back along the cubic
+// curve, plateauing near the old operating point instead of sawtoothing
+// through it. Everything is driven by simulated time and per-flow state, so
+// runs stay deterministic.
 
 // cubicDefaultRTT seeds the pacing rate before the first RTT sample.
 const cubicDefaultRTT = 100 * sim.Millisecond
@@ -48,7 +47,7 @@ type cubicFlow struct {
 
 	lastSend sim.Time // most recent committed source send (RTT anchor)
 
-	// Stagnation bookkeeping, shared shape with aimdFlow.
+	// Stagnation bookkeeping.
 	batch  uint32
 	seen   bool
 	sends  int
@@ -189,4 +188,12 @@ func (l *Layer) cubicCommit(info frameInfo) {
 			cf.nextMD *= 2
 		}
 	}
+}
+
+// batchK extracts the batch size from a data frame, defaulting to 32.
+func batchK(info frameInfo) int {
+	if info.more != nil {
+		return info.more.K
+	}
+	return 32
 }

@@ -66,6 +66,9 @@ type Execution struct {
 	// nodes[k] is protocol stack k's instance on every node, nil when no
 	// flow uses the stack.
 	nodes [len(stacks)][]transferNode
+	// startErr[i] is why flow i's last start attempt failed, nil once it
+	// has started (see StartErr).
+	startErr []error
 	// conv is the convergence time so far (see RunInfo.Convergence).
 	conv      sim.Time
 	deadline  sim.Time
@@ -149,7 +152,8 @@ func Execute(topo *graph.Topology, opts Options, flows []Flow, actions []Action)
 		s.Telem = opts.Telemetry
 	}
 	cp := NewControlPlane(topo, opts)
-	x := &Execution{Sim: s, Oracle: cp.oracle, cp: cp, opts: opts, flows: flows, remaining: len(flows)}
+	x := &Execution{Sim: s, Oracle: cp.oracle, cp: cp, opts: opts, flows: flows,
+		startErr: make([]error, len(flows)), remaining: len(flows)}
 
 	var used [len(stacks)]bool
 	autorate := false
@@ -262,24 +266,30 @@ func (x *Execution) schedule(i int) {
 			})
 		}
 	}
-	x.Sim.After(f.Start, func() { x.start(try) })
+	x.Sim.After(f.Start, func() { x.start(i, try) })
 }
 
-// start launches one flow. Under the oracle a start failure is final (the
+// start launches flow i. Under the oracle a start failure is final (the
 // ground truth says the destination is unreachable). Under learned state
 // the view may simply not have converged yet — a cold start, or a short
 // warmup — so the start is retried each second of simulated time until it
 // succeeds or the deadline passes.
-func (x *Execution) start(try func() error) {
-	if try() == nil {
+func (x *Execution) start(i int, try func() error) {
+	x.startErr[i] = try()
+	if x.startErr[i] == nil {
 		return
 	}
 	if x.cp.agents == nil || x.Sim.Now()+sim.Second >= x.deadline {
 		x.remaining--
 		return
 	}
-	x.Sim.After(sim.Second, func() { x.start(try) })
+	x.Sim.After(sim.Second, func() { x.start(i, try) })
 }
+
+// StartErr reports why flow i never started: the error of its last start
+// attempt (no route from the source, typically), nil for a flow that
+// started or whose start time the run did not reach.
+func (x *Execution) StartErr(i int) error { return x.startErr[i] }
 
 // srcrNode returns node id's Srcr instance; push control and the drain
 // need the concrete type.

@@ -88,12 +88,6 @@ func TestBuildFairnessStalledFlow(t *testing.T) {
 	}
 }
 
-// allPolicies lists the congestion policies compared like for like (the
-// rows of `moresim -scale ... -cc-sweep`).
-func allPolicies() []congest.Policy {
-	return []congest.Policy{congest.None, congest.Tail, congest.Choke, congest.Credit, congest.AIMD}
-}
-
 // TestPerFlowCountersSumToRunTotals is the fairness-accounting invariant:
 // with flow IDs stamped through the MAC, the per-flow transmission
 // counters plus the control bucket must account for every transmission
@@ -103,7 +97,7 @@ func TestPerFlowCountersSumToRunTotals(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FileBytes = 24 << 10
 	pairs := RandomPairs(topo, 3, opts.Seed)
-	for _, policy := range allPolicies() {
+	for _, policy := range congest.Policies() {
 		opts.CC = congest.DefaultConfig(policy)
 		for _, proto := range []Protocol{MORE, ExOR, Srcr} {
 			info := RunDetailed(topo, proto, pairs, opts)

@@ -31,6 +31,11 @@ type FlowOutcome struct {
 	// Done is the flow's scheduling verdict: a pull transfer completed, or
 	// a push source that ran its full generation schedule.
 	Done bool
+	// StartErr is why the flow never started (its source had no route when
+	// the start fired, and the oracle's word is final), nil otherwise. It is
+	// for the caller's diagnostics: the document, and so the digest, leave
+	// it out.
+	StartErr error `json:"-"`
 }
 
 // Result is a scenario run's complete outcome. Everything in it derives

@@ -59,7 +59,8 @@ func RunWith(spec *Spec, hub *telemetry.Hub) (*Result, error) {
 		Telemetry:   info.Telemetry,
 	}
 	for i, f := range spec.Flows {
-		out := FlowOutcome{Name: f.Name, Protocol: f.Protocol, Result: info.Results[i], Done: info.Results[i].Completed}
+		out := FlowOutcome{Name: f.Name, Protocol: f.Protocol, Result: info.Results[i],
+			Done: info.Results[i].Completed, StartErr: x.StartErr(i)}
 		if f.Protocol == ProtoPush {
 			out.Traffic = flows[i].Push.Model
 			out.Generated, out.SourceDrops, out.Done = x.PushStats(i)
@@ -70,15 +71,6 @@ func RunWith(spec *Spec, hub *telemetry.Hub) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// protocols maps the spec's pull protocol names to the engine's.
-var protocols = map[string]experiments.Protocol{
-	"more":      experiments.MORE,
-	"exor":      experiments.ExOR,
-	"srcr":      experiments.Srcr,
-	"srcr-auto": experiments.SrcrAutorate,
-	ProtoPush:   experiments.Srcr, // datagrams ride Srcr forwarding
 }
 
 // flows compiles the traffic matrix. Auto-drawn pairs are resolved on the
@@ -99,8 +91,9 @@ func (s *Spec) flows(topo *graph.Topology) ([]experiments.Flow, error) {
 	flows := make([]experiments.Flow, len(s.Flows))
 	for i := range s.Flows {
 		f := &s.Flows[i]
+		proto, _ := lookup(protocols, f.Protocol) // validated on load
 		out := experiments.Flow{
-			Proto: protocols[f.Protocol],
+			Proto: proto,
 			Src:   graph.NodeID(f.Src),
 			Dst:   graph.NodeID(f.Dst),
 			Start: secs(f.StartS),

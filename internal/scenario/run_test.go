@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -295,4 +296,48 @@ func TestRunFailNodeHaltsPushSource(t *testing.T) {
 
 func sprintf(format string, args ...interface{}) string {
 	return fmt.Sprintf(format, args...)
+}
+
+// TestRunSurfacesStartError: under the oracle a flow whose source has no
+// route when its start fires never starts, and the run used to say nothing
+// about why. The flow's outcome carries the start error for the caller; the
+// document and its digest leave it out.
+func TestRunSurfacesStartError(t *testing.T) {
+	r := parseRun(t, `{
+  "name": "cut",
+  "seed": 1,
+  "deadline_s": 30,
+  "topology": {"kind": "chain", "nodes": 3},
+  "flows": [
+    {"name": "stranded", "protocol": "more", "src": 0, "dst": 2, "start_s": 1,
+     "traffic": {"model": "file", "bytes": 32768}},
+    {"name": "fine", "protocol": "srcr", "src": 1, "dst": 2, "start_s": 1,
+     "traffic": {"model": "file", "bytes": 32768}}
+  ],
+  "events": [
+    {"at_s": 0, "action": "fail_link", "a": 0, "b": 1},
+    {"at_s": 0, "action": "fail_link", "a": 0, "b": 2}
+  ]
+}`)
+	stranded, fine := r.Flows[0], r.Flows[1]
+	if stranded.Done || stranded.Result.Transmissions != 0 {
+		t.Fatalf("flow with no route ran: %+v", stranded)
+	}
+	if err := stranded.StartErr; err == nil || !strings.Contains(err.Error(), "core: flow 1:") ||
+		!strings.Contains(err.Error(), "unreachable from 0") {
+		t.Errorf("stranded flow's start error = %v, want core's no-route error for flow 1", err)
+	}
+	if !fine.Done || fine.StartErr != nil {
+		t.Errorf("routable flow: done=%v, start error %v", fine.Done, fine.StartErr)
+	}
+	enc, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(enc), "StartErr") {
+		t.Error("the start error leaked into the result document")
+	}
+	if _, err := ValidateResult(enc); err != nil {
+		t.Errorf("document with a stranded flow fails its schema: %v", err)
+	}
 }

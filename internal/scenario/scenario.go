@@ -23,7 +23,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/congest"
 	"repro/internal/experiments"
@@ -72,9 +74,9 @@ type Spec struct {
 
 // TopologySpec selects and parameterizes a topology generator.
 type TopologySpec struct {
-	// Kind is one of testbed, chain, diamond, corridor, grid, geometric.
+	// Kind names an entry of topologyKinds.
 	Kind string `json:"kind"`
-	// Nodes is the node count for chain/corridor/geometric.
+	// Nodes is the node count for chain/geometric.
 	Nodes int `json:"nodes,omitempty"`
 	// Degree is the target mean neighbor degree for geometric (default 10).
 	Degree float64 `json:"degree,omitempty"`
@@ -119,21 +121,16 @@ type StateSpec struct {
 
 // CCSpec configures the congestion layer.
 type CCSpec struct {
-	// Policy is none (default), tail, choke, credit, aimd, or cubic.
+	// Policy names one of congest.Policies (default none).
 	Policy string `json:"policy,omitempty"`
 	// Queue overrides the transmit-queue bound (0: policy default).
 	Queue int `json:"queue,omitempty"`
-	// CreditMinK overrides the credit/cubic policies' batch-rank floor
-	// (0: default 16; negative disables the floor).
-	CreditMinK int `json:"credit_min_k,omitempty"`
 	// LoadPenalty arms the load-aware cost plane: the ETX penalty of
 	// routing through a fully saturated forwarder (0 disables; see
-	// experiments.Options.LoadPenalty). Implies load_export.
+	// experiments.Options.LoadPenalty). The layer's load signals are
+	// exported with it: queue high-water marks appear in the result
+	// counters and learned runs carry load bytes on LSAs.
 	LoadPenalty float64 `json:"load_penalty,omitempty"`
-	// LoadExport exports the layer's load signals without pricing them:
-	// queue high-water marks appear in the result counters and learned
-	// runs carry load bytes on LSAs, but routing stays loss-only.
-	LoadExport bool `json:"load_export,omitempty"`
 }
 
 // FlowSpec describes one flow.
@@ -231,6 +228,97 @@ const (
 	ProtoPush         = "push"
 )
 
+// The spec's closed vocabularies, one ordered table per set. Validate admits
+// exactly what a table lists, the "want ..." of every error message is
+// printed from it, and Vocabulary hands the same lists to the usage census
+// (TestSpecSurfaceIsRun): the admitted set and the checked set are one list.
+var (
+	topologyKinds = []entry[generator]{
+		{"testbed", generator{20, func(TopologySpec, int64) *graph.Topology { return experiments.TestbedTopology() }}},
+		{"chain", generator{0, func(t TopologySpec, _ int64) *graph.Topology { return graph.LossyChain(t.Nodes, 15, 30) }}},
+		// src, relay, dst (with the lossy direct link)
+		{"diamond", generator{3, func(TopologySpec, int64) *graph.Topology { return graph.Diamond() }}},
+		// the fixed 4x5 grid moresim exposes
+		{"grid", generator{20, func(TopologySpec, int64) *graph.Topology { return graph.Grid(4, 5, 14, 30) }}},
+		{"geometric", generator{0, func(t TopologySpec, seed int64) *graph.Topology {
+			gcfg := graph.DefaultGeometric(t.Nodes)
+			gcfg.TargetDegree = t.Degree
+			gcfg.Floors = t.Floors
+			topo, _ := graph.ConnectedGeometric(gcfg, seed)
+			return topo
+		}}},
+	}
+	stateModes = []string{"oracle", "learned"}
+	metrics    = []entry[routing.OrderMetric]{{"etx", routing.OrderETX}, {"eotx", routing.OrderEOTX}}
+	protocols  = []entry[experiments.Protocol]{
+		{"more", experiments.MORE},
+		{"exor", experiments.ExOR},
+		{"srcr", experiments.Srcr},
+		{"srcr-auto", experiments.SrcrAutorate},
+		{ProtoPush, experiments.Srcr}, // datagrams ride Srcr forwarding
+	}
+	trafficModels = []string{"file", "cbr", "onoff"}
+	actions       = []string{ActionDegrade, ActionFailNode, ActionRecoverNode, ActionFailLink, ActionRestoreLink, ActionSetRate}
+)
+
+// entry is one admitted spelling and what it selects in the engine.
+type entry[T any] struct {
+	name  string
+	value T
+}
+
+// generator builds one kind of topology. fixed is the node count of a
+// fixed-size kind; a sized kind (fixed 0) takes the spec's nodes.
+type generator struct {
+	fixed int
+	build func(t TopologySpec, seed int64) *graph.Topology
+}
+
+// names lists a table's spellings in order.
+func names[T any](table []entry[T]) []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
+}
+
+// lookup returns what name selects, and whether the table admits it.
+func lookup[T any](table []entry[T], name string) (T, bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e.value, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// Vocabulary returns every closed set of values the loader admits, keyed by
+// the spec path of the key that takes them ("flows.traffic.model"). The
+// lists are the caller's own.
+func Vocabulary() map[string][]string {
+	var policies []string
+	for _, p := range congest.Policies() {
+		policies = append(policies, p.String())
+	}
+	return map[string][]string{
+		"topology.kind":       names(topologyKinds),
+		"state.mode":          slices.Clone(stateModes),
+		"cc.policy":           policies,
+		"metric":              names(metrics),
+		"flows.protocol":      names(protocols),
+		"flows.traffic.model": slices.Clone(trafficModels),
+		"events.action":       slices.Clone(actions),
+	}
+}
+
+// unknown words the rejection of a value outside its vocabulary; it names
+// the admitted set.
+func unknown(what, got string, admitted []string) string {
+	return fmt.Sprintf("unknown %s %q (want %s)", what, got, strings.Join(admitted, ", "))
+}
+
 // normalize fills defaulted fields in place so an encoded spec is explicit
 // about what it runs.
 func (s *Spec) normalize() {
@@ -259,55 +347,28 @@ func (s *Spec) normalize() {
 // NodeCount returns the node count the topology will have, or -1 when the
 // kind is unknown.
 func (t TopologySpec) NodeCount() int {
-	switch t.Kind {
-	case "testbed":
-		return 20
-	case "chain", "corridor", "geometric":
-		return t.Nodes
-	case "diamond":
-		return 3 // src, relay, dst (with the lossy direct link)
-	case "grid":
-		return 20 // the fixed 4x5 grid moresim exposes
+	gen, ok := lookup(topologyKinds, t.Kind)
+	switch {
+	case !ok:
+		return -1
+	case gen.fixed > 0:
+		return gen.fixed
 	}
-	return -1
-}
-
-// sized reports whether the kind takes a node count (vs a fixed size).
-func (t TopologySpec) sized() bool {
-	switch t.Kind {
-	case "chain", "corridor", "geometric":
-		return true
-	}
-	return false
+	return t.Nodes
 }
 
 // Build constructs the topology (applying build-time degradation).
 // defaultSeed is used when the topology declares no seed of its own.
 func (t TopologySpec) Build(defaultSeed int64) (*graph.Topology, error) {
+	gen, ok := lookup(topologyKinds, t.Kind)
+	if !ok {
+		return nil, fmt.Errorf("scenario: %s", unknown("topology kind", t.Kind, names(topologyKinds)))
+	}
 	seed := t.Seed
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	var topo *graph.Topology
-	switch t.Kind {
-	case "testbed":
-		topo = experiments.TestbedTopology()
-	case "chain":
-		topo = graph.LossyChain(t.Nodes, 15, 30)
-	case "diamond":
-		topo = graph.Diamond()
-	case "corridor":
-		topo = graph.Corridor(t.Nodes, float64(t.Nodes)*26, 15, 28, seed)
-	case "grid":
-		topo = graph.Grid(4, 5, 14, 30)
-	case "geometric":
-		gcfg := graph.DefaultGeometric(t.Nodes)
-		gcfg.TargetDegree = t.Degree
-		gcfg.Floors = t.Floors
-		topo, _ = graph.ConnectedGeometric(gcfg, seed)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
-	}
+	topo := gen.build(t, seed)
 	if t.Drop > 0 {
 		topo.Degrade(t.Drop)
 	}
@@ -324,12 +385,12 @@ func (s *Spec) Validate() error {
 	if s.DeadlineS <= 0 {
 		return fmt.Errorf("scenario %s: deadline_s must be > 0 (got %v)", s.Name, s.DeadlineS)
 	}
-	n := s.Topology.NodeCount()
-	if n < 0 {
-		return fmt.Errorf("scenario %s: unknown topology kind %q (want testbed, chain, diamond, corridor, grid, or geometric)",
-			s.Name, s.Topology.Kind)
+	gen, ok := lookup(topologyKinds, s.Topology.Kind)
+	if !ok {
+		return fmt.Errorf("scenario %s: %s", s.Name, unknown("topology kind", s.Topology.Kind, names(topologyKinds)))
 	}
-	if s.Topology.sized() {
+	n := s.Topology.NodeCount()
+	if gen.fixed == 0 {
 		if n < 2 {
 			return fmt.Errorf("scenario %s: topology %s needs nodes >= 2 (got %d)", s.Name, s.Topology.Kind, n)
 		}
@@ -345,10 +406,8 @@ func (s *Spec) Validate() error {
 	if s.Topology.Drop < 0 || s.Topology.Drop >= 1 {
 		return fmt.Errorf("scenario %s: topology drop %v outside [0,1)", s.Name, s.Topology.Drop)
 	}
-	switch s.State.Mode {
-	case "oracle", "learned":
-	default:
-		return fmt.Errorf("scenario %s: unknown state mode %q (want oracle or learned)", s.Name, s.State.Mode)
+	if !slices.Contains(stateModes, s.State.Mode) {
+		return fmt.Errorf("scenario %s: %s", s.Name, unknown("state mode", s.State.Mode, stateModes))
 	}
 	if s.State.Mode != "learned" && !reflect.DeepEqual(s.State, StateSpec{Mode: s.State.Mode}) {
 		// An oracle run has no measurement plane to tune; dropping the knobs
@@ -380,10 +439,8 @@ func (s *Spec) Validate() error {
 	if s.Batch < 2 {
 		return fmt.Errorf("scenario %s: batch must be >= 2 (got %d)", s.Name, s.Batch)
 	}
-	switch s.Metric {
-	case "", "etx", "eotx":
-	default:
-		return fmt.Errorf("scenario %s: unknown metric %q (want etx or eotx)", s.Name, s.Metric)
+	if _, ok := lookup(metrics, s.Metric); !ok && s.Metric != "" {
+		return fmt.Errorf("scenario %s: %s", s.Name, unknown("metric", s.Metric, names(metrics)))
 	}
 	if s.PktSize < 64 {
 		return fmt.Errorf("scenario %s: pkt_size must be >= 64 (got %d)", s.Name, s.PktSize)
@@ -391,9 +448,9 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("scenario %s: no flows", s.Name)
 	}
-	names := map[string]bool{}
+	flowNames := map[string]bool{}
 	for i := range s.Flows {
-		if err := s.validateFlow(&s.Flows[i], n, names); err != nil {
+		if err := s.validateFlow(&s.Flows[i], n, flowNames); err != nil {
 			return err
 		}
 	}
@@ -485,19 +542,19 @@ func (s *Spec) churnEvents() []EventSpec {
 	return evs
 }
 
-func (s *Spec) validateFlow(f *FlowSpec, n int, names map[string]bool) error {
+func (s *Spec) validateFlow(f *FlowSpec, n int, flowNames map[string]bool) error {
 	where := func(format string, args ...interface{}) error {
 		return fmt.Errorf("scenario %s: flow %q: %s", s.Name, f.Name, fmt.Sprintf(format, args...))
 	}
 	if f.Name == "" {
 		return fmt.Errorf("scenario %s: flow with no name", s.Name)
 	}
-	if names[f.Name] {
+	if flowNames[f.Name] {
 		return where("duplicate flow name")
 	}
-	names[f.Name] = true
-	if _, ok := protocols[f.Protocol]; !ok {
-		return where("unknown protocol %q (want more, exor, srcr, srcr-auto, or push)", f.Protocol)
+	flowNames[f.Name] = true
+	if _, ok := lookup(protocols, f.Protocol); !ok {
+		return where("%s", unknown("protocol", f.Protocol, names(protocols)))
 	}
 	if f.AutoPair {
 		if f.Src != 0 || f.Dst != 0 {
@@ -518,6 +575,9 @@ func (s *Spec) validateFlow(f *FlowSpec, n int, names map[string]bool) error {
 		return where("start_s %v at or past the deadline %v", f.StartS, s.DeadlineS)
 	}
 	isPush := f.Protocol == ProtoPush
+	if !slices.Contains(trafficModels, f.Traffic.Model) {
+		return where("%s", unknown("traffic model", f.Traffic.Model, trafficModels))
+	}
 	switch f.Traffic.Model {
 	case "file":
 		if isPush {
@@ -544,8 +604,6 @@ func (s *Spec) validateFlow(f *FlowSpec, n int, names map[string]bool) error {
 		if f.Traffic.Model == "cbr" && (f.Traffic.OnS != 0 || f.Traffic.OffS != 0) {
 			return where("cbr traffic takes no on_s/off_s (did you mean model onoff?)")
 		}
-	default:
-		return where("unknown traffic model %q (want file, cbr, or onoff)", f.Traffic.Model)
 	}
 	if f.StopS != 0 {
 		if !isPush {
@@ -616,6 +674,9 @@ func (s *Spec) validateEvents(n int) error {
 			}
 			return [2]int{e.B, e.A}
 		}
+		if !slices.Contains(actions, e.Action) {
+			return where("%s", unknown("action", e.Action, actions))
+		}
 		switch e.Action {
 		case ActionDegrade:
 			if e.Drop <= 0 || e.Drop >= 1 {
@@ -666,9 +727,6 @@ func (s *Spec) validateEvents(n int) error {
 			if e.Drop != 0 || e.Node != 0 || e.A != 0 || e.B != 0 {
 				return where("set_rate takes only flow and rate_pps")
 			}
-		default:
-			return where("unknown action (want %s, %s, %s, %s, %s, or %s)",
-				ActionDegrade, ActionFailNode, ActionRecoverNode, ActionFailLink, ActionRestoreLink, ActionSetRate)
 		}
 		key := evKey{e.AtS, e.Action, e.Node, e.A, e.B, e.Flow}
 		if seen[key] {
@@ -679,24 +737,17 @@ func (s *Spec) validateEvents(n int) error {
 	return nil
 }
 
-// traffic converts the flow's traffic spec to the flow-package model.
+// traffic converts the flow's traffic spec to the flow-package model; its
+// Validate refuses the file model, which is not a push source's.
 func (f *FlowSpec) traffic() (flow.Traffic, error) {
-	var model flow.TrafficModel
-	switch f.Traffic.Model {
-	case "cbr":
-		model = flow.PushCBR
-	case "onoff":
-		model = flow.PushOnOff
-	default:
-		return flow.Traffic{}, fmt.Errorf("traffic model %q is not a push model", f.Traffic.Model)
-	}
+	model, err := flow.ParseTrafficModel(f.Traffic.Model)
 	return flow.Traffic{
 		Model:   model,
 		RatePPS: f.Traffic.RatePPS,
 		Packets: f.Traffic.Packets,
 		On:      secs(f.Traffic.OnS),
 		Off:     secs(f.Traffic.OffS),
-	}, nil
+	}, err
 }
 
 // Options compiles the spec's run-wide knobs into experiments.Options, the
@@ -707,8 +758,8 @@ func (s *Spec) Options() experiments.Options {
 	opts.BatchSize = s.Batch
 	opts.PktSize = s.PktSize
 	opts.Deadline = secs(s.DeadlineS)
-	if s.Metric == "eotx" {
-		opts.Metric = routing.OrderEOTX
+	if order, ok := lookup(metrics, s.Metric); ok {
+		opts.Metric = order
 	}
 	for _, f := range s.Flows {
 		// Autorate picks among bit-rates, so the channel must price them.
@@ -744,8 +795,6 @@ func (s *Spec) Options() experiments.Options {
 	policy, _ := congest.ParsePolicy(s.CC.Policy) // validated on load
 	opts.CC = congest.DefaultConfig(policy)
 	opts.CC.QueueLen = s.CC.Queue
-	opts.CC.CreditMinK = s.CC.CreditMinK
-	opts.CC.LoadExport = s.CC.LoadExport
 	opts.LoadPenalty = s.CC.LoadPenalty
 	opts.Repair = secs(s.RepairS)
 	return opts

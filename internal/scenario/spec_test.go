@@ -97,6 +97,18 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		{"unknown topology", func(m map[string]interface{}) {
 			m["topology"].(map[string]interface{})["kind"] = "torus"
 		}, "unknown topology kind"},
+		{"removed topology kind names the admitted set", func(m map[string]interface{}) {
+			m["topology"] = map[string]interface{}{"kind": "corridor", "nodes": 12}
+		}, `unknown topology kind "corridor" (want testbed, chain, diamond, grid, geometric)`},
+		{"removed cc policy names the admitted set", func(m map[string]interface{}) {
+			m["cc"] = map[string]interface{}{"policy": "aimd"}
+		}, `unknown policy "aimd" (want none, tail, choke, credit, cubic)`},
+		{"removed key credit_min_k", func(m map[string]interface{}) {
+			m["cc"] = map[string]interface{}{"policy": "credit", "credit_min_k": 8}
+		}, `unknown field "credit_min_k"`},
+		{"removed key load_export", func(m map[string]interface{}) {
+			m["cc"] = map[string]interface{}{"policy": "tail", "load_export": true}
+		}, `unknown field "load_export"`},
 		{"unknown traffic model", func(m map[string]interface{}) {
 			flow0(m)["traffic"] = map[string]interface{}{"model": "poisson"}
 		}, "unknown traffic model"},
