@@ -21,9 +21,9 @@
 // byte-identical for any worker count. PERFORMANCE.md tracks the measured
 // Table 4.1 numbers per PR.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate each table and figure at reduced
-// scale; cmd/morebench runs them at any scale (-parallel for the worker
-// pool, -json for machine-readable results).
+// See README.md for a tour and ARCHITECTURE.md for the system inventory.
+// cmd/morebench regenerates each table and figure at any scale (-fig,
+// -table; -parallel for the worker pool, -json for machine-readable
+// results), cmd/moresim runs one scenario, and bench/ holds the end-to-end
+// benchmark with its per-layer drivers (go run ./bench -layers).
 package repro

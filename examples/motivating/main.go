@@ -71,7 +71,6 @@ func main() {
 		experiments.Options{
 			FileBytes: 128 * 1500, PktSize: 1500, BatchSize: 32,
 			DataRate: sim.Rate5_5, Seed: 7, Deadline: 600 * sim.Second,
-			PreCoding: true, InnovativeOnly: true, PruneFraction: 0.1,
 		})
 	fmt.Printf("Srcr (best path, no opportunism): %.1f pkt/s vs MORE %.1f pkt/s (%.2fx)\n",
 		res.Throughput(), r.Throughput(), r.Throughput()/res.Throughput())

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/coding"
 	"repro/internal/flow"
-	"repro/internal/gf256"
 	"repro/internal/graph"
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -49,18 +48,6 @@ type Config struct {
 	PayloadSize int
 	// Plan configures forwarder selection (metric, pruning, list bound).
 	Plan routing.PlanOptions
-	// PreCoding enables the §3.2.3(c) optimization (on in MORE; off only
-	// for ablation).
-	PreCoding bool
-	// InnovativeOnly discards non-innovative packets before buffering
-	// (§3.2.3(a)); disabling it is the "code everything" ablation, which
-	// buffers every reception (bounded) and codes over all of them.
-	InnovativeOnly bool
-	// CreditOnInnovativeOnly is an ablation of the §3.3.3 crediting rule:
-	// when set, only innovative receptions from upstream add TX credit,
-	// instead of every upstream reception as Eq. (3.3) assumes. It starves
-	// forwarders whose upstream traffic is largely redundant.
-	CreditOnInnovativeOnly bool
 	// FlowTimeout expires idle per-flow state (§3.3.2 uses 5 minutes).
 	FlowTimeout sim.Time
 	// RepairInterval arms a per-source stall watchdog: a source whose
@@ -76,12 +63,10 @@ type Config struct {
 // DefaultConfig matches the deployed MORE parameters.
 func DefaultConfig() Config {
 	return Config{
-		BatchSize:      32,
-		PayloadSize:    1500,
-		Plan:           routing.DefaultPlanOptions(),
-		PreCoding:      true,
-		InnovativeOnly: true,
-		FlowTimeout:    5 * 60 * sim.Second,
+		BatchSize:   32,
+		PayloadSize: 1500,
+		Plan:        routing.DefaultPlanOptions(),
+		FlowTimeout: 5 * 60 * sim.Second,
 	}
 }
 
@@ -382,8 +367,7 @@ type relayState struct {
 	k            int
 	buffer       *coding.Buffer
 	pre          *coding.PreCoder
-	pool         *coding.Pool     // recycles buffered receptions across batches
-	raw          []*coding.Packet // only when InnovativeOnly is off
+	pool         *coding.Pool // recycles buffered receptions across batches
 	credit       float64
 	myCredit     float64
 	fwdList      *FwdList       // as last received, restated in recoded packets (§3.3.1)
@@ -441,7 +425,6 @@ func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 		r.buffer.UsePool(r.pool)
 		r.pre = coding.NewPreCoder(r.buffer, n.node.Rand())
 	}
-	r.raw = nil
 	r.credit = 0
 }
 
@@ -621,22 +604,17 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 	innovative := r.buffer.Innovative(m.Packet.Vector)
 	// Credit for receptions from upstream: the source or a forwarder
 	// farther from the destination (listed after us). Eq. (3.3) credits
-	// every upstream reception; the ablation credits only innovative ones.
-	if isUpstream(f.From, myIdx, m) && (!n.cfg.CreditOnInnovativeOnly || innovative) {
+	// every upstream reception, innovative or not.
+	if isUpstream(f.From, myIdx, m) {
 		r.credit += r.myCredit
 	}
 	if innovative {
 		r.buffer.Add(r.clonePacket(m.Packet))
 		n.Innovative++
-		if n.cfg.PreCoding {
-			// Fold the fresh arrival into the prepared packet (§3.2.3(c)).
-			r.pre.Update(r.buffer.LastAdded())
-		}
+		// Fold the fresh arrival into the prepared packet (§3.2.3(c)).
+		r.pre.Update(r.buffer.LastAdded())
 	} else {
 		n.NonInnovative++
-		if !n.cfg.InnovativeOnly && len(r.raw) < 4*r.k {
-			r.raw = append(r.raw, m.Packet.Clone())
-		}
 	}
 	if r.credit > 0 && r.buffer.Rank() > 0 {
 		n.node.Wake()
@@ -784,7 +762,6 @@ func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 		if a.Batch >= r.curBatch {
 			r.buffer.Reset()
 			r.pre.Reset()
-			r.raw = nil
 			r.credit = 0
 		}
 		if a.Final {
@@ -855,15 +832,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
 	}
 	if r, ok := n.relays[id]; ok && r.credit > 0 && r.buffer.Rank() > 0 {
-		var pkt *coding.Packet
-		switch {
-		case !n.cfg.InnovativeOnly && len(r.raw) > 0:
-			pkt = n.recodeAll(r)
-		case n.cfg.PreCoding:
-			pkt = r.pre.Take()
-		default:
-			pkt = r.buffer.Recode(n.node.Rand())
-		}
+		pkt := r.pre.Take()
 		if pkt == nil {
 			return nil
 		}
@@ -886,24 +855,6 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 		n.CreditDenied++
 	}
 	return nil
-}
-
-// recodeAll is the InnovativeOnly=false path: code over the innovative rows
-// plus every buffered raw packet.
-func (n *Node) recodeAll(r *relayState) *coding.Packet {
-	pkt := r.buffer.Recode(n.node.Rand())
-	if pkt == nil {
-		return nil
-	}
-	for _, raw := range r.raw {
-		c := byte(n.node.Rand().Intn(256))
-		if c == 0 {
-			continue
-		}
-		gf256.MulAddSlice(pkt.Vector, raw.Vector, c)
-		gf256.MulAddSlice(pkt.Payload, raw.Payload, c)
-	}
-	return pkt
 }
 
 // Sent implements sim.Protocol.

@@ -157,28 +157,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestPreCodingOffStillWorks(t *testing.T) {
-	topo := graph.LossyChain(4, 15, 30)
-	cfg := smallCfg(16)
-	cfg.PreCoding = false
-	file := flow.NewFile(32*1500, 1500, 13)
-	res, _, _ := runMORE(t, topo, cfg, sim.DefaultConfig(), 0, 3, file, 300*sim.Second)
-	if !res.Completed || !res.Verified {
-		t.Fatalf("no-precoding transfer failed: %v", res)
-	}
-}
-
-func TestInnovativeOnlyOffStillWorks(t *testing.T) {
-	topo := graph.LossyChain(4, 15, 30)
-	cfg := smallCfg(16)
-	cfg.InnovativeOnly = false
-	file := flow.NewFile(32*1500, 1500, 14)
-	res, _, _ := runMORE(t, topo, cfg, sim.DefaultConfig(), 0, 3, file, 300*sim.Second)
-	if !res.Completed || !res.Verified {
-		t.Fatalf("code-everything transfer failed: %v", res)
-	}
-}
-
 func TestEOTXOrderingWorks(t *testing.T) {
 	topo := graph.LossyChain(4, 15, 30)
 	cfg := smallCfg(16)

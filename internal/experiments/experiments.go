@@ -157,7 +157,7 @@ type Options struct {
 	Warmup sim.Time
 	// CC configures the congestion-control layer between every node's
 	// protocol and MAC. The zero value (policy "none") installs no layer:
-	// runs are byte-identical to the pre-congestion code.
+	// every protocol hands its frames straight to its MAC.
 	CC congest.Config
 	// LoadPenalty arms the load-aware cost plane: the ETX penalty, in
 	// expected-transmission units, of routing through a fully saturated
@@ -165,20 +165,16 @@ type Options struct {
 	// scores — queue-depth EWMA, drop rate, grant starvation — feed the
 	// model: sampled globally under oracle state, carried on LSAs under
 	// learned state. Nonzero values force CC.LoadExport on. Zero (the
-	// default) installs no model anywhere; runs are byte-identical to
-	// loss-only routing.
+	// default) installs no model anywhere: routes and forwarder plans are
+	// computed from link loss alone.
 	LoadPenalty float64
 	// Repair arms the protocols' route-repair watchdogs (core/exor
 	// Config.RepairInterval, srcr's FIN-stall reroute): a source stalled
 	// for this long replans from current routing state instead of spinning
-	// on a dead route. Zero (the default) disables repair; runs are
-	// byte-identical to the pre-repair code.
+	// on a dead route. Zero (the default) arms no watchdog: a source
+	// replans only at its protocol's own boundaries (batch completion, ARQ
+	// pass).
 	Repair sim.Time
-	// MORE ablation switches.
-	PreCoding              bool
-	InnovativeOnly         bool
-	CreditOnInnovativeOnly bool
-	PruneFraction          float64
 }
 
 // DefaultOptions returns the paper's setup at a simulation-friendly file
@@ -186,17 +182,14 @@ type Options struct {
 // independent once transfers span many batches).
 func DefaultOptions() Options {
 	return Options{
-		FileBytes:      512 << 10,
-		PktSize:        1500,
-		BatchSize:      32,
-		DataRate:       sim.Rate5_5,
-		SenseRange:     3 * graph.MidRange,
-		Seed:           1,
-		Deadline:       3600 * sim.Second,
-		Metric:         routing.OrderETX,
-		PreCoding:      true,
-		InnovativeOnly: true,
-		PruneFraction:  0.1,
+		FileBytes:  512 << 10,
+		PktSize:    1500,
+		BatchSize:  32,
+		DataRate:   sim.Rate5_5,
+		SenseRange: 3 * graph.MidRange,
+		Seed:       1,
+		Deadline:   3600 * sim.Second,
+		Metric:     routing.OrderETX,
 	}
 }
 
@@ -221,7 +214,6 @@ func (o Options) SimConfig() sim.Config {
 func (o Options) planOpts() routing.PlanOptions {
 	p := routing.DefaultPlanOptions()
 	p.Metric = o.Metric
-	p.PruneFraction = o.PruneFraction
 	return p
 }
 
@@ -235,9 +227,6 @@ func (o Options) coreConfig() core.Config {
 	cfg.BatchSize = o.BatchSize
 	cfg.PayloadSize = o.PktSize
 	cfg.Plan = o.planOpts()
-	cfg.PreCoding = o.PreCoding
-	cfg.InnovativeOnly = o.InnovativeOnly
-	cfg.CreditOnInnovativeOnly = o.CreditOnInnovativeOnly
 	cfg.RepairInterval = o.Repair
 	return cfg
 }
@@ -251,13 +240,10 @@ func (o Options) exorConfig() exor.Config {
 	return cfg
 }
 
-// srcrConfig has Reliable on: the best-path baseline completes its file
-// like MORE and ExOR do (push sources bypass the ARQ regardless).
 func (o Options) srcrConfig(autorate bool) srcr.Config {
 	cfg := srcr.DefaultConfig()
 	cfg.PayloadSize = o.PktSize
 	cfg.Autorate = autorate
-	cfg.Reliable = true
 	cfg.RepairInterval = o.Repair
 	return cfg
 }
@@ -309,20 +295,12 @@ func RandomPairs(topo *graph.Topology, n int, seed int64) []Pair {
 // Run transfers one file between a single source-destination pair with the
 // given protocol and returns the destination-side result.
 func Run(topo *graph.Topology, proto Protocol, p Pair, opts Options) flow.Result {
-	results := RunFlows(topo, proto, []Pair{p}, opts)
-	return results[0]
+	return RunDetailed(topo, proto, []Pair{p}, opts).Results[0]
 }
 
-// RunFlows runs len(pairs) concurrent flows of the same protocol and
-// returns the per-flow destination-side results (the multi-flow experiment
-// of §4.3 uses several pairs; single-flow experiments pass one).
-func RunFlows(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options) []flow.Result {
-	rs, _ := RunWithCounters(topo, proto, pairs, opts)
-	return rs
-}
-
-// RunWithCounters is RunFlows plus the run's medium-level counters (used by
-// the autorate analysis, §4.4).
+// RunWithCounters runs len(pairs) concurrent flows of the same protocol and
+// returns the per-flow destination-side results plus the run's medium-level
+// counters (used by the autorate analysis, §4.4).
 func RunWithCounters(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options) ([]flow.Result, sim.Counters) {
 	info := RunDetailed(topo, proto, pairs, opts)
 	return info.Results, info.Counters

@@ -15,8 +15,7 @@ import (
 )
 
 // quickOpts returns a reduced-scale configuration so the experiment suite
-// exercises every driver in seconds. The paper-scale numbers live in
-// cmd/morebench and EXPERIMENTS.md.
+// exercises every driver in seconds. cmd/morebench runs the paper scale.
 func quickOpts() Options {
 	o := DefaultOptions()
 	o.FileBytes = 96 * 1500 // 3 batches at K=32

@@ -247,7 +247,7 @@ func Fig45MultiFlow(topo *graph.Topology, maxFlows, runs int, opts Options) *Fig
 		}
 		o := opts
 		o.Seed = cells[ci].seed
-		rs := RunFlows(topo, protos[pi], cells[ci].pairs, o)
+		rs := RunDetailed(topo, protos[pi], cells[ci].pairs, o).Results
 		var sum float64
 		for _, r := range rs {
 			sum += r.Throughput()

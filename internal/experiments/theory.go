@@ -103,8 +103,8 @@ type Table41Result struct {
 // machine with the paper's parameters (K=32, 1500 B): the innovativeness
 // check on a received packet, coding one packet at the source (K
 // multiplications per byte), and per-packet decoding work. It exercises the
-// pooled, steady-state pipeline — the same configuration the Table 4.1
-// benchmarks in bench_test.go lock at 0 allocs/op.
+// pooled, steady-state pipeline — the same configuration
+// coding.TestSteadyStateZeroAllocs locks at 0 allocs/op.
 func Table41CodingCost(k, payload, iters int) Table41Result {
 	rng := rand.New(rand.NewSource(1))
 	natives := make([][]byte, k)

@@ -57,7 +57,7 @@ const maxNackEntries = 700
 // its FIN.
 const nackTimeout = 500 * sim.Millisecond
 
-// startPassTracking initializes reliable-mode source state.
+// startPassTracking makes all n packets outstanding for the first pass.
 func (st *sourceState) startPassTracking(n int) {
 	st.pending = make([]int, n)
 	for i := range st.pending {

@@ -24,15 +24,9 @@ type Config struct {
 	// QueueSize bounds each router's output queue (50 in §4.1.2).
 	QueueSize int
 	// Autorate enables Onoe-style bit-rate selection per neighbor; when
-	// false frames use FixedRate (or the simulator default when zero).
+	// false frames go out at the simulator's data rate.
 	Autorate bool
-	// FixedRate pins the data bit-rate when Autorate is off.
-	FixedRate sim.Bitrate
-	// Reliable runs the end-to-end NACK ARQ (see reliable.go) so the
-	// transfer completes like MORE's and ExOR's do. Off, the source sends
-	// each packet once and losses are final.
-	Reliable bool
-	// RepairInterval arms route repair for reliable transfers: a source
+	// RepairInterval arms route repair for file transfers: a source
 	// whose FIN passes go unanswered for this long recomputes its route
 	// regardless of routing-state version (the stall is itself the
 	// evidence the route is broken), and failed FIN/NACK retransmissions
@@ -41,7 +35,8 @@ type Config struct {
 	RepairInterval sim.Time
 }
 
-// DefaultConfig matches the paper's setup.
+// DefaultConfig is the §4.1.2 setup every fixed-rate run uses: 1500-byte
+// payloads, 50-packet router queues, the simulator's data rate, no repair.
 func DefaultConfig() Config {
 	return Config{
 		PayloadSize: 1500,
@@ -95,13 +90,12 @@ type sourceState struct {
 	id       flow.ID
 	route    []graph.NodeID
 	payloads [][]byte
-	nextSeq  int
 	inFlight bool
 	result   flow.Result
 	done     bool
 	onDone   func(flow.Result)
 
-	// Reliable-mode state.
+	// End-to-end ARQ state (reliable.go).
 	pending      []int // sequence numbers still to (re)send this pass
 	pass         int
 	awaitingNack bool
@@ -145,9 +139,11 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 func (n *Node) Init(sn *sim.Node) { n.node = sn }
 
 // StartFlow begins a best-path transfer of file to dst. The source is
-// backlogged: it generates the next packet whenever the previous one clears
-// the MAC. onDone fires when every packet has been either delivered
-// downstream or dropped (Srcr has no end-to-end retransmission).
+// backlogged: it offers the next outstanding packet whenever the previous
+// one clears the MAC, and after each pass over them asks the destination
+// what is still missing (the end-to-end ARQ of reliable.go). onDone fires
+// when the destination reports nothing missing. Send-once datagram traffic
+// is StartPushFlow.
 func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error {
 	if _, dup := n.sources[id]; dup {
 		return fmt.Errorf("srcr: duplicate flow %d", id)
@@ -163,9 +159,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		onDone:      onDone,
 		planVersion: n.state.Version(),
 	}
-	if n.cfg.Reliable {
-		st.startPassTracking(len(st.payloads))
-	}
+	st.startPassTracking(len(st.payloads))
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dst,
 		PacketsTotal: file.NumPackets(),
@@ -199,8 +193,8 @@ func (n *Node) Result(id flow.ID) flow.Result {
 	return flow.Result{}
 }
 
-// SourceFinished reports whether the source has handed every packet to the
-// MAC (delivered or dropped along the way).
+// SourceFinished reports whether the source has seen the destination
+// acknowledge the whole file.
 func (n *Node) SourceFinished(id flow.ID) bool {
 	s, ok := n.sources[id]
 	return ok && s.done
@@ -307,23 +301,11 @@ func (n *Node) Pull() *sim.Frame {
 	}
 	for _, id := range n.sourceOrder {
 		st := n.sources[id]
-		if st.done || st.inFlight {
+		if !st.sendable() {
 			continue
 		}
-		var seq int
-		if n.cfg.Reliable {
-			if st.awaitingNack || len(st.pending) == 0 {
-				continue
-			}
-			seq = st.pending[0]
-			st.pending = st.pending[1:]
-		} else {
-			if st.nextSeq >= len(st.payloads) {
-				continue
-			}
-			seq = st.nextSeq
-			st.nextSeq++
-		}
+		seq := st.pending[0]
+		st.pending = st.pending[1:]
 		m := &DataMsg{
 			Flow:    st.id,
 			Seq:     seq,
@@ -351,8 +333,6 @@ func (n *Node) frameFor(m *DataMsg) *sim.Frame {
 	}
 	if n.cfg.Autorate {
 		f.Rate = n.onoeFor(to).Rate()
-	} else if n.cfg.FixedRate != 0 {
-		f.Rate = n.cfg.FixedRate
 	}
 	return f
 }
@@ -408,16 +388,8 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 	if m.Hop == 0 {
 		if st, okf := n.sources[m.Flow]; okf {
 			st.inFlight = false
-			if n.cfg.Reliable {
-				if !st.done && len(st.pending) == 0 && !st.awaitingNack {
-					n.finishPass(st)
-				}
-			} else if st.nextSeq >= len(st.payloads) {
-				st.done = true
-				st.result.End = n.node.Now()
-				if st.onDone != nil {
-					st.onDone(st.result)
-				}
+			if !st.done && len(st.pending) == 0 && !st.awaitingNack {
+				n.finishPass(st)
 			}
 		}
 	}
@@ -428,16 +400,15 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 
 func (n *Node) hasPendingSource() bool {
 	for _, st := range n.sources {
-		if st.done || st.inFlight {
-			continue
-		}
-		if n.cfg.Reliable {
-			if !st.awaitingNack && len(st.pending) > 0 {
-				return true
-			}
-		} else if st.nextSeq < len(st.payloads) {
+		if st.sendable() {
 			return true
 		}
 	}
 	return false
+}
+
+// sendable reports whether the source has a packet to offer the MAC now:
+// nothing of its own in flight, no FIN outstanding, the pass not exhausted.
+func (st *sourceState) sendable() bool {
+	return !st.done && !st.inFlight && !st.awaitingNack && len(st.pending) > 0
 }
