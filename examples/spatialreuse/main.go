@@ -24,7 +24,7 @@ func main() {
 	found := false
 	for seed := int64(1); seed < 60 && !found; seed++ {
 		t := graph.Corridor(14, 360, 15, 28, seed)
-		prs := experiments.SpatialReusePairs(t, 4, 0.01, opts.SenseRange)
+		prs := experiments.SpatialReusePairs(t, 4)
 		if len(prs) > 0 {
 			topo, pair, found = t, prs[0], true
 		}

@@ -167,6 +167,28 @@ const (
 	// after a congestion event the window restarts at β·W_max and grows
 	// back along the cubic curve.
 	cubicBeta float64 = 0.7
+
+	// creditMinK floors the batch rank the Credit machinery engages at:
+	// MORE batches with K below the floor bypass grants and gating entirely
+	// and run over the plain bounded queue. In a batch this small the whole
+	// transfer is "endgame" — the grant/probe machinery's own frames and
+	// probe backoffs outweigh any suppression savings, inverting the result
+	// credit wins at K = 32 (the sub-batch workload regression the scaling
+	// sweeps flagged). For K at or above the floor the endgame-countdown
+	// threshold (needAdvertiseMax) additionally scales as K/4 so the grant
+	// count per batch stays a constant fraction of the batch.
+	creditMinK = 16
+
+	// stagnationFactor triggers a CUBIC decrease after stagnationFactor×K
+	// sends within one batch without an advance (the threshold doubles
+	// after each decrease within the same batch).
+	stagnationFactor float64 = 10
+	// bucketDepth caps a CUBIC source's accumulated tokens (packets).
+	bucketDepth float64 = 8
+	// cubicInitWindow seeds W_max for a new flow (packets): with the
+	// cubicDefaultRTT seed the starting pacing rate is about 320
+	// packets/second.
+	cubicInitWindow float64 = 32
 )
 
 // Config parameterizes the congestion layer.
@@ -182,30 +204,6 @@ type Config struct {
 	// (the -cc-queue sweep in PERFORMANCE.md quantifies the cost of
 	// deeper queues).
 	QueueLen int
-
-	// CreditMinK floors the batch rank the Credit machinery engages at
-	// (default 16): MORE batches with K below the floor bypass grants and
-	// gating entirely and run over the plain bounded queue. In a batch
-	// this small the whole transfer is "endgame" — the grant/probe
-	// machinery's own frames and probe backoffs outweigh any suppression
-	// savings, inverting the result credit wins at K = 32 (the sub-batch
-	// workload regression the scaling sweeps flagged). Negative disables
-	// the floor. For K at or above the floor the endgame-countdown
-	// threshold (needAdvertiseMax) additionally scales as K/4 so the grant
-	// count per batch stays a constant fraction of the batch.
-	CreditMinK int
-
-	// StagnationFactor triggers a decrease after StagnationFactor×K sends
-	// within one batch without an advance (default 10; the threshold
-	// doubles after each decrease within the same batch).
-	StagnationFactor float64
-	// BucketDepth caps accumulated tokens (default 8 packets).
-	BucketDepth float64
-
-	// CubicInitWindow seeds W_max for a new flow (default 32 packets):
-	// with the default 100 ms RTT seed the starting pacing rate is about
-	// 320 packets/second.
-	CubicInitWindow float64
 
 	// LoadExport turns on export of the layer's load signals (queue-depth
 	// EWMA, drop rate, credit-grant starvation — see Load) to the cost
@@ -225,18 +223,6 @@ func DefaultConfig(p Policy) Config {
 func (c *Config) fillDefaults() {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 2
-	}
-	if c.CreditMinK == 0 {
-		c.CreditMinK = 16
-	}
-	if c.StagnationFactor <= 0 {
-		c.StagnationFactor = 10
-	}
-	if c.BucketDepth <= 0 {
-		c.BucketDepth = 8
-	}
-	if c.CubicInitWindow <= 0 {
-		c.CubicInitWindow = 32
 	}
 }
 

@@ -134,7 +134,7 @@ func TestFullQueueControlProbeUsesHasControl(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.frames = append(p.frames, moreFrameWithFwd(1, 0, 0, 0, []graph.NodeID{1}))
 	}
-	l, _ := newTestLayer(t, Config{Policy: Credit, QueueLen: 1, CreditMinK: -1}, p)
+	l, _ := newTestLayer(t, Config{Policy: Credit, QueueLen: 1}, p)
 	// Gate the flow, then fill the queue with gated frames.
 	l.Receive(&sim.Frame{From: 1, To: graph.Broadcast, Payload: &CreditMsg{Flow: 1, Batch: 0, Needed: 0}})
 	for i := 0; i < 6; i++ {
@@ -232,13 +232,13 @@ func TestCreditEndToEnd(t *testing.T) {
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true})
 	cfg := core.DefaultConfig()
-	cfg.BatchSize = 8
+	cfg.BatchSize = creditMinK
 	cfg.PayloadSize = 256
 	nodes := make([]*core.Node, topo.N())
 	layers := make([]*Layer, topo.N())
 	for i := range nodes {
 		nodes[i] = core.NewNode(cfg, oracle)
-		layers[i] = New(Config{Policy: Credit, CreditMinK: -1}, nodes[i])
+		layers[i] = New(Config{Policy: Credit}, nodes[i])
 		s.Attach(graph.NodeID(i), layers[i])
 	}
 	file := flow.NewFile(4096, 256, 1)
@@ -269,7 +269,7 @@ func TestCreditGate(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.frames = append(p.frames, moreFrameWithFwd(1, 0, 0, 0, []graph.NodeID{1}))
 	}
-	l, _ := newTestLayer(t, Config{Policy: Credit, CreditMinK: -1}, p)
+	l, _ := newTestLayer(t, Config{Policy: Credit}, p)
 
 	// Cold start: no grants, traffic flows.
 	if l.Pull() == nil {
@@ -295,7 +295,7 @@ func moreFrameWithFwd(fid flow.ID, batch uint32, src, from graph.NodeID, fwd []g
 	for i, id := range fwd {
 		entries[i] = core.FwdEntry{Node: id, Credit: 1}
 	}
-	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: 4, Forwarders: core.NewFwdList(entries)}
+	m := &core.DataMsg{Flow: fid, Src: src, Dst: 9, Batch: batch, K: creditMinK, Forwarders: core.NewFwdList(entries)}
 	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: 100, Payload: m, FlowID: uint32(fid)}
 }
 

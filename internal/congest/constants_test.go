@@ -8,7 +8,8 @@ import (
 
 // TestFixedParameters pins the pacing policies' tuning constants: the grant
 // timers PERFORMANCE.md's mitigation tables were measured under, the pacing
-// rate clamp, and the RFC 8312 CUBIC C and β.
+// rate clamp, the RFC 8312 CUBIC C and β, the credit floor and the CUBIC
+// source's bucket, seed window and stagnation factor.
 func TestFixedParameters(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -23,6 +24,10 @@ func TestFixedParameters(t *testing.T) {
 		{"rateMax", rateMax, 2000.0},
 		{"cubicC", cubicC, 0.4},
 		{"cubicBeta", cubicBeta, 0.7},
+		{"creditMinK", creditMinK, 16},
+		{"stagnationFactor", stagnationFactor, 10.0},
+		{"bucketDepth", bucketDepth, 8.0},
+		{"cubicInitWindow", cubicInitWindow, 32.0},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)

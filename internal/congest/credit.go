@@ -146,7 +146,7 @@ func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
 	if l.need == nil {
 		return
 	}
-	if l.creditBypass(m.K) {
+	if creditBypass(m.K) {
 		return // sub-floor batch: the grant machinery costs more than it saves
 	}
 	if !l.senderUpstream(f.From, m) {
@@ -273,11 +273,11 @@ func (l *Layer) creditSuppressed(info frameInfo) bool {
 }
 
 // creditBypass reports whether the credit machinery stands down for a
-// batch of rank k: below the CreditMinK floor the whole batch is endgame
+// batch of rank k: below the creditMinK floor the whole batch is endgame
 // and grants/gating cost more air than they save, so the flow runs over
 // the plain bounded queue (behavior-identical to the Tail policy).
-func (l *Layer) creditBypass(k int) bool {
-	return l.cfg.CreditMinK > 0 && k > 0 && k < l.cfg.CreditMinK
+func creditBypass(k int) bool {
+	return k > 0 && k < creditMinK
 }
 
 // endgameThreshold scales the endgame-countdown threshold with the batch
@@ -297,7 +297,7 @@ func endgameThreshold(k int) int {
 // (exponentially backed-off) gateTimeout. Non-MORE frames pass untouched,
 // as do sub-floor batches (see creditBypass).
 func (l *Layer) creditCanSend(info frameInfo) bool {
-	if info.more == nil || l.creditBypass(info.more.K) {
+	if info.more == nil || creditBypass(info.more.K) {
 		return true
 	}
 	cf := l.creditFlowFor(info)
@@ -319,7 +319,7 @@ func (l *Layer) creditCanSend(info frameInfo) bool {
 // stall the flow (probe receptions still add Eq. (3.3) credit
 // downstream), and a stalled flow cannot storm the medium.
 func (l *Layer) creditCommit(info frameInfo) {
-	if info.more == nil || l.creditBypass(info.more.K) {
+	if info.more == nil || creditBypass(info.more.K) {
 		return
 	}
 	cf := l.creditFlowFor(info)

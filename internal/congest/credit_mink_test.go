@@ -44,7 +44,7 @@ func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Counter
 }
 
 // TestCreditBypassesSubFloorBatches is the sub-batch workload fix: a
-// single-batch transfer at K = 11 (below the CreditMinK floor of 16) must
+// single-batch transfer at K = 11 (below the creditMinK floor of 16) must
 // not engage the grant/probe machinery at all — the run is byte-identical
 // to the plain bounded queue (Tail policy), because in a batch that small
 // the whole transfer is endgame and the machinery's own frames invert
@@ -81,7 +81,7 @@ func TestCreditEngagesAtAndAboveFloor(t *testing.T) {
 			t.Fatalf("K=%d credit transfer incomplete: %+v", k, res)
 		}
 		if st.GrantTx == 0 {
-			t.Errorf("K=%d: no grants above the CreditMinK floor", k)
+			t.Errorf("K=%d: no grants above the creditMinK floor", k)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func TestCreditVerdictMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	verdicts := [2]int{}
 	for round := 0; round < rounds; round++ {
-		l, s := newTestLayer(t, Config{Policy: Credit, CreditMinK: -1}, &fakeProto{})
+		l, s := newTestLayer(t, Config{Policy: Credit}, &fakeProto{})
 		ref := newRefGate(me)
 		flows := make([]*core.DataMsg, 1+round%6)
 		for i := range flows {

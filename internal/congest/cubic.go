@@ -58,7 +58,7 @@ type cubicFlow struct {
 func (l *Layer) cubicFlowFor(fid uint32, now sim.Time) *cubicFlow {
 	cf, ok := l.cubic[fid]
 	if !ok {
-		cf = &cubicFlow{tokens: l.cfg.BucketDepth, last: now, wmax: l.cfg.CubicInitWindow, epoch: now}
+		cf = &cubicFlow{tokens: bucketDepth, last: now, wmax: cubicInitWindow, epoch: now}
 		l.cubic[fid] = cf
 	}
 	return cf
@@ -145,8 +145,8 @@ func (l *Layer) cubicCanSend(info frameInfo) bool {
 	rate := l.cubicRate(cf, now)
 	if now > cf.last {
 		cf.tokens += rate * (now - cf.last).Seconds()
-		if cf.tokens > l.cfg.BucketDepth {
-			cf.tokens = l.cfg.BucketDepth
+		if cf.tokens > bucketDepth {
+			cf.tokens = bucketDepth
 		}
 		cf.last = now
 	}
@@ -180,7 +180,7 @@ func (l *Layer) cubicCommit(info frameInfo) {
 	cf.lastSend = now
 	if info.hasBatch {
 		if cf.initTh == 0 {
-			cf.initTh = int(l.cfg.StagnationFactor * float64(max(1, batchK(info))))
+			cf.initTh = int(stagnationFactor * float64(max(1, batchK(info))))
 			cf.nextMD = cf.initTh
 		}
 		if cf.nextMD > 0 && cf.sends >= cf.nextMD {

@@ -20,13 +20,13 @@ func TestCubicEndToEnd(t *testing.T) {
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true})
 	cfg := core.DefaultConfig()
-	cfg.BatchSize = 8
+	cfg.BatchSize = creditMinK
 	cfg.PayloadSize = 256
 	nodes := make([]*core.Node, topo.N())
 	layers := make([]*Layer, topo.N())
 	for i := range nodes {
 		nodes[i] = core.NewNode(cfg, oracle)
-		layers[i] = New(Config{Policy: Cubic, CreditMinK: -1}, nodes[i])
+		layers[i] = New(Config{Policy: Cubic}, nodes[i])
 		s.Attach(graph.NodeID(i), layers[i])
 	}
 	file := flow.NewFile(4096, 256, 1)
@@ -68,22 +68,24 @@ func TestCubicEndToEnd(t *testing.T) {
 // simulated time passes — and never touch relay traffic.
 func TestCubicPacesSourceNotRelay(t *testing.T) {
 	p := &fakeProto{}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 1000; i++ {
 		p.frames = append(p.frames, moreFrame(1, 0, 0, 0))
 	}
-	l, s := newTestLayer(t, Config{Policy: Cubic, BucketDepth: 4, CubicInitWindow: 8, CreditMinK: -1}, p)
+	l, s := newTestLayer(t, Config{Policy: Cubic}, p)
 	sent := 0
 	for i := 0; i < 20; i++ {
 		if l.Pull() != nil {
 			sent++
 		}
 	}
-	if sent > 5 {
-		t.Errorf("cubic token bucket did not gate: %d sends with depth 4", sent)
+	if sent > int(bucketDepth)+1 {
+		t.Errorf("cubic token bucket did not gate: %d sends with depth %v", sent, bucketDepth)
 	}
 	// The layer's wake events drive the node autonomously: over simulated
 	// time the backlog must drain at the paced rate — neither stalled (the
-	// bucket never refilling) nor unbounded (the window not gating).
+	// bucket never refilling) nor unbounded (the window not gating). No
+	// feedback reaches the source, so its window stays at or below
+	// cubicInitWindow and its RTT at the cold-start seed.
 	before := len(p.frames)
 	s.After(sim.Second, func() {})
 	s.Run(2 * sim.Second)
@@ -91,8 +93,8 @@ func TestCubicPacesSourceNotRelay(t *testing.T) {
 	if drained == 0 {
 		t.Error("paced source never drained: bucket did not refill with time")
 	}
-	if drained > 190 {
-		t.Errorf("source drained %d frames in 2s: window pacing not applied", drained)
+	if limit := int(2*cubicInitWindow/cubicDefaultRTT.Seconds() + bucketDepth); drained > limit {
+		t.Errorf("source drained %d frames in 2s, over the paced bound %d: window pacing not applied", drained, limit)
 	}
 
 	// Relay traffic (sourced elsewhere) bypasses the window entirely: a
@@ -102,7 +104,7 @@ func TestCubicPacesSourceNotRelay(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rp.frames = append(rp.frames, moreFrame(2, 0, 5, 0))
 	}
-	rl, _ := newTestLayer(t, Config{Policy: Cubic, BucketDepth: 4, CreditMinK: -1}, rp)
+	rl, _ := newTestLayer(t, Config{Policy: Cubic}, rp)
 	relayed := 0
 	for i := 0; i < 20; i++ {
 		if rl.Pull() != nil {
@@ -125,7 +127,7 @@ func TestCubicStagnationShrinksWindow(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		p.frames = append(p.frames, moreFrame(1, 0, 0, 0))
 	}
-	l, s := newTestLayer(t, Config{Policy: Cubic, StagnationFactor: 1, BucketDepth: 64, CubicInitWindow: 64, CreditMinK: -1}, p)
+	l, s := newTestLayer(t, Config{Policy: Cubic}, p)
 	for i := 0; i < 40; i++ {
 		l.Pull()
 		s.Run(s.Now() + sim.Second/10)
@@ -137,7 +139,7 @@ func TestCubicStagnationShrinksWindow(t *testing.T) {
 	if cf == nil {
 		t.Fatal("no cubic state")
 	}
-	if cf.wmax >= 64 {
+	if cf.wmax >= cubicInitWindow {
 		t.Errorf("w_max did not shrink under stagnation: %v", cf.wmax)
 	}
 }
@@ -151,7 +153,7 @@ func TestCombineCreditCubicStacking(t *testing.T) {
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true})
 	cfg := core.DefaultConfig()
-	cfg.BatchSize = 8
+	cfg.BatchSize = creditMinK
 	cfg.PayloadSize = 256
 	srcrNodes := make([]*srcr.Node, topo.N())
 	coreNodes := make([]*core.Node, topo.N())
@@ -159,7 +161,7 @@ func TestCombineCreditCubicStacking(t *testing.T) {
 	for i := range srcrNodes {
 		srcrNodes[i] = srcr.NewNode(srcr.DefaultConfig(), oracle)
 		coreNodes[i] = core.NewNode(cfg, oracle)
-		layers[i] = New(Config{Policy: Cubic, CreditMinK: -1}, Combine(srcrNodes[i], coreNodes[i]))
+		layers[i] = New(Config{Policy: Cubic}, Combine(srcrNodes[i], coreNodes[i]))
 		s.Attach(graph.NodeID(i), layers[i])
 	}
 	moreFile := flow.NewFile(4096, 256, 1)

@@ -9,17 +9,21 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFixedParameters pins the ACK-redundancy stopping guard (§3.3.2).
+// TestFixedParameters pins the ACK-redundancy stopping guard and the
+// flow-state timeout (§3.3.2).
 func TestFixedParameters(t *testing.T) {
 	if ackRedundancy != 8 {
-		t.Fatalf("ackRedundancy = %d, want 8", ackRedundancy)
+		t.Errorf("ackRedundancy = %d, want 8", ackRedundancy)
+	}
+	if flowTimeout != 5*60*sim.Second {
+		t.Errorf("flowTimeout = %v, want 5 minutes", flowTimeout)
 	}
 }
 
 // TestPartlyFilledSimConfigIsTheDefaultMAC: a sim.Config literal spelling
 // out only the per-run fields runs the same MAC as DefaultConfig() — the
-// 802.11b timings, retry limit and capture margin are constants a literal
-// cannot zero. The same short MORE transfer must produce identical counters
+// 802.11b timings, retry limit, sense threshold and capture margin are
+// constants a literal cannot zero. The same short MORE transfer must produce identical counters
 // under both.
 func TestPartlyFilledSimConfigIsTheDefaultMAC(t *testing.T) {
 	run := func(simCfg sim.Config) sim.Counters {
@@ -33,7 +37,7 @@ func TestPartlyFilledSimConfigIsTheDefaultMAC(t *testing.T) {
 	}
 	def := sim.DefaultConfig()
 	def.Seed = 7
-	literal := run(sim.Config{Seed: 7, CaptureEnabled: true, SenseThreshold: 0.01})
+	literal := run(sim.Config{Seed: 7, CaptureEnabled: true})
 	if want := run(def); !reflect.DeepEqual(literal, want) {
 		t.Fatalf("struct-literal config diverged from DefaultConfig():\n literal %+v\n default %+v", literal, want)
 	}

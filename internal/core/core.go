@@ -38,6 +38,10 @@ import (
 // lost ACK). No run varies it, so it is not a Config field.
 const ackRedundancy = 8
 
+// flowTimeout expires idle per-flow relay and sink state (§3.3.2 uses 5
+// minutes); the sweep that enforces it runs every flowTimeout/2.
+const flowTimeout = 5 * 60 * sim.Second
+
 // Config parameterizes MORE.
 type Config struct {
 	// BatchSize is K, the number of native packets coded together
@@ -48,8 +52,6 @@ type Config struct {
 	PayloadSize int
 	// Plan configures forwarder selection (metric, pruning, list bound).
 	Plan routing.PlanOptions
-	// FlowTimeout expires idle per-flow state (§3.3.2 uses 5 minutes).
-	FlowTimeout sim.Time
 	// RepairInterval arms a per-source stall watchdog: a source whose
 	// current batch completes no batch for a full interval rebuilds its
 	// forwarder plan unconditionally from the current routing state, so a
@@ -66,7 +68,6 @@ func DefaultConfig() Config {
 		BatchSize:   32,
 		PayloadSize: 1500,
 		Plan:        routing.DefaultPlanOptions(),
-		FlowTimeout: 5 * 60 * sim.Second,
 	}
 }
 
@@ -166,20 +167,18 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 // Init implements sim.Protocol.
 func (n *Node) Init(sn *sim.Node) {
 	n.node = sn
-	if n.cfg.FlowTimeout > 0 {
-		n.scheduleSweep()
-	}
+	n.scheduleSweep()
 }
 
 func (n *Node) scheduleSweep() {
-	n.node.After(n.cfg.FlowTimeout/2, func() {
+	n.node.After(flowTimeout/2, func() {
 		n.sweepStale()
 		n.scheduleSweep()
 	})
 }
 
 func (n *Node) sweepStale() {
-	cutoff := n.node.Now() - n.cfg.FlowTimeout
+	cutoff := n.node.Now() - flowTimeout
 	for id, r := range n.relays {
 		if r.lastActivity < cutoff {
 			delete(n.relays, id)

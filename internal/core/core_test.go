@@ -169,7 +169,7 @@ func TestEOTXOrderingWorks(t *testing.T) {
 }
 
 func TestTestbedRandomPair(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	file := flow.NewFile(2*32*1500, 1500, 21)
 	res, _, _ := runMORE(t, topo, smallCfg(32), sim.DefaultConfig(), 3, 17, file, 600*sim.Second)
 	if !res.Completed || !res.Verified {
@@ -224,34 +224,39 @@ func TestDeadForwarderDoesNotStall(t *testing.T) {
 }
 
 func TestFlowStateTimeout(t *testing.T) {
-	// A forwarder that stops hearing a flow must expire its state.
+	// A forwarder and a destination that stop hearing a flow must expire
+	// its state once it is flowTimeout old, and not before. The source dies
+	// mid-transfer, so no final ACK clears the relay's state first.
 	topo := graph.New(3)
 	topo.SetLink(0, 1, 0.9)
 	topo.SetLink(1, 2, 0.9)
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
 	cfg := smallCfg(8)
-	cfg.FlowTimeout = 2 * sim.Second
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		nodes[i] = NewNode(cfg, oracle)
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
-	file := flow.NewFile(8*1500, 1500, 8)
-	done := false
+	file := flow.NewFile(64*1500, 1500, 8)
 	nodes[2].ExpectFlow(1, file, nil)
-	nodes[0].StartFlow(1, 2, dummyFileOnce(file), func(flow.Result) { done = true })
-	s.RunWhile(60*sim.Second, func() bool { return !done })
-	if !done {
-		t.Fatal("transfer did not complete")
+	if err := nodes[0].StartFlow(1, 2, file, nil); err != nil {
+		t.Fatal(err)
 	}
-	s.Run(s.Now() + 10*sim.Second)
-	if len(nodes[1].relays) != 0 {
-		t.Fatalf("relay state survived timeout: %d flows", len(nodes[1].relays))
+	s.Run(50 * sim.Millisecond)
+	s.FailNode(0)
+	failedAt := s.Now()
+	// Idle simulated time is cheap: run up to just short of the timeout,
+	// then past the sweep (every flowTimeout/2) that must find it expired.
+	s.Run(failedAt + flowTimeout - sim.Second)
+	if len(nodes[1].relays) != 1 || len(nodes[2].sinks) != 1 {
+		t.Fatalf("state expired early: %d relay, %d sink flows", len(nodes[1].relays), len(nodes[2].sinks))
+	}
+	s.Run(failedAt + flowTimeout + flowTimeout/2 + sim.Second)
+	if len(nodes[1].relays) != 0 || len(nodes[2].sinks) != 0 {
+		t.Fatalf("state survived timeout: %d relay, %d sink flows", len(nodes[1].relays), len(nodes[2].sinks))
 	}
 }
-
-func dummyFileOnce(f flow.File) flow.File { return f }
 
 func TestDuplicateFlowRejected(t *testing.T) {
 	topo := graph.New(2)

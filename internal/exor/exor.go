@@ -212,12 +212,10 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	if _, dup := n.flows[id]; dup {
 		return fmt.Errorf("exor: duplicate flow %d", id)
 	}
-	plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), dst, n.cfg.Plan)
+	prio, err := n.priorityList(dst)
 	if err != nil {
 		return fmt.Errorf("exor: flow %d: %w", id, err)
 	}
-	prio := append([]graph.NodeID{dst}, plan.Forwarders()...)
-	prio = append(prio, n.node.ID())
 	payloads := file.Payloads()
 	k := n.cfg.BatchSize
 	var batches [][][]byte
@@ -254,6 +252,17 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	return nil
 }
 
+// priorityList plans this source's priority list to dst from the current
+// routing state: [dst, forwarders..., src], highest priority first.
+func (n *Node) priorityList(dst graph.NodeID) ([]graph.NodeID, error) {
+	plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), dst, n.cfg.Plan)
+	if err != nil {
+		return nil, err
+	}
+	prio := append([]graph.NodeID{dst}, plan.Forwarders()...)
+	return append(prio, n.node.ID()), nil
+}
+
 // restartStalled is the stall watchdog's verdict for one source flow: a
 // batch that completed nothing for a full RepairInterval is restarted over a
 // priority list rebuilt from the current routing state. Restarting (rather
@@ -266,10 +275,8 @@ func (n *Node) restartStalled(f *exorFlow) {
 		Flow: uint32(f.id), Batch: uint32(f.batch),
 		Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
 	})
-	if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), f.dst, n.cfg.Plan); err == nil {
-		prio := append([]graph.NodeID{f.dst}, plan.Forwarders()...)
-		f.prio = append(prio, n.node.ID())
-		f.myPrio = len(f.prio) - 1
+	if prio, err := n.priorityList(f.dst); err == nil {
+		f.prio, f.myPrio = prio, len(prio)-1
 		n.node.Emit(telemetry.Event{
 			Flow: uint32(f.id), Batch: uint32(f.batch),
 			Aux: telemetry.ReplanStall, Kind: telemetry.KindReplan,
@@ -287,10 +294,8 @@ func (n *Node) restartStalled(f *exorFlow) {
 func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 	if v := n.state.Version(); v != f.planVersion {
 		f.planVersion = v
-		if plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), f.dst, n.cfg.Plan); err == nil {
-			prio := append([]graph.NodeID{f.dst}, plan.Forwarders()...)
-			f.prio = append(prio, n.node.ID())
-			f.myPrio = len(f.prio) - 1
+		if prio, err := n.priorityList(f.dst); err == nil {
+			f.prio, f.myPrio = prio, len(prio)-1
 		}
 	}
 	f.batch = b

@@ -173,7 +173,7 @@ func TestUnreachableDestination(t *testing.T) {
 }
 
 func TestTestbedPair(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	file := flow.NewFile(32*1500, 1500, 9)
 	res, _, _ := runExOR(t, topo, smallCfg(32), sim.DefaultConfig(), 3, 17, file, 900*sim.Second)
 	if !res.Completed || !res.Verified {

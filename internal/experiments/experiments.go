@@ -116,11 +116,6 @@ type Options struct {
 	// RateDependentChannel scales delivery probabilities with the transmit
 	// rate (graph.RateScale); required for the autorate experiment.
 	RateDependentChannel bool
-	// SenseRange extends carrier sense by geometry (meters); see
-	// sim.Config.SenseRange. The testbed default is 3x the channel's
-	// 50%-delivery distance, so a flow's source and forwarders mostly
-	// share the medium, as on the paper's 20-node indoor testbed.
-	SenseRange float64
 	// Seed drives the simulator and workload.
 	Seed int64
 	// Parallel bounds the worker pool the figure drivers fan their
@@ -182,16 +177,21 @@ type Options struct {
 // independent once transfers span many batches).
 func DefaultOptions() Options {
 	return Options{
-		FileBytes:  512 << 10,
-		PktSize:    1500,
-		BatchSize:  32,
-		DataRate:   sim.Rate5_5,
-		SenseRange: 3 * graph.MidRange,
-		Seed:       1,
-		Deadline:   3600 * sim.Second,
-		Metric:     routing.OrderETX,
+		FileBytes: 512 << 10,
+		PktSize:   1500,
+		BatchSize: 32,
+		DataRate:  sim.Rate5_5,
+		Seed:      1,
+		Deadline:  3600 * sim.Second,
+		Metric:    routing.OrderETX,
 	}
 }
+
+// senseRange extends every run's carrier sense by geometry (meters; see
+// sim.Config.SenseRange): 3x the channel's 50%-delivery distance, so a
+// flow's source and forwarders mostly share the medium, as on the paper's
+// 20-node indoor testbed.
+const senseRange = 3 * graph.MidRange
 
 func (o Options) file(seed int64) flow.File {
 	return flow.NewFile(o.FileBytes, o.PktSize, seed)
@@ -202,7 +202,7 @@ func (o Options) SimConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = o.Seed
 	cfg.DataRate = o.DataRate
-	cfg.SenseRange = o.SenseRange
+	cfg.SenseRange = senseRange
 	cfg.RefFrameBytes = o.PktSize
 	if o.RateDependentChannel {
 		cfg.RateAdjust = sim.AdaptRateScale(graph.RateScale)
@@ -584,15 +584,13 @@ func runPairs(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, 
 // SpatialReusePairs finds source-destination pairs whose best ETX path has
 // at least minHops hops and whose first-hop transmitter is outside carrier
 // sense range of the last-hop transmitter — Fig 4-4's selection rule ("the
-// last hop can transmit concurrently with the first hop"). senseThreshold
-// and senseRange must match the simulator configuration.
-func SpatialReusePairs(topo *graph.Topology, minHops int, senseThreshold, senseRange float64) []Pair {
+// last hop can transmit concurrently with the first hop"). It senses as
+// every run's simulator does: sim.SenseThreshold by probability, senseRange
+// by geometry.
+func SpatialReusePairs(topo *graph.Topology, minHops int) []Pair {
 	opt := routing.DefaultETXOptions()
 	senses := func(a, b graph.NodeID) bool {
-		if topo.Prob(a, b) > senseThreshold {
-			return true
-		}
-		return senseRange > 0 && topo.Pos[a].Distance(topo.Pos[b]) <= senseRange
+		return topo.Prob(a, b) > sim.SenseThreshold || topo.Pos[a].Distance(topo.Pos[b]) <= senseRange
 	}
 	var out []Pair
 	for dst := 0; dst < topo.N(); dst++ {

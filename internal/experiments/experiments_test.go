@@ -145,6 +145,32 @@ func TestFig46AutorateShape(t *testing.T) {
 	}
 }
 
+// TestLowRateSharesIgnoreMapOrder: three rates whose air times, summed as
+// float seconds, give different totals in different orders (0.1 + 0.2 + 0.3
+// is 0.6 or 0.6000000000000001). Go walks a map in a random order each time,
+// so folding the same counters 100 times must still give one answer, and it
+// must be the integer one.
+func TestLowRateSharesIgnoreMapOrder(t *testing.T) {
+	c := sim.Counters{
+		TxByRate: map[sim.Bitrate]int64{sim.Rate1: 3, sim.Rate2: 5, sim.Rate11: 7},
+		AirTimeByRate: map[sim.Bitrate]sim.Time{
+			sim.Rate1:  100 * sim.Millisecond,
+			sim.Rate2:  200 * sim.Millisecond,
+			sim.Rate11: 300 * sim.Millisecond,
+		},
+	}
+	wantTx, wantAir := 3.0/15.0, float64(100*sim.Millisecond)/float64(600*sim.Millisecond)
+	for i := 0; i < 100; i++ {
+		tx, air := lowRateShares([]sim.Counters{c, c})
+		if tx != wantTx || air != wantAir {
+			t.Fatalf("fold %d: shares %v / %v, want %v / %v", i, tx, air, wantTx, wantAir)
+		}
+	}
+	if tx, air := lowRateShares(nil); tx != 0 || air != 0 {
+		t.Errorf("no runs: shares %v / %v, want 0 / 0", tx, air)
+	}
+}
+
 func TestFig47BatchSizeShape(t *testing.T) {
 	topo := TestbedTopology()
 	opts := quickOpts()
@@ -270,15 +296,21 @@ func TestRandomPairsProperties(t *testing.T) {
 }
 
 func TestSpatialReusePairSelection(t *testing.T) {
-	// A long corridor must contain qualifying pairs; a compact testbed
-	// with blanket carrier sense must not.
+	// A long corridor must contain qualifying pairs; a 5-hop chain shorter
+	// than senseRange, whose ends share no link, must not: every run's
+	// carrier sense reaches its whole length by geometry.
 	corridor := graph.Corridor(14, 360, 15, 28, 1)
-	if len(SpatialReusePairs(corridor, 4, 0.01, 84)) == 0 {
+	if len(SpatialReusePairs(corridor, 4)) == 0 {
 		t.Error("no spatial-reuse pairs found in a 400 m corridor")
 	}
-	testbed := TestbedTopology()
-	if n := len(SpatialReusePairs(testbed, 4, 0.01, 1000)); n != 0 {
-		t.Errorf("found %d spatial-reuse pairs despite kilometer carrier sense", n)
+	short := graph.Line(6, 0.9, senseRange/6)
+	if n := len(SpatialReusePairs(short, 4)); n != 0 {
+		t.Errorf("found %d spatial-reuse pairs on a chain inside carrier sense range", n)
+	}
+	// Spaced at senseRange, every pair 4 or 5 hops apart qualifies: 0-4,
+	// 1-5 and 0-5, both ways.
+	if n := len(SpatialReusePairs(graph.Line(6, 0.9, senseRange), 4)); n != 6 {
+		t.Errorf("found %d spatial-reuse pairs on a chain spaced at senseRange, want 6", n)
 	}
 }
 
@@ -442,7 +474,7 @@ func TestSpatialReuseUtilization(t *testing.T) {
 	var pair Pair
 	for seed := int64(1); seed < 60; seed++ {
 		tp := graph.Corridor(14, 360, 15, 28, seed)
-		if prs := SpatialReusePairs(tp, 4, 0.01, opts.SenseRange); len(prs) > 0 {
+		if prs := SpatialReusePairs(tp, 4); len(prs) > 0 {
 			topo, pair = tp, prs[0]
 			break
 		}

@@ -14,7 +14,7 @@ import (
 // TestbedTopology returns the canonical simulated testbed every figure
 // runs over: the first fully-connected 20-node draw (§4.1).
 func TestbedTopology() *graph.Topology {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	return topo
 }
 
@@ -157,7 +157,7 @@ func Fig44SpatialReuse(nPairs int, opts Options) *Fig44Result {
 	var found []located
 	for seed := int64(1); len(found) < nPairs && seed < 200; seed++ {
 		topo := graph.Corridor(14, 360, 15, 28, seed)
-		for _, p := range SpatialReusePairs(topo, 4, 0.01, opts.SenseRange) {
+		for _, p := range SpatialReusePairs(topo, 4) {
 			found = append(found, located{topo, p})
 			if len(found) >= nPairs {
 				break
@@ -351,29 +351,38 @@ func Fig46Autorate(topo *graph.Topology, nPairs int, opts Options) *Fig46Result 
 		}
 		res.Throughput[v.name] = xs
 	}
+	res.LowRateTxFrac, res.LowRateAirFrac = lowRateShares(counters)
+	return res
+}
+
+// lowRateShares returns the 1 Mb/s share of the runs' transmissions and of
+// their air time. Both fold integers (counts, nanoseconds) and divide once,
+// so the result does not depend on the order the per-rate maps are walked
+// in — a float-seconds sum would, in its last digits.
+func lowRateShares(counters []sim.Counters) (txFrac, airFrac float64) {
 	var lowTx, allTx int64
-	var lowAir, allAir float64
-	for i := range pairs {
-		for r, c := range counters[i].TxByRate {
-			allTx += c
+	var lowAir, allAir sim.Time
+	for _, c := range counters {
+		for r, n := range c.TxByRate {
+			allTx += n
 			if r == sim.Rate1 {
-				lowTx += c
+				lowTx += n
 			}
 		}
-		for r, t := range counters[i].AirTimeByRate {
-			allAir += t.Seconds()
+		for r, t := range c.AirTimeByRate {
+			allAir += t
 			if r == sim.Rate1 {
-				lowAir += t.Seconds()
+				lowAir += t
 			}
 		}
 	}
 	if allTx > 0 {
-		res.LowRateTxFrac = float64(lowTx) / float64(allTx)
+		txFrac = float64(lowTx) / float64(allTx)
 	}
 	if allAir > 0 {
-		res.LowRateAirFrac = lowAir / allAir
+		airFrac = float64(lowAir) / float64(allAir)
 	}
-	return res
+	return txFrac, airFrac
 }
 
 // Table renders the Fig 4-6 summary.
@@ -405,7 +414,7 @@ func Fig42AcrossSeeds(topologies int, pairsPer int, opts Options) *RobustnessRes
 	res := &RobustnessResult{}
 	seed := int64(1)
 	for len(res.Seeds) < topologies {
-		topo, used := graph.ConnectedTestbed(graph.DefaultTestbed(), seed)
+		topo, used := graph.ConnectedTestbed(seed)
 		seed = used + 1
 		o := opts
 		o.Seed = used

@@ -16,7 +16,7 @@ import (
 // and spot-checked probabilities) so a change to the Testbed, Corridor, Grid
 // or random-geometric generators provably preserves every draw.
 func TestGoldenGeneratorTopologies(t *testing.T) {
-	tb := graph.Testbed(graph.DefaultTestbed(), 1)
+	tb := graph.Testbed(1)
 	s := tb.LinkStats(graph.RouteThreshold)
 	if s.Links != 40 || s.MeanDegree != 4.0 {
 		t.Errorf("testbed stats drifted: links=%d meandeg=%v", s.Links, s.MeanDegree)
@@ -56,7 +56,7 @@ func TestGoldenGeneratorTopologies(t *testing.T) {
 // TestGoldenFloodRun pins the standalone link-state flood (20 simulated
 // seconds over the default testbed, damping off).
 func TestGoldenFloodRun(t *testing.T) {
-	tb := graph.Testbed(graph.DefaultTestbed(), 1)
+	tb := graph.Testbed(1)
 	agents := linkstate.Run(tb, linkstate.DefaultConfig(), sim.DefaultConfig(), 20*sim.Second)
 	var flood int64
 	known := 0

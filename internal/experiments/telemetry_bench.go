@@ -32,7 +32,7 @@ type TelemetryBenchResult struct {
 // across the paper's 20-node testbed — enough traffic to emit tens of
 // thousands of events, small enough to repeat many times.
 func telemetryWorkload() (*graph.Topology, Pair, Options) {
-	topo := graph.Testbed(graph.DefaultTestbed(), 7)
+	topo := graph.Testbed(7)
 	opts := DefaultOptions()
 	opts.FileBytes = 128 << 10
 	opts.Seed = 7

@@ -102,14 +102,6 @@ func GapTopology(k int, p float64) *Topology {
 	return t
 }
 
-// TestbedConfig parameterizes the random testbed-like generator.
-type TestbedConfig struct {
-	Nodes  int     // number of nodes (paper: 20)
-	Floors int     // building floors (paper: 3)
-	FloorW float64 // floor width, meters
-	FloorH float64 // floor depth, meters
-}
-
 // Fixed channel and building parameters of the Testbed and Geometric
 // generators, tuned so the 20-node draw has §4.1's link-loss spread. No run
 // varies them.
@@ -126,6 +118,17 @@ const (
 	minProb float64 = 0.05
 )
 
+// The shape of §4.1's testbed: 20 nodes over 3 floors of a 120 m × 80 m
+// building. With the channel constants above, link loss rates on usable
+// links (delivery > RouteThreshold) range from ≈ 0 to ≈ 80 % and average
+// ≈ 0.3, and shortest usable paths span 1–5 hops.
+const (
+	testbedNodes  = 20
+	testbedFloors = 3
+	floorW        = 120.0 // floor width, meters
+	floorH        = 80.0  // floor depth, meters
+)
+
 // RouteThreshold is the delivery probability above which a link is
 // considered usable for route and forwarder selection. Weaker links still
 // deliver packets in the channel simulation — that residual connectivity is
@@ -133,53 +136,29 @@ const (
 // protocols do not plan on them.
 const RouteThreshold = 0.2
 
-// DefaultTestbed matches the shape of §4.1's testbed: 20 nodes over 3
-// floors; link loss rates on usable links (delivery > RouteThreshold) range
-// from ≈ 0 to ≈ 80 % and average ≈ 0.3, and shortest usable paths span 1–5
-// hops.
-func DefaultTestbed() TestbedConfig {
-	return TestbedConfig{
-		Nodes:  20,
-		Floors: 3,
-		FloorW: 120,
-		FloorH: 80,
-	}
-}
-
-// Testbed generates a random indoor-testbed-like topology. The same seed
-// always produces the same topology. Per-link shadowing noise is applied in
-// log-odds space and symmetrically correlated (the same obstruction affects
-// both directions), with a small asymmetric component, matching the mildly
-// asymmetric links observed on real meshes.
+// Testbed generates a random topology shaped like §4.1's indoor testbed.
+// The same seed always produces the same topology. Per-link shadowing noise
+// is applied in log-odds space and symmetrically correlated (the same
+// obstruction affects both directions), with a small asymmetric component,
+// matching the mildly asymmetric links observed on real meshes.
 //
-// Candidate pairs come from a spatial index over the channel cutoff, so the
-// same code serves arbitrarily large testbed-style layouts. They are visited
-// in ascending (i, j) order, which fixes the order of the noise draws
-// independently of the index's internals; a pair beyond the cutoff draws
-// none (its base delivery is exactly zero).
-func Testbed(cfg TestbedConfig, seed int64) *Topology {
+// Pairs are visited in ascending (i, j) order, which fixes the order of the
+// noise draws; a pair beyond the channel cutoff draws none (its base
+// delivery is exactly zero).
+func Testbed(seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
-	t := New(cfg.Nodes)
-	perFloor := cfg.Nodes / cfg.Floors
-	for i := 0; i < cfg.Nodes; i++ {
-		floor := i / perFloor
-		if floor >= cfg.Floors {
-			floor = cfg.Floors - 1
-		}
+	t := New(testbedNodes)
+	perFloor := testbedNodes / testbedFloors
+	for i := 0; i < testbedNodes; i++ {
+		floor := min(i/perFloor, testbedFloors-1)
 		t.Pos[i] = Position{
-			X: rng.Float64() * cfg.FloorW,
-			Y: rng.Float64() * cfg.FloorH,
+			X: rng.Float64() * floorW,
+			Y: rng.Float64() * floorH,
 			Z: float64(floor) * floorSep,
 		}
 	}
-	cutoff := DeliveryCutoff(MidRange)
-	idx := NewSpatialIndex(t.Pos, cutoff)
-	for i := 0; i < cfg.Nodes; i++ {
-		iid := NodeID(i)
-		for _, j := range idx.Near(iid, cutoff) {
-			if j <= iid {
-				continue
-			}
+	for i := 0; i < testbedNodes; i++ {
+		for j := i + 1; j < testbedNodes; j++ {
 			d := t.Pos[i].Distance(t.Pos[j])
 			// Crossing floors is harder than the straight-line distance
 			// suggests: add an effective distance penalty per floor crossed.
@@ -195,10 +174,10 @@ func Testbed(cfg TestbedConfig, seed int64) *Topology {
 			pij := logistic(logit(p) + sym + asym)
 			pji := logistic(logit(p) + sym - asym)
 			if pij >= minProb {
-				t.SetDirected(iid, j, pij)
+				t.SetDirected(NodeID(i), NodeID(j), pij)
 			}
 			if pji >= minProb {
-				t.SetDirected(j, iid, pji)
+				t.SetDirected(NodeID(j), NodeID(i), pji)
 			}
 		}
 	}
@@ -223,9 +202,9 @@ func logistic(x float64) float64 {
 // every node can reach every other over usable links (delivery >
 // RouteThreshold in both directions), so best-path routing always has a
 // route. It returns the topology and the seed that produced it.
-func ConnectedTestbed(cfg TestbedConfig, seed int64) (*Topology, int64) {
+func ConnectedTestbed(seed int64) (*Topology, int64) {
 	for s := seed; ; s++ {
-		t := Testbed(cfg, s)
+		t := Testbed(s)
 		if t.fullyConnected(RouteThreshold) {
 			return t, s
 		}

@@ -2,7 +2,7 @@ package graph
 
 import "testing"
 
-// The Grid/Corridor/Testbed generators build neighbor lists from a spatial
+// The Grid and Corridor generators build neighbor lists from a spatial
 // candidate index, so memory and time scale with links, not nodes². These
 // tests exercise sizes where N² state (10⁸+ float64 cells) would be
 // prohibitive.
@@ -37,16 +37,5 @@ func TestLargeCorridorFeasible(t *testing.T) {
 	}
 	if perNode := float64(topo.Edges()) / float64(topo.N()); perNode > 64 {
 		t.Errorf("mean out-degree %v too high for a cutoff-bounded corridor", perNode)
-	}
-}
-
-func TestLargeTestbedFeasible(t *testing.T) {
-	cfg := DefaultTestbed()
-	cfg.Nodes = 5000
-	cfg.FloorW = 2000
-	cfg.FloorH = 1500
-	topo := Testbed(cfg, 1)
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -81,8 +81,7 @@ func TestGapTopology(t *testing.T) {
 }
 
 func TestTestbedShape(t *testing.T) {
-	cfg := DefaultTestbed()
-	topo, seed := ConnectedTestbed(cfg, 1)
+	topo, seed := ConnectedTestbed(1)
 	if topo.N() != 20 {
 		t.Fatalf("testbed has %d nodes", topo.N())
 	}
@@ -120,8 +119,8 @@ func TestTestbedShape(t *testing.T) {
 }
 
 func TestTestbedDeterministic(t *testing.T) {
-	a := Testbed(DefaultTestbed(), 42)
-	b := Testbed(DefaultTestbed(), 42)
+	a := Testbed(42)
+	b := Testbed(42)
 	n := a.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -130,7 +129,7 @@ func TestTestbedDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := Testbed(DefaultTestbed(), 43)
+	c := Testbed(43)
 	same := true
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -249,7 +248,7 @@ func TestValidateCatchesMalformedRows(t *testing.T) {
 // opts.Parallel workers, whose first InEdges calls race to build the lazy
 // index. Every reader must see the same lists (run under -race in CI).
 func TestInEdgeIndexConcurrentFirstUse(t *testing.T) {
-	topo := Testbed(DefaultTestbed(), 1)
+	topo := Testbed(1)
 	n := topo.N()
 	ref := topo.Clone()
 	want := make([][]Edge, n)

@@ -12,7 +12,7 @@ import (
 // total origins known across all agents (coverage).
 func floodStats(t *testing.T, cfg Config, duration sim.Time) (flood, suppressed int64, known int) {
 	t.Helper()
-	topo := graph.Testbed(graph.DefaultTestbed(), 1)
+	topo := graph.Testbed(1)
 	agents := Run(topo, cfg, sim.DefaultConfig(), duration)
 	for _, a := range agents {
 		flood += a.FloodTx
@@ -41,7 +41,7 @@ func TestDampingSavesFloodsAtEqualCoverage(t *testing.T) {
 	damped.TriggerDelta = 0.2
 	flood, suppressed, known := floodStats(t, damped, duration)
 	// Coverage may dip slightly: a node whose LSA a distant listener lost
-	// now waits for a trigger or the MaxQuiet refresh instead of the next
+	// now waits for a trigger or the maxQuiet refresh instead of the next
 	// periodic flood. Bound the dip at 5%.
 	if known*100 < baseKnown*95 {
 		t.Errorf("damping lost coverage: %d origins known vs %d undamped", known, baseKnown)
@@ -57,70 +57,90 @@ func TestDampingSavesFloodsAtEqualCoverage(t *testing.T) {
 }
 
 // TestDampingMaxQuietRefreshes checks the hold-down bound: even a fully
-// quiet node re-floods once MaxQuiet elapses, so late joiners are not
-// stranded with stale state forever.
+// quiet node re-floods once maxQuiet (6×AdvertiseInterval, 30 s at the
+// default) elapses, so late joiners are not stranded with stale state
+// forever — and not before.
 func TestDampingMaxQuietRefreshes(t *testing.T) {
-	topo := graph.Testbed(graph.DefaultTestbed(), 1)
+	topo := graph.Line(2, 1.0, 10) // perfect links: settled estimates never move
 	cfg := DefaultConfig()
-	cfg.TriggerDelta = 0.1
-	cfg.MaxQuiet = 20 * sim.Second
+	cfg.TriggerDelta = 0.2
 
 	s := sim.New(topo, sim.DefaultConfig())
-	agents := make([]*Agent, topo.N())
+	agents := []*Agent{NewAgent(cfg, 2), NewAgent(cfg, 2)}
 	for i := range agents {
-		agents[i] = NewAgent(cfg, topo.N())
 		s.Attach(graph.NodeID(i), agents[i])
 	}
-	// Let it converge and go quiet, then measure refreshes over a window
-	// longer than MaxQuiet.
+	a := agents[0]
+	if a.maxQuiet != 30*sim.Second {
+		t.Fatalf("maxQuiet = %v, want 6×AdvertiseInterval = 30 s", a.maxQuiet)
+	}
+	// Let it converge and go quiet, then watch one quiet period.
 	s.Run(60 * sim.Second)
-	seqAt60 := agents[0].Version()
-	var floodAt60 int64
-	for _, a := range agents {
-		floodAt60 += a.FloodTx
+	last, seq := a.lastAdvAt, agents[1].seqOf(0)
+	if a.SuppressedAdv == 0 {
+		t.Fatal("damping never engaged: the test exercises nothing")
 	}
-	s.Run(90 * sim.Second)
-	var floodAt90 int64
-	for _, a := range agents {
-		floodAt90 += a.FloodTx
+	s.Run(last + a.maxQuiet - sim.Millisecond)
+	if a.lastAdvAt != last {
+		t.Fatalf("quiet node flooded at %v, before maxQuiet had passed since %v", a.lastAdvAt, last)
 	}
-	if floodAt90 == floodAt60 {
-		t.Error("no refresh flood within MaxQuiet window")
+	s.Run(last + a.maxQuiet + cfg.AdvertiseInterval + 2*floodJitter)
+	if a.lastAdvAt == last {
+		t.Error("no refresh flood within the maxQuiet window")
 	}
-	if agents[0].Version() == seqAt60 {
-		t.Error("database never changed after quiet period refresh")
+	if agents[1].seqOf(0) == seq {
+		t.Error("peer never heard the quiet period's refresh")
 	}
 }
 
 // TestDampingTriggersOnChange checks the trigger half: a quiet converged
 // network that suddenly degrades floods fresh LSAs without waiting for
-// MaxQuiet.
+// maxQuiet. Over a window half as long, its nodes advertise more than those
+// of an identical network left alone, whose only advertisements are
+// maxQuiet refreshes: a clique of perfect links, where every node senses
+// every other, gives the estimates no jitter to trigger on.
 func TestDampingTriggersOnChange(t *testing.T) {
-	topo := graph.Testbed(graph.DefaultTestbed(), 1)
 	cfg := DefaultConfig()
-	cfg.TriggerDelta = 0.1
-	cfg.MaxQuiet = 10 * 60 * sim.Second // effectively never refresh
+	cfg.TriggerDelta = 0.2
+	advertised := func(degrade bool) uint32 {
+		topo := clique(4)
+		s := sim.New(topo, sim.DefaultConfig())
+		agents := make([]*Agent, topo.N())
+		for i := range agents {
+			agents[i] = NewAgent(cfg, topo.N())
+			s.Attach(graph.NodeID(i), agents[i])
+		}
+		s.Run(60 * sim.Second)
+		var n uint32
+		for _, a := range agents {
+			n -= a.seq
+		}
+		// Degrade every link: delivery ratios crash, estimates move past the
+		// trigger, and the plane must re-flood.
+		if degrade {
+			topo.Degrade(0.5)
+		}
+		s.Run(60*sim.Second + agents[0].maxQuiet/2)
+		for _, a := range agents {
+			n += a.seq
+		}
+		return n
+	}
+	changed, quiet := advertised(true), advertised(false)
+	t.Logf("%d advertisements after the change, %d left alone", changed, quiet)
+	if changed <= quiet {
+		t.Errorf("no triggered flood after topology change: %d advertisements, %d left alone", changed, quiet)
+	}
+}
 
-	s := sim.New(topo, sim.DefaultConfig())
-	agents := make([]*Agent, topo.N())
-	for i := range agents {
-		agents[i] = NewAgent(cfg, topo.N())
-		s.Attach(graph.NodeID(i), agents[i])
+// clique returns n nodes joined by perfect links: every node senses every
+// other, so probes do not collide and settled estimates never move.
+func clique(n int) *graph.Topology {
+	topo := graph.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			topo.SetLink(graph.NodeID(i), graph.NodeID(j), 1)
+		}
 	}
-	s.Run(60 * sim.Second)
-	var floodBefore int64
-	for _, a := range agents {
-		floodBefore += a.FloodTx
-	}
-	// Degrade every link: delivery ratios crash, estimates move past the
-	// trigger, and the plane must re-flood.
-	topo.Degrade(0.5)
-	s.Run(90 * sim.Second)
-	var floodAfter int64
-	for _, a := range agents {
-		floodAfter += a.FloodTx
-	}
-	if floodAfter <= floodBefore {
-		t.Errorf("no triggered flood after topology change: %d -> %d", floodBefore, floodAfter)
-	}
+	return topo
 }

@@ -48,7 +48,6 @@ func runHeardNetwork(t *testing.T, newSet func(n int) graph.NodeSet) heardRun {
 	cfg.TriggerDelta = 0.05
 	cfg.MaxAge = 20 * sim.Second
 	cfg.Piggyback = true
-	cfg.PiggybackDelay = 500 * sim.Millisecond
 	run.agents = make([]*Agent, n)
 	for i := range run.agents {
 		run.agents[i] = NewAgent(cfg, n)

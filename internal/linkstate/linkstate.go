@@ -33,6 +33,10 @@ const (
 	// defaultAdvertiseInterval is what a zero Config.AdvertiseInterval
 	// means (a Roofnet-like refresh).
 	defaultAdvertiseInterval = 5 * sim.Second
+	// maxQuietIntervals bounds flood damping: a damped node floods
+	// regardless of change once maxQuietIntervals×AdvertiseInterval has
+	// passed since its last flood (see Agent.maxQuiet).
+	maxQuietIntervals = 6
 )
 
 // Config parameterizes the agent.
@@ -50,13 +54,10 @@ type Config struct {
 	// AdvertiseInterval, the undamped original behavior. Each advertise
 	// tick that finds nothing moved is suppressed — no sequence bump, no
 	// flood, no database churn at any node — so a converged network goes
-	// quiet instead of refreshing n² frames per interval.
+	// quiet instead of refreshing n² frames per interval. A damped node
+	// still floods once 6×AdvertiseInterval has passed since its last
+	// flood, so newly joined listeners and lost floods eventually heal.
 	TriggerDelta float64
-	// MaxQuiet bounds the damping: an LSA is flooded regardless of change
-	// once this long has passed since the node's last flood, so newly
-	// joined listeners and lost floods eventually heal. Zero defaults to
-	// 6×AdvertiseInterval when damping is on.
-	MaxQuiet sim.Time
 
 	// MaxAge enables LSA aging: a database entry not refreshed for MaxAge
 	// is purged (except the node's own), so a crashed origin's links drop
@@ -64,9 +65,9 @@ type Config struct {
 	// origin's sequence state is kept, so a stale replayed flood cannot
 	// resurrect the entry — only the origin itself, whose sequence keeps
 	// advancing, re-installs it when it comes back. MaxAge must exceed
-	// both AdvertiseInterval and MaxQuiet or live-but-quiet nodes expire;
-	// NewAgent caps MaxQuiet at MaxAge/2 when both are set. Zero disables
-	// aging (the pre-churn behavior, and the default).
+	// AdvertiseInterval or live nodes expire; NewAgent caps a damped node's
+	// quiet period at MaxAge/2. Zero disables aging (the pre-churn
+	// behavior, and the default).
 	MaxAge sim.Time
 
 	// ScopeRings enables fisheye-scoped flooding: ascending hop radii, one
@@ -88,13 +89,10 @@ type Config struct {
 
 	// Piggyback opportunistically attaches pending LSAs to outgoing
 	// broadcast data frames (the sim.Piggybacker hand-off): an LSA waits up
-	// to PiggybackDelay for a data frame to ride before falling back to a
-	// dedicated flood, so a converged network moving traffic spends almost
-	// zero dedicated control frames. Off by default.
+	// to AdvertiseInterval/2 for a data frame to ride before falling back
+	// to a dedicated flood, so a converged network moving traffic spends
+	// almost zero dedicated control frames. Off by default.
 	Piggyback bool
-	// PiggybackDelay bounds how long an LSA waits for a ride. Zero
-	// defaults to AdvertiseInterval/2.
-	PiggybackDelay sim.Time
 }
 
 // DefaultConfig returns a Roofnet-like setup.
@@ -126,6 +124,14 @@ type Agent struct {
 	hot   []seqRow
 	cold  []lsaRow
 	known int
+
+	// maxQuiet bounds flood damping (maxQuietIntervals×AdvertiseInterval,
+	// capped at MaxAge/2 so a damped-quiet live node does not expire);
+	// piggybackDelay bounds how long an LSA waits for a data-frame ride
+	// (AdvertiseInterval/2). Both are derived by NewAgent and zero when
+	// damping or piggybacking is off.
+	maxQuiet       sim.Time
+	piggybackDelay sim.Time
 
 	// Damping state: the estimates as last flooded, and when.
 	lastAdv    map[graph.NodeID]float64
@@ -208,27 +214,28 @@ func NewAgent(cfg Config, n int) *Agent {
 	if cfg.AdvertiseInterval == 0 {
 		cfg.AdvertiseInterval = defaultAdvertiseInterval
 	}
-	if cfg.TriggerDelta > 0 && cfg.MaxQuiet == 0 {
-		cfg.MaxQuiet = 6 * cfg.AdvertiseInterval
-	}
-	if cfg.MaxAge > 0 && cfg.MaxQuiet >= cfg.MaxAge {
-		cfg.MaxQuiet = cfg.MaxAge / 2 // a damped-quiet live node must not expire
-	}
 	if len(cfg.ScopeRings) > 0 && cfg.SummaryInterval == 0 {
 		cfg.SummaryInterval = 8 * cfg.AdvertiseInterval
 	}
 	if cfg.MaxAge > 0 && cfg.SummaryInterval >= cfg.MaxAge {
 		cfg.SummaryInterval = cfg.MaxAge / 2 // remote entries must refresh before expiring
 	}
-	if cfg.Piggyback && cfg.PiggybackDelay == 0 {
-		cfg.PiggybackDelay = cfg.AdvertiseInterval / 2
-	}
-	return &Agent{
+	a := &Agent{
 		cfg:     cfg,
 		n:       n,
 		prober:  probe.NewProber(cfg.Probe),
 		lastAdv: make(map[graph.NodeID]float64),
 	}
+	if cfg.TriggerDelta > 0 {
+		a.maxQuiet = maxQuietIntervals * cfg.AdvertiseInterval
+		if cfg.MaxAge > 0 && a.maxQuiet >= cfg.MaxAge {
+			a.maxQuiet = cfg.MaxAge / 2 // a damped-quiet live node must not expire
+		}
+	}
+	if cfg.Piggyback {
+		a.piggybackDelay = cfg.AdvertiseInterval / 2
+	}
+	return a
 }
 
 // Init implements sim.Protocol.
@@ -257,7 +264,7 @@ func (a *Agent) scheduleExpiry() {
 }
 
 // expire purges database entries older than MaxAge. The node's own entry
-// never expires (its refresh may be damped for up to MaxQuiet); sequence
+// never expires (its refresh may be damped for up to maxQuiet); sequence
 // state survives the purge so only a genuinely fresher flood — the reborn
 // origin's own, whose sequence kept advancing — re-installs an origin.
 func (a *Agent) expire() {
@@ -284,7 +291,7 @@ func (a *Agent) scheduleAdvertise() {
 // advertise queues a fresh LSA of this node's inbound link estimates —
 // unless damping is on and nothing moved past the trigger threshold since
 // the last flood (triggered updates; the periodic tick doubles as the
-// hold-down, and MaxQuiet bounds how long an unchanged node stays quiet).
+// hold-down, and maxQuiet bounds how long an unchanged node stays quiet).
 func (a *Agent) advertise() {
 	a.seq++
 	lsa := &packet.LSA{Origin: a.node.ID(), Seq: a.seq, Heard: newHeardSet(a.n)}
@@ -381,26 +388,26 @@ func (a *Agent) scopeTTL(now sim.Time) uint8 {
 }
 
 // holdUntil is the dedicated-flood deadline for a newly queued LSA: now when
-// piggybacking is off, now+PiggybackDelay when it may catch a data ride.
+// piggybacking is off, now+piggybackDelay when it may catch a data ride.
 func (a *Agent) holdUntil() sim.Time {
 	if !a.cfg.Piggyback {
 		return 0
 	}
-	due := a.node.Now() + a.cfg.PiggybackDelay
+	due := a.node.Now() + a.piggybackDelay
 	// The node may go idle before the deadline; make sure the MAC pulls
 	// again once the fallback flood becomes eligible.
-	a.node.WakeAfter(a.cfg.PiggybackDelay + 1)
+	a.node.WakeAfter(a.piggybackDelay + 1)
 	return due
 }
 
 // damped reports whether this advertise tick should be suppressed: damping
-// enabled, a previous flood exists and is younger than MaxQuiet, and every
+// enabled, a previous flood exists and is younger than maxQuiet, and every
 // estimate is within TriggerDelta of what that flood said.
 func (a *Agent) damped(estimates map[graph.NodeID]float64) bool {
 	if a.cfg.TriggerDelta <= 0 || !a.advertised {
 		return false
 	}
-	if a.node.Now()-a.lastAdvAt >= a.cfg.MaxQuiet {
+	if a.node.Now()-a.lastAdvAt >= a.maxQuiet {
 		return false
 	}
 	if len(estimates) != len(a.lastAdv) {

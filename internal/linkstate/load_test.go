@@ -44,14 +44,13 @@ func TestLoadRidesLSAs(t *testing.T) {
 }
 
 // TestLoadSwingDefeatsDamping: a converged, quiet network whose link
-// estimates never move must still re-flood when a node's load byte swings
-// by the trigger delta — otherwise stale load would steer routing long
-// after the hotspot cooled.
+// estimates never move (a clique of perfect links) must still re-flood when
+// a node's load byte swings by the trigger delta — otherwise stale load
+// would steer routing long after the hotspot cooled.
 func TestLoadSwingDefeatsDamping(t *testing.T) {
-	topo := graph.Testbed(graph.DefaultTestbed(), 1)
+	topo := clique(6)
 	cfg := DefaultConfig()
-	cfg.TriggerDelta = 0.1
-	cfg.MaxQuiet = 10 * 60 * sim.Second // periodic refresh effectively off
+	cfg.TriggerDelta = 0.2
 
 	s := sim.New(topo, sim.DefaultConfig())
 	agents := make([]*Agent, topo.N())
@@ -62,13 +61,24 @@ func TestLoadSwingDefeatsDamping(t *testing.T) {
 	}
 	agents[0].SetLoadFunc(func() uint8 { return load })
 	s.Run(60 * sim.Second)
-	heardBefore := agents[5].LoadOf(0)
-	// Swing well past loadTriggerDelta: the next advertise tick must flood
-	// despite unchanged link estimates.
+	// Swing right after node 0's next flood, so its maxQuiet refresh (30 s)
+	// is not due before the horizon: only a trigger can carry the new load.
+	last := agents[0].lastAdvAt
+	s.RunWhile(120*sim.Second, func() bool { return agents[0].lastAdvAt == last })
+	if agents[0].SuppressedAdv == 0 {
+		t.Fatal("damping never engaged: the test exercises nothing")
+	}
+	suppressed, heardBefore := agents[0].SuppressedAdv, agents[5].LoadOf(0)
+	// A quiet tick first, then the swing well past loadTriggerDelta: the
+	// next advertise tick must flood despite unchanged link estimates.
+	s.Run(agents[0].lastAdvAt + cfg.AdvertiseInterval + 2*floodJitter)
+	if agents[0].SuppressedAdv == suppressed {
+		t.Fatal("the tick after a flood was not damped: the swing would prove nothing")
+	}
 	load = 220
-	s.Run(90 * sim.Second)
-	if got := agents[5].LoadOf(0); got == heardBefore {
-		t.Errorf("load swing suppressed by damping: remote still reads %d", got)
+	s.Run(s.Now() + cfg.AdvertiseInterval + 10*floodJitter)
+	if got := agents[5].LoadOf(0); got == heardBefore || got != 220 {
+		t.Errorf("load swing suppressed by damping: remote reads %d, had %d", got, heardBefore)
 	}
 
 	// A sub-delta wobble stays damped: loadMoved is the only new trigger.

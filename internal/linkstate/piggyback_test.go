@@ -44,16 +44,16 @@ func (c *chatter) Pull() *sim.Frame {
 
 func (c *chatter) Sent(f *sim.Frame, ok bool) {}
 
-// TestPiggybackRidesDataFrames: with steady broadcast data traffic and a
-// long ride deadline, the whole link-state exchange rides data frames — the
-// network converges with almost no dedicated flood transmissions.
+// TestPiggybackRidesDataFrames: with steady broadcast data traffic every
+// ~125 ms and a ride deadline of AdvertiseInterval/2 (1 s here), the whole
+// link-state exchange rides data frames — the network converges with almost
+// no dedicated flood transmissions.
 func TestPiggybackRidesDataFrames(t *testing.T) {
 	topo := graph.Line(3, 0.95, 10)
 	s := sim.New(topo, sim.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.AdvertiseInterval = 2 * sim.Second
 	cfg.Piggyback = true
-	cfg.PiggybackDelay = 10 * sim.Second
 	agents := make([]*Agent, 3)
 	for i := range agents {
 		agents[i] = NewAgent(cfg, 3)
@@ -86,7 +86,6 @@ func TestPiggybackFallsBackToDedicatedFlood(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdvertiseInterval = 2 * sim.Second
 	cfg.Piggyback = true
-	cfg.PiggybackDelay = 1 * sim.Second
 	agents := make([]*Agent, 3)
 	for i := range agents {
 		agents[i] = NewAgent(cfg, 3)

@@ -7,25 +7,25 @@ import (
 )
 
 // TestFixedParameters pins the Roofnet-like probing cadence (§4.1.2's
-// measurement step): one probe a second, ±100 ms, 10-probe ETX window.
+// measurement step): one probe a second, ±100 ms, 10-probe ETX window,
+// every probe padded to the 1500 B data size.
 func TestFixedParameters(t *testing.T) {
-	if interval != sim.Second || jitter != 100*sim.Millisecond || defaultWindow != 10 {
-		t.Fatalf("probe constants = %v / %v / %d, want 1s / 100ms / 10", interval, jitter, defaultWindow)
+	if interval != sim.Second || jitter != 100*sim.Millisecond || defaultWindow != 10 || padToBytes != 1500 {
+		t.Fatalf("probe constants = %v / %v / %d / %d B, want 1s / 100ms / 10 / 1500 B",
+			interval, jitter, defaultWindow, padToBytes)
 	}
 }
 
-// TestPartlyFilledConfigKeepsItsFields: NewProber defaults field by field.
-// Only the wholly zero Config means DefaultConfig(); a zero PadToBytes next
-// to a set field is the minimal-probe setting and stays.
+// TestPartlyFilledConfigKeepsItsFields: NewProber defaults a zero Window and
+// keeps every field that is set.
 func TestPartlyFilledConfigKeepsItsFields(t *testing.T) {
 	if got := NewProber(Config{}).cfg; got != DefaultConfig() {
 		t.Errorf("zero Config = %+v, want DefaultConfig() %+v", got, DefaultConfig())
 	}
-	got := NewProber(Config{Window: 60}).cfg
-	if got.Window != 60 || got.PadToBytes != 0 {
-		t.Errorf("Config{Window: 60} became %+v; the window must stay and probes stay minimal", got)
+	if got := NewProber(Config{Window: 60}).cfg; got.Window != 60 {
+		t.Errorf("Config{Window: 60} became %+v; the window must stay", got)
 	}
-	got = NewProber(Config{DeadInterval: 4 * sim.Second}).cfg
+	got := NewProber(Config{DeadInterval: 4 * sim.Second}).cfg
 	if got.DeadInterval != 4*sim.Second || got.Window != 10 {
 		t.Errorf("Config{DeadInterval: 4s} became %+v, want the interval kept and Window 10", got)
 	}

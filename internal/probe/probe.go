@@ -7,10 +7,9 @@
 // The estimator reproduces De Couto et al.'s method: the forward delivery
 // ratio of link a->b is the fraction of a's probes b received during the
 // last window. Probes are broadcast (no MAC ACK), so the measurement sees
-// exactly the loss process data broadcasts see. Because probes are small,
-// topologies measured with small probes overestimate data delivery — the
-// classic probe-size mismatch — unless probes are padded to data size, which
-// the prober supports (the Roofnet deployment padded its probes).
+// exactly the loss process data broadcasts see. Minimal probes would
+// overestimate data delivery — the classic probe-size mismatch — so every
+// probe is padded to the data size, as the Roofnet deployment padded its.
 package probe
 
 import (
@@ -32,6 +31,9 @@ const (
 	// defaultWindow is the estimator window a zero Config.Window means
 	// (De Couto et al.'s ETX averages the last 10 probes).
 	defaultWindow = 10
+	// padToBytes is every probe's on-air size: the 1500 B data size, so
+	// the measured loss is the loss data frames see.
+	padToBytes = 1500
 )
 
 // Config parameterizes the prober.
@@ -39,9 +41,6 @@ type Config struct {
 	// Window is the number of most recent probe slots the estimator
 	// averages over. Zero defaults to 10.
 	Window int
-	// PadToBytes pads probes to this on-air size so the measured loss
-	// matches data-frame loss (0 sends minimal probes).
-	PadToBytes int
 	// DeadInterval, when positive, declares a neighbor dead after this much
 	// probe silence: DeliveryFrom reports 0 for an origin not heard from in
 	// DeadInterval, so a crashed neighbor's stale window contents cannot
@@ -53,10 +52,7 @@ type Config struct {
 
 // DefaultConfig matches a Roofnet-like prober.
 func DefaultConfig() Config {
-	return Config{
-		Window:     defaultWindow,
-		PadToBytes: 1500,
-	}
+	return Config{Window: defaultWindow}
 }
 
 // Prober is the per-node probing protocol. It can run standalone (for
@@ -81,14 +77,9 @@ type Prober struct {
 	ProbeTx int64
 }
 
-// NewProber creates a prober; attach with sim.Attach. The wholly zero Config
-// means DefaultConfig() (a zero PadToBytes beside any set field is a real
-// setting — minimal probes — so it cannot be defaulted on its own); in a
-// partly filled one only a zero Window is defaulted.
+// NewProber creates a prober; attach with sim.Attach. A zero Window is
+// defaulted, so the zero Config is DefaultConfig().
 func NewProber(cfg Config) *Prober {
-	if cfg == (Config{}) {
-		cfg = DefaultConfig()
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
 	}
@@ -166,14 +157,10 @@ func (p *Prober) Pull() *sim.Frame {
 	p.seq++
 	p.ProbeTx++
 	m := &packet.Probe{Origin: p.node.ID(), Seq: p.seq, Window: uint16(p.cfg.Window)}
-	bytes := m.EncodedSize()
-	if p.cfg.PadToBytes > bytes {
-		bytes = p.cfg.PadToBytes
-	}
 	return &sim.Frame{
 		From:    p.node.ID(),
 		To:      graph.Broadcast,
-		Bytes:   bytes,
+		Bytes:   max(m.EncodedSize(), padToBytes),
 		Payload: m,
 	}
 }

@@ -254,7 +254,7 @@ func TestPruningDropsMinorForwarders(t *testing.T) {
 }
 
 func TestMaxForwardersCap(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	opt := DefaultPlanOptions()
 	opt.PruneFraction = 0 // force the cap to do the work
 	opt.MaxForwarders = 3
@@ -329,7 +329,7 @@ func TestTestbedGapStatistics(t *testing.T) {
 	// §5.7 on our testbed stand-in: a large share of pairs should be
 	// unaffected by the order choice, and the median gap among affected
 	// pairs should be small.
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	etxOpt := ETXOptions{Threshold: 0, AckAware: false}
 	unaffected, affected := 0, 0
 	var gaps []float64

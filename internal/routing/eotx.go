@@ -8,26 +8,23 @@ import (
 	"repro/internal/graph"
 )
 
-// EOTXOptions configures the EOTX computation.
+// EOTXOptions configures the EOTX computation. The metric counts every
+// link the topology stores (each has p > 0): bounding the neighborhood
+// would discard opportunistic receptions (§5.1).
 type EOTXOptions struct {
-	// Threshold is the minimum delivery probability for a link to
-	// contribute opportunistic receptions in the metric. The thesis notes
-	// (§5.1) that bounding the neighborhood discards some opportunistic
-	// receptions; a small threshold mirrors how marginal links are below
-	// the noise floor of probe-based estimation.
-	Threshold float64
 	// Cost, when non-nil, adds a per-node penalty each time the metric
 	// routes a packet through an intermediate forwarder (never the
 	// destination): the relaxation uses d(k) + penalty(k) as the cost of
 	// handing the packet to k. Nil or all-zero leaves EOTX bit-identical
 	// to the loss-only metric. The validation oracles (EOTXBellmanFord,
-	// EOTXFixedPoint) ignore Cost — they exist to cross-check the
+	// EOTXFixedPoint) take no options — they exist to cross-check the
 	// loss-only algorithm.
 	Cost CostModel
 }
 
-// DefaultEOTXOptions uses every link the channel can deliver on.
-func DefaultEOTXOptions() EOTXOptions { return EOTXOptions{Threshold: 0.0} }
+// DefaultEOTXOptions is the loss-only metric over every link the channel
+// can deliver on.
+func DefaultEOTXOptions() EOTXOptions { return EOTXOptions{} }
 
 // EOTX computes, for every node, the minimum expected number of
 // opportunistic transmissions network-wide to deliver one packet from that
@@ -70,9 +67,6 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 				continue
 			}
 			p := in.P
-			if p <= opt.Threshold {
-				continue
-			}
 			// Handing the packet to forwarder k pays k's load penalty on
 			// top of k's own remaining cost.
 			T[i] += p * P[i] * (d[k] + nodePenalty(opt.Cost, k, dst))
@@ -91,7 +85,7 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 // Algorithm 4, calling the Recompute procedure (Algorithm 3) for every node
 // each round. It exists to validate Algorithm 5 and because the thesis
 // argues the BF framework suits distributed computation.
-func EOTXBellmanFord(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
+func EOTXBellmanFord(t *graph.Topology, dst graph.NodeID) []float64 {
 	n := t.N()
 	d := make([]float64, n)
 	for i := range d {
@@ -105,7 +99,7 @@ func EOTXBellmanFord(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []flo
 			if graph.NodeID(i) == dst {
 				continue
 			}
-			next[i] = recompute(t, graph.NodeID(i), d, opt)
+			next[i] = recompute(t, graph.NodeID(i), d)
 		}
 		changed := false
 		for i := range d {
@@ -124,15 +118,12 @@ func EOTXBellmanFord(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []flo
 // recompute is Algorithm 3: given tentative costs d for all other nodes, it
 // returns node i's cost using the closed form (5.15), admitting candidate
 // forwarders in ascending cost order while they improve the estimate.
-func recompute(t *graph.Topology, i graph.NodeID, d []float64, opt EOTXOptions) float64 {
+func recompute(t *graph.Topology, i graph.NodeID, d []float64) float64 {
 	// Candidates in ascending d order.
 	out := t.OutEdges(i)
 	cand := make([]graph.NodeID, 0, len(out))
 	for _, e := range out {
-		if math.IsInf(d[e.Node], 1) {
-			continue
-		}
-		if e.P > opt.Threshold {
+		if !math.IsInf(d[e.Node], 1) {
 			cand = append(cand, e.Node)
 		}
 	}
@@ -162,7 +153,7 @@ func recompute(t *graph.Topology, i graph.NodeID, d []float64, opt EOTXOptions) 
 // losses. It is exponential in the neighborhood size (≤ maxNbrs neighbors
 // per node) and exists purely as an oracle for cross-validating the two
 // fast algorithms. It panics if a node's neighborhood exceeds maxNbrs.
-func EOTXFixedPoint(t *graph.Topology, dst graph.NodeID, opt EOTXOptions, maxNbrs int) []float64 {
+func EOTXFixedPoint(t *graph.Topology, dst graph.NodeID, maxNbrs int) []float64 {
 	n := t.N()
 	d := make([]float64, n)
 	for i := range d {
@@ -176,9 +167,7 @@ func EOTXFixedPoint(t *graph.Topology, dst graph.NodeID, opt EOTXOptions, maxNbr
 	nbrs := make([][]nbr, n)
 	for i := 0; i < n; i++ {
 		for _, e := range t.OutEdges(graph.NodeID(i)) {
-			if e.P > opt.Threshold {
-				nbrs[i] = append(nbrs[i], nbr{e.Node, e.P})
-			}
+			nbrs[i] = append(nbrs[i], nbr{e.Node, e.P})
 		}
 		if len(nbrs[i]) > maxNbrs {
 			panic("routing: EOTXFixedPoint neighborhood too large")

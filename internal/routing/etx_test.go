@@ -97,7 +97,7 @@ func TestETXAsymmetricUsesDirectional(t *testing.T) {
 }
 
 func TestETXOnTestbedAllReachable(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	for dst := 0; dst < topo.N(); dst++ {
 		tab := ETXToDestination(topo, graph.NodeID(dst), DefaultETXOptions())
 		for i := 0; i < topo.N(); i++ {

@@ -15,7 +15,7 @@ import (
 // plan a forwarder reconstructs must match what the source computed, up to
 // the fixed-point credit quantization.
 func TestPlanSurvivesWireFormat(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	for src := 1; src < 8; src++ {
 		plan, err := BuildPlan(topo, graph.NodeID(src), 0, DefaultPlanOptions())
 		if err != nil {

@@ -84,7 +84,8 @@ type TopologySpec struct {
 	Floors int `json:"floors,omitempty"`
 	// Drop layers a uniform extra drop rate over every link at build time.
 	Drop float64 `json:"drop,omitempty"`
-	// Seed overrides the spec seed for topology generation when nonzero.
+	// Seed overrides the spec seed for topology generation when nonzero
+	// (geometric only: the other kinds draw nothing).
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -234,13 +235,13 @@ const (
 // (TestSpecSurfaceIsRun): the admitted set and the checked set are one list.
 var (
 	topologyKinds = []entry[generator]{
-		{"testbed", generator{20, func(TopologySpec, int64) *graph.Topology { return experiments.TestbedTopology() }}},
-		{"chain", generator{0, func(t TopologySpec, _ int64) *graph.Topology { return graph.LossyChain(t.Nodes, 15, 30) }}},
+		{"testbed", generator{20, false, func(TopologySpec, int64) *graph.Topology { return experiments.TestbedTopology() }}},
+		{"chain", generator{0, false, func(t TopologySpec, _ int64) *graph.Topology { return graph.LossyChain(t.Nodes, 15, 30) }}},
 		// src, relay, dst (with the lossy direct link)
-		{"diamond", generator{3, func(TopologySpec, int64) *graph.Topology { return graph.Diamond() }}},
+		{"diamond", generator{3, false, func(TopologySpec, int64) *graph.Topology { return graph.Diamond() }}},
 		// the fixed 4x5 grid moresim exposes
-		{"grid", generator{20, func(TopologySpec, int64) *graph.Topology { return graph.Grid(4, 5, 14, 30) }}},
-		{"geometric", generator{0, func(t TopologySpec, seed int64) *graph.Topology {
+		{"grid", generator{20, false, func(TopologySpec, int64) *graph.Topology { return graph.Grid(4, 5, 14, 30) }}},
+		{"geometric", generator{0, true, func(t TopologySpec, seed int64) *graph.Topology {
 			gcfg := graph.DefaultGeometric(t.Nodes)
 			gcfg.TargetDegree = t.Degree
 			gcfg.Floors = t.Floors
@@ -268,10 +269,12 @@ type entry[T any] struct {
 }
 
 // generator builds one kind of topology. fixed is the node count of a
-// fixed-size kind; a sized kind (fixed 0) takes the spec's nodes.
+// fixed-size kind; a sized kind (fixed 0) takes the spec's nodes. seeded
+// marks a kind whose build draws from the seed; the others ignore it.
 type generator struct {
-	fixed int
-	build func(t TopologySpec, seed int64) *graph.Topology
+	fixed  int
+	seeded bool
+	build  func(t TopologySpec, seed int64) *graph.Topology
 }
 
 // names lists a table's spellings in order.
@@ -402,6 +405,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.Topology.Kind != "geometric" && (s.Topology.Degree != 0 || s.Topology.Floors != 0) {
 		return fmt.Errorf("scenario %s: degree/floors apply to geometric topologies only", s.Name)
+	}
+	if !gen.seeded && s.Topology.Seed != 0 {
+		// Build would ignore it; an author who set it believes it drew a
+		// different network.
+		return fmt.Errorf("scenario %s: topology %s draws nothing from a seed; topology.seed does not apply",
+			s.Name, s.Topology.Kind)
 	}
 	if s.Topology.Drop < 0 || s.Topology.Drop >= 1 {
 		return fmt.Errorf("scenario %s: topology drop %v outside [0,1)", s.Name, s.Topology.Drop)

@@ -205,6 +205,19 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		{"geometric knobs on a chain", func(m map[string]interface{}) {
 			m["topology"] = map[string]interface{}{"kind": "chain", "nodes": 4, "degree": 8}
 		}, "geometric topologies only"},
+		{"topology seed on the testbed", func(m map[string]interface{}) {
+			m["topology"] = map[string]interface{}{"kind": "testbed", "seed": 7}
+		}, "topology testbed draws nothing from a seed"},
+		{"topology seed on a chain", func(m map[string]interface{}) {
+			m["topology"] = map[string]interface{}{"kind": "chain", "nodes": 4, "seed": 7}
+		}, "topology chain draws nothing from a seed"},
+		{"topology seed on the diamond", func(m map[string]interface{}) {
+			m["topology"] = map[string]interface{}{"kind": "diamond", "seed": 7}
+			flow0(m)["src"], flow0(m)["dst"] = 0, 2
+		}, "topology diamond draws nothing from a seed"},
+		{"topology seed on the grid", func(m map[string]interface{}) {
+			m["topology"] = map[string]interface{}{"kind": "grid", "seed": 7}
+		}, "topology grid draws nothing from a seed"},
 		{"unknown metric", func(m map[string]interface{}) {
 			m["metric"] = "hops"
 		}, "unknown metric"},

@@ -32,7 +32,7 @@ func newCarrierRef(topo *graph.Topology, cfg Config) *carrierRef {
 		id := graph.NodeID(i)
 		set := []graph.NodeID{id}
 		for _, e := range topo.OutEdges(id) {
-			if e.P > cfg.SenseThreshold {
+			if e.P > SenseThreshold {
 				set = append(set, e.Node)
 			}
 		}

@@ -18,6 +18,7 @@ func TestFixedParameters(t *testing.T) {
 		{"retryLimit", retryLimit, 7},
 		{"macAckBytes", macAckBytes, 14},
 		{"basicRate", basicRate, Rate2},
+		{"SenseThreshold", SenseThreshold, 0.01},
 		{"interferenceThreshold", interferenceThreshold, 0.01},
 		{"captureMargin", captureMargin, 2.0},
 		{"minFrameDivisor", minFrameDivisor, 10},

@@ -12,7 +12,9 @@ import (
 // hardware under one MAC (§4.1.2); nothing in the reproduction varies these,
 // so they are constants rather than Config fields a struct literal could
 // zero. SlotTime, DIFS and CWMin are exported because ExOR's schedule timers
-// track the MAC's contention wait (exor.Init).
+// track the MAC's contention wait (exor.Init); SenseThreshold because the
+// spatial-reuse pair search (experiments.SpatialReusePairs) must sense as
+// the simulator does.
 const (
 	// basicRate is used for MAC ACK frames.
 	basicRate = Rate2
@@ -32,6 +34,10 @@ const (
 
 	// macAckBytes is the size of a MAC-level ACK frame.
 	macAckBytes = 14
+
+	// SenseThreshold: node j's carrier sense detects i's transmission when
+	// the delivery probability i->j at the reference rate exceeds this.
+	SenseThreshold float64 = 0.01
 
 	// interferenceThreshold: a concurrent transmission from k corrupts
 	// reception at j when p(k->j) exceeds this (subject to capture).
@@ -62,10 +68,6 @@ type Config struct {
 	// which zero defaults to.
 	DataRate Bitrate
 
-	// SenseThreshold: node j's carrier sense detects i's transmission when
-	// the delivery probability i->j at the reference rate exceeds this.
-	SenseThreshold float64
-
 	// SenseRange, when positive, extends carrier sense by geometry: node j
 	// also senses i when their positions are within this many meters.
 	// 802.11 energy detection reaches well beyond the decodable range, so
@@ -94,13 +96,12 @@ type Config struct {
 	RefFrameBytes int
 }
 
-// DefaultConfig returns the testbed setup: 5.5 Mb/s data frames, carrier
-// sense at 1% delivery probability, capture on.
+// DefaultConfig returns the testbed setup: 5.5 Mb/s data frames, capture
+// on.
 func DefaultConfig() Config {
 	return Config{
 		Seed:           1,
 		DataRate:       Rate5_5,
-		SenseThreshold: 0.01,
 		CaptureEnabled: true,
 	}
 }
@@ -332,7 +333,7 @@ func (s *Simulator) senseOf(id graph.NodeID) graph.NodeSet {
 	set := graph.NewNodeSet(s.topo.N())
 	set.Add(id)
 	for _, e := range s.topo.OutEdges(id) {
-		if e.P > s.cfg.SenseThreshold {
+		if e.P > SenseThreshold {
 			set.Add(e.Node)
 		}
 	}

@@ -374,12 +374,15 @@ func TestHalfDuplex(t *testing.T) {
 	// each other simultaneously when hidden... they are in range, so CSMA
 	// serializes them; instead test that a node's own tx overlapping an
 	// incoming frame kills the reception. Construct: 0 -> 1 while 1 -> 0.
-	// Force overlap by disabling carrier sense via threshold above link prob.
-	cfg := DefaultConfig()
-	cfg.SenseThreshold = 0.99 // nobody senses anybody
+	// Force overlap by disabling carrier sense: each transmitter's sense
+	// set, built lazily at its first frame, is preset to itself alone.
 	topo := graph.New(2)
 	topo.SetLink(0, 1, 0.9)
-	s := New(topo, cfg)
+	s := New(topo, DefaultConfig())
+	for id := range s.sense {
+		s.sense[id] = graph.NewNodeSet(2)
+		s.sense[id].Add(graph.NodeID(id)) // nobody senses anybody
+	}
 	a, b := &testProto{}, &testProto{}
 	s.Attach(0, a)
 	s.Attach(1, b)

@@ -19,7 +19,7 @@ import (
 //     into the layer's bounded queue, which overflows under overload and
 //     lets the tail/CHOKe drop policies act as designed;
 //   - bare (no layer), frames enter a local drop-tail queue bounded by
-//     Config.QueueSize, the §4.1.2 50-packet driver queue.
+//     queueSize, the §4.1.2 50-packet driver queue.
 //
 // There is no ARQ and no completion handshake: losses are final, the flow
 // "completes" when the source has generated its configured packet count.
@@ -186,7 +186,7 @@ func (n *Node) pushTick(st *pushState) {
 	switch {
 	case n.sink != nil:
 		n.sink.PushFrame(f)
-	case len(n.pushQ) < n.cfg.QueueSize:
+	case len(n.pushQ) < queueSize:
 		n.pushQ = append(n.pushQ, f)
 		n.node.Wake()
 	default:

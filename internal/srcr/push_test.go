@@ -85,11 +85,11 @@ func TestPushValidation(t *testing.T) {
 	_, nodes := pushChain(t, 2)
 	file := flow.NewFile(10*256, 256, 7)
 	bad := []flow.Traffic{
-		{Model: flow.PushCBR, RatePPS: 0, Packets: 10},                  // zero rate
-		{Model: flow.PushCBR, RatePPS: 100, Packets: 0},                 // no workload
-		{Model: flow.PullFile},                                          // not a push model
-		{Model: flow.PushOnOff, RatePPS: 100, Packets: 10},              // missing on/off
-		{Model: flow.PushCBR, RatePPS: 100, Packets: 11},                // file/packets mismatch
+		{Model: flow.PushCBR, RatePPS: 0, Packets: 10},     // zero rate
+		{Model: flow.PushCBR, RatePPS: 100, Packets: 0},    // no workload
+		{Model: flow.PullFile},                             // not a push model
+		{Model: flow.PushOnOff, RatePPS: 100, Packets: 10}, // missing on/off
+		{Model: flow.PushCBR, RatePPS: 100, Packets: 11},   // file/packets mismatch
 	}
 	for i, tr := range bad {
 		if err := nodes[0].StartPushFlow(flow.ID(i+1), 1, tr, file, nil); err == nil {
@@ -125,7 +125,7 @@ func TestPushBareModeBoundedQueue(t *testing.T) {
 	if drops == 0 {
 		t.Error("no source drops under 12x overload — queue is unbounded?")
 	}
-	if got := len(nodes[0].pushQ); got > nodes[0].cfg.QueueSize {
-		t.Errorf("push queue %d exceeds bound %d", got, nodes[0].cfg.QueueSize)
+	if got := len(nodes[0].pushQ); got > queueSize {
+		t.Errorf("push queue %d exceeds bound %d", got, queueSize)
 	}
 }

@@ -17,12 +17,14 @@ import (
 	"repro/internal/telemetry"
 )
 
+// queueSize bounds each router's drop-tail output queue: the §4.1.2
+// 50-packet driver queue.
+const queueSize = 50
+
 // Config parameterizes Srcr.
 type Config struct {
 	// PayloadSize is the data payload per packet (1500 B in the paper).
 	PayloadSize int
-	// QueueSize bounds each router's output queue (50 in §4.1.2).
-	QueueSize int
 	// Autorate enables Onoe-style bit-rate selection per neighbor; when
 	// false frames go out at the simulator's data rate.
 	Autorate bool
@@ -36,12 +38,9 @@ type Config struct {
 }
 
 // DefaultConfig is the §4.1.2 setup every fixed-rate run uses: 1500-byte
-// payloads, 50-packet router queues, the simulator's data rate, no repair.
+// payloads, the simulator's data rate, no repair.
 func DefaultConfig() Config {
-	return Config{
-		PayloadSize: 1500,
-		QueueSize:   50,
-	}
+	return Config{PayloadSize: 1500}
 }
 
 // DataMsg is a Srcr data packet: a source-route header plus payload.
@@ -76,7 +75,7 @@ type Node struct {
 
 	// sink, when set (congestion layer present), receives push-generated
 	// frames with no backpressure; pushQ is the bare-mode fallback, a local
-	// drop-tail queue bounded by Config.QueueSize.
+	// drop-tail queue bounded by queueSize.
 	sink  sim.FrameSink
 	pushQ []*sim.Frame
 
@@ -122,9 +121,6 @@ type sinkState struct {
 
 // NewNode creates a Srcr node; attach with sim.Attach.
 func NewNode(cfg Config, state flow.RoutingState) *Node {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 50
-	}
 	return &Node{
 		cfg:     cfg,
 		state:   state,
@@ -230,7 +226,7 @@ func (n *Node) Receive(f *sim.Frame) {
 		n.deliver(next)
 		return
 	}
-	if len(n.queue) >= n.cfg.QueueSize {
+	if len(n.queue) >= queueSize {
 		n.QueueDrops++
 		return
 	}

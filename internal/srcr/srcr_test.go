@@ -107,18 +107,17 @@ func TestRouteFollowsETX(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	// Two flows converging on one relay with a tiny queue must overflow.
+	// Two flows converging on one relay with a slow egress must overflow
+	// its queueSize-packet queue.
 	topo := graph.New(4)
 	topo.SetLink(0, 2, 1)
 	topo.SetLink(1, 2, 1)
 	topo.SetLink(2, 3, 0.5) // slow egress
-	cfg := DefaultConfig()
-	cfg.QueueSize = 4
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
 	nodes := make([]*Node, 4)
 	for i := range nodes {
-		nodes[i] = NewNode(cfg, oracle)
+		nodes[i] = NewNode(DefaultConfig(), oracle)
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	file := flow.NewFile(200*1500, 1500, 4)
@@ -128,7 +127,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	nodes[1].StartFlow(2, 3, file, nil)
 	s.Run(300 * sim.Second)
 	if nodes[2].QueueDrops == 0 {
-		t.Fatal("no queue drops despite converging flows on a tiny queue")
+		t.Fatal("no queue drops despite converging flows on a slow relay")
 	}
 }
 
@@ -186,7 +185,7 @@ func TestAutorateStaysHighOnGoodLink(t *testing.T) {
 }
 
 func TestTestbedPairThroughput(t *testing.T) {
-	topo, _ := graph.ConnectedTestbed(graph.DefaultTestbed(), 1)
+	topo, _ := graph.ConnectedTestbed(1)
 	file := flow.NewFile(100*1500, 1500, 9)
 	res, _, _ := runSrcr(t, topo, DefaultConfig(), sim.DefaultConfig(), 3, 17, file, 600*sim.Second)
 	if !res.Completed || !res.Verified {

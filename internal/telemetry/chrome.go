@@ -14,6 +14,9 @@ type chromeState struct {
 	truncated int64
 }
 
+// chromeCap bounds the events a Hub captures for the Chrome trace.
+const chromeCap = 1 << 20
+
 func (c *chromeState) observe(ev Event, cap int) {
 	if len(c.events) >= cap {
 		c.truncated++

@@ -3,10 +3,12 @@ package telemetry
 // recorderState is the flight recorder: one bounded ring of recent events
 // per node, retained so a stall watchdog can dump the lead-up.
 type recorderState struct {
-	ringCap int
-	rings   map[int32]*eventRing
-	stalls  []StallDump
+	rings  map[int32]*eventRing
+	stalls []StallDump
 }
+
+// ringCap bounds each node's flight-recorder ring (events).
+const ringCap = 256
 
 // maxStallDumps bounds the retained post-mortems; later stalls still fire
 // OnStall but are only counted.
@@ -18,22 +20,17 @@ type eventRing struct {
 	total int64
 }
 
-func (m *recorderState) init(ringCap int) {
-	m.ringCap = ringCap
-	m.rings = make(map[int32]*eventRing)
-}
-
 func (m *recorderState) observe(ev Event) {
 	r := m.rings[ev.Node]
 	if r == nil {
-		r = &eventRing{buf: make([]Event, 0, m.ringCap)}
+		r = &eventRing{buf: make([]Event, 0, ringCap)}
 		m.rings[ev.Node] = r
 	}
-	if len(r.buf) < m.ringCap {
+	if len(r.buf) < ringCap {
 		r.buf = append(r.buf, ev)
 	} else {
 		r.buf[r.next] = ev
-		r.next = (r.next + 1) % m.ringCap
+		r.next = (r.next + 1) % ringCap
 	}
 	r.total++
 }

@@ -10,7 +10,7 @@
 // The overhead contract: with no sink installed (sim.Simulator.Telem nil)
 // every emission site is a single nil check — runs are byte-identical to
 // the pre-telemetry code and within measurement noise of its speed
-// (cmd/morebench -telemetry-baseline gates this in CI). With a Hub
+// (cmd/morebench -telemetry-overhead gates this in CI). With a Hub
 // installed the cost is one fixed-size struct per event, no allocation on
 // the emit path beyond amortized ring/histogram storage; telemetry is
 // observation-only and never changes simulation behavior (the golden suite
@@ -186,23 +186,18 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Config parameterizes a Hub. The zero value enables the metrics registry
-// and flight recorder with default bounds and no Chrome trace capture.
+// Config parameterizes a Hub. The metrics registry and the flight recorder
+// (ringCap events per node) are always on; the zero value captures no
+// Chrome trace.
 type Config struct {
 	// DeadlineNS, when positive, is the per-packet delivery deadline:
 	// every delivered packet whose source-to-sink latency exceeds it
 	// counts as a deadline miss in its flow's metrics.
 	DeadlineNS int64
-	// RingCap bounds each node's flight-recorder ring (default 256
-	// events; negative disables the recorder).
-	RingCap int
 	// ChromeTrace turns on capture of events for WriteChromeTrace
-	// (Perfetto-loadable trace-event JSON). Off by default: a long run
-	// emits millions of events.
+	// (Perfetto-loadable trace-event JSON), up to chromeCap events. Off by
+	// default: a long run emits millions of events.
 	ChromeTrace bool
-	// ChromeCap bounds the captured Chrome trace events (default 1<<20);
-	// events beyond it are counted but not stored.
-	ChromeCap int
 	// OnStall, when set, is called synchronously with each stall
 	// post-mortem as the watchdog emits KindStall.
 	OnStall func(StallDump)
@@ -228,20 +223,14 @@ type Hub struct {
 
 // NewHub builds a Hub with the given configuration.
 func NewHub(cfg Config) *Hub {
-	if cfg.RingCap == 0 {
-		cfg.RingCap = 256
-	}
-	if cfg.ChromeCap <= 0 {
-		cfg.ChromeCap = 1 << 20
-	}
 	h := &Hub{cfg: cfg}
 	h.metrics.init(cfg.DeadlineNS)
-	h.rec.init(cfg.RingCap)
+	h.rec.rings = make(map[int32]*eventRing)
 	return h
 }
 
-// AddSink fans emitted events out to an additional sink (e.g. a
-// trace.Recorder) after the Hub's own processing.
+// AddSink fans emitted events out to an additional sink (e.g. moresim's
+// transmission log) after the Hub's own processing.
 func (h *Hub) AddSink(s Sink) { h.extra = append(h.extra, s) }
 
 // Events returns how many events the Hub has received. Safe to call from
@@ -257,17 +246,15 @@ func (h *Hub) Emit(ev Event) {
 	h.events.Add(1)
 	h.lastAt.Store(ev.At)
 	h.metrics.observe(ev)
-	if h.cfg.RingCap > 0 {
-		h.rec.observe(ev)
-		if ev.Kind == KindStall {
-			dump := h.rec.dump(ev)
-			if h.cfg.OnStall != nil {
-				h.cfg.OnStall(dump)
-			}
+	h.rec.observe(ev)
+	if ev.Kind == KindStall {
+		dump := h.rec.dump(ev)
+		if h.cfg.OnStall != nil {
+			h.cfg.OnStall(dump)
 		}
 	}
 	if h.cfg.ChromeTrace {
-		h.chrome.observe(ev, h.cfg.ChromeCap)
+		h.chrome.observe(ev, chromeCap)
 	}
 	for _, s := range h.extra {
 		s.Emit(ev)
