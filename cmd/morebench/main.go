@@ -13,17 +13,17 @@
 // -parallel workers (default: all CPUs); results are byte-identical for any
 // worker count, so -parallel only changes wall-clock time.
 //
-// Output is plain text: one summary table per experiment plus TSV series
-// (CDF points) when -tsv is set. With -json the raw result structs are
-// emitted as one JSON document instead — one entry per experiment with its
-// wall-clock seconds — so successive PRs can track the perf trajectory
-// mechanically.
+// Output is plain text: one summary table per experiment. With -json the raw
+// result structs are emitted as one JSON document instead — one entry per
+// experiment with its wall-clock seconds, the per-pair series included — so
+// successive PRs can track the perf trajectory mechanically.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -33,38 +33,66 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
-	var (
-		fig      = flag.String("fig", "", "figure to regenerate (4.2, 4.3, 4.4, 4.5, 4.6, 4.7, 5.1); empty runs everything")
-		table    = flag.String("table", "", "table to regenerate (4.1, 5.7, overhead)")
-		pairs    = flag.Int("pairs", 40, "number of random source-destination pairs")
-		file     = flag.Int("file", 512<<10, "transfer size in bytes (paper: 5242880)")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		tsv      = flag.Bool("tsv", false, "also print raw TSV series (CDF points, scatter)")
-		runs     = flag.Int("runs", 10, "random runs per point for Fig 4-5 (paper: 40)")
-		plotW    = flag.Int("plotw", 64, "ASCII plot width")
-		parallel = flag.Int("parallel", experiments.AutoParallel(), "worker goroutines for the figure drivers (results are identical for any value)")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of text tables")
-		gfKernel = flag.String("gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm; see gf256.AvailableKernels)")
-		baseline = flag.String("baseline", "", "write per-kernel GF(256) throughput grid to this JSON file (BENCH_gf256.json)")
-		checkBl  = flag.String("check-baseline", "", "compare current GF(256) throughput against this baseline; exit 1 on a >20% drop in portable GB/s or in any SIMD arm's speedup over portable")
-		blSecs   = flag.Float64("bench-secs", 0.25, "seconds per benchmark cell for -baseline/-check-baseline")
-		telOver  = flag.Bool("telemetry-overhead", false, "measure telemetry overhead (off vs full hub); exit 1 if enabled overhead exceeds the 10% bound")
-		telRuns  = flag.Int("telemetry-runs", 5, "repetitions per mode for -telemetry-overhead (minimum wall clock wins)")
-	)
-	flag.Parse()
+// plotWidth is the width of Fig 4-2's ASCII CDF plot, in columns.
+const plotWidth = 64
 
-	if *gfKernel != "" {
-		if err := gf256.SetKernel(*gfKernel); err != nil {
-			fmt.Fprintf(os.Stderr, "-gf256: %v\n", err)
-			os.Exit(2)
+// cli is the parsed command line.
+type cli struct {
+	fig, table                string
+	pairs, file, runs         int
+	parallel, telRuns         int
+	seed                      int64
+	jsonOut, telOver          bool
+	gfKernel, baseline, check string
+	benchSecs                 float64
+}
+
+// parseFlags registers morebench's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{}
+	fs.StringVar(&c.fig, "fig", "", "figure to regenerate (4.2, 4.3, 4.4, 4.5, 4.6, 4.7, 5.1); empty runs everything")
+	fs.StringVar(&c.table, "table", "", "table to regenerate (4.1, 5.7, overhead)")
+	fs.IntVar(&c.pairs, "pairs", 40, "number of random source-destination pairs")
+	fs.IntVar(&c.file, "file", 512<<10, "transfer size in bytes (paper: 5242880)")
+	fs.Int64Var(&c.seed, "seed", 1, "experiment seed")
+	fs.IntVar(&c.runs, "runs", 10, "random runs per point for Fig 4-5 (paper: 40)")
+	fs.IntVar(&c.parallel, "parallel", experiments.AutoParallel(), "worker goroutines for the figure drivers (results are identical for any value)")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit results as JSON instead of text tables")
+	fs.StringVar(&c.gfKernel, "gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm; see gf256.AvailableKernels)")
+	fs.StringVar(&c.baseline, "baseline", "", "write per-kernel GF(256) throughput grid to this JSON file (BENCH_gf256.json)")
+	fs.StringVar(&c.check, "check-baseline", "", "compare current GF(256) throughput against this baseline; exit 1 on a >20% drop in portable GB/s or in any SIMD arm's speedup over portable")
+	fs.Float64Var(&c.benchSecs, "bench-secs", 0.25, "seconds per benchmark cell for -baseline/-check-baseline")
+	fs.BoolVar(&c.telOver, "telemetry-overhead", false, "measure telemetry overhead (off vs full hub); exit 1 if enabled overhead exceeds the 10% bound")
+	fs.IntVar(&c.telRuns, "telemetry-runs", 5, "repetitions per mode for -telemetry-overhead (minimum wall clock wins)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		os.Exit(2) // the flag package has already said why
+	}
+	os.Exit(run(c, os.Stdout, os.Stderr))
+}
+
+// run executes the experiments the command line selects, writing reports to
+// stdout and diagnostics to stderr, and returns the exit code: 2 for an
+// unknown experiment or kernel, 1 for a failed gate or an unwritable file.
+func run(c *cli, stdout, stderr io.Writer) int {
+	if c.gfKernel != "" {
+		if err := gf256.SetKernel(c.gfKernel); err != nil {
+			fmt.Fprintf(stderr, "-gf256: %v\n", err)
+			return 2
 		}
 	}
 
 	opts := experiments.DefaultOptions()
-	opts.FileBytes = *file
-	opts.Seed = *seed
-	opts.Parallel = *parallel
+	opts.FileBytes = c.file
+	opts.Seed = c.seed
+	opts.Parallel = c.parallel
 
 	type entry struct {
 		Name    string      `json:"name"`
@@ -74,23 +102,23 @@ func main() {
 	}
 	var report []entry
 
-	all := *fig == "" && *table == "" && *baseline == "" && *checkBl == "" && !*telOver
+	all := c.fig == "" && c.table == "" && c.baseline == "" && c.check == "" && !c.telOver
 	ran := false
-	// run executes one experiment; fn returns the raw result for -json and
-	// a printer for the text tables.
-	run := func(name string, want string, fn func() (interface{}, func())) {
-		if !(all || *fig == want || *table == want) {
+	// experiment runs one experiment; fn returns the raw result for -json
+	// and a printer for the text tables.
+	experiment := func(name string, want string, fn func() (interface{}, func())) {
+		if !(all || c.fig == want || c.table == want) {
 			return
 		}
 		start := time.Now()
 		result, print := fn()
 		elapsed := time.Since(start)
-		if *jsonOut {
+		if c.jsonOut {
 			report = append(report, entry{Name: name, Key: want, Seconds: elapsed.Seconds(), Result: result})
 		} else {
-			fmt.Printf("=== %s ===\n", name)
+			fmt.Fprintf(stdout, "=== %s ===\n", name)
 			print()
-			fmt.Printf("[%.2fs]\n\n", elapsed.Seconds())
+			fmt.Fprintf(stdout, "[%.2fs]\n\n", elapsed.Seconds())
 		}
 		ran = true
 	}
@@ -98,10 +126,10 @@ func main() {
 	topo := experiments.TestbedTopology()
 	var fig42 *experiments.ThroughputResult
 
-	run("Figure 4-2: unicast throughput CDF (MORE vs ExOR vs Srcr)", "4.2", func() (interface{}, func()) {
-		fig42 = experiments.Fig42UnicastThroughput(topo, *pairs, opts)
+	experiment("Figure 4-2: unicast throughput CDF (MORE vs ExOR vs Srcr)", "4.2", func() (interface{}, func()) {
+		fig42 = experiments.Fig42UnicastThroughput(topo, c.pairs, opts)
 		return fig42, func() {
-			fmt.Print(fig42.Table())
+			fmt.Fprint(stdout, fig42.Table())
 			cdfs := fig42.CDFs()
 			plot := map[rune]*stats.CDF{
 				'S': cdfs[experiments.Srcr],
@@ -109,19 +137,14 @@ func main() {
 				'M': cdfs[experiments.MORE],
 			}
 			xmax := stats.Summarize(fig42.Throughput[experiments.MORE]).Max
-			fmt.Println("CDF (x: pkt/s, S=Srcr E=ExOR M=MORE):")
-			fmt.Print(stats.AsciiPlot(plot, xmax, *plotW, 16))
-			if *tsv {
-				for _, pr := range []experiments.Protocol{experiments.Srcr, experiments.ExOR, experiments.MORE} {
-					fmt.Printf("# CDF %v\n%s", pr, cdfs[pr].TSV())
-				}
-			}
+			fmt.Fprintln(stdout, "CDF (x: pkt/s, S=Srcr E=ExOR M=MORE):")
+			fmt.Fprint(stdout, stats.AsciiPlot(plot, xmax, plotWidth, 16))
 		}
 	})
 
-	run("Figure 4-3: per-pair scatter (opportunistic vs Srcr)", "4.3", func() (interface{}, func()) {
+	experiment("Figure 4-3: per-pair scatter (opportunistic vs Srcr)", "4.3", func() (interface{}, func()) {
 		if fig42 == nil {
-			fig42 = experiments.Fig42UnicastThroughput(topo, *pairs, opts)
+			fig42 = experiments.Fig42UnicastThroughput(topo, c.pairs, opts)
 		}
 		bm, tm := fig42.ChallengedGain(experiments.MORE)
 		be, te := fig42.ChallengedGain(experiments.ExOR)
@@ -130,54 +153,50 @@ func main() {
 			"ExOR-challenged-x": be, "ExOR-good-x": te,
 		}
 		return result, func() {
-			fmt.Printf("median gain over Srcr, challenged half vs good half:\n")
-			fmt.Printf("  MORE: %.2fx vs %.2fx\n", bm, tm)
-			fmt.Printf("  ExOR: %.2fx vs %.2fx\n", be, te)
-			if *tsv {
-				fmt.Print(fig42.ScatterTSV(experiments.Srcr, experiments.MORE))
-				fmt.Print(fig42.ScatterTSV(experiments.Srcr, experiments.ExOR))
-			}
+			fmt.Fprintf(stdout, "median gain over Srcr, challenged half vs good half:\n")
+			fmt.Fprintf(stdout, "  MORE: %.2fx vs %.2fx\n", bm, tm)
+			fmt.Fprintf(stdout, "  ExOR: %.2fx vs %.2fx\n", be, te)
 		}
 	})
 
-	run("Figure 4-4: spatial reuse (>=4-hop flows, concurrent first/last hop)", "4.4", func() (interface{}, func()) {
-		res := experiments.Fig44SpatialReuse(*pairs/4+3, opts)
-		return res, func() { fmt.Print(res.Table()) }
+	experiment("Figure 4-4: spatial reuse (>=4-hop flows, concurrent first/last hop)", "4.4", func() (interface{}, func()) {
+		res := experiments.Fig44SpatialReuse(c.pairs/4+3, opts)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("Figure 4-5: multiple flows", "4.5", func() (interface{}, func()) {
+	experiment("Figure 4-5: multiple flows", "4.5", func() (interface{}, func()) {
 		o := opts
 		if o.FileBytes > 256<<10 {
 			o.FileBytes = 256 << 10 // congested runs are slow; cap per-flow size
 		}
-		res := experiments.Fig45MultiFlow(topo, 4, *runs, o)
-		return res, func() { fmt.Print(res.Table()) }
+		res := experiments.Fig45MultiFlow(topo, 4, c.runs, o)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("Figure 4-6: Srcr autorate vs opportunistic routing at 11 Mb/s", "4.6", func() (interface{}, func()) {
-		res := experiments.Fig46Autorate(topo, *pairs/2+4, opts)
-		return res, func() { fmt.Print(res.Table()) }
+	experiment("Figure 4-6: Srcr autorate vs opportunistic routing at 11 Mb/s", "4.6", func() (interface{}, func()) {
+		res := experiments.Fig46Autorate(topo, c.pairs/2+4, opts)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("Figure 4-7: batch size sweep", "4.7", func() (interface{}, func()) {
-		res := experiments.Fig47BatchSize(topo, []int{8, 16, 32, 64, 128}, *pairs/2+4, opts)
-		return res, func() { fmt.Print(res.Table()) }
+	experiment("Figure 4-7: batch size sweep", "4.7", func() (interface{}, func()) {
+		res := experiments.Fig47BatchSize(topo, []int{8, 16, 32, 64, 128}, c.pairs/2+4, opts)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("Table 4.1: computational cost of packet operations (K=32, 1500 B)", "4.1", func() (interface{}, func()) {
+	experiment("Table 4.1: computational cost of packet operations (K=32, 1500 B)", "4.1", func() (interface{}, func()) {
 		res := experiments.Table41CodingCost(32, 1500, 2000)
-		return res, func() { fmt.Print(res.Table()) }
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("Header overhead (§4.6)", "overhead", func() (interface{}, func()) {
+	experiment("Header overhead (§4.6)", "overhead", func() (interface{}, func()) {
 		res := experiments.HeaderOverhead(32, 1500)
 		return res, func() {
-			fmt.Printf("MORE header: %d bytes with K=32 and %d forwarders (%.1f%% of a %d B packet)\n",
+			fmt.Fprintf(stdout, "MORE header: %d bytes with K=32 and %d forwarders (%.1f%% of a %d B packet)\n",
 				res.HeaderBytes, 10, 100*res.Fraction, res.PktBytes)
 		}
 	})
 
-	run("Figure 5-1 / Prop. 6: unbounded ETX-vs-EOTX cost gap", "5.1", func() (interface{}, func()) {
+	experiment("Figure 5-1 / Prop. 6: unbounded ETX-vs-EOTX cost gap", "5.1", func() (interface{}, func()) {
 		result := map[int][]experiments.GapPoint{}
 		for _, k := range []int{2, 4, 8, 16} {
 			result[k] = experiments.Fig51CostGap(k, []float64{0.3, 0.1, 0.03, 0.01, 0.003})
@@ -188,100 +207,108 @@ func main() {
 				for _, pt := range result[k] {
 					parts = append(parts, fmt.Sprintf("p=%.3f:%.2fx", pt.P, pt.Gap))
 				}
-				fmt.Printf("k=%-3d %s\n", k, strings.Join(parts, "  "))
+				fmt.Fprintf(stdout, "k=%-3d %s\n", k, strings.Join(parts, "  "))
 			}
 		}
 	})
 
-	run("Robustness: Fig 4-2 gains across generated topologies", "robustness", func() (interface{}, func()) {
-		res := experiments.Fig42AcrossSeeds(4, *pairs/4+4, opts)
-		return res, func() { fmt.Print(res.Table()) }
+	experiment("Robustness: Fig 4-2 gains across generated topologies", "robustness", func() (interface{}, func()) {
+		res := experiments.Fig42AcrossSeeds(4, c.pairs/4+4, opts)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	run("§5.7: ETX vs EOTX forwarder order on the testbed", "5.7", func() (interface{}, func()) {
-		res := experiments.Sec57EOTXvsETX(topo, *parallel)
-		return res, func() { fmt.Print(res.Table()) }
+	experiment("§5.7: ETX vs EOTX forwarder order on the testbed", "5.7", func() (interface{}, func()) {
+		res := experiments.Sec57EOTXvsETX(topo, c.parallel)
+		return res, func() { fmt.Fprint(stdout, res.Table()) }
 	})
 
-	benchDur := time.Duration(*blSecs * float64(time.Second))
-
-	if *baseline != "" || *checkBl != "" {
-		res := experiments.GF256Bench(gf256.AvailableKernels(), 32, experiments.GF256SizeClasses, benchDur)
-		if !*jsonOut {
-			fmt.Printf("=== GF(256) kernel throughput (K=32) ===\n%s\n", res.Table())
-		}
-		if *baseline != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*baseline, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *checkBl != "" {
-			data, err := os.ReadFile(*checkBl)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-check-baseline: %v\n", err)
-				os.Exit(1)
-			}
-			var base experiments.GF256BenchResult
-			if err := json.Unmarshal(data, &base); err != nil {
-				fmt.Fprintf(os.Stderr, "-check-baseline: %v\n", err)
-				os.Exit(1)
-			}
-			// The portable arm gates on absolute GB/s: it is the one arm
-			// every host (and every CI runner) executes identically. The
-			// SIMD arms gate on their same-run speedup over portable, which
-			// holds across hosts where their GB/s does not.
-			bad := experiments.CompareGF256Baselines(&base, res, 0.20, []string{"portable"})
-			if len(bad) > 0 {
-				fmt.Fprintf(os.Stderr, "GF(256) throughput regressions beyond 20%%:\n")
-				for _, m := range bad {
-					fmt.Fprintf(os.Stderr, "  %s\n", m)
-				}
-				os.Exit(1)
-			}
-			fmt.Println("baseline check passed: no portable-kernel or SIMD-speedup regression beyond 20%")
+	if c.baseline != "" || c.check != "" {
+		if code := c.gf256Baseline(stdout, stderr); code != 0 {
+			return code
 		}
 		ran = true
 	}
 
-	if *telOver {
+	if c.telOver {
 		start := time.Now()
-		res := experiments.TelemetryBench(*telRuns)
-		if *jsonOut {
+		res := experiments.TelemetryBench(c.telRuns)
+		if c.jsonOut {
 			report = append(report, entry{Name: "telemetry overhead", Key: "telemetry-overhead",
 				Seconds: time.Since(start).Seconds(), Result: res})
 		} else {
-			fmt.Printf("=== Telemetry overhead ===\n%s\n", res.Table())
+			fmt.Fprintf(stdout, "=== Telemetry overhead ===\n%s\n", res.Table())
 		}
 		if bad := experiments.CompareTelemetryBaselines(res); len(bad) > 0 {
 			for _, m := range bad {
-				fmt.Fprintln(os.Stderr, m)
+				fmt.Fprintln(stderr, m)
 			}
-			os.Exit(1)
+			return 1
 		}
 		ran = true
 	}
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment: fig=%q table=%q\n", *fig, *table)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment: fig=%q table=%q\n", c.fig, c.table)
+		return 2
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if c.jsonOut {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(map[string]interface{}{
-			"seed":     *seed,
-			"pairs":    *pairs,
-			"file":     *file,
-			"parallel": *parallel,
+			"seed":     c.seed,
+			"pairs":    c.pairs,
+			"file":     c.file,
+			"parallel": c.parallel,
 			"results":  report,
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
+}
+
+// gf256Baseline measures the per-kernel GF(256) throughput grid, writes it to
+// -baseline and gates it against -check-baseline. It returns the exit code.
+func (c *cli) gf256Baseline(stdout, stderr io.Writer) int {
+	res := experiments.GF256Bench(gf256.AvailableKernels(), 32, experiments.GF256SizeClasses,
+		time.Duration(c.benchSecs*float64(time.Second)))
+	if !c.jsonOut {
+		fmt.Fprintf(stdout, "=== GF(256) kernel throughput (K=32) ===\n%s\n", res.Table())
+	}
+	if c.baseline != "" {
+		data, err := json.MarshalIndent(res, "", "  ")
+		if err == nil {
+			err = os.WriteFile(c.baseline, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "-baseline: %v\n", err)
+			return 1
+		}
+	}
+	if c.check == "" {
+		return 0
+	}
+	data, err := os.ReadFile(c.check)
+	var base experiments.GF256BenchResult
+	if err == nil {
+		err = json.Unmarshal(data, &base)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "-check-baseline: %v\n", err)
+		return 1
+	}
+	// The portable arm gates on absolute GB/s: it is the one arm every host
+	// (and every CI runner) executes identically. The SIMD arms gate on their
+	// same-run speedup over portable, which holds across hosts where their
+	// GB/s does not.
+	if bad := experiments.CompareGF256Baselines(&base, res, 0.20, []string{"portable"}); len(bad) > 0 {
+		fmt.Fprintf(stderr, "GF(256) throughput regressions beyond 20%%:\n")
+		for _, m := range bad {
+			fmt.Fprintf(stderr, "  %s\n", m)
+		}
+		return 1
+	}
+	fmt.Fprintln(stdout, "baseline check passed: no portable-kernel or SIMD-speedup regression beyond 20%")
+	return 0
 }

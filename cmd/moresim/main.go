@@ -134,50 +134,62 @@ func main() {
 	if err != nil {
 		os.Exit(2) // the flag package has already said why
 	}
+	os.Exit(run(c, os.Stdout, os.Stderr))
+}
+
+// run executes a parsed command line, writing reports to stdout and
+// diagnostics to stderr, and returns the exit code: 2 for a command line
+// that does not compile to valid specs, 1 for a failed run, an unwritable
+// artifact or a flow that missed its schedule.
+func run(c *cli, stdout, stderr io.Writer) int {
 	if c.gf256 != "" {
 		if err := gf256.SetKernel(c.gf256); err != nil {
-			fmt.Fprintf(os.Stderr, "-gf256: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "-gf256: %v\n", err)
+			return 2
 		}
 	}
 	specs, reduce, err := compile(c)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	ok, err := run(c, specs, reduce)
+	ok, err := execute(c, specs, reduce, stdout, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 	}
 	if err != nil || !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// run executes the specs and hands the results to the mode's reducer. It
+// execute runs the specs and hands the results to the mode's reducer. It
 // reports whether every flow of every run met its schedule.
-func run(c *cli, specs []*scenario.Spec, reduce reducer) (bool, error) {
+func execute(c *cli, specs []*scenario.Spec, reduce reducer, stdout, stderr io.Writer) (bool, error) {
 	var hub *telemetry.Hub
 	var txs *txLog
 	if c.tc.active() || c.trace {
-		hub = c.tc.newHub()
+		hub = c.tc.newHub(stderr)
 		if c.trace {
 			txs = new(txLog)
 			hub.AddSink(txs)
 		}
 	}
-	stopProgress := c.tc.startProgress(hub)
+	stopProgress := c.tc.startProgress(hub, stderr)
 	var runs []specRun
 	var err error
-	c.prof.around(func() { runs, err = runSpecs(specs, c.parallel, hub) })
+	perr := c.prof.around(func() { runs, err = runSpecs(specs, c.parallel, hub) })
 	stopProgress()
+	if perr != nil {
+		return false, perr
+	}
 	if err != nil {
 		return false, err
 	}
-	reportStartErrors(os.Stderr, runs)
-	text := os.Stdout // -verbose and -trace; next to -json, stdout is the document alone
+	reportStartErrors(stderr, runs)
+	text := stdout // -verbose and -trace; next to -json, stdout is the document alone
 	if c.jsonOut {
-		text = os.Stderr
+		text = stderr
 	}
 	if c.verbose {
 		printPlan(text, runs[0])
@@ -185,10 +197,10 @@ func run(c *cli, specs []*scenario.Spec, reduce reducer) (bool, error) {
 	if txs != nil {
 		fmt.Fprint(text, txs.timeline(0, timelineEnd(runs[0].info().Results), 96))
 	}
-	if hub != nil && !c.tc.finish(hub) {
+	if hub != nil && !c.tc.finish(hub, stdout, stderr) {
 		return false, nil
 	}
-	return reduce(c, runs)
+	return reduce(c, stdout, runs)
 }
 
 // specRun is one executed spec; wall is the host time it took (not
@@ -236,10 +248,10 @@ func reportStartErrors(w io.Writer, runs []specRun) {
 	}
 }
 
-// A reducer prints a mode's results — one report, or one table over several
-// runs (JSON with -json) — and reports whether every flow of every run met
-// its schedule.
-type reducer func(c *cli, runs []specRun) (bool, error)
+// A reducer prints a mode's results to w — one report, or one table over
+// several runs (JSON with -json) — and reports whether every flow of every
+// run met its schedule.
+type reducer func(c *cli, w io.Writer, runs []specRun) (bool, error)
 
 // compile turns the command line into the specs it asks for and the reducer
 // that reports them.
@@ -485,58 +497,58 @@ func printPlan(w io.Writer, r specRun) {
 // canonical result document (byte-identical across runs of the same spec —
 // pipe it to cmd/scenariocheck to verify; -trace and the telemetry flags add
 // an optional Telemetry block, everything else stays identical).
-func printRun(c *cli, runs []specRun) (bool, error) {
+func printRun(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	spec, res := runs[0].spec, runs[0].res
 	if c.jsonOut {
 		out, err := res.Encode()
 		if err != nil {
 			return false, err
 		}
-		os.Stdout.Write(out)
-		return res.Done(), nil
+		_, err = w.Write(out)
+		return res.Done(), err
 	}
-	fmt.Printf("scenario: %s (%d nodes, seed %d, state %v, cc %v)\n",
+	fmt.Fprintf(w, "scenario: %s (%d nodes, seed %d, state %v, cc %v)\n",
 		res.Scenario, res.Nodes, res.Seed, res.State, res.CC)
 	if spec.Description != "" {
-		fmt.Printf("  %s\n", spec.Description)
+		fmt.Fprintf(w, "  %s\n", spec.Description)
 	}
-	fmt.Printf("%-12s %-9s %-6s %6s %12s %10s %10s %6s\n",
+	fmt.Fprintf(w, "%-12s %-9s %-6s %6s %12s %10s %10s %6s\n",
 		"flow", "proto", "model", "s->d", "delivered", "pkt/s", "tx", "done")
 	for _, f := range res.Flows {
-		fmt.Printf("%-12s %-9s %-6v %3d->%-3d %6d/%-6d %10.1f %10d %6v\n",
+		fmt.Fprintf(w, "%-12s %-9s %-6v %3d->%-3d %6d/%-6d %10.1f %10d %6v\n",
 			f.Name, f.Protocol, f.Traffic, f.Result.Src, f.Result.Dst,
 			f.Result.PacketsDelivered, f.Result.PacketsTotal,
 			f.Result.Throughput(), f.Result.Transmissions, f.Done)
 	}
-	fmt.Printf("medium: %d data tx, %d collisions, %d channel losses, air time %v, run %v\n",
+	fmt.Fprintf(w, "medium: %d data tx, %d collisions, %d channel losses, air time %v, run %v\n",
 		res.Counters.Transmissions, res.Counters.Collisions,
 		res.Counters.ChannelLosses, res.Counters.AirTime, res.End-res.Epoch)
 	if len(res.Flows) > 1 {
-		fmt.Printf("fairness: Jain(throughput) %.3f, Jain(tx) %.3f, control tx %d\n",
+		fmt.Fprintf(w, "fairness: Jain(throughput) %.3f, Jain(tx) %.3f, control tx %d\n",
 			res.Fairness.JainThroughput, res.Fairness.JainTx, res.Fairness.ControlTx)
 	}
 	if res.CC != congest.None {
 		st := res.CCStats
-		fmt.Printf("congestion: %d pushed, %d enqueued, %d tail + %d choke + %d stale drops, %d grants, %d probes\n",
+		fmt.Fprintf(w, "congestion: %d pushed, %d enqueued, %d tail + %d choke + %d stale drops, %d grants, %d probes\n",
 			st.Pushed, st.Enqueued, st.TailDrops, st.ChokeDrops, st.StaleDrops, st.GrantTx, st.ProbeSends)
 	}
 	if res.State == experiments.StateLearned {
-		fmt.Printf("measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
+		fmt.Fprintf(w, "measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
 			res.Convergence, res.ProbeTx, res.FloodTx)
 	}
-	fmt.Printf("digest: %s\n", res.Digest)
+	fmt.Fprintf(w, "digest: %s\n", res.Digest)
 	return res.Done(), nil
 }
 
 // printComparison is the -proto all table: every protocol over one pair.
-func printComparison(c *cli, runs []specRun) (bool, error) {
+func printComparison(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	first := runs[0].res.Flows[0].Result
-	fmt.Printf("pair %d -> %d, %d B file:\n", first.Src, first.Dst, c.file)
-	fmt.Printf("%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
+	fmt.Fprintf(w, "pair %d -> %d, %d B file:\n", first.Src, first.Dst, c.file)
+	fmt.Fprintf(w, "%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
 	allDone := true
 	for _, r := range runs {
 		f := r.res.Flows[0]
-		fmt.Printf("%-14s %10.1f %10d %8v %12v\n", f.Protocol, f.Result.Throughput(),
+		fmt.Fprintf(w, "%-14s %10.1f %10d %8v %12v\n", f.Protocol, f.Result.Throughput(),
 			r.res.Counters.Transmissions, f.Done, r.res.Counters.AirTime)
 		allDone = allDone && f.Done
 	}
@@ -545,7 +557,7 @@ func printComparison(c *cli, runs []specRun) (bool, error) {
 
 // printGap is the -state learned report: the learned-state run against its
 // oracle twin. It reports whether every learned-state flow completed.
-func printGap(c *cli, runs []specRun) (bool, error) {
+func printGap(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	learned, oracle := runs[0], runs[1]
 	rep := experiments.Gap(oracle.info(), learned.info())
 	done := rep.Learned.Completed == rep.Flows
@@ -554,22 +566,22 @@ func printGap(c *cli, runs []specRun) (bool, error) {
 			Protocol string // as the spec names it
 			experiments.GapReport
 		}
-		return done, printJSON(struct {
+		return done, printJSON(w, struct {
 			Nodes int
 			Gap   gap
 		}{learned.res.Nodes, gap{c.proto, rep}})
 	}
-	fmt.Printf("protocol: %s, state: learned (vs oracle), %d flow(s)\n", c.proto, rep.Flows)
-	fmt.Printf("%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
+	fmt.Fprintf(w, "protocol: %s, state: learned (vs oracle), %d flow(s)\n", c.proto, rep.Flows)
+	fmt.Fprintf(w, "%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
 	side := func(name string, s experiments.GapSummary) {
-		fmt.Printf("%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", name,
+		fmt.Fprintf(w, "%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", name,
 			s.Throughput, s.TxPerPacket, s.DataTxPerPacket, s.Completed, rep.Flows)
 	}
 	side("oracle", rep.Oracle)
 	side("learned", rep.Learned)
-	fmt.Printf("gap: throughput x%.2f, tx/pkt x%.2f (data-only x%.2f)\n",
+	fmt.Fprintf(w, "gap: throughput x%.2f, tx/pkt x%.2f (data-only x%.2f)\n",
 		rep.ThroughputRatio, rep.TxPerPacketRatio, rep.DataTxPerPacketRatio)
-	fmt.Printf("measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
+	fmt.Fprintf(w, "measurement plane: converged at %v, %d probe tx, %d LSA tx\n",
 		rep.Convergence, rep.ProbeTx, rep.FloodTx)
 	return done, nil
 }
@@ -602,15 +614,15 @@ type scaleRow struct {
 // printScale is the -scale / -cc-sweep table: throughput, transmission
 // cost, fairness, congestion-layer activity and wall-clock per node count
 // (and, under -cc-sweep, per policy over identical topologies and flows).
-func printScale(c *cli, runs []specRun) (bool, error) {
+func printScale(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	rows, allDone := scaleRows(runs)
 	if c.jsonOut {
-		return allDone, printJSON(rows)
+		return allDone, printJSON(w, rows)
 	}
 	spec := runs[0].spec
-	fmt.Printf("scaling sweep: proto=%s flows=%d drop=%.2f file=%dB degree=%.0f state=%s\n",
+	fmt.Fprintf(w, "scaling sweep: proto=%s flows=%d drop=%.2f file=%dB degree=%.0f state=%s\n",
 		c.proto, len(spec.Flows), c.drop, c.file, spec.Topology.Degree, spec.State.Mode)
-	fmt.Printf("%-8s %6s %7s %6s %9s %8s %6s %6s %7s %7s %9s %9s %9s\n", "cc", "nodes", "links", "deg",
+	fmt.Fprintf(w, "%-8s %6s %7s %6s %9s %8s %6s %6s %7s %7s %9s %9s %9s\n", "cc", "nodes", "links", "deg",
 		"pkt/s", "tx/pkt", "jainT", "done", "grants", "drops", "wall", "probe-tx", "flood-tx")
 	for _, row := range rows {
 		tpp := "-"
@@ -618,7 +630,7 @@ func printScale(c *cli, runs []specRun) (bool, error) {
 			tpp = fmt.Sprintf("%.2f", row.TxPerPacket)
 		}
 		st := row.CCStats
-		fmt.Printf("%-8v %6d %7d %6.1f %9.1f %8s %6.3f %3d/%-2d %7d %7d %9v %9d %9d\n",
+		fmt.Fprintf(w, "%-8v %6d %7d %6.1f %9.1f %8s %6.3f %3d/%-2d %7d %7d %9v %9d %9d\n",
 			row.CC, row.Nodes, row.UsableLinks, row.MeanDegree, row.Throughput, tpp,
 			row.Fairness.JainThroughput, row.Completed, row.Flows, st.GrantTx,
 			st.TailDrops+st.ChokeDrops+st.StaleDrops, row.WallClock.Round(time.Millisecond),
@@ -660,52 +672,62 @@ func scaleRows(runs []specRun) (rows []scaleRow, allDone bool) {
 	return rows, allDone
 }
 
-// printJSON writes v to stdout as indented JSON. A value encoding/json
-// cannot encode (a NaN metric) fails the run loudly instead of printing an
-// empty document.
-func printJSON(v any) error {
+// printJSON writes v to w as indented JSON. A value encoding/json cannot
+// encode (a NaN metric) fails the run loudly instead of printing an empty
+// document.
+func printJSON(w io.Writer, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("moresim: -json: %v", err)
 	}
-	fmt.Println(string(out))
-	return nil
+	_, err = fmt.Fprintln(w, string(out))
+	return err
 }
 
 // profileCLI carries -cpuprofile and -memprofile: where to write the
 // runtime/pprof profiles of the run, empty for none.
 type profileCLI struct{ cpu, mem string }
 
-// around calls run. CPU samples cover exactly run;
-// the heap profile is taken once run returns, after a collection, so it
-// shows what the run left live and everything it allocated. A file that
-// cannot be created or written is reported on stderr and exits 1.
-func (p profileCLI) around(run func()) {
-	check := func(flagName string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
-			os.Exit(1)
-		}
-	}
+// around calls run. CPU samples cover exactly run; the heap profile is
+// taken once run returns, after a collection, so it shows what the run left
+// live and everything it allocated. A profile file that cannot be created or
+// written is the error, named by its flag; when the CPU profile cannot
+// start, run is not called.
+func (p profileCLI) around(run func()) error {
 	var cpu *os.File
 	if p.cpu != "" {
-		var err error
-		cpu, err = os.Create(p.cpu)
-		check("-cpuprofile", err)
-		check("-cpuprofile", pprof.StartCPUProfile(cpu))
+		f, err := os.Create(p.cpu)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %v", err)
+		}
+		cpu = f
 	}
 	run()
 	if cpu != nil {
 		pprof.StopCPUProfile()
-		check("-cpuprofile", cpu.Close())
+		if err := cpu.Close(); err != nil {
+			return fmt.Errorf("-cpuprofile: %v", err)
+		}
 	}
 	if p.mem != "" {
 		f, err := os.Create(p.mem)
-		check("-memprofile", err)
-		runtime.GC() // bring the live-heap figures up to date
-		check("-memprofile", pprof.WriteHeapProfile(f))
-		check("-memprofile", f.Close())
+		if err == nil {
+			runtime.GC() // bring the live-heap figures up to date
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("-memprofile: %v", err)
+		}
 	}
+	return nil
 }
 
 // telemetryCLI groups the observability flag surface: where to write the
@@ -726,17 +748,17 @@ func (tc telemetryCLI) active() bool {
 // newHub builds the hub the flags describe. Stall dumps go to stderr as
 // indented JSON the moment the watchdog fires — the post-mortem survives
 // even if the process is killed before the run finishes.
-func (tc telemetryCLI) newHub() *telemetry.Hub {
+func (tc telemetryCLI) newHub(stderr io.Writer) *telemetry.Hub {
 	return telemetry.NewHub(telemetry.Config{
 		DeadlineNS:  int64(tc.deadlineMS * 1e6),
 		ChromeTrace: tc.trace != "",
 		OnStall: func(d telemetry.StallDump) {
 			out, err := json.MarshalIndent(d, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "moresim: stall dump: %v\n", err)
+				fmt.Fprintf(stderr, "moresim: stall dump: %v\n", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "moresim: %s at node %d (flow %d, batch %d, t=%v):\n%s\n",
+			fmt.Fprintf(stderr, "moresim: %s at node %d (flow %d, batch %d, t=%v):\n%s\n",
 				d.Reason, d.Node, d.Flow, d.Batch, sim.Time(d.At), out)
 		},
 	})
@@ -768,7 +790,7 @@ func progressLine(prev, cur progressTick) string {
 // stop function. The hub's atomic counters are the only shared state, so
 // reading them mid-run is safe; the simulated clock of the last event is
 // the best liveness signal a single-threaded simulation can offer.
-func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
+func (tc telemetryCLI) startProgress(hub *telemetry.Hub, stderr io.Writer) func() {
 	if tc.progressS <= 0 || hub == nil {
 		return func() {}
 	}
@@ -786,7 +808,7 @@ func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
 				return
 			case <-tick.C:
 				cur := progressTick{wall: time.Since(start), events: hub.Events(), simAt: sim.Time(hub.LastAt())}
-				fmt.Fprintln(os.Stderr, progressLine(prev, cur))
+				fmt.Fprintln(stderr, progressLine(prev, cur))
 				prev = cur
 			}
 		}
@@ -794,21 +816,22 @@ func (tc telemetryCLI) startProgress(hub *telemetry.Hub) func() {
 	return func() { close(stop); <-done }
 }
 
-// finish writes the artifacts the flags requested from a completed run.
-func (tc telemetryCLI) finish(hub *telemetry.Hub) bool {
+// finish writes the artifacts the flags requested from a completed run
+// ("-metrics -" to stdout), naming on stderr any it could not write.
+func (tc telemetryCLI) finish(hub *telemetry.Hub, stdout, stderr io.Writer) bool {
 	ok := true
 	if tc.metrics != "" {
 		out, err := json.MarshalIndent(hub.Report(), "", "  ")
 		if err == nil {
 			out = append(out, '\n')
 			if tc.metrics == "-" {
-				_, err = os.Stdout.Write(out)
+				_, err = stdout.Write(out)
 			} else {
 				err = os.WriteFile(tc.metrics, out, 0o644)
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-metrics: %v\n", err)
+			fmt.Fprintf(stderr, "-metrics: %v\n", err)
 			ok = false
 		}
 	}
@@ -821,11 +844,11 @@ func (tc telemetryCLI) finish(hub *telemetry.Hub) bool {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-trace-out: %v\n", err)
+			fmt.Fprintf(stderr, "-trace-out: %v\n", err)
 			ok = false
 		}
 		if n := hub.Truncated(); n > 0 {
-			fmt.Fprintf(os.Stderr, "moresim: chrome trace capped, %d events dropped\n", n)
+			fmt.Fprintf(stderr, "moresim: chrome trace capped, %d events dropped\n", n)
 		}
 	}
 	return ok

@@ -375,7 +375,7 @@ func TestLearnedStateEndToEnd(t *testing.T) {
 // and node count — pinned to the parent's single `-cc credit` and `-cc
 // cubic` runs of the same point. They are unbounded credit cells: ending one
 // any later than its last flow's completion lets forwarders that missed the
-// final ACK keep each other busy until the 3600 s deadline (ROADMAP item 3),
+// final ACK keep each other busy until the 3600 s deadline (ROADMAP item 2(b)),
 // a thousandfold tx/pkt.
 func TestScaleRowsMatchParent(t *testing.T) {
 	sweep := runFlags(t, strings.Fields("-scale 60 -flows 2 -file 24576 -seed 3 -cc-sweep")...)

@@ -22,44 +22,59 @@ import (
 )
 
 func main() {
-	inputs := os.Args[1:]
-	if len(inputs) == 0 {
-		data, err := io.ReadAll(os.Stdin)
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run checks the documents at paths (stdin when there are none), printing
+// one line per valid document to stdout. It returns 1 after naming the
+// first failure on stderr, 0 when every document passed.
+func run(paths []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if err := checkAll(paths, stdin, stdout); err != nil {
+		fmt.Fprintf(stderr, "scenariocheck: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// checkAll validates each document in turn and, given several, that they
+// are byte-identical to the first.
+func checkAll(paths []string, stdin io.Reader, stdout io.Writer) error {
+	if len(paths) == 0 {
+		data, err := io.ReadAll(stdin)
 		if err != nil {
-			fail("reading stdin: %v", err)
+			return fmt.Errorf("reading stdin: %v", err)
 		}
-		check("<stdin>", data)
-		return
+		return check(stdout, "<stdin>", data)
 	}
 	var first []byte
-	for i, path := range inputs {
+	for i, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		check(path, data)
+		if err := check(stdout, path, data); err != nil {
+			return err
+		}
 		if i == 0 {
 			first = data
 		} else if !bytes.Equal(first, data) {
-			fail("%s differs from %s: runs of one spec must be byte-identical", path, inputs[0])
+			return fmt.Errorf("%s differs from %s: runs of one spec must be byte-identical", path, paths[0])
 		}
 	}
+	return nil
 }
 
-func check(name string, data []byte) {
+// check validates one document and reports it on stdout.
+func check(stdout io.Writer, name string, data []byte) error {
 	res, err := scenario.ValidateResult(data)
 	if err != nil {
-		fail("%s: %v", name, err)
+		return fmt.Errorf("%s: %v", name, err)
 	}
 	status := "done"
 	if !res.Done() {
 		status = "INCOMPLETE"
 	}
-	fmt.Printf("%s: ok — scenario %s, %d nodes, %d flows, %s, digest %s\n",
+	fmt.Fprintf(stdout, "%s: ok — scenario %s, %d nodes, %d flows, %s, digest %s\n",
 		name, res.Scenario, res.Nodes, len(res.Flows), status, res.Digest[:12])
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "scenariocheck: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

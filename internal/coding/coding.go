@@ -81,11 +81,6 @@ func (p *Packet) IsZero() bool {
 	return true
 }
 
-// String summarizes the packet for debugging.
-func (p *Packet) String() string {
-	return fmt.Sprintf("coded{K=%d,S=%d}", len(p.Vector), len(p.Payload))
-}
-
 // randNonZero returns a uniformly random nonzero field element.
 func randNonZero(rng *rand.Rand) byte {
 	return byte(1 + rng.Intn(255))
@@ -204,12 +199,6 @@ func (b *Buffer) UsePool(p *Pool) {
 	}
 	b.pool = p
 }
-
-// K returns the batch size.
-func (b *Buffer) K() int { return b.k }
-
-// PayloadSize returns the payload size.
-func (b *Buffer) PayloadSize() int { return b.size }
 
 // Rank returns the number of innovative packets stored (the dimension of
 // the span of everything received so far).

@@ -359,9 +359,6 @@ func New(cfg Config, proto sim.Protocol) *Layer {
 	return l
 }
 
-// Config returns the layer's effective (default-filled) configuration.
-func (l *Layer) Config() Config { return l.cfg }
-
 // QueueLen reports the current data-queue depth (for tests).
 func (l *Layer) QueueLen() int { return len(l.queue) }
 

@@ -569,16 +569,11 @@ func (cp *ControlPlane) queuedData() int {
 // epoch, reported with convergence and control-plane overhead alongside the
 // results.
 func RunDetailed(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options) RunInfo {
-	return runPairs(topo, proto, pairs, opts, nil)
-}
-
-// runPairs compiles pairs to flows and runs them with the given actions.
-func runPairs(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, actions []Action) RunInfo {
 	flows := make([]Flow, len(pairs))
 	for i, p := range pairs {
 		flows[i] = Flow{Proto: proto, Src: p.Src, Dst: p.Dst, File: opts.file(opts.Seed + int64(i))}
 	}
-	return Execute(topo, opts, flows, actions).Finish()
+	return Execute(topo, opts, flows, nil).Finish()
 }
 
 // SpatialReusePairs finds source-destination pairs whose best ETX path has

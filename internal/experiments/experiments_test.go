@@ -53,9 +53,6 @@ func TestFig42Shape(t *testing.T) {
 	if !strings.Contains(res.Table(), "MORE") {
 		t.Error("table rendering broken")
 	}
-	if !strings.Contains(res.ScatterTSV(Srcr, MORE), "\t") {
-		t.Error("scatter TSV broken")
-	}
 }
 
 func TestFig43ChallengedFlowsGainMost(t *testing.T) {

@@ -101,17 +101,6 @@ func (r *ThroughputResult) CDFs() map[Protocol]*stats.CDF {
 	return out
 }
 
-// ScatterTSV renders Fig 4-3's scatter series: per pair, baseline
-// throughput vs opportunistic throughput.
-func (r *ThroughputResult) ScatterTSV(x, y Protocol) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\t%s\n", x, y)
-	for i := range r.Pairs {
-		fmt.Fprintf(&b, "%.2f\t%.2f\n", r.Throughput[x][i], r.Throughput[y][i])
-	}
-	return b.String()
-}
-
 // ChallengedGain quantifies Fig 4-3's observation: the median gain of
 // opportunistic routing over Srcr among the bottom half of Srcr flows
 // (challenged) vs the top half.

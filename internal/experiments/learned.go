@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/graph"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // The oracle-vs-learned gap experiment: the paper hands every protocol a
 // globally measured ETX table (§4.1.2); a deployable system learns that
@@ -11,8 +8,7 @@ import (
 // share the medium with data, and routes computed from noisy windowed
 // estimates are not quite the oracle's. Gap quantifies both costs from one
 // oracle run and one learned run of the same flows: `moresim -state learned`
-// feeds it a spec and its oracle twin, GapChurnRun the two sides of a
-// crash/recover cycle.
+// feeds it a spec and its oracle twin.
 
 // GapSummary aggregates one run side (oracle or learned) of a gap
 // comparison.
@@ -100,121 +96,4 @@ func Gap(oracle, learned RunInfo) GapReport {
 		rep.DataTxPerPacketRatio = rep.Learned.DataTxPerPacket / rep.Oracle.TxPerPacket
 	}
 	return rep
-}
-
-// ChurnSpec injects one crash/recover cycle into both sides of a churn gap
-// run. Times are measured from flow start (after any learned warmup).
-type ChurnSpec struct {
-	// Node crashes at FailAt and — when RecoverAt > FailAt — comes back at
-	// RecoverAt. It should relay, not source or sink, the measured flows.
-	Node      graph.NodeID
-	FailAt    sim.Time
-	RecoverAt sim.Time // <= FailAt: the node never comes back
-	// Poll is the reconvergence sampling period (default 100 ms).
-	Poll sim.Time
-}
-
-// ChurnReport extends GapReport with the learned control plane's
-// post-event reconvergence times — how long the liveness and aging
-// machinery (probe.Config.DeadInterval, linkstate.Config.MaxAge) takes to
-// react to each half of the churn cycle.
-type ChurnReport struct {
-	GapReport
-	// FailPurge is crash -> every live agent has dropped the dead origin's
-	// LSA from its database (-1: not within the run, or liveness/aging are
-	// disabled and the stale LSA lives forever).
-	FailPurge sim.Time
-	// RecoverRelearn is recovery -> every agent holds the reborn origin's
-	// LSA again (-1: not within the run, or the node never recovers).
-	RecoverRelearn sim.Time
-}
-
-// GapChurnRun runs the same flows from the oracle and from learned state
-// with a crash/recover cycle injected into both sides: the ground truth
-// flips underneath the protocols (topology mutation + node silencing +
-// oracle invalidation), and the learned side additionally measures how long
-// the measurement plane takes to purge the dead origin and to re-learn it
-// after recovery. Each side runs on its own topology clone, so churn in one
-// cannot leak into the other.
-func GapChurnRun(topo *graph.Topology, proto Protocol, pairs []Pair, opts Options, churn ChurnSpec) ChurnReport {
-	poll := churn.Poll
-	if poll <= 0 {
-		poll = 100 * sim.Millisecond
-	}
-	rep := ChurnReport{FailPurge: -1, RecoverRelearn: -1}
-
-	// watch polls cond from now on and stores the time it took to hold.
-	watch := func(x *Execution, cond func(*ControlPlane, graph.NodeID) bool, took *sim.Time) {
-		since := x.Sim.Now()
-		var tick func()
-		tick = func() {
-			if cond(x.cp, churn.Node) {
-				*took = x.Sim.Now() - since
-				return
-			}
-			x.Sim.After(poll, tick)
-		}
-		x.Sim.After(poll, tick)
-	}
-	actions := func(t *graph.Topology, measure bool) []Action {
-		acts := []Action{{At: churn.FailAt, Do: func(x *Execution) {
-			t.Isolate(churn.Node)
-			x.Sim.FailNode(churn.Node)
-			if x.Oracle != nil {
-				x.Oracle.Invalidate()
-			}
-			if measure {
-				watch(x, purgedFromAll, &rep.FailPurge)
-			}
-		}}}
-		if churn.RecoverAt <= churn.FailAt {
-			return acts
-		}
-		return append(acts, Action{At: churn.RecoverAt, Do: func(x *Execution) {
-			t.Restore(churn.Node)
-			x.Sim.RecoverNode(churn.Node)
-			if x.Oracle != nil {
-				x.Oracle.Invalidate()
-			}
-			if measure {
-				watch(x, knownToAll, &rep.RecoverRelearn)
-			}
-		}})
-	}
-
-	oTopo, lTopo := topo.Clone(), topo.Clone()
-	oOpts := opts
-	oOpts.State = StateOracle
-	lOpts := opts
-	lOpts.State = StateLearned
-
-	oracle := runPairs(oTopo, proto, pairs, oOpts, actions(oTopo, false))
-	learned := runPairs(lTopo, proto, pairs, lOpts, actions(lTopo, true))
-
-	rep.GapReport = Gap(oracle, learned)
-	return rep
-}
-
-// purgedFromAll reports whether every agent other than the dead origin's
-// own has dropped origin's LSA.
-func purgedFromAll(cp *ControlPlane, origin graph.NodeID) bool {
-	for i, a := range cp.agents {
-		if graph.NodeID(i) == origin {
-			continue // a node's own entry never expires
-		}
-		if a.Knows(origin) {
-			return false
-		}
-	}
-	return true
-}
-
-// knownToAll reports whether every agent holds origin's LSA.
-func knownToAll(cp *ControlPlane, origin graph.NodeID) bool {
-	for _, a := range cp.agents {
-		if !a.Knows(origin) {
-			return false
-		}
-	}
-	return true
 }

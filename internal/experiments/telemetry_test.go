@@ -109,14 +109,14 @@ func TestTelemetryStallDump(t *testing.T) {
 	opts.FileBytes = 256 << 10
 	opts.Repair = 2 * sim.Second
 	opts.Deadline = 12 * sim.Second
-	pairs := []Pair{{Src: 0, Dst: 19}}
 
 	var cbDumps int
 	hub := telemetry.NewHub(telemetry.Config{OnStall: func(d telemetry.StallDump) { cbDumps++ }})
 	opts.Telemetry = hub
-	info := runPairs(topo, MORE, pairs, opts, []Action{
+	flows := []Flow{{Proto: MORE, Src: 0, Dst: 19, File: opts.file(opts.Seed)}}
+	info := Execute(topo, opts, flows, []Action{
 		{At: sim.Second, Do: func(x *Execution) { x.Sim.FailNode(19) }},
-	})
+	}).Finish()
 	if info.Results[0].Completed {
 		t.Fatal("transfer completed despite dead destination")
 	}

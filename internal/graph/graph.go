@@ -212,17 +212,6 @@ func (t *Topology) Edges() int {
 	return total
 }
 
-// Neighbors returns the nodes j with delivery i -> j above the threshold.
-func (t *Topology) Neighbors(i NodeID, threshold float64) []NodeID {
-	var out []NodeID
-	for _, e := range t.OutEdges(i) {
-		if e.P > threshold {
-			out = append(out, e.Node)
-		}
-	}
-	return out
-}
-
 // Degrade scales every link's delivery probability by (1 - drop), modelling
 // a uniform extra drop rate layered over the channel (the knob large-scale
 // emulation rigs expose). drop outside [0,1) is clamped.

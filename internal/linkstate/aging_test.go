@@ -19,6 +19,11 @@ func agingConfig() Config {
 	return cfg
 }
 
+// knows reports whether the agent currently holds an LSA from origin: false
+// once aging has purged a dead origin, true again after its reborn flood
+// lands.
+func (a *Agent) knows(origin graph.NodeID) bool { return a.entry(origin) != nil }
+
 func agingSim(t *testing.T, n int) (*sim.Simulator, *graph.Topology, []*Agent) {
 	t.Helper()
 	topo := graph.Line(n, 0.95, 10)
@@ -48,10 +53,10 @@ func TestMaxAgeExpiresDeadOriginAndRelearnsRebirth(t *testing.T) {
 	topo.Isolate(2)
 	s.FailNode(2)
 	s.Run(50 * sim.Second) // 30 s of silence: well past the 10 s MaxAge
-	if agents[0].Knows(2) || agents[1].Knows(2) {
-		t.Errorf("stale LSA outlived MaxAge: node0=%v node1=%v", agents[0].Knows(2), agents[1].Knows(2))
+	if agents[0].knows(2) || agents[1].knows(2) {
+		t.Errorf("stale LSA outlived MaxAge: node0=%v node1=%v", agents[0].knows(2), agents[1].knows(2))
 	}
-	if !agents[2].Knows(2) {
+	if !agents[2].knows(2) {
 		t.Error("a node's own database entry must never expire")
 	}
 	if agents[0].ExpiredLSAs == 0 && agents[1].ExpiredLSAs == 0 {
@@ -59,14 +64,14 @@ func TestMaxAgeExpiresDeadOriginAndRelearnsRebirth(t *testing.T) {
 	}
 	// Live origins must not be collateral damage: 0 and 1 still refresh
 	// each other inside MaxAge.
-	if !agents[0].Knows(1) || !agents[1].Knows(0) {
+	if !agents[0].knows(1) || !agents[1].knows(0) {
 		t.Error("aging purged a live origin")
 	}
 
 	topo.Restore(2)
 	s.RecoverNode(2)
 	s.Run(80 * sim.Second)
-	if !agents[0].Knows(2) || !agents[1].Knows(2) {
+	if !agents[0].knows(2) || !agents[1].knows(2) {
 		t.Error("reborn origin was not re-learned after recovery")
 	}
 }
@@ -81,13 +86,13 @@ func TestFlapShorterThanMaxAgeKeepsOrigin(t *testing.T) {
 	topo.Isolate(2)
 	s.FailNode(2)
 	s.Run(24 * sim.Second) // a 4 s blip: well inside the 10 s MaxAge
-	if !agents[0].Knows(2) || !agents[1].Knows(2) {
+	if !agents[0].knows(2) || !agents[1].knows(2) {
 		t.Fatal("origin purged before MaxAge elapsed")
 	}
 	topo.Restore(2)
 	s.RecoverNode(2)
 	s.Run(44 * sim.Second)
-	if !agents[0].Knows(2) || !agents[1].Knows(2) {
+	if !agents[0].knows(2) || !agents[1].knows(2) {
 		t.Error("flapping origin lost after it came back")
 	}
 }
@@ -102,7 +107,7 @@ func TestExpiryKeepsAntiReplayState(t *testing.T) {
 	topo.Isolate(2)
 	s.FailNode(2)
 	s.Run(50 * sim.Second)
-	if agents[0].Knows(2) {
+	if agents[0].knows(2) {
 		t.Fatal("stale LSA not expired")
 	}
 	last := agents[0].seqOf(2)
@@ -129,7 +134,7 @@ func TestDeadIntervalZeroKeepsLegacyBehavior(t *testing.T) {
 	topo.Isolate(2)
 	s.FailNode(2)
 	s.Run(80 * sim.Second)
-	if !agents[0].Knows(2) {
+	if !agents[0].knows(2) {
 		t.Error("default config expired an LSA; aging must be opt-in")
 	}
 }

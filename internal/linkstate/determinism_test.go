@@ -68,7 +68,7 @@ func TestExpireAndTopologyAreOrderIndependent(t *testing.T) {
 		t.Fatalf("database size diverged: %d vs %d", a.KnownOrigins(), b.KnownOrigins())
 	}
 	for origin := graph.NodeID(0); origin < n; origin++ {
-		if a.Knows(origin) != b.Knows(origin) {
+		if a.knows(origin) != b.knows(origin) {
 			t.Fatalf("origin %d survived in one database only", origin)
 		}
 	}

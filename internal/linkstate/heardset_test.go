@@ -128,9 +128,9 @@ func TestHeardSetExact(t *testing.T) {
 			}
 		}
 	}
-	if floods < 1000 || piggy == 0 || expired == 0 || !with.agents[0].Knows(9) {
+	if floods < 1000 || piggy == 0 || expired == 0 || !with.agents[0].knows(9) {
 		t.Errorf("%d floods, %d rides, %d expiries, victim re-learned=%v: the run is not exercising the control plane",
-			floods, piggy, expired, with.agents[0].Knows(9))
+			floods, piggy, expired, with.agents[0].knows(9))
 	}
 	if len(without.sets) != 0 || len(with.sets) == 0 || marked < 10*len(with.sets) {
 		t.Errorf("%d sets allocated (%d when stripped), %d receivers marked: the set is not in use",
@@ -190,7 +190,7 @@ func TestHeardSetSharedByScopedCopies(t *testing.T) {
 	// shape checks and at its second by the set; the database never moves.
 	bad := &packet.LSA{Origin: 2, Seq: 1, Heard: graph.NewNodeSet(n), Neighbors: []graph.NodeID{0, n}, Probs: []uint8{9, 9}}
 	version := agents[0].version
-	if agents[0].accept(bad) || agents[0].accept(bad) || agents[0].version != version || agents[0].Knows(2) {
+	if agents[0].accept(bad) || agents[0].accept(bad) || agents[0].version != version || agents[0].knows(2) {
 		t.Error("malformed LSA carrying a heard-set was installed")
 	}
 }

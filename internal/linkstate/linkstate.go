@@ -679,11 +679,6 @@ func (a *Agent) Sent(f *sim.Frame, ok bool) {
 // its own).
 func (a *Agent) KnownOrigins() int { return a.known }
 
-// Knows reports whether this agent currently holds an LSA from origin —
-// false once aging has purged a dead origin, true again after its reborn
-// flood lands. Reconvergence measurements poll it.
-func (a *Agent) Knows(origin graph.NodeID) bool { return a.entry(origin) != nil }
-
 // Topology reconstructs this node's local view of the loss-annotated
 // network graph from its LSA database. Unknown links are 0.
 func (a *Agent) Topology() *graph.Topology {

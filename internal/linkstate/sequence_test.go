@@ -75,7 +75,7 @@ func TestAcceptRefusesMalformedLSA(t *testing.T) {
 	}
 	for _, installed := range []bool{false, true} {
 		a := NewAgent(DefaultConfig(), n)
-		if a.Knows(1) || a.Knows(n) || a.LoadOf(-1) != 0 || a.KnownOrigins() != 0 {
+		if a.knows(1) || a.knows(n) || a.LoadOf(-1) != 0 || a.KnownOrigins() != 0 {
 			t.Fatal("an empty database claims to know something")
 		}
 		if installed { // the same refusals once the tables exist and hold an entry
@@ -93,7 +93,7 @@ func TestAcceptRefusesMalformedLSA(t *testing.T) {
 			t.Errorf("installed=%v: refusals moved the database: version %d -> %d, origins %d -> %d",
 				installed, version, a.Version(), known, a.KnownOrigins())
 		}
-		if a.Knows(n) || a.Knows(-1) || a.LoadOf(n) != 0 {
+		if a.knows(n) || a.knows(-1) || a.LoadOf(n) != 0 {
 			t.Errorf("installed=%v: out-of-range origin reported as known", installed)
 		}
 		topo := a.Topology() // must not index out of range

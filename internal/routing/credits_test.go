@@ -362,14 +362,14 @@ func TestTestbedGapStatistics(t *testing.T) {
 }
 
 // TestPlanFallbackExceedsCap reproduces a known modelling defect, skipped
-// until ROADMAP item 3 can fix it: on a long path through a large mesh,
+// until ROADMAP item 2(a) can fix it: on a long path through a large mesh,
 // pruning and capping leave {src, dst}, the source's z goes to +Inf, and the
 // "pruning must never disconnect the source" fallback returns the unpruned
 // order — 378 forwarders on this pair against MaxForwarders = 10, more than
 // the 255 a MOREHeader can encode. Fixing it moves every 512- and 2000-node
 // digest, so it waits for a checker that can call the new ones correct.
 func TestPlanFallbackExceedsCap(t *testing.T) {
-	t.Skip("ROADMAP item 3: BuildPlan's disconnect fallback returns the unpruned order (378 forwarders for 33 -> 15 on geometric-512 seed 1)")
+	t.Skip("ROADMAP item 2(a): BuildPlan's disconnect fallback returns the unpruned order (378 forwarders for 33 -> 15 on geometric-512 seed 1)")
 	cfg := graph.DefaultGeometric(512)
 	cfg.TargetDegree, cfg.Floors = 10, 1
 	topo, _ := graph.ConnectedGeometric(cfg, 1)

@@ -133,15 +133,27 @@ func TestRunSetRateTakesEffect(t *testing.T) {
 	}
 }
 
-// TestRunRepairBeatsNoRepair is the counterfactual behind the
-// node-failure-reroute-learned golden: the same learned-state diamond crash
-// with liveness, aging, and the repair watchdog all off. MORE's broadcasts
-// still reach the destination over the poor direct link, so the transfer
-// limps to completion — but the repaired run, which purges the dead relay
-// and replans its credits, must finish measurably sooner (21 s vs 36 s
-// after the traffic epoch at the time of writing).
+// TestRunRepairBeatsNoRepair is the counterfactual behind the two learned
+// repair goldens: each row runs its golden's crash with the repair machinery
+// off, then with the row's state and top-level repair knobs filled into the
+// document's two verbs.
+//   - more (node-failure-reroute-learned): the diamond's good relay dies.
+//     MORE's broadcasts still reach the destination over the poor direct
+//     link, so the bare transfer limps to completion, but the repaired run,
+//     which purges the dead relay and replans its credits, must finish
+//     measurably sooner (21 s vs 36 s after the traffic epoch at the time of
+//     writing).
+//   - exor (exor-repair-learned): testbed relay 6 dies under an ExOR flow.
+//     Without the watchdog the batch in flight never completes: the bare run
+//     ends at its 600 s deadline with 63 of 175 packets delivered and 79,619
+//     flow transmissions. The repaired run completes in 23.3 s with 3,845.
 func TestRunRepairBeatsNoRepair(t *testing.T) {
-	base := `{
+	for _, tc := range []struct {
+		name, doc     string
+		state, repair string
+		bareDone      bool
+	}{
+		{"more", `{
   "name": "stall",
   "seed": 1,
   "deadline_s": 600,
@@ -154,17 +166,33 @@ func TestRunRepairBeatsNoRepair(t *testing.T) {
   "events": [
     {"at_s": 1, "action": "fail_node", "node": 1}
   ]
-}`
-	bare := parseRun(t, fmt.Sprintf(base, "", ""))
-	repaired := parseRun(t, fmt.Sprintf(base,
-		`, "dead_interval_s": 5, "max_age_s": 30`, "\"repair_s\": 5,\n  "))
-	if !bare.Done() || !repaired.Done() {
-		t.Fatalf("a diamond transfer stalled: bare=%v repaired=%v", bare.Done(), repaired.Done())
-	}
-	bareT, repairedT := bare.End-bare.Epoch, repaired.End-repaired.Epoch
-	if repairedT >= bareT {
-		t.Errorf("repair machinery did not speed the crash recovery: %v (repaired) vs %v (bare)",
-			repairedT, bareT)
+}`, `, "dead_interval_s": 5, "max_age_s": 30`, `"repair_s": 5, `, true},
+		{"exor", `{
+  "name": "stall-exor",
+  "seed": 1,
+  "deadline_s": 600,
+  "topology": {"kind": "testbed"},
+  "state": {"mode": "learned"%s},
+  %s"flows": [
+    {"name": "bulk", "protocol": "exor", "src": 3, "dst": 17,
+     "traffic": {"model": "file", "bytes": 262144}}
+  ],
+  "events": [
+    {"at_s": 0.5, "action": "fail_node", "node": 6}
+  ]
+}`, "", `"repair_s": 2, `, false},
+	} {
+		bare := parseRun(t, fmt.Sprintf(tc.doc, "", ""))
+		repaired := parseRun(t, fmt.Sprintf(tc.doc, tc.state, tc.repair))
+		if bare.Done() != tc.bareDone || !repaired.Done() {
+			t.Fatalf("%s: bare done=%v (want %v), repaired done=%v (want true)",
+				tc.name, bare.Done(), tc.bareDone, repaired.Done())
+		}
+		bareT, repairedT := bare.End-bare.Epoch, repaired.End-repaired.Epoch
+		if repairedT >= bareT {
+			t.Errorf("%s: repair machinery did not speed the crash recovery: %v (repaired) vs %v (bare)",
+				tc.name, repairedT, bareT)
+		}
 	}
 }
 

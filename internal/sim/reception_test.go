@@ -174,7 +174,7 @@ func TestCarrierCountsFollowListeners(t *testing.T) {
 // must collide at 1 — but node 0's row was built while 2 was down, node 0's
 // frames never see node 2's, and 1 decodes them.
 func TestRelevantRowsAfterRestore(t *testing.T) {
-	t.Skip("ROADMAP item 3: the fix moves the churn goldens, so it waits for the telemetry checker that can call the new digests correct")
+	t.Skip("ROADMAP item 2(c): the fix moves the churn goldens, so it waits for the telemetry checker that can call the new digests correct")
 	delivered := func(isolate bool) int {
 		topo := graph.New(3)
 		topo.SetLink(0, 1, 1)

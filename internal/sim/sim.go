@@ -393,12 +393,6 @@ func (s *Simulator) relevantTo(id graph.NodeID) graph.NodeSet {
 // Node returns the node with the given ID.
 func (s *Simulator) Node(id graph.NodeID) *Node { return s.nodes[id] }
 
-// Nodes returns all nodes.
-func (s *Simulator) Nodes() []*Node { return s.nodes }
-
-// Topology returns the topology the simulator runs over.
-func (s *Simulator) Topology() *graph.Topology { return s.topo }
-
 // Config returns the active configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 

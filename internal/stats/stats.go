@@ -62,12 +62,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f±%.1f min=%.1f p10=%.1f median=%.1f p90=%.1f max=%.1f",
-		s.N, s.Mean, s.Std, s.Min, s.P10, s.Median, s.P90, s.Max)
-}
-
 // Percentile returns the p-th percentile (0..100) of a *sorted* sample
 // using linear interpolation. It panics on an empty sample. Non-finite
 // values are excluded: sort.Float64s places NaNs first and +Inf last, so
@@ -149,25 +143,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		return 0
 	}
 	return Percentile(c.Values, q*100)
-}
-
-// Points returns (x, F(x)) pairs for every sample point — the series the
-// paper's CDF figures plot.
-func (c *CDF) Points() [][2]float64 {
-	out := make([][2]float64, len(c.Values))
-	for i, v := range c.Values {
-		out[i] = [2]float64{v, float64(i+1) / float64(len(c.Values))}
-	}
-	return out
-}
-
-// TSV renders the CDF as "value<TAB>fraction" lines.
-func (c *CDF) TSV() string {
-	var b strings.Builder
-	for _, p := range c.Points() {
-		fmt.Fprintf(&b, "%.3f\t%.4f\n", p[0], p[1])
-	}
-	return b.String()
 }
 
 // AsciiPlot renders one or more CDFs as a crude fixed-width chart: x axis
