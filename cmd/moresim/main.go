@@ -107,7 +107,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.BoolVar(&c.piggyback, "piggyback", false, "learned-state: ride pending LSAs on outgoing broadcast data frames instead of dedicated floods")
 	fs.StringVar(&c.cc, "cc", "none", "congestion control: "+oneOf("cc.policy"))
 	fs.IntVar(&c.ccQueue, "cc-queue", 0, "congestion-layer transmit queue bound (0: policy default)")
-	fs.Float64Var(&c.loadPenalty, "load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2)")
+	fs.Float64Var(&c.loadPenalty, "load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2; oracle state only)")
 	fs.BoolVar(&c.ccSweep, "cc-sweep", false, "with -scale: run every congestion policy over the same topologies and print the mitigation table")
 	fs.BoolVar(&c.verbose, "verbose", false, "print the first flow's forwarding plan")
 	fs.BoolVar(&c.trace, "trace", false, "print a per-node medium activity timeline")

@@ -11,8 +11,8 @@ import (
 // TestExamplesSmoke builds every example and runs it to completion,
 // asserting a zero exit. The examples are sized to finish in well under a
 // second each, so this doubles as a cheap end-to-end exercise of the
-// public-facing API surface (quickstart, transfers, metrics, multicast,
-// probing, spatial reuse).
+// public-facing API surface (quickstart, transfers, metrics, probing,
+// spatial reuse).
 func TestExamplesSmoke(t *testing.T) {
 	entries, err := os.ReadDir("examples")
 	if err != nil {

@@ -207,9 +207,8 @@ type Config struct {
 
 	// LoadExport turns on export of the layer's load signals (queue-depth
 	// EWMA, drop rate, credit-grant starvation — see Load) to the cost
-	// plane: the per-node scores feed routing.CostModel penalties and
-	// ride on LSAs under learned state, and queue high-water marks are
-	// surfaced in sim.Counters. The layer tracks the signals regardless
+	// plane: the per-node scores feed routing.CostModel penalties, and
+	// queue high-water marks are surfaced in sim.Counters. The layer tracks the signals regardless
 	// (observation only); this knob controls whether anything consumes
 	// them, so default-off runs stay byte-identical.
 	LoadExport bool
@@ -439,12 +438,8 @@ func (l *Layer) Receive(f *sim.Frame) {
 	switch m := f.Payload.(type) {
 	case *core.AckMsg:
 		// The batch is done: every queued frame for it (or older) is dead
-		// weight the protocol itself would no longer generate. Multicast
-		// ACKs leave the queue alone, exactly as forwarders keep their
-		// buffers (other destinations may still need the batch).
-		if !m.Multicast {
-			l.purgeAcked(uint32(m.Flow), m.Batch)
-		}
+		// weight the protocol itself would no longer generate.
+		l.purgeAcked(uint32(m.Flow), m.Batch)
 		l.cubicFeedback(uint32(m.Flow))
 	case *exor.DoneMsg:
 		l.purgeAcked(uint32(m.Flow), uint32(m.Batch))

@@ -340,8 +340,7 @@ func (l *Layer) senderUpstream(sender graph.NodeID, m *core.DataMsg) bool {
 	}
 	myIdx, senderIdx := m.Forwarders.Index(l.node.ID()), m.Forwarders.Index(sender)
 	if myIdx < 0 {
-		// We are the destination (or a multicast destination): everyone in
-		// the list is upstream of us.
+		// We are the destination: everyone in the list is upstream of us.
 		return senderIdx >= 0
 	}
 	return senderIdx > myIdx
@@ -353,7 +352,7 @@ func (l *Layer) senderUpstream(sender graph.NodeID, m *core.DataMsg) bool {
 // packet's source (isSrc) or sits at myIdx in its forwarder list (-1 when
 // unlisted).
 func granterDownstream(granter graph.NodeID, m *core.DataMsg, isSrc bool, myIdx int) bool {
-	if granter == m.Dst || slices.Contains(m.Dsts, granter) {
+	if granter == m.Dst {
 		return true
 	}
 	granterIdx := m.Forwarders.Index(granter)

@@ -129,11 +129,6 @@ func (r *refGate) granterDownstream(granter graph.NodeID, m *core.DataMsg) bool 
 	if granter == m.Dst {
 		return true
 	}
-	for _, d := range m.Dsts {
-		if d == granter {
-			return true
-		}
-	}
 	if m.Src == r.me {
 		for _, e := range m.Forwarders.Entries {
 			if e.Node == granter {
@@ -160,7 +155,6 @@ const (
 	roleForwarder
 	roleOverhearer
 	roleDestination
-	roleMulticastDst
 	gateRoles
 )
 
@@ -185,8 +179,6 @@ func randomGateFlow(rng *rand.Rand, id flow.ID, me graph.NodeID) *core.DataMsg {
 		}
 	case roleDestination:
 		m.Dst = me
-	case roleMulticastDst:
-		m.Dsts = []graph.NodeID{601, me, 602}
 	}
 	m.Forwarders = core.NewFwdList(entries)
 	return m

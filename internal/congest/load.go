@@ -5,7 +5,7 @@ package congest
 // EWMA, and credit-grant starvation EWMA, each normalized to [0, 1]. The
 // layer updates the EWMAs as a side effect of its own queue decisions —
 // pure observation, so tracking never perturbs traffic — and Score folds
-// them into the scalar that routing penalties and LSA load bytes carry.
+// them into the scalar that routing penalties carry.
 type Load struct {
 	// Queue is the EWMA of the data-queue depth at enqueue decisions,
 	// normalized by the hard cap (4×QueueLen): ~1 under sustained
@@ -22,7 +22,7 @@ type Load struct {
 
 // loadAlpha is the EWMA gain. 1/16 remembers roughly the last few dozen
 // queue decisions — long enough to ride out one batch endgame, short
-// enough that a hotspot shows up within a couple of LSA intervals.
+// enough that a hotspot shows up within a couple of load-sampling ticks.
 const loadAlpha = 1.0 / 16.0
 
 // Score folds the signals into one scalar in [0, 1]. Drops dominate: a
@@ -84,10 +84,8 @@ func (l *Layer) observeGate(released bool) {
 // LoadSignals returns the current raw signal set.
 func (l *Layer) LoadSignals() Load { return l.loadst.load }
 
-// LoadByte quantizes the score to the byte LSAs carry (0 = unloaded,
-// 255 = saturated). Both the oracle cost model and the learned plane
-// quantize through this same function, so perfect and learned knowledge
-// price load on the same scale.
+// LoadByte quantizes the score to a byte (0 = unloaded, 255 = saturated),
+// the unit the oracle cost model samples and prices.
 func (l *Layer) LoadByte() uint8 {
 	v := int(l.loadst.load.Score()*255 + 0.5)
 	if v > 255 {

@@ -75,11 +75,9 @@ func DefaultConfig() Config {
 // plus the coded packet. Frames are charged the encoded header size plus the
 // coded payload on the air.
 type DataMsg struct {
-	Flow flow.ID
-	Src  graph.NodeID
-	Dst  graph.NodeID
-	// Dsts is set for multicast flows: every listed node is a destination.
-	Dsts  []graph.NodeID
+	Flow  flow.ID
+	Src   graph.NodeID
+	Dst   graph.NodeID
 	Batch uint32
 	K     int
 	// TotalBatches lets the destination recognize the final batch.
@@ -94,9 +92,7 @@ type DataMsg struct {
 
 // wireBytes returns the on-air frame size for the message.
 func (m *DataMsg) wireBytes() int {
-	// Multicast destinations ride as one extra hashed byte each.
-	return packet.MOREHeaderSize(len(m.Packet.Vector), len(m.Forwarders.Entries)) +
-		len(m.Dsts) + len(m.Packet.Payload)
+	return packet.MOREHeaderSize(len(m.Packet.Vector), len(m.Forwarders.Entries)) + len(m.Packet.Payload)
 }
 
 // AckMsg is the payload of a MORE batch ACK, unicast hop by hop along the
@@ -106,13 +102,6 @@ type AckMsg struct {
 	Batch  uint32
 	Final  bool
 	Target graph.NodeID
-	// Origin is the destination that generated the ACK (multicast sources
-	// count ACKs per destination).
-	Origin graph.NodeID
-	// Multicast marks ACKs of multicast flows: forwarders must not purge
-	// the batch on overhearing them, because other destinations may still
-	// need it.
-	Multicast bool
 }
 
 func (m *AckMsg) wireBytes() int {
@@ -209,8 +198,6 @@ type sourceState struct {
 	// built from; a learned view ticks it as estimates drift, and the
 	// source rebuilds the plan at the next batch boundary.
 	planVersion uint64
-	// multicast is non-nil for multicast flows.
-	multicast *multicastState
 }
 
 // StartFlow makes this node the source of a reliable file transfer to dst.
@@ -259,17 +246,44 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	return nil
 }
 
+// padForCoding zero-pads a short final payload back to the common packet
+// size: random linear coding needs equal-length symbols, so the wire always
+// carries full-size packets. The sink verifies (and the file accounts) only
+// the real bytes — flow.VerifyPayload ignores the padding.
+func padForCoding(payloads [][]byte) [][]byte {
+	if len(payloads) == 0 {
+		return payloads
+	}
+	size := len(payloads[0])
+	last := payloads[len(payloads)-1]
+	if len(last) < size {
+		padded := make([]byte, size)
+		copy(padded, last)
+		payloads[len(payloads)-1] = padded
+	}
+	return payloads
+}
+
+// splitBatches chunks payloads into batches of at most k packets.
+func splitBatches(payloads [][]byte, k int) [][][]byte {
+	var batches [][][]byte
+	for i := 0; i < len(payloads); i += k {
+		end := i + k
+		if end > len(payloads) {
+			end = len(payloads)
+		}
+		batches = append(batches, payloads[i:end])
+	}
+	return batches
+}
+
 // repairStalled is the stall watchdog's verdict for one source: a whole
 // RepairInterval passed without a batch completing, so the forwarder plan is
 // rebuilt from the current routing state regardless of version — the
 // oracle ticks its version on invalidation, and a learned view may have
 // purged a dead forwarder between batch boundaries, but refreshPlan only
-// runs at boundaries a stalled flow never reaches. Multicast sources are
-// left alone (their plan spans several destinations).
+// runs at boundaries a stalled flow never reaches.
 func (n *Node) repairStalled(st *sourceState) {
-	if st.multicast != nil {
-		return
-	}
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(st.id), Batch: uint32(st.curBatch),
 		Aux: telemetry.StallBatch, Kind: telemetry.KindStall,
@@ -369,8 +383,7 @@ type relayState struct {
 	pool         *coding.Pool // recycles buffered receptions across batches
 	credit       float64
 	myCredit     float64
-	fwdList      *FwdList       // as last received, restated in recoded packets (§3.3.1)
-	dsts         []graph.NodeID // multicast destinations, nil for unicast
+	fwdList      *FwdList // as last received, restated in recoded packets (§3.3.1)
 	totalBatches int
 	lastActivity sim.Time
 }
@@ -431,7 +444,6 @@ func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 
 type sinkState struct {
 	id            flow.ID
-	multicast     bool
 	src           graph.NodeID
 	curBatch      uint32
 	k             int
@@ -569,12 +581,6 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		n.sinkReceive(m)
 		return
 	}
-	for _, d := range m.Dsts {
-		if d == me {
-			n.sinkReceive(m)
-			return
-		}
-	}
 	if _, ok := n.sources[m.Flow]; ok && m.Src == me {
 		return // our own flow echoed back through the mesh; ignore.
 	}
@@ -588,7 +594,6 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 	r.lastActivity = n.node.Now()
 	r.myCredit = myCredit
 	r.fwdList = m.Forwarders
-	r.dsts = m.Dsts
 	r.totalBatches = m.TotalBatches
 	if int64(m.Batch) <= r.ackedThrough {
 		return // stale batch already acked
@@ -639,7 +644,6 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	s := n.sinkFor(m.Flow)
 	s.lastActivity = n.node.Now()
 	s.src = m.Src
-	s.multicast = len(m.Dsts) > 0
 	s.totalBatches = m.TotalBatches
 	if s.result.Src != m.Src {
 		s.result.Src = m.Src
@@ -731,17 +735,12 @@ func (n *Node) sinkReceive(m *DataMsg) {
 // unicast delivery toward the flow source.
 func (n *Node) queueAck(s *sinkState, batch uint32) {
 	final := s.totalBatches > 0 && int(batch) == s.totalBatches-1
-	n.enqueueAck(&AckMsg{
-		Flow: s.id, Batch: batch, Final: final, Target: s.src,
-		Origin: n.node.ID(), Multicast: s.multicast,
-	})
+	n.enqueueAck(&AckMsg{Flow: s.id, Batch: batch, Final: final, Target: s.src})
 }
 
 func (n *Node) enqueueAck(a *AckMsg) {
 	for _, q := range n.ackQueue {
-		// Distinct multicast destinations' ACKs for the same batch must
-		// both get through: the origin is part of the identity.
-		if q.Flow == a.Flow && q.Batch == a.Batch && q.Target == a.Target && q.Origin == a.Origin {
+		if q.Flow == a.Flow && q.Batch == a.Batch && q.Target == a.Target {
 			return // already queued
 		}
 	}
@@ -751,10 +750,8 @@ func (n *Node) enqueueAck(a *AckMsg) {
 
 func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 	// Every node that hears an ACK purges the batch (§3.2.2) — overheard
-	// or addressed. Multicast ACKs come from a single destination while
-	// others may still need the batch, so forwarders keep their buffers
-	// and rely on the newer-batch flush.
-	if r, ok := n.relays[a.Flow]; ok && !a.Multicast {
+	// or addressed.
+	if r, ok := n.relays[a.Flow]; ok {
 		if int64(a.Batch) > r.ackedThrough {
 			r.ackedThrough = int64(a.Batch)
 		}
@@ -771,11 +768,7 @@ func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 		return
 	}
 	if src, ok := n.sources[a.Flow]; ok && a.Target == n.node.ID() {
-		if src.multicast != nil {
-			n.multicastAck(src, a)
-		} else {
-			n.advanceBatch(src, a.Batch)
-		}
+		n.advanceBatch(src, a.Batch)
 		return
 	}
 	// Forward the ACK another hop toward the flow source.
@@ -824,9 +817,6 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Packet:       pkt,
 			Forwarders:   st.fwd,
 		}
-		if st.multicast != nil {
-			m.Dsts = st.multicast.dsts
-		}
 		n.DataSent++
 		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
 	}
@@ -840,7 +830,6 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Flow:         id,
 			Src:          r.src,
 			Dst:          r.dst,
-			Dsts:         r.dsts,
 			Batch:        r.curBatch,
 			K:            r.k,
 			TotalBatches: r.totalBatches,

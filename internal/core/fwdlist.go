@@ -31,8 +31,7 @@ type FwdList struct {
 
 // NewFwdList indexes entries (which it keeps, not copies). A node listed
 // twice would make "the node's position" ambiguous; no plan produces one
-// (Plan.Order is a permutation, the multicast union is keyed by node), so a
-// duplicate is a bug and panics.
+// (Plan.Order is a permutation), so a duplicate is a bug and panics.
 func NewFwdList(entries []FwdEntry) *FwdList {
 	top := graph.NodeID(-1)
 	for _, e := range entries {

@@ -86,9 +86,8 @@ func TestWireBytesAllocatesNothing(t *testing.T) {
 	m := &DataMsg{
 		Packet:     &coding.Packet{Vector: make([]byte, 32), Payload: make([]byte, 1500)},
 		Forwarders: NewFwdList(entries),
-		Dsts:       []graph.NodeID{4, 5},
 	}
-	const want = 8 + 32 + 3*378 + 2 + 1500
+	const want = 8 + 32 + 3*378 + 1500
 	if got := m.wireBytes(); got != want {
 		t.Fatalf("wireBytes = %d, want %d", got, want)
 	}

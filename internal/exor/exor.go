@@ -353,15 +353,6 @@ func (n *Node) Result(id flow.ID) flow.Result {
 
 // --- Scheduling ---------------------------------------------------------------
 
-// cyclicDist is the number of turn slots from priority a to priority b.
-func cyclicDist(a, b, l int) int {
-	d := (b - a) % l
-	if d <= 0 {
-		d += l
-	}
-	return d
-}
-
 // armTurn schedules this node's turn based on the latest overheard packet.
 // As in ExOR, nodes estimate when their turn comes from transmission
 // timings: the sender's remaining fragment plus, for every priority

@@ -9,24 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCyclicDist(t *testing.T) {
-	cases := []struct {
-		a, b, l, want int
-	}{
-		{0, 1, 5, 1}, // dst to first forwarder
-		{1, 2, 5, 1}, // next in schedule
-		{4, 0, 5, 1}, // source wraps to destination
-		{2, 1, 5, 4}, // going "backwards" costs a full cycle minus one
-		{3, 3, 5, 5}, // own slot comes a full round later
-		{0, 4, 5, 4}, // dst to source
-	}
-	for _, c := range cases {
-		if got := cyclicDist(c.a, c.b, c.l); got != c.want {
-			t.Errorf("cyclicDist(%d,%d,%d) = %d, want %d", c.a, c.b, c.l, got, c.want)
-		}
-	}
-}
-
 func TestBatchMapMerge(t *testing.T) {
 	// Receiving a packet must merge batch maps element-wise toward lower
 	// (better) priorities and record the sender and self as holders.

@@ -102,19 +102,13 @@ var stacks = [...]struct {
 	}},
 	stackExor: {doneAtDst: true, build: func(o Options, cp *ControlPlane, _ bool) func(graph.NodeID) transferNode {
 		cfg := o.exorConfig()
-		return func(id graph.NodeID) transferNode {
-			ncfg := cfg
-			ncfg.Plan = cp.withNodeCost(id, cfg.Plan)
-			return exor.NewNode(ncfg, cp.providers[id])
-		}
+		cfg.Plan = cp.withLoadPenalty(cfg.Plan)
+		return func(id graph.NodeID) transferNode { return exor.NewNode(cfg, cp.providers[id]) }
 	}},
 	stackCore: {build: func(o Options, cp *ControlPlane, _ bool) func(graph.NodeID) transferNode {
 		cfg := o.coreConfig()
-		return func(id graph.NodeID) transferNode {
-			ncfg := cfg
-			ncfg.Plan = cp.withNodeCost(id, cfg.Plan)
-			return core.NewNode(ncfg, cp.providers[id])
-		}
+		cfg.Plan = cp.withLoadPenalty(cfg.Plan)
+		return func(id graph.NodeID) transferNode { return core.NewNode(cfg, cp.providers[id]) }
 	}},
 }
 

@@ -82,7 +82,7 @@ func (m StateMode) MarshalText() ([]byte, error) { return []byte(m.String()), ni
 
 // UnmarshalText parses the MarshalText form back (JSON round trips).
 func (m *StateMode) UnmarshalText(text []byte) error {
-	v, err := ParseStateMode(string(text))
+	v, err := parseStateMode(string(text))
 	if err != nil {
 		return err
 	}
@@ -90,8 +90,8 @@ func (m *StateMode) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParseStateMode parses a -state flag value.
-func ParseStateMode(s string) (StateMode, error) {
+// parseStateMode parses the String form of a StateMode.
+func parseStateMode(s string) (StateMode, error) {
 	switch s {
 	case "oracle":
 		return StateOracle, nil
@@ -158,10 +158,10 @@ type Options struct {
 	// expected-transmission units, of routing through a fully saturated
 	// forwarder (routing.CostModel). The congest layer's per-node load
 	// scores — queue-depth EWMA, drop rate, grant starvation — feed the
-	// model: sampled globally under oracle state, carried on LSAs under
-	// learned state. Nonzero values force CC.LoadExport on. Zero (the
-	// default) installs no model anywhere: routes and forwarder plans are
-	// computed from link loss alone.
+	// model, sampled globally. Oracle state only: a learned run installs no
+	// model (scenario.Spec.Validate refuses the pair). Nonzero values force
+	// CC.LoadExport on. Zero (the default) installs no model anywhere:
+	// routes and forwarder plans are computed from link loss alone.
 	LoadPenalty float64
 	// Repair arms the protocols' route-repair watchdogs (core/exor
 	// Config.RepairInterval, srcr's FIN-stall reroute): a source stalled
@@ -355,11 +355,8 @@ type ControlPlane struct {
 	// and the queue high-water export (layers holds attach order).
 	layerByID []*congest.Layer
 
-	// costs[i] is node i's routing.CostModel (nil when LoadPenalty is 0):
-	// the shared global sampler under oracle state, a per-node
-	// linkstate.LoadCost under learned state.
-	costs []routing.CostModel
-	// loadOracle is the oracle-mode snapshot model (nil otherwise).
+	// loadOracle is every node's routing.CostModel when an oracle run sets
+	// LoadPenalty (nil otherwise).
 	loadOracle *oracleLoad
 }
 
@@ -367,18 +364,15 @@ type ControlPlane struct {
 // topology/table recomputation per second of simulated time.
 const viewRecompute = sim.Second
 
-// loadRefresh is the oracle-mode load sampling cadence: the global
-// knowledge fiction refreshes every node's load score this often and
-// invalidates the oracle when anything moved, mirroring the granularity a
-// learned run gets from LSA floods.
+// loadRefresh is the load sampling cadence: the global knowledge fiction
+// refreshes every node's load score this often and invalidates the oracle
+// when anything moved.
 const loadRefresh = 2 * sim.Second
 
-// oracleLoad is the oracle-state routing.CostModel: a periodically
-// refreshed snapshot of every node's quantized load score. It prices load
-// from the same congest.Layer.LoadByte quantization LSAs carry, so
-// perfect and learned knowledge sit on one scale; snapshotting (rather
-// than reading layers live) keeps the oracle's cached tables coherent
-// between refreshes.
+// oracleLoad is the load-aware routing.CostModel: a periodically refreshed
+// snapshot of every node's quantized load score (congest.Layer.LoadByte).
+// Snapshotting (rather than reading layers live) keeps the oracle's cached
+// tables coherent between refreshes.
 type oracleLoad struct {
 	weight  float64
 	scores  []uint8
@@ -394,32 +388,21 @@ func (m *oracleLoad) NodePenalty(id graph.NodeID) float64 {
 func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 	n := topo.N()
 	cp := &ControlPlane{n: n, providers: make([]flow.RoutingState, n), cc: opts.CC}
-	if opts.LoadPenalty > 0 {
-		// The cost plane needs the layers' load signals on the wire/in the
-		// counters regardless of what the spec said about export.
-		cp.cc.LoadExport = true
-		cp.costs = make([]routing.CostModel, n)
-	}
 	cp.layerByID = make([]*congest.Layer, n)
 	if opts.State == StateLearned {
 		cp.agents = make([]*linkstate.Agent, n)
 		for i := range cp.agents {
 			cp.agents[i] = linkstate.NewAgent(opts.LinkState, n)
-			etx := routing.DefaultETXOptions()
-			if cp.costs != nil {
-				cp.costs[i] = &linkstate.LoadCost{Agent: cp.agents[i], Weight: opts.LoadPenalty}
-				etx.Cost = cp.costs[i]
-			}
-			cp.providers[i] = linkstate.NewView(cp.agents[i], etx, viewRecompute)
+			cp.providers[i] = linkstate.NewView(cp.agents[i], routing.DefaultETXOptions(), viewRecompute)
 		}
 		return cp
 	}
 	etx := routing.DefaultETXOptions()
-	if cp.costs != nil {
+	if opts.LoadPenalty > 0 {
+		// The cost plane needs the layers' load signals in the counters
+		// regardless of what the spec said about export.
+		cp.cc.LoadExport = true
 		cp.loadOracle = &oracleLoad{weight: opts.LoadPenalty, scores: make([]uint8, n)}
-		for i := range cp.costs {
-			cp.costs[i] = cp.loadOracle
-		}
 		etx.Cost = cp.loadOracle
 	}
 	cp.oracle = flow.NewOracle(topo, etx)
@@ -438,10 +421,6 @@ func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 		l := congest.New(cp.cc, p)
 		cp.layers = append(cp.layers, l)
 		cp.layerByID[id] = l
-		if cp.cc.LoadExport && cp.agents != nil {
-			// Learned state: the node's congestion score rides its LSAs.
-			cp.agents[id].SetLoadFunc(l.LoadByte)
-		}
 		p = l
 	}
 	if cp.agents != nil {
@@ -451,22 +430,22 @@ func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 	s.Attach(id, p)
 }
 
-// withNodeCost injects node id's cost model into a forwarder-plan options
-// value (both metrics); a no-op when the load-aware cost plane is off, so
+// withLoadPenalty injects the load-aware cost model into a forwarder-plan
+// options value (both metrics); a no-op when the cost plane is off, so
 // legacy plans stay bit-identical.
-func (cp *ControlPlane) withNodeCost(id graph.NodeID, p routing.PlanOptions) routing.PlanOptions {
-	if cp.costs != nil {
-		p.ETX.Cost = cp.costs[id]
-		p.EOTX.Cost = cp.costs[id]
+func (cp *ControlPlane) withLoadPenalty(p routing.PlanOptions) routing.PlanOptions {
+	if cp.loadOracle != nil {
+		p.ETX.Cost = cp.loadOracle
+		p.EOTX.Cost = cp.loadOracle
 	}
 	return p
 }
 
 // loadOracleDelta is the quantized-load swing a node must show before the
-// oracle reprices it (same hysteresis as the LSA path's trigger delta):
-// repricing invalidates every cached plan, and replanning mid-batch on
-// 1/255-step EWMA wiggle churns forwarder sets faster than the traffic
-// can amortize them — the cure becomes the congestion.
+// oracle reprices it: repricing invalidates every cached plan, and
+// replanning mid-batch on 1/255-step EWMA wiggle churns forwarder sets
+// faster than the traffic can amortize them — the cure becomes the
+// congestion.
 const loadOracleDelta = 16
 
 // startLoadSampler begins the oracle-mode load refresh loop: every
@@ -497,7 +476,7 @@ func (cp *ControlPlane) startLoadSampler(s *sim.Simulator) {
 				changed = true
 			}
 		}
-		if changed && cp.oracle != nil {
+		if changed {
 			cp.oracle.Invalidate()
 		}
 		s.After(loadRefresh, tick)

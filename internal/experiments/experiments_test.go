@@ -39,16 +39,16 @@ func TestFig42Shape(t *testing.T) {
 		}
 	}
 	// The headline orderings of Fig 4-2.
-	gainExor := res.MedianGain(MORE, ExOR)
-	gainSrcr := res.MedianGain(MORE, Srcr)
+	gainExor := res.medianGain(MORE, ExOR)
+	gainSrcr := res.medianGain(MORE, Srcr)
 	if gainExor < 0 {
 		t.Errorf("MORE median below ExOR: %+.0f%% (paper: +22%%)", gainExor)
 	}
 	if gainSrcr < 40 {
 		t.Errorf("MORE vs Srcr gain %+.0f%% too small (paper: +95%%)", gainSrcr)
 	}
-	if res.MaxGain(MORE, Srcr) < 2 {
-		t.Errorf("max MORE/Srcr gain %.1fx lacks a challenged tail", res.MaxGain(MORE, Srcr))
+	if res.maxGain(MORE, Srcr) < 2 {
+		t.Errorf("max MORE/Srcr gain %.1fx lacks a challenged tail", res.maxGain(MORE, Srcr))
 	}
 	if !strings.Contains(res.Table(), "MORE") {
 		t.Error("table rendering broken")
@@ -76,7 +76,7 @@ func TestFig44SpatialReuseShape(t *testing.T) {
 	if len(res.Pairs) < 6 {
 		t.Fatalf("found only %d spatial-reuse pairs", len(res.Pairs))
 	}
-	gain := res.MedianGain(MORE, ExOR)
+	gain := res.medianGain(MORE, ExOR)
 	// Paper: +50% visible on these flows, clearly above the testbed-wide
 	// (+22%) figure. Accept anything solidly positive at test scale.
 	if gain < 15 {
@@ -174,8 +174,8 @@ func TestFig47BatchSizeShape(t *testing.T) {
 	opts.FileBytes = 128 * 1500
 	res := Fig47BatchSize(topo, []int{8, 32}, 6, opts)
 	// §4.5: ExOR suffers at K=8; MORE is much less sensitive.
-	moreSens := res.Sensitivity(res.MORE)
-	exorSens := res.Sensitivity(res.ExOR)
+	moreSens := res.sensitivity(res.MORE)
+	exorSens := res.sensitivity(res.ExOR)
 	if exorSens < moreSens {
 		t.Errorf("ExOR batch sensitivity %.2fx below MORE's %.2fx; Fig 4-7 shape lost", exorSens, moreSens)
 	}
@@ -216,7 +216,7 @@ func TestTable41Microbench(t *testing.T) {
 	}
 	// Modern hardware must far exceed the Celeron's 44 Mb/s. Wall-clock
 	// throughput is meaningless under the race detector's slowdown.
-	if got := r.SustainableMbps(); got < 44 && !raceEnabled {
+	if got := r.sustainableMbps(); got < 44 && !raceEnabled {
 		t.Errorf("sustainable throughput %.0f Mb/s below the paper's low-end bound", got)
 	}
 	if !strings.Contains(r.Table(), "independence") {

@@ -53,8 +53,8 @@ func Fig42UnicastThroughput(topo *graph.Topology, nPairs int, opts Options) *Thr
 	return res
 }
 
-// MedianGain returns median(a)/median(b) - 1 as a percentage.
-func (r *ThroughputResult) MedianGain(a, b Protocol) float64 {
+// medianGain returns median(a)/median(b) - 1 as a percentage.
+func (r *ThroughputResult) medianGain(a, b Protocol) float64 {
 	ma := stats.Median(r.Throughput[a])
 	mb := stats.Median(r.Throughput[b])
 	if mb == 0 {
@@ -63,8 +63,8 @@ func (r *ThroughputResult) MedianGain(a, b Protocol) float64 {
 	return 100 * (ma/mb - 1)
 }
 
-// MaxGain returns the maximum per-pair ratio a/b.
-func (r *ThroughputResult) MaxGain(a, b Protocol) float64 {
+// maxGain returns the maximum per-pair ratio a/b.
+func (r *ThroughputResult) maxGain(a, b Protocol) float64 {
 	gains := stats.GainVsBaseline(r.Throughput[a], r.Throughput[b])
 	max := 0.0
 	for _, g := range gains {
@@ -86,9 +86,9 @@ func (r *ThroughputResult) Table() string {
 		s := stats.Summarize(r.Throughput[proto])
 		fmt.Fprintf(&b, "%-8s %8.1f %8.1f %8.1f %8.1f\n", proto, s.P10, s.Median, s.P90, s.Mean)
 	}
-	fmt.Fprintf(&b, "MORE vs ExOR median gain: %+.0f%%\n", r.MedianGain(MORE, ExOR))
+	fmt.Fprintf(&b, "MORE vs ExOR median gain: %+.0f%%\n", r.medianGain(MORE, ExOR))
 	fmt.Fprintf(&b, "MORE vs Srcr median gain: %+.0f%%  (max %.1fx)\n",
-		r.MedianGain(MORE, Srcr), r.MaxGain(MORE, Srcr))
+		r.medianGain(MORE, Srcr), r.maxGain(MORE, Srcr))
 	return b.String()
 }
 
@@ -173,8 +173,8 @@ func Fig44SpatialReuse(nPairs int, opts Options) *Fig44Result {
 	return res
 }
 
-// MedianGain mirrors ThroughputResult.MedianGain.
-func (r *Fig44Result) MedianGain(a, b Protocol) float64 {
+// medianGain mirrors ThroughputResult.medianGain.
+func (r *Fig44Result) medianGain(a, b Protocol) float64 {
 	mb := stats.Median(r.Throughput[b])
 	if mb == 0 {
 		return math.Inf(1)
@@ -191,7 +191,7 @@ func (r *Fig44Result) Table() string {
 		s := stats.Summarize(r.Throughput[proto])
 		fmt.Fprintf(&b, "%-8s %8.1f %8.1f\n", proto, s.Median, s.Mean)
 	}
-	fmt.Fprintf(&b, "MORE vs ExOR median gain: %+.0f%%\n", r.MedianGain(MORE, ExOR))
+	fmt.Fprintf(&b, "MORE vs ExOR median gain: %+.0f%%\n", r.medianGain(MORE, ExOR))
 	return b.String()
 }
 
@@ -409,8 +409,8 @@ func Fig42AcrossSeeds(topologies int, pairsPer int, opts Options) *RobustnessRes
 		o.Seed = used
 		r := Fig42UnicastThroughput(topo, pairsPer, o)
 		res.Seeds = append(res.Seeds, used)
-		res.GainVsExOR = append(res.GainVsExOR, r.MedianGain(MORE, ExOR))
-		res.GainVsSrcr = append(res.GainVsSrcr, r.MedianGain(MORE, Srcr))
+		res.GainVsExOR = append(res.GainVsExOR, r.medianGain(MORE, ExOR))
+		res.GainVsSrcr = append(res.GainVsSrcr, r.medianGain(MORE, Srcr))
 	}
 	return res
 }

@@ -86,13 +86,13 @@ func TestLearnedColdStart(t *testing.T) {
 }
 
 func TestParseStateMode(t *testing.T) {
-	if m, err := ParseStateMode("oracle"); err != nil || m != StateOracle {
+	if m, err := parseStateMode("oracle"); err != nil || m != StateOracle {
 		t.Fatalf("oracle: %v %v", m, err)
 	}
-	if m, err := ParseStateMode("learned"); err != nil || m != StateLearned {
+	if m, err := parseStateMode("learned"); err != nil || m != StateLearned {
 		t.Fatalf("learned: %v %v", m, err)
 	}
-	if _, err := ParseStateMode("psychic"); err == nil {
+	if _, err := parseStateMode("psychic"); err == nil {
 		t.Fatal("expected error for unknown mode")
 	}
 }

@@ -55,9 +55,9 @@ func Fig47BatchSize(topo *graph.Topology, batchSizes []int, nPairs int, opts Opt
 	return res
 }
 
-// Sensitivity returns max-over-K median / min-over-K median for a protocol:
+// sensitivity returns max-over-K median / min-over-K median for a protocol:
 // 1.0 means batch size does not matter at all.
-func (r *Fig47Result) Sensitivity(series map[int][]float64) float64 {
+func (r *Fig47Result) sensitivity(series map[int][]float64) float64 {
 	lo, hi := -1.0, -1.0
 	for _, k := range r.BatchSizes {
 		m := stats.Median(series[k])
@@ -83,7 +83,7 @@ func (r *Fig47Result) Table() string {
 			k, stats.Median(r.MORE[k]), stats.Median(r.ExOR[k]))
 	}
 	fmt.Fprintf(&b, "sensitivity (max/min median): MORE %.2fx, ExOR %.2fx\n",
-		r.Sensitivity(r.MORE), r.Sensitivity(r.ExOR))
+		r.sensitivity(r.MORE), r.sensitivity(r.ExOR))
 	return b.String()
 }
 
@@ -186,10 +186,10 @@ func Table41CodingCost(k, payload, iters int) Table41Result {
 	}
 }
 
-// SustainableMbps estimates the throughput the coding path supports: one
+// sustainableMbps estimates the throughput the coding path supports: one
 // source-coding operation per transmitted packet (§4.6(a)'s 44 Mb/s bound
 // on the Celeron).
-func (r Table41Result) SustainableMbps() float64 {
+func (r Table41Result) sustainableMbps() float64 {
 	if r.SourceCoding <= 0 {
 		return 0
 	}
@@ -204,7 +204,7 @@ func (r Table41Result) Table() string {
 	fmt.Fprintf(&b, "independence check     %8v\n", r.IndependenceCheck)
 	fmt.Fprintf(&b, "coding at the source   %8v\n", r.SourceCoding)
 	fmt.Fprintf(&b, "decoding (per packet)  %8v\n", r.Decoding)
-	fmt.Fprintf(&b, "sustainable throughput %.0f Mb/s\n", r.SustainableMbps())
+	fmt.Fprintf(&b, "sustainable throughput %.0f Mb/s\n", r.sustainableMbps())
 	return b.String()
 }
 

@@ -24,6 +24,15 @@ func agingConfig() Config {
 // lands.
 func (a *Agent) knows(origin graph.NodeID) bool { return a.entry(origin) != nil }
 
+// entry returns the LSA held for origin, or nil: none heard, aged out, or
+// origin outside the network.
+func (a *Agent) entry(origin graph.NodeID) *packet.LSA {
+	if uint(origin) >= uint(len(a.cold)) {
+		return nil
+	}
+	return a.cold[origin].lsa
+}
+
 func agingSim(t *testing.T, n int) (*sim.Simulator, *graph.Topology, []*Agent) {
 	t.Helper()
 	topo := graph.Line(n, 0.95, 10)

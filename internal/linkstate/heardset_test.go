@@ -74,7 +74,7 @@ func sameLSA(a, b *packet.LSA) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.Origin == b.Origin && a.Seq == b.Seq && a.Load == b.Load && a.TTL == b.TTL &&
+	return a.Origin == b.Origin && a.Seq == b.Seq && a.TTL == b.TTL &&
 		slices.Equal(a.Neighbors, b.Neighbors) && slices.Equal(a.Probs, b.Probs)
 }
 

@@ -138,14 +138,6 @@ type Agent struct {
 	lastAdvAt  sim.Time
 	advertised bool
 
-	// loadFunc, when set, samples this node's congestion score at each
-	// advertise tick; the byte rides the LSA (packet.LSA.Load) so learned
-	// views carry load for the cost plane. lastAdvLoad is the damping
-	// reference: a load swing of loadTriggerDelta or more defeats
-	// suppression like a link estimate moving past TriggerDelta does.
-	loadFunc    func() uint8
-	lastAdvLoad uint8
-
 	// Fisheye cadence state: advTick counts advertise ticks (the ring
 	// selector), lastSummaryAt/summarized track the periodic unscoped
 	// summary flood.
@@ -317,22 +309,18 @@ func (a *Agent) advertise() {
 		lsa.Neighbors = append(lsa.Neighbors, id)
 		lsa.Probs = append(lsa.Probs, packet.QuantizeProb(p))
 	}
-	if a.loadFunc != nil {
-		lsa.Load = a.loadFunc()
-	}
 	a.advTick++
 	if a.cfg.TriggerDelta > 0 {
 		// A due network-wide summary bypasses damping: under scoped flooding
 		// the periodic summary is the only refresh distant regions ever see,
 		// and a quiet period must not starve them onto bootstrap-era state.
-		if !a.summaryDue(a.node.Now()) && a.damped(estimates) && !loadMoved(a.lastAdvLoad, lsa.Load) {
+		if !a.summaryDue(a.node.Now()) && a.damped(estimates) {
 			a.seq--
 			a.SuppressedAdv++
 			return
 		}
 		a.lastAdv = estimates
 		a.lastAdvAt = a.node.Now()
-		a.lastAdvLoad = lsa.Load
 		a.advertised = true
 	}
 	lsa.TTL = a.scopeTTL(a.node.Now())
@@ -480,45 +468,6 @@ func (a *Agent) accept(l *packet.LSA) bool {
 	}
 	a.version++
 	return true
-}
-
-// loadTriggerDelta is the quantized-load swing that defeats flood damping:
-// 16/255 ≈ 6%, coarse enough that EWMA jitter does not turn every
-// advertise tick into a flood.
-const loadTriggerDelta = 16
-
-// loadMoved reports whether the load byte moved far enough to be news.
-func loadMoved(last, cur uint8) bool {
-	d := int(cur) - int(last)
-	if d < 0 {
-		d = -d
-	}
-	return d >= loadTriggerDelta
-}
-
-// SetLoadFunc installs the congestion-score sampler whose byte rides this
-// node's LSAs (zero means unloaded and costs no wire bytes). The control
-// plane wires it to the node's congest.Layer when load export is on; nil
-// (the default) advertises no load and keeps LSAs byte-identical to the
-// load-unaware format.
-func (a *Agent) SetLoadFunc(f func() uint8) { a.loadFunc = f }
-
-// LoadOf returns the quantized load this agent has heard for origin (its
-// latest LSA's load byte), or 0 if unknown.
-func (a *Agent) LoadOf(origin graph.NodeID) uint8 {
-	if lsa := a.entry(origin); lsa != nil {
-		return lsa.Load
-	}
-	return 0
-}
-
-// entry returns the LSA held for origin, or nil: none heard, aged out, or
-// origin outside the network.
-func (a *Agent) entry(origin graph.NodeID) *packet.LSA {
-	if uint(origin) >= uint(len(a.cold)) {
-		return nil
-	}
-	return a.cold[origin].lsa
 }
 
 // seqOf returns the newest sequence accepted from origin (0 if none).

@@ -75,11 +75,11 @@ func TestAcceptRefusesMalformedLSA(t *testing.T) {
 	}
 	for _, installed := range []bool{false, true} {
 		a := NewAgent(DefaultConfig(), n)
-		if a.knows(1) || a.knows(n) || a.LoadOf(-1) != 0 || a.KnownOrigins() != 0 {
+		if a.knows(1) || a.knows(n) || a.knows(-1) || a.KnownOrigins() != 0 {
 			t.Fatal("an empty database claims to know something")
 		}
 		if installed { // the same refusals once the tables exist and hold an entry
-			if !a.accept(&packet.LSA{Origin: 1, Seq: 3, Neighbors: ids(0), Probs: []uint8{255}, Load: 7}) {
+			if !a.accept(&packet.LSA{Origin: 1, Seq: 3, Neighbors: ids(0), Probs: []uint8{255}, TTL: 7}) {
 				t.Fatal("well-formed LSA refused")
 			}
 		}
@@ -93,13 +93,13 @@ func TestAcceptRefusesMalformedLSA(t *testing.T) {
 			t.Errorf("installed=%v: refusals moved the database: version %d -> %d, origins %d -> %d",
 				installed, version, a.Version(), known, a.KnownOrigins())
 		}
-		if a.knows(n) || a.knows(-1) || a.LoadOf(n) != 0 {
+		if a.knows(n) || a.knows(-1) {
 			t.Errorf("installed=%v: out-of-range origin reported as known", installed)
 		}
 		topo := a.Topology() // must not index out of range
 		if installed {
-			if got := topo.Prob(0, 1); got != 1 || a.LoadOf(1) != 7 || a.seqOf(1) != 3 {
-				t.Errorf("the installed entry was disturbed: p=%v load=%d seq=%d", got, a.LoadOf(1), a.seqOf(1))
+			if got := topo.Prob(0, 1); got != 1 || a.entry(1).TTL != 7 || a.seqOf(1) != 3 {
+				t.Errorf("the installed entry was disturbed: p=%v ttl=%d seq=%d", got, a.entry(1).TTL, a.seqOf(1))
 			}
 		}
 	}

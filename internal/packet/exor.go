@@ -193,18 +193,12 @@ type LSA struct {
 	// probability of link Neighbors[i] -> Origin, quantized.
 	Neighbors []graph.NodeID
 	Probs     []uint8
-	// Load is the origin's quantized congestion score (0 = unloaded,
-	// 255 = saturated; see congest.Layer.LoadByte), piggybacked so
-	// learned views carry load for the cost plane. A zero load is not
-	// encoded at all — the count byte's high bit flags its presence — so
-	// load-unaware runs produce byte-identical LSAs.
-	Load uint8
 	// TTL is the flood scope in hops (fisheye rings): a forwarder drops the
 	// LSA once the TTL it received is 1, so an origin can address a ring of
 	// near neighbors without paying a network-wide flood. Zero means
 	// unscoped — flood everywhere, the classic link-state behavior — and is
-	// not encoded at all (count-byte flag, like Load), so unscoped runs
-	// produce byte-identical LSAs.
+	// not encoded at all (a count-byte flag), so unscoped runs produce
+	// byte-identical LSAs.
 	TTL uint8
 	// Heard is simulation-side state, like sim.Frame's MAC sequence number:
 	// the nodes that have already processed this advertisement, allocated
@@ -215,14 +209,10 @@ type LSA struct {
 	Heard graph.NodeSet
 }
 
-// lsaLoadFlag marks an LSA that carries a trailing load byte. It rides the
-// high bit of the neighbor-count byte, capping LSA neighbors at 127.
-const lsaLoadFlag = 0x80
-
-// lsaTTLFlag marks an LSA that carries a trailing scope-TTL byte (after the
-// load byte, when both are present). It rides bit 6 of the neighbor-count
-// byte, lowering the neighbor cap to 63 — still ~6× any simulated
-// neighborhood.
+// lsaTTLFlag marks an LSA that carries a trailing scope-TTL byte. It rides
+// bit 6 of the neighbor-count byte, capping LSA neighbors at 63 — still ~6×
+// any simulated neighborhood. Bit 7 is never set; a count byte with it set
+// is malformed.
 const lsaTTLFlag = 0x40
 
 // QuantizeProb maps [0,1] to a byte.
@@ -239,14 +229,10 @@ func QuantizeProb(p float64) uint8 {
 // UnquantizeProb inverts QuantizeProb.
 func UnquantizeProb(q uint8) float64 { return float64(q) / 255 }
 
-// EncodedSize returns the LSA's on-air size. A nonzero load or TTL costs
-// one extra byte each; the zero-load, zero-TTL size matches the original
-// wire format exactly.
+// EncodedSize returns the LSA's on-air size. A nonzero TTL costs one extra
+// byte; the zero-TTL size matches the original wire format exactly.
 func (l *LSA) EncodedSize() int {
 	n := 2 + 4 + 1 + 3*len(l.Neighbors)
-	if l.Load != 0 {
-		n++
-	}
 	if l.TTL != 0 {
 		n++
 	}
@@ -258,18 +244,15 @@ func (l *LSA) Encode(dst []byte) ([]byte, error) {
 	if len(l.Neighbors) != len(l.Probs) {
 		return nil, ErrTooMany
 	}
-	// The count byte's high bit is the load flag and bit 6 the TTL flag, so
-	// 63 neighbors is the cap whether or not either is present (an order of
-	// magnitude above any simulated neighborhood).
+	// The count byte's bit 6 is the TTL flag, so 63 neighbors is the cap
+	// whether or not it is present (an order of magnitude above any
+	// simulated neighborhood).
 	if len(l.Neighbors) > 63 {
 		return nil, ErrTooMany
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(l.Origin))
 	dst = binary.BigEndian.AppendUint32(dst, l.Seq)
 	count := byte(len(l.Neighbors))
-	if l.Load != 0 {
-		count |= lsaLoadFlag
-	}
 	if l.TTL != 0 {
 		count |= lsaTTLFlag
 	}
@@ -277,9 +260,6 @@ func (l *LSA) Encode(dst []byte) ([]byte, error) {
 	for i, nb := range l.Neighbors {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(nb))
 		dst = append(dst, l.Probs[i])
-	}
-	if l.Load != 0 {
-		dst = append(dst, l.Load)
 	}
 	if l.TTL != 0 {
 		dst = append(dst, l.TTL)
@@ -297,9 +277,12 @@ func DecodeLSA(b []byte) (*LSA, int, error) {
 		Seq:    binary.BigEndian.Uint32(b[2:]),
 	}
 	count := b[6]
-	hasLoad := count&lsaLoadFlag != 0
 	hasTTL := count&lsaTTLFlag != 0
-	n := int(count &^ byte(lsaLoadFlag|lsaTTLFlag))
+	n := int(count &^ lsaTTLFlag)
+	if n > 63 {
+		// Bit 7 is set: past Encode's cap, so no encoder wrote these bytes.
+		return nil, 0, ErrTooMany
+	}
 	off := 7
 	if off+3*n > len(b) {
 		return nil, 0, ErrTruncated
@@ -308,13 +291,6 @@ func DecodeLSA(b []byte) (*LSA, int, error) {
 		l.Neighbors = append(l.Neighbors, graph.NodeID(binary.BigEndian.Uint16(b[off:])))
 		l.Probs = append(l.Probs, b[off+2])
 		off += 3
-	}
-	if hasLoad {
-		if off >= len(b) {
-			return nil, 0, ErrTruncated
-		}
-		l.Load = b[off]
-		off++
 	}
 	if hasTTL {
 		if off >= len(b) {

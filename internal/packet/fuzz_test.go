@@ -9,8 +9,9 @@ import (
 
 // decoderSeeds is the seed corpus of FuzzDecoders: the encodings the
 // round-trip tests of this package use, one per format and per optional
-// field — among them the LSA with its TTL on a count-byte flag bit and the
-// LSA with a trailing load byte. The same documents are checked in under
+// field — among them the LSA with its TTL on a count-byte flag bit, and the
+// bytes of the retired load-carrying LSA, whose bit-7 flag DecodeLSA refuses
+// (TestLSALoadFlagIsMalformed). The same documents are checked in under
 // testdata/fuzz/FuzzDecoders as seed-NN, beside the inputs fuzzing found.
 func decoderSeeds(t testing.TB) [][]byte {
 	must := func(b []byte, err error) []byte {
@@ -21,10 +22,8 @@ func decoderSeeds(t testing.TB) [][]byte {
 		return b
 	}
 	lsa := LSA{Origin: 7, Seq: 42, Neighbors: []graph.NodeID{1, 3, 9}, Probs: []uint8{200, 128, 25}}
-	withLoad, withTTL, withBoth := lsa, lsa, lsa
-	withLoad.Load = 137
+	withTTL := lsa
 	withTTL.TTL = 2
-	withBoth.Load, withBoth.TTL = 1, 255
 	return [][]byte{
 		must((&MOREHeader{
 			Type: TypeData, FlowID: 42, SrcHash: NodeHash(0), DstHash: NodeHash(19), BatchID: 7,
@@ -45,9 +44,9 @@ func decoderSeeds(t testing.TB) [][]byte {
 		must((&SrcrHeader{}).Encode(nil)),
 		(&Probe{Origin: 12, Seq: 99, Window: 10}).Encode(nil),
 		must(lsa.Encode(nil)),
-		must(withLoad.Encode(nil)),
+		loadFlaggedLSAs[0],
 		must(withTTL.Encode(nil)),
-		must(withBoth.Encode(nil)),
+		loadFlaggedLSAs[1],
 		must((&LSA{Origin: 65535, Seq: 1<<32 - 1, Neighbors: make([]graph.NodeID, 63), Probs: make([]uint8, 63), TTL: 1}).Encode(nil)),
 		{byte(TypeData), 0, 0, 0, 0, 0, 255}, // a length byte promising more than there is
 	}

@@ -1,18 +1,19 @@
 package packet
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// TestLSATTLRoundTrip: the scope-TTL byte must survive the wire, alone and
-// combined with the load byte, and every truncation must error.
+// TestLSATTLRoundTrip: the scope-TTL byte must survive the wire, and every
+// truncation must error.
 func TestLSATTLRoundTrip(t *testing.T) {
 	for _, l := range []*LSA{
 		{Origin: 7, Seq: 42, Neighbors: []graph.NodeID{1, 3}, Probs: []uint8{200, 25}, TTL: 2},
-		{Origin: 7, Seq: 42, Neighbors: []graph.NodeID{1, 3}, Probs: []uint8{200, 25}, Load: 90, TTL: 255},
+		{Origin: 7, Seq: 42, Neighbors: []graph.NodeID{1, 3}, Probs: []uint8{200, 25}, TTL: 255},
 	} {
 		buf, err := l.Encode(nil)
 		if err != nil {
@@ -62,7 +63,7 @@ func TestLSAZeroTTLBytesIdentical(t *testing.T) {
 // EncodedSize ignore it, DecodeLSA never produces one, and a struct copy —
 // how a forwarder decrements the TTL — shares the original's set.
 func TestHeardSetNotOnTheWire(t *testing.T) {
-	bare := &LSA{Origin: 7, Seq: 41, Neighbors: []graph.NodeID{1, 9}, Probs: []uint8{200, 31}, Load: 3, TTL: 2}
+	bare := &LSA{Origin: 7, Seq: 41, Neighbors: []graph.NodeID{1, 9}, Probs: []uint8{200, 31}, TTL: 2}
 	marked := *bare
 	marked.Heard = graph.NewNodeSet(512)
 	marked.Heard.Add(300)
@@ -87,5 +88,53 @@ func TestHeardSetNotOnTheWire(t *testing.T) {
 	fwd.TTL--
 	if fwd.Heard.Add(5); !marked.Heard.Has(5) || !fwd.Heard.Has(300) {
 		t.Fatal("a TTL-decremented copy does not share its parent's heard-set")
+	}
+}
+
+// TestLSANeighborCap: the TTL flag rides the count byte's bit 6, so 63
+// neighbors is the hard cap with or without it.
+func TestLSANeighborCap(t *testing.T) {
+	mk := func(n int) *LSA {
+		l := &LSA{Origin: 1, Seq: 1}
+		for i := 0; i < n; i++ {
+			l.Neighbors = append(l.Neighbors, graph.NodeID(i+2))
+			l.Probs = append(l.Probs, 100)
+		}
+		return l
+	}
+	if _, err := mk(63).Encode(nil); err != nil {
+		t.Fatalf("63 neighbors rejected: %v", err)
+	}
+	if _, err := mk(64).Encode(nil); err == nil {
+		t.Fatal("64 neighbors accepted: count byte would collide with the TTL flag")
+	}
+	l := mk(63)
+	l.TTL = 9
+	buf, err := l.Encode(nil)
+	if err != nil {
+		t.Fatalf("63 neighbors with a TTL rejected: %v", err)
+	}
+	got, _, err := DecodeLSA(buf)
+	if err != nil || got.TTL != 9 || len(got.Neighbors) != 63 {
+		t.Fatalf("full LSA round trip: ttl %d, %d neighbors, err %v", got.TTL, len(got.Neighbors), err)
+	}
+}
+
+// loadFlaggedLSAs are the bytes the retired load-carrying LSA format
+// produced for Origin 7, Seq 42 and three neighbors: load 137, then load 1
+// with TTL 255. Bit 7 of the count byte flagged the trailing load byte.
+var loadFlaggedLSAs = [][]byte{
+	{0, 7, 0, 0, 0, 42, 0x83, 0, 1, 200, 0, 3, 128, 0, 9, 25, 137},
+	{0, 7, 0, 0, 0, 42, 0xc3, 0, 1, 200, 0, 3, 128, 0, 9, 25, 1, 255},
+}
+
+// TestLSALoadFlagIsMalformed: no encoder sets bit 7 of the count byte now,
+// so bytes with it set are refused — read as a count they would promise up
+// to 127 neighbors, and a decoded LSA must re-encode.
+func TestLSALoadFlagIsMalformed(t *testing.T) {
+	for _, b := range append(loadFlaggedLSAs, []byte{0, 7, 0, 0, 0, 42, 0x80}) {
+		if l, n, err := DecodeLSA(b); !errors.Is(err, ErrTooMany) || l != nil || n != 0 {
+			t.Errorf("DecodeLSA(% x) = %+v, %d, %v; want ErrTooMany", b, l, n, err)
+		}
 	}
 }

@@ -13,10 +13,8 @@ import "repro/internal/graph"
 //
 // The congestion layer feeds implementations of this interface: queue
 // depth EWMAs, drop rates, and credit-grant starvation become a scalar
-// load score per node (see congest.Load), scaled by a configured weight.
-// Under oracle state the score is sampled globally; under learned state
-// it rides on LSAs (packet.LSA.Load) so each node's view prices what it
-// has heard.
+// load score per node (see congest.Load), scaled by a configured weight
+// and sampled globally under oracle state.
 type CostModel interface {
 	// NodePenalty returns the additive cost of forwarding through node
 	// id. Must be deterministic between topology-version bumps: callers

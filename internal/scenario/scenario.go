@@ -128,9 +128,9 @@ type CCSpec struct {
 	Queue int `json:"queue,omitempty"`
 	// LoadPenalty arms the load-aware cost plane: the ETX penalty of
 	// routing through a fully saturated forwarder (0 disables; see
-	// experiments.Options.LoadPenalty). The layer's load signals are
-	// exported with it: queue high-water marks appear in the result
-	// counters and learned runs carry load bytes on LSAs.
+	// experiments.Options.LoadPenalty). Oracle state only. The layer's load
+	// signals are exported with it: queue high-water marks appear in the
+	// result counters.
 	LoadPenalty float64 `json:"load_penalty,omitempty"`
 }
 
@@ -444,6 +444,11 @@ func (s *Spec) Validate() error {
 	}
 	if s.CC.LoadPenalty < 0 {
 		return fmt.Errorf("scenario %s: cc load_penalty must be >= 0 (got %v)", s.Name, s.CC.LoadPenalty)
+	}
+	if s.CC.LoadPenalty > 0 && s.State.Mode == "learned" {
+		// Load prices come from the oracle's global sampler; a learned view
+		// has no load to price.
+		return fmt.Errorf("scenario %s: cc load_penalty applies to state mode oracle only", s.Name)
 	}
 	if s.Batch < 2 {
 		return fmt.Errorf("scenario %s: batch must be >= 2 (got %d)", s.Name, s.Batch)
