@@ -16,9 +16,11 @@
 //     once K innovative packets are stored the natives are recovered by
 //     inverting the K×K coefficient matrix and running K word-wise
 //     multi-row combines over the stored payloads (§3.1.3).
-//   - Pool: a per-batch packet freelist; with pools attached the whole
-//     pipeline is allocation-free in steady state (see pool.go for the
-//     ownership rules).
+//   - Pool: a handle on the process-wide, GC-aware free list of packets of
+//     one shape, shared by every node; with pools attached the whole
+//     pipeline is allocation-free in steady state, and its output does not
+//     depend on which buffer a Get returns (see pool.go for the ownership
+//     rules).
 //
 // The byte crunching runs on the active gf256 kernel arm (GFNI, PSHUFB or
 // the portable word-wise form): multi-row combines — coding at the source,
@@ -89,8 +91,9 @@ func randNonZero(rng *rand.Rand) byte {
 // Source codes transmissions at the flow's origin: a random linear
 // combination of all K native packets of the current batch (§3.1.1). In
 // MORE, data packets are always coded, even at the source. The natives are
-// captured into a gf256.Kernel at construction, so each Next is one
-// rng.Read plus one word-wise multi-row combine.
+// captured into a gf256.Kernel at construction and at each Reset, so each
+// Next is one rng.Read plus one word-wise multi-row combine, and a flow's
+// batches of one shape share one kernel.
 type Source struct {
 	k    int
 	size int
@@ -111,14 +114,28 @@ func NewSource(native [][]byte, rng *rand.Rand) (*Source, error) {
 	if size == 0 {
 		return nil, errors.New("coding: zero-size payloads")
 	}
+	s := &Source{k: len(native), size: size, rng: rng, kern: gf256.NewKernel()}
+	if err := s.Reset(native); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset points the source at the next batch of the same shape: K payloads
+// of PayloadSize bytes each, copied into the kernel the source already owns.
+// Coded output after Reset is what a NewSource over the same natives and rng
+// would produce.
+func (s *Source) Reset(native [][]byte) error {
+	if len(native) != s.k {
+		return fmt.Errorf("coding: batch of %d payloads, source codes %d", len(native), s.k)
+	}
 	for i, p := range native {
-		if len(p) != size {
-			return nil, fmt.Errorf("coding: payload %d has size %d, want %d", i, len(p), size)
+		if len(p) != s.size {
+			return fmt.Errorf("coding: payload %d has size %d, want %d", i, len(p), s.size)
 		}
 	}
-	s := &Source{k: len(native), size: size, rng: rng, kern: gf256.NewKernel()}
 	s.kern.SetRows(native)
-	return s, nil
+	return nil
 }
 
 // K returns the batch size.

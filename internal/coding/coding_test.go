@@ -29,6 +29,31 @@ func TestSourceValidation(t *testing.T) {
 	}
 }
 
+func TestSourceResetMatchesNewSource(t *testing.T) {
+	// A source reloaded with the next batch codes exactly what a new source
+	// over that batch would, on the same rng; Reset refuses another shape.
+	const k, size = 6, 40
+	gen := rand.New(rand.NewSource(5))
+	first, second := randomNatives(gen, k, size), randomNatives(gen, k, size)
+	reused, _ := NewSource(first, rand.New(rand.NewSource(6)))
+	if err := reused.Reset(second); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewSource(second, rand.New(rand.NewSource(6)))
+	for i := 0; i < 20; i++ {
+		a, b := reused.Next(), fresh.Next()
+		if !bytes.Equal(a.Vector, b.Vector) || !bytes.Equal(a.Payload, b.Payload) {
+			t.Fatalf("packet %d: reset source and new source differ", i)
+		}
+	}
+	if err := reused.Reset(second[:k-1]); err == nil {
+		t.Error("Reset accepted a batch of another K")
+	}
+	if err := reused.Reset(randomNatives(gen, k, size+1)); err == nil {
+		t.Error("Reset accepted payloads of another size")
+	}
+}
+
 func TestSourceNextNeverZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src, err := NewSource(randomNatives(rng, 4, 16), rng)

@@ -3,11 +3,74 @@ package coding
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 )
 
+// privatePool returns a handle on a free list of its own, so a test can
+// count what comes back without meeting other tests' packets of the shape.
+// sync.Pool promises nothing about what a Get finds: a Put parks a packet
+// on the current P, which another P's Get never takes, and two GCs empty
+// the pool. So for the rest of the test the process runs on one P with the
+// collector off, and every packet put back is found again.
+func privatePool(t *testing.T, k, size int) *Pool {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	})
+	return &Pool{k: k, size: size, free: new(sync.Pool)}
+}
+
+// takeFree empties p's free list and returns what it held.
+func takeFree(p *Pool) []*Packet {
+	var out []*Packet
+	for {
+		q, _ := p.free.Get().(*Packet)
+		if q == nil {
+			return out
+		}
+		out = append(out, q)
+	}
+}
+
+// checkRecycled fails unless want packets came back to p's free list since
+// it was last emptied. Under the race detector sync.Pool drops a share of
+// Puts, so there fewer may.
+func checkRecycled(t *testing.T, p *Pool, want int, what string) {
+	t.Helper()
+	got := len(takeFree(p))
+	if got > want || (got < want && !raceEnabled) {
+		t.Fatalf("%s recycled %d packets, want %d", what, got, want)
+	}
+}
+
+// poison overwrites every packet on p's free list with 0xA5 and puts it
+// back, so a consumer that kept a recycled packet's old contents instead of
+// overwriting them reads garbage.
+func poison(p *Pool) {
+	for _, q := range takeFree(p) {
+		for i := range q.Vector {
+			q.Vector[i] = 0xA5
+		}
+		for i := range q.Payload {
+			q.Payload[i] = 0xA5
+		}
+		p.Put(q)
+	}
+}
+
 func TestPoolShapes(t *testing.T) {
-	p := NewPool(4, 16)
+	if NewPool(4, 16) != NewPool(4, 16) {
+		t.Fatal("NewPool returned two free lists for one shape")
+	}
+	if NewPool(4, 16) == NewPool(4, 17) || NewPool(4, 16) == NewPool(5, 16) {
+		t.Fatal("NewPool shares a free list between shapes")
+	}
+	p := privatePool(t, 4, 16)
 	q := p.Get()
 	if len(q.Vector) != 4 || len(q.Payload) != 16 {
 		t.Fatalf("pool packet shape %d/%d", len(q.Vector), len(q.Payload))
@@ -16,15 +79,12 @@ func TestPoolShapes(t *testing.T) {
 		t.Fatal("pool rejects its own packet")
 	}
 	p.Put(q)
-	if got := p.Get(); got != q {
-		t.Fatal("freelist did not reuse the returned packet")
-	}
+	checkRecycled(t, p, 1, "Put")
 	// Wrong shapes are dropped, nil ignored.
 	p.Put(nil)
 	p.Put(&Packet{Vector: make([]byte, 3), Payload: make([]byte, 16)})
-	if len(p.free) != 0 {
-		t.Fatal("pool accepted a mis-shaped packet")
-	}
+	p.Put(&Packet{Vector: make([]byte, 4), Payload: make([]byte, 17)})
+	checkRecycled(t, p, 0, "a mis-shaped Put")
 }
 
 func TestPooledPipelineMatchesUnpooled(t *testing.T) {
@@ -74,46 +134,150 @@ func TestPooledPipelineMatchesUnpooled(t *testing.T) {
 	}
 }
 
+func TestPoisonedPoolPipelineMatchesUnpooled(t *testing.T) {
+	// MORE's packet lifecycle over three batches: the source codes, a relay
+	// copies what is innovative into its buffer and sends from its
+	// pre-coder, the sink copies into its decoder, and every sent packet
+	// goes back to the free list once "off the air". Every packet on the
+	// free list is poisoned before anything can draw from it, so a consumer
+	// that read a recycled buffer instead of overwriting it would diverge
+	// from the unpooled run, which must match byte for byte.
+	const k, size = 8, 100
+	run := func(pooled bool) [][]byte {
+		rng := rand.New(rand.NewSource(29))
+		var pool *Pool
+		if pooled {
+			pool = privatePool(t, k, size)
+		}
+		poisoned := func() {
+			if pool != nil {
+				poison(pool)
+			}
+		}
+		recv := func(p *Packet) *Packet { // a receiver's copy of a frame
+			if pool == nil {
+				return p.Clone()
+			}
+			poisoned()
+			q := pool.Get()
+			q.CopyFrom(p)
+			return q
+		}
+		sent := func(p *Packet) {
+			if pool != nil {
+				pool.Put(p)
+			}
+		}
+		fwd := NewBuffer(k, size)
+		pre := NewPreCoder(fwd, rng)
+		dec := NewDecoder(k, size)
+		if pooled {
+			fwd.UsePool(pool)
+			dec.UsePool(pool)
+		}
+		var src *Source
+		var out [][]byte
+		for batch := 0; batch < 3; batch++ {
+			natives := randomNatives(rng, k, size)
+			if src == nil {
+				var err error
+				if src, err = NewSource(natives, rng); err != nil {
+					t.Fatal(err)
+				}
+				if pooled {
+					src.UsePool(pool)
+				}
+			} else if err := src.Reset(natives); err != nil {
+				t.Fatal(err)
+			}
+			fwd.Reset()
+			pre.Reset()
+			dec.Reset()
+			for !dec.Complete() {
+				poisoned()
+				p := src.Next()
+				if rng.Intn(2) == 0 && fwd.Innovative(p.Vector) {
+					fwd.Add(recv(p))
+					poisoned()
+					pre.Update(fwd.LastAdded())
+				}
+				if rng.Intn(4) == 0 {
+					dec.Add(recv(p))
+				}
+				sent(p)
+				poisoned()
+				if r := pre.Take(); r != nil {
+					if rng.Intn(10) < 7 {
+						dec.Add(recv(r))
+					}
+					sent(r)
+				}
+			}
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range natives {
+				if !bytes.Equal(got[i], natives[i]) {
+					t.Fatalf("pooled=%v batch %d: native %d corrupted", pooled, batch, i)
+				}
+				out = append(out, append([]byte(nil), got[i]...))
+			}
+		}
+		return out
+	}
+	a := run(false)
+	b := run(true)
+	if len(a) != len(b) {
+		t.Fatalf("unpooled run decoded %d natives, pooled %d", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("poisoned pooled pipeline diverged at native %d", i)
+		}
+	}
+}
+
 func TestBufferRecyclesOnResetAndReject(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const k, size = 4, 32
 	natives := randomNatives(rng, k, size)
 	src, _ := NewSource(natives, rng)
-	pool := NewPool(k, size)
+	pool := privatePool(t, k, size)
 	src.UsePool(pool)
 	buf := NewBuffer(k, size)
 	buf.UsePool(pool)
 	for !buf.Full() {
 		buf.Add(src.Next())
 	}
+	takeFree(pool)
 	// Non-innovative add: packet must land back in the pool.
-	before := len(pool.free)
 	buf.Add(src.Next())
-	if len(pool.free) != before+1 {
-		t.Fatal("rejected packet not recycled")
-	}
+	checkRecycled(t, pool, 1, "a rejected Add")
 	// Reset returns all k rows.
 	buf.Reset()
-	if len(pool.free) != before+1+k {
-		t.Fatalf("Reset recycled %d packets, want %d", len(pool.free)-before-1, k)
-	}
+	checkRecycled(t, pool, k, "Reset")
 	if buf.Rank() != 0 || buf.LastAdded() != nil {
 		t.Fatal("Reset left state behind")
 	}
 }
 
 func TestDecoderResetReuse(t *testing.T) {
-	// One decoder serving several batches through a pool must keep
-	// decoding correctly (the Table 4.1 benchmark pattern).
+	// One source and one decoder serving several batches through a pool
+	// must keep decoding correctly (a MORE source and sink, and the Table
+	// 4.1 benchmark pattern).
 	rng := rand.New(rand.NewSource(9))
 	const k, size = 8, 64
 	pool := NewPool(k, size)
+	src, _ := NewSource(randomNatives(rng, k, size), rng)
+	src.UsePool(pool)
 	dec := NewDecoder(k, size)
 	dec.UsePool(pool)
 	for batch := 0; batch < 5; batch++ {
 		natives := randomNatives(rng, k, size)
-		src, _ := NewSource(natives, rng)
-		src.UsePool(pool)
+		if err := src.Reset(natives); err != nil {
+			t.Fatal(err)
+		}
 		dec.Reset()
 		for !dec.Complete() {
 			dec.Add(src.Next())
@@ -135,7 +299,7 @@ func TestPreCoderResetRecycles(t *testing.T) {
 	const k, size = 4, 24
 	natives := randomNatives(rng, k, size)
 	src, _ := NewSource(natives, rng)
-	pool := NewPool(k, size)
+	pool := privatePool(t, k, size)
 	src.UsePool(pool)
 	buf := NewBuffer(k, size)
 	buf.UsePool(pool)
@@ -145,16 +309,16 @@ func TestPreCoderResetRecycles(t *testing.T) {
 	if !pc.Ready() {
 		t.Fatal("not ready after Refresh")
 	}
-	before := len(pool.free)
+	takeFree(pool)
 	pc.Reset()
-	if len(pool.free) != before+1 {
-		t.Fatal("PreCoder.Reset did not recycle the prepared packet")
-	}
+	checkRecycled(t, pool, 1, "PreCoder.Reset")
 }
 
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	// The tentpole contract: once pools are warm, Next / Innovative /
-	// Add+Decode allocate nothing.
+	// Once pools are warm, Next / Innovative / Add+Decode allocate nothing.
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
 	rng := rand.New(rand.NewSource(13))
 	const k, size = 16, 512
 	natives := randomNatives(rng, k, size)

@@ -129,6 +129,8 @@ type Node struct {
 
 	// OnDeliver, when set, is called as each batch is decoded at this
 	// node (it is the flow destination), with the native payloads in order.
+	// natives are valid only for the duration of the call: the flow's next
+	// batch is decoded into the same buffers. Copy what you keep.
 	OnDeliver func(id flow.ID, batch uint32, natives [][]byte)
 
 	// Counters.
@@ -187,8 +189,8 @@ type sourceState struct {
 	dst       graph.NodeID
 	batches   [][][]byte // native payloads per batch
 	curBatch  int
-	src       *coding.Source
-	pool      *coding.Pool // coded packets come back in Sent, once off the air
+	src       *coding.Source // reloaded per batch while the shape stays the same
+	pool      *coding.Pool   // coded packets come back in Sent, once off the air
 	fwd       *FwdList
 	result    flow.Result
 	done      bool
@@ -327,17 +329,20 @@ func (n *Node) refreshPlan(st *sourceState, dst graph.NodeID) {
 	}
 }
 
-// codeBatch points st.src at the current batch. Its coded packets come from
-// st.pool, which outlives the batch while the shape stays the same (every
-// batch but a short last one).
+// codeBatch points st.src at the current batch. A batch of the shape the
+// source already codes (every batch but a short last one) is reloaded into
+// its kernel; another shape gets a new source. Coded packets come from
+// st.pool, the free list of the batch's shape.
 func (st *sourceState) codeBatch(n *Node) error {
-	src, err := coding.NewSource(st.batches[st.curBatch], n.node.Rand())
+	natives := st.batches[st.curBatch]
+	if st.src != nil && st.src.Reset(natives) == nil {
+		return nil
+	}
+	src, err := coding.NewSource(natives, n.node.Rand())
 	if err != nil {
 		return err
 	}
-	if st.pool == nil || st.pool.K() != src.K() || st.pool.PayloadSize() != src.PayloadSize() {
-		st.pool = coding.NewPool(src.K(), src.PayloadSize())
-	}
+	st.pool = coding.NewPool(src.K(), src.PayloadSize())
 	src.UsePool(st.pool)
 	st.src = src
 	return nil
@@ -380,7 +385,7 @@ type relayState struct {
 	k            int
 	buffer       *coding.Buffer
 	pre          *coding.PreCoder
-	pool         *coding.Pool // recycles buffered receptions across batches
+	pool         *coding.Pool // the free list of the current batch's shape
 	credit       float64
 	myCredit     float64
 	fwdList      *FwdList // as last received, restated in recoded packets (§3.3.1)
@@ -389,9 +394,9 @@ type relayState struct {
 }
 
 // clonePacket copies a received packet into relay-owned storage, drawing
-// from the per-flow pool when the shape matches. Received frames are shared
-// between all overhearing nodes, so the buffer must never store m.Packet
-// itself.
+// from the free list of the batch's shape when the packet has it. Received
+// frames are shared between all overhearing nodes, so the buffer must never
+// store m.Packet itself.
 func (r *relayState) clonePacket(p *coding.Packet) *coding.Packet {
 	if r.pool != nil && r.pool.Fits(p) {
 		q := r.pool.Get()
@@ -428,8 +433,8 @@ func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 		r.buffer = nil // shape changed; rebuild below
 	}
 	if r.buffer != nil {
-		// Same shape as the previous batch: flush rows back into the pool
-		// and reuse the buffer and pre-coder outright.
+		// Same shape as the previous batch: flush rows back onto the free
+		// list and reuse the buffer and pre-coder outright.
 		r.buffer.Reset()
 		r.pre.Reset()
 	} else {
@@ -448,8 +453,8 @@ type sinkState struct {
 	curBatch      uint32
 	k             int
 	totalBatches  int
-	decoder       *coding.Decoder
-	pool          *coding.Pool // recycles received packets across batches
+	decoder       *coding.Decoder // kept, flushed, for the next batch of its shape
+	pool          *coding.Pool    // the free list of the current batch's shape
 	redundant     int
 	decodedUpTo   int64 // highest batch decoded (-1 none)
 	delivered     int
@@ -534,7 +539,7 @@ func (n *Node) TopUpRelayCredit(id flow.ID, batch uint32, granter graph.NodeID, 
 // state for the flow (e.g. it is the source, or never heard the flow).
 func (n *Node) BatchNeeded(id flow.ID) (batch uint32, needed int, ok bool) {
 	if s, ok := n.sinks[id]; ok {
-		if s.decoder != nil {
+		if s.decoder != nil && int64(s.curBatch) > s.decodedUpTo {
 			return s.curBatch, s.k - s.decoder.Rank(), true
 		}
 		if s.decodedUpTo >= 0 {
@@ -669,11 +674,15 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		s.curBatch = m.Batch
 		s.k = m.K
 		size := len(m.Packet.Payload)
-		s.decoder = coding.NewDecoder(m.K, size)
-		if s.pool == nil || s.pool.K() != m.K || s.pool.PayloadSize() != size {
+		// One decoder per flow: the last batch's decodes the next of its
+		// shape.
+		if s.decoder != nil && s.pool.K() == m.K && s.pool.PayloadSize() == size {
+			s.decoder.Reset()
+		} else {
 			s.pool = coding.NewPool(m.K, size)
+			s.decoder = coding.NewDecoder(m.K, size)
+			s.decoder.UsePool(s.pool)
 		}
-		s.decoder.UsePool(s.pool)
 		if s.result.Start == 0 && s.result.PacketsDelivered == 0 {
 			s.result.Start = n.node.Now()
 		}
@@ -718,10 +727,9 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	if n.OnDeliver != nil {
 		n.OnDeliver(s.id, m.Batch, natives)
 	}
-	// Recycle the batch's stored packets before dropping the decoder; the
-	// natives just delivered live in separate buffers and stay valid.
+	// Recycle the batch's stored packets and keep the decoder for the next
+	// batch; the natives stay in its output buffers until that one decodes.
 	s.decoder.Reset()
-	s.decoder = nil
 	if m.TotalBatches > 0 && int(m.Batch) == m.TotalBatches-1 {
 		s.done = true
 		s.result.Completed = true
@@ -795,8 +803,10 @@ func (n *Node) Pull() *sim.Frame {
 		return f
 	}
 	for range n.rr {
+		// Rotate in place, so cycling a backlog never reallocates.
 		id := n.rr[0]
-		n.rr = append(n.rr[1:], id)
+		copy(n.rr, n.rr[1:])
+		n.rr[len(n.rr)-1] = id
 		if f := n.pullFlow(id); f != nil {
 			return f
 		}
@@ -866,7 +876,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 	case *DataMsg:
 		// Broadcasts always "succeed". The frame is off the air and every
 		// receiver copied what it kept (clonePacket, sinkReceive), so the
-		// coded packet goes back to the pool it was drawn from; Put drops it
+		// coded packet goes back to the free list of its shape; Put drops it
 		// if the flow has moved on to another shape. The stopping rule
 		// (ACKs, batch advance) governs whether more traffic exists.
 		if st, ok := n.sources[m.Flow]; ok {

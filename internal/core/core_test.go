@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -306,5 +308,89 @@ func TestUnalignedFileVerifies(t *testing.T) {
 	}
 	if res.PacketsDelivered != 16 {
 		t.Fatalf("delivered %d packets, want 16", res.PacketsDelivered)
+	}
+}
+
+func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
+	// Three batches of one shape: the sink decodes all three with the
+	// decoder it built for the first and the source codes them with the
+	// source it built for the first, and every batch verifies, in the
+	// callback (where its natives are valid) and in the result.
+	const k = 8
+	topo := graph.New(3)
+	topo.SetLink(0, 1, 0.9)
+	topo.SetLink(1, 2, 0.9)
+	cfg := smallCfg(k)
+	cfg.PayloadSize = 100
+	file := flow.NewFile(3*k*100, 100, 29)
+	want := file.Payloads()
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, cfg.Plan.ETX)
+	nodes := make([]*Node, topo.N())
+	for i := range nodes {
+		nodes[i] = NewNode(cfg, oracle)
+		s.Attach(graph.NodeID(i), nodes[i])
+	}
+	decoders := map[*coding.Decoder]bool{}
+	var batches []uint32
+	nodes[2].OnDeliver = func(id flow.ID, batch uint32, natives [][]byte) {
+		decoders[nodes[2].sinks[id].decoder] = true
+		batches = append(batches, batch)
+		for i, p := range natives {
+			if !flow.VerifyPayload(p, want[int(batch)*k+i]) {
+				t.Errorf("batch %d: native %d does not verify", batch, i)
+			}
+		}
+	}
+	done := false
+	nodes[2].ExpectFlow(1, file, nil)
+	if err := nodes[0].StartFlow(1, 2, file, func(flow.Result) { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	src := nodes[0].sources[1].src
+	s.RunWhile(120*sim.Second, func() bool { return !done })
+	if res := nodes[2].Result(1); !res.Completed || !res.Verified || res.PacketsDelivered != 3*k {
+		t.Fatalf("transfer failed: %v", res)
+	}
+	if !slices.Equal(batches, []uint32{0, 1, 2}) {
+		t.Fatalf("delivered batches %v, want [0 1 2]", batches)
+	}
+	if len(decoders) != 1 {
+		t.Fatalf("the sink decoded 3 batches with %d decoders, want 1", len(decoders))
+	}
+	if nodes[0].sources[1].src != src {
+		t.Fatal("the source built a new coding source for a batch of the same shape")
+	}
+}
+
+func TestPullRotatesWithoutAllocating(t *testing.T) {
+	// A Pull that walks the round-robin past relays without credit and
+	// returns nil allocates nothing, with one backlogged flow (whose
+	// one-entry cycle the rotation used to reallocate on every pull) or
+	// several, and leaves the cycle in its order.
+	for _, flows := range []int{1, 3} {
+		n := NewNode(DefaultConfig(), nil)
+		for id := flow.ID(1); id <= flow.ID(flows); id++ {
+			buf := coding.NewBuffer(2, 4)
+			buf.Add(&coding.Packet{Vector: []byte{1, 0}, Payload: make([]byte, 4)})
+			n.relays[id] = &relayState{id: id, buffer: buf}
+			n.rrAdd(id)
+		}
+		order := slices.Clone(n.rr)
+		allocs := testing.AllocsPerRun(100, func() {
+			if n.Pull() != nil {
+				t.Fatal("a relay without credit sent")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d flows: Pull allocates %.1f/op", flows, allocs)
+		}
+		// AllocsPerRun adds one warm-up call; every call visits every relay.
+		if n.CreditDenied != int64(101*flows) {
+			t.Errorf("%d flows: %d credit denials over 101 pulls, want %d", flows, n.CreditDenied, 101*flows)
+		}
+		if !slices.Equal(n.rr, order) {
+			t.Errorf("%d flows: round-robin order %v after full cycles, want %v", flows, n.rr, order)
+		}
 	}
 }

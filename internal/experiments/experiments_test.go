@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/gf256"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -378,6 +379,32 @@ func TestParallelFig44Deterministic(t *testing.T) {
 	b := Fig44SpatialReuse(3, par)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("Fig44 differs between serial and 4 workers")
+	}
+}
+
+func TestMOREFreeListsSharedAcrossWorkers(t *testing.T) {
+	// Every MORE node of every simulation in the process draws its coded
+	// packets from the one free list of their shape, so simulations running
+	// at once hand packets to each other. Four workers must give the
+	// results of one, flow by flow. Two shapes are live (K = 32 batches and
+	// a K = 16 tail); under -race the detector watches the hand-overs.
+	topo := TestbedTopology()
+	opts := quickOpts()
+	opts.FileBytes = 80 * 1500
+	pairs := RandomPairs(topo, 8, 29)
+	run := func(workers int) []flow.Result {
+		out := make([]flow.Result, len(pairs))
+		forEach(len(pairs), workers, func(i int) { out[i] = Run(topo, MORE, pairs[i], opts) })
+		return out
+	}
+	serial, par := run(1), run(4)
+	for i, r := range serial {
+		if !r.Completed || !r.Verified {
+			t.Fatalf("pair %d: %v", i, r)
+		}
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Errorf("MORE results differ between 1 and 4 workers:\n%v\nvs\n%v", serial, par)
 	}
 }
 
