@@ -185,17 +185,19 @@ func (n *Node) sweepStale() {
 // --- Source ------------------------------------------------------------------
 
 type sourceState struct {
-	id        flow.ID
-	dst       graph.NodeID
-	batches   [][][]byte // native payloads per batch
-	curBatch  int
-	src       *coding.Source // reloaded per batch while the shape stays the same
-	pool      *coding.Pool   // coded packets come back in Sent, once off the air
-	fwd       *FwdList
-	result    flow.Result
-	done      bool
-	onDone    func(flow.Result)
-	txAtStart int64
+	id           flow.ID
+	dst          graph.NodeID
+	file         flow.File
+	natives      [][]byte // the current batch, regenerated from file per batch
+	totalBatches int
+	curBatch     int
+	src          *coding.Source // reloaded per batch while the shape stays the same
+	pool         *coding.Pool   // coded packets come back in Sent, once off the air
+	fwd          *FwdList
+	result       flow.Result
+	done         bool
+	onDone       func(flow.Result)
+	txAtStart    int64
 	// planVersion is the routing-state generation the forwarder plan was
 	// built from; a learned view ticks it as estimates drift, and the
 	// source rebuilds the plan at the next batch boundary.
@@ -214,23 +216,25 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	if err != nil {
 		return fmt.Errorf("core: flow %d: %w", id, err)
 	}
-	payloads := padForCoding(file.Payloads())
-	batches := splitBatches(payloads, n.cfg.BatchSize)
-	if len(batches) == 0 {
+	total := file.NumPackets()
+	if total == 0 {
 		return fmt.Errorf("core: flow %d: empty file", id)
 	}
+	k := n.cfg.BatchSize
 	st := &sourceState{
-		id:          id,
-		dst:         dst,
-		batches:     batches,
-		fwd:         fwdEntries(plan),
-		onDone:      onDone,
-		txAtStart:   n.node.Sim().Counters.Transmissions,
-		planVersion: n.state.Version(),
+		id:           id,
+		dst:          dst,
+		file:         file,
+		natives:      newRows(min(k, total), file.PacketSize(0)),
+		totalBatches: (total + k - 1) / k,
+		fwd:          fwdEntries(plan),
+		onDone:       onDone,
+		txAtStart:    n.node.Sim().Counters.Transmissions,
+		planVersion:  n.state.Version(),
 	}
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dst,
-		PacketsTotal: len(payloads),
+		PacketsTotal: total,
 		Start:        n.node.Now(),
 	}
 	if err := st.codeBatch(n); err != nil {
@@ -248,35 +252,14 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	return nil
 }
 
-// padForCoding zero-pads a short final payload back to the common packet
-// size: random linear coding needs equal-length symbols, so the wire always
-// carries full-size packets. The sink verifies (and the file accounts) only
-// the real bytes — flow.VerifyPayload ignores the padding.
-func padForCoding(payloads [][]byte) [][]byte {
-	if len(payloads) == 0 {
-		return payloads
+// newRows returns n zeroed rows of size bytes over one array.
+func newRows(n, size int) [][]byte {
+	buf := make([]byte, n*size)
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = buf[i*size : (i+1)*size : (i+1)*size]
 	}
-	size := len(payloads[0])
-	last := payloads[len(payloads)-1]
-	if len(last) < size {
-		padded := make([]byte, size)
-		copy(padded, last)
-		payloads[len(payloads)-1] = padded
-	}
-	return payloads
-}
-
-// splitBatches chunks payloads into batches of at most k packets.
-func splitBatches(payloads [][]byte, k int) [][][]byte {
-	var batches [][][]byte
-	for i := 0; i < len(payloads); i += k {
-		end := i + k
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		batches = append(batches, payloads[i:end])
-	}
-	return batches
+	return rows
 }
 
 // repairStalled is the stall watchdog's verdict for one source: a whole
@@ -329,12 +312,20 @@ func (n *Node) refreshPlan(st *sourceState, dst graph.NodeID) {
 	}
 }
 
-// codeBatch points st.src at the current batch. A batch of the shape the
-// source already codes (every batch but a short last one) is reloaded into
-// its kernel; another shape gets a new source. Coded packets come from
-// st.pool, the free list of the batch's shape.
+// codeBatch points st.src at the current batch. The batch's packets are
+// regenerated into the natives scratch, every row the size of the file's
+// first packet: random linear coding needs equal-length symbols, so Fill
+// zero-pads a short final packet, and the sink verifies only the real bytes.
+// A batch of the shape the source already codes (every batch but a short
+// last one) is reloaded into its kernel; another shape gets a new source.
+// Either way the kernel copies the rows, so the scratch is free again at
+// once. Coded packets come from st.pool, the free list of the batch's shape.
 func (st *sourceState) codeBatch(n *Node) error {
-	natives := st.batches[st.curBatch]
+	base := st.curBatch * n.cfg.BatchSize
+	natives := st.natives[:min(len(st.natives), st.file.NumPackets()-base)]
+	for i, row := range natives {
+		st.file.Fill(base+i, row)
+	}
 	if st.src != nil && st.src.Reset(natives) == nil {
 		return nil
 	}
@@ -354,7 +345,7 @@ func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 		return
 	}
 	st.curBatch++
-	if st.curBatch >= len(st.batches) {
+	if st.curBatch >= st.totalBatches {
 		st.done = true
 		st.result.Completed = true
 		st.result.End = n.node.Now()
@@ -448,21 +439,21 @@ func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 // --- Destination -------------------------------------------------------------
 
 type sinkState struct {
-	id            flow.ID
-	src           graph.NodeID
-	curBatch      uint32
-	k             int
-	totalBatches  int
-	decoder       *coding.Decoder // kept, flushed, for the next batch of its shape
-	pool          *coding.Pool    // the free list of the current batch's shape
-	redundant     int
-	decodedUpTo   int64 // highest batch decoded (-1 none)
-	delivered     int
-	done          bool
-	lastActivity  sim.Time
-	result        flow.Result
-	onDone        func(flow.Result)
-	verifyAgainst [][]byte
+	id           flow.ID
+	src          graph.NodeID
+	curBatch     uint32
+	k            int
+	totalBatches int
+	decoder      *coding.Decoder // kept, flushed, for the next batch of its shape
+	pool         *coding.Pool    // the free list of the current batch's shape
+	redundant    int
+	decodedUpTo  int64 // highest batch decoded (-1 none)
+	delivered    int
+	done         bool
+	lastActivity sim.Time
+	result       flow.Result
+	onDone       func(flow.Result)
+	verify       *flow.File // set by ExpectFlow; nil checks nothing
 }
 
 // ExpectFlow registers the receive side: optional completion callback and
@@ -472,7 +463,7 @@ type sinkState struct {
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
 	s := n.sinkFor(id)
 	s.onDone = onDone
-	s.verifyAgainst = file.Payloads()
+	s.verify = &file
 	s.result.PacketsTotal = file.NumPackets()
 }
 
@@ -709,10 +700,10 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	s.decodedUpTo = int64(m.Batch)
 	s.redundant = 0
 	base := int(m.Batch) * n.cfg.BatchSize
-	for i, p := range natives {
-		if s.verifyAgainst != nil {
-			idx := base + i
-			if idx >= len(s.verifyAgainst) || !flow.VerifyPayload(p, s.verifyAgainst[idx]) {
+	if s.verify != nil {
+		// A native carries its packet and then the coding pad.
+		for i, p := range natives {
+			if !s.verify.Matches(base+i, p[:min(s.verify.PacketSize(base+i), len(p))]) {
 				s.result.Verified = false
 			}
 		}
@@ -823,7 +814,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			Dst:          st.dst,
 			Batch:        uint32(st.curBatch),
 			K:            st.src.K(),
-			TotalBatches: len(st.batches),
+			TotalBatches: st.totalBatches,
 			Packet:       pkt,
 			Forwarders:   st.fwd,
 		}

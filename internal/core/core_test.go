@@ -16,6 +16,13 @@ import (
 func runMORE(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 	src, dst graph.NodeID, file flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
 	t.Helper()
+	return runMOREExpecting(t, topo, cfg, simCfg, src, dst, file, file, deadline)
+}
+
+// runMOREExpecting is runMORE with the sink told to expect sinkFile.
+func runMOREExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
+	src, dst graph.NodeID, file, sinkFile flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
+	t.Helper()
 	s := sim.New(topo, simCfg)
 	oracle := flow.NewOracle(topo, cfg.Plan.ETX)
 	nodes := make([]*Node, topo.N())
@@ -24,7 +31,7 @@ func runMORE(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	done := false
-	nodes[dst].ExpectFlow(1, file, func(r flow.Result) {})
+	nodes[dst].ExpectFlow(1, sinkFile, func(r flow.Result) {})
 	if err := nodes[src].StartFlow(1, dst, file, func(r flow.Result) { done = true }); err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +318,24 @@ func TestUnalignedFileVerifies(t *testing.T) {
 	}
 }
 
+func TestSinkRejectsAnotherSeed(t *testing.T) {
+	// The sink verifies by regenerating the file it was told to expect: a
+	// file of the same shape under another seed decodes and completes, but
+	// fails verification. Without this, a sink that checked nothing would
+	// pass every other test.
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 0.8)
+	file := flow.NewFile(15*1500+137, 1500, 42)
+	other := flow.NewFile(file.Bytes, file.PktSize, 43)
+	res, _, _ := runMOREExpecting(t, topo, smallCfg(8), sim.DefaultConfig(), 0, 1, file, other, 60*sim.Second)
+	if !res.Completed || res.PacketsDelivered != 16 {
+		t.Fatalf("transfer incomplete: %v", res)
+	}
+	if res.Verified {
+		t.Fatal("a sink expecting another seed verified the delivery")
+	}
+}
+
 func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	// Three batches of one shape: the sink decodes all three with the
 	// decoder it built for the first and the source codes them with the
@@ -323,7 +348,6 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	cfg := smallCfg(k)
 	cfg.PayloadSize = 100
 	file := flow.NewFile(3*k*100, 100, 29)
-	want := file.Payloads()
 	s := sim.New(topo, sim.DefaultConfig())
 	oracle := flow.NewOracle(topo, cfg.Plan.ETX)
 	nodes := make([]*Node, topo.N())
@@ -337,7 +361,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 		decoders[nodes[2].sinks[id].decoder] = true
 		batches = append(batches, batch)
 		for i, p := range natives {
-			if !flow.VerifyPayload(p, want[int(batch)*k+i]) {
+			if !file.Matches(int(batch)*k+i, p) {
 				t.Errorf("batch %d: native %d does not verify", batch, i)
 			}
 		}

@@ -20,7 +20,6 @@
 package exor
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/flow"
@@ -159,7 +158,7 @@ type exorFlow struct {
 
 	// Source-only.
 	isSource bool
-	batches  [][][]byte
+	file     flow.File // the batch's packets are made from it at load
 	result   flow.Result
 	done     bool
 	onDone   func(flow.Result)
@@ -171,7 +170,7 @@ type exorFlow struct {
 	reDoneAt sim.Time
 
 	// Sink-only.
-	verify    [][]byte
+	verify    *flow.File // set by ExpectFlow; nil checks nothing
 	delivered int
 	sinkRes   flow.Result
 	sinkDone  func(flow.Result)
@@ -216,30 +215,21 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	if err != nil {
 		return fmt.Errorf("exor: flow %d: %w", id, err)
 	}
-	payloads := file.Payloads()
-	k := n.cfg.BatchSize
-	var batches [][][]byte
-	for i := 0; i < len(payloads); i += k {
-		end := i + k
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		batches = append(batches, payloads[i:end])
-	}
-	if len(batches) == 0 {
+	total := file.NumPackets()
+	if total == 0 {
 		return fmt.Errorf("exor: flow %d: empty file", id)
 	}
 	f := &exorFlow{
 		id: id, src: n.node.ID(), dst: dst,
 		prio: prio, myPrio: len(prio) - 1,
-		totalBatches: len(batches),
+		totalBatches: (total + n.cfg.BatchSize - 1) / n.cfg.BatchSize,
 		isSource:     true,
-		batches:      batches,
+		file:         file,
 		onDone:       onDone,
 		cleanedIdx:   make(map[int]bool),
 		planVersion:  n.state.Version(),
 	}
-	f.result = flow.Result{Src: n.node.ID(), Dst: dst, PacketsTotal: len(payloads), Start: n.node.Now()}
+	f.result = flow.Result{Src: n.node.ID(), Dst: dst, PacketsTotal: total, Start: n.node.Now()}
 	n.flows[id] = f
 	n.flowOrder = append(n.flowOrder, id)
 	n.loadSourceBatch(f, 0)
@@ -287,10 +277,11 @@ func (n *Node) restartStalled(f *exorFlow) {
 	n.startTurn(f)
 }
 
-// loadSourceBatch resets the source's per-batch state. When the routing
-// state has re-converged since the priority list was built (learned link
-// state only; the oracle's version is constant), the list is rebuilt so the
-// new batch runs over the freshest forwarder ordering.
+// loadSourceBatch resets the source's per-batch state and makes the
+// batch's packets from the file (a restart makes the same bytes again).
+// When the routing state has re-converged since the priority list was built
+// (learned link state only; the oracle's version is constant), the list is
+// rebuilt so the new batch runs over the freshest forwarder ordering.
 func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 	if v := n.state.Version(); v != f.planVersion {
 		f.planVersion = v
@@ -300,7 +291,7 @@ func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 	}
 	f.batch = b
 	f.base = b * n.cfg.BatchSize
-	nat := f.batches[b]
+	nat := f.file.Packets(f.base, min(f.base+n.cfg.BatchSize, f.file.NumPackets()))
 	f.k = len(nat)
 	f.have = make([]bool, f.k)
 	f.payload = make([][]byte, f.k)
@@ -322,7 +313,7 @@ func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 // ExpectFlow wires destination-side reporting and verification.
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
 	f := n.flowFor(id)
-	f.verify = file.Payloads()
+	f.verify = &file
 	f.sinkDone = onDone
 	f.sinkRes.PacketsTotal = file.NumPackets()
 	f.sinkRes.Dst = n.node.ID()
@@ -561,8 +552,7 @@ func (n *Node) receiveData(m *DataMsg) {
 			f.mapDirty = true
 		}
 		if !f.have[m.PktIdx] && m.Payload != nil {
-			f.have[m.PktIdx] = true
-			f.payload[m.PktIdx] = m.Payload
+			n.hold(f, m.PktIdx, m.Payload)
 			if f.myPrio >= 0 && uint8(f.myPrio) < f.bmap[m.PktIdx] {
 				f.bmap[m.PktIdx] = uint8(f.myPrio)
 				f.mapDirty = true
@@ -583,6 +573,16 @@ func (n *Node) receiveData(m *DataMsg) {
 	n.armTurn(f, m.SenderPrio, m.FragRemaining)
 }
 
+// hold keeps packet i of the current batch. The destination checks it
+// against the file here, once, where it is first held.
+func (n *Node) hold(f *exorFlow, i int, p []byte) {
+	f.have[i] = true
+	f.payload[i] = p
+	if f.verify != nil && n.node.ID() == f.dst && !f.verify.Matches(f.base+i, p) {
+		f.sinkRes.Verified = false
+	}
+}
+
 // sinkProgress handles destination-side delivery accounting.
 func (n *Node) sinkProgress(f *exorFlow) {
 	if n.node.ID() != f.dst || f.k == 0 {
@@ -596,12 +596,6 @@ func (n *Node) sinkProgress(f *exorFlow) {
 	for i := 0; i < f.k; i++ {
 		if f.have[i] {
 			count++
-			if f.verify != nil {
-				idx := f.base + i
-				if idx >= len(f.verify) || !bytes.Equal(f.payload[i], f.verify[idx]) {
-					f.sinkRes.Verified = false
-				}
-			}
 		}
 	}
 	total := f.base + count
@@ -687,8 +681,7 @@ func (n *Node) receiveCleanup(fr *sim.Frame, m *CleanupMsg) {
 	f := n.flowFor(m.Flow)
 	if n.node.ID() == m.Target {
 		if f.k > 0 && m.Batch == f.batch && m.PktIdx < f.k && !f.have[m.PktIdx] {
-			f.have[m.PktIdx] = true
-			f.payload[m.PktIdx] = m.Payload
+			n.hold(f, m.PktIdx, m.Payload)
 			f.bmap[m.PktIdx] = 0
 			f.mapDirty = true
 			n.sinkProgress(f)

@@ -12,6 +12,13 @@ import (
 func runExOR(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 	src, dst graph.NodeID, file flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
 	t.Helper()
+	return runExORExpecting(t, topo, cfg, simCfg, src, dst, file, file, deadline)
+}
+
+// runExORExpecting is runExOR with the sink told to expect sinkFile.
+func runExORExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
+	src, dst graph.NodeID, file, sinkFile flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
+	t.Helper()
 	s := sim.New(topo, simCfg)
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
 	nodes := make([]*Node, topo.N())
@@ -20,7 +27,7 @@ func runExOR(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	done := false
-	nodes[dst].ExpectFlow(1, file, nil)
+	nodes[dst].ExpectFlow(1, sinkFile, nil)
 	if err := nodes[src].StartFlow(1, dst, file, func(flow.Result) { done = true }); err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +52,24 @@ func TestSingleHopBatch(t *testing.T) {
 	}
 	if res.PacketsDelivered != 16 {
 		t.Fatalf("delivered %d/16", res.PacketsDelivered)
+	}
+}
+
+// TestSinkRejectsAnotherSeed: the destination checks each packet it holds
+// against the file it expects, so a file of the same shape under another
+// seed completes but fails verification.
+func TestSinkRejectsAnotherSeed(t *testing.T) {
+	topo := graph.New(3)
+	topo.SetLink(0, 1, 0.9)
+	topo.SetLink(1, 2, 0.9)
+	file := flow.NewFile(40*1500, 1500, 4)
+	other := flow.NewFile(file.Bytes, file.PktSize, 5)
+	res, _, _ := runExORExpecting(t, topo, smallCfg(16), sim.DefaultConfig(), 0, 2, file, other, 300*sim.Second)
+	if !res.Completed || res.PacketsDelivered != 40 {
+		t.Fatalf("transfer incomplete: %v", res)
+	}
+	if res.Verified {
+		t.Fatal("a sink expecting another seed verified the delivery")
 	}
 }
 

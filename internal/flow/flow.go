@@ -5,11 +5,8 @@
 package flow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -19,30 +16,24 @@ import (
 // ID identifies a flow end to end.
 type ID uint32
 
-// File is a deterministic pseudorandom workload split into packets.
+// File is a deterministic pseudorandom workload split into packets. It is a
+// plain value that holds no bytes: packet i's content is a pure function of
+// (Seed, i), so a source makes only the packets it may still send and a sink
+// verifies a delivery by regenerating it. The packets carry exactly Bytes
+// bytes in total: when Bytes is not a multiple of PktSize the final packet is
+// truncated to the remainder, never padded, so byte-based delivery
+// accounting and content verification see the real file. (MORE's network
+// coding needs equal-length symbols; Fill zero-pads for it.)
 type File struct {
 	Seed    int64
 	Bytes   int
 	PktSize int
-
-	// content holds the file's bytes once generated; every copy of a File
-	// made by NewFile shares it. A literal File{…} has none and generates
-	// its bytes on each Payloads call.
-	content *content
-}
-
-// content is a file's bytes, generated on first use. The Once makes the
-// first use safe from any goroutine: parallel experiment workers may hold
-// copies of one File.
-type content struct {
-	once  sync.Once
-	bytes []byte
 }
 
 // NewFile describes a file of the given size carried in pktSize-byte
 // packets (the paper transfers 5 MB files in 1500 B packets).
 func NewFile(bytes, pktSize int, seed int64) File {
-	return File{Seed: seed, Bytes: bytes, PktSize: pktSize, content: new(content)}
+	return File{Seed: seed, Bytes: bytes, PktSize: pktSize}
 }
 
 // NumPackets returns the number of packets the file splits into.
@@ -59,66 +50,106 @@ func (f File) TailSize() int {
 	return f.PktSize
 }
 
-// Payloads returns the packet payloads. Every call returns identical
-// contents, so receivers can verify byte-exact delivery. The payloads carry
-// exactly Bytes bytes in total: when Bytes is not a multiple of PktSize the
-// final payload is truncated to the remainder, never padded — so byte-based
-// delivery accounting and content verification see the real file, not a
-// rounded-up one. (Protocols that need fixed-size symbols — MORE's network
-// coding — pad internally on the wire and strip the padding at delivery.)
-//
-// The payloads are views into one array that every Payloads call on a
-// NewFile-made File shares, so their bytes are read-only to every caller.
-// The outer slice is the caller's own (MORE's source replaces its last
-// element with a padded copy), and each view's capacity ends where it does,
-// so an append copies instead of running into the next packet.
-func (f File) Payloads() [][]byte {
-	var buf []byte
-	if c := f.content; c != nil {
-		c.once.Do(func() { c.bytes = generate(f.Seed, f.Bytes) })
-		buf = c.bytes
-	} else {
-		buf = generate(f.Seed, f.Bytes)
+// PacketSize returns packet i's length: PktSize, TailSize for the last
+// packet, and 0 for an index outside the file.
+func (f File) PacketSize(i int) int {
+	n := f.NumPackets()
+	switch {
+	case i < 0 || i >= n:
+		return 0
+	case i == n-1:
+		return f.TailSize()
 	}
-	out := make([][]byte, f.NumPackets())
-	for i := range out {
-		lo := i * f.PktSize
-		hi := min(lo+f.PktSize, len(buf))
-		out[i] = buf[lo:hi:hi]
+	return f.PktSize
+}
+
+// Fill writes packet i into dst and zeroes the rest of dst: the zero pad
+// MORE's coding adds to a short final packet. It panics if i is outside the
+// file or dst is shorter than the packet.
+func (f File) Fill(i int, dst []byte) {
+	n := f.PacketSize(i)
+	if n == 0 || len(dst) < n {
+		panic(fmt.Sprintf("flow: Fill of packet %d (%d B) into %d B", i, n, len(dst)))
+	}
+	fill(f.key(i), dst[:n])
+	clear(dst[n:])
+}
+
+// Packets returns packets lo through hi-1 as views into one fresh array.
+// Each view's capacity ends where it does, so an append copies instead of
+// running into the next packet. It panics on a range outside the file.
+func (f File) Packets(lo, hi int) [][]byte {
+	if lo < 0 || lo > hi || hi > f.NumPackets() {
+		panic(fmt.Sprintf("flow: packets [%d, %d) of a %d-packet file", lo, hi, f.NumPackets()))
+	}
+	buf := make([]byte, min(hi*f.PktSize, f.Bytes)-lo*f.PktSize)
+	out := make([][]byte, hi-lo)
+	for k := range out {
+		n := f.PacketSize(lo + k)
+		out[k] = buf[:n:n]
+		buf = buf[n:]
+		fill(f.key(lo+k), out[k])
 	}
 	return out
 }
 
-// generate returns the first n bytes math/rand's Rand.Read yields for the
-// seed, in any split into calls: Read hands out each Source.Int63 value as
-// seven little-endian bytes and carries the unused ones into the next call,
-// so one contiguous fill equals the per-packet Reads it replaces.
-// TestPayloadsMatchMathRand pins the equality against rand.Read itself.
-func generate(seed int64, n int) []byte {
-	src := rand.NewSource(seed)
-	buf := make([]byte, n)
-	i := 0
-	// While eight bytes fit, store the whole value; the next store
-	// overwrites the eighth.
-	for ; i+8 <= n; i += 7 {
-		binary.LittleEndian.PutUint64(buf[i:], uint64(src.Int63()))
+// Matches reports whether got is exactly packet i: same length, same
+// bytes. It regenerates the packet word by word and allocates nothing.
+func (f File) Matches(i int, got []byte) bool {
+	n := f.PacketSize(i)
+	if n == 0 || len(got) != n {
+		return false
 	}
-	for i < n {
-		v := src.Int63()
-		for k := 0; k < 7 && i < n; k++ {
-			buf[i] = byte(v)
-			v >>= 8
-			i++
+	state := f.key(i)
+	for ; len(got) >= 8; got = got[8:] {
+		state += golden
+		if binary.LittleEndian.Uint64(got) != mix(state) {
+			return false
 		}
 	}
-	return buf
+	if len(got) > 0 {
+		w := mix(state + golden)
+		for k, b := range got {
+			if b != byte(w>>(8*k)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-// VerifyPayload checks a delivered payload against the expected one. got
-// may carry trailing wire padding (fixed-size coded symbols); it matches
-// when it is at least as long as want and starts with want's bytes.
-func VerifyPayload(got, want []byte) bool {
-	return len(got) >= len(want) && bytes.Equal(got[:len(want)], want)
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9E3779B97F4A7C15
+
+// mix is SplitMix64's finalizer: a bijection on 64-bit words whose output
+// bits each depend on every input bit.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// key derives packet i's key from the seed. Mixing the seed first keeps
+// neighbouring seeds (a scenario's flows use Seed, Seed+1, ...) apart.
+func (f File) key(i int) uint64 {
+	return mix(mix(uint64(f.Seed)) + uint64(i)*golden)
+}
+
+// fill writes the packet whose key is state into p: the SplitMix64 stream
+// started at the key (word j is mix(key + (j+1)·golden)) as whole
+// little-endian words, then the low bytes of the next word for a tail
+// shorter than eight.
+func fill(state uint64, p []byte) {
+	for ; len(p) >= 8; p = p[8:] {
+		state += golden
+		binary.LittleEndian.PutUint64(p, mix(state))
+	}
+	if len(p) > 0 {
+		w := mix(state + golden)
+		for k := range p {
+			p[k] = byte(w >> (8 * k))
+		}
+	}
 }
 
 // Result reports a transfer's outcome, common to MORE, ExOR, and Srcr runs.

@@ -2,8 +2,7 @@ package flow
 
 import (
 	"bytes"
-	"math/rand"
-	"sync"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,8 +12,8 @@ import (
 
 func TestFilePayloadsDeterministic(t *testing.T) {
 	f := NewFile(10*100, 100, 7)
-	a := f.Payloads()
-	b := f.Payloads()
+	a := f.Packets(0, 10)
+	b := f.Packets(0, 10)
 	if len(a) != 10 || len(b) != 10 {
 		t.Fatalf("packet counts %d/%d", len(a), len(b))
 	}
@@ -26,7 +25,7 @@ func TestFilePayloadsDeterministic(t *testing.T) {
 			t.Fatalf("payload %d has size %d", i, len(a[i]))
 		}
 	}
-	other := NewFile(10*100, 100, 8).Payloads()
+	other := NewFile(10*100, 100, 8).Packets(0, 1)
 	if bytes.Equal(a[0], other[0]) {
 		t.Fatal("different seeds produced identical payloads")
 	}
@@ -103,7 +102,7 @@ func TestFileUnalignedTailTruncated(t *testing.T) {
 	if got := f.TailSize(); got != 100 {
 		t.Fatalf("TailSize = %d, want 100", got)
 	}
-	ps := f.Payloads()
+	ps := f.Packets(0, f.NumPackets())
 	total := 0
 	for _, p := range ps {
 		total += len(p)
@@ -115,136 +114,165 @@ func TestFileUnalignedTailTruncated(t *testing.T) {
 		t.Fatalf("tail payload has %d bytes, want 100", len(ps[3]))
 	}
 	// Aligned files still produce full-size tails.
-	if a := NewFile(900, 300, 7); len(a.Payloads()[2]) != 300 || a.TailSize() != 300 {
+	if a := NewFile(900, 300, 7); len(a.Packets(2, 3)[0]) != 300 || a.TailSize() != 300 {
 		t.Fatal("aligned file must not be truncated")
 	}
 	// Truncation is a prefix, not a different draw: first packets unchanged.
-	long := NewFile(1200, 300, 7).Payloads()
+	long := NewFile(1200, 300, 7).Packets(0, 4)
 	for i := 0; i < 3; i++ {
-		if !VerifyPayload(long[i], ps[i]) {
+		if !bytes.Equal(long[i], ps[i]) {
 			t.Fatalf("packet %d differs between aligned and unaligned draws", i)
 		}
 	}
 }
 
-func TestVerifyPayload(t *testing.T) {
-	want := []byte{1, 2, 3}
-	if !VerifyPayload([]byte{1, 2, 3}, want) {
-		t.Fatal("exact match rejected")
+// TestPacketsKnownAnswer pins the generator to its definition: word j of
+// packet i is SplitMix64's finalizer over key(Seed, i) + (j+1)·golden,
+// little-endian, and a short tail takes the low bytes of its word. A drift
+// in the bytes would not move any simulated event, so only this catches it.
+func TestPacketsKnownAnswer(t *testing.T) {
+	f := NewFile(2*16+13, 16, 42) // two 16 B packets and a 13 B tail
+	want := map[int]string{
+		0: "f3136b26b71b599d9095bd280e553a73",
+		2: "1da3f56c873b7266a1a3eeb982",
 	}
-	if !VerifyPayload([]byte{1, 2, 3, 0, 0}, want) {
-		t.Fatal("padded match rejected")
-	}
-	if VerifyPayload([]byte{1, 2}, want) {
-		t.Fatal("short payload accepted")
-	}
-	if VerifyPayload([]byte{1, 2, 9}, want) {
-		t.Fatal("corrupt payload accepted")
+	ps := f.Packets(0, 3)
+	for i, w := range want {
+		if got := hex.EncodeToString(ps[i]); got != w {
+			t.Errorf("packet %d = %s, want %s", i, got, w)
+		}
 	}
 }
 
-// perPacketRead is the parent's Payloads: one math/rand Read per packet.
-func perPacketRead(f File) [][]byte {
-	rng := rand.New(rand.NewSource(f.Seed))
-	out := make([][]byte, f.NumPackets())
-	for i := range out {
-		out[i] = make([]byte, f.PktSize)
-		rng.Read(out[i])
+// TestFillPacketsMatchesAgree: the three ways to reach a packet's bytes
+// agree on every packet of files with and without a tail, and a range
+// starting mid-file is the same bytes as the whole file's views.
+func TestFillPacketsMatchesAgree(t *testing.T) {
+	for _, f := range []File{
+		NewFile(6*1500, 1500, 11),
+		NewFile(65536, 1500, 12),
+		NewFile(5, 1500, 13),
+		NewFile(7*64*3+3, 7*64, -15),
+	} {
+		n := f.NumPackets()
+		all := f.Packets(0, n)
+		mid := f.Packets(n/2, n)
+		buf := make([]byte, f.PktSize+9)
+		for i, p := range all {
+			if len(p) != f.PacketSize(i) || cap(p) != len(p) {
+				t.Fatalf("%+v packet %d: len %d cap %d, want both %d", f, i, len(p), cap(p), f.PacketSize(i))
+			}
+			if i >= n/2 && !bytes.Equal(mid[i-n/2], p) {
+				t.Fatalf("%+v packet %d: Packets(%d, %d) differs from Packets(0, %d)", f, i, n/2, n, n)
+			}
+			for j := range buf {
+				buf[j] = 0xEE
+			}
+			f.Fill(i, buf)
+			if !bytes.Equal(buf[:len(p)], p) || !bytes.Equal(buf[len(p):], make([]byte, len(buf)-len(p))) {
+				t.Fatalf("%+v packet %d: Fill is not the packet then zeroes", f, i)
+			}
+			if !f.Matches(i, p) {
+				t.Fatalf("%+v packet %d: Matches rejects the packet", f, i)
+			}
+		}
 	}
-	if n := len(out); n > 0 {
-		out[n-1] = out[n-1][:f.TailSize()]
-	}
-	return out
 }
 
-// TestPayloadsMatchMathRand pins the generated bytes to math/rand's own
-// Read, packet by packet: a drift in either the fill or the library fails.
-func TestPayloadsMatchMathRand(t *testing.T) {
-	cases := []struct {
+// TestMatchesRejectsFlips: one flipped bit in the first byte, a middle byte
+// or the last byte (inside the partial word of a tail) fails the match.
+func TestMatchesRejectsFlips(t *testing.T) {
+	f := NewFile(1500+13, 1500, 21)
+	for i := 0; i < f.NumPackets(); i++ {
+		p := f.Packets(i, i+1)[0]
+		for _, at := range []int{0, len(p) / 2, len(p) - 1} {
+			p[at] ^= 0x10
+			if f.Matches(i, p) {
+				t.Errorf("packet %d (%d B): a flip at byte %d matches", i, len(p), at)
+			}
+			p[at] ^= 0x10
+		}
+		if !f.Matches(i, p) {
+			t.Fatalf("packet %d: restored bytes do not match", i)
+		}
+	}
+}
+
+// TestMatchesRejectsLengthAndIndex: a packet with its coding pad, a
+// truncated one, another packet's bytes, and any index outside the file all
+// fail; Fill refuses an index outside the file and a short buffer.
+func TestMatchesRejectsLengthAndIndex(t *testing.T) {
+	f := NewFile(3*100+40, 100, 31)
+	ps := f.Packets(0, 4)
+	padded := append(append([]byte(nil), ps[3]...), make([]byte, 60)...)
+	for _, tc := range []struct {
 		name string
-		f    File
+		i    int
+		got  []byte
 	}{
-		{"aligned", NewFile(6*1500, 1500, 11)},
-		{"unaligned", NewFile(65536, 1500, 12)},
-		{"one-packet", NewFile(1500, 1500, 13)},
-		{"one-short-packet", NewFile(5, 1500, 14)},
-		{"seven-multiple", NewFile(7*64*3, 7*64, 15)},
-		{"tail-of-eight", NewFile(1500+8, 1500, 16)},
-		{"empty", NewFile(0, 1500, 17)},
-		{"literal", File{Seed: 18, Bytes: 4000, PktSize: 1500}},
-	}
-	for _, tc := range cases {
-		for call := 0; call < 2; call++ {
-			got, want := tc.f.Payloads(), perPacketRead(tc.f)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d packets, want %d", tc.name, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%s call %d: packet %d differs from rand.Read", tc.name, call, i)
-				}
-			}
+		{"padded tail", 3, padded},
+		{"truncated", 1, ps[1][:99]},
+		{"a longer file's tail", 3, NewFile(400, 100, 31).Packets(3, 4)[0]},
+		{"empty", 0, nil},
+		{"other packet", 1, ps[0]},
+		{"index -1", -1, ps[0]},
+		{"index past the end", 4, ps[3]},
+	} {
+		if f.Matches(tc.i, tc.got) {
+			t.Errorf("%s: matches", tc.name)
 		}
+	}
+	if NewFile(340, 100, 32).Matches(0, ps[0]) {
+		t.Error("another seed's packet matches")
+	}
+	for _, tc := range []struct {
+		i   int
+		dst []byte
+	}{{4, make([]byte, 100)}, {0, make([]byte, 99, 100)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill(%d) into %d B did not panic", tc.i, len(tc.dst))
+				}
+			}()
+			f.Fill(tc.i, tc.dst)
+		}()
 	}
 }
 
-// TestPayloadsSharedAndIsolated pins who owns what: the bytes are shared,
-// the outer slice is each caller's, and a view cannot grow into the next.
-func TestPayloadsSharedAndIsolated(t *testing.T) {
-	f := NewFile(4000, 1500, 21)
-	a, b := f.Payloads(), f.Payloads()
-	for i := range a {
-		if &a[i][0] != &b[i][0] {
-			t.Fatalf("packet %d: two calls do not share storage", i)
-		}
-		if cap(a[i]) != len(a[i]) {
-			t.Fatalf("packet %d: cap %d beyond len %d", i, cap(a[i]), len(a[i]))
-		}
+// TestPacketsRangeChecked: a range outside the file panics, an empty one
+// is empty.
+func TestPacketsRangeChecked(t *testing.T) {
+	f := NewFile(1000, 300, 7)
+	if got := f.Packets(2, 2); len(got) != 0 {
+		t.Fatalf("empty range gave %d packets", len(got))
 	}
-	// What core.padForCoding does to the source's copy must not reach the
-	// sink's.
-	last := len(a) - 1
-	a[last] = make([]byte, f.PktSize)
-	if len(b[last]) != f.TailSize() || !bytes.Equal(b[last], perPacketRead(f)[last]) {
-		t.Fatal("replacing an element of one call's outer slice changed the other's")
-	}
-	next := append([]byte(nil), b[1]...)
-	grown := append(b[0], 0xEE)
-	if &grown[0] == &b[0][0] || !bytes.Equal(b[1], next) {
-		t.Fatal("append to a packet view wrote into the next packet")
-	}
-	// A copy of the File shares the content; a literal generates its own.
-	g := f
-	if c := g.Payloads(); &c[0][0] != &b[0][0] {
-		t.Fatal("a copied File regenerated its content")
-	}
-	lit := File{Seed: 21, Bytes: 4000, PktSize: 1500}
-	if c := lit.Payloads(); &c[0][0] == &b[0][0] || !bytes.Equal(c[0], b[0]) {
-		t.Fatal("a literal File must generate equal bytes of its own")
-	}
-	if n := testing.AllocsPerRun(20, func() { f.Payloads() }); n > 1 {
-		t.Fatalf("a repeated Payloads call allocates %v objects, want at most the outer slice", n)
+	for _, r := range [][2]int{{-1, 1}, {2, 1}, {0, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Packets(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			f.Packets(r[0], r[1])
+		}()
 	}
 }
 
-// TestPayloadsConcurrentFirstUse has parallel workers race for the first
-// generation of one File's content (run under -race in CI).
-func TestPayloadsConcurrentFirstUse(t *testing.T) {
-	f := NewFile(65536, 1500, 31)
-	want := perPacketRead(f)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(f File) {
-			defer wg.Done()
-			got := f.Payloads()
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Errorf("packet %d differs under concurrent first use", i)
-					return
-				}
-			}
-		}(f)
+// TestFillAndMatchesAllocateNothing: regenerating a packet, to code it or
+// to check it, allocates nothing.
+func TestFillAndMatchesAllocateNothing(t *testing.T) {
+	f := NewFile(64*1500+700, 1500, 41)
+	buf := make([]byte, 1500)
+	p := f.Packets(64, 65)[0]
+	if n := testing.AllocsPerRun(50, func() { f.Fill(64, buf) }); n != 0 {
+		t.Errorf("Fill allocates %v/op", n)
 	}
-	wg.Wait()
+	if n := testing.AllocsPerRun(50, func() {
+		if !f.Matches(64, p) {
+			t.Fatal("tail does not match")
+		}
+	}); n != 0 {
+		t.Errorf("Matches allocates %v/op", n)
+	}
 }

@@ -27,13 +27,20 @@ import (
 // delivery counting, duplicate suppression, and payload verification work
 // unchanged.
 
+// pushChunk is how many packets a push source makes from its file at once.
+const pushChunk = 32
+
 // pushState is the source-side state of one push flow.
 type pushState struct {
-	id       flow.ID
-	dst      graph.NodeID
-	tr       flow.Traffic
-	payloads [][]byte
-	route    []graph.NodeID
+	id  flow.ID
+	dst graph.NodeID
+	tr  flow.Traffic
+	// file is made into packets a chunk at a time as the clock reaches
+	// them; chunk holds the made ones not yet sent. A datagram is never
+	// resent, so nothing older is kept.
+	file  flow.File
+	chunk [][]byte
+	route []graph.NodeID
 	// planVersion tracks the routing state generation; the route is
 	// recomputed when it moves (learned views converging, oracle
 	// invalidation after a topology event).
@@ -83,7 +90,7 @@ func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file
 	now := n.node.Now()
 	st := &pushState{
 		id: id, dst: dst, tr: tr,
-		payloads:    file.Payloads(),
+		file:        file,
 		route:       route,
 		planVersion: n.state.Version(),
 		epoch:       now,
@@ -170,13 +177,17 @@ func (n *Node) pushTick(st *pushState) {
 			st.route = r
 		}
 	}
+	if len(st.chunk) == 0 {
+		st.chunk = st.file.Packets(st.next, min(st.next+pushChunk, st.file.NumPackets()))
+	}
 	m := &DataMsg{
 		Flow:    st.id,
 		Seq:     st.next,
 		Route:   st.route,
 		Hop:     0,
-		Payload: st.payloads[st.next],
+		Payload: st.chunk[0],
 	}
+	st.chunk = st.chunk[1:]
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(st.id), Aux: int64(st.next), Kind: telemetry.KindPktSend,
 	})
@@ -192,7 +203,7 @@ func (n *Node) pushTick(st *pushState) {
 	default:
 		st.drops++
 	}
-	if st.next >= len(st.payloads) {
+	if st.next >= st.file.NumPackets() {
 		st.done = true
 		st.result.End = n.node.Now()
 		st.result.Completed = true // the source ran its full schedule

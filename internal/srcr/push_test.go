@@ -58,6 +58,23 @@ func TestPushCBRGeneratesAndDelivers(t *testing.T) {
 	}
 }
 
+// TestPushSinkRejectsAnotherSeed: a push source makes its packets a chunk
+// at a time, and the sink checks each against the file it expects; a file
+// of the same shape under another seed delivers but fails verification.
+func TestPushSinkRejectsAnotherSeed(t *testing.T) {
+	s, nodes := pushChain(t, 2)
+	tr := flow.Traffic{Model: flow.PushCBR, RatePPS: 100, Packets: 70}
+	file := flow.NewFile(70*256, 256, 7)
+	nodes[1].ExpectFlow(1, flow.NewFile(file.Bytes, file.PktSize, 8), nil)
+	if err := nodes[0].StartPushFlow(1, 1, tr, file, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(10 * sim.Second)
+	if sink := nodes[1].Result(1); sink.PacketsDelivered == 0 || sink.Verified {
+		t.Fatalf("sink expecting another seed: %v, verified=%v", sink, sink.Verified)
+	}
+}
+
 // TestPushOnOffClock pins the on/off generation pattern exactly: with a
 // 100 ms on / 100 ms off cycle at 100 pps, each cycle carries ten packets
 // at 10 ms spacing, so packet 49 leaves at 4 full cycles + 90 ms.

@@ -97,13 +97,13 @@ func (n *Node) receiveFin(fr *sim.Frame, m *FinMsg) {
 		return
 	}
 	s, ok := n.sinks[m.Flow]
-	if !ok || s.verify == nil {
+	if !ok || s.haveSeq == nil {
 		// Unknown flow: report everything missing so the source keeps
 		// state consistent (should not happen with ExpectFlow).
 		return
 	}
 	missing := make([]int, 0, 16)
-	for seq := range s.verify {
+	for seq := range s.haveSeq {
 		if !s.haveSeq[seq] {
 			missing = append(missing, seq)
 			if len(missing) == maxNackEntries {

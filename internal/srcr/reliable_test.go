@@ -79,7 +79,7 @@ func TestNackListsExactlyTheMissing(t *testing.T) {
 	}
 
 	// Deliver everything but a hand-picked few; the NACK is that list.
-	payloads := file.Payloads()
+	payloads := file.Packets(0, total)
 	route := []graph.NodeID{0, 1}
 	want := []int{0, 7, 8, maxNackEntries, total - 1}
 	skip := map[int]bool{}

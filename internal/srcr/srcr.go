@@ -7,7 +7,6 @@
 package srcr
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/flow"
@@ -88,7 +87,7 @@ type Node struct {
 type sourceState struct {
 	id       flow.ID
 	route    []graph.NodeID
-	payloads [][]byte
+	payloads [][]byte // the whole file: a later pass may resend any packet
 	inFlight bool
 	result   flow.Result
 	done     bool
@@ -113,8 +112,8 @@ type sinkState struct {
 	id        flow.ID
 	delivered int
 	result    flow.Result
-	verify    [][]byte
-	haveSeq   []bool // per-sequence delivery (e2e duplicate suppression)
+	file      flow.File
+	haveSeq   []bool // per-sequence delivery (e2e duplicate suppression); nil without ExpectFlow
 	onDone    func(flow.Result)
 	done      bool
 }
@@ -151,7 +150,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	st := &sourceState{
 		id:          id,
 		route:       route,
-		payloads:    file.Payloads(),
+		payloads:    file.Packets(0, file.NumPackets()),
 		onDone:      onDone,
 		planVersion: n.state.Version(),
 	}
@@ -169,7 +168,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 
 // ExpectFlow wires up destination-side verification and reporting.
 func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
-	s := &sinkState{id: id, verify: file.Payloads(), onDone: onDone}
+	s := &sinkState{id: id, file: file, onDone: onDone}
 	s.haveSeq = make([]bool, file.NumPackets())
 	s.result = flow.Result{Dst: n.node.ID(), PacketsTotal: file.NumPackets(), Verified: true}
 	n.sinks[id] = s
@@ -257,12 +256,13 @@ func (n *Node) deliver(m *DataMsg) {
 	})
 	s.result.PacketsDelivered = s.delivered
 	s.result.End = n.node.Now()
-	if s.verify != nil {
-		if m.Seq >= len(s.verify) || !bytes.Equal(m.Payload, s.verify[m.Seq]) {
-			s.result.Verified = false
-		}
+	if s.haveSeq == nil {
+		return
 	}
-	if s.verify != nil && s.delivered == len(s.verify) && !s.done {
+	if !s.file.Matches(m.Seq, m.Payload) {
+		s.result.Verified = false
+	}
+	if s.delivered == len(s.haveSeq) && !s.done {
 		s.done = true
 		s.result.Completed = true
 		if s.onDone != nil {

@@ -15,6 +15,13 @@ import (
 func runSrcr(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 	src, dst graph.NodeID, file flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
 	t.Helper()
+	return runSrcrExpecting(t, topo, cfg, simCfg, src, dst, file, file, deadline)
+}
+
+// runSrcrExpecting is runSrcr with the sink told to expect sinkFile.
+func runSrcrExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
+	src, dst graph.NodeID, file, sinkFile flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
+	t.Helper()
 	s := sim.New(topo, simCfg)
 	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
 	nodes := make([]*Node, topo.N())
@@ -22,7 +29,7 @@ func runSrcr(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim.Config,
 		nodes[i] = NewNode(cfg, oracle)
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
-	nodes[dst].ExpectFlow(1, file, nil)
+	nodes[dst].ExpectFlow(1, sinkFile, nil)
 	if err := nodes[src].StartFlow(1, dst, file, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +54,22 @@ func TestPerfectLinkDeliversEverything(t *testing.T) {
 	res, _, _ := runSrcr(t, topo, DefaultConfig(), sim.DefaultConfig(), 0, 1, file, 300*sim.Second)
 	if res.PacketsDelivered != 100 || !res.Verified || !res.Completed {
 		t.Fatalf("perfect link: %v", res)
+	}
+}
+
+// TestPullSinkRejectsAnotherSeed: the sink checks every delivered sequence
+// number against the file it expects, so a file of the same shape under
+// another seed completes but fails verification.
+func TestPullSinkRejectsAnotherSeed(t *testing.T) {
+	topo := graph.Line(2, 1.0, 10)
+	file := flow.NewFile(20*1500+11, 1500, 1)
+	other := flow.NewFile(file.Bytes, file.PktSize, 2)
+	res, _, _ := runSrcrExpecting(t, topo, DefaultConfig(), sim.DefaultConfig(), 0, 1, file, other, 300*sim.Second)
+	if res.PacketsDelivered != 21 || !res.Completed {
+		t.Fatalf("transfer incomplete: %v", res)
+	}
+	if res.Verified {
+		t.Fatal("a sink expecting another seed verified the delivery")
 	}
 }
 
