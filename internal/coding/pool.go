@@ -57,10 +57,11 @@ func (p *Pool) Get() *Packet {
 	if q, ok := p.free.Get().(*Packet); ok {
 		return q
 	}
-	return &Packet{
-		Vector:  make([]byte, p.k),
-		Payload: make([]byte, p.size),
-	}
+	// One backing array for vector and payload: two objects per packet, not
+	// three. The vector's cap stops at k, so an append to it cannot run into
+	// the payload.
+	buf := make([]byte, p.k+p.size)
+	return &Packet{Vector: buf[:p.k:p.k], Payload: buf[p.k:]}
 }
 
 // Put returns a packet to the free list. Packets of the wrong shape are

@@ -807,19 +807,16 @@ func (n *Node) Pull() *sim.Frame {
 
 func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 	if st, ok := n.sources[id]; ok && !st.done {
-		pkt := st.src.Next()
-		m := &DataMsg{
+		return n.dataFrame(DataMsg{
 			Flow:         id,
 			Src:          n.node.ID(),
 			Dst:          st.dst,
 			Batch:        uint32(st.curBatch),
 			K:            st.src.K(),
 			TotalBatches: st.totalBatches,
-			Packet:       pkt,
+			Packet:       st.src.Next(),
 			Forwarders:   st.fwd,
-		}
-		n.DataSent++
-		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
+		})
 	}
 	if r, ok := n.relays[id]; ok && r.credit > 0 && r.buffer.Rank() > 0 {
 		pkt := r.pre.Take()
@@ -827,7 +824,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			return nil
 		}
 		r.credit--
-		m := &DataMsg{
+		return n.dataFrame(DataMsg{
 			Flow:         id,
 			Src:          r.src,
 			Dst:          r.dst,
@@ -836,14 +833,27 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			TotalBatches: r.totalBatches,
 			Packet:       pkt,
 			Forwarders:   r.fwdList,
-		}
-		n.DataSent++
-		return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(id)}
+		})
 	}
 	if r, ok := n.relays[id]; ok && r.credit <= 0 && r.buffer != nil && r.buffer.Rank() > 0 {
 		n.CreditDenied++
 	}
 	return nil
+}
+
+// dataFrame is a data message and the frame that carries it, allocated as
+// one object: every data send costs one allocation, not two.
+type dataFrame struct {
+	frame sim.Frame
+	msg   DataMsg
+}
+
+// dataFrame broadcasts m, the source's or a relay's next coded packet.
+func (n *Node) dataFrame(m DataMsg) *sim.Frame {
+	d := &dataFrame{msg: m}
+	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.msg.wireBytes(), Payload: &d.msg, FlowID: uint32(m.Flow)}
+	n.DataSent++
+	return &d.frame
 }
 
 // Sent implements sim.Protocol.

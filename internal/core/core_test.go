@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -384,6 +385,35 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	}
 	if nodes[0].sources[1].src != src {
 		t.Fatal("the source built a new coding source for a batch of the same shape")
+	}
+}
+
+func TestDataSendAllocatesOnce(t *testing.T) {
+	// A coded packet sent and released once the free list is warm costs one
+	// allocation: the message and its frame are one object.
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the free list
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 0.9)
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, routing.DefaultETXOptions())
+	n := NewNode(smallCfg(8), oracle)
+	s.Attach(0, n)
+	s.Attach(1, NewNode(smallCfg(8), oracle))
+	if err := n.StartFlow(1, 1, flow.NewFile(8*1500, 1500, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f := n.Pull()
+		if f == nil || f.Payload.(*DataMsg).Packet == nil {
+			t.Fatal("a backlogged source sent no coded packet")
+		}
+		n.Sent(f, true)
+	})
+	if allocs != 1 {
+		t.Errorf("a data send allocates %v objects, want 1", allocs)
 	}
 }
 

@@ -133,6 +133,9 @@ type Node struct {
 	flows     map[flow.ID]*exorFlow
 	flowOrder []flow.ID    // deterministic iteration order
 	unicast   []*sim.Frame // cleanup/done frames awaiting transmission
+	// bmaps is the unused tail of the chunk each sent frame's batch-map
+	// copy is cut from (bmapChunk bytes at a time).
+	bmaps []uint8
 
 	// Counters.
 	DataSent   int64
@@ -181,7 +184,8 @@ type exorFlow struct {
 	watchdog   *sim.Event
 	inTurn     bool
 	fragQueue  []int
-	gossipLeft int // map-only packets still to send this turn
+	fragBuf    []int // backs fragQueue, reused turn after turn
+	gossipLeft int   // map-only packets still to send this turn
 	mapDirty   bool
 	cleanup    bool
 	cleanedIdx map[int]bool
@@ -419,7 +423,7 @@ func (n *Node) takeTurn(f *exorFlow) {
 	if f.myPrio < 0 || f.done || n.batchDone(f) && f.isSource {
 		return
 	}
-	var eligible []int
+	eligible := f.fragBuf[:0]
 	for i := 0; i < f.k; i++ {
 		if f.have[i] && int(f.bmap[i]) >= f.myPrio && f.bmap[i] != 0 {
 			eligible = append(eligible, i)
@@ -429,6 +433,7 @@ func (n *Node) takeTurn(f *exorFlow) {
 		n.armWatchdog(f)
 		return
 	}
+	f.fragBuf = eligible
 	f.fragQueue = eligible
 	if len(eligible) == 0 {
 		// Map-only turn: the destination repeats its batch map to make it
@@ -791,18 +796,47 @@ func (n *Node) Pull() *sim.Frame {
 	return nil
 }
 
+// bmapChunk is how many batch-map bytes one refill of Node.bmaps holds: at
+// the default K of 32, 64 sent frames' maps.
+const bmapChunk = 2048
+
+// dataFrame is a data message and the frame that carries it, allocated as
+// one object; the message's batch map is cut from the node's chunk.
+type dataFrame struct {
+	frame sim.Frame
+	msg   DataMsg
+}
+
 func (n *Node) dataFrame(f *exorFlow, idx, remaining int) *sim.Frame {
-	m := &DataMsg{
+	d := &dataFrame{msg: DataMsg{
 		Flow: f.id, Src: f.src, Dst: f.dst,
 		Batch: f.batch, K: f.k, BatchBase: f.base, TotalBatches: f.totalBatches,
 		PktIdx: idx, FragRemaining: remaining, SenderPrio: f.myPrio,
-		BMap: append([]uint8(nil), f.bmap...),
+		BMap: n.copyBMap(f.bmap),
 		Prio: f.prio,
-	}
+	}}
 	if idx >= 0 {
-		m.Payload = f.payload[idx]
+		d.msg.Payload = f.payload[idx]
 	}
-	return &sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: m.wireBytes(), Payload: m, FlowID: uint32(f.id)}
+	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.msg.wireBytes(), Payload: &d.msg, FlowID: uint32(f.id)}
+	return &d.frame
+}
+
+// copyBMap returns a copy of bmap that no later send shares: it is cut from
+// the node's chunk with cap == len, so an append to it reallocates instead
+// of overwriting the next frame's map.
+func (n *Node) copyBMap(bmap []uint8) []uint8 {
+	k := len(bmap)
+	if k == 0 {
+		return nil
+	}
+	if len(n.bmaps) < k {
+		n.bmaps = make([]uint8, max(bmapChunk, k))
+	}
+	c := n.bmaps[:k:k]
+	n.bmaps = n.bmaps[k:]
+	copy(c, bmap)
+	return c
 }
 
 // Sent implements sim.Protocol.

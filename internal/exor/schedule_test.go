@@ -1,6 +1,7 @@
 package exor
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/flow"
@@ -151,6 +152,69 @@ func TestDataFrameChargesBatchMap(t *testing.T) {
 	}
 	if fr.Bytes <= 1500+8 {
 		t.Fatalf("frame %d bytes does not include header overhead", fr.Bytes)
+	}
+}
+
+// sourceFlow starts a K-packet ExOR flow 0 → 1 and returns the source node
+// and its flow state, mid-turn.
+func sourceFlow(t *testing.T, k int) (*Node, *exorFlow) {
+	t.Helper()
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 1)
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
+	n := NewNode(smallCfg(k), oracle)
+	s.Attach(0, n)
+	if err := n.StartFlow(1, 1, flow.NewFile(k*1500, 1500, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	return n, n.flows[1]
+}
+
+func TestDataSendAllocatesOnce(t *testing.T) {
+	// Once warm, a pulled data frame is one allocation — message, frame and
+	// all — plus the batch-map chunk refill amortised over bmapChunk/K
+	// frames; a new turn's fragment reuses the flow's buffer.
+	const k = 32
+	n, f := sourceFlow(t, k)
+	one := []int{0}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.inTurn, f.fragQueue = true, one
+		if n.Pull() == nil {
+			t.Fatal("a source in its turn sent nothing")
+		}
+	})
+	if allocs > 1+float64(k)/bmapChunk {
+		t.Errorf("a data send allocates %v objects, want 1 (+%v for chunk refills)", allocs, float64(k)/bmapChunk)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.takeTurn(f) }); allocs != 0 {
+		t.Errorf("computing a turn's fragment allocates %v objects, want 0", allocs)
+	}
+	if len(f.fragQueue) != k {
+		t.Fatalf("fragment has %d packets, want %d", len(f.fragQueue), k)
+	}
+}
+
+func TestSentBatchMapIsACopy(t *testing.T) {
+	// Sent frames' batch maps share one chunk, but no frame's map aliases
+	// the flow's live map or the next frame's.
+	n, f := sourceFlow(t, 8)
+	first := n.Pull().Payload.(*DataMsg)
+	want := slices.Clone(first.BMap)
+	for i := range f.bmap {
+		f.bmap[i] = 0xEE
+	}
+	if !slices.Equal(first.BMap, want) {
+		t.Fatalf("writing the flow's map changed a sent frame's: %v, want %v", first.BMap, want)
+	}
+	second := n.Pull().Payload.(*DataMsg)
+	next := slices.Clone(second.BMap)
+	if cap(first.BMap) != len(first.BMap) {
+		t.Fatalf("a carved map has cap %d > len %d", cap(first.BMap), len(first.BMap))
+	}
+	_ = append(first.BMap, 1, 2, 3)
+	if !slices.Equal(second.BMap, next) {
+		t.Fatalf("appending to one frame's map overwrote the next frame's: %v, want %v", second.BMap, next)
 	}
 }
 

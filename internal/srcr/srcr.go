@@ -49,6 +49,10 @@ type DataMsg struct {
 	Route   []graph.NodeID // full path, Route[0] == source
 	Hop     int            // index of the current holder in Route
 	Payload []byte
+
+	// frame carries the message one hop (frameFor): message and frame are
+	// one allocation. Each message is framed once; a relay sends a new one.
+	frame sim.Frame
 }
 
 func (m *DataMsg) wireBytes() int {
@@ -220,16 +224,15 @@ func (n *Node) Receive(f *sim.Frame) {
 	if m.Hop+1 >= len(m.Route) || m.Route[m.Hop+1] != n.node.ID() {
 		return
 	}
-	next := &DataMsg{Flow: m.Flow, Seq: m.Seq, Route: m.Route, Hop: m.Hop + 1, Payload: m.Payload}
-	if next.Hop == len(next.Route)-1 {
-		n.deliver(next)
+	if m.Hop+1 == len(m.Route)-1 {
+		n.deliver(m) // deliver never reads Hop: the sender's message will do
 		return
 	}
 	if len(n.queue) >= queueSize {
 		n.QueueDrops++
 		return
 	}
-	n.queue = append(n.queue, next)
+	n.queue = append(n.queue, &DataMsg{Flow: m.Flow, Seq: m.Seq, Route: m.Route, Hop: m.Hop + 1, Payload: m.Payload})
 	n.node.Wake()
 }
 
@@ -320,7 +323,8 @@ func (n *Node) Pull() *sim.Frame {
 
 func (n *Node) frameFor(m *DataMsg) *sim.Frame {
 	to := m.Route[m.Hop+1]
-	f := &sim.Frame{
+	f := &m.frame
+	*f = sim.Frame{
 		From:    n.node.ID(),
 		To:      to,
 		Bytes:   m.wireBytes(),

@@ -207,6 +207,121 @@ func TestAutorateStaysHighOnGoodLink(t *testing.T) {
 	}
 }
 
+// lineFlow attaches Srcr to a perfect 0 — 1 — 2 line and starts flow 1
+// from 0 to 2, without running the simulator: tests drive Pull, Receive and
+// Sent by hand.
+func lineFlow(t *testing.T) []*Node {
+	t.Helper()
+	topo := graph.Line(3, 1.0, 10)
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: 0.15, AckAware: true})
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = NewNode(DefaultConfig(), oracle)
+		s.Attach(graph.NodeID(i), nodes[i])
+	}
+	file := flow.NewFile(100*1500, 1500, 1)
+	nodes[2].ExpectFlow(1, file, nil)
+	if err := nodes[0].StartFlow(1, 2, file, nil); err != nil {
+		t.Fatal(err)
+	}
+	return nodes
+}
+
+func TestDataSendAllocatesOnce(t *testing.T) {
+	// Once warm, a data frame pulled at the source is one allocation: the
+	// message, which carries its frame. A relay's Pull frames the message
+	// its Receive queued, and allocates nothing.
+	nodes := lineFlow(t)
+	src := nodes[0].sources[1]
+	one := []int{0}
+	allocs := testing.AllocsPerRun(100, func() {
+		src.pending = one
+		f := nodes[0].Pull()
+		if f == nil {
+			t.Fatal("the source sent nothing")
+		}
+		src.pending = one // keep the pass open: its end would send a FIN
+		nodes[0].Sent(f, true)
+	})
+	if allocs != 1 {
+		t.Errorf("a source data send allocates %v objects, want 1", allocs)
+	}
+	src.pending = one
+	nodes[1].Receive(nodes[0].Pull())
+	m := nodes[1].queue[0]
+	queue := nodes[1].queue[:1]
+	allocs = testing.AllocsPerRun(100, func() {
+		nodes[1].queue = queue
+		if f := nodes[1].Pull(); f == nil || f.Payload != m || f.To != 2 {
+			t.Fatal("the relay did not forward its queued message")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("framing a queued message allocates %v objects, want 0", allocs)
+	}
+}
+
+func TestSrcrFinalHopAndDropAllocateNothing(t *testing.T) {
+	// Where a reception sends nothing on — delivery at the destination, a
+	// drop at a full queue — it allocates nothing.
+	nodes := lineFlow(t)
+	toRelay := nodes[0].Pull()
+	nodes[1].Receive(toRelay)
+	toDst := nodes[1].Pull()
+	sink := nodes[2].sinks[1]
+	allocs := testing.AllocsPerRun(100, func() {
+		sink.haveSeq[0] = false // deliver afresh, not as a duplicate
+		nodes[2].Receive(toDst)
+	})
+	if allocs != 0 {
+		t.Errorf("delivery at the final hop allocates %v objects, want 0", allocs)
+	}
+	if got := nodes[2].Result(1); got.PacketsDelivered != 101 || !got.Verified {
+		t.Fatalf("sink after 101 deliveries: %v", got)
+	}
+	for len(nodes[1].queue) < queueSize {
+		nodes[1].queue = append(nodes[1].queue, &DataMsg{})
+	}
+	allocs = testing.AllocsPerRun(100, func() { nodes[1].Receive(toRelay) })
+	if allocs != 0 {
+		t.Errorf("a drop at a full queue allocates %v objects, want 0", allocs)
+	}
+	if nodes[1].QueueDrops != 101 {
+		t.Fatalf("%d queue drops, want 101", nodes[1].QueueDrops)
+	}
+}
+
+func TestReceiverNeverChangesSentHop(t *testing.T) {
+	// The destination delivers the message it received and a relay queues a
+	// new one; neither may move the Hop its sender reads back in Sent.
+	nodes := lineFlow(t)
+	f := nodes[0].Pull()
+	nodes[1].Receive(f)
+	if hop := f.Payload.(*DataMsg).Hop; hop != 0 {
+		t.Fatalf("queueing at the relay moved the source's Hop to %d", hop)
+	}
+	g := nodes[1].Pull()
+	if g == f || g.Payload == f.Payload {
+		t.Fatal("the relay forwarded the source's own frame")
+	}
+	nodes[2].Receive(g)
+	if hop := g.Payload.(*DataMsg).Hop; hop != 1 {
+		t.Fatalf("delivery moved the relay's Hop to %d", hop)
+	}
+	if got := nodes[2].Result(1).PacketsDelivered; got != 1 {
+		t.Fatalf("%d packets delivered, want 1", got)
+	}
+	nodes[1].Sent(g, true)
+	nodes[0].Sent(f, true)
+	if nodes[1].Forwarded != 1 || nodes[0].Forwarded != 0 {
+		t.Fatalf("forwarded counts relay %d, source %d; want 1, 0", nodes[1].Forwarded, nodes[0].Forwarded)
+	}
+	if nodes[0].sources[1].inFlight {
+		t.Fatal("the source's Sent did not see its own hop-0 frame")
+	}
+}
+
 func TestTestbedPairThroughput(t *testing.T) {
 	topo, _ := graph.ConnectedTestbed(1)
 	file := flow.NewFile(100*1500, 1500, 9)
