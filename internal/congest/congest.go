@@ -476,7 +476,7 @@ func (l *Layer) purgeAcked(fid uint32, batch uint32) {
 func (l *Layer) Pull() *sim.Frame {
 	if len(l.pendingGrants) > 0 {
 		g := l.pendingGrants[0]
-		l.pendingGrants = l.pendingGrants[1:]
+		l.pendingGrants = l.pendingGrants[:copy(l.pendingGrants, l.pendingGrants[1:])]
 		l.Stats.GrantTx++
 		l.node.Emit(telemetry.Event{
 			Flow: uint32(g.Flow), Batch: g.Batch,
@@ -653,7 +653,9 @@ func (l *Layer) commitSend(info frameInfo) {
 }
 
 // Sent implements sim.Protocol, routing outcomes back to the protocol.
-// Grants are layer-owned and need no completion handling (broadcast).
+// Grants are layer-owned and need no completion handling (broadcast). The
+// frame belongs to the protocol again once handed back, which may recycle it
+// at once: whatever the layer reads of it, it reads first.
 func (l *Layer) Sent(f *sim.Frame, ok bool) {
 	if _, isGrant := f.Payload.(*CreditMsg); isGrant {
 		if len(l.pendingGrants) > 0 || len(l.queue) > 0 {
@@ -661,13 +663,12 @@ func (l *Layer) Sent(f *sim.Frame, ok bool) {
 		}
 		return
 	}
+	info, isData := l.dataInfo(f)
 	l.proto.Sent(f, ok)
-	if l.cfg.Policy == Cubic && !ok {
-		if info, isData := l.dataInfo(f); isData && info.isSource && !info.hasBatch {
-			// Batch-less unicast source (Srcr): a MAC-level failure is the
-			// congestion signal batch stagnation provides elsewhere.
-			l.cubicOnCongestion(l.cubicFlowFor(info.flow, l.node.Now()))
-		}
+	if l.cfg.Policy == Cubic && !ok && isData && info.isSource && !info.hasBatch {
+		// Batch-less unicast source (Srcr): a MAC-level failure is the
+		// congestion signal batch stagnation provides elsewhere.
+		l.cubicOnCongestion(l.cubicFlowFor(info.flow, l.node.Now()))
 	}
 	if len(l.queue) > 0 || len(l.pendingGrants) > 0 {
 		l.node.Wake()

@@ -253,3 +253,31 @@ func TestLoadScoreClamp(t *testing.T) {
 		t.Errorf("partial score out of range: %v", got)
 	}
 }
+
+// recyclingProto hands every frame back the way the data protocols do: Sent
+// poisons the Srcr message and empties the frame, for reuse by the next send.
+type recyclingProto struct{ fakeProto }
+
+func (p *recyclingProto) Sent(f *sim.Frame, ok bool) {
+	p.fakeProto.Sent(f, ok)
+	if m, isSrcr := f.Payload.(*srcr.DataMsg); isSrcr {
+		*m = srcr.DataMsg{Seq: -1, Hop: -1}
+	}
+	*f = sim.Frame{}
+}
+
+// TestCubicReadsFailedFrameBeforeHandingItBack: a Srcr source frame the MAC
+// gave up on is Cubic's congestion signal. The layer must read the frame
+// before the protocol recycles it in Sent, or the decrease is lost.
+func TestCubicReadsFailedFrameBeforeHandingItBack(t *testing.T) {
+	p := &recyclingProto{}
+	l, _ := newTestLayer(t, Config{Policy: Cubic}, p)
+	m := &srcr.DataMsg{Flow: 7, Route: []graph.NodeID{0, 1}, Hop: 0}
+	l.Sent(&sim.Frame{From: 0, To: 1, Bytes: 100, FlowID: 7, Payload: m}, false)
+	if len(p.sent) != 1 || m.Hop != -1 {
+		t.Fatal("the protocol did not get its frame back")
+	}
+	if l.Stats.RateDecreases != 1 {
+		t.Fatalf("%d rate decreases after a failed source frame, want 1", l.Stats.RateDecreases)
+	}
+}

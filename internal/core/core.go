@@ -88,7 +88,15 @@ type DataMsg struct {
 	// from the source's plan into every packet (§3.3.1) — by reference:
 	// every packet and relay of a plan shares the source's one list.
 	Forwarders *FwdList
+
+	// frame carries the message (dataFrame): message and frame are one
+	// object, recycled once Sent hands the frame back (release).
+	frame sim.Frame
 }
+
+// releasedFlow is the Flow of a released message: no flow has it, so a read
+// after release finds no state.
+const releasedFlow = ^flow.ID(0)
 
 // wireBytes returns the on-air frame size for the message.
 func (m *DataMsg) wireBytes() int {
@@ -123,6 +131,9 @@ type Node struct {
 	// ackQueue holds ACKs awaiting transmission; they take priority over
 	// data at every node (§3.2.2).
 	ackQueue []*AckMsg
+
+	// free holds data messages Sent handed back, for dataFrame to reuse.
+	free []*DataMsg
 
 	// rr cycles among backlogged flows (§3.3.3 round-robin).
 	rr []flow.ID
@@ -781,7 +792,7 @@ func (n *Node) Pull() *sim.Frame {
 		a := n.ackQueue[0]
 		next := n.state.NextHop(n.node.ID(), a.Target)
 		if next < 0 {
-			n.ackQueue = n.ackQueue[1:]
+			n.ackQueue = n.ackQueue[:copy(n.ackQueue, n.ackQueue[1:])]
 			return n.Pull()
 		}
 		f := &sim.Frame{
@@ -841,19 +852,28 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 	return nil
 }
 
-// dataFrame is a data message and the frame that carries it, allocated as
-// one object: every data send costs one allocation, not two.
-type dataFrame struct {
-	frame sim.Frame
-	msg   DataMsg
-}
-
-// dataFrame broadcasts m, the source's or a relay's next coded packet.
+// dataFrame frames m, the source's or a relay's next coded packet, in a
+// message off the node's free list: once the list is warm a data send
+// allocates nothing.
 func (n *Node) dataFrame(m DataMsg) *sim.Frame {
-	d := &dataFrame{msg: m}
-	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.msg.wireBytes(), Payload: &d.msg, FlowID: uint32(m.Flow)}
+	var d *DataMsg
+	if k := len(n.free); k > 0 {
+		d, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		d = new(DataMsg)
+	}
+	*d = m
+	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.wireBytes(), Payload: d, FlowID: uint32(m.Flow)}
 	n.DataSent++
 	return &d.frame
+}
+
+// release puts a message Sent handed back on the free list, poisoned: a
+// sentinel flow and nodes, no packet, no list, a zero frame. It keeps no
+// pointer, and a read that outlives the frame finds nothing it can use.
+func (n *Node) release(m *DataMsg) {
+	*m = DataMsg{Flow: releasedFlow, Src: -1, Dst: -1, K: -1, TotalBatches: -1}
+	n.free = append(n.free, m)
 }
 
 // Sent implements sim.Protocol.
@@ -885,7 +905,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 		} else if r, ok := n.relays[m.Flow]; ok {
 			r.pool.Put(m.Packet)
 		}
-		m.Packet = nil
+		n.release(m)
 		n.wakeIfBacklogged()
 	}
 }

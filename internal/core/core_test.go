@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -388,32 +389,85 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	}
 }
 
-func TestDataSendAllocatesOnce(t *testing.T) {
-	// A coded packet sent and released once the free list is warm costs one
-	// allocation: the message and its frame are one object.
+// relayLine attaches MORE to a 0 — 1 — 2 line and starts flow 1 from 0 to
+// 2, without running the simulator: tests drive Pull, Receive and Sent by
+// hand. Node 1 is on the forwarder list.
+func relayLine(t *testing.T) []*Node {
+	t.Helper()
+	topo := graph.New(3)
+	topo.SetLink(0, 1, 0.9)
+	topo.SetLink(1, 2, 0.9)
+	s := sim.New(topo, sim.DefaultConfig())
+	oracle := flow.NewOracle(topo, routing.DefaultETXOptions())
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = NewNode(smallCfg(8), oracle)
+		s.Attach(graph.NodeID(i), nodes[i])
+	}
+	if err := nodes[0].StartFlow(1, 2, flow.NewFile(8*1500, 1500, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	return nodes
+}
+
+func TestDataSendAllocatesNothing(t *testing.T) {
+	// Once the free lists are warm, a coded packet sent and handed back
+	// allocates nothing, at the source or at a relay: the message and its
+	// frame come back in Sent, the coded packet with them.
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the free list
-	topo := graph.New(2)
-	topo.SetLink(0, 1, 0.9)
-	s := sim.New(topo, sim.DefaultConfig())
-	oracle := flow.NewOracle(topo, routing.DefaultETXOptions())
-	n := NewNode(smallCfg(8), oracle)
-	s.Attach(0, n)
-	s.Attach(1, NewNode(smallCfg(8), oracle))
-	if err := n.StartFlow(1, 1, flow.NewFile(8*1500, 1500, 1), nil); err != nil {
-		t.Fatal(err)
-	}
+	nodes := relayLine(t)
+	src, relay := nodes[0], nodes[1]
 	allocs := testing.AllocsPerRun(100, func() {
-		f := n.Pull()
+		f := src.Pull()
 		if f == nil || f.Payload.(*DataMsg).Packet == nil {
 			t.Fatal("a backlogged source sent no coded packet")
 		}
-		n.Sent(f, true)
+		src.Sent(f, true)
 	})
-	if allocs != 1 {
-		t.Errorf("a data send allocates %v objects, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a source data send allocates %v objects, want 0", allocs)
+	}
+	f := src.Pull()
+	relay.Receive(f)
+	src.Sent(f, true)
+	r := relay.relays[1]
+	if r == nil || r.buffer.Rank() != 1 {
+		t.Fatal("the relay did not buffer the source's packet")
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		r.credit = 1
+		g := relay.Pull()
+		if g == nil || g.Payload.(*DataMsg).Src != 0 {
+			t.Fatal("a relay with credit sent nothing")
+		}
+		relay.Sent(g, true)
+	})
+	if allocs != 0 {
+		t.Errorf("a relay data send allocates %v objects, want 0", allocs)
+	}
+}
+
+func TestReleasedMessageIsPoisoned(t *testing.T) {
+	// Sent poisons the message it hands back and the next send reuses it: a
+	// reader that kept the frame past Sent finds no flow, no packet, no
+	// forwarder list and no payload on the frame.
+	nodes := relayLine(t)
+	src := nodes[0]
+	f := src.Pull()
+	m := f.Payload.(*DataMsg)
+	src.Sent(f, true)
+	want := DataMsg{Flow: releasedFlow, Src: -1, Dst: -1, K: -1, TotalBatches: -1}
+	if !reflect.DeepEqual(*m, want) {
+		t.Fatalf("released message %+v, want %+v", *m, want)
+	}
+	if nodes[1].Receive(f); len(nodes[1].relays) != 0 {
+		t.Fatal("a released frame made relay state")
+	}
+	if g := src.Pull(); g != f || g.Payload != m || m.Flow != 1 || m.Packet == nil {
+		t.Fatal("the next send did not reuse the released message")
 	}
 }
 

@@ -87,7 +87,15 @@ type DataMsg struct {
 	BMap          []uint8
 	Prio          []graph.NodeID // priority list: [dst, forwarders..., src]
 	Payload       []byte
+
+	// frame carries the message (dataFrame): message and frame are one
+	// object, recycled once Sent hands the frame back (release).
+	frame sim.Frame
 }
+
+// releasedFlow is the Flow of a released message: no flow has it, so a read
+// after release finds no state.
+const releasedFlow = ^flow.ID(0)
 
 func (m *DataMsg) wireBytes() int {
 	return packet.ExORHeaderSize(len(m.BMap), len(m.Prio)) + len(m.Payload)
@@ -133,9 +141,8 @@ type Node struct {
 	flows     map[flow.ID]*exorFlow
 	flowOrder []flow.ID    // deterministic iteration order
 	unicast   []*sim.Frame // cleanup/done frames awaiting transmission
-	// bmaps is the unused tail of the chunk each sent frame's batch-map
-	// copy is cut from (bmapChunk bytes at a time).
-	bmaps []uint8
+	// free holds data messages Sent handed back, for dataFrame to reuse.
+	free []*DataMsg
 
 	// Counters.
 	DataSent   int64
@@ -756,7 +763,7 @@ func (n *Node) HasControl() bool { return len(n.unicast) > 0 }
 func (n *Node) Pull() *sim.Frame {
 	for len(n.unicast) > 0 {
 		fr := n.unicast[0]
-		n.unicast = n.unicast[1:]
+		n.unicast = n.unicast[:copy(n.unicast, n.unicast[1:])]
 		// Drop stale cleanup for completed/advanced batches.
 		if c, ok := fr.Payload.(*CleanupMsg); ok {
 			f := n.flowFor(c.Flow)
@@ -796,47 +803,40 @@ func (n *Node) Pull() *sim.Frame {
 	return nil
 }
 
-// bmapChunk is how many batch-map bytes one refill of Node.bmaps holds: at
-// the default K of 32, 64 sent frames' maps.
-const bmapChunk = 2048
-
-// dataFrame is a data message and the frame that carries it, allocated as
-// one object; the message's batch map is cut from the node's chunk.
-type dataFrame struct {
-	frame sim.Frame
-	msg   DataMsg
-}
-
+// dataFrame frames the flow's packet idx (-1: map only) in a message off the
+// node's free list, which keeps its batch-map storage: once the list is warm
+// a data send allocates nothing.
 func (n *Node) dataFrame(f *exorFlow, idx, remaining int) *sim.Frame {
-	d := &dataFrame{msg: DataMsg{
+	var d *DataMsg
+	if k := len(n.free); k > 0 {
+		d, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		d = new(DataMsg)
+	}
+	*d = DataMsg{
 		Flow: f.id, Src: f.src, Dst: f.dst,
 		Batch: f.batch, K: f.k, BatchBase: f.base, TotalBatches: f.totalBatches,
 		PktIdx: idx, FragRemaining: remaining, SenderPrio: f.myPrio,
-		BMap: n.copyBMap(f.bmap),
+		BMap: append(d.BMap[:0], f.bmap...),
 		Prio: f.prio,
-	}}
-	if idx >= 0 {
-		d.msg.Payload = f.payload[idx]
 	}
-	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.msg.wireBytes(), Payload: &d.msg, FlowID: uint32(f.id)}
+	if idx >= 0 {
+		d.Payload = f.payload[idx]
+	}
+	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.wireBytes(), Payload: d, FlowID: uint32(f.id)}
 	return &d.frame
 }
 
-// copyBMap returns a copy of bmap that no later send shares: it is cut from
-// the node's chunk with cap == len, so an append to it reallocates instead
-// of overwriting the next frame's map.
-func (n *Node) copyBMap(bmap []uint8) []uint8 {
-	k := len(bmap)
-	if k == 0 {
-		return nil
+// release puts a message Sent handed back on the free list, poisoned: a
+// sentinel flow, batch, packet index and priority, an empty map (its storage
+// kept for the next send), no list, no payload, a zero frame. A read that
+// outlives the frame finds nothing it can use.
+func (n *Node) release(m *DataMsg) {
+	*m = DataMsg{
+		Flow: releasedFlow, Src: -1, Dst: -1, Batch: -1, K: -1, BatchBase: -1, TotalBatches: -1,
+		PktIdx: -1, FragRemaining: -1, SenderPrio: -1, BMap: m.BMap[:0],
 	}
-	if len(n.bmaps) < k {
-		n.bmaps = make([]uint8, max(bmapChunk, k))
-	}
-	c := n.bmaps[:k:k]
-	n.bmaps = n.bmaps[k:]
-	copy(c, bmap)
-	return c
+	n.free = append(n.free, m)
 }
 
 // Sent implements sim.Protocol.
@@ -865,6 +865,9 @@ func (n *Node) Sent(fr *sim.Frame, ok bool) {
 				n.unicast = append(n.unicast, fr)
 			}
 		}
+	case *DataMsg:
+		// Broadcast: every receiver has taken what it keeps.
+		n.release(m)
 	}
 	if len(n.unicast) > 0 {
 		n.node.Wake()

@@ -1,6 +1,7 @@
 package exor
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -171,21 +172,23 @@ func sourceFlow(t *testing.T, k int) (*Node, *exorFlow) {
 	return n, n.flows[1]
 }
 
-func TestDataSendAllocatesOnce(t *testing.T) {
-	// Once warm, a pulled data frame is one allocation — message, frame and
-	// all — plus the batch-map chunk refill amortised over bmapChunk/K
-	// frames; a new turn's fragment reuses the flow's buffer.
+func TestDataSendAllocatesNothing(t *testing.T) {
+	// Once warm, a data frame pulled and handed back allocates nothing: the
+	// message, its frame and its batch map come off the node's free list; a
+	// new turn's fragment reuses the flow's buffer.
 	const k = 32
 	n, f := sourceFlow(t, k)
 	one := []int{0}
 	allocs := testing.AllocsPerRun(100, func() {
 		f.inTurn, f.fragQueue = true, one
-		if n.Pull() == nil {
+		fr := n.Pull()
+		if fr == nil {
 			t.Fatal("a source in its turn sent nothing")
 		}
+		n.Sent(fr, true)
 	})
-	if allocs > 1+float64(k)/bmapChunk {
-		t.Errorf("a data send allocates %v objects, want 1 (+%v for chunk refills)", allocs, float64(k)/bmapChunk)
+	if allocs != 0 {
+		t.Errorf("a data send allocates %v objects, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { n.takeTurn(f) }); allocs != 0 {
 		t.Errorf("computing a turn's fragment allocates %v objects, want 0", allocs)
@@ -195,9 +198,31 @@ func TestDataSendAllocatesOnce(t *testing.T) {
 	}
 }
 
+func TestReleasedMessageIsPoisoned(t *testing.T) {
+	// Sent poisons the message it hands back, keeping only its map's
+	// storage, and the next send reuses it: a reader that kept the frame
+	// past Sent finds no flow, no map, no list and no payload.
+	n, _ := sourceFlow(t, 8)
+	fr := n.Pull()
+	m := fr.Payload.(*DataMsg)
+	storage := &m.BMap[0]
+	n.Sent(fr, true)
+	want := DataMsg{
+		Flow: releasedFlow, Src: -1, Dst: -1, Batch: -1, K: -1, BatchBase: -1, TotalBatches: -1,
+		PktIdx: -1, FragRemaining: -1, SenderPrio: -1, BMap: m.BMap,
+	}
+	if !reflect.DeepEqual(*m, want) || len(m.BMap) != 0 {
+		t.Fatalf("released message flow %d batch %d packet %d map %v, %d payload bytes; want sentinels, no map, no payload",
+			m.Flow, m.Batch, m.PktIdx, m.BMap, len(m.Payload))
+	}
+	if g := n.Pull(); g != fr || g.Payload != m || m.Flow != 1 || &m.BMap[0] != storage {
+		t.Fatal("the next send did not reuse the released message and its map")
+	}
+}
+
 func TestSentBatchMapIsACopy(t *testing.T) {
-	// Sent frames' batch maps share one chunk, but no frame's map aliases
-	// the flow's live map or the next frame's.
+	// Frames not yet handed back own their batch maps: none aliases the
+	// flow's live map or another such frame's.
 	n, f := sourceFlow(t, 8)
 	first := n.Pull().Payload.(*DataMsg)
 	want := slices.Clone(first.BMap)
@@ -209,12 +234,15 @@ func TestSentBatchMapIsACopy(t *testing.T) {
 	}
 	second := n.Pull().Payload.(*DataMsg)
 	next := slices.Clone(second.BMap)
-	if cap(first.BMap) != len(first.BMap) {
-		t.Fatalf("a carved map has cap %d > len %d", cap(first.BMap), len(first.BMap))
+	for i := range first.BMap {
+		first.BMap[i] = 0xDD
 	}
 	_ = append(first.BMap, 1, 2, 3)
 	if !slices.Equal(second.BMap, next) {
-		t.Fatalf("appending to one frame's map overwrote the next frame's: %v, want %v", second.BMap, next)
+		t.Fatalf("writing one frame's map changed another's: %v, want %v", second.BMap, next)
+	}
+	if !slices.Equal(f.bmap, slices.Repeat([]uint8{0xEE}, 8)) {
+		t.Fatalf("writing a frame's map changed the flow's: %v", f.bmap)
 	}
 }
 

@@ -116,6 +116,9 @@ type Agent struct {
 	pendingFwd []pendingLSA // LSAs to rebroadcast
 	fwdFree    *fwdTimer    // jitter timers not waiting on an LSA, linked through next
 
+	// The periodic ticks, each one timer re-armed as it fires.
+	advTimer, expiryTimer *sim.Event
+
 	// The LSA database, dense by origin and split by how often a row is
 	// read: every decoded LSA reads hot[origin] for the duplicate check, and
 	// nine in ten stop there; only an installed one touches cold[origin].
@@ -249,10 +252,13 @@ func (a *Agent) scheduleExpiry() {
 	if period <= 0 {
 		period = sim.Time(1)
 	}
-	a.node.After(period, func() {
-		a.expire()
-		a.scheduleExpiry()
-	})
+	if a.expiryTimer == nil {
+		a.expiryTimer = a.node.NewTimer(func() {
+			a.expire()
+			a.scheduleExpiry()
+		})
+	}
+	a.expiryTimer.Reset(period)
 }
 
 // expire purges database entries older than MaxAge. The node's own entry
@@ -274,10 +280,13 @@ func (a *Agent) expire() {
 
 func (a *Agent) scheduleAdvertise() {
 	d := a.cfg.AdvertiseInterval + sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
-	a.node.After(d, func() {
-		a.advertise()
-		a.scheduleAdvertise()
-	})
+	if a.advTimer == nil {
+		a.advTimer = a.node.NewTimer(func() {
+			a.advertise()
+			a.scheduleAdvertise()
+		})
+	}
+	a.advTimer.Reset(d)
 }
 
 // advertise queues a fresh LSA of this node's inbound link estimates —

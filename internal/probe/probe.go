@@ -61,7 +61,8 @@ type Prober struct {
 	cfg     Config
 	node    *sim.Node
 	seq     uint32
-	pending int // probes due but not yet transmitted
+	pending int        // probes due but not yet transmitted
+	tick    *sim.Event // the probe clock, re-armed every tick
 
 	// received[origin] holds the sequence numbers heard from origin within
 	// the window horizon.
@@ -99,15 +100,19 @@ func (p *Prober) Init(n *sim.Node) {
 
 func (p *Prober) scheduleNext() {
 	d := interval + sim.Time(p.node.Rand().Int63n(int64(2*jitter))) - jitter
-	p.node.After(d, func() {
-		// A failed radio generates no probes (its clock keeps running, so a
-		// recovered node resumes on the next tick without a backlog burst).
-		if !p.node.Failed() {
-			p.pending++
-			p.node.Wake()
-		}
-		p.scheduleNext()
-	})
+	if p.tick == nil {
+		p.tick = p.node.NewTimer(func() {
+			// A failed radio generates no probes (its clock keeps running, so
+			// a recovered node resumes on the next tick without a backlog
+			// burst).
+			if !p.node.Failed() {
+				p.pending++
+				p.node.Wake()
+			}
+			p.scheduleNext()
+		})
+	}
+	p.tick.Reset(d)
 }
 
 // Receive implements sim.Protocol.

@@ -70,3 +70,22 @@ func TestDeliveryFromUnknownOrigin(t *testing.T) {
 		t.Fatal("unknown origin should estimate 0")
 	}
 }
+
+// TestProbeClockRearmsOneTimer: the probe clock is one event re-armed as it
+// fires, so a tick that generates nothing — the node's radio is down —
+// allocates nothing.
+func TestProbeClockRearmsOneTimer(t *testing.T) {
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 1)
+	s := sim.New(topo, sim.DefaultConfig())
+	p := NewProber(DefaultConfig())
+	s.Attach(0, p)
+	s.FailNode(0)
+	tick := p.tick
+	if allocs := testing.AllocsPerRun(100, func() { s.Run(s.Now() + interval + jitter) }); allocs != 0 {
+		t.Errorf("a probe tick allocates %v objects, want 0", allocs)
+	}
+	if p.tick != tick || s.Pending() != 1 || p.ProbeTx != 0 {
+		t.Fatalf("the probe clock was replaced or duplicated: %d events pending", s.Pending())
+	}
+}

@@ -359,7 +359,7 @@ func (m *mac) postTxReset(newBackoff bool) {
 func (m *mac) deliver(tx *transmission) {
 	f := tx.frame
 	if f.isMACAck {
-		if m.state == macWaitAck && f.To == m.node.id && f.ack.data == m.cur {
+		if m.state == macWaitAck && f.To == m.node.id && f.ack.acks(m.cur) {
 			m.ackTimer.Cancel()
 			cur := m.cur
 			cur.Retries = m.retries
@@ -391,8 +391,14 @@ type macAck struct {
 	wait  Event
 	m     *mac   // the acknowledging MAC
 	data  *Frame // the data frame acknowledged
+	seq   uint64 // data's MAC sequence number when it was acknowledged
 	frame Frame
 }
+
+// acks reports whether the ACK answers f. Protocols recycle their frames
+// once Sent hands them back, so the pointer alone could name a later frame
+// in the same memory; the sequence number tells the two apart.
+func (a *macAck) acks(f *Frame) bool { return a.data == f && a.seq == f.seq }
 
 // scheduleMACAck sends the 802.11 ACK one SIFS after the data frame. It
 // keeps the data frame and its sender's ID, not the transmission: that one
@@ -404,7 +410,7 @@ func (m *mac) scheduleMACAck(dataTx *transmission) {
 		a = new(macAck)
 		a.wait.init(s, a.send)
 	}
-	a.m, a.data = m, dataTx.frame
+	a.m, a.data, a.seq = m, dataTx.frame, dataTx.frame.seq
 	a.frame = Frame{From: m.node.id, To: dataTx.from.id, Bytes: macAckBytes, isMACAck: true, ack: a}
 	s.armAt(&a.wait, s.now+sifs)
 }

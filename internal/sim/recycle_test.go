@@ -195,3 +195,31 @@ func TestSteadyStateTransmitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleMACAckIsIgnored: protocols recycle a frame once Sent hands it
+// back, so the frame a MAC waits on can sit at the address of an earlier
+// frame that was acknowledged already. Only an ACK of this transmission —
+// the same pointer and the same MAC sequence number — completes it.
+func TestStaleMACAckIsIgnored(t *testing.T) {
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 1)
+	s := New(topo, DefaultConfig())
+	a := &oneFrameSender{frame: Frame{To: 1, Bytes: 300}}
+	s.Attach(0, a)
+	s.Attach(1, deafProto{})
+	m := &s.macs[0]
+	s.RunWhile(Second, func() bool { return m.state != macWaitAck })
+	if m.state != macWaitAck || m.cur != &a.frame {
+		t.Fatal("the sender never waited for a MAC ACK")
+	}
+	stale := &macAck{data: m.cur, seq: m.cur.seq - 1}
+	stale.frame = Frame{From: 1, To: 0, Bytes: macAckBytes, isMACAck: true, ack: stale}
+	m.deliver(&transmission{frame: &stale.frame})
+	if m.state != macWaitAck || a.sent != 0 {
+		t.Fatal("an ACK of an earlier frame at the same address completed the frame")
+	}
+	s.RunWhile(Second, func() bool { return a.sent == 0 })
+	if a.sent != 1 || s.Counters.UnicastSuccesses != 1 {
+		t.Fatalf("the frame's own ACK: %d sent, %d unicast successes; want 1, 1", a.sent, s.Counters.UnicastSuccesses)
+	}
+}

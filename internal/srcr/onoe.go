@@ -33,12 +33,12 @@ type Onoe struct {
 // periodic evaluation on the node's timer wheel.
 func NewOnoe(node *sim.Node) *Onoe {
 	o := &Onoe{rateIdx: len(sim.Rates) - 1}
-	var tick func()
-	tick = func() {
+	var tick *sim.Event
+	tick = node.NewTimer(func() {
 		o.evaluate()
-		node.After(onoePeriod, tick)
-	}
-	node.After(onoePeriod, tick)
+		tick.Reset(onoePeriod)
+	})
+	tick.Reset(onoePeriod)
 	return o
 }
 

@@ -138,3 +138,17 @@ func TestOnoeFixedParameters(t *testing.T) {
 			onoePeriod, onoeRaiseCredit, onoeDownRetryFrac, onoeCreditRetryFrac)
 	}
 }
+
+// TestOnoeClockRearmsOneTimer: an Onoe rate window closes on one event
+// re-armed as it fires, so an idle neighbour's evaluation allocates nothing.
+func TestOnoeClockRearmsOneTimer(t *testing.T) {
+	s := sim.New(graph.New(1), sim.DefaultConfig())
+	s.Attach(0, &probeLike{})
+	NewOnoe(s.Node(0))
+	if allocs := testing.AllocsPerRun(100, func() { s.Run(s.Now() + onoePeriod) }); allocs != 0 {
+		t.Errorf("an Onoe evaluation allocates %v objects, want 0", allocs)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("%d events pending, want the one Onoe clock", s.Pending())
+	}
+}

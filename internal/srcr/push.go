@@ -27,28 +27,24 @@ import (
 // delivery counting, duplicate suppression, and payload verification work
 // unchanged.
 
-// pushChunk is how many packets a push source makes from its file at once.
-const pushChunk = 32
-
 // pushState is the source-side state of one push flow.
 type pushState struct {
 	id  flow.ID
 	dst graph.NodeID
 	tr  flow.Traffic
-	// file is made into packets a chunk at a time as the clock reaches
-	// them; chunk holds the made ones not yet sent. A datagram is never
-	// resent, so nothing older is kept.
+	// file makes each packet as the clock reaches it, into the message
+	// that carries it.
 	file  flow.File
-	chunk [][]byte
 	route []graph.NodeID
 	// planVersion tracks the routing state generation; the route is
 	// recomputed when it moves (learned views converging, oracle
 	// invalidation after a topology event).
 	planVersion uint64
 
-	epoch   sim.Time // flow start: generation clock origin
-	nextGen sim.Time // absolute time of the next generation tick
-	next    int      // next sequence number to generate
+	epoch   sim.Time   // flow start: generation clock origin
+	nextGen sim.Time   // absolute time of the next generation tick
+	next    int        // next sequence number to generate
+	tick    *sim.Event // the generation clock, re-armed every tick
 
 	generated int
 	drops     int64 // local-queue overflow drops (bare mode only)
@@ -103,7 +99,8 @@ func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file
 		},
 	}
 	n.pushes[id] = st
-	n.node.After(0, func() { n.pushTick(st) })
+	st.tick = n.node.NewTimer(func() { n.pushTick(st) })
+	st.tick.Reset(0)
 	return nil
 }
 
@@ -177,17 +174,8 @@ func (n *Node) pushTick(st *pushState) {
 			st.route = r
 		}
 	}
-	if len(st.chunk) == 0 {
-		st.chunk = st.file.Packets(st.next, min(st.next+pushChunk, st.file.NumPackets()))
-	}
-	m := &DataMsg{
-		Flow:    st.id,
-		Seq:     st.next,
-		Route:   st.route,
-		Hop:     0,
-		Payload: st.chunk[0],
-	}
-	st.chunk = st.chunk[1:]
+	m := n.newMsg(st.id, st.next, st.route, 0, st.file.PacketSize(st.next))
+	st.file.Fill(st.next, m.Payload)
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(st.id), Aux: int64(st.next), Kind: telemetry.KindPktSend,
 	})
@@ -202,6 +190,7 @@ func (n *Node) pushTick(st *pushState) {
 		n.node.Wake()
 	default:
 		st.drops++
+		n.release(m)
 	}
 	if st.next >= st.file.NumPackets() {
 		st.done = true
@@ -213,7 +202,7 @@ func (n *Node) pushTick(st *pushState) {
 		return
 	}
 	st.advanceClock()
-	n.node.After(st.nextGen-n.node.Now(), func() { n.pushTick(st) })
+	st.tick.Reset(st.nextGen - n.node.Now())
 }
 
 // advanceClock moves nextGen to the following generation instant: one

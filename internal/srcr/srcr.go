@@ -50,10 +50,18 @@ type DataMsg struct {
 	Hop     int            // index of the current holder in Route
 	Payload []byte
 
+	// buf backs Payload: a message owns its bytes, and keeps them through
+	// release for the next packet it carries.
+	buf []byte
 	// frame carries the message one hop (frameFor): message and frame are
-	// one allocation. Each message is framed once; a relay sends a new one.
+	// one object, recycled once Sent hands the frame back (release). Each
+	// message is framed once; a relay copies what it received into its own.
 	frame sim.Frame
 }
+
+// releasedFlow is the Flow of a released message: no flow has it, so a read
+// after release finds no state.
+const releasedFlow = ^flow.ID(0)
 
 func (m *DataMsg) wireBytes() int {
 	h := packet.SrcrHeader{Route: m.Route}
@@ -68,6 +76,8 @@ type Node struct {
 
 	queue   []*DataMsg   // forwarding queue, drop tail
 	control []*sim.Frame // FIN/NACK control messages (prioritized)
+	// free holds data messages Sent handed back, for newMsg to reuse.
+	free    []*DataMsg
 	sources map[flow.ID]*sourceState
 	// sourceOrder fixes the service order of concurrent local sources: map
 	// iteration order would leak nondeterminism into multi-flow runs.
@@ -91,7 +101,7 @@ type Node struct {
 type sourceState struct {
 	id       flow.ID
 	route    []graph.NodeID
-	payloads [][]byte // the whole file: a later pass may resend any packet
+	file     flow.File // packet seq is made from it at each send
 	inFlight bool
 	result   flow.Result
 	done     bool
@@ -154,11 +164,11 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 	st := &sourceState{
 		id:          id,
 		route:       route,
-		payloads:    file.Packets(0, file.NumPackets()),
+		file:        file,
 		onDone:      onDone,
 		planVersion: n.state.Version(),
 	}
-	st.startPassTracking(len(st.payloads))
+	st.startPassTracking(file.NumPackets())
 	st.result = flow.Result{
 		Src: n.node.ID(), Dst: dst,
 		PacketsTotal: file.NumPackets(),
@@ -232,7 +242,9 @@ func (n *Node) Receive(f *sim.Frame) {
 		n.QueueDrops++
 		return
 	}
-	n.queue = append(n.queue, &DataMsg{Flow: m.Flow, Seq: m.Seq, Route: m.Route, Hop: m.Hop + 1, Payload: m.Payload})
+	q := n.newMsg(m.Flow, m.Seq, m.Route, m.Hop+1, len(m.Payload))
+	copy(q.Payload, m.Payload)
+	n.queue = append(n.queue, q)
 	n.node.Wake()
 }
 
@@ -285,17 +297,17 @@ func (n *Node) HasControl() bool { return len(n.control) > 0 }
 func (n *Node) Pull() *sim.Frame {
 	if len(n.control) > 0 {
 		fr := n.control[0]
-		n.control = n.control[1:]
+		n.control = n.control[:copy(n.control, n.control[1:])]
 		return fr
 	}
 	if len(n.pushQ) > 0 {
 		fr := n.pushQ[0]
-		n.pushQ = n.pushQ[1:]
+		n.pushQ = n.pushQ[:copy(n.pushQ, n.pushQ[1:])]
 		return fr
 	}
 	if len(n.queue) > 0 {
 		m := n.queue[0]
-		n.queue = n.queue[1:]
+		n.queue = n.queue[:copy(n.queue, n.queue[1:])]
 		return n.frameFor(m)
 	}
 	for _, id := range n.sourceOrder {
@@ -305,13 +317,8 @@ func (n *Node) Pull() *sim.Frame {
 		}
 		seq := st.pending[0]
 		st.pending = st.pending[1:]
-		m := &DataMsg{
-			Flow:    st.id,
-			Seq:     seq,
-			Route:   st.route,
-			Hop:     0,
-			Payload: st.payloads[seq],
-		}
+		m := n.newMsg(st.id, seq, st.route, 0, st.file.PacketSize(seq))
+		st.file.Fill(seq, m.Payload)
 		st.inFlight = true
 		n.node.Emit(telemetry.Event{
 			Flow: uint32(st.id), Aux: int64(seq), Kind: telemetry.KindPktSend,
@@ -319,6 +326,30 @@ func (n *Node) Pull() *sim.Frame {
 		return n.frameFor(m)
 	}
 	return nil
+}
+
+// newMsg takes a message off the free list, or makes one, for packet seq of
+// flow id at hop of route, with size payload bytes for the caller to fill.
+func (n *Node) newMsg(id flow.ID, seq int, route []graph.NodeID, hop, size int) *DataMsg {
+	var m *DataMsg
+	if k := len(n.free); k > 0 {
+		m, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		m = new(DataMsg)
+	}
+	if cap(m.buf) < size {
+		m.buf = make([]byte, size)
+	}
+	m.Flow, m.Seq, m.Route, m.Hop, m.Payload = id, seq, route, hop, m.buf[:size]
+	return m
+}
+
+// release puts a message back on the free list, poisoned: a sentinel flow,
+// sequence and hop, no route, no payload, a zero frame; only buf stays. A
+// read that outlives the frame finds nothing it can use.
+func (n *Node) release(m *DataMsg) {
+	*m = DataMsg{Flow: releasedFlow, Seq: -1, Hop: -1, buf: m.buf}
+	n.free = append(n.free, m)
 }
 
 func (n *Node) frameFor(m *DataMsg) *sim.Frame {
@@ -393,6 +424,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 			}
 		}
 	}
+	n.release(m)
 	if len(n.queue) > 0 || len(n.control) > 0 || len(n.pushQ) > 0 || n.hasPendingSource() {
 		n.node.Wake()
 	}

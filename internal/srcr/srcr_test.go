@@ -1,6 +1,7 @@
 package srcr
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/flow"
@@ -228,10 +229,10 @@ func lineFlow(t *testing.T) []*Node {
 	return nodes
 }
 
-func TestDataSendAllocatesOnce(t *testing.T) {
-	// Once warm, a data frame pulled at the source is one allocation: the
-	// message, which carries its frame. A relay's Pull frames the message
-	// its Receive queued, and allocates nothing.
+func TestDataSendAllocatesNothing(t *testing.T) {
+	// Once the free lists are warm, a data frame pulled and handed back
+	// allocates nothing: at the source, at a relay that forwards what it
+	// received, and at a push source's tick.
 	nodes := lineFlow(t)
 	src := nodes[0].sources[1]
 	one := []int{0}
@@ -244,21 +245,79 @@ func TestDataSendAllocatesOnce(t *testing.T) {
 		src.pending = one // keep the pass open: its end would send a FIN
 		nodes[0].Sent(f, true)
 	})
-	if allocs != 1 {
-		t.Errorf("a source data send allocates %v objects, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a source data send allocates %v objects, want 0", allocs)
 	}
-	src.pending = one
-	nodes[1].Receive(nodes[0].Pull())
-	m := nodes[1].queue[0]
-	queue := nodes[1].queue[:1]
 	allocs = testing.AllocsPerRun(100, func() {
-		nodes[1].queue = queue
-		if f := nodes[1].Pull(); f == nil || f.Payload != m || f.To != 2 {
-			t.Fatal("the relay did not forward its queued message")
+		src.pending = one
+		f := nodes[0].Pull()
+		nodes[1].Receive(f)
+		src.pending = one
+		nodes[0].Sent(f, true)
+		g := nodes[1].Pull()
+		if g == nil || g.To != 2 {
+			t.Fatal("the relay did not forward what it received")
 		}
+		nodes[1].Sent(g, true)
 	})
 	if allocs != 0 {
-		t.Errorf("framing a queued message allocates %v objects, want 0", allocs)
+		t.Errorf("a relay forward allocates %v objects, want 0", allocs)
+	}
+	const packets = 1000
+	tr := flow.Traffic{Model: flow.PushCBR, RatePPS: 100, Packets: packets}
+	if err := nodes[0].StartPushFlow(2, 2, tr, flow.NewFile(packets*256, 256, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	push := nodes[0].pushes[2]
+	allocs = testing.AllocsPerRun(100, func() {
+		nodes[0].pushTick(push)
+		f := nodes[0].Pull()
+		if f == nil || f.Payload.(*DataMsg).Flow != 2 {
+			t.Fatal("the push tick queued nothing")
+		}
+		nodes[0].Sent(f, true)
+	})
+	if allocs != 0 {
+		t.Errorf("a push tick allocates %v objects, want 0", allocs)
+	}
+}
+
+func TestReleasedMessageIsPoisoned(t *testing.T) {
+	// Sent poisons the message it hands back, keeping only its payload
+	// storage, and the next send reuses it: a reader that kept the frame
+	// past Sent finds no flow, no sequence, no hop, no route, no payload.
+	nodes := lineFlow(t)
+	f := nodes[0].Pull()
+	m := f.Payload.(*DataMsg)
+	storage := &m.buf[0]
+	nodes[0].Sent(f, true)
+	want := DataMsg{Flow: releasedFlow, Seq: -1, Hop: -1, buf: m.buf}
+	if !reflect.DeepEqual(*m, want) {
+		t.Fatalf("released message flow %d seq %d hop %d route %v, %d payload bytes; want sentinels, no route, no payload",
+			m.Flow, m.Seq, m.Hop, m.Route, len(m.Payload))
+	}
+	if nodes[1].Receive(f); len(nodes[1].queue) != 0 {
+		t.Fatal("a released frame was forwarded")
+	}
+	if g := nodes[0].Pull(); g != f || g.Payload != m || m.Seq != 1 || &m.Payload[0] != storage {
+		t.Fatal("the next send did not reuse the released message and its bytes")
+	}
+}
+
+func TestRelayOwnsWhatItQueues(t *testing.T) {
+	// A relay queues its own copy of what it received: the sender's message
+	// released and refilled with the next packet leaves the copy unchanged.
+	nodes := lineFlow(t)
+	file := nodes[0].sources[1].file
+	f := nodes[0].Pull()
+	nodes[1].Receive(f)
+	q := nodes[1].queue[0]
+	nodes[0].Sent(f, true)
+	if g := nodes[0].Pull(); g != f || g.Payload.(*DataMsg).Seq != 1 {
+		t.Fatal("the source did not refill its released message with packet 1")
+	}
+	if q.Seq != 0 || q.Hop != 1 || !file.Matches(0, q.Payload) {
+		t.Fatalf("the relay's copy changed under the sender: seq %d hop %d", q.Seq, q.Hop)
 	}
 }
 
