@@ -1,16 +1,26 @@
 package coding
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Pool is a handle on the free list of Packets of one shape (K, payload
 // size): the steady-state packet pipeline — source coding, buffering,
 // recoding, decoding — allocates nothing once the free list is warm. There
-// is one free list per shape in the process, shared by every handle of that
-// shape: every node of a simulation, and every simulation the experiment
-// workers run at once. It is a sync.Pool, so it is safe for concurrent use
-// and the garbage collector may empty it; a packet a node released is
-// reused by the next node that needs one of its shape instead of dying with
-// the batch or the relay that held it.
+// is one free list per payload size in the process, shared by every handle
+// of that size: every node of a simulation, every simulation the experiment
+// workers run at once, and every K. It is a sync.Pool, so it is safe for
+// concurrent use and the garbage collector may empty it; a packet a node
+// released is reused by the next node that needs one of its payload size
+// instead of dying with the batch or the relay that held it.
+//
+// A packet's code vector sits behind its payload with room for at least the
+// K it was made for, so a handle takes any packet from the list whose vector
+// has room for its K and reslices it: a file's short last batch (K = 12
+// after batches of 32) codes into the packets its longer batches handed
+// back, and the list's high-water mark is the most packets the process ever
+// holds at once, not that summed over the shapes it has seen.
 //
 // Ownership rules: Get transfers ownership to the caller; Put transfers it
 // back. A component holding a pool (Buffer, Source, Decoder) recycles the
@@ -30,6 +40,7 @@ type shape struct{ k, size int }
 var (
 	shapesMu sync.Mutex
 	shapes   = map[shape]*Pool{}
+	lists    = map[int]*sync.Pool{} // by payload size
 )
 
 // NewPool returns the handle on the free list for packets with K-length
@@ -39,7 +50,12 @@ func NewPool(k, size int) *Pool {
 	defer shapesMu.Unlock()
 	p := shapes[shape{k, size}]
 	if p == nil {
-		p = &Pool{k: k, size: size, free: new(sync.Pool)}
+		free := lists[size]
+		if free == nil {
+			free = new(sync.Pool)
+			lists[size] = free
+		}
+		p = &Pool{k: k, size: size, free: free}
 		shapes[shape{k, size}] = p
 	}
 	return p
@@ -54,20 +70,26 @@ func (p *Pool) PayloadSize() int { return p.size }
 // Get returns a packet with the pool's shape. Its contents are undefined;
 // callers overwrite both vector and payload.
 func (p *Pool) Get() *Packet {
-	if q, ok := p.free.Get().(*Packet); ok {
+	if q, ok := p.free.Get().(*Packet); ok && cap(q.Vector) >= p.k {
+		q.Vector = q.Vector[:p.k]
 		return q
 	}
-	// One backing array for vector and payload: two objects per packet, not
-	// three. The vector's cap stops at k, so an append to it cannot run into
-	// the payload.
-	buf := make([]byte, p.k+p.size)
-	return &Packet{Vector: buf[:p.k:p.k], Payload: buf[p.k:]}
+	// A packet made for a smaller K, if one came back, is left to the
+	// collector. A new one is one backing array for payload and vector: two
+	// objects per packet, not three. The array's capacity is rounded up to
+	// its allocation size class, which costs nothing and is vector room for
+	// a larger K; the payload's cap stops at its length, so nothing written
+	// through it reaches the vector.
+	n := p.size + p.k
+	buf := slices.Grow([]byte(nil), n)[:n]
+	return &Packet{Payload: buf[:p.size:p.size], Vector: buf[p.size:n]}
 }
 
-// Put returns a packet to the free list. Packets of the wrong shape are
-// dropped (they would corrupt later Gets); nil is ignored.
+// Put returns a packet to the free list. A packet of another payload size,
+// or whose vector has no room for the pool's K, is dropped (it would corrupt
+// later Gets); nil is ignored.
 func (p *Pool) Put(q *Packet) {
-	if p.Fits(q) {
+	if q != nil && len(q.Payload) == p.size && cap(q.Vector) >= p.k {
 		p.free.Put(q)
 	}
 }

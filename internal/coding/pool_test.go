@@ -65,10 +65,13 @@ func poison(p *Pool) {
 
 func TestPoolShapes(t *testing.T) {
 	if NewPool(4, 16) != NewPool(4, 16) {
-		t.Fatal("NewPool returned two free lists for one shape")
+		t.Fatal("NewPool returned two handles for one shape")
 	}
-	if NewPool(4, 16) == NewPool(4, 17) || NewPool(4, 16) == NewPool(5, 16) {
-		t.Fatal("NewPool shares a free list between shapes")
+	if NewPool(4, 16) == NewPool(5, 16) || NewPool(4, 16).free != NewPool(5, 16).free {
+		t.Fatal("two K of one payload size do not have two handles on one free list")
+	}
+	if NewPool(4, 16).free == NewPool(4, 17).free {
+		t.Fatal("NewPool shares a free list between payload sizes")
 	}
 	p := privatePool(t, 4, 16)
 	q := p.Get()
@@ -85,6 +88,37 @@ func TestPoolShapes(t *testing.T) {
 	p.Put(&Packet{Vector: make([]byte, 3), Payload: make([]byte, 16)})
 	p.Put(&Packet{Vector: make([]byte, 4), Payload: make([]byte, 17)})
 	checkRecycled(t, p, 0, "a mis-shaped Put")
+}
+
+func TestShortBatchReslicesLongerBatchPackets(t *testing.T) {
+	// A file's short last batch draws the packets its longer batches handed
+	// back: one free list per payload size, resliced to each handle's K with
+	// the payload where it was, and back again. A packet made for the short
+	// batch has vector room for the long one too: the allocation's size
+	// class leaves it.
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	long := privatePool(t, 32, 1500)
+	short := &Pool{k: 12, size: 1500, free: long.free}
+	q := long.Get()
+	q.Payload[0] = 7
+	long.Put(q)
+	r := short.Get()
+	if r != q || len(r.Vector) != 12 || len(r.Payload) != 1500 || r.Payload[0] != 7 {
+		t.Fatalf("the short batch got %p (vector %d, payload %d), want the long batch's %p resliced",
+			r, len(r.Vector), len(r.Payload), q)
+	}
+	short.Put(r)
+	if s := long.Get(); s != q || len(s.Vector) != 32 {
+		t.Fatal("the long batch did not get its packet back at its own K")
+	}
+	fresh := short.Get()
+	if cap(fresh.Vector) < 32 || cap(fresh.Payload) != 1500 {
+		t.Fatalf("a new K = 12 packet has vector room %d, payload cap %d", cap(fresh.Vector), cap(fresh.Payload))
+	}
+	long.Put(&Packet{Vector: make([]byte, 12), Payload: make([]byte, 1500)})
+	checkRecycled(t, long, 0, "a Put without vector room for K = 32")
 }
 
 func TestPooledPipelineMatchesUnpooled(t *testing.T) {

@@ -325,8 +325,10 @@ type Layer struct {
 	// controls whether anyone reads it.
 	loadst loadState
 
-	// pendingGrants holds at most one un-transmitted grant per flow.
+	// pendingGrants holds at most one un-transmitted grant per flow;
+	// grantFree holds the grants Sent handed back, for queueGrant to reuse.
 	pendingGrants []*CreditMsg
+	grantFree     []*CreditMsg
 
 	// enqAt timestamps queued frames for the queue-wait metric. Allocated
 	// lazily and only while a telemetry sink is installed, so the normal
@@ -482,7 +484,8 @@ func (l *Layer) Pull() *sim.Frame {
 			Flow: uint32(g.Flow), Batch: g.Batch,
 			Aux: int64(g.Needed), Kind: telemetry.KindGrant,
 		})
-		return g.frame(l.node.ID())
+		g.frame = sim.Frame{From: l.node.ID(), To: graph.Broadcast, Bytes: grantWireBytes, Payload: g}
+		return &g.frame
 	}
 	// Refill from the protocol. Control frames surface immediately; data
 	// frames enter the queue under the drop policy. The QueueLen bound
@@ -653,11 +656,13 @@ func (l *Layer) commitSend(info frameInfo) {
 }
 
 // Sent implements sim.Protocol, routing outcomes back to the protocol.
-// Grants are layer-owned and need no completion handling (broadcast). The
-// frame belongs to the protocol again once handed back, which may recycle it
-// at once: whatever the layer reads of it, it reads first.
+// Grants are layer-owned: a grant handed back goes onto the layer's free
+// list (releaseGrant) and needs no completion handling (broadcast). A data
+// frame belongs to the protocol again once handed back, which may recycle
+// it at once: whatever the layer reads of it, it reads first.
 func (l *Layer) Sent(f *sim.Frame, ok bool) {
-	if _, isGrant := f.Payload.(*CreditMsg); isGrant {
+	if g, isGrant := f.Payload.(*CreditMsg); isGrant {
+		l.releaseGrant(g)
 		if len(l.pendingGrants) > 0 || len(l.queue) > 0 {
 			l.node.Wake()
 		}

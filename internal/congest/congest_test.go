@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -306,5 +307,95 @@ func TestStatsAdd(t *testing.T) {
 	want := Stats{18, 2, 4, 6, 8, 10, 12, 14, 16}
 	if a != want {
 		t.Errorf("Add: got %+v want %+v", a, want)
+	}
+}
+
+// needProto is a fakeProto that reports a scripted need for every flow, so
+// the credit layer grants on receptions from upstream.
+type needProto struct {
+	fakeProto
+	batch  uint32
+	needed int
+}
+
+func (p *needProto) BatchNeeded(flow.ID) (uint32, int, bool) { return p.batch, p.needed, true }
+
+// grantLayer builds a credit layer on node 0 over a needProto, and a data
+// frame of flow fid from its source, node 1, that lists node 0 as forwarder.
+func grantLayer(t *testing.T, fid flow.ID) (*Layer, *needProto, *sim.Frame) {
+	t.Helper()
+	p := &needProto{}
+	l, _ := newTestLayer(t, Config{Policy: Credit}, p)
+	return l, p, moreFrameWithFwd(fid, 0, 1, 1, []graph.NodeID{0})
+}
+
+func TestGrantSendAllocatesNothing(t *testing.T) {
+	// A grant queued, pulled and handed back allocates nothing once the
+	// layer's free list holds one: the message carries its frame, and Sent
+	// returns it for the next grant. The need alternates between zero and
+	// positive, so every reception is a transition worth a grant.
+	l, p, data := grantLayer(t, 1)
+	grant := func() {
+		p.needed = 4 - p.needed
+		l.Receive(data)
+		f := l.Pull()
+		if g, ok := f.Payload.(*CreditMsg); !ok || g.Needed != p.needed {
+			t.Fatalf("pulled %+v, want a grant of need %d", f.Payload, p.needed)
+		}
+		l.Sent(f, true)
+	}
+	grant()
+	if allocs := testing.AllocsPerRun(100, grant); allocs != 0 {
+		t.Errorf("a grant send allocates %v objects, want 0", allocs)
+	}
+	if l.Stats.GrantTx != 102 {
+		t.Errorf("%d grants sent, want 102", l.Stats.GrantTx)
+	}
+}
+
+func TestReleasedGrantIsPoisoned(t *testing.T) {
+	// Sent poisons the grant it hands back and the next grant reuses it: a
+	// reader that kept the frame past Sent finds no flow, no need and no
+	// payload on the frame.
+	l, p, data := grantLayer(t, 1)
+	p.needed = 3
+	l.Receive(data)
+	f := l.Pull()
+	g := f.Payload.(*CreditMsg)
+	l.Sent(f, true)
+	want := CreditMsg{Flow: releasedGrant, Batch: ^uint32(0), Needed: -1}
+	if !reflect.DeepEqual(*g, want) {
+		t.Fatalf("released grant %+v, want %+v", *g, want)
+	}
+	other, _, _ := grantLayer(t, 1)
+	if other.Receive(f); len(other.credit.grants) != 0 {
+		t.Fatal("a released grant was accepted")
+	}
+	p.needed = 0
+	l.Receive(data)
+	if h := l.Pull(); h != f || h.Payload != g || g.Flow != 1 || g.Needed != 0 {
+		t.Fatal("the next grant did not reuse the released one")
+	}
+}
+
+func TestPendingGrantRewrittenInPlace(t *testing.T) {
+	// A newer word for a flow whose grant is still queued rewrites that
+	// grant where it stands: flow 1's grant keeps its place ahead of flow
+	// 2's and carries the newer need.
+	l, p, data1 := grantLayer(t, 1)
+	data2 := moreFrameWithFwd(2, 0, 1, 1, []graph.NodeID{0})
+	p.needed = 5
+	l.Receive(data1)
+	l.Receive(data2)
+	p.needed = 0
+	l.Receive(data1)
+	if len(l.pendingGrants) != 2 {
+		t.Fatalf("%d grants pending, want 2", len(l.pendingGrants))
+	}
+	for _, want := range []CreditMsg{{Flow: 1, Needed: 0}, {Flow: 2, Needed: 5}} {
+		g := l.Pull().Payload.(*CreditMsg)
+		if g.Flow != want.Flow || g.Needed != want.Needed {
+			t.Fatalf("pulled grant flow %d need %d, want flow %d need %d", g.Flow, g.Needed, want.Flow, want.Needed)
+		}
 	}
 }

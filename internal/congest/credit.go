@@ -36,15 +36,20 @@ type CreditMsg struct {
 	Flow   flow.ID
 	Batch  uint32
 	Needed int
+
+	// frame carries the grant: message and frame are one object, owned by
+	// the granting layer until Pull hands the frame to the MAC and again
+	// once Sent hands it back (releaseGrant).
+	frame sim.Frame
 }
 
 // grantWireBytes is the on-air size of a grant: type + flow + batch +
 // need + MAC framing.
 const grantWireBytes = 16
 
-func (g *CreditMsg) frame(from graph.NodeID) *sim.Frame {
-	return &sim.Frame{From: from, To: graph.Broadcast, Bytes: grantWireBytes, Payload: g}
-}
+// releasedGrant is the Flow of a released grant: no flow has it, so a read
+// after release finds no state.
+const releasedGrant = ^flow.ID(0)
 
 // grantInfo is one granter's latest word on a flow.
 type grantInfo struct {
@@ -98,6 +103,11 @@ func (l *Layer) acceptGrant(f *sim.Frame, g *CreditMsg) {
 	if i := slices.IndexFunc(heard, func(gi grantInfo) bool { return gi.granter == f.From }); i >= 0 {
 		heard[i] = word
 	} else {
+		if heard == nil {
+			// Room for the dozen or so granters in earshot at once, not
+			// one reallocation per doubling as they are first heard.
+			heard = make([]grantInfo, 0, 16)
+		}
 		c.grants[uint32(g.Flow)] = append(heard, word)
 	}
 	if g.Needed > 0 {
@@ -195,20 +205,37 @@ func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
 		}
 	}
 	a.batch, a.needed, a.at, a.valid = batch, needed, now, true
-	l.queueGrant(&CreditMsg{Flow: m.Flow, Batch: batch, Needed: needed})
+	l.queueGrant(m.Flow, batch, needed)
 }
 
-// queueGrant replaces any pending grant for the same flow and wakes the MAC.
-func (l *Layer) queueGrant(g *CreditMsg) {
-	for i, p := range l.pendingGrants {
-		if p.Flow == g.Flow {
-			l.pendingGrants[i] = g
+// queueGrant rewrites a pending grant for the same flow in place, keeping
+// its queue position, or queues one off the layer's free list, and wakes
+// the MAC. Once the free list is warm a grant allocates nothing.
+func (l *Layer) queueGrant(id flow.ID, batch uint32, needed int) {
+	for _, p := range l.pendingGrants {
+		if p.Flow == id {
+			p.Batch, p.Needed = batch, needed
 			l.node.Wake()
 			return
 		}
 	}
+	var g *CreditMsg
+	if k := len(l.grantFree); k > 0 {
+		g, l.grantFree = l.grantFree[k-1], l.grantFree[:k-1]
+	} else {
+		g = new(CreditMsg)
+	}
+	g.Flow, g.Batch, g.Needed = id, batch, needed
 	l.pendingGrants = append(l.pendingGrants, g)
 	l.node.Wake()
+}
+
+// releaseGrant puts a grant Sent handed back on the free list, poisoned: a
+// sentinel flow, batch and need, a zero frame. Every receiver read it during
+// Receive, so nothing holds it any more.
+func (l *Layer) releaseGrant(g *CreditMsg) {
+	*g = CreditMsg{Flow: releasedGrant, Batch: ^uint32(0), Needed: -1}
+	l.grantFree = append(l.grantFree, g)
 }
 
 // creditFlowFor returns (creating and batch-syncing) the sender-side gate

@@ -89,6 +89,10 @@ type DataMsg struct {
 	// every packet and relay of a plan shares the source's one list.
 	Forwarders *FwdList
 
+	// pool is the free list Packet came from; Sent puts it back there, even
+	// when the sender's state has moved on to another shape or is gone.
+	pool *coding.Pool
+
 	// frame carries the message (dataFrame): message and frame are one
 	// object, recycled once Sent hands the frame back (release).
 	frame sim.Frame
@@ -183,13 +187,29 @@ func (n *Node) sweepStale() {
 	cutoff := n.node.Now() - flowTimeout
 	for id, r := range n.relays {
 		if r.lastActivity < cutoff {
+			r.flush()
 			delete(n.relays, id)
 		}
 	}
 	for id, s := range n.sinks {
 		if s.lastActivity < cutoff && !s.done {
+			s.flush()
 			delete(n.sinks, id)
 		}
+	}
+}
+
+// Close hands every coded packet the node still holds — relay buffers and
+// prepared packets, undecoded sink batches — back to its free list, so the
+// next simulation in the process reuses them instead of allocating. Call it
+// once the run is over and its results are read: the node's relays and
+// sinks are left empty.
+func (n *Node) Close() {
+	for _, r := range n.relays {
+		r.flush()
+	}
+	for _, s := range n.sinks {
+		s.flush()
 	}
 }
 
@@ -426,24 +446,32 @@ func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 	return r
 }
 
+// resetBatch points the relay at m's batch. The previous batch's packets go
+// back onto their free list whatever the new batch's shape; a batch of the
+// same shape reuses the buffer and pre-coder outright, another gets new ones
+// over the free list of its shape.
 func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 	r.curBatch = m.Batch
 	r.k = m.K
 	size := len(m.Packet.Payload)
-	if r.pool == nil || r.pool.K() != m.K || r.pool.PayloadSize() != size {
-		r.pool = coding.NewPool(m.K, size)
-		r.buffer = nil // shape changed; rebuild below
-	}
 	if r.buffer != nil {
-		// Same shape as the previous batch: flush rows back onto the free
-		// list and reuse the buffer and pre-coder outright.
-		r.buffer.Reset()
-		r.pre.Reset()
-	} else {
-		r.buffer = coding.NewBuffer(m.K, size)
-		r.buffer.UsePool(r.pool)
-		r.pre = coding.NewPreCoder(r.buffer, n.node.Rand())
+		r.flush()
+		if r.pool.K() == m.K && r.pool.PayloadSize() == size {
+			return
+		}
 	}
+	r.pool = coding.NewPool(m.K, size)
+	r.buffer = coding.NewBuffer(m.K, size)
+	r.buffer.UsePool(r.pool)
+	r.pre = coding.NewPreCoder(r.buffer, n.node.Rand())
+	r.credit = 0
+}
+
+// flush purges the relay's batch (§3.2.2): its rows and prepared packet go
+// back onto their free list, and its credit lapses.
+func (r *relayState) flush() {
+	r.buffer.Reset()
+	r.pre.Reset()
 	r.credit = 0
 }
 
@@ -677,10 +705,9 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		s.k = m.K
 		size := len(m.Packet.Payload)
 		// One decoder per flow: the last batch's decodes the next of its
-		// shape.
-		if s.decoder != nil && s.pool.K() == m.K && s.pool.PayloadSize() == size {
-			s.decoder.Reset()
-		} else {
+		// shape, and hands back what it holds before any shape change.
+		s.flush()
+		if s.decoder == nil || s.pool.K() != m.K || s.pool.PayloadSize() != size {
 			s.pool = coding.NewPool(m.K, size)
 			s.decoder = coding.NewDecoder(m.K, size)
 			s.decoder.UsePool(s.pool)
@@ -741,6 +768,13 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	}
 }
 
+// flush hands the sink's undecoded packets back to their free list.
+func (s *sinkState) flush() {
+	if s.decoder != nil {
+		s.decoder.Reset()
+	}
+}
+
 // queueAck enqueues a batch ACK (prioritized over data) for hop-by-hop
 // unicast delivery toward the flow source.
 func (n *Node) queueAck(s *sinkState, batch uint32) {
@@ -766,9 +800,7 @@ func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 			r.ackedThrough = int64(a.Batch)
 		}
 		if a.Batch >= r.curBatch {
-			r.buffer.Reset()
-			r.pre.Reset()
-			r.credit = 0
+			r.flush()
 		}
 		if a.Final {
 			delete(n.relays, a.Flow)
@@ -827,6 +859,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			TotalBatches: st.totalBatches,
 			Packet:       st.src.Next(),
 			Forwarders:   st.fwd,
+			pool:         st.pool,
 		})
 	}
 	if r, ok := n.relays[id]; ok && r.credit > 0 && r.buffer.Rank() > 0 {
@@ -844,6 +877,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			TotalBatches: r.totalBatches,
 			Packet:       pkt,
 			Forwarders:   r.fwdList,
+			pool:         r.pool,
 		})
 	}
 	if r, ok := n.relays[id]; ok && r.credit <= 0 && r.buffer != nil && r.buffer.Rank() > 0 {
@@ -897,14 +931,10 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 	case *DataMsg:
 		// Broadcasts always "succeed". The frame is off the air and every
 		// receiver copied what it kept (clonePacket, sinkReceive), so the
-		// coded packet goes back to the free list of its shape; Put drops it
-		// if the flow has moved on to another shape. The stopping rule
+		// coded packet goes back to the free list it came from, whether or
+		// not the flow's state at this node still exists. The stopping rule
 		// (ACKs, batch advance) governs whether more traffic exists.
-		if st, ok := n.sources[m.Flow]; ok {
-			st.pool.Put(m.Packet)
-		} else if r, ok := n.relays[m.Flow]; ok {
-			r.pool.Put(m.Packet)
-		}
+		m.pool.Put(m.Packet)
 		n.release(m)
 		n.wakeIfBacklogged()
 	}

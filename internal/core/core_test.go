@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -469,6 +470,39 @@ func TestReleasedMessageIsPoisoned(t *testing.T) {
 	if g := src.Pull(); g != f || g.Payload != m || m.Flow != 1 || m.Packet == nil {
 		t.Fatal("the next send did not reuse the released message")
 	}
+}
+
+func TestSentAfterFinalAckReturnsPacket(t *testing.T) {
+	// A relay's coded packet is on the air when the final ACK deletes the
+	// relay's state: Sent still puts it back on the free list it came from.
+	// On one P with the collector off, the next Gets of that list find it.
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	nodes := relayLine(t)
+	src, relay := nodes[0], nodes[1]
+	f := src.Pull()
+	relay.Receive(f)
+	src.Sent(f, true)
+	relay.relays[1].credit = 1
+	g := relay.Pull()
+	pkt := g.Payload.(*DataMsg).Packet
+	relay.Receive(&sim.Frame{From: 2, To: 0, Payload: &AckMsg{Flow: 1, Batch: 0, Final: true, Target: 0}})
+	if len(relay.relays) != 0 {
+		t.Fatal("the final ACK left the relay's state")
+	}
+	relay.Sent(g, true)
+	// The flush put the relay's row and prepared packet back too.
+	pool := coding.NewPool(8, 1500)
+	for range 3 {
+		if pool.Get() == pkt {
+			return
+		}
+	}
+	t.Fatal("the packet sent after the final ACK did not come back")
 }
 
 func TestPullRotatesWithoutAllocating(t *testing.T) {

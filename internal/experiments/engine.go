@@ -337,7 +337,8 @@ func (x *Execution) PushStats(i int) (generated int, sourceDrops int64, done boo
 }
 
 // Finish reads every destination's result, normalizes it, and assembles
-// the RunInfo.
+// the RunInfo. It ends the execution: the simulation must not run on after
+// it, since its MORE relays and sinks have handed their batches back.
 func (x *Execution) Finish() RunInfo {
 	s := x.Sim
 	results := make([]flow.Result, len(x.flows))
@@ -368,6 +369,12 @@ func (x *Execution) Finish() RunInfo {
 	info.ProbeTx, info.FloodTx = x.cp.controlTx()
 	if h, ok := x.opts.Telemetry.(*telemetry.Hub); ok {
 		info.Telemetry = h.Report()
+	}
+	// Last, with everything read: the MORE nodes hand back the coded packets
+	// they still hold (relays that never heard the final ACK), so the next
+	// execution in the process reuses them instead of allocating.
+	for _, n := range x.nodes[stackCore] {
+		n.(*core.Node).Close()
 	}
 	return info
 }

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // SpatialIndex is a uniform grid over node positions: 3-D buckets of cell
 // width `cell`, answering "which nodes lie within radius r of here" in time
@@ -50,12 +50,16 @@ func floorDiv(v, cell float64) int {
 }
 
 // Within returns the IDs of all nodes within distance r of p (inclusive),
-// sorted ascending. The result is freshly allocated; callers may keep it.
+// sorted ascending. The result is freshly allocated, at its exact size:
+// the matches gather in a stack scratch first (most neighbourhoods fit), so
+// a query makes one allocation and no per-query garbage. Callers may keep
+// the result.
 func (x *SpatialIndex) Within(p Position, r float64) []NodeID {
 	if r < 0 {
 		return nil
 	}
-	var out []NodeID
+	var scratch [256]NodeID
+	found := scratch[:0]
 	c := x.key(p)
 	span := int32(floorDiv(r, x.cell)) + 1
 	for dz := -span; dz <= span; dz++ {
@@ -64,13 +68,15 @@ func (x *SpatialIndex) Within(p Position, r float64) []NodeID {
 				ids := x.buckets[cellKey{c.x + dx, c.y + dy, c.z + dz}]
 				for _, id := range ids {
 					if x.pos[id].Distance(p) <= r {
-						out = append(out, id)
+						found = append(found, id)
 					}
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	out := make([]NodeID, len(found))
+	copy(out, found)
+	slices.Sort(out) // IDs are distinct, so any sort gives this order
 	return out
 }
 

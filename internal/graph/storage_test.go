@@ -261,6 +261,25 @@ func TestSpatialIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
+func TestWithinAllocatesOnlyItsResult(t *testing.T) {
+	// A query makes one allocation, its result at the exact size: no
+	// growth steps, no sort closure.
+	rng := rand.New(rand.NewSource(5))
+	pos := make([]Position, 300)
+	for i := range pos {
+		pos[i] = Position{rng.Float64() * 200, rng.Float64() * 200, 0}
+	}
+	idx := NewSpatialIndex(pos, 40)
+	var got []NodeID
+	allocs := testing.AllocsPerRun(50, func() { got = idx.Within(pos[0], 40) })
+	if len(got) < 2 || cap(got) != len(got) {
+		t.Fatalf("Within found %d nodes in a result of capacity %d", len(got), cap(got))
+	}
+	if allocs != 1 {
+		t.Errorf("Within allocates %v objects, want 1", allocs)
+	}
+}
+
 func TestGeometricDeterministicAndSane(t *testing.T) {
 	cfg := DefaultGeometric(300)
 	a := Geometric(cfg, 9)

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -47,10 +46,9 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 	}
 	d[dst] = 0
 
-	pq := &distHeap{}
-	heap.Push(pq, distEntry{node: dst, dist: 0})
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(distEntry)
+	pq := distHeap{{node: dst, dist: 0}}
+	for len(pq) > 0 {
+		e := pq.pop()
 		k := e.node
 		if closed[k] || e.dist > d[k] {
 			continue
@@ -74,7 +72,7 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 			nd := T[i] / (1 - P[i])
 			if nd < d[i] {
 				d[i] = nd
-				heap.Push(pq, distEntry{node: i, dist: nd})
+				pq.push(distEntry{node: i, dist: nd})
 			}
 		}
 	}

@@ -13,7 +13,6 @@
 package routing
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/graph"
@@ -81,11 +80,10 @@ func ETXToDestination(t *graph.Topology, dst graph.NodeID, opt ETXOptions) *ETXT
 		tab.Next[i] = -1
 	}
 	tab.Dist[dst] = 0
-	pq := &distHeap{}
-	heap.Push(pq, distEntry{node: dst, dist: 0})
+	pq := distHeap{{node: dst, dist: 0}}
 	done := make([]bool, n)
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(distEntry)
+	for len(pq) > 0 {
+		e := pq.pop()
 		u := e.node
 		if done[u] {
 			continue
@@ -106,7 +104,7 @@ func ETXToDestination(t *graph.Topology, dst graph.NodeID, opt ETXOptions) *ETXT
 			if d := tab.Dist[u] + c; d < tab.Dist[vid] {
 				tab.Dist[vid] = d
 				tab.Next[vid] = u
-				heap.Push(pq, distEntry{node: vid, dist: d})
+				pq.push(distEntry{node: vid, dist: d})
 			}
 		}
 	}
@@ -160,16 +158,43 @@ type distEntry struct {
 	dist float64
 }
 
+// distHeap is the Dijkstra frontier: a binary min-heap on dist whose push
+// and pop sift exactly as container/heap's Push and Pop do, so entries of
+// equal distance leave in the same order (the digests depend on it), without
+// boxing every entry in an interface.
 type distHeap []distEntry
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *distHeap) push(e distEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -106,6 +108,53 @@ func TestETXOnTestbedAllReachable(t *testing.T) {
 			}
 			if p := tab.Path(graph.NodeID(i)); p == nil {
 				t.Fatalf("no path %d -> %d", i, dst)
+			}
+		}
+	}
+}
+
+// refHeap is the container/heap frontier distHeap replaced: the reference
+// its push and pop order must match.
+type refHeap []distEntry
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func TestDistHeapMatchesContainerHeap(t *testing.T) {
+	// Dijkstra settles equal distances in the heap's sift order, and the
+	// digests see that order: on random pushes and pops drawn from a few
+	// distances, so most keys tie, distHeap must pop exactly the entries
+	// container/heap pops, in the same order.
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got distHeap
+		var want refHeap
+		for op := 0; op < 2000; op++ {
+			if len(got) != want.Len() {
+				t.Fatalf("seed %d op %d: %d entries, reference %d", seed, op, len(got), want.Len())
+			}
+			if len(got) > 0 && rng.Intn(5) < 2 {
+				g, w := got.pop(), heap.Pop(&want).(distEntry)
+				if g != w {
+					t.Fatalf("seed %d op %d: popped %+v, container/heap pops %+v", seed, op, g, w)
+				}
+				continue
+			}
+			e := distEntry{node: graph.NodeID(op), dist: float64(rng.Intn(4))}
+			got.push(e)
+			heap.Push(&want, e)
+		}
+		for len(got) > 0 {
+			if g, w := got.pop(), heap.Pop(&want).(distEntry); g != w {
+				t.Fatalf("seed %d drain: popped %+v, container/heap pops %+v", seed, g, w)
 			}
 		}
 	}
