@@ -64,7 +64,7 @@ type cli struct {
 	file, k, window, ccQueue           int
 	seed                               int64
 	drop, warmup, advertise, damp      float64
-	summaryS, loadPenalty, simDeadline float64
+	summaryS, simDeadline              float64
 	jsonOut, piggyback, ccSweep        bool
 	verbose, trace                     bool
 	tc                                 telemetryCLI
@@ -107,7 +107,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.BoolVar(&c.piggyback, "piggyback", false, "learned-state: ride pending LSAs on outgoing broadcast data frames instead of dedicated floods")
 	fs.StringVar(&c.cc, "cc", "none", "congestion control: "+oneOf("cc.policy"))
 	fs.IntVar(&c.ccQueue, "cc-queue", 0, "congestion-layer transmit queue bound (0: policy default)")
-	fs.Float64Var(&c.loadPenalty, "load-penalty", 0, "load-aware routing: ETX penalty of a fully saturated forwarder (0 disables; try 2; oracle state only)")
 	fs.BoolVar(&c.ccSweep, "cc-sweep", false, "with -scale: run every congestion policy over the same topologies and print the mitigation table")
 	fs.BoolVar(&c.verbose, "verbose", false, "print the first flow's forwarding plan")
 	fs.BoolVar(&c.trace, "trace", false, "print a per-node medium activity timeline")
@@ -386,7 +385,7 @@ func specFromFlags(c *cli) (*scenario.Spec, error) {
 		Batch:     c.k,
 		Topology:  scenario.TopologySpec{Kind: c.topo, Drop: c.drop},
 		State:     scenario.StateSpec{Mode: c.state, Damp: c.damp, SummaryIntervalS: c.summaryS, Piggyback: c.piggyback},
-		CC:        scenario.CCSpec{Policy: c.cc, Queue: c.ccQueue, LoadPenalty: c.loadPenalty},
+		CC:        scenario.CCSpec{Policy: c.cc, Queue: c.ccQueue},
 	}
 	if c.simDeadline != 0 {
 		spec.DeadlineS = c.simDeadline

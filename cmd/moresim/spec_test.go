@@ -215,8 +215,6 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-metric hops":                     "unknown metric",
 		"-state psychic":                   "unknown state mode",
 		"-sim-deadline -5":                 "deadline_s must be > 0",
-		"-load-penalty -1":                 "load_penalty must be >= 0",
-		"-state learned -load-penalty 2":   "load_penalty applies to state mode oracle only",
 		"-topo testbed -nodes 50":          "fixed size of 20 nodes",
 		"-topo chain -degree 12":           "degree/floors apply to geometric",
 		"-window 20":                       "state knobs apply to mode learned only",

@@ -23,8 +23,7 @@ func main() {
 	eotx := routing.EOTX(topo, dst, routing.DefaultEOTXOptions())
 	fmt.Printf("gap topology (k=%d, p=%.2f):\n", k, p)
 	fmt.Printf("  ETX(src) = %.2f   EOTX(src) = %.2f\n", etx.Dist[src], eotx[src])
-	gap, err := routing.CostGap(topo, src, dst,
-		routing.ETXOptions{Threshold: 0, AckAware: false}, routing.DefaultEOTXOptions())
+	gap, err := routing.CostGap(topo, src, dst, routing.ETXOptions{Threshold: 0, AckAware: false})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +34,6 @@ func main() {
 	// source's EOTX exactly.
 	plan, err := routing.BuildPlan(topo, src, dst, routing.PlanOptions{
 		Metric: routing.OrderEOTX,
-		ETX:    routing.ETXOptions{Threshold: 0, AckAware: false},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,6 @@ func main() {
 	// Theory: Algorithm 1 says R only needs to forward the complement.
 	plan, err := routing.BuildPlan(topo, 0, 2, routing.PlanOptions{
 		Metric: routing.OrderETX,
-		ETX:    routing.ETXOptions{Threshold: 0.1, AckAware: false},
 	})
 	if err != nil {
 		log.Fatal(err)

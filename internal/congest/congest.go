@@ -23,12 +23,6 @@
 //     round trips are the samples — driving a CUBIC-style window whose
 //     W(t)/sRTT rate refills each source's token bucket (cubic.go).
 //
-// The layer also tracks per-node load signals (queue-depth EWMA, drop
-// rate, credit-grant starvation — load.go) that, when Config.LoadExport is
-// set, feed the routing.CostModel cost plane: saturated forwarders are
-// demoted in MORE forwarder sets, ExOR priority lists, and Srcr paths,
-// closing the loop from queues back to routing.
-//
 // The layer implements sim.Protocol and wraps the data protocol, so control
 // traffic the protocol prioritizes internally (batch ACKs, NACKs, LSAs in a
 // sibling stack layer) bypasses the data queue, and everything the layer
@@ -204,14 +198,6 @@ type Config struct {
 	// (the -cc-queue sweep in PERFORMANCE.md quantifies the cost of
 	// deeper queues).
 	QueueLen int
-
-	// LoadExport turns on export of the layer's load signals (queue-depth
-	// EWMA, drop rate, credit-grant starvation — see Load) to the cost
-	// plane: the per-node scores feed routing.CostModel penalties, and
-	// queue high-water marks are surfaced in sim.Counters. The layer tracks the signals regardless
-	// (observation only); this knob controls whether anything consumes
-	// them, so default-off runs stay byte-identical.
-	LoadExport bool
 }
 
 // DefaultConfig returns the given policy with default knobs.
@@ -320,10 +306,6 @@ type Layer struct {
 
 	credit *creditState
 	cubic  map[uint32]*cubicFlow
-
-	// loadst is the always-on load tracking (see load.go); cfg.LoadExport
-	// controls whether anyone reads it.
-	loadst loadState
 
 	// pendingGrants holds at most one un-transmitted grant per flow;
 	// grantFree holds the grants Sent handed back, for queueGrant to reuse.
@@ -546,13 +528,11 @@ func (l *Layer) enqueue(f *sim.Frame, info frameInfo) {
 				l.Stats.ChokeDrops += 2
 				l.drop(victim, telemetry.QDropChoke)
 				l.drop(f, telemetry.QDropChoke)
-				l.observeQueue(true)
 				return
 			}
 		}
 		l.Stats.TailDrops++
 		l.drop(f, telemetry.QDropTail)
-		l.observeQueue(true)
 		return
 	}
 	l.Stats.Enqueued++
@@ -566,7 +546,6 @@ func (l *Layer) enqueue(f *sim.Frame, info frameInfo) {
 			Flow: f.FlowID, Aux: int64(len(l.queue)), Kind: telemetry.KindEnqueue,
 		})
 	}
-	l.observeQueue(false)
 }
 
 // purgeStale drops queued frames of the same flow that belong to an older
@@ -604,7 +583,6 @@ func (l *Layer) drop(f *sim.Frame, reason int64) {
 // otherwise. When everything is gated it schedules a self-wake for the
 // earliest release and returns nil.
 func (l *Layer) dequeue() *sim.Frame {
-	backlogged := len(l.queue) > 0
 	for i, f := range l.queue {
 		info, _ := l.dataInfo(f)
 		if l.canSend(info) {
@@ -619,13 +597,9 @@ func (l *Layer) dequeue() *sim.Frame {
 					})
 				}
 			}
-			l.observeGate(true)
 			return f
 		}
 		l.Stats.GateSkips++
-	}
-	if backlogged {
-		l.observeGate(false)
 	}
 	return nil
 }

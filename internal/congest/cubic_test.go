@@ -192,68 +192,6 @@ func TestCombineCreditCubicStacking(t *testing.T) {
 	}
 }
 
-// TestChokeLoadExportStacking: the other scenario composition — a choked
-// push overload with load export on. The layer must surface nonzero load
-// signals and a queue high-water mark without perturbing the choke policy
-// itself (load tracking is pure observation).
-func TestChokeLoadExportStacking(t *testing.T) {
-	topo := graph.Line(3, 0.95, 20)
-	s := sim.New(topo, sim.DefaultConfig())
-	oracle := flow.NewOracle(topo, routing.ETXOptions{Threshold: graph.RouteThreshold, AckAware: true})
-	nodes := make([]*srcr.Node, topo.N())
-	layers := make([]*Layer, topo.N())
-	for i := range nodes {
-		nodes[i] = srcr.NewNode(srcr.DefaultConfig(), oracle)
-		layers[i] = New(Config{Policy: Choke, LoadExport: true}, Combine(nodes[i]))
-		s.Attach(graph.NodeID(i), layers[i])
-	}
-	tr := flow.Traffic{Model: flow.PushCBR, RatePPS: 2000, Packets: 1000}
-	file := flow.NewFile(1000*1500, 1500, 3)
-	nodes[2].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartPushFlow(1, 2, tr, file, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(30 * sim.Second)
-
-	src := layers[0]
-	if src.QueueHWM() == 0 {
-		t.Error("overloaded source recorded no queue high-water mark")
-	}
-	if src.LoadByte() == 0 {
-		t.Error("overloaded source exports a zero load byte")
-	}
-	ld := src.LoadSignals()
-	if ld.Queue == 0 && ld.Drop == 0 {
-		t.Errorf("no load signal moved under 5x overload: %+v", ld)
-	}
-	// An idle bystander prices as unloaded.
-	if layers[2].LoadByte() != 0 {
-		// The sink still receives and forwards nothing onward; its queue
-		// stays shallow, so its load score rounds to zero.
-		t.Errorf("idle sink exports load %d", layers[2].LoadByte())
-	}
-	// Same overload, load export off: signals still tracked internally but
-	// the policy outcome is unchanged — choke drops fire either way.
-	if src.Stats.ChokeDrops == 0 && src.Stats.TailDrops == 0 {
-		t.Error("overload produced no drops at the source")
-	}
-}
-
-// TestLoadScoreClamp pins the score weighting and its clamp.
-func TestLoadScoreClamp(t *testing.T) {
-	ld := Load{Queue: 1, Drop: 1, Starve: 1}
-	if got := ld.Score(); got != 1 {
-		t.Errorf("saturated score = %v, want clamp at 1", got)
-	}
-	if got := (Load{}).Score(); got != 0 {
-		t.Errorf("idle score = %v", got)
-	}
-	half := Load{Queue: 0.5}
-	if got := half.Score(); got <= 0 || got >= 1 {
-		t.Errorf("partial score out of range: %v", got)
-	}
-}
-
 // recyclingProto hands every frame back the way the data protocols do: Sent
 // poisons the Srcr message and empties the frame, for reuse by the next send.
 type recyclingProto struct{ fakeProto }

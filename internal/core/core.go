@@ -191,8 +191,13 @@ func (n *Node) sweepStale() {
 			delete(n.relays, id)
 		}
 	}
+	// A sink registered by ExpectFlow belongs to the application, not to
+	// the soft state §3.3.2's timeout expires. Sweeping one that has not
+	// heard its first packet yet, or has stalled, loses what it delivered,
+	// and the next packet makes a fresh sink with no verifier, no callback
+	// and no file size.
 	for id, s := range n.sinks {
-		if s.lastActivity < cutoff && !s.done {
+		if s.lastActivity < cutoff && !s.done && s.verify == nil {
 			s.flush()
 			delete(n.sinks, id)
 		}

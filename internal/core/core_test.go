@@ -27,7 +27,7 @@ func runMOREExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 	src, dst graph.NodeID, file, sinkFile flow.File, deadline sim.Time) (flow.Result, *sim.Simulator, []*Node) {
 	t.Helper()
 	s := sim.New(topo, simCfg)
-	oracle := flow.NewOracle(topo, cfg.Plan.ETX)
+	oracle := flow.NewOracle(topo, routing.DefaultETXOptions())
 	nodes := make([]*Node, topo.N())
 	for i := range nodes {
 		nodes[i] = NewNode(cfg, oracle)
@@ -47,7 +47,6 @@ func smallCfg(k int) Config {
 	cfg := DefaultConfig()
 	cfg.BatchSize = k
 	cfg.PayloadSize = 1500
-	cfg.Plan.ETX = routing.ETXOptions{Threshold: 0.15, AckAware: true}
 	return cfg
 }
 
@@ -238,7 +237,10 @@ func TestDeadForwarderDoesNotStall(t *testing.T) {
 func TestFlowStateTimeout(t *testing.T) {
 	// A forwarder and a destination that stop hearing a flow must expire
 	// its state once it is flowTimeout old, and not before. The source dies
-	// mid-transfer, so no final ACK clears the relay's state first.
+	// mid-transfer, so no final ACK clears the relay's state first. The
+	// destination's state for flow 1 is soft, made by its first packet; the
+	// sink it was told to expect for flow 2, which never starts, belongs to
+	// the application and outlives every sweep.
 	topo := graph.New(3)
 	topo.SetLink(0, 1, 0.9)
 	topo.SetLink(1, 2, 0.9)
@@ -251,7 +253,7 @@ func TestFlowStateTimeout(t *testing.T) {
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	file := flow.NewFile(64*1500, 1500, 8)
-	nodes[2].ExpectFlow(1, file, nil)
+	nodes[2].ExpectFlow(2, file, nil)
 	if err := nodes[0].StartFlow(1, 2, file, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +263,13 @@ func TestFlowStateTimeout(t *testing.T) {
 	// Idle simulated time is cheap: run up to just short of the timeout,
 	// then past the sweep (every flowTimeout/2) that must find it expired.
 	s.Run(failedAt + flowTimeout - sim.Second)
-	if len(nodes[1].relays) != 1 || len(nodes[2].sinks) != 1 {
+	if len(nodes[1].relays) != 1 || len(nodes[2].sinks) != 2 {
 		t.Fatalf("state expired early: %d relay, %d sink flows", len(nodes[1].relays), len(nodes[2].sinks))
 	}
 	s.Run(failedAt + flowTimeout + flowTimeout/2 + sim.Second)
-	if len(nodes[1].relays) != 0 || len(nodes[2].sinks) != 0 {
-		t.Fatalf("state survived timeout: %d relay, %d sink flows", len(nodes[1].relays), len(nodes[2].sinks))
+	if len(nodes[1].relays) != 0 || len(nodes[2].sinks) != 1 || nodes[2].sinks[2] == nil {
+		t.Fatalf("state survived timeout, or the expected sink did not: %d relay, %d sink flows %v",
+			len(nodes[1].relays), len(nodes[2].sinks), nodes[2].sinks)
 	}
 }
 
@@ -352,7 +355,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	cfg.PayloadSize = 100
 	file := flow.NewFile(3*k*100, 100, 29)
 	s := sim.New(topo, sim.DefaultConfig())
-	oracle := flow.NewOracle(topo, cfg.Plan.ETX)
+	oracle := flow.NewOracle(topo, routing.DefaultETXOptions())
 	nodes := make([]*Node, topo.N())
 	for i := range nodes {
 		nodes[i] = NewNode(cfg, oracle)

@@ -38,7 +38,6 @@ func runExORExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 func smallCfg(k int) Config {
 	cfg := DefaultConfig()
 	cfg.BatchSize = k
-	cfg.Plan.ETX = routing.ETXOptions{Threshold: 0.15, AckAware: true}
 	return cfg
 }
 

@@ -102,12 +102,10 @@ var stacks = [...]struct {
 	}},
 	stackExor: {doneAtDst: true, build: func(o Options, cp *ControlPlane, _ bool) func(graph.NodeID) transferNode {
 		cfg := o.exorConfig()
-		cfg.Plan = cp.withLoadPenalty(cfg.Plan)
 		return func(id graph.NodeID) transferNode { return exor.NewNode(cfg, cp.providers[id]) }
 	}},
 	stackCore: {build: func(o Options, cp *ControlPlane, _ bool) func(graph.NodeID) transferNode {
 		cfg := o.coreConfig()
-		cfg.Plan = cp.withLoadPenalty(cfg.Plan)
 		return func(id graph.NodeID) transferNode { return core.NewNode(cfg, cp.providers[id]) }
 	}},
 }
@@ -191,7 +189,6 @@ func Execute(topo *graph.Topology, opts Options, flows []Flow, actions []Action)
 // warmup lets the measurement plane flood before flows start, recording
 // the convergence time.
 func (x *Execution) warmup() {
-	x.cp.startLoadSampler(x.Sim)
 	if x.cp.agents == nil {
 		return
 	}
@@ -356,7 +353,6 @@ func (x *Execution) Finish() RunInfo {
 		res.Transmissions = s.Counters.TxByFlow[uint32(i+1)]
 		results[i] = res
 	}
-	s.Counters.QueueHWM = x.cp.queueHighWater()
 	info := RunInfo{
 		Results:     results,
 		Counters:    s.Counters,

@@ -154,15 +154,6 @@ type Options struct {
 	// protocol and MAC. The zero value (policy "none") installs no layer:
 	// every protocol hands its frames straight to its MAC.
 	CC congest.Config
-	// LoadPenalty arms the load-aware cost plane: the ETX penalty, in
-	// expected-transmission units, of routing through a fully saturated
-	// forwarder (routing.CostModel). The congest layer's per-node load
-	// scores — queue-depth EWMA, drop rate, grant starvation — feed the
-	// model, sampled globally. Oracle state only: a learned run installs no
-	// model (scenario.Spec.Validate refuses the pair). Nonzero values force
-	// CC.LoadExport on. Zero (the default) installs no model anywhere:
-	// routes and forwarder plans are computed from link loss alone.
-	LoadPenalty float64
 	// Repair arms the protocols' route-repair watchdogs (core/exor
 	// Config.RepairInterval, srcr's FIN-stall reroute): a source stalled
 	// for this long replans from current routing state instead of spinning
@@ -351,44 +342,16 @@ type ControlPlane struct {
 	oracle    *flow.Oracle
 	cc        congest.Config
 	layers    []*congest.Layer
-	// layerByID indexes the congestion layers by node for the cost plane
-	// and the queue high-water export (layers holds attach order).
-	layerByID []*congest.Layer
-
-	// loadOracle is every node's routing.CostModel when an oracle run sets
-	// LoadPenalty (nil otherwise).
-	loadOracle *oracleLoad
 }
 
 // viewRecompute rate-limits each node's learned-view rebuilds: at most one
 // topology/table recomputation per second of simulated time.
 const viewRecompute = sim.Second
 
-// loadRefresh is the load sampling cadence: the global knowledge fiction
-// refreshes every node's load score this often and invalidates the oracle
-// when anything moved.
-const loadRefresh = 2 * sim.Second
-
-// oracleLoad is the load-aware routing.CostModel: a periodically refreshed
-// snapshot of every node's quantized load score (congest.Layer.LoadByte).
-// Snapshotting (rather than reading layers live) keeps the oracle's cached
-// tables coherent between refreshes.
-type oracleLoad struct {
-	weight  float64
-	scores  []uint8
-	started bool
-}
-
-// NodePenalty implements routing.CostModel.
-func (m *oracleLoad) NodePenalty(id graph.NodeID) float64 {
-	return m.weight * float64(m.scores[id]) / 255
-}
-
 // NewControlPlane builds the control plane for a run over topo.
 func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 	n := topo.N()
 	cp := &ControlPlane{n: n, providers: make([]flow.RoutingState, n), cc: opts.CC}
-	cp.layerByID = make([]*congest.Layer, n)
 	if opts.State == StateLearned {
 		cp.agents = make([]*linkstate.Agent, n)
 		for i := range cp.agents {
@@ -397,15 +360,7 @@ func NewControlPlane(topo *graph.Topology, opts Options) *ControlPlane {
 		}
 		return cp
 	}
-	etx := routing.DefaultETXOptions()
-	if opts.LoadPenalty > 0 {
-		// The cost plane needs the layers' load signals in the counters
-		// regardless of what the spec said about export.
-		cp.cc.LoadExport = true
-		cp.loadOracle = &oracleLoad{weight: opts.LoadPenalty, scores: make([]uint8, n)}
-		etx.Cost = cp.loadOracle
-	}
-	cp.oracle = flow.NewOracle(topo, etx)
+	cp.oracle = flow.NewOracle(topo, routing.DefaultETXOptions())
 	for i := range cp.providers {
 		cp.providers[i] = cp.oracle
 	}
@@ -420,7 +375,6 @@ func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 	if cp.cc.Policy != congest.None {
 		l := congest.New(cp.cc, p)
 		cp.layers = append(cp.layers, l)
-		cp.layerByID[id] = l
 		p = l
 	}
 	if cp.agents != nil {
@@ -428,76 +382,6 @@ func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 		return
 	}
 	s.Attach(id, p)
-}
-
-// withLoadPenalty injects the load-aware cost model into a forwarder-plan
-// options value (both metrics); a no-op when the cost plane is off, so
-// legacy plans stay bit-identical.
-func (cp *ControlPlane) withLoadPenalty(p routing.PlanOptions) routing.PlanOptions {
-	if cp.loadOracle != nil {
-		p.ETX.Cost = cp.loadOracle
-		p.EOTX.Cost = cp.loadOracle
-	}
-	return p
-}
-
-// loadOracleDelta is the quantized-load swing a node must show before the
-// oracle reprices it: repricing invalidates every cached plan, and
-// replanning mid-batch on 1/255-step EWMA wiggle churns forwarder sets
-// faster than the traffic can amortize them — the cure becomes the
-// congestion.
-const loadOracleDelta = 16
-
-// startLoadSampler begins the oracle-mode load refresh loop: every
-// loadRefresh it snapshots each layer's quantized load score and, when
-// any node's score swung by loadOracleDelta or more, invalidates the
-// oracle so routes and plans rebuild on the new prices. Never scheduled
-// when the cost plane is off, keeping the legacy event stream untouched.
-func (cp *ControlPlane) startLoadSampler(s *sim.Simulator) {
-	lo := cp.loadOracle
-	if lo == nil || lo.started {
-		return
-	}
-	lo.started = true
-	var tick func()
-	tick = func() {
-		changed := false
-		for id, l := range cp.layerByID {
-			var b uint8
-			if l != nil {
-				b = l.LoadByte()
-			}
-			d := int(b) - int(lo.scores[id])
-			if d < 0 {
-				d = -d
-			}
-			if d >= loadOracleDelta {
-				lo.scores[id] = b
-				changed = true
-			}
-		}
-		if changed {
-			cp.oracle.Invalidate()
-		}
-		s.After(loadRefresh, tick)
-	}
-	s.After(loadRefresh, tick)
-}
-
-// queueHighWater returns the per-node congestion-queue high-water marks
-// for sim.Counters.QueueHWM, or nil when load export is off (legacy
-// result documents stay byte-identical).
-func (cp *ControlPlane) queueHighWater() []int64 {
-	if !cp.cc.LoadExport || len(cp.layers) == 0 {
-		return nil
-	}
-	out := make([]int64, cp.n)
-	for id, l := range cp.layerByID {
-		if l != nil {
-			out[id] = l.QueueHWM()
-		}
-	}
-	return out
 }
 
 // converged reports whether every agent's LSA database covers every origin.

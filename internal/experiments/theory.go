@@ -248,7 +248,7 @@ func Fig51CostGap(k int, ps []float64) []GapPoint {
 	out := make([]GapPoint, 0, len(ps))
 	for _, p := range ps {
 		topo := graph.GapTopology(k, p)
-		gap, err := routing.CostGap(topo, 0, graph.NodeID(3+k), etxOpt, routing.DefaultEOTXOptions())
+		gap, err := routing.CostGap(topo, 0, graph.NodeID(3+k), etxOpt)
 		if err != nil {
 			continue
 		}
@@ -283,8 +283,7 @@ func Sec57EOTXvsETX(topo *graph.Topology, parallel int) Sec57Result {
 			gaps[it] = math.NaN()
 			return
 		}
-		gap, err := routing.CostGap(topo, graph.NodeID(src), graph.NodeID(dst),
-			etxOpt, routing.DefaultEOTXOptions())
+		gap, err := routing.CostGap(topo, graph.NodeID(src), graph.NodeID(dst), etxOpt)
 		if err != nil {
 			gaps[it] = math.NaN()
 			return

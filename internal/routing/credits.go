@@ -33,11 +33,6 @@ func (m OrderMetric) String() string {
 // PlanOptions configures forwarding-plan construction.
 type PlanOptions struct {
 	Metric OrderMetric
-	// ETX options used both for the ordering metric (when Metric ==
-	// OrderETX) and for deciding link usability.
-	ETX ETXOptions
-	// EOTX options used when Metric == OrderEOTX.
-	EOTX EOTXOptions
 	// PruneFraction prunes forwarders expected to perform less than this
 	// fraction of all transmissions (§3.2.1 uses 0.1). Zero disables
 	// pruning.
@@ -52,8 +47,6 @@ type PlanOptions struct {
 func DefaultPlanOptions() PlanOptions {
 	return PlanOptions{
 		Metric:        OrderETX,
-		ETX:           DefaultETXOptions(),
-		EOTX:          DefaultEOTXOptions(),
 		PruneFraction: 0.1,
 		MaxForwarders: 10,
 	}
@@ -116,17 +109,24 @@ func (p *Plan) Contains(id graph.NodeID) bool {
 // ordering metric to dst, selects candidate forwarders strictly closer to
 // the destination than the source, computes z_i with Algorithm 1, prunes
 // low-contribution forwarders, recomputes z on the final set, and derives
-// TX credits with Eq. (3.3). Returns an error if dst is unreachable.
+// TX credits with Eq. (3.3). Returns an error if dst is unreachable. The
+// ETX order uses the routing layer's link costs, DefaultETXOptions.
 func BuildPlan(t *graph.Topology, src, dst graph.NodeID, opt PlanOptions) (*Plan, error) {
+	return buildPlan(t, src, dst, opt, DefaultETXOptions())
+}
+
+// buildPlan is BuildPlan with the ETX order's link costs given: CostGap
+// compares the orders under the caller's costs.
+func buildPlan(t *graph.Topology, src, dst graph.NodeID, opt PlanOptions, etx ETXOptions) (*Plan, error) {
 	if src == dst {
 		return nil, fmt.Errorf("routing: src == dst (%d)", src)
 	}
 	var dist []float64
 	switch opt.Metric {
 	case OrderETX:
-		dist = ETXToDestination(t, dst, opt.ETX).Dist
+		dist = ETXToDestination(t, dst, etx).Dist
 	case OrderEOTX:
-		dist = EOTX(t, dst, opt.EOTX)
+		dist = EOTX(t, dst, EOTXOptions{})
 	default:
 		return nil, fmt.Errorf("routing: unknown metric %v", opt.Metric)
 	}
@@ -403,15 +403,14 @@ func TotalCost(z []float64) float64 {
 // the total expected transmissions Σ z_i when Algorithm 1 runs under the
 // ETX order to the total under the EOTX order. A gap of 1 means the orders
 // agree in cost; larger means EOTX ordering would save transmissions.
-// Pruning is disabled for the comparison, as in the thesis' analysis.
-func CostGap(t *graph.Topology, src, dst graph.NodeID, etxOpt ETXOptions, eotxOpt EOTXOptions) (gap float64, err error) {
-	opt := PlanOptions{Metric: OrderETX, ETX: etxOpt, EOTX: eotxOpt}
-	etxPlan, err := BuildPlan(t, src, dst, opt)
+// Pruning is disabled for the comparison, as in the thesis' analysis; etxOpt
+// sets the ETX order's link costs.
+func CostGap(t *graph.Topology, src, dst graph.NodeID, etxOpt ETXOptions) (gap float64, err error) {
+	etxPlan, err := buildPlan(t, src, dst, PlanOptions{Metric: OrderETX}, etxOpt)
 	if err != nil {
 		return 0, err
 	}
-	opt.Metric = OrderEOTX
-	eotxPlan, err := BuildPlan(t, src, dst, opt)
+	eotxPlan, err := buildPlan(t, src, dst, PlanOptions{Metric: OrderEOTX}, etxOpt)
 	if err != nil {
 		return 0, err
 	}

@@ -9,18 +9,19 @@ import (
 	"repro/internal/graph"
 )
 
-func planOptsNoPrune(metric OrderMetric) PlanOptions {
-	return PlanOptions{
-		Metric: metric,
-		ETX:    ETXOptions{Threshold: 0, AckAware: false},
-		EOTX:   DefaultEOTXOptions(),
-	}
+// broadcastETX is the link cost of the thesis' hand examples: 1/p_fwd over
+// every link the channel can deliver on.
+var broadcastETX = ETXOptions{Threshold: 0, AckAware: false}
+
+// planNoPrune builds the unpruned, uncapped plan under broadcastETX.
+func planNoPrune(topo *graph.Topology, src, dst graph.NodeID, metric OrderMetric) (*Plan, error) {
+	return buildPlan(topo, src, dst, PlanOptions{Metric: metric}, broadcastETX)
 }
 
 func TestAlg1SingleHop(t *testing.T) {
 	topo := graph.New(2)
 	topo.SetLink(0, 1, 0.5)
-	plan, err := BuildPlan(topo, 1, 0, planOptsNoPrune(OrderETX))
+	plan, err := planNoPrune(topo, 1, 0, OrderETX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestAlg1Chain(t *testing.T) {
 	topo := graph.New(3)
 	topo.SetLink(2, 1, 1)
 	topo.SetLink(1, 0, 1)
-	plan, err := BuildPlan(topo, 2, 0, planOptsNoPrune(OrderETX))
+	plan, err := planNoPrune(topo, 2, 0, OrderETX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestAlg1DiamondOverhearing(t *testing.T) {
 	topo.SetLink(1, 0, 1)
 	topo.SetDirected(2, 0, q)
 	topo.SetDirected(0, 2, q)
-	plan, err := BuildPlan(topo, 2, 0, planOptsNoPrune(OrderETX))
+	plan, err := planNoPrune(topo, 2, 0, OrderETX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCreditsMatchDefinition(t *testing.T) {
 	// Eq (3.3): credit_i = z_i / Σ_{j>i} z_j p_ji on a random topology.
 	rng := rand.New(rand.NewSource(5))
 	topo := randomTopology(rng, 8, 0.7)
-	plan, err := BuildPlan(topo, 7, 0, planOptsNoPrune(OrderETX))
+	plan, err := planNoPrune(topo, 7, 0, OrderETX)
 	if err != nil {
 		t.Skip("unreachable draw")
 	}
@@ -116,7 +117,7 @@ func TestEOTXOrderTotalCostEqualsEOTX(t *testing.T) {
 		if math.IsInf(d[src], 1) {
 			continue
 		}
-		plan, err := BuildPlan(topo, src, 0, planOptsNoPrune(OrderEOTX))
+		plan, err := planNoPrune(topo, src, 0, OrderEOTX)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,8 +132,7 @@ func TestETXOrderCostAtLeastEOTX(t *testing.T) {
 	for seed := int64(20); seed < 35; seed++ {
 		topo := randomTopology(rand.New(rand.NewSource(seed)), 8, 0.6)
 		src, dst := graph.NodeID(topo.N()-1), graph.NodeID(0)
-		gap, err := CostGap(topo, src, dst,
-			ETXOptions{Threshold: 0, AckAware: false}, DefaultEOTXOptions())
+		gap, err := CostGap(topo, src, dst, broadcastETX)
 		if err != nil {
 			continue
 		}
@@ -148,8 +148,7 @@ func TestCostGapUnbounded(t *testing.T) {
 	prev := 0.0
 	for _, p := range []float64{0.2, 0.1, 0.05, 0.01} {
 		topo := graph.GapTopology(k, p)
-		gap, err := CostGap(topo, 0, graph.NodeID(3+k),
-			ETXOptions{Threshold: 0, AckAware: false}, DefaultEOTXOptions())
+		gap, err := CostGap(topo, 0, graph.NodeID(3+k), broadcastETX)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +233,11 @@ func TestPruningDropsMinorForwarders(t *testing.T) {
 	topo.SetDirected(2, 3, 0.9)
 	topo.SetDirected(2, 0, 0.05)
 	topo.SetDirected(0, 2, 0.05)
-	opt := planOptsNoPrune(OrderETX)
-	noPrune, err := BuildPlan(topo, 3, 0, opt)
+	noPrune, err := planNoPrune(topo, 3, 0, OrderETX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.PruneFraction = 0.1
-	pruned, err := BuildPlan(topo, 3, 0, opt)
+	pruned, err := buildPlan(topo, 3, 0, PlanOptions{Metric: OrderETX, PruneFraction: 0.1}, broadcastETX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +327,6 @@ func TestTestbedGapStatistics(t *testing.T) {
 	// unaffected by the order choice, and the median gap among affected
 	// pairs should be small.
 	topo, _ := graph.ConnectedTestbed(1)
-	etxOpt := ETXOptions{Threshold: 0, AckAware: false}
 	unaffected, affected := 0, 0
 	var gaps []float64
 	for src := 0; src < topo.N(); src++ {
@@ -338,7 +334,7 @@ func TestTestbedGapStatistics(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			gap, err := CostGap(topo, graph.NodeID(src), graph.NodeID(dst), etxOpt, DefaultEOTXOptions())
+			gap, err := CostGap(topo, graph.NodeID(src), graph.NodeID(dst), broadcastETX)
 			if err != nil {
 				t.Fatalf("gap %d->%d: %v", src, dst, err)
 			}

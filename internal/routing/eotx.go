@@ -7,19 +7,11 @@ import (
 	"repro/internal/graph"
 )
 
-// EOTXOptions configures the EOTX computation. The metric counts every
-// link the topology stores (each has p > 0): bounding the neighborhood
-// would discard opportunistic receptions (§5.1).
-type EOTXOptions struct {
-	// Cost, when non-nil, adds a per-node penalty each time the metric
-	// routes a packet through an intermediate forwarder (never the
-	// destination): the relaxation uses d(k) + penalty(k) as the cost of
-	// handing the packet to k. Nil or all-zero leaves EOTX bit-identical
-	// to the loss-only metric. The validation oracles (EOTXBellmanFord,
-	// EOTXFixedPoint) take no options — they exist to cross-check the
-	// loss-only algorithm.
-	Cost CostModel
-}
+// EOTXOptions configures the EOTX computation. It has no knobs: the metric
+// prices a forwarder by link loss alone and counts every link the topology
+// stores (each has p > 0), since bounding the neighborhood would discard
+// opportunistic receptions (§5.1).
+type EOTXOptions struct{}
 
 // DefaultEOTXOptions is the loss-only metric over every link the channel
 // can deliver on.
@@ -65,9 +57,7 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 				continue
 			}
 			p := in.P
-			// Handing the packet to forwarder k pays k's load penalty on
-			// top of k's own remaining cost.
-			T[i] += p * P[i] * (d[k] + nodePenalty(opt.Cost, k, dst))
+			T[i] += p * P[i] * d[k]
 			P[i] *= 1 - p
 			nd := T[i] / (1 - P[i])
 			if nd < d[i] {

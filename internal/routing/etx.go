@@ -30,11 +30,6 @@ type ETXOptions struct {
 	// false the link cost is 1/p_fwd, the form used in the broadcast-based
 	// credit calculations of Chapter 3 and 5.
 	AckAware bool
-	// Cost, when non-nil, adds a per-node penalty to every hop through an
-	// intermediate node (never the destination), demoting loaded
-	// forwarders in path selection. Nil or all-zero leaves the metric
-	// bit-identical to loss-only ETX.
-	Cost CostModel
 }
 
 // DefaultETXOptions matches how the experiments configure routing: usable
@@ -99,8 +94,6 @@ func ETXToDestination(t *graph.Topology, dst graph.NodeID, opt ETXOptions) *ETXT
 			if math.IsInf(c, 1) {
 				continue
 			}
-			// Routing through u pays u's load penalty on top of the link.
-			c += nodePenalty(opt.Cost, u, dst)
 			if d := tab.Dist[u] + c; d < tab.Dist[vid] {
 				tab.Dist[vid] = d
 				tab.Next[vid] = u

@@ -115,7 +115,7 @@ func TestCreditsHandExample(t *testing.T) {
 	topo.SetLink(1, 0, 1)
 	topo.SetDirected(2, 0, q)
 	topo.SetDirected(0, 2, q)
-	plan, err := BuildPlan(topo, 2, 0, planOptsNoPrune(OrderETX))
+	plan, err := planNoPrune(topo, 2, 0, OrderETX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,12 +126,6 @@ type CCSpec struct {
 	Policy string `json:"policy,omitempty"`
 	// Queue overrides the transmit-queue bound (0: policy default).
 	Queue int `json:"queue,omitempty"`
-	// LoadPenalty arms the load-aware cost plane: the ETX penalty of
-	// routing through a fully saturated forwarder (0 disables; see
-	// experiments.Options.LoadPenalty). Oracle state only. The layer's load
-	// signals are exported with it: queue high-water marks appear in the
-	// result counters.
-	LoadPenalty float64 `json:"load_penalty,omitempty"`
 }
 
 // FlowSpec describes one flow.
@@ -441,14 +435,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.CC.Queue < 0 {
 		return fmt.Errorf("scenario %s: cc queue must be >= 0 (got %d)", s.Name, s.CC.Queue)
-	}
-	if s.CC.LoadPenalty < 0 {
-		return fmt.Errorf("scenario %s: cc load_penalty must be >= 0 (got %v)", s.Name, s.CC.LoadPenalty)
-	}
-	if s.CC.LoadPenalty > 0 && s.State.Mode == "learned" {
-		// Load prices come from the oracle's global sampler; a learned view
-		// has no load to price.
-		return fmt.Errorf("scenario %s: cc load_penalty applies to state mode oracle only", s.Name)
 	}
 	if s.Batch < 2 {
 		return fmt.Errorf("scenario %s: batch must be >= 2 (got %d)", s.Name, s.Batch)
@@ -809,7 +795,6 @@ func (s *Spec) Options() experiments.Options {
 	policy, _ := congest.ParsePolicy(s.CC.Policy) // validated on load
 	opts.CC = congest.DefaultConfig(policy)
 	opts.CC.QueueLen = s.CC.Queue
-	opts.LoadPenalty = s.CC.LoadPenalty
 	opts.Repair = secs(s.RepairS)
 	return opts
 }

@@ -227,10 +227,9 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		{"learned knobs with the mode left to default", func(m map[string]interface{}) {
 			m["state"] = map[string]interface{}{"piggyback": true}
 		}, "apply to mode learned only"},
-		{"load penalty under learned state", func(m map[string]interface{}) {
-			m["state"] = map[string]interface{}{"mode": "learned"}
+		{"load penalty is an unknown field", func(m map[string]interface{}) {
 			m["cc"] = map[string]interface{}{"policy": "cubic", "load_penalty": 2}
-		}, "load_penalty applies to state mode oracle only"},
+		}, `unknown field "load_penalty"`},
 		{"cbr traffic on srcr-auto", func(m map[string]interface{}) {
 			flow0(m)["protocol"] = "srcr-auto"
 			flow0(m)["traffic"] = map[string]interface{}{"model": "cbr", "rate_pps": 100, "packets": 10}

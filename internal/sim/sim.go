@@ -159,11 +159,6 @@ type Counters struct {
 	// unattributed frames. Per-flow sums plus the 0 bucket always equal
 	// Transmissions.
 	TxByFlow map[uint32]int64
-	// QueueHWM[i] is node i's congestion-layer queue-depth high-water
-	// mark over the run. Filled by the experiment drivers only when the
-	// congest layer's load export is on (congest.Config.LoadExport); nil
-	// otherwise, so legacy result documents and digests are unchanged.
-	QueueHWM []int64 `json:",omitempty"`
 }
 
 // Simulator is the event loop plus medium state.
