@@ -125,6 +125,14 @@ func New(n int) *Topology {
 	}
 }
 
+// FromRows creates a topology of len(out) nodes at the origin whose out-edge
+// lists are out, taken as they are: each row sorted ascending by Node, with
+// no self-link and every P in (0, 1] — what Validate checks. The topology
+// owns the rows from then on; the caller keeps no reference to them.
+func FromRows(out [][]Edge) *Topology {
+	return &Topology{Pos: make([]Position, len(out)), out: out}
+}
+
 // N returns the number of nodes.
 func (t *Topology) N() int { return len(t.Pos) }
 
@@ -180,9 +188,25 @@ func (t *Topology) inEdges() [][]Edge {
 	if in := t.in.Load(); in != nil {
 		return *in
 	}
+	// Counted first, so every in-list is cut from one backing array with
+	// cap == len (an append by a reader copies instead of writing into the
+	// next list), then filled in ascending source order so each comes out
+	// sorted by Edge.Node.
+	count := make([]int, t.N())
+	total := 0
+	for _, row := range t.out {
+		for _, e := range row {
+			count[e.Node]++
+		}
+		total += len(row)
+	}
 	in := make([][]Edge, t.N())
-	// Visited in ascending source order so each in-list comes out sorted by
-	// Edge.Node.
+	edges := make([]Edge, total)
+	off := 0
+	for j, c := range count {
+		in[j] = edges[off : off : off+c]
+		off += c
+	}
 	for i, row := range t.out {
 		for _, e := range row {
 			in[e.Node] = append(in[e.Node], Edge{Node: NodeID(i), P: e.P})

@@ -360,3 +360,32 @@ func TestDeliveryCutoff(t *testing.T) {
 		t.Fatal("delivery zero just inside cutoff")
 	}
 }
+
+func TestInEdgesMatchReference(t *testing.T) {
+	// The in-edge index is cut from one array: every list equals the one an
+	// append per out-edge builds, and has no spare capacity an append by a
+	// reader could write into the next list through.
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(30)
+		topo := New(n)
+		for k := rng.Intn(n * n); k > 0; k-- {
+			topo.SetDirected(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), rng.Float64())
+		}
+		want := make([][]Edge, n)
+		for i := 0; i < n; i++ {
+			for _, e := range topo.OutEdges(NodeID(i)) {
+				want[e.Node] = append(want[e.Node], Edge{Node: NodeID(i), P: e.P})
+			}
+		}
+		for j := 0; j < n; j++ {
+			got := topo.InEdges(NodeID(j))
+			if len(got) != len(want[j]) || (len(got) > 0 && !reflect.DeepEqual(got, want[j])) {
+				t.Fatalf("trial %d: in-edges of %d %v, want %v", trial, j, got, want[j])
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("trial %d: in-edges of %d have cap %d, len %d", trial, j, cap(got), len(got))
+			}
+		}
+	}
+}

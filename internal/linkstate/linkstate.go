@@ -115,6 +115,7 @@ type Agent struct {
 	pendingAdv []pendingLSA // own advertisement awaiting transmission
 	pendingFwd []pendingLSA // LSAs to rebroadcast
 	fwdFree    *fwdTimer    // jitter timers not waiting on an LSA, linked through next
+	floodFree  []*sim.Frame // flood frames Sent handed back, for floodFrame to reuse
 
 	// The periodic ticks, each one timer re-armed as it fires.
 	advTimer, expiryTimer *sim.Event
@@ -136,8 +137,15 @@ type Agent struct {
 	maxQuiet       sim.Time
 	piggybackDelay sim.Time
 
-	// Damping state: the estimates as last flooded, and when.
-	lastAdv    map[graph.NodeID]float64
+	// advertise's scratch: one tick's neighbors above minProb, ascending,
+	// and their raw estimates.
+	advIDs []graph.NodeID
+	advEst []float64
+
+	// Damping state: the neighbors and raw estimates as last flooded, in
+	// the same ascending form, and when.
+	lastIDs    []graph.NodeID
+	lastEst    []float64
 	lastAdvAt  sim.Time
 	advertised bool
 
@@ -216,10 +224,9 @@ func NewAgent(cfg Config, n int) *Agent {
 		cfg.SummaryInterval = cfg.MaxAge / 2 // remote entries must refresh before expiring
 	}
 	a := &Agent{
-		cfg:     cfg,
-		n:       n,
-		prober:  probe.NewProber(cfg.Probe),
-		lastAdv: make(map[graph.NodeID]float64),
+		cfg:    cfg,
+		n:      n,
+		prober: probe.NewProber(cfg.Probe),
 	}
 	if cfg.TriggerDelta > 0 {
 		a.maxQuiet = maxQuietIntervals * cfg.AdvertiseInterval
@@ -293,16 +300,11 @@ func (a *Agent) scheduleAdvertise() {
 // unless damping is on and nothing moved past the trigger threshold since
 // the last flood (triggered updates; the periodic tick doubles as the
 // hold-down, and maxQuiet bounds how long an unchanged node stays quiet).
+//
+// One ascending pass collects the estimates into the agent's scratch; only
+// an advertisement that goes out allocates, and then exactly what it floods.
 func (a *Agent) advertise() {
-	a.seq++
-	lsa := &packet.LSA{Origin: a.node.ID(), Seq: a.seq, Heard: newHeardSet(a.n)}
-	// The damping comparison wants the raw estimates; collect them in the
-	// same ascending pass that builds the LSA, and only when damping is on
-	// (the undamped default pays neither the map nor a second scan).
-	var estimates map[graph.NodeID]float64
-	if a.cfg.TriggerDelta > 0 {
-		estimates = make(map[graph.NodeID]float64)
-	}
+	a.advIDs, a.advEst = a.advIDs[:0], a.advEst[:0]
 	for i := 0; i < a.n; i++ {
 		id := graph.NodeID(i)
 		if id == a.node.ID() {
@@ -312,25 +314,37 @@ func (a *Agent) advertise() {
 		if p < minProb {
 			continue
 		}
-		if estimates != nil {
-			estimates[id] = p
-		}
-		lsa.Neighbors = append(lsa.Neighbors, id)
-		lsa.Probs = append(lsa.Probs, packet.QuantizeProb(p))
+		a.advIDs = append(a.advIDs, id)
+		a.advEst = append(a.advEst, p)
 	}
 	a.advTick++
+	ids, est := a.advIDs, a.advEst
 	if a.cfg.TriggerDelta > 0 {
 		// A due network-wide summary bypasses damping: under scoped flooding
 		// the periodic summary is the only refresh distant regions ever see,
 		// and a quiet period must not starve them onto bootstrap-era state.
-		if !a.summaryDue(a.node.Now()) && a.damped(estimates) {
-			a.seq--
+		if !a.summaryDue(a.node.Now()) && a.damped() {
 			a.SuppressedAdv++
 			return
 		}
-		a.lastAdv = estimates
+		// What goes out becomes the reference; the old reference is the
+		// next tick's scratch.
+		a.lastIDs, a.advIDs = a.advIDs, a.lastIDs
+		a.lastEst, a.advEst = a.advEst, a.lastEst
 		a.lastAdvAt = a.node.Now()
 		a.advertised = true
+	}
+	a.seq++
+	lsa := &packet.LSA{
+		Origin:    a.node.ID(),
+		Seq:       a.seq,
+		Neighbors: make([]graph.NodeID, len(ids)),
+		Probs:     make([]uint8, len(est)),
+		Heard:     newHeardSet(a.n),
+	}
+	copy(lsa.Neighbors, ids)
+	for i, p := range est {
+		lsa.Probs[i] = packet.QuantizeProb(p)
 	}
 	lsa.TTL = a.scopeTTL(a.node.Now())
 	a.accept(lsa)
@@ -338,6 +352,7 @@ func (a *Agent) advertise() {
 		// A dead radio cannot drain its queue; keep only the newest own LSA
 		// so arbitrarily long outages do not grow the backlog. On recovery
 		// the single queued advertisement re-announces the node.
+		clear(a.pendingAdv)
 		a.pendingAdv = a.pendingAdv[:0]
 	}
 	a.pendingAdv = append(a.pendingAdv, pendingLSA{lsa: lsa, due: a.holdUntil()})
@@ -398,21 +413,23 @@ func (a *Agent) holdUntil() sim.Time {
 }
 
 // damped reports whether this advertise tick should be suppressed: damping
-// enabled, a previous flood exists and is younger than maxQuiet, and every
-// estimate is within TriggerDelta of what that flood said.
-func (a *Agent) damped(estimates map[graph.NodeID]float64) bool {
+// enabled, a previous flood exists and is younger than maxQuiet, it named
+// the same neighbors as this tick's scratch, and every estimate is within
+// TriggerDelta of what it said. Both neighbor lists are ascending, so equal
+// sets are equal lists.
+func (a *Agent) damped() bool {
 	if a.cfg.TriggerDelta <= 0 || !a.advertised {
 		return false
 	}
 	if a.node.Now()-a.lastAdvAt >= a.maxQuiet {
 		return false
 	}
-	if len(estimates) != len(a.lastAdv) {
+	if len(a.advIDs) != len(a.lastIDs) {
 		return false
 	}
-	for id, p := range estimates {
-		last, ok := a.lastAdv[id]
-		if !ok || p-last >= a.cfg.TriggerDelta || last-p >= a.cfg.TriggerDelta {
+	for i, id := range a.advIDs {
+		p, last := a.advEst[i], a.lastEst[i]
+		if id != a.lastIDs[i] || p-last >= a.cfg.TriggerDelta || last-p >= a.cfg.TriggerDelta {
 			return false
 		}
 	}
@@ -513,9 +530,10 @@ func (a *Agent) Receive(f *sim.Frame) {
 
 // handleLSA installs a received LSA (dedicated flood or piggybacked ride)
 // and schedules its rebroadcast. A scoped LSA is forwarded with the TTL
-// decremented on a copy — the broadcast frame's payload pointer is shared
-// with every other receiver and with this node's own database — and dies at
-// the ring boundary (TTL 1) instead of flooding the whole network.
+// decremented on its outward copy — the broadcast frame's payload pointer is
+// shared with every other receiver and with this node's own database, and
+// every forwarder of it floods the same one copy — and dies at the ring
+// boundary (TTL 1) instead of flooding the whole network.
 func (a *Agent) handleLSA(m *packet.LSA) {
 	if !a.accept(m) {
 		return
@@ -525,9 +543,7 @@ func (a *Agent) handleLSA(m *packet.LSA) {
 	}
 	fwd := m
 	if m.TTL > 1 {
-		c := *m
-		c.TTL = m.TTL - 1
-		fwd = &c
+		fwd = m.Outward()
 	}
 	// Rebroadcast after jitter.
 	delay := sim.Time(a.node.Rand().Int63n(int64(floodJitter)))
@@ -579,21 +595,37 @@ func (a *Agent) Pull() *sim.Frame {
 // Queues are appended in time order, so the head always has the earliest
 // deadline.
 func (a *Agent) popDue(q *[]pendingLSA) (*packet.LSA, bool) {
-	if len(*q) == 0 {
+	if len(*q) == 0 || (*q)[0].due > a.node.Now() {
 		return nil, false
 	}
-	head := (*q)[0]
-	if head.due > a.node.Now() {
-		return nil, false
-	}
-	*q = (*q)[1:]
-	return head.lsa, true
+	return popHead(q), true
 }
 
+// popHead removes and returns the head of a non-empty queue by copying the
+// rest down: the queue keeps its backing array, so appends stop
+// reallocating once it is warm, and the vacated tail slot drops its LSA.
+func popHead(q *[]pendingLSA) *packet.LSA {
+	l := (*q)[0].lsa
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = pendingLSA{}
+	*q = (*q)[:n]
+	return l
+}
+
+// floodFrame frames l in a frame off the agent's free list: once the list is
+// warm a flood allocates nothing. The LSA itself is shared, never recycled:
+// every receiver's database may hold it.
 func (a *Agent) floodFrame(l *packet.LSA) *sim.Frame {
 	a.FloodTx++
 	a.node.Emit(telemetry.Event{Aux: int64(l.Origin), Kind: telemetry.KindLSAFlood})
-	return &sim.Frame{From: a.node.ID(), To: graph.Broadcast, Bytes: l.EncodedSize(), Payload: l}
+	var f *sim.Frame
+	if k := len(a.floodFree); k > 0 {
+		f, a.floodFree = a.floodFree[k-1], a.floodFree[:k-1]
+	} else {
+		f = new(sim.Frame)
+	}
+	*f = sim.Frame{From: a.node.ID(), To: graph.Broadcast, Bytes: l.EncodedSize(), Payload: l}
+	return f
 }
 
 // piggybackMax bounds how many pending LSAs ride one data frame, so a
@@ -612,11 +644,9 @@ func (a *Agent) Piggyback(f *sim.Frame) {
 	for n := 0; n < piggybackMax; n++ {
 		var l *packet.LSA
 		if len(a.pendingAdv) > 0 {
-			l = a.pendingAdv[0].lsa
-			a.pendingAdv = a.pendingAdv[1:]
+			l = popHead(&a.pendingAdv)
 		} else if len(a.pendingFwd) > 0 {
-			l = a.pendingFwd[0].lsa
-			a.pendingFwd = a.pendingFwd[1:]
+			l = popHead(&a.pendingFwd)
 		} else {
 			return
 		}
@@ -626,8 +656,16 @@ func (a *Agent) Piggyback(f *sim.Frame) {
 	}
 }
 
-// Sent implements sim.Protocol.
+// Sent implements sim.Protocol: a flood frame goes back on the free list,
+// zeroed, so a read that outlives it finds no payload; a probe goes back to
+// the prober.
 func (a *Agent) Sent(f *sim.Frame, ok bool) {
+	if _, flood := f.Payload.(*packet.LSA); flood {
+		*f = sim.Frame{}
+		a.floodFree = append(a.floodFree, f)
+	} else {
+		a.prober.Sent(f, ok)
+	}
 	if len(a.pendingAdv) > 0 || len(a.pendingFwd) > 0 {
 		a.node.Wake()
 	}
@@ -639,18 +677,55 @@ func (a *Agent) KnownOrigins() int { return a.known }
 
 // Topology reconstructs this node's local view of the loss-annotated
 // network graph from its LSA database. Unknown links are 0.
+//
+// An LSA reports delivery of nb -> origin, so origin lands in nb's out-row.
+// The rows are built in one pass: counted, cut from one backing array, then
+// filled in ascending origin order, which keeps every row sorted. A
+// neighbor an LSA names twice overwrites its entry, or removes it at
+// probability 0, and a self-link is skipped — what graph.SetDirected does.
 func (a *Agent) Topology() *graph.Topology {
-	t := graph.New(a.n)
+	count := make([]int, a.n)
+	total := 0
 	for origin, row := range a.cold {
 		if row.lsa == nil {
 			continue
 		}
 		for i, nb := range row.lsa.Neighbors {
-			// LSA reports delivery of nb -> origin.
-			t.SetDirected(nb, graph.NodeID(origin), packet.UnquantizeProb(row.lsa.Probs[i]))
+			if nb != graph.NodeID(origin) && row.lsa.Probs[i] > 0 {
+				count[nb]++
+				total++
+			}
 		}
 	}
-	return t
+	out := make([][]graph.Edge, a.n)
+	edges := make([]graph.Edge, total)
+	off := 0
+	for nb, c := range count {
+		out[nb] = edges[off : off : off+c]
+		off += c
+	}
+	for origin, row := range a.cold {
+		if row.lsa == nil {
+			continue
+		}
+		to := graph.NodeID(origin)
+		for i, nb := range row.lsa.Neighbors {
+			if nb == to {
+				continue
+			}
+			p := packet.UnquantizeProb(row.lsa.Probs[i])
+			r := out[nb]
+			switch {
+			case len(r) > 0 && r[len(r)-1].Node == to && p > 0:
+				r[len(r)-1].P = p
+			case len(r) > 0 && r[len(r)-1].Node == to:
+				out[nb] = r[:len(r)-1]
+			case p > 0:
+				out[nb] = append(r, graph.Edge{Node: to, P: p})
+			}
+		}
+	}
+	return graph.FromRows(out)
 }
 
 // Run floods a whole network for duration and returns the agents, one per

@@ -207,6 +207,23 @@ type LSA struct {
 	// compared; an LSA without one — every DecodeLSA result — is simply
 	// checked against the receiver's own database.
 	Heard graph.NodeSet
+	// outward is simulation-side too: the copy one hop further out (TTL one
+	// less, Heard shared), made once by Outward and never encoded.
+	outward *LSA
+}
+
+// Outward returns the copy of l a forwarder floods one hop further out: the
+// same advertisement with TTL one less, sharing Heard. It is made on the
+// first call and shared by every later one, so every forwarder of one
+// TTL-t copy floods one and the same TTL-t−1 copy; l itself is not
+// changed. Call it only on a scoped LSA (TTL > 1) that is no longer edited.
+func (l *LSA) Outward() *LSA {
+	if l.outward == nil {
+		c := *l
+		c.TTL--
+		l.outward = &c
+	}
+	return l.outward
 }
 
 // lsaTTLFlag marks an LSA that carries a trailing scope-TTL byte. It rides

@@ -138,3 +138,33 @@ func TestLSALoadFlagIsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestOutwardCopyIsNotEncoded: the outward copy is made once, differs from
+// its LSA only in TTL, shares the heard-set, and the pointer to it is never
+// on the wire — the LSA encodes to the same bytes before and after.
+func TestOutwardCopyIsNotEncoded(t *testing.T) {
+	l := &LSA{Origin: 7, Seq: 42, Neighbors: []graph.NodeID{1, 3}, Probs: []uint8{200, 25}, TTL: 3, Heard: graph.NewNodeSet(8)}
+	before, err := l.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.Outward()
+	if c == l || l.Outward() != c {
+		t.Fatal("Outward did not return one copy, distinct from its LSA")
+	}
+	if c.TTL != 2 || l.TTL != 3 || c.Origin != l.Origin || c.Seq != l.Seq || &c.Heard[0] != &l.Heard[0] {
+		t.Fatalf("outward copy %+v of %+v", *c, *l)
+	}
+	after, err := l.Encode(nil)
+	if err != nil || !reflect.DeepEqual(before, after) {
+		t.Fatalf("the outward copy changed the encoding: %v vs %v", before, after)
+	}
+	cb, err := c.Encode(nil)
+	if err != nil || !reflect.DeepEqual(cb[:len(cb)-1], before[:len(before)-1]) || cb[len(cb)-1] != 2 {
+		t.Fatalf("outward copy encodes to %v, its LSA to %v", cb, before)
+	}
+	got, _, err := DecodeLSA(after)
+	if err != nil || got.outward != nil {
+		t.Fatalf("a decoded LSA carries an outward copy (err %v)", err)
+	}
+}

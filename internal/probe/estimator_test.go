@@ -13,7 +13,7 @@ func hear(p *Prober, origin graph.NodeID, seq uint32) {
 	p.Receive(&sim.Frame{
 		From:    origin,
 		To:      graph.Broadcast,
-		Payload: &packet.Probe{Origin: origin, Seq: seq, Window: uint16(p.cfg.Window)},
+		Payload: &probeMsg{Probe: packet.Probe{Origin: origin, Seq: seq, Window: uint16(p.cfg.Window)}},
 	})
 }
 
@@ -65,14 +65,18 @@ func TestReorderedProbeDoesNotRegressTrimHorizon(t *testing.T) {
 	// (horizon 15-10=5) instead of lastSeq (30-10=20) would re-admit it and
 	// keep every stale entry alive.
 	hear(p, 2, 15)
-	horizon := p.lastSeq[2] - uint32(cfg.Window)
-	for _, s := range p.received[2] {
+	o := p.heard[2]
+	horizon := o.last - uint32(cfg.Window)
+	for _, s := range o.window {
 		if s <= horizon {
 			t.Fatalf("stale seq %d survived the trim (horizon %d)", s, horizon)
 		}
 	}
-	if n := len(p.received[2]); n > cfg.Window {
+	if n := len(o.window); n > cfg.Window {
 		t.Fatalf("window holds %d entries, cap is %d", n, cfg.Window)
+	}
+	if c := cap(o.window); c != cfg.Window+1 {
+		t.Fatalf("window capacity %d after 21 probes, want the presized %d", c, cfg.Window+1)
 	}
 	if d := p.DeliveryFrom(2); d != 1.0 {
 		t.Fatalf("delivery after reordered arrival = %v, want 1.0", d)

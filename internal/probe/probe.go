@@ -64,18 +64,35 @@ type Prober struct {
 	pending int        // probes due but not yet transmitted
 	tick    *sim.Event // the probe clock, re-armed every tick
 
-	// received[origin] holds the sequence numbers heard from origin within
-	// the window horizon.
-	received map[graph.NodeID][]uint32
-	// lastSeq[origin] is the highest sequence seen from origin.
-	lastSeq map[graph.NodeID]uint32
-	// lastHeard[origin] is when origin's latest probe arrived (liveness
-	// input for DeadInterval).
-	lastHeard map[graph.NodeID]sim.Time
+	// heard holds one record per origin a probe arrived from.
+	heard map[graph.NodeID]*record
+	// free holds probes Sent handed back, for Pull to reuse.
+	free []*probeMsg
 
 	// ProbeTx counts probe broadcasts sent (measurement-plane overhead
 	// accounting for the learned-vs-oracle gap experiments).
 	ProbeTx int64
+}
+
+// record is what a prober knows of one origin's probes, reached with one map
+// lookup.
+type record struct {
+	// window holds the sequence numbers heard within the window horizon.
+	// Its capacity is Window+1: a fresh seq joins before the trim, and at
+	// most Window distinct ones survive it.
+	window []uint32
+	// last is the highest sequence seen.
+	last uint32
+	// at is when the latest probe arrived (liveness input for
+	// DeadInterval).
+	at sim.Time
+}
+
+// probeMsg is a probe on the air: the wire fields and the frame that carries
+// them, one object, recycled once Sent hands the frame back (release).
+type probeMsg struct {
+	packet.Probe
+	frame sim.Frame
 }
 
 // NewProber creates a prober; attach with sim.Attach. A zero Window is
@@ -84,12 +101,7 @@ func NewProber(cfg Config) *Prober {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
 	}
-	return &Prober{
-		cfg:       cfg,
-		received:  make(map[graph.NodeID][]uint32),
-		lastSeq:   make(map[graph.NodeID]uint32),
-		lastHeard: make(map[graph.NodeID]sim.Time),
-	}
+	return &Prober{cfg: cfg, heard: make(map[graph.NodeID]*record)}
 }
 
 // Init implements sim.Protocol.
@@ -117,43 +129,48 @@ func (p *Prober) scheduleNext() {
 
 // Receive implements sim.Protocol.
 func (p *Prober) Receive(f *sim.Frame) {
-	m, ok := f.Payload.(*packet.Probe)
+	m, ok := f.Payload.(*probeMsg)
 	if !ok {
 		return
 	}
-	if p.node != nil { // tests drive Receive without a simulated node
-		p.lastHeard[m.Origin] = p.node.Now()
+	o := p.heard[m.Origin]
+	if o == nil {
+		o = &record{window: make([]uint32, 0, p.cfg.Window+1)}
+		p.heard[m.Origin] = o
 	}
-	if m.Seq > p.lastSeq[m.Origin] {
-		p.lastSeq[m.Origin] = m.Seq
+	if p.node != nil { // tests drive Receive without a simulated node
+		o.at = p.node.Now()
+	}
+	if m.Seq > o.last {
+		o.last = m.Seq
 	}
 	// A replayed probe must count once: a window holding the same seq twice
 	// would make DeliveryFrom report more arrivals than the origin sent.
-	seqs := p.received[m.Origin]
 	dup := false
-	for _, s := range seqs {
+	for _, s := range o.window {
 		if s == m.Seq {
 			dup = true
 			break
 		}
 	}
 	if !dup {
-		seqs = append(seqs, m.Seq)
+		o.window = append(o.window, m.Seq)
 	}
 	// Trim against the highest seq heard, not the arriving one: a late
 	// reordered probe must not drag the horizon backward and re-admit (or
 	// fail to evict) entries the window had already aged out.
-	horizon := int64(p.lastSeq[m.Origin]) - int64(p.cfg.Window)
-	keep := seqs[:0]
-	for _, s := range seqs {
+	horizon := int64(o.last) - int64(p.cfg.Window)
+	keep := o.window[:0]
+	for _, s := range o.window {
 		if int64(s) > horizon {
 			keep = append(keep, s)
 		}
 	}
-	p.received[m.Origin] = keep
+	o.window = keep
 }
 
-// Pull implements sim.Protocol.
+// Pull implements sim.Protocol: the next due probe, in a message off the
+// free list, so once the list is warm a probe allocates nothing.
 func (p *Prober) Pull() *sim.Frame {
 	if p.pending == 0 {
 		return nil
@@ -161,37 +178,57 @@ func (p *Prober) Pull() *sim.Frame {
 	p.pending--
 	p.seq++
 	p.ProbeTx++
-	m := &packet.Probe{Origin: p.node.ID(), Seq: p.seq, Window: uint16(p.cfg.Window)}
-	return &sim.Frame{
+	var m *probeMsg
+	if k := len(p.free); k > 0 {
+		m, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		m = new(probeMsg)
+	}
+	m.Probe = packet.Probe{Origin: p.node.ID(), Seq: p.seq, Window: uint16(p.cfg.Window)}
+	m.frame = sim.Frame{
 		From:    p.node.ID(),
 		To:      graph.Broadcast,
 		Bytes:   max(m.EncodedSize(), padToBytes),
 		Payload: m,
 	}
+	return &m.frame
 }
 
-// Sent implements sim.Protocol.
-func (p *Prober) Sent(f *sim.Frame, ok bool) {}
+// Sent implements sim.Protocol: the probe is off the air and every receiver
+// has read it, so it goes back on the free list.
+func (p *Prober) Sent(f *sim.Frame, ok bool) {
+	if m, mine := f.Payload.(*probeMsg); mine {
+		p.release(m)
+	}
+}
+
+// release puts a probe Sent handed back on the free list, poisoned: no
+// origin and a zero frame, so a read that outlives the frame finds nothing.
+func (p *Prober) release(m *probeMsg) {
+	*m = probeMsg{Probe: packet.Probe{Origin: -1}}
+	p.free = append(p.free, m)
+}
 
 // DeliveryFrom estimates the delivery probability of link origin -> this
 // node: the fraction of the last Window probes that arrived. It returns
 // 0 if nothing was heard from origin.
 func (p *Prober) DeliveryFrom(origin graph.NodeID) float64 {
-	last, ok := p.lastSeq[origin]
-	if !ok || last == 0 {
+	o := p.heard[origin]
+	if o == nil || o.last == 0 {
 		return 0
 	}
-	if p.cfg.DeadInterval > 0 && p.node != nil { // standalone probers have no clock
-		if t, heard := p.lastHeard[origin]; !heard || p.node.Now()-t >= p.cfg.DeadInterval {
-			return 0 // silent past the liveness horizon: the link is down
-		}
+	// A standalone prober has no clock. One that has: silent past the
+	// liveness horizon, the link is down.
+	if p.cfg.DeadInterval > 0 && p.node != nil && p.node.Now()-o.at >= p.cfg.DeadInterval {
+		return 0
 	}
+	last := o.last
 	window := uint32(p.cfg.Window)
 	if last < window {
 		window = last
 	}
 	count := 0
-	for _, s := range p.received[origin] {
+	for _, s := range o.window {
 		if s > last-window {
 			count++
 		}

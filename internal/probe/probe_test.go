@@ -1,9 +1,11 @@
 package probe
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -87,5 +89,31 @@ func TestProbeClockRearmsOneTimer(t *testing.T) {
 	}
 	if p.tick != tick || s.Pending() != 1 || p.ProbeTx != 0 {
 		t.Fatalf("the probe clock was replaced or duplicated: %d events pending", s.Pending())
+	}
+}
+
+func TestReleasedControlFrameIsPoisoned(t *testing.T) {
+	// Sent poisons the probe it hands back and the next probe reuses it: a
+	// reader that kept the frame past Sent finds no origin and no payload,
+	// and a receiver handed it records nothing.
+	topo := graph.New(2)
+	topo.SetLink(0, 1, 1)
+	s := sim.New(topo, sim.DefaultConfig())
+	p, q := NewProber(DefaultConfig()), NewProber(DefaultConfig())
+	s.Attach(0, p)
+	s.Attach(1, q)
+	p.pending = 1
+	f := p.Pull()
+	m := f.Payload.(*probeMsg)
+	p.Sent(f, true)
+	if want := (probeMsg{Probe: packet.Probe{Origin: -1}}); !reflect.DeepEqual(*m, want) {
+		t.Fatalf("released probe %+v, want %+v", *m, want)
+	}
+	if q.Receive(f); len(q.heard) != 0 {
+		t.Fatal("a released frame was counted as a probe")
+	}
+	p.pending = 1
+	if g := p.Pull(); g != f || g.Payload != m || m.Origin != 0 || m.Seq != 2 {
+		t.Fatal("the next probe did not reuse the released one")
 	}
 }
