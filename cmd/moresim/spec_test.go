@@ -210,7 +210,8 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-topo torus":                      "unknown topology kind",
 		"-proto tcp":                       "unknown protocol",
 		"-cc red":                          "unknown policy",
-		"-cc aimd":                         `unknown policy "aimd" (want none, tail, choke, credit, cubic)`,
+		"-cc aimd":                         `unknown policy "aimd" (want none, tail, choke, credit)`,
+		"-cc cubic":                        `unknown policy "cubic" (want none, tail, choke, credit)`,
 		"-topo corridor":                   `unknown topology kind "corridor" (want testbed, chain, diamond, grid, geometric)`,
 		"-metric hops":                     "unknown metric",
 		"-state psychic":                   "unknown state mode",
@@ -369,26 +370,25 @@ func TestLearnedStateEndToEnd(t *testing.T) {
 }
 
 // TestScaleRowsMatchParent pins the deterministic columns of -scale rows to
-// the parent's, including the per-point seed derivation. The last two rows
-// are -cc-sweep cells — the sweep is congest.Policies(), one cell per policy
-// and node count — pinned to the parent's single `-cc credit` and `-cc
-// cubic` runs of the same point. They are unbounded credit cells: ending one
-// any later than its last flow's completion lets forwarders that missed the
-// final ACK keep each other busy until the 3600 s deadline (ROADMAP item 2(b)),
-// a thousandfold tx/pkt.
+// the parent's, including the per-point seed derivation. The last row is the
+// credit cell of a -cc-sweep — the sweep is congest.Policies(), one cell per
+// policy and node count — pinned to the parent's single `-cc credit` run of
+// the same point. It is an unbounded credit cell: ending it any later than
+// its last flow's completion lets forwarders that missed the final ACK keep
+// each other busy until the 3600 s deadline (ROADMAP item 2(b)), a
+// thousandfold tx/pkt.
 func TestScaleRowsMatchParent(t *testing.T) {
 	sweep := runFlags(t, strings.Fields("-scale 60 -flows 2 -file 24576 -seed 3 -cc-sweep")...)
 	if len(sweep) != len(congest.Policies()) {
 		t.Fatalf("-cc-sweep ran %d cells for one node count, want one per policy (%d)", len(sweep), len(congest.Policies()))
 	}
-	credit, cubic := sweep[congest.Credit], sweep[congest.Cubic]
+	credit := sweep[congest.Credit]
 	rows, done := scaleRows(append(
-		runFlags(t, strings.Fields("-topo geometric -scale 60,90 -file 24576 -seed 3")...), credit, cubic))
+		runFlags(t, strings.Fields("-topo geometric -scale 60,90 -file 24576 -seed 3")...), credit))
 	want := []scaleRow{
 		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 1, Throughput: 52.79437522515248, TxPerPacket: 15.235294117647058, SimTime: 341202000},
 		{Nodes: 90, SpecSeed: 1000006, UsableLinks: 568, Completed: 1, Throughput: 69.76435562280146, TxPerPacket: 6.882352941176471, SimTime: 271246536},
 		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 2, Throughput: 76.46944422764953, TxPerPacket: 28.5, SimTime: 619296635, CC: congest.Credit},
-		{Nodes: 60, SpecSeed: 3, UsableLinks: 402, Completed: 2, Throughput: 76.46944422764953, TxPerPacket: 28.5, SimTime: 619296635, CC: congest.Cubic},
 	}
 	if !done || len(rows) != len(want) {
 		t.Fatalf("done=%v, %d rows", done, len(rows))
@@ -429,7 +429,7 @@ func TestScalePointSmoke(t *testing.T) {
 // parallel determinism: any worker count produces the same digest-sealed
 // documents, under -scale and under -cc-sweep. The sweep's rows are
 // congest.Policies(), policy-major — the list is derived, so a policy cannot
-// be admitted by -cc and missing from the sweep (cubic was, until PR 23).
+// be admitted by -cc and missing from the sweep.
 func TestScalingSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, mode := range []string{"-scale 60,90 -file 24576 -seed 3", "-scale 60,90 -flows 2 -file 24576 -seed 5 -cc-sweep"} {
 		digests := func(workers string) (out []string, swept []congest.Policy) {

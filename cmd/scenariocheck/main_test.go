@@ -50,7 +50,7 @@ func TestGoldenPasses(t *testing.T) {
 	if code != 0 || errOut != "" {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
-	want := ": ok — scenario push-choke, 5 nodes, 2 flows, done, digest 22ad792e9680\n"
+	want := ": ok — scenario push-choke, 5 nodes, 2 flows, done, digest 560a962776a1\n"
 	if lines := strings.SplitAfter(out, "\n"); len(lines) != 3 || !strings.HasSuffix(lines[0], want) || !strings.HasSuffix(lines[1], want) {
 		t.Errorf("stdout %q, want two lines ending %q", out, want)
 	}

@@ -17,18 +17,14 @@
 //     a full-rank forwarder's Eq. (3.3) credit back up so suppression
 //     upstream cannot starve the frontier — receiver-driven flow control
 //     that throttles the innovation-less retransmission storms the
-//     open-loop credits cannot see;
-//   - CUBIC pacing (Policy Cubic): the Credit machinery's grants and gating
-//     plus a per-flow RTT estimator at each source — grant and FIN/ACK
-//     round trips are the samples — driving a CUBIC-style window whose
-//     W(t)/sRTT rate refills each source's token bucket (cubic.go).
+//     open-loop credits cannot see.
 //
 // The layer implements sim.Protocol and wraps the data protocol, so control
 // traffic the protocol prioritizes internally (batch ACKs, NACKs, LSAs in a
 // sibling stack layer) bypasses the data queue, and everything the layer
 // emits contends for the real medium. With Policy None no layer is
 // installed at all — runs are byte-identical to the pre-congestion code
-// (pinned by the experiments golden tests).
+// (pinned by scenario.TestGoldenScenarios).
 package congest
 
 import (
@@ -60,17 +56,12 @@ const (
 	// downstream nodes grant credits (their remaining rank deficit) and
 	// upstream nodes stop transmitting a batch its listeners cannot use.
 	Credit
-	// Cubic keeps the Credit machinery's grants and gating and paces each
-	// source with a per-flow RTT estimator driving a CUBIC-style window:
-	// grant and FIN/ACK round trips are the RTT sample source, and the
-	// pacing rate is W(t)/sRTT (see cubic.go).
-	Cubic
 )
 
 // policyNames is the one table of policy spellings, indexed by Policy: the
 // -cc flag, the spec's cc.policy key, -json output and every error message
 // that lists the admitted set read it.
-var policyNames = [...]string{None: "none", Tail: "tail", Choke: "choke", Credit: "credit", Cubic: "cubic"}
+var policyNames = [...]string{None: "none", Tail: "tail", Choke: "choke", Credit: "credit"}
 
 // Policies lists every policy, in declaration order.
 func Policies() []Policy {
@@ -115,9 +106,9 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("congest: unknown policy %q (want %s)", s, strings.Join(policyNames[:], ", "))
 }
 
-// Fixed tuning of the pacing policies. The comparisons the layer exists for
+// Fixed tuning of the credit policy. The comparisons the layer exists for
 // vary the policy at fixed queue parameters (as the AQM literature does), so
-// the grant timers and the CUBIC constants are not Config fields.
+// the grant timers and the credit floor are not Config fields.
 const (
 	// gateTimeout is the base interval at which a credit-gated flow still
 	// releases a single probe transmission (the interval doubles while
@@ -150,18 +141,6 @@ const (
 	// backoff.
 	grantTTL = 500 * sim.Millisecond
 
-	// rateMin and rateMax clamp the CUBIC pacing rate (packets/second).
-	rateMin float64 = 64
-	rateMax float64 = 2000
-
-	// cubicC is the CUBIC growth constant C in windows/second³ (the
-	// RFC 8312 value).
-	cubicC float64 = 0.4
-	// cubicBeta is the CUBIC multiplicative-decrease factor β (RFC 8312):
-	// after a congestion event the window restarts at β·W_max and grows
-	// back along the cubic curve.
-	cubicBeta float64 = 0.7
-
 	// creditMinK floors the batch rank the Credit machinery engages at:
 	// MORE batches with K below the floor bypass grants and gating entirely
 	// and run over the plain bounded queue. In a batch this small the whole
@@ -172,17 +151,6 @@ const (
 	// threshold (needAdvertiseMax) additionally scales as K/4 so the grant
 	// count per batch stays a constant fraction of the batch.
 	creditMinK = 16
-
-	// stagnationFactor triggers a CUBIC decrease after stagnationFactor×K
-	// sends within one batch without an advance (the threshold doubles
-	// after each decrease within the same batch).
-	stagnationFactor float64 = 10
-	// bucketDepth caps a CUBIC source's accumulated tokens (packets).
-	bucketDepth float64 = 8
-	// cubicInitWindow seeds W_max for a new flow (packets): with the
-	// cubicDefaultRTT seed the starting pacing rate is about 320
-	// packets/second.
-	cubicInitWindow float64 = 32
 )
 
 // Config parameterizes the congestion layer.
@@ -233,8 +201,6 @@ type Stats struct {
 	// ProbeSends counts gated transmissions released by the gateTimeout
 	// liveness escape.
 	ProbeSends int64
-	// RateDecreases counts CUBIC multiplicative-decrease events.
-	RateDecreases int64
 }
 
 // Add accumulates s2 into s (aggregating per-node layers into a run total).
@@ -247,7 +213,6 @@ func (s *Stats) Add(s2 Stats) {
 	s.GrantTx += s2.GrantTx
 	s.GateSkips += s2.GateSkips
 	s.ProbeSends += s2.ProbeSends
-	s.RateDecreases += s2.RateDecreases
 }
 
 // NeedReporter is implemented by protocols that can report how many more
@@ -292,7 +257,7 @@ type PushSource interface {
 // Layer is the per-node congestion layer. It implements sim.Protocol,
 // wrapping the data protocol: Pull drains a bounded queue refilled from the
 // protocol (applying the drop policy), Receive snoops passing traffic for
-// the pacing policies, and protocol-internal control frames (batch ACKs,
+// the credit policy, and protocol-internal control frames (batch ACKs,
 // NACKs, route control) bypass the queue entirely.
 type Layer struct {
 	cfg   Config
@@ -305,7 +270,6 @@ type Layer struct {
 	queue []*sim.Frame
 
 	credit *creditState
-	cubic  map[uint32]*cubicFlow
 
 	// pendingGrants holds at most one un-transmitted grant per flow;
 	// grantFree holds the grants Sent handed back, for queueGrant to reuse.
@@ -333,11 +297,8 @@ func New(cfg Config, proto sim.Protocol) *Layer {
 	}
 	cfg.fillDefaults()
 	l := &Layer{cfg: cfg, proto: proto}
-	if cfg.Policy == Credit || cfg.Policy == Cubic {
+	if cfg.Policy == Credit {
 		l.credit = newCreditState()
-	}
-	if cfg.Policy == Cubic {
-		l.cubic = make(map[uint32]*cubicFlow)
 	}
 	return l
 }
@@ -380,26 +341,19 @@ type frameInfo struct {
 	flow     uint32
 	batch    uint32 // zero for batch-less protocols (Srcr)
 	hasBatch bool
-	isSource bool          // the frame injects new data at this node
 	more     *core.DataMsg // non-nil for MORE data (credit pacing)
 }
 
 // dataInfo classifies a frame: (info, true) for data frames the queue and
-// pacing policies manage, false for control frames that bypass the layer.
+// credit policy manage, false for control frames that bypass the layer.
 func (l *Layer) dataInfo(f *sim.Frame) (frameInfo, bool) {
 	switch m := f.Payload.(type) {
 	case *core.DataMsg:
-		return frameInfo{
-			flow: uint32(m.Flow), batch: m.Batch, hasBatch: true,
-			isSource: m.Src == l.node.ID(), more: m,
-		}, true
+		return frameInfo{flow: uint32(m.Flow), batch: m.Batch, hasBatch: true, more: m}, true
 	case *exor.DataMsg:
-		return frameInfo{
-			flow: uint32(m.Flow), batch: uint32(m.Batch), hasBatch: true,
-			isSource: m.Src == l.node.ID(),
-		}, true
+		return frameInfo{flow: uint32(m.Flow), batch: uint32(m.Batch), hasBatch: true}, true
 	case *srcr.DataMsg:
-		return frameInfo{flow: uint32(m.Flow), isSource: m.Hop == 0}, true
+		return frameInfo{flow: uint32(m.Flow)}, true
 	}
 	return frameInfo{}, false
 }
@@ -413,9 +367,6 @@ func (l *Layer) Receive(f *sim.Frame) {
 		if l.credit != nil {
 			l.acceptGrant(f, g)
 		}
-		// A grant from the downstream neighborhood doubles as an RTT
-		// sample for the CUBIC estimator at the flow's source.
-		l.cubicFeedback(uint32(g.Flow))
 		return
 	}
 	l.proto.Receive(f)
@@ -424,13 +375,8 @@ func (l *Layer) Receive(f *sim.Frame) {
 		// The batch is done: every queued frame for it (or older) is dead
 		// weight the protocol itself would no longer generate.
 		l.purgeAcked(uint32(m.Flow), m.Batch)
-		l.cubicFeedback(uint32(m.Flow))
 	case *exor.DoneMsg:
 		l.purgeAcked(uint32(m.Flow), uint32(m.Batch))
-		l.cubicFeedback(uint32(m.Flow))
-	case *srcr.NackMsg:
-		// The FIN→NACK exchange is Srcr's end-to-end round trip.
-		l.cubicFeedback(uint32(m.Flow))
 	}
 	if l.credit != nil {
 		if info, ok := l.dataInfo(f); ok && info.more != nil {
@@ -604,36 +550,27 @@ func (l *Layer) dequeue() *sim.Frame {
 	return nil
 }
 
-// canSend asks the active pacing policy whether the frame could transmit
-// now, without committing to it (no token or probe consumption).
+// canSend asks the credit gate, under policy Credit, whether the frame could
+// transmit now, without committing to it (no probe consumption).
 func (l *Layer) canSend(info frameInfo) bool {
-	switch l.cfg.Policy {
-	case Credit:
+	if l.cfg.Policy == Credit {
 		return l.creditCanSend(info)
-	case Cubic:
-		// Receiver-driven gating and source-side window pacing compose:
-		// a frame needs both verdicts to reach the air.
-		return l.creditCanSend(info) && l.cubicCanSend(info)
 	}
 	return true
 }
 
-// commitSend charges the pacing policy for a frame canSend just approved.
+// commitSend charges the credit gate for a frame canSend just approved.
 func (l *Layer) commitSend(info frameInfo) {
-	switch l.cfg.Policy {
-	case Credit:
+	if l.cfg.Policy == Credit {
 		l.creditCommit(info)
-	case Cubic:
-		l.creditCommit(info)
-		l.cubicCommit(info)
 	}
 }
 
 // Sent implements sim.Protocol, routing outcomes back to the protocol.
 // Grants are layer-owned: a grant handed back goes onto the layer's free
-// list (releaseGrant) and needs no completion handling (broadcast). A data
-// frame belongs to the protocol again once handed back, which may recycle
-// it at once: whatever the layer reads of it, it reads first.
+// list (releaseGrant) and needs no completion handling (broadcast). The
+// layer reads nothing of a data frame in Sent: the frame belongs to the
+// protocol again once handed back, which may recycle it at once.
 func (l *Layer) Sent(f *sim.Frame, ok bool) {
 	if g, isGrant := f.Payload.(*CreditMsg); isGrant {
 		l.releaseGrant(g)
@@ -642,13 +579,7 @@ func (l *Layer) Sent(f *sim.Frame, ok bool) {
 		}
 		return
 	}
-	info, isData := l.dataInfo(f)
 	l.proto.Sent(f, ok)
-	if l.cfg.Policy == Cubic && !ok && isData && info.isSource && !info.hasBatch {
-		// Batch-less unicast source (Srcr): a MAC-level failure is the
-		// congestion signal batch stagnation provides elsewhere.
-		l.cubicOnCongestion(l.cubicFlowFor(info.flow, l.node.Now()))
-	}
 	if len(l.queue) > 0 || len(l.pendingGrants) > 0 {
 		l.node.Wake()
 	}

@@ -102,7 +102,10 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		}, `unknown topology kind "corridor" (want testbed, chain, diamond, grid, geometric)`},
 		{"removed cc policy names the admitted set", func(m map[string]interface{}) {
 			m["cc"] = map[string]interface{}{"policy": "aimd"}
-		}, `unknown policy "aimd" (want none, tail, choke, credit, cubic)`},
+		}, `unknown policy "aimd" (want none, tail, choke, credit)`},
+		{"deleted cc policy cubic names the admitted set", func(m map[string]interface{}) {
+			m["cc"] = map[string]interface{}{"policy": "cubic"}
+		}, `unknown policy "cubic" (want none, tail, choke, credit)`},
 		{"removed key credit_min_k", func(m map[string]interface{}) {
 			m["cc"] = map[string]interface{}{"policy": "credit", "credit_min_k": 8}
 		}, `unknown field "credit_min_k"`},
@@ -228,7 +231,7 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 			m["state"] = map[string]interface{}{"piggyback": true}
 		}, "apply to mode learned only"},
 		{"load penalty is an unknown field", func(m map[string]interface{}) {
-			m["cc"] = map[string]interface{}{"policy": "cubic", "load_penalty": 2}
+			m["cc"] = map[string]interface{}{"policy": "credit", "load_penalty": 2}
 		}, `unknown field "load_penalty"`},
 		{"cbr traffic on srcr-auto", func(m map[string]interface{}) {
 			flow0(m)["protocol"] = "srcr-auto"
