@@ -7,11 +7,15 @@
 //
 //   - Packet: a coded packet (code vector + payload).
 //   - Source: codes random combinations of the K native packets (§3.1.1).
-//   - Buffer: a forwarder/destination batch buffer that keeps the code
-//     vectors of stored packets in row-echelon form and admits only
-//     innovative packets using Algorithm 2 (§3.2.3(a),(b)).
-//   - PreCoder: the pre-computed next transmission, updated incrementally as
-//     innovative packets arrive (§3.2.3(c)).
+//   - Buffer: a forwarder's batch buffer that keeps the code vectors of
+//     stored packets in row-echelon form and admits only innovative packets
+//     using Algorithm 2 (§3.2.3(a),(b)). Payloads stay as received: a K×K
+//     transform records each echelon row as a combination of them, so a
+//     relay combines payload bytes only for a packet that goes on the air.
+//   - PreCoder: the pre-computed next transmission (§3.2.3(c)), held as a
+//     code vector plus its coefficients over the received payloads and
+//     updated incrementally as innovative packets arrive; Take combines the
+//     payload.
 //   - Decoder: innovativeness tracking over code vectors as packets arrive;
 //     once K innovative packets are stored the natives are recovered by
 //     inverting the K×K coefficient matrix and running K word-wise
@@ -23,10 +27,11 @@
 //     rules).
 //
 // The byte crunching runs on the active gf256 kernel arm (GFNI, PSHUFB or
-// the portable word-wise form): multi-row combines — coding at the source,
-// recoding at forwarders, decoding at the destination — through
-// gf256.Kernel, and single-row steps — echelon elimination, pre-coder
-// updates — through gf256.MulAddSlice/ScaleSlice.
+// the portable word-wise form): payloads only in multi-row combines —
+// coding at the source, a forwarder's transmission, decoding at the
+// destination — through gf256.Kernel, and the single-row steps on code
+// vectors and transform rows — echelon elimination, pre-coder updates —
+// through gf256.MulAddSlice/ScaleSlice.
 //
 // All randomness is drawn from a caller-supplied *rand.Rand so simulations
 // are deterministic under a fixed seed.
@@ -174,36 +179,51 @@ func (s *Source) Next() *Packet {
 	return p
 }
 
-// Buffer is the per-batch store of innovative packets kept by forwarders and
-// destinations. Code vectors are maintained in row-echelon form: row i, if
-// present, has its first nonzero element at index i and that element is
-// normalized to 1 (Algorithm 2). Payloads receive the same row operations so
-// each stored row remains a valid coded packet.
+// Buffer is the per-batch store of innovative packets kept by forwarders.
+// Code vectors are maintained in row-echelon form: row i, if present, has
+// its first nonzero element at index i and that element is normalized to 1
+// (Algorithm 2). Payloads stay as received: a k×k transform records each
+// echelon row's payload as a combination of the received ones, so admitting
+// a packet does vector arithmetic only, and payload bytes are combined
+// once, when a packet goes on the air (Recode, PreCoder.Take).
 type Buffer struct {
 	k    int
 	size int
-	rows []*Packet // rows[i] == nil if the slot is empty
+	// rows[i] is nil if slot i is empty; otherwise its Vector is the echelon
+	// row with its leading 1 at i and its Payload the bytes as received.
+	rows []*Packet
 	rank int
-	last *Packet // most recently admitted row
-	pool *Pool   // optional; recycles rejected and flushed packets
+	last int   // slot most recently admitted
+	gen  int   // Reset count: a pre-coder's prepared transmission refers to one generation's rows
+	pool *Pool // optional; recycles rejected and flushed packets
 
-	// Reusable scratch so the steady state allocates nothing.
-	innovScratch []byte
-	coefScratch  []byte
-	payScratch   [][]byte
-	kern         *gf256.Kernel
+	// t is the transform, one k-byte row per slot, indexed by slot:
+	// slot i's echelon payload is Σ_j t[i·k+j]·rows[j].Payload. A row
+	// refers only to slots filled no later than its own, so rows never
+	// change once written.
+	t []byte
+
+	// Reusable scratch so the steady state allocates nothing. rowScratch
+	// is Innovative's vector, Add's transform row and Recode's weights.
+	rowScratch  []byte
+	coefScratch []byte
+	payScratch  [][]byte
+	kern        *gf256.Kernel
 }
 
 // NewBuffer creates an empty buffer for batch size k and payload size.
 func NewBuffer(k, size int) *Buffer {
+	backing := make([]byte, k*k+2*k)
 	return &Buffer{
-		k:            k,
-		size:         size,
-		rows:         make([]*Packet, k),
-		innovScratch: make([]byte, k),
-		coefScratch:  make([]byte, k),
-		payScratch:   make([][]byte, 0, k),
-		kern:         gf256.NewKernel(),
+		k:           k,
+		size:        size,
+		rows:        make([]*Packet, k),
+		last:        -1,
+		t:           backing[:k*k],
+		rowScratch:  backing[k*k : k*k+k],
+		coefScratch: backing[k*k+k:],
+		payScratch:  make([][]byte, 0, k),
+		kern:        gf256.NewKernel(),
 	}
 }
 
@@ -225,15 +245,19 @@ func (b *Buffer) Rank() int { return b.rank }
 // whole batch can be decoded.
 func (b *Buffer) Full() bool { return b.rank == b.k }
 
+// tRow returns slot i's transform row.
+func (b *Buffer) tRow(i int) []byte { return b.t[i*b.k : (i+1)*b.k] }
+
 // Innovative reports whether a packet with the given code vector would be
 // innovative (linearly independent of the stored packets) without modifying
-// the buffer. It runs the elimination on a scratch copy of the vector only —
-// checking for innovativeness never touches payload bytes (§3.2.3(b)).
+// the buffer. A full buffer answers at once; otherwise the elimination runs
+// on a scratch copy of the vector only — checking for innovativeness never
+// touches payload bytes (§3.2.3(b)).
 func (b *Buffer) Innovative(vector []byte) bool {
-	if len(vector) != b.k {
+	if len(vector) != b.k || b.rank == b.k {
 		return false
 	}
-	u := b.innovScratch
+	u := b.rowScratch
 	copy(u, vector)
 	for i := 0; i < b.k; i++ {
 		if u[i] == 0 {
@@ -250,36 +274,43 @@ func (b *Buffer) Innovative(vector []byte) bool {
 	return false
 }
 
-// Add runs Algorithm 2: it reduces the packet against the stored rows and,
-// if the result is nonzero, admits it into the empty slot it lands in and
-// returns true (rank increased). Non-innovative packets are discarded and
-// Add returns false. The packet is consumed either way: Add may modify it
-// in place, and with a pool attached a rejected packet is recycled.
+// Add runs Algorithm 2 on the packet's code vector: it reduces the vector
+// against the stored rows and, if the result is nonzero, admits the packet
+// into the empty slot it lands in and returns true (rank increased). The
+// row operations are recorded in the slot's transform row; the payload is
+// stored as received. Non-innovative packets are discarded and Add returns
+// false. The packet is consumed either way: Add may modify its vector in
+// place, and with a pool attached a rejected packet is recycled.
 func (b *Buffer) Add(p *Packet) bool {
 	if len(p.Vector) != b.k || len(p.Payload) != b.size {
 		return false
 	}
-	for i := 0; i < b.k; i++ {
-		c := p.Vector[i]
-		if c == 0 {
-			continue
+	if b.rank < b.k {
+		t := b.rowScratch
+		clear(t)
+		for i := 0; i < b.k; i++ {
+			c := p.Vector[i]
+			if c == 0 {
+				continue
+			}
+			if b.rows[i] == nil {
+				// Admit: normalize the leading coefficient to 1. Slot i
+				// was empty, so no transform row refers to it yet and t[i]
+				// is still zero: the received payload enters with weight 1.
+				inv := gf256.Inv(c)
+				gf256.ScaleSlice(p.Vector, inv)
+				t[i] = 1
+				gf256.ScaleSlice(t, inv)
+				copy(b.tRow(i), t)
+				b.rows[i] = p
+				b.last = i
+				b.rank++
+				return true
+			}
+			// p -= row * c, on the vector and on its transform row.
+			gf256.MulAddSlice(p.Vector, b.rows[i].Vector, c)
+			gf256.MulAddSlice(t, b.tRow(i), c)
 		}
-		row := b.rows[i]
-		if row == nil {
-			// Admit: normalize the leading coefficient to 1.
-			inv := gf256.Inv(c)
-			gf256.ScaleSlice(p.Vector, inv)
-			gf256.ScaleSlice(p.Payload, inv)
-			b.rows[i] = p
-			b.last = p
-			b.rank++
-			return true
-		}
-		// p -= row * c (row's leading element is 1 at index i; vector
-		// prefixes before i are zero on both sides, so eliminating on the
-		// whole vector, as Innovative does, changes no byte).
-		gf256.MulAddSlice(p.Vector, row.Vector, c)
-		gf256.MulAddSlice(p.Payload, row.Payload, c)
 	}
 	if b.pool != nil {
 		b.pool.Put(p)
@@ -287,72 +318,73 @@ func (b *Buffer) Add(p *Packet) bool {
 	return false
 }
 
-// LastAdded returns the most recently admitted row (nil if none since the
-// last Reset). Pre-coding folds exactly this row into the prepared packet,
-// so exposing it avoids materializing Rows() per reception.
-func (b *Buffer) LastAdded() *Packet { return b.last }
+// newPacket draws a packet of the buffer's shape from its pool, or
+// allocates one.
+func (b *Buffer) newPacket() *Packet {
+	if b.pool != nil {
+		return b.pool.Get()
+	}
+	return &Packet{Vector: make([]byte, b.k), Payload: make([]byte, b.size)}
+}
 
-// Rows returns the stored innovative packets in echelon order. The returned
-// slice is freshly allocated but the packets are the buffer's own; callers
-// must not mutate them.
-func (b *Buffer) Rows() []*Packet {
-	out := make([]*Packet, 0, b.rank)
-	for _, r := range b.rows {
-		if r != nil {
-			out = append(out, r)
+// draw fills coefs (one per stored row) from rng, forcing the last nonzero
+// if every draw came up zero so a transmission is never vacuous.
+func draw(rng *rand.Rand, coefs []byte) {
+	rng.Read(coefs)
+	for _, c := range coefs {
+		if c != 0 {
+			return
 		}
 	}
-	return out
+	coefs[len(coefs)-1] = randNonZero(rng)
+}
+
+// combine sets vec = Σ coefs[j]·row_j over the stored rows in slot order
+// and w to the same combination of their transform rows.
+func (b *Buffer) combine(vec, w, coefs []byte) {
+	clear(vec)
+	clear(w)
+	j := 0
+	for i, row := range b.rows {
+		if row == nil {
+			continue
+		}
+		gf256.MulAddSlice(vec, row.Vector, coefs[j])
+		gf256.MulAddSlice(w, b.tRow(i), coefs[j])
+		j++
+	}
+}
+
+// materialize sets dst = Σ_j w[j]·rows[j].Payload: the payload of the
+// combination whose transform-row weights are w, in one multi-row combine
+// over the received payloads. The combined rows change with every
+// reception, so the kernel runs table-free.
+func (b *Buffer) materialize(dst, w []byte) {
+	pays := b.payScratch[:0]
+	coefs := b.coefScratch[:0]
+	for i, row := range b.rows {
+		if row != nil {
+			pays = append(pays, row.Payload)
+			coefs = append(coefs, w[i])
+		}
+	}
+	b.kern.CombineInto(dst, pays, coefs)
+	b.payScratch = pays[:0]
 }
 
 // Recode produces a fresh random linear combination of the stored innovative
 // packets (what a forwarder transmits, §3.1.2). It returns nil if the buffer
 // is empty. A linear combination of coded packets is itself a coded packet
-// whose vector is expressed in terms of the natives. The payload combine
-// runs on the word-wise kernel in table-free mode (the stored rows change
-// with every reception, so there is nothing to precompute).
+// whose vector is expressed in terms of the natives.
 func (b *Buffer) Recode(rng *rand.Rand) *Packet {
 	if b.rank == 0 {
 		return nil
 	}
-	var p *Packet
-	if b.pool != nil {
-		p = b.pool.Get()
-	} else {
-		p = &Packet{Vector: make([]byte, b.k), Payload: make([]byte, b.size)}
-	}
-	pays := b.payScratch[:0]
-	rows := b.rows
-	for _, row := range rows {
-		if row != nil {
-			pays = append(pays, row.Payload)
-		}
-	}
-	coefs := b.coefScratch[:len(pays)]
-	rng.Read(coefs)
-	allZero := true
-	for _, c := range coefs {
-		if c != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		// All coefficients drew zero; include the last row with a nonzero
-		// coefficient so the transmission is never vacuous.
-		coefs[len(coefs)-1] = randNonZero(rng)
-	}
-	clear(p.Vector)
-	j := 0
-	for _, row := range rows {
-		if row == nil {
-			continue
-		}
-		gf256.MulAddSlice(p.Vector, row.Vector, coefs[j])
-		j++
-	}
-	b.kern.CombineInto(p.Payload, pays, coefs)
-	b.payScratch = pays[:0]
+	p := b.newPacket()
+	coefs := b.coefScratch[:b.rank]
+	draw(rng, coefs)
+	b.combine(p.Vector, b.rowScratch, coefs)
+	b.materialize(p.Payload, b.rowScratch)
 	return p
 }
 
@@ -366,75 +398,80 @@ func (b *Buffer) Reset() {
 		b.rows[i] = nil
 	}
 	b.rank = 0
-	b.last = nil
+	b.last = -1
+	b.gen++
 }
 
-// PreCoder maintains one pre-computed coded packet so that a transmission is
-// ready the instant the MAC offers an opportunity (§3.2.3(c)). After handing
-// a packet out, call Refresh to precompute the next one; when an innovative
-// packet arrives in between, call Update to fold it in with a fresh random
+// PreCoder maintains the next transmission ready for the instant the MAC
+// offers an opportunity (§3.2.3(c)). It keeps the prepared packet as its
+// code vector plus the coefficients of its payload over the buffer's
+// received payloads, so preparing and updating it is vector arithmetic, and
+// Take combines the payload once, for the packet that goes on the air.
+// After handing a packet out it prepares the next; when an innovative
+// packet arrives in between, Update folds it in with a fresh random
 // coefficient, so the prepared packet reflects everything the node knows.
+// A buffer Reset (the batch flush) drops the prepared transmission with the
+// rows it was made of.
 type PreCoder struct {
-	buf  *Buffer
-	rng  *rand.Rand
-	next *Packet
+	buf      *Buffer
+	rng      *rand.Rand
+	prepared int    // buf.gen when the transmission was prepared; −1 for none
+	vec      []byte // the prepared packet's code vector
+	coef     []byte // its payload's coefficients, indexed by slot like a transform row
 }
 
 // NewPreCoder creates a PreCoder over the given buffer.
 func NewPreCoder(buf *Buffer, rng *rand.Rand) *PreCoder {
-	return &PreCoder{buf: buf, rng: rng}
+	s := make([]byte, 2*buf.k)
+	return &PreCoder{buf: buf, rng: rng, prepared: -1, vec: s[:buf.k], coef: s[buf.k:]}
 }
 
-// Ready reports whether a pre-coded packet is prepared.
-func (pc *PreCoder) Ready() bool { return pc.next != nil }
+// Ready reports whether a packet is prepared.
+func (pc *PreCoder) Ready() bool { return pc.prepared == pc.buf.gen }
 
-// Refresh precomputes the next transmission from the current buffer
-// contents, recycling any packet already prepared. It is a no-op if the
-// buffer is empty.
+// Refresh prepares the next transmission from the current buffer contents,
+// replacing anything prepared. Nothing is prepared if the buffer is empty.
 func (pc *PreCoder) Refresh() {
-	if pc.next != nil && pc.buf.pool != nil {
-		pc.buf.pool.Put(pc.next)
+	b := pc.buf
+	if b.rank == 0 {
+		pc.prepared = -1
+		return
 	}
-	pc.next = pc.buf.Recode(pc.rng)
+	coefs := b.coefScratch[:b.rank]
+	draw(pc.rng, coefs)
+	b.combine(pc.vec, pc.coef, coefs)
+	pc.prepared = b.gen
 }
 
-// Update folds a newly arrived innovative packet into the prepared
-// transmission: next += r * p for a random nonzero r. If nothing is
-// prepared yet it performs a Refresh instead. p must already have been
-// admitted to the buffer (so sizes agree).
-func (pc *PreCoder) Update(p *Packet) {
-	if pc.next == nil {
+// Update folds the buffer's most recently admitted row into the prepared
+// transmission with a random nonzero coefficient. If nothing is prepared it
+// performs a Refresh instead.
+func (pc *PreCoder) Update() {
+	if !pc.Ready() {
 		pc.Refresh()
 		return
 	}
+	b := pc.buf
 	r := randNonZero(pc.rng)
-	gf256.MulAddSlice(pc.next.Vector, p.Vector, r)
-	gf256.MulAddSlice(pc.next.Payload, p.Payload, r)
+	gf256.MulAddSlice(pc.vec, b.rows[b.last].Vector, r)
+	gf256.MulAddSlice(pc.coef, b.tRow(b.last), r)
 }
 
 // Take hands out the prepared packet (or codes one on the spot if none is
-// prepared — the "naive" path pre-coding exists to avoid) and immediately
-// prepares the next. Returns nil if the buffer is empty.
+// prepared — the "naive" path pre-coding exists to avoid), combining its
+// payload now, and prepares the next. Returns nil if the buffer is empty.
 func (pc *PreCoder) Take() *Packet {
-	p := pc.next
-	pc.next = nil // ownership passes to the caller before Refresh recycles
-	if p == nil {
-		p = pc.buf.Recode(pc.rng)
-		if p == nil {
+	if !pc.Ready() {
+		if pc.Refresh(); !pc.Ready() {
 			return nil
 		}
 	}
+	b := pc.buf
+	p := b.newPacket()
+	copy(p.Vector, pc.vec)
+	b.materialize(p.Payload, pc.coef)
 	pc.Refresh()
 	return p
-}
-
-// Reset discards any prepared packet (used when the batch is flushed),
-// recycling it when the buffer has a pool.
-func (pc *PreCoder) Reset() {
-	if pc.next != nil && pc.buf.pool != nil {
-		pc.buf.pool.Put(pc.next)
-	}
-	pc.next = nil
 }
 
 // Decoder recovers the K native packets at the destination. As packets

@@ -3,6 +3,7 @@ package coding
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,7 +146,7 @@ func TestBufferRejectsDuplicates(t *testing.T) {
 	src, _ := NewSource(natives, rng)
 	buf := NewBuffer(k, size)
 	p := src.Next()
-	dup := p.Clone()
+	dup, scaled := p.Clone(), p.Clone()
 	if !buf.Add(p) {
 		t.Fatal("first packet not innovative")
 	}
@@ -153,8 +154,6 @@ func TestBufferRejectsDuplicates(t *testing.T) {
 		t.Fatal("identical packet admitted twice")
 	}
 	// A scaled copy is also dependent.
-	row := buf.Rows()[0]
-	scaled := row.Clone()
 	for i := range scaled.Vector {
 		scaled.Vector[i] = mulRef(scaled.Vector[i], 7)
 	}
@@ -188,7 +187,7 @@ func TestBufferReset(t *testing.T) {
 		buf.Add(src.Next())
 	}
 	buf.Reset()
-	if buf.Rank() != 0 || len(buf.Rows()) != 0 {
+	if buf.Rank() != 0 || slices.ContainsFunc(buf.rows, func(r *Packet) bool { return r != nil }) {
 		t.Fatal("Reset did not clear buffer")
 	}
 	if buf.Recode(rng) != nil {
@@ -291,9 +290,8 @@ func TestPreCoder(t *testing.T) {
 		t.Fatal("Ready on empty precoder")
 	}
 
-	p := src.Next()
-	buf.Add(p.Clone())
-	pc.Update(p) // first Update acts as Refresh
+	buf.Add(src.Next())
+	pc.Update() // first Update acts as Refresh
 	if !pc.Ready() {
 		t.Fatal("not ready after Update")
 	}
@@ -308,17 +306,16 @@ func TestPreCoder(t *testing.T) {
 
 	// Updates fold new arrivals in: the precoded packet must stay within the
 	// buffer's span and must (almost surely) involve the new packet.
-	q := src.Next()
-	buf.Add(q.Clone())
-	pc.Update(q)
+	buf.Add(src.Next())
+	pc.Update()
 	out = pc.Take()
 	if buf.Innovative(out.Vector) {
 		t.Fatal("updated precoded packet escaped span")
 	}
 
-	pc.Reset()
+	buf.Reset()
 	if pc.Ready() {
-		t.Fatal("Reset did not clear prepared packet")
+		t.Fatal("the buffer's Reset did not clear the prepared packet")
 	}
 }
 
@@ -344,7 +341,7 @@ func TestPreCoderIncludesLatestArrival(t *testing.T) {
 
 	p2 := src.Next()
 	buf.Add(p2.Clone())
-	pc.Update(p2)
+	pc.Update()
 
 	involved := 0
 	for i := 0; i < 20; i++ {
@@ -352,7 +349,7 @@ func TestPreCoderIncludesLatestArrival(t *testing.T) {
 		if oldSpan.Innovative(out.Vector) {
 			involved++
 		}
-		pc.Update(p2) // keep folding so each Take still reflects p2
+		pc.Update() // keep folding so each Take still reflects p2
 	}
 	if involved == 0 {
 		t.Fatal("precoded packets never reflected the latest arrival")

@@ -67,21 +67,14 @@ func (e *suffixElim) add(p *Packet) bool {
 // TestEliminationFullWidthMatchesSuffix: Buffer.Innovative, Buffer.Add and
 // Decoder.Add eliminate on whole vectors (one SIMD block at K = 32) where
 // they used to eliminate on suffixes; both operands are zero before the
-// pivot, so every verdict, rank, stored row and decoded payload must equal
-// the suffix form's — on every kernel arm the host has, at batch sizes below,
-// at and above the arms' 32-byte block.
+// pivot, so every verdict, rank, stored row (a buffer row's payload through
+// its transform row) and decoded payload must equal the suffix form's — on
+// every kernel arm the host has, at batch sizes below, at and above the
+// arms' 32-byte block.
 func TestEliminationFullWidthMatchesSuffix(t *testing.T) {
-	prev := gf256.ActiveKernel()
-	defer func() {
-		if err := gf256.SetKernel(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	const size = 48
-	for _, arm := range gf256.AvailableKernels() {
-		if err := gf256.SetKernel(arm); err != nil {
-			t.Fatal(err)
-		}
+	forEachArm(t, func(t *testing.T) {
+		arm := gf256.ActiveKernel()
 		for _, k := range []int{1, 8, 31, 32, 33, 64} {
 			rng := rand.New(rand.NewSource(int64(k)))
 			natives := randomNatives(rng, k, size)
@@ -115,7 +108,7 @@ func TestEliminationFullWidthMatchesSuffix(t *testing.T) {
 					case (row == nil) != (ref.vecs[i] == nil) || (dec.ech[i] == nil) != (ref.vecs[i] == nil):
 						t.Fatalf("%s K=%d packet %d: slot %d occupancy differs", arm, k, n, i)
 					case row == nil:
-					case !bytes.Equal(row.Vector, ref.vecs[i]) || !bytes.Equal(row.Payload, ref.pays[i]):
+					case !bytes.Equal(row.Vector, ref.vecs[i]) || !bytes.Equal(echelonPayload(buf, i), ref.pays[i]):
 						t.Fatalf("%s K=%d packet %d: buffer row %d differs from the suffix form's", arm, k, n, i)
 					case !bytes.Equal(dec.ech[i], ref.vecs[i]):
 						t.Fatalf("%s K=%d packet %d: decoder row %d differs from the suffix form's", arm, k, n, i)
@@ -132,7 +125,19 @@ func TestEliminationFullWidthMatchesSuffix(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// echelonPayload returns the payload of buf's echelon row i, byte by byte
+// through gf256.Mul from its transform row and the received payloads.
+func echelonPayload(buf *Buffer, i int) []byte {
+	out := make([]byte, buf.size)
+	for j, row := range buf.rows {
+		if row != nil {
+			mulAddSuffix(out, row.Payload, buf.tRow(i)[j], 0)
+		}
 	}
+	return out
 }
 
 // randomFill draws a coded packet over natives with one of the vector

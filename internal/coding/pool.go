@@ -30,9 +30,14 @@ import (
 // contents of a packet from Get are undefined and every caller overwrites
 // all of them, so no output depends on which packet comes back, or whether
 // one does.
+//
+// A Buffer is recycled the same way, per shape: GetBuffer hands one out
+// empty, with the pool attached, and PutBuffer takes it back, flushed and
+// poisoned, so a holder that kept its pointer faults on its next use.
 type Pool struct {
 	k, size int
 	free    *sync.Pool
+	bufs    sync.Pool // *Buffer of this shape
 }
 
 type shape struct{ k, size int }
@@ -97,4 +102,35 @@ func (p *Pool) Put(q *Packet) {
 // Fits reports whether a packet has this pool's shape.
 func (p *Pool) Fits(q *Packet) bool {
 	return q != nil && len(q.Vector) == p.k && len(q.Payload) == p.size
+}
+
+// GetBuffer returns an empty Buffer of the pool's shape with the pool
+// attached, reusing one PutBuffer took back if there is one.
+func (p *Pool) GetBuffer() *Buffer {
+	if b, ok := p.bufs.Get().(*Buffer); ok {
+		b.rows = b.rows[:p.k]
+		b.rank = 0
+		return b
+	}
+	b := NewBuffer(p.k, p.size)
+	b.pool = p
+	return b
+}
+
+// PutBuffer takes back a buffer with this pool attached: its packets go back
+// onto the free list, and it is poisoned — no slots, rank −1, transform
+// rows 0xA5 — until a GetBuffer hands it out again, so any use of a
+// released buffer faults. Releasing a buffer twice, or one attached to
+// another pool, panics.
+func (p *Pool) PutBuffer(b *Buffer) {
+	if b.pool != p || b.rank < 0 {
+		panic("coding: PutBuffer of a buffer not held from this pool")
+	}
+	b.Reset()
+	b.rows = b.rows[:0]
+	b.rank = -1
+	for i := range b.t {
+		b.t[i] = 0xA5
+	}
+	p.bufs.Put(b)
 }

@@ -225,7 +225,6 @@ func TestPoisonedPoolPipelineMatchesUnpooled(t *testing.T) {
 				t.Fatal(err)
 			}
 			fwd.Reset()
-			pre.Reset()
 			dec.Reset()
 			for !dec.Complete() {
 				poisoned()
@@ -233,7 +232,7 @@ func TestPoisonedPoolPipelineMatchesUnpooled(t *testing.T) {
 				if rng.Intn(2) == 0 && fwd.Innovative(p.Vector) {
 					fwd.Add(recv(p))
 					poisoned()
-					pre.Update(fwd.LastAdded())
+					pre.Update()
 				}
 				if rng.Intn(4) == 0 {
 					dec.Add(recv(p))
@@ -291,7 +290,7 @@ func TestBufferRecyclesOnResetAndReject(t *testing.T) {
 	// Reset returns all k rows.
 	buf.Reset()
 	checkRecycled(t, pool, k, "Reset")
-	if buf.Rank() != 0 || buf.LastAdded() != nil {
+	if buf.Rank() != 0 || buf.last != -1 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -329,6 +328,10 @@ func TestDecoderResetReuse(t *testing.T) {
 }
 
 func TestPreCoderResetRecycles(t *testing.T) {
+	// A prepared transmission is a code vector and coefficients, not a
+	// packet: preparing and updating it draw nothing from the free list,
+	// and the buffer's Reset, which drops it, returns only the buffer's
+	// rows. Take draws the one packet that goes on the air.
 	rng := rand.New(rand.NewSource(11))
 	const k, size = 4, 24
 	natives := randomNatives(rng, k, size)
@@ -339,13 +342,25 @@ func TestPreCoderResetRecycles(t *testing.T) {
 	buf.UsePool(pool)
 	pc := NewPreCoder(buf, rng)
 	buf.Add(src.Next())
+	takeFree(pool)
+	spare := &Packet{Vector: make([]byte, k), Payload: make([]byte, size)}
+	pool.Put(spare)
 	pc.Refresh()
+	pc.Update()
 	if !pc.Ready() {
 		t.Fatal("not ready after Refresh")
 	}
-	takeFree(pool)
-	pc.Reset()
-	checkRecycled(t, pool, 1, "PreCoder.Reset")
+	checkRecycled(t, pool, 1, "a PreCoder that prepared and updated")
+	pool.Put(spare)
+	if p := pc.Take(); p != spare && !raceEnabled {
+		t.Fatal("Take did not draw the packet that goes on the air from the free list")
+	}
+	checkRecycled(t, pool, 0, "Take")
+	buf.Reset()
+	checkRecycled(t, pool, 1, "a Reset under a prepared transmission")
+	if pc.Ready() || pc.Take() != nil {
+		t.Fatal("a pre-coder still offers a transmission from a flushed buffer")
+	}
 }
 
 func TestSteadyStateZeroAllocs(t *testing.T) {
@@ -422,5 +437,67 @@ func TestUsePoolShapeMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+func TestReleasedBufferIsPoisoned(t *testing.T) {
+	// PutBuffer hands a buffer's packets back to the free list and poisons
+	// the buffer — no slots, rank −1, transform rows 0xA5 — so a holder
+	// that kept it faults on its next use, and a second release panics.
+	// GetBuffer hands it out again empty, coding as a new buffer does.
+	rng := rand.New(rand.NewSource(17))
+	const k, size = 4, 24
+	pool := privatePool(t, k, size)
+	src, _ := NewSource(randomNatives(rng, k, size), rng)
+	fill := func(b *Buffer) []*Packet {
+		var fed []*Packet
+		for !b.Full() {
+			p := src.Next()
+			fed = append(fed, p.Clone())
+			b.Add(p)
+		}
+		return fed
+	}
+	buf := pool.GetBuffer()
+	fill(buf)
+	takeFree(pool)
+	pool.PutBuffer(buf)
+	checkRecycled(t, pool, k, "PutBuffer")
+	if buf.Rank() != -1 || len(buf.rows) != 0 || bytes.Count(buf.t, []byte{0xA5}) != len(buf.t) {
+		t.Fatalf("released buffer: rank %d, %d slots, transform %x", buf.Rank(), len(buf.rows), buf.t)
+	}
+	vec := make([]byte, k)
+	vec[0] = 1
+	for name, use := range map[string]func(){
+		"Innovative":    func() { buf.Innovative(vec) },
+		"Add":           func() { buf.Add(&Packet{Vector: vec, Payload: make([]byte, size)}) },
+		"Recode":        func() { buf.Recode(rng) },
+		"a second Put":  func() { pool.PutBuffer(buf) },
+		"a foreign Put": func() { pool.PutBuffer(NewBuffer(k, size)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released buffer did not fault", name)
+				}
+			}()
+			use()
+		}()
+	}
+	again := pool.GetBuffer()
+	if again != buf && !raceEnabled {
+		t.Fatal("GetBuffer did not reuse the released buffer")
+	}
+	if again.Rank() != 0 || !again.Innovative(vec) {
+		t.Fatal("a reused buffer is not empty")
+	}
+	fresh := NewBuffer(k, size)
+	for _, p := range fill(again) {
+		fresh.Add(p)
+	}
+	seed := rng.Int63()
+	got, want := again.Recode(rand.New(rand.NewSource(seed))), fresh.Recode(rand.New(rand.NewSource(seed)))
+	if !bytes.Equal(got.Vector, want.Vector) || !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatal("a reused buffer codes differently from a new one")
 	}
 }

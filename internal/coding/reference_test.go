@@ -163,10 +163,8 @@ func BenchmarkPreCoderUpdate(b *testing.B) {
 		buf.Add(src.Next())
 	}
 	pc.Refresh()
-	row := buf.Rows()[0]
-	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pc.Update(row)
+		pc.Update()
 	}
 }

@@ -148,6 +148,10 @@ type Node struct {
 	// batch is decoded into the same buffers. Copy what you keep.
 	OnDeliver func(id flow.ID, batch uint32, natives [][]byte)
 
+	// buffersTaken and buffersReleased count relay buffers drawn from and
+	// handed back to their free lists; once the node is closed they agree.
+	buffersTaken, buffersReleased int
+
 	// Counters.
 	DataSent      int64
 	AcksSent      int64
@@ -187,8 +191,7 @@ func (n *Node) sweepStale() {
 	cutoff := n.node.Now() - flowTimeout
 	for id, r := range n.relays {
 		if r.lastActivity < cutoff {
-			r.flush()
-			delete(n.relays, id)
+			n.dropRelay(id, r)
 		}
 	}
 	// A sink registered by ExpectFlow belongs to the application, not to
@@ -204,14 +207,14 @@ func (n *Node) sweepStale() {
 	}
 }
 
-// Close hands every coded packet the node still holds — relay buffers and
-// prepared packets, undecoded sink batches — back to its free list, so the
-// next simulation in the process reuses them instead of allocating. Call it
-// once the run is over and its results are read: the node's relays and
-// sinks are left empty.
+// Close hands every coded packet the node still holds — relay buffers,
+// undecoded sink batches — back to its free list, and the relay buffers
+// themselves to theirs, so the next simulation in the process reuses them
+// instead of allocating. Call it once the run is over and its results are
+// read: the node is left with no relays and with empty sinks.
 func (n *Node) Close() {
-	for _, r := range n.relays {
-		r.flush()
+	for id, r := range n.relays {
+		n.dropRelay(id, r)
 	}
 	for _, s := range n.sinks {
 		s.flush()
@@ -410,9 +413,9 @@ type relayState struct {
 	curBatch     uint32
 	ackedThrough int64 // highest batch known acked (-1 none)
 	k            int
-	buffer       *coding.Buffer
+	buffer       *coding.Buffer // from pool, released by dropRelay or a shape change
 	pre          *coding.PreCoder
-	pool         *coding.Pool // the free list of the current batch's shape
+	pool         *coding.Pool // the free lists of the current batch's shape
 	credit       float64
 	myCredit     float64
 	fwdList      *FwdList // as last received, restated in recoded packets (§3.3.1)
@@ -453,30 +456,44 @@ func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 
 // resetBatch points the relay at m's batch. The previous batch's packets go
 // back onto their free list whatever the new batch's shape; a batch of the
-// same shape reuses the buffer and pre-coder outright, another gets new ones
-// over the free list of its shape.
+// same shape reuses the buffer and pre-coder outright, another releases the
+// buffer and takes one of its own shape.
 func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 	r.curBatch = m.Batch
 	r.k = m.K
 	size := len(m.Packet.Payload)
 	if r.buffer != nil {
-		r.flush()
 		if r.pool.K() == m.K && r.pool.PayloadSize() == size {
+			r.flush()
 			return
 		}
+		n.releaseBuffer(r)
 	}
 	r.pool = coding.NewPool(m.K, size)
-	r.buffer = coding.NewBuffer(m.K, size)
-	r.buffer.UsePool(r.pool)
+	r.buffer = r.pool.GetBuffer()
+	n.buffersTaken++
 	r.pre = coding.NewPreCoder(r.buffer, n.node.Rand())
 	r.credit = 0
 }
 
-// flush purges the relay's batch (§3.2.2): its rows and prepared packet go
-// back onto their free list, and its credit lapses.
+// releaseBuffer hands the relay's buffer back to the free list of its shape
+// and drops the relay's pointers to it, so it is released exactly once.
+func (n *Node) releaseBuffer(r *relayState) {
+	r.pool.PutBuffer(r.buffer)
+	r.buffer, r.pre = nil, nil
+	n.buffersReleased++
+}
+
+// dropRelay deletes a relay's state, releasing its buffer.
+func (n *Node) dropRelay(id flow.ID, r *relayState) {
+	n.releaseBuffer(r)
+	delete(n.relays, id)
+}
+
+// flush purges the relay's batch (§3.2.2): its rows go back onto their
+// free list, the prepared transmission with them, and its credit lapses.
 func (r *relayState) flush() {
 	r.buffer.Reset()
-	r.pre.Reset()
 	r.credit = 0
 }
 
@@ -656,7 +673,7 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		r.buffer.Add(r.clonePacket(m.Packet))
 		n.Innovative++
 		// Fold the fresh arrival into the prepared packet (§3.2.3(c)).
-		r.pre.Update(r.buffer.LastAdded())
+		r.pre.Update()
 	} else {
 		n.NonInnovative++
 	}
@@ -804,11 +821,11 @@ func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 		if int64(a.Batch) > r.ackedThrough {
 			r.ackedThrough = int64(a.Batch)
 		}
-		if a.Batch >= r.curBatch {
+		switch {
+		case a.Final:
+			n.dropRelay(a.Flow, r)
+		case a.Batch >= r.curBatch:
 			r.flush()
-		}
-		if a.Final {
-			delete(n.relays, a.Flow)
 		}
 	}
 	if f.To != n.node.ID() {

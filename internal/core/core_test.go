@@ -539,3 +539,84 @@ func TestPullRotatesWithoutAllocating(t *testing.T) {
 		}
 	}
 }
+
+func TestRelayBuffersReleasedOnce(t *testing.T) {
+	// A relay takes its buffer from the free lists of the batch's shape and
+	// hands it back exactly once — on the final ACK, at the sweep, at a
+	// shape change or at Close — and then drops its pointers to it;
+	// PutBuffer panics on a second release. By hand first, one release
+	// point at a time, on the 0 — 1 — 2 line.
+	nodes := relayLine(t)
+	src, relay := nodes[0], nodes[1]
+	receive := func() *relayState {
+		f := src.Pull()
+		relay.Receive(f)
+		src.Sent(f, true)
+		return relay.relays[1]
+	}
+	check := func(when string, taken, released int) {
+		t.Helper()
+		if relay.buffersTaken != taken || relay.buffersReleased != released {
+			t.Fatalf("%s: %d buffers taken, %d released; want %d and %d",
+				when, relay.buffersTaken, relay.buffersReleased, taken, released)
+		}
+	}
+	r := receive()
+	check("first reception", 1, 0)
+	relay.Receive(&sim.Frame{From: 2, To: 1, Payload: &AckMsg{Flow: 1, Batch: 0, Final: true, Target: 0}})
+	check("final ACK", 1, 1)
+	if len(relay.relays) != 0 || r.buffer != nil || r.pre != nil {
+		t.Fatal("the final ACK left the relay or its buffer")
+	}
+	r = receive() // a stale frame makes the relay anew (ROADMAP item 2(b))
+	r.lastActivity = -2 * flowTimeout
+	relay.sweepStale()
+	check("sweep", 2, 2)
+	if len(relay.relays) != 0 || r.buffer != nil {
+		t.Fatal("the sweep left the relay or its buffer")
+	}
+	r = receive()
+	relay.Close()
+	check("Close", 3, 3)
+	if len(relay.relays) != 0 || r.buffer != nil {
+		t.Fatal("Close left the relay or its buffer")
+	}
+
+	// Then a whole run: three K = 8 batches and a short one of 5, so every
+	// relay that reaches the short batch releases at the shape change too.
+	// While the run is on, each node holds one buffer per relay; after
+	// Close, none.
+	topo := graph.New(5)
+	topo.SetLink(0, 1, 0.7)
+	topo.SetLink(0, 2, 0.6)
+	topo.SetLink(0, 3, 0.5)
+	topo.SetLink(1, 4, 0.6)
+	topo.SetLink(2, 4, 0.5)
+	topo.SetLink(3, 4, 0.4)
+	const size = 200
+	cfg := smallCfg(8)
+	cfg.PayloadSize = size
+	file := flow.NewFile((3*8+5)*size, size, 3)
+	res, s, nodes := runMORE(t, topo, cfg, sim.DefaultConfig(), 0, 4, file, 600*sim.Second)
+	if !res.Completed || !res.Verified {
+		t.Fatalf("transfer failed: %+v", res)
+	}
+	s.Run(s.Now() + 5*sim.Second)
+	releasedInRun := 0
+	for i, n := range nodes {
+		if held := n.buffersTaken - n.buffersReleased; held != len(n.relays) {
+			t.Fatalf("node %d holds %d buffers for %d relays", i, held, len(n.relays))
+		}
+		releasedInRun += n.buffersReleased
+	}
+	if releasedInRun == 0 {
+		t.Fatal("no relay released a buffer before Close")
+	}
+	for i, n := range nodes {
+		n.Close()
+		if len(n.relays) != 0 || n.buffersReleased != n.buffersTaken {
+			t.Fatalf("node %d after Close: %d relays, %d buffers taken, %d released",
+				i, len(n.relays), n.buffersTaken, n.buffersReleased)
+		}
+	}
+}

@@ -191,7 +191,8 @@ func TestTable41Microbench(t *testing.T) {
 	// cheaper than full coding/decoding (paper: 10 µs vs 270/260 µs), and
 	// coding and decoding should be within a small factor of each other.
 	// The paper's figures are scalar code, so the check-vs-coding shape is
-	// asserted on the portable arm: the check's 32 eliminations are 32-byte
+	// asserted on the portable arm: the check's 31 eliminations (a rank
+	// K−1 buffer: a full one rejects without eliminating) are 32-byte
 	// vector operations, one SIMD block apiece, but a vector arm codes the
 	// 1500 B rows an order of magnitude faster still.
 	// Wall-clock ratios are meaningless under the race detector, which

@@ -126,10 +126,12 @@ func Table41CodingCost(k, payload, iters int) Table41Result {
 	}
 	srcCost := time.Since(start) / time.Duration(iters)
 
-	// Independence check cost: against a full buffer (worst case: K rows).
+	// Independence check cost: against a buffer of rank K−1, whose one
+	// empty slot is the last, so a random vector is eliminated against all
+	// K−1 rows (a full buffer answers without eliminating).
 	buf := coding.NewBuffer(k, payload)
 	buf.UsePool(pool)
-	for !buf.Full() {
+	for buf.Rank() < k-1 {
 		buf.Add(src.Next())
 	}
 	vectors := make([][]byte, iters)

@@ -240,13 +240,33 @@ func transmissionCounts(t *graph.Topology, order []graph.NodeID) []float64 {
 	if n < 2 {
 		return z
 	}
+	// pos[v] is v's index in order, or -1. Each forwarder's losses to the
+	// nodes closer than it are read from one dense row, scattered from its
+	// out-edges: eps[k] = ε(order[i], order[k]) = 1 − p, or 1 with no link.
+	pos := make([]int32, t.N())
+	for v := range pos {
+		pos[v] = -1
+	}
+	for idx, id := range order {
+		pos[id] = int32(idx)
+	}
+	eps := make([]float64, n)
 	L[n-1] = 1 // the source generates the packet
 	for i := n - 1; i >= 1; i-- {
+		row := eps[:i]
+		for k := range row {
+			row[k] = 1
+		}
+		for _, e := range t.OutEdges(order[i]) {
+			if k := int(pos[e.Node]); k >= 0 && k < i {
+				row[k] = 1 - e.P
+			}
+		}
 		// Probability that at least one node closer than order[i] hears
 		// one of its transmissions.
 		pAny := 1.0
-		for k := 0; k < i; k++ {
-			pAny *= t.Loss(order[i], order[k])
+		for _, l := range row {
+			pAny *= l
 		}
 		pAny = 1 - pAny
 		if pAny <= 0 {
@@ -265,8 +285,8 @@ func transmissionCounts(t *graph.Topology, order []graph.NodeID) []float64 {
 		// node j: z_i · Π_{k<j} ε_ik · (1 − ε_ij), incrementally.
 		P := 1.0
 		for j := 1; j < i; j++ {
-			P *= t.Loss(order[i], order[j-1]) // P = Π_{k<j} ε_ik
-			L[j] += z[i] * P * (1 - t.Loss(order[i], order[j]))
+			P *= row[j-1] // P = Π_{k<j} ε_ik
+			L[j] += z[i] * P * (1 - row[j])
 		}
 	}
 	return z

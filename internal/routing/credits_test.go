@@ -379,3 +379,82 @@ func TestPlanFallbackExceedsCap(t *testing.T) {
 			n, DefaultPlanOptions().MaxForwarders)
 	}
 }
+
+// transmissionCountsSearch is Algorithm 1 as transmissionCounts ran it before
+// it read dense loss rows: every ε is a topo.Loss binary search. It is the
+// oracle of TestTransmissionCountsMatchSearch.
+func transmissionCountsSearch(t *graph.Topology, order []graph.NodeID) []float64 {
+	n := len(order)
+	L := make([]float64, n)
+	z := make([]float64, n)
+	if n < 2 {
+		return z
+	}
+	L[n-1] = 1
+	for i := n - 1; i >= 1; i-- {
+		pAny := 1.0
+		for k := 0; k < i; k++ {
+			pAny *= t.Loss(order[i], order[k])
+		}
+		pAny = 1 - pAny
+		if pAny <= 0 {
+			if L[i] > 0 {
+				z[i] = Inf
+			}
+			continue
+		}
+		z[i] = L[i] / pAny
+		if math.IsInf(z[i], 1) {
+			continue
+		}
+		P := 1.0
+		for j := 1; j < i; j++ {
+			P *= t.Loss(order[i], order[j-1])
+			L[j] += z[i] * P * (1 - t.Loss(order[i], order[j]))
+		}
+	}
+	return z
+}
+
+// TestTransmissionCountsMatchSearch: Algorithm 1 over dense loss rows
+// multiplies the same values in the same order as over binary searches, so
+// z is bit-identical — on the order of multi-flow-congestion-512's 33 -> 15
+// plan (378 forwarders between source and destination), and on random orders (any subset, any permutation, nodes
+// with no link onward included) of random meshes.
+func TestTransmissionCountsMatchSearch(t *testing.T) {
+	check := func(what string, topo *graph.Topology, order []graph.NodeID) {
+		t.Helper()
+		got, want := transmissionCounts(topo, order), transmissionCountsSearch(topo, order)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: z[%d] = %v, binary-search form %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	cfg := graph.DefaultGeometric(512)
+	cfg.TargetDegree, cfg.Floors = 10, 1
+	topo, _ := graph.ConnectedGeometric(cfg, 1)
+	plan, err := BuildPlan(topo, 33, 15, DefaultPlanOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(plan.Forwarders()); n != 378 {
+		t.Fatalf("the 33 -> 15 plan lists %d forwarders, not the 378 this test pins", n)
+	}
+	check("multi-flow-congestion-512 33 -> 15", topo, plan.Order)
+
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(60)
+		topo, _ := graph.ConnectedGeometric(graph.DefaultGeometric(n), rng.Int63())
+		if trial%3 == 0 {
+			topo.Degrade(0.3)
+		}
+		perm := rng.Perm(n)
+		order := make([]graph.NodeID, 1+rng.Intn(n))
+		for i := range order {
+			order[i] = graph.NodeID(perm[i])
+		}
+		check("random order", topo, order)
+	}
+}
