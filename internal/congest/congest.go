@@ -274,7 +274,7 @@ type Layer struct {
 	// pendingGrants holds at most one un-transmitted grant per flow;
 	// grantFree holds the grants Sent handed back, for queueGrant to reuse.
 	pendingGrants []*CreditMsg
-	grantFree     []*CreditMsg
+	grantFree     sim.FreeList[CreditMsg]
 
 	// enqAt timestamps queued frames for the queue-wait metric. Allocated
 	// lazily and only while a telemetry sink is installed, so the normal
@@ -296,7 +296,7 @@ func New(cfg Config, proto sim.Protocol) *Layer {
 		panic("congest: Policy None means no layer; attach the protocol directly")
 	}
 	cfg.fillDefaults()
-	l := &Layer{cfg: cfg, proto: proto}
+	l := &Layer{cfg: cfg, proto: proto, grantFree: sim.FreeList[CreditMsg]{Reset: poisonGrant}}
 	if cfg.Policy == Credit {
 		l.credit = newCreditState()
 	}
@@ -568,12 +568,12 @@ func (l *Layer) commitSend(info frameInfo) {
 
 // Sent implements sim.Protocol, routing outcomes back to the protocol.
 // Grants are layer-owned: a grant handed back goes onto the layer's free
-// list (releaseGrant) and needs no completion handling (broadcast). The
+// list (poisonGrant) and needs no completion handling (broadcast). The
 // layer reads nothing of a data frame in Sent: the frame belongs to the
 // protocol again once handed back, which may recycle it at once.
 func (l *Layer) Sent(f *sim.Frame, ok bool) {
 	if g, isGrant := f.Payload.(*CreditMsg); isGrant {
-		l.releaseGrant(g)
+		l.grantFree.Put(g)
 		if len(l.pendingGrants) > 0 || len(l.queue) > 0 {
 			l.node.Wake()
 		}

@@ -39,7 +39,7 @@ type CreditMsg struct {
 
 	// frame carries the grant: message and frame are one object, owned by
 	// the granting layer until Pull hands the frame to the MAC and again
-	// once Sent hands it back (releaseGrant).
+	// once Sent hands it back (poisonGrant).
 	frame sim.Frame
 }
 
@@ -219,23 +219,17 @@ func (l *Layer) queueGrant(id flow.ID, batch uint32, needed int) {
 			return
 		}
 	}
-	var g *CreditMsg
-	if k := len(l.grantFree); k > 0 {
-		g, l.grantFree = l.grantFree[k-1], l.grantFree[:k-1]
-	} else {
-		g = new(CreditMsg)
-	}
+	g := l.grantFree.Get()
 	g.Flow, g.Batch, g.Needed = id, batch, needed
 	l.pendingGrants = append(l.pendingGrants, g)
 	l.node.Wake()
 }
 
-// releaseGrant puts a grant Sent handed back on the free list, poisoned: a
+// poisonGrant is what a grant Sent handed back holds on the free list: a
 // sentinel flow, batch and need, a zero frame. Every receiver read it during
 // Receive, so nothing holds it any more.
-func (l *Layer) releaseGrant(g *CreditMsg) {
+func poisonGrant(g *CreditMsg) {
 	*g = CreditMsg{Flow: releasedGrant, Batch: ^uint32(0), Needed: -1}
-	l.grantFree = append(l.grantFree, g)
 }
 
 // creditFlowFor returns (creating and batch-syncing) the sender-side gate

@@ -10,15 +10,8 @@ import (
 // congestion layer wraps. Scenario runs mix protocols on one medium — a
 // MORE bulk transfer beside an unresponsive push flow is the fairness
 // experiment AQM exists for — and each node then runs one instance of every
-// protocol in play. The composition follows sim.Stack's semantics (every
-// member sees every decoded frame; the first member with traffic wins the
-// transmission opportunity) with one crucial difference: Sent outcomes are
-// routed by frame ownership, not by who answered the most recent Pull.
-// sim.Stack's single-puller slot is correct directly under the MAC, which
-// finishes one frame before pulling the next; under a congestion layer the
-// queue decouples the two — the layer may pull member A's frame, hold it,
-// pull member B's, and only later see A's frame transmitted or dropped —
-// so Multi remembers which member supplied each in-flight frame.
+// protocol in play. The composition is a sim.Stack, which routes each Sent
+// to the member that supplied the frame however long the queue held it.
 //
 // Multi also forwards the congestion layer's optional capability
 // interfaces (NeedReporter, CreditTopper, ControlReporter, PushSource) to
@@ -31,12 +24,7 @@ import (
 // backlogged batch protocol always has something to send and would
 // otherwise starve them at every pull.
 type Multi struct {
-	members []sim.Protocol
-
-	// owner maps each pulled, not-yet-resolved frame to the member that
-	// supplied it. Entries live from Pull to Sent; the population is
-	// bounded by the congestion layer's queue plus the MAC's single slot.
-	owner map[*sim.Frame]sim.Protocol
+	*sim.Stack
 
 	needs []NeedReporter
 	tops  []CreditTopper
@@ -54,7 +42,7 @@ func Combine(protos ...sim.Protocol) sim.Protocol {
 	if len(protos) == 1 {
 		return protos[0]
 	}
-	m := &Multi{members: protos, owner: make(map[*sim.Frame]sim.Protocol)}
+	m := &Multi{Stack: sim.NewStack(protos...)}
 	for _, p := range protos {
 		if x, ok := p.(NeedReporter); ok {
 			m.needs = append(m.needs, x)
@@ -72,51 +60,6 @@ func Combine(protos ...sim.Protocol) sim.Protocol {
 		}
 	}
 	return m
-}
-
-// Init implements sim.Protocol.
-func (m *Multi) Init(n *sim.Node) {
-	for _, p := range m.members {
-		p.Init(n)
-	}
-}
-
-// Receive implements sim.Protocol: every member sees every decoded frame
-// (each protocol already ignores payload types it does not own).
-func (m *Multi) Receive(f *sim.Frame) {
-	for _, p := range m.members {
-		p.Receive(f)
-	}
-}
-
-// Pull implements sim.Protocol: the first member with traffic wins, and
-// the frame is recorded against it for Sent routing.
-func (m *Multi) Pull() *sim.Frame {
-	for _, p := range m.members {
-		if f := p.Pull(); f != nil {
-			m.owner[f] = p
-			return f
-		}
-	}
-	return nil
-}
-
-// Sent implements sim.Protocol, routing the outcome to the member that
-// supplied the frame — however long ago that was. Frames with no recorded
-// owner entered sideways (push sources inject through the congestion
-// layer's FrameSink, bypassing Pull); those fan out to every member under
-// the same contract as Receive — each protocol ignores payload types it
-// does not own — so a push frame's fate still reaches its srcr instance
-// (MAC-drop accounting, autorate feedback) exactly as it would bare.
-func (m *Multi) Sent(f *sim.Frame, ok bool) {
-	if p, found := m.owner[f]; found {
-		delete(m.owner, f)
-		p.Sent(f, ok)
-		return
-	}
-	for _, p := range m.members {
-		p.Sent(f, ok)
-	}
 }
 
 // BatchNeeded implements NeedReporter: the first member holding state for

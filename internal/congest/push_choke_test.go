@@ -63,9 +63,10 @@ func TestPushOverloadTriggersChoke(t *testing.T) {
 
 // TestPushSentReachesSrcrThroughMulti pins Sent routing for push-injected
 // frames in a mixed-protocol stack: they enter the layer through the
-// FrameSink, bypassing Multi.Pull, so Multi has no recorded owner and must
-// fan the outcome out to its members — srcr's MAC-drop accounting must see
-// its datagrams' fates exactly as it would without the composite.
+// FrameSink, bypassing Multi's Pull, so no member is listed as their
+// supplier and Multi must fan the outcome out to its members — srcr's
+// MAC-drop accounting must see its datagrams' fates exactly as it would
+// without the composite.
 func TestPushSentReachesSrcrThroughMulti(t *testing.T) {
 	topo := graph.Line(3, 0.95, 20)
 	s := sim.New(topo, sim.DefaultConfig())

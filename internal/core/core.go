@@ -94,7 +94,7 @@ type DataMsg struct {
 	pool *coding.Pool
 
 	// frame carries the message (dataFrame): message and frame are one
-	// object, recycled once Sent hands the frame back (release).
+	// object, recycled once Sent hands the frame back (poison).
 	frame sim.Frame
 }
 
@@ -137,7 +137,7 @@ type Node struct {
 	ackQueue []*AckMsg
 
 	// free holds data messages Sent handed back, for dataFrame to reuse.
-	free []*DataMsg
+	free sim.FreeList[DataMsg]
 
 	// rr cycles among backlogged flows (§3.3.3 round-robin).
 	rr []flow.ID
@@ -171,6 +171,7 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 		sources: make(map[flow.ID]*sourceState),
 		relays:  make(map[flow.ID]*relayState),
 		sinks:   make(map[flow.ID]*sinkState),
+		free:    sim.FreeList[DataMsg]{Reset: poison},
 	}
 }
 
@@ -912,24 +913,18 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 // message off the node's free list: once the list is warm a data send
 // allocates nothing.
 func (n *Node) dataFrame(m DataMsg) *sim.Frame {
-	var d *DataMsg
-	if k := len(n.free); k > 0 {
-		d, n.free = n.free[k-1], n.free[:k-1]
-	} else {
-		d = new(DataMsg)
-	}
+	d := n.free.Get()
 	*d = m
 	d.frame = sim.Frame{From: n.node.ID(), To: graph.Broadcast, Bytes: d.wireBytes(), Payload: d, FlowID: uint32(m.Flow)}
 	n.DataSent++
 	return &d.frame
 }
 
-// release puts a message Sent handed back on the free list, poisoned: a
+// poison is what a message Sent handed back holds on the free list: a
 // sentinel flow and nodes, no packet, no list, a zero frame. It keeps no
 // pointer, and a read that outlives the frame finds nothing it can use.
-func (n *Node) release(m *DataMsg) {
+func poison(m *DataMsg) {
 	*m = DataMsg{Flow: releasedFlow, Src: -1, Dst: -1, K: -1, TotalBatches: -1}
-	n.free = append(n.free, m)
 }
 
 // Sent implements sim.Protocol.
@@ -957,7 +952,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 		// not the flow's state at this node still exists. The stopping rule
 		// (ACKs, batch advance) governs whether more traffic exists.
 		m.pool.Put(m.Packet)
-		n.release(m)
+		n.free.Put(m)
 		n.wakeIfBacklogged()
 	}
 }

@@ -89,7 +89,7 @@ type DataMsg struct {
 	Payload       []byte
 
 	// frame carries the message (dataFrame): message and frame are one
-	// object, recycled once Sent hands the frame back (release).
+	// object, recycled once Sent hands the frame back (poison).
 	frame sim.Frame
 }
 
@@ -142,7 +142,7 @@ type Node struct {
 	flowOrder []flow.ID    // deterministic iteration order
 	unicast   []*sim.Frame // cleanup/done frames awaiting transmission
 	// free holds data messages Sent handed back, for dataFrame to reuse.
-	free []*DataMsg
+	free sim.FreeList[DataMsg]
 
 	// Counters.
 	DataSent   int64
@@ -207,6 +207,7 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 		cfg:   cfg,
 		state: state,
 		flows: make(map[flow.ID]*exorFlow),
+		free:  sim.FreeList[DataMsg]{Reset: poison},
 	}
 }
 
@@ -807,12 +808,7 @@ func (n *Node) Pull() *sim.Frame {
 // node's free list, which keeps its batch-map storage: once the list is warm
 // a data send allocates nothing.
 func (n *Node) dataFrame(f *exorFlow, idx, remaining int) *sim.Frame {
-	var d *DataMsg
-	if k := len(n.free); k > 0 {
-		d, n.free = n.free[k-1], n.free[:k-1]
-	} else {
-		d = new(DataMsg)
-	}
+	d := n.free.Get()
 	*d = DataMsg{
 		Flow: f.id, Src: f.src, Dst: f.dst,
 		Batch: f.batch, K: f.k, BatchBase: f.base, TotalBatches: f.totalBatches,
@@ -827,16 +823,15 @@ func (n *Node) dataFrame(f *exorFlow, idx, remaining int) *sim.Frame {
 	return &d.frame
 }
 
-// release puts a message Sent handed back on the free list, poisoned: a
+// poison is what a message Sent handed back holds on the free list: a
 // sentinel flow, batch, packet index and priority, an empty map (its storage
 // kept for the next send), no list, no payload, a zero frame. A read that
 // outlives the frame finds nothing it can use.
-func (n *Node) release(m *DataMsg) {
+func poison(m *DataMsg) {
 	*m = DataMsg{
 		Flow: releasedFlow, Src: -1, Dst: -1, Batch: -1, K: -1, BatchBase: -1, TotalBatches: -1,
 		PktIdx: -1, FragRemaining: -1, SenderPrio: -1, BMap: m.BMap[:0],
 	}
-	n.free = append(n.free, m)
 }
 
 // Sent implements sim.Protocol.
@@ -867,7 +862,7 @@ func (n *Node) Sent(fr *sim.Frame, ok bool) {
 		}
 	case *DataMsg:
 		// Broadcast: every receiver has taken what it keeps.
-		n.release(m)
+		n.free.Put(m)
 	}
 	if len(n.unicast) > 0 {
 		n.node.Wake()

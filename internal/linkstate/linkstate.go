@@ -112,10 +112,10 @@ type Agent struct {
 	prober *probe.Prober
 
 	seq        uint32
-	pendingAdv []pendingLSA // own advertisement awaiting transmission
-	pendingFwd []pendingLSA // LSAs to rebroadcast
-	fwdFree    *fwdTimer    // jitter timers not waiting on an LSA, linked through next
-	floodFree  []*sim.Frame // flood frames Sent handed back, for floodFrame to reuse
+	pendingAdv []pendingLSA            // own advertisement awaiting transmission
+	pendingFwd []pendingLSA            // LSAs to rebroadcast
+	fwdFree    *fwdTimer               // jitter timers not waiting on an LSA, linked through next
+	floodFree  sim.FreeList[sim.Frame] // flood frames Sent handed back, zeroed, for floodFrame to reuse
 
 	// The periodic ticks, each one timer re-armed as it fires.
 	advTimer, expiryTimer *sim.Event
@@ -618,12 +618,7 @@ func popHead(q *[]pendingLSA) *packet.LSA {
 func (a *Agent) floodFrame(l *packet.LSA) *sim.Frame {
 	a.FloodTx++
 	a.node.Emit(telemetry.Event{Aux: int64(l.Origin), Kind: telemetry.KindLSAFlood})
-	var f *sim.Frame
-	if k := len(a.floodFree); k > 0 {
-		f, a.floodFree = a.floodFree[k-1], a.floodFree[:k-1]
-	} else {
-		f = new(sim.Frame)
-	}
+	f := a.floodFree.Get()
 	*f = sim.Frame{From: a.node.ID(), To: graph.Broadcast, Bytes: l.EncodedSize(), Payload: l}
 	return f
 }
@@ -661,8 +656,7 @@ func (a *Agent) Piggyback(f *sim.Frame) {
 // the prober.
 func (a *Agent) Sent(f *sim.Frame, ok bool) {
 	if _, flood := f.Payload.(*packet.LSA); flood {
-		*f = sim.Frame{}
-		a.floodFree = append(a.floodFree, f)
+		a.floodFree.Put(f)
 	} else {
 		a.prober.Sent(f, ok)
 	}

@@ -67,7 +67,7 @@ type Prober struct {
 	// heard holds one record per origin a probe arrived from.
 	heard map[graph.NodeID]*record
 	// free holds probes Sent handed back, for Pull to reuse.
-	free []*probeMsg
+	free sim.FreeList[probeMsg]
 
 	// ProbeTx counts probe broadcasts sent (measurement-plane overhead
 	// accounting for the learned-vs-oracle gap experiments).
@@ -89,7 +89,7 @@ type record struct {
 }
 
 // probeMsg is a probe on the air: the wire fields and the frame that carries
-// them, one object, recycled once Sent hands the frame back (release).
+// them, one object, recycled once Sent hands the frame back (poison).
 type probeMsg struct {
 	packet.Probe
 	frame sim.Frame
@@ -101,7 +101,7 @@ func NewProber(cfg Config) *Prober {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
 	}
-	return &Prober{cfg: cfg, heard: make(map[graph.NodeID]*record)}
+	return &Prober{cfg: cfg, heard: make(map[graph.NodeID]*record), free: sim.FreeList[probeMsg]{Reset: poison}}
 }
 
 // Init implements sim.Protocol.
@@ -178,12 +178,7 @@ func (p *Prober) Pull() *sim.Frame {
 	p.pending--
 	p.seq++
 	p.ProbeTx++
-	var m *probeMsg
-	if k := len(p.free); k > 0 {
-		m, p.free = p.free[k-1], p.free[:k-1]
-	} else {
-		m = new(probeMsg)
-	}
+	m := p.free.Get()
 	m.Probe = packet.Probe{Origin: p.node.ID(), Seq: p.seq, Window: uint16(p.cfg.Window)}
 	m.frame = sim.Frame{
 		From:    p.node.ID(),
@@ -198,16 +193,13 @@ func (p *Prober) Pull() *sim.Frame {
 // has read it, so it goes back on the free list.
 func (p *Prober) Sent(f *sim.Frame, ok bool) {
 	if m, mine := f.Payload.(*probeMsg); mine {
-		p.release(m)
+		p.free.Put(m)
 	}
 }
 
-// release puts a probe Sent handed back on the free list, poisoned: no
+// poison is what a probe Sent handed back holds on the free list: no
 // origin and a zero frame, so a read that outlives the frame finds nothing.
-func (p *Prober) release(m *probeMsg) {
-	*m = probeMsg{Probe: packet.Probe{Origin: -1}}
-	p.free = append(p.free, m)
-}
+func poison(m *probeMsg) { *m = probeMsg{Probe: packet.Probe{Origin: -1}} }
 
 // DeliveryFrom estimates the delivery probability of link origin -> this
 // node: the fraction of the last Window probes that arrived. It returns

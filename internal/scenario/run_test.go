@@ -206,9 +206,10 @@ func TestRunAutoPairAndStop(t *testing.T) {
 // TestRunMixedPullProtocolsUnderCC pins Sent routing through the
 // mixed-protocol stack: with a congestion layer between the stack and the
 // MAC, frames are queued and resolved out of pull order, so outcomes must
-// be routed to the member that supplied each frame (congest.Multi's owner
-// map), not to the most recent puller. A misroute strands srcr's
-// inFlight flag and the srcr flow stalls forever.
+// be routed to the member that supplied each frame (the sim.Stack inside
+// congest.Multi lists each pulled frame with its supplier), not to the most
+// recent puller. A misroute strands srcr's inFlight flag and the srcr flow
+// stalls forever.
 func TestRunMixedPullProtocolsUnderCC(t *testing.T) {
 	r := parseRun(t, `{
   "name": "mixed-pull",

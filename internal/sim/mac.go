@@ -405,11 +405,7 @@ func (a *macAck) acks(f *Frame) bool { return a.data == f && a.seq == f.seq }
 // is recycled when it leaves the air (Simulator.release).
 func (m *mac) scheduleMACAck(dataTx *transmission) {
 	s := m.sim
-	a := popFree(&s.ackFree)
-	if a == nil {
-		a = new(macAck)
-		a.wait.init(s, a.send)
-	}
+	a := s.ackFree.Get()
 	a.m, a.data, a.seq = m, dataTx.frame, dataTx.frame.seq
 	a.frame = Frame{From: m.node.id, To: dataTx.from.id, Bytes: macAckBytes, isMACAck: true, ack: a}
 	s.armAt(&a.wait, s.now+sifs)
@@ -419,14 +415,8 @@ func (m *mac) scheduleMACAck(dataTx *transmission) {
 func (a *macAck) send() {
 	n := a.m.node
 	if a.m.onAir > 0 || n.failed {
-		n.sim.releaseAck(a) // radio busy (or dead); sender will time out and retry
+		n.sim.ackFree.Put(a) // radio busy (or dead); sender will time out and retry
 		return
 	}
 	n.sim.startTransmission(n, &a.frame)
-}
-
-// releaseAck recycles a, which is neither waiting nor on the air any more.
-func (s *Simulator) releaseAck(a *macAck) {
-	a.m, a.data = nil, nil
-	s.ackFree = append(s.ackFree, a)
 }

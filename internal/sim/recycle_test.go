@@ -35,7 +35,7 @@ func (p *mixedSender) Pull() *Frame {
 func checkTransmissionRefs(t *testing.T, s *Simulator, known map[*transmission]bool, acks map[*macAck]bool) {
 	t.Helper()
 	freeAcks := make(map[*macAck]bool)
-	for _, a := range s.ackFree {
+	for _, a := range s.ackFree.items {
 		if freeAcks[a] {
 			t.Fatalf("at %v: a MAC ACK record is on the free list twice", s.Now())
 		}
@@ -65,7 +65,7 @@ func checkTransmissionRefs(t *testing.T, s *Simulator, known map[*transmission]b
 		}
 	}
 	free := make(map[*transmission]bool)
-	for _, tx := range s.txFree {
+	for _, tx := range s.txFree.items {
 		if free[tx] {
 			t.Fatalf("at %v: a transmission is on the free list twice", s.Now())
 		}
@@ -133,12 +133,12 @@ func TestTransmissionsAreRecycled(t *testing.T) {
 		s.FailNode(graph.NodeID(id)) // nobody starts another frame
 	}
 	s.RunWhile(11*Second, after)
-	if len(s.active) != 0 || len(s.txFree) != len(known) {
-		t.Fatalf("quiet medium: %d on the air, %d of %d objects on the free list", len(s.active), len(s.txFree), len(known))
+	if len(s.active) != 0 || len(s.txFree.items) != len(known) {
+		t.Fatalf("quiet medium: %d on the air, %d of %d objects on the free list", len(s.active), len(s.txFree.items), len(known))
 	}
 	// A record that only ever found its radio busy was never seen on the air.
-	if len(s.ackFree) < len(acks) {
-		t.Fatalf("quiet medium: %d of %d MAC ACK records on the free list", len(s.ackFree), len(acks))
+	if len(s.ackFree.items) < len(acks) {
+		t.Fatalf("quiet medium: %d of %d MAC ACK records on the free list", len(s.ackFree.items), len(acks))
 	}
 }
 

@@ -225,11 +225,11 @@ type Simulator struct {
 	interferers [][]graph.Edge
 
 	// active is what is on the air; txFree is the transmissions nothing
-	// refers to any more, ready for reuse (newTransmission, release), and
-	// ackFree the MAC ACK records whose ACK is sent or given up.
+	// refers to any more (release), and ackFree the MAC ACK records whose
+	// ACK is sent or given up.
 	active   []*transmission
-	txFree   []*transmission
-	ackFree  []*macAck
+	txFree   FreeList[transmission]
+	ackFree  FreeList[macAck]
 	Counters Counters
 
 	// Telem, when set, receives a typed telemetry.Event per medium and
@@ -253,40 +253,13 @@ type transmission struct {
 	rate     Bitrate
 	overlaps []*transmission // other transmissions overlapping in time
 	refs     int32           // s.active while on the air + one per overlaps list holding it
-	endEv    Event           // takes the frame off the air at end; bound once, in newTransmission
+	endEv    Event           // takes the frame off the air at end; bound once, when made
 }
 
-// popFree takes the last object off a free list; nil when the list is empty.
-func popFree[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	x := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return x
-}
-
-// newTransmission takes a transmission off the free list, or makes one and
-// binds its end event: the closure is per object, not per frame on the air.
-func (s *Simulator) newTransmission() *transmission {
-	if tx := popFree(&s.txFree); tx != nil {
-		return tx
-	}
-	tx := new(transmission)
-	tx.endEv.initNear(s, func() { s.endTransmission(tx) })
-	return tx
-}
-
-// release drops one holder of tx and recycles it with the last. The node is
-// cleared (the frame was, when it left the air) so a recycled object retains
-// nothing, and so a reference that outlived the count faults instead of
-// reading another frame's transmitter.
+// release drops one holder of tx and recycles it with the last.
 func (s *Simulator) release(tx *transmission) {
 	if tx.refs--; tx.refs == 0 {
-		tx.from = nil
-		s.txFree = append(s.txFree, tx)
+		s.txFree.Put(tx)
 	}
 }
 
@@ -314,6 +287,23 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	s.busy = make([]int32, topo.N())
 	s.relevant = make([]graph.NodeSet, topo.N())
 	s.probMemo = make([]linkMemo, topo.N())
+	// A recycled object keeps its event, bound once when it is made: the
+	// closure is per object, not per frame on the air. Reset clears what
+	// points elsewhere (a transmission's frame is cleared when it leaves the
+	// air), so a reference that outlived the object faults instead of
+	// reading another frame's transmitter or ACK.
+	s.txFree.New = func() *transmission {
+		tx := new(transmission)
+		tx.endEv.initNear(s, func() { s.endTransmission(tx) })
+		return tx
+	}
+	s.txFree.Reset = func(tx *transmission) { tx.from = nil }
+	s.ackFree.New = func() *macAck {
+		a := new(macAck)
+		a.wait.init(s, a.send)
+		return a
+	}
+	s.ackFree.Reset = func(a *macAck) { a.m, a.data = nil, nil }
 	return s
 }
 
@@ -579,7 +569,7 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) {
 		f.Rate = rate
 	}
 	dur := AirTime(f.Bytes, rate)
-	tx := s.newTransmission()
+	tx := s.txFree.Get()
 	tx.frame, tx.from, tx.rate = f, n, rate
 	tx.start, tx.end = s.now, s.now+dur
 	tx.refs = 1 // s.active
@@ -695,7 +685,7 @@ func (s *Simulator) endTransmission(tx *transmission) {
 	// capacity), then of s.active's hold on tx itself. tx lives on, as a
 	// time span and a transmitter, while a later starter still lists it.
 	if tx.frame.isMACAck {
-		s.releaseAck(tx.frame.ack)
+		s.ackFree.Put(tx.frame.ack)
 	}
 	tx.frame = nil
 	for i, other := range tx.overlaps {

@@ -4,7 +4,8 @@ package sim
 // slot the MAC drives — the mechanism that lets the measurement plane
 // (probes + link-state floods, §3.2.1(b)) run *inside* the simulation,
 // contending for the same medium as the data traffic it serves, instead of
-// in a separate pre-measurement pass.
+// in a separate pre-measurement pass — and, under a congestion layer, the
+// data protocols a scenario mixes on one node (congest.Multi).
 //
 // Layers are ordered: when the MAC wins a transmission opportunity, Pull
 // walks the layers front to back and sends the first frame offered, so the
@@ -12,16 +13,24 @@ package sim
 // frames preempt bulk data, like a real driver's priority queue). Every
 // decoded frame is delivered to every layer — each protocol already ignores
 // payload types it does not own — and the Sent callback is routed to the
-// layer that supplied the frame.
+// layer that supplied the frame, however long a congestion queue held it.
+// A frame no layer pulled (a push frame injected below the stack) fans out
+// to every layer, as Receive does. A frame that is never Sent stays listed:
+// the MAC abandons its frame when its node fails (Simulator.FailNode), so
+// the list holds at most one abandoned entry per failure.
 type Stack struct {
 	layers []Protocol
 	// riders[i] is layers[i] as a Piggybacker, nil when it is not one;
 	// resolved in NewStack so that Pull asserts no types.
 	riders []Piggybacker
-	// puller is the layer that supplied the frame currently in the MAC.
-	// The MAC handles exactly one pulled frame at a time (Sent always
-	// fires before the next Pull), so one slot suffices.
-	puller Protocol
+	// pulled pairs each pulled, not yet Sent frame with the layer that
+	// supplied it.
+	pulled []pulledFrame
+}
+
+type pulledFrame struct {
+	f  *Frame
+	by Protocol
 }
 
 // Piggybacker is a stack layer that can attach control payloads to a frame
@@ -66,7 +75,7 @@ func (s *Stack) Pull() *Frame {
 		if f == nil {
 			continue
 		}
-		s.puller = l
+		s.pulled = append(s.pulled, pulledFrame{f, l})
 		for j, pb := range s.riders {
 			if j != i && pb != nil {
 				pb.Piggyback(f)
@@ -74,14 +83,20 @@ func (s *Stack) Pull() *Frame {
 		}
 		return f
 	}
-	s.puller = nil
 	return nil
 }
 
-// Sent implements Protocol, routing the outcome to the pulling layer.
+// Sent implements Protocol, routing the outcome to the layer that supplied
+// the frame, or to every layer when none did.
 func (s *Stack) Sent(f *Frame, ok bool) {
-	if p := s.puller; p != nil {
-		s.puller = nil
-		p.Sent(f, ok)
+	for i, p := range s.pulled {
+		if p.f == f {
+			s.pulled = append(s.pulled[:i], s.pulled[i+1:]...)
+			p.by.Sent(f, ok)
+			return
+		}
+	}
+	for _, l := range s.layers {
+		l.Sent(f, ok)
 	}
 }

@@ -190,7 +190,7 @@ func (n *Node) pushTick(st *pushState) {
 		n.node.Wake()
 	default:
 		st.drops++
-		n.release(m)
+		n.free.Put(m)
 	}
 	if st.next >= st.file.NumPackets() {
 		st.done = true

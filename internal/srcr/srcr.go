@@ -54,7 +54,7 @@ type DataMsg struct {
 	// release for the next packet it carries.
 	buf []byte
 	// frame carries the message one hop (frameFor): message and frame are
-	// one object, recycled once Sent hands the frame back (release). Each
+	// one object, recycled once Sent hands the frame back (poison). Each
 	// message is framed once; a relay copies what it received into its own.
 	frame sim.Frame
 }
@@ -77,7 +77,7 @@ type Node struct {
 	queue   []*DataMsg   // forwarding queue, drop tail
 	control []*sim.Frame // FIN/NACK control messages (prioritized)
 	// free holds data messages Sent handed back, for newMsg to reuse.
-	free    []*DataMsg
+	free    sim.FreeList[DataMsg]
 	sources map[flow.ID]*sourceState
 	// sourceOrder fixes the service order of concurrent local sources: map
 	// iteration order would leak nondeterminism into multi-flow runs.
@@ -141,6 +141,7 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 		sinks:   make(map[flow.ID]*sinkState),
 		pushes:  make(map[flow.ID]*pushState),
 		onoe:    make(map[graph.NodeID]*Onoe),
+		free:    sim.FreeList[DataMsg]{Reset: poison},
 	}
 }
 
@@ -331,12 +332,7 @@ func (n *Node) Pull() *sim.Frame {
 // newMsg takes a message off the free list, or makes one, for packet seq of
 // flow id at hop of route, with size payload bytes for the caller to fill.
 func (n *Node) newMsg(id flow.ID, seq int, route []graph.NodeID, hop, size int) *DataMsg {
-	var m *DataMsg
-	if k := len(n.free); k > 0 {
-		m, n.free = n.free[k-1], n.free[:k-1]
-	} else {
-		m = new(DataMsg)
-	}
+	m := n.free.Get()
 	if cap(m.buf) < size {
 		m.buf = make([]byte, size)
 	}
@@ -344,12 +340,11 @@ func (n *Node) newMsg(id flow.ID, seq int, route []graph.NodeID, hop, size int) 
 	return m
 }
 
-// release puts a message back on the free list, poisoned: a sentinel flow,
+// poison is what a message holds on the free list: a sentinel flow,
 // sequence and hop, no route, no payload, a zero frame; only buf stays. A
 // read that outlives the frame finds nothing it can use.
-func (n *Node) release(m *DataMsg) {
+func poison(m *DataMsg) {
 	*m = DataMsg{Flow: releasedFlow, Seq: -1, Hop: -1, buf: m.buf}
-	n.free = append(n.free, m)
 }
 
 func (n *Node) frameFor(m *DataMsg) *sim.Frame {
@@ -424,7 +419,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 			}
 		}
 	}
-	n.release(m)
+	n.free.Put(m)
 	if len(n.queue) > 0 || len(n.control) > 0 || len(n.pushQ) > 0 || n.hasPendingSource() {
 		n.node.Wake()
 	}
