@@ -80,8 +80,18 @@ func main() {
 
 // run executes the experiments the command line selects, writing reports to
 // stdout and diagnostics to stderr, and returns the exit code: 2 for an
-// unknown experiment or kernel, 1 for a failed gate or an unwritable file.
+// unknown experiment or kernel or a count below 1, 1 for a failed gate or an
+// unwritable file.
 func run(c *cli, stdout, stderr io.Writer) int {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"-pairs", c.pairs}, {"-runs", c.runs}, {"-file", c.file}} {
+		if f.n < 1 {
+			fmt.Fprintf(stderr, "%s: must be at least 1, got %d\n", f.name, f.n)
+			return 2
+		}
+	}
 	if c.gfKernel != "" {
 		if err := gf256.SetKernel(c.gfKernel); err != nil {
 			fmt.Fprintf(stderr, "-gf256: %v\n", err)
@@ -161,7 +171,10 @@ func run(c *cli, stdout, stderr io.Writer) int {
 
 	experiment("Figure 4-4: spatial reuse (>=4-hop flows, concurrent first/last hop)", "4.4", func() (interface{}, func()) {
 		res := experiments.Fig44SpatialReuse(c.pairs/4+3, opts)
-		return res, func() { fmt.Fprint(stdout, res.Table()) }
+		return res, func() {
+			fmt.Fprintf(stdout, "spatial-reuse flows (>=4 hops, first/last hop concurrent): %d\n", len(res.Pairs))
+			fmt.Fprint(stdout, res.Table())
+		}
 	})
 
 	experiment("Figure 4-5: multiple flows", "4.5", func() (interface{}, func()) {

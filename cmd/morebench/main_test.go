@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"io"
@@ -45,7 +47,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 	if n := strings.Count(out, "=== "); n != len(experimentKeys) {
 		t.Errorf("text report has %d experiments, want %d:\n%s", n, len(experimentKeys), out)
 	}
-	for _, want := range []string{"CDF (x: pkt/s, S=Srcr E=ExOR M=MORE):", "challenged half vs good half", "MORE header:", "k=16 "} {
+	for _, want := range []string{"CDF (x: pkt/s, S=Srcr E=ExOR M=MORE):", "challenged half vs good half", "spatial-reuse flows", "MORE header:", "k=16 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report lacks %q", want)
 		}
@@ -85,6 +87,60 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
+// figureHashes pins what every deterministic experiment computes at the toy
+// scale: the SHA-256 of its compacted -json result. Table 4.1 times the host
+// and is left out; each entry's wall-clock seconds sit outside its result.
+// A change that moves a figure's seeds, pairs or runs moves its hash.
+var figureHashes = map[string]string{
+	"4.2":        "f7dcf3855b0faaa3763e6ded843876c383198eaed7748d553262a68d00511d82",
+	"4.3":        "afec05df7354a1f5b6390eaf77a32b1f2574fd7c6250712d85e7ef5642d925c9",
+	"4.4":        "951a1d1be15564d98da79898496c7ff1a088c94410e07739e6be673733dd27a3",
+	"4.5":        "6b77eed6f7afb735c824b852c81f69dae783fed4bc73964654cbde5b4b56cfa6",
+	"4.6":        "d97ad0f835f3f418ce88c4c44eb4a7b8720c03923115fb2c07ad4be54d9c715f",
+	"4.7":        "7d631958f0f9b75b1c33011cd3b905956e45c20028d6d7d6ee93d4b9ba4c6626",
+	"overhead":   "8461eac520018d7935f4b2ddf9b0c460466a86b365e8c6580362f479f4915716",
+	"5.1":        "0fa9ccefd4f7b7c986501269031f129f956954d6bab38ac04c8f57bc2e305793",
+	"robustness": "a401c3902d5ffdc28cf0fc4c16731863ad32e7c638d0e75ba5f190a78cc8a16d",
+	"5.7":        "fa92b4e4371e223ad11b252867937064d06308a2e143e6995dc97399f7993004",
+}
+
+// TestFigureValuesPinned checks each experiment's result against
+// figureHashes. The determinism tests only compare serial runs with
+// parallel ones; this test fails when a figure computes something else.
+func TestFigureValuesPinned(t *testing.T) {
+	code, out, errOut := runCLI(t, append(toy, "-json")...)
+	if code != 0 || errOut != "" {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	var doc struct {
+		Results []struct {
+			Key    string
+			Result json.RawMessage
+		}
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, r := range doc.Results {
+		if r.Key == "4.1" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, r.Result); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != figureHashes[r.Key] {
+			t.Errorf("%s: result hash %s, want %q\n%s", r.Key, got, figureHashes[r.Key], buf.Bytes())
+		}
+		seen++
+	}
+	if seen != len(figureHashes) {
+		t.Errorf("hashed %d experiments, table pins %d", seen, len(figureHashes))
+	}
+}
+
 // TestOneExperiment: -fig selects a single experiment, and Fig 4-3 runs its
 // own Fig 4-2 when that did not run first.
 func TestOneExperiment(t *testing.T) {
@@ -94,12 +150,18 @@ func TestOneExperiment(t *testing.T) {
 	}
 }
 
-// TestBadCommandLinesExit2 covers an unknown experiment and an unknown kernel.
+// TestBadCommandLinesExit2 covers an unknown experiment, an unknown kernel
+// and counts below 1, which are refused before any experiment runs.
 func TestBadCommandLinesExit2(t *testing.T) {
 	for args, want := range map[string]string{
-		"-fig 9.9":        `unknown experiment: fig="9.9" table=""`,
-		"-gf256 abacus":   "-gf256: unknown or unsupported gf256 kernel",
-		"-table coverage": `table="coverage"`,
+		"-fig 9.9":            `unknown experiment: fig="9.9" table=""`,
+		"-gf256 abacus":       "-gf256: unknown or unsupported gf256 kernel",
+		"-table coverage":     `table="coverage"`,
+		"-fig 4.5 -runs -2":   "-runs: must be at least 1, got -2",
+		"-fig 4.2 -pairs 0":   "-pairs: must be at least 1, got 0",
+		"-fig 4.2 -pairs -3":  "-pairs: must be at least 1, got -3",
+		"-file 0":             "-file: must be at least 1, got 0",
+		"-table 4.1 -pairs 0": "-pairs: must be at least 1",
 	} {
 		code, out, errOut := runCLI(t, strings.Fields(args)...)
 		if code != 2 || out != "" || !strings.Contains(errOut, want) {

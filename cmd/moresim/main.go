@@ -227,7 +227,7 @@ func (r specRun) info() experiments.RunInfo {
 func runSpecs(specs []*scenario.Spec, parallel int, hub *telemetry.Hub) ([]specRun, error) {
 	runs := make([]specRun, len(specs))
 	errs := make([]error, len(specs))
-	experiments.ForEachItem(len(specs), parallel, func(i int) {
+	experiments.ForEach(len(specs), parallel, func(i int) {
 		start := time.Now()
 		res, err := scenario.RunWith(specs[i], hub)
 		runs[i], errs[i] = specRun{spec: specs[i], res: res, wall: time.Since(start)}, err

@@ -83,9 +83,6 @@ func TestFig44SpatialReuseShape(t *testing.T) {
 	if gain < 15 {
 		t.Errorf("spatial-reuse MORE vs ExOR gain %+.0f%% too small (paper: +50%%)", gain)
 	}
-	if !strings.Contains(res.Table(), "spatial-reuse") {
-		t.Error("table rendering broken")
-	}
 }
 
 func TestFig45MultiFlowShape(t *testing.T) {
@@ -405,7 +402,7 @@ func TestMOREFreeListsSharedAcrossWorkers(t *testing.T) {
 	pairs := RandomPairs(topo, 8, 29)
 	run := func(workers int) []flow.Result {
 		out := make([]flow.Result, len(pairs))
-		forEach(len(pairs), workers, func(i int) { out[i] = Run(topo, MORE, pairs[i], opts) })
+		ForEach(len(pairs), workers, func(i int) { out[i] = Run(topo, MORE, pairs[i], opts) })
 		return out
 	}
 	serial, par := run(1), run(4)

@@ -28,27 +28,21 @@ type ThroughputResult struct {
 
 // Fig42UnicastThroughput runs MORE, ExOR, and Srcr between nPairs random
 // pairs and returns per-pair throughputs (the paper uses 200 pairs over a
-// 5 MB file; scale with opts). The proto×pair runs are independent and fan
-// out over opts.Parallel workers.
+// 5 MB file; scale with opts).
 func Fig42UnicastThroughput(topo *graph.Topology, nPairs int, opts Options) *ThroughputResult {
-	pairs := RandomPairs(topo, nPairs, opts.Seed)
+	return compare(func(int) *graph.Topology { return topo }, RandomPairs(topo, nPairs, opts.Seed), opts)
+}
+
+// compare runs MORE, ExOR and Srcr on every pair, pair i over topo(i), and
+// returns the per-pair throughputs.
+func compare(topo func(i int) *graph.Topology, pairs []Pair, opts Options) *ThroughputResult {
 	protos := []Protocol{MORE, ExOR, Srcr}
-	samples := make([][]float64, len(protos))
-	for pi := range samples {
-		samples[pi] = make([]float64, len(pairs))
-	}
-	forEach(len(protos)*len(pairs), opts.workers(), func(it int) {
-		pi, i := it/len(pairs), it%len(pairs)
-		o := opts
-		o.Seed = opts.Seed + int64(1000*i)
-		samples[pi][i] = Run(topo, protos[pi], pairs[i], o).Throughput()
+	samples := sweep(len(protos), len(pairs), opts, func(v, i int, o Options) float64 {
+		return Run(topo(i), protos[v], pairs[i], o).Throughput()
 	})
-	res := &ThroughputResult{
-		Pairs:      pairs,
-		Throughput: map[Protocol][]float64{},
-	}
-	for pi, proto := range protos {
-		res.Throughput[proto] = samples[pi]
+	res := &ThroughputResult{Pairs: pairs, Throughput: map[Protocol][]float64{}}
+	for v, proto := range protos {
+		res.Throughput[proto] = samples[v]
 	}
 	return res
 }
@@ -126,73 +120,25 @@ func (r *ThroughputResult) ChallengedGain(proto Protocol) (bottom, top float64) 
 
 // --- Figure 4-4: spatial reuse ------------------------------------------------
 
-// Fig44Result reports the spatial-reuse comparison.
-type Fig44Result struct {
-	Pairs      []Pair
-	Throughput map[Protocol][]float64
-}
-
 // Fig44SpatialReuse runs the three protocols over pairs whose best path is
 // ≥ minHops hops with a concurrency opportunity between first and last hop.
 // Such pairs are scarce on a 20-node testbed (under 7% of flows have ≥4-hop
 // paths, §4.2.3), so the experiment runs over corridor topologies where they
 // arise naturally, collecting up to nPairs.
-func Fig44SpatialReuse(nPairs int, opts Options) *Fig44Result {
-	res := &Fig44Result{Throughput: map[Protocol][]float64{}}
-	type located struct {
-		topo *graph.Topology
-		pair Pair
-	}
-	var found []located
-	for seed := int64(1); len(found) < nPairs && seed < 200; seed++ {
+func Fig44SpatialReuse(nPairs int, opts Options) *ThroughputResult {
+	var topos []*graph.Topology
+	var pairs []Pair
+	for seed := int64(1); len(pairs) < nPairs && seed < 200; seed++ {
 		topo := graph.Corridor(14, 360, 15, 28, seed)
 		for _, p := range SpatialReusePairs(topo, 4) {
-			found = append(found, located{topo, p})
-			if len(found) >= nPairs {
+			topos = append(topos, topo)
+			pairs = append(pairs, p)
+			if len(pairs) >= nPairs {
 				break
 			}
 		}
 	}
-	protos := []Protocol{MORE, ExOR, Srcr}
-	samples := make([][]float64, len(protos))
-	for pi := range samples {
-		samples[pi] = make([]float64, len(found))
-	}
-	forEach(len(protos)*len(found), opts.workers(), func(it int) {
-		pi, i := it/len(found), it%len(found)
-		o := opts
-		o.Seed = opts.Seed + int64(1000*i)
-		samples[pi][i] = Run(found[i].topo, protos[pi], found[i].pair, o).Throughput()
-	})
-	for _, lp := range found {
-		res.Pairs = append(res.Pairs, lp.pair)
-	}
-	for pi, proto := range protos {
-		res.Throughput[proto] = samples[pi]
-	}
-	return res
-}
-
-// medianGain mirrors ThroughputResult.medianGain.
-func (r *Fig44Result) medianGain(a, b Protocol) float64 {
-	mb := stats.Median(r.Throughput[b])
-	if mb == 0 {
-		return math.Inf(1)
-	}
-	return 100 * (stats.Median(r.Throughput[a])/mb - 1)
-}
-
-// Table renders the summary.
-func (r *Fig44Result) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "spatial-reuse flows (>=4 hops, first/last hop concurrent): %d\n", len(r.Pairs))
-	fmt.Fprintf(&b, "%-8s %8s %8s\n", "proto", "median", "mean")
-	for _, proto := range []Protocol{Srcr, ExOR, MORE} {
-		s := stats.Summarize(r.Throughput[proto])
-		fmt.Fprintf(&b, "%-8s %8.1f %8.1f\n", proto, s.Median, s.Mean)
-	}
-	fmt.Fprintf(&b, "MORE vs ExOR median gain: %+.0f%%\n", r.medianGain(MORE, ExOR))
-	return b.String()
+	return compare(func(i int) *graph.Topology { return topos[i] }, pairs, opts)
 }
 
 // --- Figure 4-5: multiple flows ------------------------------------------------
@@ -227,21 +173,18 @@ func Fig45MultiFlow(topo *graph.Topology, maxFlows, runs int, opts Options) *Fig
 			cells = append(cells, cell{pairs: pairs, seed: pairSeed})
 		}
 	}
-	// flat[cell*len(protos)+proto] holds that cell's per-flow average.
-	flat := make([]float64, len(cells)*len(protos))
-	forEach(len(cells)*len(protos), opts.workers(), func(it int) {
-		ci, pi := it/len(protos), it%len(protos)
-		if cells[ci].pairs == nil {
-			return
+	// avg[proto][cell] is that cell's per-flow average throughput.
+	avg := sweep(len(protos), len(cells), opts, func(v, i int, o Options) float64 {
+		if cells[i].pairs == nil {
+			return 0
 		}
-		o := opts
-		o.Seed = cells[ci].seed
-		rs := RunDetailed(topo, protos[pi], cells[ci].pairs, o).Results
+		o.Seed = cells[i].seed
+		rs := RunDetailed(topo, protos[v], cells[i].pairs, o).Results
 		var sum float64
 		for _, r := range rs {
 			sum += r.Throughput()
 		}
-		flat[it] = sum / float64(len(rs))
+		return sum / float64(len(rs))
 	})
 	res := &Fig45Result{
 		Avg: map[Protocol][]float64{},
@@ -249,14 +192,12 @@ func Fig45MultiFlow(topo *graph.Topology, maxFlows, runs int, opts Options) *Fig
 	}
 	for nf := 1; nf <= maxFlows; nf++ {
 		res.FlowCounts = append(res.FlowCounts, nf)
-		for pi, proto := range protos {
+		for v, proto := range protos {
 			var samples []float64
-			for run := 0; run < runs; run++ {
-				ci := (nf-1)*runs + run
-				if cells[ci].pairs == nil {
-					continue
+			for ci := (nf - 1) * runs; ci < nf*runs; ci++ {
+				if cells[ci].pairs != nil {
+					samples = append(samples, avg[v][ci])
 				}
-				samples = append(samples, flat[ci*len(protos)+pi])
 			}
 			s := stats.Summarize(samples)
 			res.Avg[proto] = append(res.Avg[proto], s.Mean)
@@ -316,29 +257,22 @@ func Fig46Autorate(topo *graph.Topology, nPairs int, opts Options) *Fig46Result 
 		{"Srcr@5.5", Srcr, sim.Rate5_5},
 		{"Srcr-auto", SrcrAutorate, 0},
 	}
-	nv := len(variants)
-	samples := make([]float64, len(pairs)*nv)
-	counters := make([]sim.Counters, len(pairs)) // autorate runs only
-	forEach(len(pairs)*nv, opts.workers(), func(it int) {
-		i, vi := it/nv, it%nv
-		v := variants[vi]
-		o := opts
-		o.Seed = opts.Seed + int64(1000*i)
-		if v.rate != 0 {
-			o.DataRate = v.rate
+	runs := sweep(len(variants), len(pairs), opts, func(v, i int, o Options) RunInfo {
+		if variants[v].rate != 0 {
+			o.DataRate = variants[v].rate
 		}
-		rs, cs := RunWithCounters(topo, v.proto, []Pair{pairs[i]}, o)
-		samples[it] = rs[0].Throughput()
-		if v.proto == SrcrAutorate {
-			counters[i] = cs
-		}
+		return RunDetailed(topo, variants[v].proto, pairs[i:i+1], o)
 	})
-	for vi, v := range variants {
+	var counters []sim.Counters // autorate runs only
+	for v, variant := range variants {
 		xs := make([]float64, len(pairs))
-		for i := range pairs {
-			xs[i] = samples[i*nv+vi]
+		for i, info := range runs[v] {
+			xs[i] = info.Results[0].Throughput()
+			if variant.proto == SrcrAutorate {
+				counters = append(counters, info.Counters)
+			}
 		}
-		res.Throughput[v.name] = xs
+		res.Throughput[variant.name] = xs
 	}
 	res.LowRateTxFrac, res.LowRateAirFrac = lowRateShares(counters)
 	return res

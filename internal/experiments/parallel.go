@@ -17,15 +17,10 @@ import (
 // want "use the machine": GOMAXPROCS.
 func AutoParallel() int { return runtime.GOMAXPROCS(0) }
 
-// ForEachItem exposes the bounded worker pool to commands that fan their
-// own independent runs out (cmd/moresim's spec lists). fn must confine its
-// writes to per-index state.
-func ForEachItem(n, workers int, fn func(i int)) { forEach(n, workers, fn) }
-
-// forEach runs fn(0..n-1) on up to `workers` goroutines. fn must confine
+// ForEach runs fn(0..n-1) on up to `workers` goroutines. fn must confine
 // its writes to per-index state. With workers <= 1 (an unset
 // Options.Parallel included) the loop runs inline on the caller's goroutine.
-func forEach(n, workers int, fn func(i int)) {
+func ForEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -52,4 +47,23 @@ func forEach(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sweep is the grid under every figure: it runs fn for each (variant, pair)
+// cell over opts.Parallel workers and returns out[variant][pair]. Pair i
+// runs with seed opts.Seed + 1000·i under every variant, so the variants of
+// a figure compare on the same workloads; a cell that draws its own
+// workload sets its own o.Seed.
+func sweep[T any](variants, pairs int, opts Options, fn func(v, i int, o Options) T) [][]T {
+	out := make([][]T, variants)
+	for v := range out {
+		out[v] = make([]T, pairs)
+	}
+	ForEach(variants*pairs, opts.workers(), func(it int) {
+		v, i := it/pairs, it%pairs
+		o := opts
+		o.Seed = opts.Seed + int64(1000*i)
+		out[v][i] = fn(v, i, o)
+	})
+	return out
 }

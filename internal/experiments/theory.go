@@ -33,24 +33,24 @@ func Fig47BatchSize(topo *graph.Topology, batchSizes []int, nPairs int, opts Opt
 		ExOR:       map[int][]float64{},
 	}
 	pairs := RandomPairs(topo, nPairs, opts.Seed)
-	protos := []Protocol{MORE, ExOR}
-	np, nv := len(pairs), len(protos)
-	samples := make([]float64, len(batchSizes)*np*nv)
-	forEach(len(samples), opts.workers(), func(it int) {
-		ki := it / (np * nv)
-		i := it / nv % np
-		pi := it % nv
-		o := opts
-		o.BatchSize = batchSizes[ki]
-		o.Seed = opts.Seed + int64(1000*i)
-		samples[it] = Run(topo, protos[pi], pairs[i], o).Throughput()
+	type variant struct {
+		k     int
+		proto Protocol
+	}
+	var variants []variant
+	for _, k := range batchSizes {
+		variants = append(variants, variant{k, MORE}, variant{k, ExOR})
+	}
+	samples := sweep(len(variants), len(pairs), opts, func(v, i int, o Options) float64 {
+		o.BatchSize = variants[v].k
+		return Run(topo, variants[v].proto, pairs[i], o).Throughput()
 	})
-	for ki, k := range batchSizes {
-		for i := range pairs {
-			base := (ki*np + i) * nv
-			res.MORE[k] = append(res.MORE[k], samples[base])
-			res.ExOR[k] = append(res.ExOR[k], samples[base+1])
+	for v, variant := range variants {
+		series := res.MORE
+		if variant.proto == ExOR {
+			series = res.ExOR
 		}
+		series[variant.k] = samples[v]
 	}
 	return res
 }
@@ -279,7 +279,7 @@ func Sec57EOTXvsETX(topo *graph.Topology, parallel int) Sec57Result {
 	etxOpt := routing.ETXOptions{Threshold: 0, AckAware: false}
 	n := topo.N()
 	gaps := make([]float64, n*n) // NaN = unreachable or self
-	forEach(n*n, parallel, func(it int) {
+	ForEach(n*n, parallel, func(it int) {
 		src, dst := it/n, it%n
 		if src == dst {
 			gaps[it] = math.NaN()
