@@ -156,17 +156,22 @@ func run(c *cli, stdout, stderr io.Writer) int {
 		if fig42 == nil {
 			fig42 = experiments.Fig42UnicastThroughput(topo, c.pairs, opts)
 		}
-		bm, tm := fig42.ChallengedGain(experiments.MORE)
-		be, te := fig42.ChallengedGain(experiments.ExOR)
-		result := map[string]float64{
-			"MORE-challenged-x": bm, "MORE-good-x": tm,
-			"ExOR-challenged-x": be, "ExOR-good-x": te,
+		// A half without a sample has no gain: "n/a" in the text, no key
+		// in the JSON.
+		result := map[string]float64{}
+		text := "median gain over Srcr, challenged half vs good half:\n"
+		for _, proto := range []experiments.Protocol{experiments.MORE, experiments.ExOR} {
+			bottom, top, bottomOK, topOK := fig42.ChallengedGain(proto)
+			gain := func(key string, g float64, ok bool) string {
+				if !ok {
+					return "n/a"
+				}
+				result[fmt.Sprintf("%v-%s-x", proto, key)] = g
+				return fmt.Sprintf("%.2fx", g)
+			}
+			text += fmt.Sprintf("  %v: %s vs %s\n", proto, gain("challenged", bottom, bottomOK), gain("good", top, topOK))
 		}
-		return result, func() {
-			fmt.Fprintf(stdout, "median gain over Srcr, challenged half vs good half:\n")
-			fmt.Fprintf(stdout, "  MORE: %.2fx vs %.2fx\n", bm, tm)
-			fmt.Fprintf(stdout, "  ExOR: %.2fx vs %.2fx\n", be, te)
-		}
+		return result, func() { fmt.Fprint(stdout, text) }
 	})
 
 	experiment("Figure 4-4: spatial reuse (>=4-hop flows, concurrent first/last hop)", "4.4", func() (interface{}, func()) {

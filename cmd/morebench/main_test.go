@@ -150,6 +150,28 @@ func TestOneExperiment(t *testing.T) {
 	}
 }
 
+// TestFig43EmptyHalfIsNotAGain: with one pair the challenged half holds no
+// sample, so Fig 4-3 prints n/a for it and its -json result has no key for
+// it, while the good half keeps its gain.
+func TestFig43EmptyHalfIsNotAGain(t *testing.T) {
+	one := []string{"-fig", "4.3", "-pairs", "1", "-file", "4096"}
+	code, out, _ := runCLI(t, one...)
+	if code != 0 || !strings.Contains(out, "  MORE: n/a vs ") || !strings.Contains(out, "  ExOR: n/a vs ") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	code, out, _ = runCLI(t, append(one, "-json")...)
+	var doc struct {
+		Results []struct{ Result map[string]float64 }
+	}
+	if err := json.Unmarshal([]byte(out), &doc); code != 0 || err != nil || len(doc.Results) != 1 {
+		t.Fatalf("-json: exit %d, %v:\n%s", code, err, out)
+	}
+	got := doc.Results[0].Result
+	if _, ok := got["MORE-challenged-x"]; ok || got["MORE-good-x"] <= 0 || len(got) != 2 {
+		t.Errorf("result keys: %v, want only the good halves", got)
+	}
+}
+
 // TestBadCommandLinesExit2 covers an unknown experiment, an unknown kernel
 // and counts below 1, which are refused before any experiment runs.
 func TestBadCommandLinesExit2(t *testing.T) {

@@ -194,7 +194,7 @@ func execute(c *cli, specs []*scenario.Spec, reduce reducer, stdout, stderr io.W
 		printPlan(text, runs[0])
 	}
 	if txs != nil {
-		fmt.Fprint(text, txs.timeline(0, timelineEnd(runs[0].info().Results), 96))
+		fmt.Fprint(text, txs.timeline(0, timelineEnd(runs[0].res.Flows), 96))
 	}
 	if hub != nil && !c.tc.finish(hub, stdout, stderr) {
 		return false, nil
@@ -208,16 +208,6 @@ type specRun struct {
 	spec *scenario.Spec
 	res  *scenario.Result
 	wall time.Duration
-}
-
-// info folds the run back into the RunInfo the experiments reducers take.
-func (r specRun) info() experiments.RunInfo {
-	info := experiments.RunInfo{Counters: r.res.Counters, Convergence: r.res.Convergence,
-		ProbeTx: r.res.ProbeTx, FloodTx: r.res.FloodTx}
-	for _, f := range r.res.Flows {
-		info.Results = append(info.Results, f.Result)
-	}
-	return info
 }
 
 // runSpecs runs every spec through scenario.RunWith on up to parallel
@@ -554,25 +544,114 @@ func printComparison(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	return allDone, nil
 }
 
+// summary is one run reduced over its flows: the reduction the -state
+// learned report and the -scale rows share.
+type summary struct {
+	// Throughput is the aggregate delivered packets/second across flows.
+	Throughput float64
+	// TxPerPacket is run-wide transmissions (data + any control sharing
+	// the medium, including the warmup's probes and floods) per delivered
+	// packet — the total airtime bill of the run.
+	TxPerPacket float64
+	// DataTxPerPacket excludes the measurement plane's transmissions
+	// (probes + LSA floods): the data plane's cost alone, the number to
+	// compare against the oracle's TxPerPacket to isolate route
+	// suboptimality from control overhead.
+	DataTxPerPacket float64
+	// Completed counts flows that finished within the deadline.
+	Completed int
+	// Transmissions is the run-wide transmission count.
+	Transmissions int64
+}
+
+// summarize reduces a run over its flows.
+func summarize(res *scenario.Result) summary {
+	s := summary{Transmissions: res.Counters.Transmissions}
+	delivered := 0
+	for _, f := range res.Flows {
+		if f.Result.Completed {
+			s.Completed++
+		}
+		delivered += f.Result.PacketsDelivered
+		s.Throughput += f.Result.Throughput()
+	}
+	// A run that delivered nothing reports 0 tx/pkt, not NaN: JSON cannot
+	// encode NaN (Completed disambiguates).
+	if delivered > 0 {
+		s.TxPerPacket = float64(res.Counters.Transmissions) / float64(delivered)
+		s.DataTxPerPacket = float64(res.Counters.Transmissions-res.ProbeTx-res.FloodTx) / float64(delivered)
+	}
+	return s
+}
+
+// gapReport is the oracle-vs-learned gap. The paper hands every protocol a
+// globally measured ETX table (§4.1.2); a deployable system learns that
+// state over the air (§3.2.1(b)) and pays for it twice — probe/LSA frames
+// share the medium with data, and routes computed from noisy windowed
+// estimates are not quite the oracle's. The report quantifies both costs
+// from a learned-state run and its oracle twin: same topology, flows and
+// seed.
+type gapReport struct {
+	Protocol string // as the spec names it
+	Flows    int
+
+	Oracle  summary
+	Learned summary
+
+	// ThroughputRatio is learned/oracle aggregate throughput: 1.0 means
+	// the measurement plane cost nothing, lower is the gap.
+	ThroughputRatio float64
+	// TxPerPacketRatio is learned/oracle transmissions per delivered
+	// packet: above 1.0 is the control-plane + route-suboptimality cost.
+	TxPerPacketRatio float64
+	// DataTxPerPacketRatio is the same ratio with the learned side's
+	// measurement-plane transmissions excluded: the pure route-quality gap.
+	DataTxPerPacketRatio float64
+
+	// Convergence is when every node first held every origin's LSA
+	// (-1: the warmup ended before full coverage).
+	Convergence sim.Time
+	// ProbeTx and FloodTx are the measurement plane's transmissions during
+	// the learned run (warmup + transfer).
+	ProbeTx, FloodTx int64
+}
+
+// gap reduces a learned-state run and its oracle twin to their gap report.
+func gap(proto string, oracle, learned *scenario.Result) gapReport {
+	rep := gapReport{
+		Protocol:    proto,
+		Flows:       len(learned.Flows),
+		Oracle:      summarize(oracle),
+		Learned:     summarize(learned),
+		Convergence: learned.Convergence,
+		ProbeTx:     learned.ProbeTx,
+		FloodTx:     learned.FloodTx,
+	}
+	if rep.Oracle.Throughput > 0 {
+		rep.ThroughputRatio = rep.Learned.Throughput / rep.Oracle.Throughput
+	}
+	if rep.Oracle.TxPerPacket > 0 {
+		rep.TxPerPacketRatio = rep.Learned.TxPerPacket / rep.Oracle.TxPerPacket
+		rep.DataTxPerPacketRatio = rep.Learned.DataTxPerPacket / rep.Oracle.TxPerPacket
+	}
+	return rep
+}
+
 // printGap is the -state learned report: the learned-state run against its
 // oracle twin. It reports whether every learned-state flow completed.
 func printGap(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	learned, oracle := runs[0], runs[1]
-	rep := experiments.Gap(oracle.info(), learned.info())
+	rep := gap(c.proto, oracle.res, learned.res)
 	done := rep.Learned.Completed == rep.Flows
 	if c.jsonOut {
-		type gap struct {
-			Protocol string // as the spec names it
-			experiments.GapReport
-		}
 		return done, printJSON(w, struct {
 			Nodes int
-			Gap   gap
-		}{learned.res.Nodes, gap{c.proto, rep}})
+			Gap   gapReport
+		}{learned.res.Nodes, rep})
 	}
 	fmt.Fprintf(w, "protocol: %s, state: learned (vs oracle), %d flow(s)\n", c.proto, rep.Flows)
 	fmt.Fprintf(w, "%-10s %10s %12s %14s %8s\n", "state", "pkt/s", "tx/pkt", "data-tx/pkt", "done")
-	side := func(name string, s experiments.GapSummary) {
+	side := func(name string, s summary) {
 		fmt.Fprintf(w, "%-10s %10.1f %12.2f %14.2f %5d/%-2d\n", name,
 			s.Throughput, s.TxPerPacket, s.DataTxPerPacket, s.Completed, rep.Flows)
 	}
@@ -651,19 +730,10 @@ func scaleRows(runs []specRun) (rows []scaleRow, allDone bool) {
 			CC: res.CC, CCStats: res.CCStats, Fairness: res.Fairness,
 			ProbeTx: res.ProbeTx, FloodTx: res.FloodTx, Convergence: res.Convergence,
 		}
-		delivered := 0
+		sum := summarize(res)
+		row.Completed, row.Throughput, row.TxPerPacket = sum.Completed, sum.Throughput, sum.TxPerPacket
 		for _, f := range res.Flows {
-			if f.Result.Completed {
-				row.Completed++
-			}
-			delivered += f.Result.PacketsDelivered
-			row.Throughput += f.Result.Throughput()
 			row.SimTime = max(row.SimTime, f.Result.End)
-		}
-		// 0, not NaN, when nothing was delivered: JSON cannot encode NaN
-		// (Completed disambiguates).
-		if delivered > 0 {
-			row.TxPerPacket = float64(res.Counters.Transmissions) / float64(delivered)
 		}
 		rows[i] = row
 		allDone = allDone && row.Completed == row.Flows

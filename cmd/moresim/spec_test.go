@@ -321,13 +321,13 @@ func TestFlagRunsMatchParent(t *testing.T) {
 }
 
 // gapOf runs a -state learned command line and reduces it as printGap does.
-func gapOf(t *testing.T, args ...string) experiments.GapReport {
+func gapOf(t *testing.T, args ...string) gapReport {
 	t.Helper()
 	runs := runFlags(t, append([]string{"-state", "learned"}, args...)...)
 	if len(runs) != 2 || runs[0].res.State != experiments.StateLearned || runs[1].res.State != experiments.StateOracle {
 		t.Fatalf("%v: want the learned spec then its oracle twin, got %d runs", args, len(runs))
 	}
-	return experiments.Gap(runs[1].info(), runs[0].info())
+	return gap("", runs[1].res, runs[0].res)
 }
 
 // TestGapRunMatchesParent pins both sides of the gap report to the parent's.

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/flow"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -79,10 +79,10 @@ func (l txLog) timeline(from, to sim.Time, width int) string {
 
 // timelineEnd is where the -trace timeline stops: the latest flow finish
 // (one second when nothing finished, so a stuck run still shows its start).
-func timelineEnd(rs []flow.Result) sim.Time {
+func timelineEnd(flows []scenario.FlowOutcome) sim.Time {
 	end := sim.Time(0)
-	for _, r := range rs {
-		end = max(end, r.End)
+	for _, f := range flows {
+		end = max(end, f.Result.End)
 	}
 	if end == 0 {
 		return sim.Second

@@ -7,6 +7,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/srcr"
 	"repro/internal/telemetry"
@@ -68,7 +69,8 @@ func TestTimelineKeepsTheWholeRun(t *testing.T) {
 	for i := 0; i < 1<<17; i++ {                                    // twice the old ring
 		l.Emit(telemetry.Event{At: int64(9 * sim.Second), Node: 8, Kind: telemetry.KindTx})
 	}
-	end := timelineEnd([]flow.Result{{End: 2 * sim.Second}, {End: 10 * sim.Second}, {}})
+	finish := func(end sim.Time) scenario.FlowOutcome { return scenario.FlowOutcome{Result: flow.Result{End: end}} }
+	end := timelineEnd([]scenario.FlowOutcome{finish(2 * sim.Second), finish(10 * sim.Second), finish(0)})
 	if end != 10*sim.Second {
 		t.Fatalf("timeline end = %v, want the latest finish 10s", end)
 	}
@@ -79,7 +81,7 @@ func TestTimelineKeepsTheWholeRun(t *testing.T) {
 	if !strings.Contains(tl, "node 8   |.........#|") {
 		t.Fatalf("late activity past the first flow's finish missing:\n%s", tl)
 	}
-	if timelineEnd([]flow.Result{{}}) != sim.Second {
+	if timelineEnd([]scenario.FlowOutcome{finish(0)}) != sim.Second {
 		t.Fatal("a run where nothing finished should still show its first second")
 	}
 }

@@ -53,7 +53,7 @@ func main() {
 			}
 		}
 		nodes[tr.dst].ExpectFlow(tr.id, tr.file, nil)
-		if err := nodes[tr.src].StartFlow(tr.id, tr.dst, tr.file, func(flow.Result) {
+		if err := nodes[tr.src].StartFlow(tr.id, tr.dst, tr.file, func() {
 			remaining--
 		}); err != nil {
 			log.Fatal(err)

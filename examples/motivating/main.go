@@ -53,7 +53,7 @@ func main() {
 	}
 	done := false
 	nodes[2].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartFlow(1, 2, file, func(flow.Result) { done = true }); err != nil {
+	if err := nodes[0].StartFlow(1, 2, file, func() { done = true }); err != nil {
 		log.Fatal(err)
 	}
 	s.RunWhile(600*sim.Second, func() bool { return !done })

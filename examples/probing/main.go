@@ -52,7 +52,7 @@ func main() {
 	src, dst := graph.NodeID(3), graph.NodeID(17)
 	done := false
 	nodes[dst].ExpectFlow(1, file, nil)
-	if err := nodes[src].StartFlow(1, dst, file, func(flow.Result) { done = true }); err != nil {
+	if err := nodes[src].StartFlow(1, dst, file, func() { done = true }); err != nil {
 		log.Fatal(err)
 	}
 	s.RunWhile(3600*sim.Second, func() bool { return !done })

@@ -284,14 +284,13 @@ func TestCreditEndToEnd(t *testing.T) {
 		s.Attach(graph.NodeID(i), layers[i])
 	}
 	file := flow.NewFile(4096, 256, 1)
-	var result flow.Result
 	doneAt := sim.Time(0)
 	nodes[4].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartFlow(1, 4, file, func(r flow.Result) { result = r; doneAt = s.Now() }); err != nil {
+	if err := nodes[0].StartFlow(1, 4, file, func() { doneAt = s.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(120 * sim.Second)
-	if !result.Completed || doneAt == 0 {
+	if result := nodes[4].Result(1); !result.Completed || doneAt == 0 {
 		t.Fatalf("transfer did not complete under credit policy: %+v", result)
 	}
 	var grants int64
@@ -326,17 +325,17 @@ func TestCombineCreditStacking(t *testing.T) {
 	moreFile := flow.NewFile(4096, 256, 1)
 	pushFile := flow.NewFile(200*256, 256, 2)
 	tr := flow.Traffic{Model: flow.PushCBR, RatePPS: 100, Packets: 200}
-	var moreRes flow.Result
+	moreDone := false
 	coreNodes[3].ExpectFlow(1, moreFile, nil)
 	srcrNodes[3].ExpectFlow(2, pushFile, nil)
-	if err := coreNodes[0].StartFlow(1, 3, moreFile, func(r flow.Result) { moreRes = r }); err != nil {
+	if err := coreNodes[0].StartFlow(1, 3, moreFile, func() { moreDone = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := srcrNodes[0].StartPushFlow(2, 3, tr, pushFile, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(120 * sim.Second)
-	if !moreRes.Completed {
+	if moreRes := coreNodes[3].Result(1); !moreRes.Completed || !moreDone {
 		t.Fatalf("MORE transfer failed under credit in a mixed stack: %+v", moreRes)
 	}
 	var st Stats

@@ -12,9 +12,10 @@ import (
 )
 
 // runChainMORE transfers one small file over a lossy chain with the given
-// batch size and congestion config on every node, returning the result,
-// the medium counters, and the aggregated layer stats.
-func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Counters, Stats) {
+// batch size and congestion config on every node, returning the
+// destination's result, the time the source saw the final ACK (0 if it never
+// did), the medium counters, and the aggregated layer stats.
+func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Time, sim.Counters, Stats) {
 	t.Helper()
 	topo := graph.LossyChain(5, 20, 30)
 	s := sim.New(topo, sim.DefaultConfig())
@@ -30,9 +31,9 @@ func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Counter
 		s.Attach(graph.NodeID(i), layers[i])
 	}
 	file := flow.NewFile(batch*256, 256, 1) // exactly one batch of rank K
-	var result flow.Result
+	var doneAt sim.Time
 	nodes[4].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartFlow(1, 4, file, func(r flow.Result) { result = r }); err != nil {
+	if err := nodes[0].StartFlow(1, 4, file, func() { doneAt = s.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(120 * sim.Second)
@@ -40,7 +41,7 @@ func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Counter
 	for _, l := range layers {
 		st.Add(l.Stats)
 	}
-	return result, s.Counters, st
+	return nodes[4].Result(1), doneAt, s.Counters, st
 }
 
 // TestCreditBypassesSubFloorBatches is the sub-batch workload fix: a
@@ -51,21 +52,22 @@ func runChainMORE(t *testing.T, batch int, cfg Config) (flow.Result, sim.Counter
 // credit's large-scale win.
 func TestCreditBypassesSubFloorBatches(t *testing.T) {
 	const k = 11
-	creditRes, creditCtr, creditStats := runChainMORE(t, k, Config{Policy: Credit})
-	tailRes, tailCtr, tailStats := runChainMORE(t, k, Config{Policy: Tail})
+	creditRes, creditDone, creditCtr, creditStats := runChainMORE(t, k, Config{Policy: Credit})
+	tailRes, tailDone, tailCtr, tailStats := runChainMORE(t, k, Config{Policy: Tail})
 
 	if creditStats.GrantTx != 0 || creditStats.ProbeSends != 0 || creditStats.GateSkips != 0 {
 		t.Errorf("credit machinery engaged below the K floor: grants=%d probes=%d gateSkips=%d",
 			creditStats.GrantTx, creditStats.ProbeSends, creditStats.GateSkips)
 	}
-	if !creditRes.Completed {
+	if !creditRes.Completed || creditDone == 0 {
 		t.Fatalf("K=%d credit transfer incomplete: %+v", k, creditRes)
 	}
 	if !reflect.DeepEqual(creditCtr, tailCtr) {
 		t.Errorf("sub-floor credit run diverged from tail:\ncredit: %+v\ntail:   %+v", creditCtr, tailCtr)
 	}
-	if creditRes != tailRes {
-		t.Errorf("sub-floor credit result diverged from tail:\ncredit: %+v\ntail:   %+v", creditRes, tailRes)
+	if creditRes != tailRes || creditDone != tailDone {
+		t.Errorf("sub-floor credit result diverged from tail:\ncredit: %+v, done at %v\ntail:   %+v, done at %v",
+			creditRes, creditDone, tailRes, tailDone)
 	}
 	if creditStats.Enqueued != tailStats.Enqueued {
 		t.Errorf("queue behavior diverged: credit enqueued %d, tail %d", creditStats.Enqueued, tailStats.Enqueued)
@@ -76,8 +78,8 @@ func TestCreditBypassesSubFloorBatches(t *testing.T) {
 // K = 32 (and at the floor itself) grants still flow.
 func TestCreditEngagesAtAndAboveFloor(t *testing.T) {
 	for _, k := range []int{16, 32} {
-		res, _, st := runChainMORE(t, k, Config{Policy: Credit})
-		if !res.Completed {
+		res, doneAt, _, st := runChainMORE(t, k, Config{Policy: Credit})
+		if !res.Completed || doneAt == 0 {
 			t.Fatalf("K=%d credit transfer incomplete: %+v", k, res)
 		}
 		if st.GrantTx == 0 {

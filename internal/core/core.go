@@ -201,7 +201,7 @@ func (n *Node) sweepStale() {
 	// and the next packet makes a fresh sink with no verifier, no callback
 	// and no file size.
 	for id, s := range n.sinks {
-		if s.lastActivity < cutoff && !s.done && s.verify == nil {
+		if s.lastActivity < cutoff && !s.result.Completed && s.verify == nil {
 			s.flush()
 			delete(n.sinks, id)
 		}
@@ -234,10 +234,8 @@ type sourceState struct {
 	src          *coding.Source // reloaded per batch while the shape stays the same
 	pool         *coding.Pool   // coded packets come back in Sent, once off the air
 	fwd          *FwdList
-	result       flow.Result
 	done         bool
-	onDone       func(flow.Result)
-	txAtStart    int64
+	onDone       func()
 	// planVersion is the routing-state generation the forwarder plan was
 	// built from; a learned view ticks it as estimates drift, and the
 	// source rebuilds the plan at the next batch boundary.
@@ -248,7 +246,7 @@ type sourceState struct {
 // It computes the forwarding plan (forwarder list, TX credits) from the
 // routing state view and starts pumping coded packets. onDone, if non-nil,
 // fires when the final batch is acked.
-func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error {
+func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func()) error {
 	if _, dup := n.sources[id]; dup {
 		return fmt.Errorf("core: duplicate flow %d", id)
 	}
@@ -269,13 +267,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		totalBatches: (total + k - 1) / k,
 		fwd:          fwdEntries(plan),
 		onDone:       onDone,
-		txAtStart:    n.node.Sim().Counters.Transmissions,
 		planVersion:  n.state.Version(),
-	}
-	st.result = flow.Result{
-		Src: n.node.ID(), Dst: dst,
-		PacketsTotal: total,
-		Start:        n.node.Now(),
 	}
 	if err := st.codeBatch(n); err != nil {
 		return err
@@ -387,12 +379,8 @@ func (n *Node) advanceBatch(st *sourceState, acked uint32) {
 	st.curBatch++
 	if st.curBatch >= st.totalBatches {
 		st.done = true
-		st.result.Completed = true
-		st.result.End = n.node.Now()
-		st.result.PacketsDelivered = st.result.PacketsTotal
-		st.result.Transmissions = n.node.Sim().Counters.Transmissions - st.txAtStart
 		if st.onDone != nil {
-			st.onDone(st.result)
+			st.onDone()
 		}
 		return
 	}
@@ -502,7 +490,6 @@ func (r *relayState) flush() {
 
 type sinkState struct {
 	id           flow.ID
-	src          graph.NodeID
 	curBatch     uint32
 	k            int
 	totalBatches int
@@ -510,11 +497,9 @@ type sinkState struct {
 	pool         *coding.Pool    // the free list of the current batch's shape
 	redundant    int
 	decodedUpTo  int64 // highest batch decoded (-1 none)
-	delivered    int
-	done         bool
 	lastActivity sim.Time
-	result       flow.Result
-	onDone       func(flow.Result)
+	result       flow.Result // the flow's one record (see flow.Result)
+	onDone       func()
 	verify       *flow.File // set by ExpectFlow; nil checks nothing
 }
 
@@ -522,7 +507,7 @@ type sinkState struct {
 // byte-exact verification of the delivered file. Registration is not
 // required for operation (state initializes from the first packet, §3.3.2);
 // it only wires up result reporting.
-func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
+func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func()) {
 	s := n.sinkFor(id)
 	s.onDone = onDone
 	s.verify = &file
@@ -609,13 +594,10 @@ func (n *Node) BatchNeeded(id flow.ID) (batch uint32, needed int, ok bool) {
 	return 0, 0, false
 }
 
-// Result returns the destination-side result for a flow (zero Result if
-// unknown).
+// Result returns the flow's result as its destination keeps it: a zero
+// Result on any other node.
 func (n *Node) Result(id flow.ID) flow.Result {
 	if s, ok := n.sinks[id]; ok {
-		return s.result
-	}
-	if s, ok := n.sources[id]; ok {
 		return s.result
 	}
 	return flow.Result{}
@@ -701,11 +683,8 @@ func isUpstream(sender graph.NodeID, myIdx int, m *DataMsg) bool {
 func (n *Node) sinkReceive(m *DataMsg) {
 	s := n.sinkFor(m.Flow)
 	s.lastActivity = n.node.Now()
-	s.src = m.Src
 	s.totalBatches = m.TotalBatches
-	if s.result.Src != m.Src {
-		s.result.Src = m.Src
-	}
+	s.result.Arrive(m.Src, n.node.Now())
 	if int64(m.Batch) <= s.decodedUpTo {
 		// Redundant packet from an already-decoded batch: the ACK must
 		// have been lost — re-queue it every few receptions (§3.2.2).
@@ -717,7 +696,7 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		}
 		return
 	}
-	if s.done {
+	if s.result.Completed {
 		return
 	}
 	if s.decoder == nil || m.Batch != s.curBatch {
@@ -734,9 +713,6 @@ func (n *Node) sinkReceive(m *DataMsg) {
 			s.pool = coding.NewPool(m.K, size)
 			s.decoder = coding.NewDecoder(m.K, size)
 			s.decoder.UsePool(s.pool)
-		}
-		if s.result.Start == 0 && s.result.PacketsDelivered == 0 {
-			s.result.Start = n.node.Now()
 		}
 	}
 	var pkt *coding.Packet
@@ -764,14 +740,10 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	if s.verify != nil {
 		// A native carries its packet and then the coding pad.
 		for i, p := range natives {
-			if !s.verify.Matches(base+i, p[:min(s.verify.PacketSize(base+i), len(p))]) {
-				s.result.Verified = false
-			}
+			s.result.Check(s.verify.Matches(base+i, p[:min(s.verify.PacketSize(base+i), len(p))]))
 		}
 	}
-	s.delivered += len(natives)
-	s.result.PacketsDelivered = s.delivered
-	s.result.End = n.node.Now()
+	s.result.Deliver(s.result.PacketsDelivered+len(natives), n.node.Now())
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(s.id), Batch: m.Batch, Aux: int64(len(natives)),
 		Kind: telemetry.KindBatchDecode,
@@ -783,10 +755,9 @@ func (n *Node) sinkReceive(m *DataMsg) {
 	// batch; the natives stay in its output buffers until that one decodes.
 	s.decoder.Reset()
 	if m.TotalBatches > 0 && int(m.Batch) == m.TotalBatches-1 {
-		s.done = true
 		s.result.Completed = true
 		if s.onDone != nil {
-			s.onDone(s.result)
+			s.onDone()
 		}
 	}
 }
@@ -802,7 +773,7 @@ func (s *sinkState) flush() {
 // unicast delivery toward the flow source.
 func (n *Node) queueAck(s *sinkState, batch uint32) {
 	final := s.totalBatches > 0 && int(batch) == s.totalBatches-1
-	n.enqueueAck(&AckMsg{Flow: s.id, Batch: batch, Final: final, Target: s.src})
+	n.enqueueAck(&AckMsg{Flow: s.id, Batch: batch, Final: final, Target: s.result.Src})
 }
 
 func (n *Node) enqueueAck(a *AckMsg) {

@@ -34,8 +34,8 @@ func runMOREExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	done := false
-	nodes[dst].ExpectFlow(1, sinkFile, func(r flow.Result) {})
-	if err := nodes[src].StartFlow(1, dst, file, func(r flow.Result) { done = true }); err != nil {
+	nodes[dst].ExpectFlow(1, sinkFile, nil)
+	if err := nodes[src].StartFlow(1, dst, file, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunWhile(deadline, func() bool { return !done })
@@ -224,7 +224,7 @@ func TestDeadForwarderDoesNotStall(t *testing.T) {
 	file := flow.NewFile(8*1500, 1500, 8)
 	done := false
 	nodes[2].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartFlow(1, 2, file, func(flow.Result) { done = true }); err != nil {
+	if err := nodes[0].StartFlow(1, 2, file, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunWhile(600*sim.Second, func() bool { return !done })
@@ -374,7 +374,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	}
 	done := false
 	nodes[2].ExpectFlow(1, file, nil)
-	if err := nodes[0].StartFlow(1, 2, file, func(flow.Result) { done = true }); err != nil {
+	if err := nodes[0].StartFlow(1, 2, file, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	src := nodes[0].sources[1].src

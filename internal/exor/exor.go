@@ -166,12 +166,12 @@ type exorFlow struct {
 	bmap    []uint8
 	base    int // file index of the batch's first packet
 
+	done   bool
+	onDone func() // the source's or the destination's, by role
+
 	// Source-only.
 	isSource bool
 	file     flow.File // the batch's packets are made from it at load
-	result   flow.Result
-	done     bool
-	onDone   func(flow.Result)
 	// planVersion is the routing-state generation prio was computed from;
 	// learned views tick it, and the source rebuilds the priority list at
 	// the next batch boundary.
@@ -180,11 +180,9 @@ type exorFlow struct {
 	reDoneAt sim.Time
 
 	// Sink-only.
-	verify    *flow.File // set by ExpectFlow; nil checks nothing
-	delivered int
-	sinkRes   flow.Result
-	sinkDone  func(flow.Result)
-	doneSent  bool
+	verify   *flow.File  // set by ExpectFlow; nil checks nothing
+	result   flow.Result // the flow's one record (see flow.Result)
+	doneSent bool
 
 	// Scheduling.
 	turnTimer  *sim.Event
@@ -219,7 +217,7 @@ func (n *Node) Init(sn *sim.Node) {
 }
 
 // StartFlow begins a batched ExOR transfer to dst.
-func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error {
+func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func()) error {
 	if _, dup := n.flows[id]; dup {
 		return fmt.Errorf("exor: duplicate flow %d", id)
 	}
@@ -241,7 +239,6 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		cleanedIdx:   make(map[int]bool),
 		planVersion:  n.state.Version(),
 	}
-	f.result = flow.Result{Src: n.node.ID(), Dst: dst, PacketsTotal: total, Start: n.node.Now()}
 	n.flows[id] = f
 	n.flowOrder = append(n.flowOrder, id)
 	n.loadSourceBatch(f, 0)
@@ -323,13 +320,13 @@ func (n *Node) loadSourceBatch(f *exorFlow, b int) {
 }
 
 // ExpectFlow wires destination-side reporting and verification.
-func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
+func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func()) {
 	f := n.flowFor(id)
 	f.verify = &file
-	f.sinkDone = onDone
-	f.sinkRes.PacketsTotal = file.NumPackets()
-	f.sinkRes.Dst = n.node.ID()
-	f.sinkRes.Verified = true
+	f.onDone = onDone
+	f.result.PacketsTotal = file.NumPackets()
+	f.result.Dst = n.node.ID()
+	f.result.Verified = true
 }
 
 func (n *Node) flowFor(id flow.ID) *exorFlow {
@@ -342,16 +339,13 @@ func (n *Node) flowFor(id flow.ID) *exorFlow {
 	return f
 }
 
-// Result returns this node's view of the flow.
+// Result returns the flow's result as its destination keeps it: a zero
+// Result on any other node.
 func (n *Node) Result(id flow.ID) flow.Result {
-	f, ok := n.flows[id]
-	if !ok {
-		return flow.Result{}
-	}
-	if f.isSource {
+	if f, ok := n.flows[id]; ok {
 		return f.result
 	}
-	return f.sinkRes
+	return flow.Result{}
 }
 
 // --- Scheduling ---------------------------------------------------------------
@@ -591,8 +585,8 @@ func (n *Node) receiveData(m *DataMsg) {
 func (n *Node) hold(f *exorFlow, i int, p []byte) {
 	f.have[i] = true
 	f.payload[i] = p
-	if f.verify != nil && n.node.ID() == f.dst && !f.verify.Matches(f.base+i, p) {
-		f.sinkRes.Verified = false
+	if f.verify != nil && n.node.ID() == f.dst {
+		f.result.Check(f.verify.Matches(f.base+i, p))
 	}
 }
 
@@ -601,21 +595,14 @@ func (n *Node) sinkProgress(f *exorFlow) {
 	if n.node.ID() != f.dst || f.k == 0 {
 		return
 	}
-	if f.sinkRes.Start == 0 && f.sinkRes.PacketsDelivered == 0 {
-		f.sinkRes.Start = n.node.Now()
-		f.sinkRes.Src = f.src
-	}
+	f.result.Arrive(f.src, n.node.Now())
 	count := 0
 	for i := 0; i < f.k; i++ {
 		if f.have[i] {
 			count++
 		}
 	}
-	total := f.base + count
-	if total > f.sinkRes.PacketsDelivered {
-		f.sinkRes.PacketsDelivered = total
-		f.sinkRes.End = n.node.Now()
-	}
+	f.result.Deliver(f.base+count, n.node.Now())
 	// Destination holds everything: announce completion.
 	if count == f.k && !f.doneSent {
 		f.doneSent = true
@@ -633,9 +620,9 @@ func (n *Node) sinkProgress(f *exorFlow) {
 		n.takeTurn(f)
 		if final && !f.done {
 			f.done = true
-			f.sinkRes.Completed = true
-			if f.sinkDone != nil {
-				f.sinkDone(f.sinkRes)
+			f.result.Completed = true
+			if f.onDone != nil {
+				f.onDone()
 			}
 		}
 	}
@@ -730,11 +717,8 @@ func (n *Node) sourceBatchComplete(f *exorFlow, m *DoneMsg) {
 	}
 	if f.batch+1 >= f.totalBatches {
 		f.done = true
-		f.result.Completed = true
-		f.result.PacketsDelivered = f.result.PacketsTotal
-		f.result.End = n.node.Now()
 		if f.onDone != nil {
-			f.onDone(f.result)
+			f.onDone()
 		}
 		return
 	}

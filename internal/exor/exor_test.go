@@ -28,7 +28,7 @@ func runExORExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 	}
 	done := false
 	nodes[dst].ExpectFlow(1, sinkFile, nil)
-	if err := nodes[src].StartFlow(1, dst, file, func(flow.Result) { done = true }); err != nil {
+	if err := nodes[src].StartFlow(1, dst, file, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunWhile(deadline, func() bool { return !done })

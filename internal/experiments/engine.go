@@ -78,8 +78,8 @@ type Execution struct {
 // transferNode is what the engine asks of a protocol's per-node instance.
 type transferNode interface {
 	sim.Protocol
-	ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result))
-	StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error
+	ExpectFlow(id flow.ID, file flow.File, onDone func())
+	StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func()) error
 	Result(id flow.ID) flow.Result
 }
 
@@ -227,8 +227,8 @@ func (x *Execution) schedule(i int) {
 	id := flow.ID(i + 1)
 	k := f.Proto.stack()
 	src, dst := x.nodes[k][f.Src], x.nodes[k][f.Dst]
-	markDone := func(flow.Result) { x.remaining-- }
-	var atSrc, atDst func(flow.Result)
+	markDone := func() { x.remaining-- }
+	var atSrc, atDst func()
 	if stacks[k].doneAtDst {
 		atDst = markDone
 	} else {

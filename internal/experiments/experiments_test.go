@@ -59,12 +59,40 @@ func TestFig42Shape(t *testing.T) {
 func TestFig43ChallengedFlowsGainMost(t *testing.T) {
 	topo := TestbedTopology()
 	res := Fig42UnicastThroughput(topo, 12, quickOpts())
-	bottom, top := res.ChallengedGain(MORE)
+	bottom, top, bottomOK, topOK := res.ChallengedGain(MORE)
+	if !bottomOK || !topOK {
+		t.Fatalf("a half without samples: challenged %v, good %v", bottomOK, topOK)
+	}
 	if bottom <= top {
 		t.Errorf("challenged flows gain %.2fx <= good flows %.2fx; Fig 4-3 shape lost", bottom, top)
 	}
 	if bottom < 1.2 {
 		t.Errorf("challenged gain %.2fx too small", bottom)
+	}
+}
+
+// TestChallengedGainReportsEmptyHalves: a half with no pair of positive
+// Srcr throughput has no gain, and says so instead of reading 0x.
+func TestChallengedGainReportsEmptyHalves(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		srcr, more      []float64
+		bottom, top     float64
+		bottomOK, topOK bool
+	}{
+		{"one pair", []float64{10}, []float64{20}, 0, 2, false, true},
+		{"challenged half all zero", []float64{0, 20, 0, 10}, []float64{5, 60, 6, 20}, 0, 2.5, false, true},
+		{"both halves sampled", []float64{4, 20, 2, 10}, []float64{12, 60, 8, 20}, 3.5, 2.5, true, true},
+	} {
+		r := &ThroughputResult{
+			Pairs:      make([]Pair, len(c.srcr)),
+			Throughput: map[Protocol][]float64{Srcr: c.srcr, MORE: c.more},
+		}
+		bottom, top, bottomOK, topOK := r.ChallengedGain(MORE)
+		if bottom != c.bottom || top != c.top || bottomOK != c.bottomOK || topOK != c.topOK {
+			t.Errorf("%s: got %v/%v ok %v/%v, want %v/%v ok %v/%v", c.name,
+				bottom, top, bottomOK, topOK, c.bottom, c.top, c.bottomOK, c.topOK)
+		}
 	}
 }
 

@@ -97,8 +97,10 @@ func (r *ThroughputResult) CDFs() map[Protocol]*stats.CDF {
 
 // ChallengedGain quantifies Fig 4-3's observation: the median gain of
 // opportunistic routing over Srcr among the bottom half of Srcr flows
-// (challenged) vs the top half.
-func (r *ThroughputResult) ChallengedGain(proto Protocol) (bottom, top float64) {
+// (challenged) vs the top half. A gain needs a sample, a pair whose Srcr
+// throughput is positive; bottomOK and topOK report whether each half had
+// one, and a half without one has no gain (its value is 0).
+func (r *ThroughputResult) ChallengedGain(proto Protocol) (bottom, top float64, bottomOK, topOK bool) {
 	type pair struct{ base, op float64 }
 	var ps []pair
 	for i := range r.Pairs {
@@ -106,16 +108,18 @@ func (r *ThroughputResult) ChallengedGain(proto Protocol) (bottom, top float64) 
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].base < ps[j].base })
 	half := len(ps) / 2
-	gain := func(sl []pair) float64 {
+	gain := func(sl []pair) (float64, bool) {
 		var gs []float64
 		for _, p := range sl {
 			if p.base > 0 {
 				gs = append(gs, p.op/p.base)
 			}
 		}
-		return stats.Median(gs)
+		return stats.Median(gs), len(gs) > 0
 	}
-	return gain(ps[:half]), gain(ps[half:])
+	bottom, bottomOK = gain(ps[:half])
+	top, topOK = gain(ps[half:])
+	return bottom, top, bottomOK, topOK
 }
 
 // --- Figure 4-4: spatial reuse ------------------------------------------------

@@ -153,6 +153,7 @@ func fill(state uint64, p []byte) {
 }
 
 // Result reports a transfer's outcome, common to MORE, ExOR, and Srcr runs.
+// The destination keeps it; a source keeps none.
 type Result struct {
 	Src, Dst graph.NodeID
 	// PacketsDelivered counts native packets handed to the destination's
@@ -165,8 +166,9 @@ type Result struct {
 	// Start and End bound the transfer (End is delivery of the last
 	// packet, or the run deadline for incomplete transfers).
 	Start, End sim.Time
-	// Transmissions counts data-frame transmissions attributable to the
-	// run (including MAC retries).
+	// Transmissions counts the transmissions of frames stamped with the
+	// flow, MAC retries included. The engine fills it in from the
+	// simulator's per-flow count; a sink leaves it 0.
 	Transmissions int64
 	// Verified reports whether delivered payload bytes matched the file.
 	Verified bool
@@ -197,6 +199,34 @@ func (r Result) TxPerPacket() float64 {
 		return 0
 	}
 	return float64(r.Transmissions) / float64(r.PacketsDelivered)
+}
+
+// A flow's one Result is kept by its destination. Every sink applies the
+// same three rules through Arrive, Deliver and Check, whether its protocol
+// delivers one packet at a time (Srcr), a decoded batch (MORE) or a running
+// count of the packets held (ExOR).
+
+// Arrive records a reception from src at now. The first one stamps Start
+// and Src, so a flow's clock starts at its first arrival, not at its start
+// (ROADMAP item 2(d)).
+func (r *Result) Arrive(src graph.NodeID, now sim.Time) {
+	if r.Start == 0 && r.PacketsDelivered == 0 {
+		r.Start, r.Src = now, src
+	}
+}
+
+// Deliver records that total packets have reached the destination by now.
+// Only a grown count moves PacketsDelivered and End.
+func (r *Result) Deliver(total int, now sim.Time) {
+	if total > r.PacketsDelivered {
+		r.PacketsDelivered, r.End = total, now
+	}
+}
+
+// Check records whether a delivered payload matched the file. One mismatch
+// clears Verified, and it stays cleared.
+func (r *Result) Check(ok bool) {
+	r.Verified = r.Verified && ok
 }
 
 // String renders a one-line summary.

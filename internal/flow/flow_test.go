@@ -276,3 +276,41 @@ func TestFillAndMatchesAllocateNothing(t *testing.T) {
 		t.Errorf("Matches allocates %v/op", n)
 	}
 }
+
+// TestResultSinkRules drives the three sink rules the way each protocol's
+// sink calls them: at every arrival Arrive, then Deliver with the count so
+// far, then Check. Srcr delivers one packet at a time, MORE a decoded batch
+// at a time (arrivals before a decode deliver nothing), and ExOR reports a
+// running count that can repeat or read lower. Start is stamped once, End
+// moves only when the count grows, and a mismatch leaves Verified false for
+// good, whichever the pattern.
+func TestResultSinkRules(t *testing.T) {
+	type step struct {
+		at    sim.Time
+		total int
+	}
+	for _, c := range []struct {
+		name          string
+		steps         []step
+		wantEnd       sim.Time
+		wantDelivered int
+	}{
+		{"srcr, one packet at a time", []step{{10, 1}, {20, 2}, {30, 3}, {40, 3}}, 30, 3},
+		{"more, a batch at a time", []step{{10, 0}, {20, 0}, {30, 4}, {40, 4}, {50, 8}, {60, 8}}, 50, 8},
+		{"exor, a running count", []step{{10, 2}, {20, 5}, {30, 4}, {40, 5}}, 20, 5},
+	} {
+		for _, bad := range []int{-1, 1} { // the step whose payload mismatches, -1 none
+			r := Result{Verified: true}
+			for i, s := range c.steps {
+				r.Arrive(3, s.at)
+				r.Deliver(s.total, s.at)
+				r.Check(i != bad)
+			}
+			want := Result{Src: 3, Start: 10, End: c.wantEnd, PacketsDelivered: c.wantDelivered, Verified: bad < 0}
+			if r != want {
+				t.Errorf("%s, mismatch at step %d: got src %d start %v end %v delivered %d verified %v, want src 3 start 10ns end %v delivered %d verified %v",
+					c.name, bad, r.Src, r.Start, r.End, r.PacketsDelivered, r.Verified, want.End, want.PacketsDelivered, want.Verified)
+			}
+		}
+	}
+}

@@ -52,8 +52,7 @@ type pushState struct {
 	// halted marks a source killed by its node failing: generation stopped
 	// without the schedule being met, unlike a deliberate StopPushFlow.
 	halted bool
-	result flow.Result
-	onDone func(flow.Result)
+	onDone func()
 }
 
 // SetPushSink implements the congestion layer's PushSource hook: generated
@@ -66,7 +65,7 @@ func (n *Node) SetPushSink(s sim.FrameSink) { n.sink = s }
 // sequence. onDone fires when the source has generated its last packet;
 // packets still queued or in flight are delivered (or lost) on their own
 // time, as datagrams are.
-func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file flow.File, onDone func(flow.Result)) error {
+func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file flow.File, onDone func()) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
@@ -92,11 +91,6 @@ func (n *Node) StartPushFlow(id flow.ID, dst graph.NodeID, tr flow.Traffic, file
 		epoch:       now,
 		nextGen:     now,
 		onDone:      onDone,
-		result: flow.Result{
-			Src: n.node.ID(), Dst: dst,
-			PacketsTotal: tr.Packets,
-			Start:        now,
-		},
 	}
 	n.pushes[id] = st
 	st.tick = n.node.NewTimer(func() { n.pushTick(st) })
@@ -132,8 +126,7 @@ func (n *Node) SetPushRate(id flow.ID, pps float64) bool {
 }
 
 // StopPushFlow halts a push source's generation early (a scheduled flow
-// stop). The source result keeps Completed=false — the schedule was cut
-// short — but counts as done for run-termination purposes via onDone.
+// stop). onDone fires, and PushStats counts the cut schedule as run.
 // Packets already queued or in flight drain on their own. It reports
 // whether a live flow was stopped.
 func (n *Node) StopPushFlow(id flow.ID) bool {
@@ -142,9 +135,8 @@ func (n *Node) StopPushFlow(id flow.ID) bool {
 		return false
 	}
 	st.done = true
-	st.result.End = n.node.Now()
 	if st.onDone != nil {
-		st.onDone(st.result)
+		st.onDone()
 	}
 	return true
 }
@@ -158,9 +150,8 @@ func (n *Node) pushTick(st *pushState) {
 		// The radio died under the source: stop the clock for good. The
 		// flow does not count as having run its schedule (see PushStats).
 		st.done, st.halted = true, true
-		st.result.End = n.node.Now()
 		if st.onDone != nil {
-			st.onDone(st.result)
+			st.onDone()
 		}
 		return
 	}
@@ -194,10 +185,8 @@ func (n *Node) pushTick(st *pushState) {
 	}
 	if st.next >= st.file.NumPackets() {
 		st.done = true
-		st.result.End = n.node.Now()
-		st.result.Completed = true // the source ran its full schedule
 		if st.onDone != nil {
-			st.onDone(st.result)
+			st.onDone()
 		}
 		return
 	}

@@ -31,8 +31,8 @@ func TestPushCBRGeneratesAndDelivers(t *testing.T) {
 	tr := flow.Traffic{Model: flow.PushCBR, RatePPS: 100, Packets: 50}
 	file := flow.NewFile(50*256, 256, 7)
 	nodes[2].ExpectFlow(1, file, nil)
-	var src flow.Result
-	if err := nodes[0].StartPushFlow(1, 2, tr, file, func(r flow.Result) { src = r }); err != nil {
+	var srcEnd sim.Time
+	if err := nodes[0].StartPushFlow(1, 2, tr, file, func() { srcEnd = s.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(10 * sim.Second)
@@ -41,13 +41,11 @@ func TestPushCBRGeneratesAndDelivers(t *testing.T) {
 	if !done || gen != 50 {
 		t.Fatalf("generation: done=%v generated=%d drops=%d", done, gen, drops)
 	}
-	if !src.Completed {
-		t.Error("source result not marked completed after full schedule")
-	}
-	// The last packet (seq 49) is generated 49 intervals after the start.
+	// onDone fires with the last packet (seq 49), generated 49 intervals
+	// after the start.
 	wantEnd := sim.Time(49) * tr.Interval()
-	if src.End != wantEnd {
-		t.Errorf("generation clock drifted: last packet at %v, want %v", src.End, wantEnd)
+	if srcEnd != wantEnd {
+		t.Errorf("generation clock drifted: last packet at %v, want %v", srcEnd, wantEnd)
 	}
 	sink := nodes[2].Result(1)
 	if sink.PacketsDelivered < 45 {
@@ -86,14 +84,14 @@ func TestPushOnOffClock(t *testing.T) {
 	}
 	file := flow.NewFile(50*256, 256, 7)
 	nodes[1].ExpectFlow(1, file, nil)
-	var src flow.Result
-	if err := nodes[0].StartPushFlow(1, 1, tr, file, func(r flow.Result) { src = r }); err != nil {
+	var srcEnd sim.Time
+	if err := nodes[0].StartPushFlow(1, 1, tr, file, func() { srcEnd = s.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(10 * sim.Second)
 	want := 4*(tr.On+tr.Off) + 90*sim.Millisecond
-	if src.End != want {
-		t.Errorf("on/off schedule: last packet at %v, want %v", src.End, want)
+	if srcEnd != want {
+		t.Errorf("on/off schedule: last packet at %v, want %v", srcEnd, want)
 	}
 }
 

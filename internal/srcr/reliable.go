@@ -134,11 +134,8 @@ func (n *Node) receiveNack(fr *sim.Frame, m *NackMsg) {
 	st.finRetries = 0
 	if len(m.Missing) == 0 {
 		st.done = true
-		st.result.Completed = true
-		st.result.PacketsDelivered = st.result.PacketsTotal
-		st.result.End = n.node.Now()
 		if st.onDone != nil {
-			st.onDone(st.result)
+			st.onDone()
 		}
 		return
 	}

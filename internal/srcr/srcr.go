@@ -103,9 +103,8 @@ type sourceState struct {
 	route    []graph.NodeID
 	file     flow.File // packet seq is made from it at each send
 	inFlight bool
-	result   flow.Result
 	done     bool
-	onDone   func(flow.Result)
+	onDone   func()
 
 	// End-to-end ARQ state (reliable.go).
 	pending      []int // sequence numbers still to (re)send this pass
@@ -123,13 +122,10 @@ type sourceState struct {
 }
 
 type sinkState struct {
-	id        flow.ID
-	delivered int
-	result    flow.Result
-	file      flow.File
-	haveSeq   []bool // per-sequence delivery (e2e duplicate suppression); nil without ExpectFlow
-	onDone    func(flow.Result)
-	done      bool
+	result  flow.Result // the flow's one record (see flow.Result)
+	file    flow.File
+	haveSeq []bool // per-sequence delivery (e2e duplicate suppression); nil without ExpectFlow
+	onDone  func()
 }
 
 // NewNode creates a Srcr node; attach with sim.Attach.
@@ -154,7 +150,7 @@ func (n *Node) Init(sn *sim.Node) { n.node = sn }
 // what is still missing (the end-to-end ARQ of reliable.go). onDone fires
 // when the destination reports nothing missing. Send-once datagram traffic
 // is StartPushFlow.
-func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func(flow.Result)) error {
+func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func()) error {
 	if _, dup := n.sources[id]; dup {
 		return fmt.Errorf("srcr: duplicate flow %d", id)
 	}
@@ -170,11 +166,6 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		planVersion: n.state.Version(),
 	}
 	st.startPassTracking(file.NumPackets())
-	st.result = flow.Result{
-		Src: n.node.ID(), Dst: dst,
-		PacketsTotal: file.NumPackets(),
-		Start:        n.node.Now(),
-	}
 	n.sources[id] = st
 	n.sourceOrder = append(n.sourceOrder, id)
 	n.node.Wake()
@@ -182,22 +173,17 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 }
 
 // ExpectFlow wires up destination-side verification and reporting.
-func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func(flow.Result)) {
-	s := &sinkState{id: id, file: file, onDone: onDone}
+func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func()) {
+	s := &sinkState{file: file, onDone: onDone}
 	s.haveSeq = make([]bool, file.NumPackets())
 	s.result = flow.Result{Dst: n.node.ID(), PacketsTotal: file.NumPackets(), Verified: true}
 	n.sinks[id] = s
 }
 
-// Result returns this node's view of a flow's outcome.
+// Result returns the flow's result as its destination keeps it: a zero
+// Result on any other node.
 func (n *Node) Result(id flow.ID) flow.Result {
 	if s, ok := n.sinks[id]; ok {
-		return s.result
-	}
-	if s, ok := n.sources[id]; ok {
-		return s.result
-	}
-	if s, ok := n.pushes[id]; ok {
 		return s.result
 	}
 	return flow.Result{}
@@ -252,37 +238,29 @@ func (n *Node) Receive(f *sim.Frame) {
 func (n *Node) deliver(m *DataMsg) {
 	s, ok := n.sinks[m.Flow]
 	if !ok {
-		s = &sinkState{id: m.Flow}
+		s = &sinkState{}
 		s.result = flow.Result{Dst: n.node.ID(), Verified: true}
 		n.sinks[m.Flow] = s
 	}
-	if s.result.Start == 0 && s.delivered == 0 {
-		s.result.Start = n.node.Now()
-		s.result.Src = m.Route[0]
-	}
+	s.result.Arrive(m.Route[0], n.node.Now())
 	if s.haveSeq != nil {
 		if m.Seq >= len(s.haveSeq) || s.haveSeq[m.Seq] {
 			return // duplicate from a later reliability pass
 		}
 		s.haveSeq[m.Seq] = true
 	}
-	s.delivered++
 	n.node.Emit(telemetry.Event{
 		Flow: uint32(m.Flow), Aux: int64(m.Seq), Kind: telemetry.KindPktDeliver,
 	})
-	s.result.PacketsDelivered = s.delivered
-	s.result.End = n.node.Now()
+	s.result.Deliver(s.result.PacketsDelivered+1, n.node.Now())
 	if s.haveSeq == nil {
 		return
 	}
-	if !s.file.Matches(m.Seq, m.Payload) {
-		s.result.Verified = false
-	}
-	if s.delivered == len(s.haveSeq) && !s.done {
-		s.done = true
+	s.result.Check(s.file.Matches(m.Seq, m.Payload))
+	if s.result.PacketsDelivered == len(s.haveSeq) && !s.result.Completed {
 		s.result.Completed = true
 		if s.onDone != nil {
-			s.onDone(s.result)
+			s.onDone()
 		}
 	}
 }
