@@ -529,17 +529,39 @@ func printRun(c *cli, w io.Writer, runs []specRun) (bool, error) {
 	return res.Done(), nil
 }
 
-// printComparison is the -proto all table: every protocol over one pair.
+// comparisonRow is one row of the -proto all table: one protocol's run of
+// the pair. Every field is deterministic in the seed.
+type comparisonRow struct {
+	Protocol      string
+	Src, Dst      graph.NodeID
+	FileBytes     int
+	Throughput    float64  // delivered packets/second
+	Transmissions int64    // run-wide
+	Done          bool     // the flow completed within the deadline
+	AirTime       sim.Time // run-wide
+}
+
+// printComparison is the -proto all table: every protocol over one pair,
+// JSON rows with -json.
 func printComparison(c *cli, w io.Writer, runs []specRun) (bool, error) {
-	first := runs[0].res.Flows[0].Result
-	fmt.Fprintf(w, "pair %d -> %d, %d B file:\n", first.Src, first.Dst, c.file)
-	fmt.Fprintf(w, "%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
-	allDone := true
-	for _, r := range runs {
+	rows, allDone := make([]comparisonRow, len(runs)), true
+	for i, r := range runs {
 		f := r.res.Flows[0]
-		fmt.Fprintf(w, "%-14s %10.1f %10d %8v %12v\n", f.Protocol, f.Result.Throughput(),
-			r.res.Counters.Transmissions, f.Done, r.res.Counters.AirTime)
+		rows[i] = comparisonRow{
+			Protocol: f.Protocol, Src: f.Result.Src, Dst: f.Result.Dst, FileBytes: c.file,
+			Throughput: f.Result.Throughput(), Transmissions: r.res.Counters.Transmissions,
+			Done: f.Done, AirTime: r.res.Counters.AirTime,
+		}
 		allDone = allDone && f.Done
+	}
+	if c.jsonOut {
+		return allDone, printJSON(w, rows)
+	}
+	fmt.Fprintf(w, "pair %d -> %d, %d B file:\n", rows[0].Src, rows[0].Dst, c.file)
+	fmt.Fprintf(w, "%-14s %10s %10s %8s %12s\n", "proto", "pkt/s", "tx", "done", "air time")
+	for _, row := range rows {
+		fmt.Fprintf(w, "%-14s %10.1f %10d %8v %12v\n", row.Protocol, row.Throughput,
+			row.Transmissions, row.Done, row.AirTime)
 	}
 	return allDone, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -88,6 +89,18 @@ func TestTableModes(t *testing.T) {
 	code, out, _ := runCLI(t, toyArgs("-proto", "all")...)
 	if code != 0 || !strings.HasPrefix(out, "pair 0 -> 2, 8192 B file:\n") || strings.Count(out, "true") != 4 {
 		t.Errorf("-proto all: exit %d:\n%s", code, out)
+	}
+	text := out
+	code, out, _ = runCLI(t, toyArgs("-proto", "all", "-json")...)
+	var cmp []comparisonRow
+	if err := json.Unmarshal([]byte(out), &cmp); code != 0 || err != nil || len(cmp) != 4 {
+		t.Fatalf("-proto all -json: exit %d, %v:\n%s", code, err, out)
+	}
+	for _, row := range cmp {
+		line := fmt.Sprintf("%-14s %10.1f %10d %8v %12v\n", row.Protocol, row.Throughput, row.Transmissions, row.Done, row.AirTime)
+		if row.Src != 0 || row.Dst != 2 || row.FileBytes != 8192 || !row.Done || !strings.Contains(text, line) {
+			t.Errorf("-proto all -json row %+v is not a row of the text table:\n%s", row, text)
+		}
 	}
 
 	code, out, _ = runCLI(t, toyArgs("-state", "learned")...)

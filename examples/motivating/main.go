@@ -58,6 +58,7 @@ func main() {
 	}
 	s.RunWhile(600*sim.Second, func() bool { return !done })
 	r := nodes[2].Result(1)
+	r.CountTransmissions(&s.Counters, 1)
 	fmt.Printf("MORE: %s\n", r)
 	fmt.Printf("  src transmitted %d coded packets, R only %d (%.0f%% of src)\n",
 		s.Counters.TxByNode[0], s.Counters.TxByNode[1],

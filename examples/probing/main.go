@@ -57,6 +57,7 @@ func main() {
 	}
 	s.RunWhile(3600*sim.Second, func() bool { return !done })
 	r := nodes[dst].Result(1)
+	r.CountTransmissions(&s.Counters, 1)
 	fmt.Printf("  %s\n\n", r)
 
 	// Reference: the same transfer planned from ground truth.

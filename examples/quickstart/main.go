@@ -46,6 +46,7 @@ func main() {
 	s.RunWhile(3600*sim.Second, func() bool { return !done })
 
 	r := nodes[dst].Result(1)
+	r.CountTransmissions(&s.Counters, 1)
 	fmt.Println(r)
 	fmt.Printf("verified: %v, network transmissions: %d (%.2f per packet)\n",
 		r.Verified, s.Counters.Transmissions,

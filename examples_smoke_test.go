@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -52,6 +53,11 @@ func TestExamplesSmoke(t *testing.T) {
 			}
 			if len(out) == 0 {
 				t.Fatalf("example %s produced no output", name)
+			}
+			// A flow.Result printed without its transmissions counted reads
+			// 0.00 tx/pkt however many frames the flow sent.
+			if bytes.Contains(out, []byte(" 0.00 tx/pkt")) {
+				t.Errorf("example %s prints a result with no transmissions:\n%s", name, out)
 			}
 		})
 	}

@@ -1,4 +1,4 @@
-// CPUID/XGETBV shims for cpu_amd64.go.
+// CPUID/XGETBV shims for cpufeat_amd64.go.
 
 #include "textflag.h"
 

@@ -350,7 +350,7 @@ func (x *Execution) Finish() RunInfo {
 		// Per-flow transmission attribution: every data frame (and
 		// protocol-level ACK/NACK) carries its flow ID through the MAC, so
 		// multi-flow runs report each flow's own cost.
-		res.Transmissions = s.Counters.TxByFlow[uint32(i+1)]
+		res.CountTransmissions(&s.Counters, flow.ID(i+1))
 		results[i] = res
 	}
 	info := RunInfo{

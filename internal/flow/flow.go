@@ -94,28 +94,14 @@ func (f File) Packets(lo, hi int) [][]byte {
 }
 
 // Matches reports whether got is exactly packet i: same length, same
-// bytes. It regenerates the packet word by word and allocates nothing.
+// bytes. It regenerates the packet, compares every byte and allocates
+// nothing.
 func (f File) Matches(i int, got []byte) bool {
 	n := f.PacketSize(i)
 	if n == 0 || len(got) != n {
 		return false
 	}
-	state := f.key(i)
-	for ; len(got) >= 8; got = got[8:] {
-		state += golden
-		if binary.LittleEndian.Uint64(got) != mix(state) {
-			return false
-		}
-	}
-	if len(got) > 0 {
-		w := mix(state + golden)
-		for k, b := range got {
-			if b != byte(w>>(8*k)) {
-				return false
-			}
-		}
-	}
-	return true
+	return matches(f.key(i), got)
 }
 
 // golden is SplitMix64's increment, 2^64 divided by the golden ratio.
@@ -135,11 +121,13 @@ func (f File) key(i int) uint64 {
 	return mix(mix(uint64(f.Seed)) + uint64(i)*golden)
 }
 
-// fill writes the packet whose key is state into p: the SplitMix64 stream
-// started at the key (word j is mix(key + (j+1)·golden)) as whole
+// fillWords writes the packet whose key is state into p: the SplitMix64
+// stream started at the key (word j is mix(key + (j+1)·golden)) as whole
 // little-endian words, then the low bytes of the next word for a tail
-// shorter than eight.
-func fill(state uint64, p []byte) {
+// shorter than eight. It is the definition of a packet's bytes: fill runs
+// it where the CPU has no vector body (splitmix_amd64.go), and the tests
+// hold the vector body to it.
+func fillWords(state uint64, p []byte) {
 	for ; len(p) >= 8; p = p[8:] {
 		state += golden
 		binary.LittleEndian.PutUint64(p, mix(state))
@@ -150,6 +138,26 @@ func fill(state uint64, p []byte) {
 			p[k] = byte(w >> (8 * k))
 		}
 	}
+}
+
+// matchWords reports whether p is the packet fillWords writes for state,
+// word by word.
+func matchWords(state uint64, p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		state += golden
+		if binary.LittleEndian.Uint64(p) != mix(state) {
+			return false
+		}
+	}
+	if len(p) > 0 {
+		w := mix(state + golden)
+		for k, b := range p {
+			if b != byte(w>>(8*k)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Result reports a transfer's outcome, common to MORE, ExOR, and Srcr runs.
@@ -167,8 +175,8 @@ type Result struct {
 	// packet, or the run deadline for incomplete transfers).
 	Start, End sim.Time
 	// Transmissions counts the transmissions of frames stamped with the
-	// flow, MAC retries included. The engine fills it in from the
-	// simulator's per-flow count; a sink leaves it 0.
+	// flow, MAC retries included. A sink leaves it 0; CountTransmissions
+	// fills it in from the simulator's per-flow count.
 	Transmissions int64
 	// Verified reports whether delivered payload bytes matched the file.
 	Verified bool
@@ -227,6 +235,14 @@ func (r *Result) Deliver(total int, now sim.Time) {
 // clears Verified, and it stays cleared.
 func (r *Result) Check(ok bool) {
 	r.Verified = r.Verified && ok
+}
+
+// CountTransmissions sets Transmissions to what c charged to flow id: the
+// simulator counts every data-frame transmission, MAC retries included,
+// under the flow stamped on the frame. It is the field's one writer, for
+// the engine's runs and hand-built ones alike.
+func (r *Result) CountTransmissions(c *sim.Counters, id ID) {
+	r.Transmissions = c.TxByFlow[uint32(id)]
 }
 
 // String renders a one-line summary.

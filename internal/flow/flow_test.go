@@ -3,6 +3,7 @@ package flow
 import (
 	"bytes"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -277,6 +278,98 @@ func TestFillAndMatchesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestVectorFillMatchesWords holds fill and matches to the word loops that
+// define a packet's bytes, on each path this host runs — the word loops
+// themselves and, where the CPU has them, the vector bodies: every length
+// 0…200 and 1500, over random keys, into a buffer whose guard bytes must
+// survive. matches must accept the packet and reject one flipped byte in
+// its head, its middle and its last byte, and matchWords must agree.
+func TestVectorFillMatchesWords(t *testing.T) {
+	paths := []bool{false}
+	if vectorFile {
+		paths = append(paths, true)
+	}
+	t.Logf("vector bodies run: %v", vectorFile)
+	defer func(v bool) { vectorFile = v }(vectorFile)
+	const guard = 64
+	rng := rand.New(rand.NewSource(51))
+	lengths := make([]int, 0, 202)
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, vectorFile = range paths {
+		for _, n := range append(lengths, 1500) {
+			for rep := 0; rep < 4; rep++ {
+				key := rng.Uint64()
+				want := make([]byte, n)
+				fillWords(key, want)
+				buf := bytes.Repeat([]byte{0xc3}, guard+n+guard)
+				got := buf[guard : guard+n : guard+n]
+				fill(key, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("vector=%v n=%d key=%#x: fill differs from fillWords\n got %x\nwant %x", vectorFile, n, key, got, want)
+				}
+				for i, g := range buf {
+					if (i < guard || i >= guard+n) && g != 0xc3 {
+						t.Fatalf("vector=%v n=%d: fill wrote outside p at %d", vectorFile, n, i-guard)
+					}
+				}
+				if !matches(key, got) || !matchWords(key, got) {
+					t.Fatalf("vector=%v n=%d key=%#x: the packet does not match itself", vectorFile, n, key)
+				}
+				if n == 0 {
+					continue
+				}
+				for _, at := range []int{0, n / 2, n - 1} {
+					got[at] ^= 1 << rng.Intn(8)
+					if matches(key, got) || matchWords(key, got) {
+						t.Fatalf("vector=%v n=%d key=%#x: a flip at byte %d matches", vectorFile, n, key, at)
+					}
+					copy(got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMatchesRejectsFlipsEverywhere: through File.Matches, one flipped byte
+// in the head, the body or the tail of packets of many lengths, and a
+// length one short or one long, all fail; the packet itself matches.
+func TestMatchesRejectsFlipsEverywhere(t *testing.T) {
+	for _, size := range []int{1, 7, 8, 63, 64, 65, 127, 128, 129, 1499, 1500} {
+		f := NewFile(size, size, int64(size))
+		p := f.Packets(0, 1)[0]
+		if !f.Matches(0, p) {
+			t.Fatalf("%d B: the packet does not match", size)
+		}
+		for _, at := range []int{0, size / 2, size - 1} {
+			p[at] ^= 0x80
+			if f.Matches(0, p) {
+				t.Errorf("%d B: a flip at byte %d matches", size, at)
+			}
+			p[at] ^= 0x80
+		}
+		if f.Matches(0, p[:size-1]) || f.Matches(0, append(p[:size:size], 0)) {
+			t.Errorf("%d B: a wrong length matches", size)
+		}
+	}
+}
+
+// TestCountTransmissions: a result takes its own flow's count from the
+// simulator's per-flow tally, not another flow's or the control bucket.
+func TestCountTransmissions(t *testing.T) {
+	c := sim.Counters{TxByFlow: map[uint32]int64{0: 9, 1: 40, 2: 7}}
+	var r Result
+	r.CountTransmissions(&c, 2)
+	if r.Transmissions != 7 {
+		t.Fatalf("flow 2: %d transmissions, want 7", r.Transmissions)
+	}
+	r.CountTransmissions(&c, 3)
+	if r.Transmissions != 0 {
+		t.Fatalf("flow 3 sent nothing: %d transmissions", r.Transmissions)
+	}
+}
+
 // TestResultSinkRules drives the three sink rules the way each protocol's
 // sink calls them: at every arrival Arrive, then Deliver with the count so
 // far, then Check. Srcr delivers one packet at a time, MORE a decoded batch
@@ -311,6 +404,28 @@ func TestResultSinkRules(t *testing.T) {
 				t.Errorf("%s, mismatch at step %d: got src %d start %v end %v delivered %d verified %v, want src 3 start 10ns end %v delivered %d verified %v",
 					c.name, bad, r.Src, r.Start, r.End, r.PacketsDelivered, r.Verified, want.End, want.PacketsDelivered, want.Verified)
 			}
+		}
+	}
+}
+
+// BenchmarkFill1500 and BenchmarkMatches1500 cost one 1500-byte packet's
+// generation and verification, the source's and the sink's share of it.
+func BenchmarkFill1500(b *testing.B) {
+	f := NewFile(1500*64, 1500, 61)
+	buf := make([]byte, 1500)
+	b.SetBytes(1500)
+	for i := 0; i < b.N; i++ {
+		f.Fill(i&63, buf)
+	}
+}
+
+func BenchmarkMatches1500(b *testing.B) {
+	f := NewFile(1500, 1500, 62)
+	p := f.Packets(0, 1)[0]
+	b.SetBytes(1500)
+	for i := 0; i < b.N; i++ {
+		if !f.Matches(0, p) {
+			b.Fatal("no match")
 		}
 	}
 }

@@ -236,42 +236,55 @@ func checkKernelEquivalence(t *testing.T, fc fuzzCase) {
 	ref.CombineInto(wantInto, fc.rows, fc.coeffs[0])
 
 	for _, name := range fuzzArms(t) {
-		kn, err := NewKernelNamed(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		kn.SetRows(fc.rows)
-
-		// Combine: dst starts dirty to catch arms that accumulate instead
-		// of overwrite. Dst is also placed unaligned.
-		for p := 0; p < fc.np; p++ {
-			backing := bytes.Repeat([]byte{0xa5}, fc.size+13)
-			got := backing[13:]
-			kn.Combine(got, fc.coeffs[p])
-			if !bytes.Equal(got, wantCombine[p]) {
-				t.Fatalf("%s Combine diverges from reference (k=%d size=%d p=%d coeffs=%x)\n got %x\nwant %x",
-					name, fc.k, fc.size, p, fc.coeffs[p], got, wantCombine[p])
+		for _, w := range combineWidths(name) {
+			label := name
+			if w != 0 {
+				label = fmt.Sprintf("%s/%dB", name, w)
 			}
+			withCombineWidth(w, func() { checkArmEquivalence(t, fc, name, label, wantCombine, wantMany, wantInto) })
 		}
+	}
+}
 
-		gotMany := make([][]byte, fc.np)
-		for p := range gotMany {
-			gotMany[p] = bytes.Repeat([]byte{0x3c}, fc.size)
-		}
-		kn.CombineMany(gotMany, fc.coeffs)
-		for p := range gotMany {
-			if !bytes.Equal(gotMany[p], wantMany[p]) {
-				t.Fatalf("%s CombineMany diverges from reference (k=%d size=%d p=%d)",
-					name, fc.k, fc.size, p)
-			}
-		}
+// checkArmEquivalence runs one case through the named arm's three combine
+// entry points and compares each with the oracle's output.
+func checkArmEquivalence(t *testing.T, fc fuzzCase, name, label string, wantCombine, wantMany [][]byte, wantInto []byte) {
+	t.Helper()
+	kn, err := NewKernelNamed(name)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	kn.SetRows(fc.rows)
 
-		gotInto := bytes.Repeat([]byte{0x5a}, fc.size)
-		kn.CombineInto(gotInto, fc.rows, fc.coeffs[0])
-		if !bytes.Equal(gotInto, wantInto) {
-			t.Fatalf("%s CombineInto diverges from reference (k=%d size=%d coeffs=%x)\n got %x\nwant %x",
-				name, fc.k, fc.size, fc.coeffs[0], gotInto, wantInto)
+	// Combine: dst starts dirty to catch arms that accumulate instead
+	// of overwrite. Dst is also placed unaligned.
+	for p := 0; p < fc.np; p++ {
+		backing := bytes.Repeat([]byte{0xa5}, fc.size+13)
+		got := backing[13:]
+		kn.Combine(got, fc.coeffs[p])
+		if !bytes.Equal(got, wantCombine[p]) {
+			t.Fatalf("%s Combine diverges from reference (k=%d size=%d p=%d coeffs=%x)\n got %x\nwant %x",
+				label, fc.k, fc.size, p, fc.coeffs[p], got, wantCombine[p])
 		}
+	}
+
+	gotMany := make([][]byte, fc.np)
+	for p := range gotMany {
+		gotMany[p] = bytes.Repeat([]byte{0x3c}, fc.size)
+	}
+	kn.CombineMany(gotMany, fc.coeffs)
+	for p := range gotMany {
+		if !bytes.Equal(gotMany[p], wantMany[p]) {
+			t.Fatalf("%s CombineMany diverges from reference (k=%d size=%d p=%d)",
+				label, fc.k, fc.size, p)
+		}
+	}
+
+	gotInto := bytes.Repeat([]byte{0x5a}, fc.size)
+	kn.CombineInto(gotInto, fc.rows, fc.coeffs[0])
+	if !bytes.Equal(gotInto, wantInto) {
+		t.Fatalf("%s CombineInto diverges from reference (k=%d size=%d coeffs=%x)\n got %x\nwant %x",
+			label, fc.k, fc.size, fc.coeffs[0], gotInto, wantInto)
 	}
 }
 

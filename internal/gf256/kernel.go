@@ -20,7 +20,9 @@ package gf256
 //     lanes when the CPU has them.
 //   - gfni (amd64): one VGF2P8AFFINEQB per 32 input bytes, multiplying by a
 //     constant via its 8×8 bit matrix over GF(2) (the affine form works for
-//     our 0x11D polynomial where GF2P8MULB's hardwired 0x11B would not).
+//     our 0x11D polynomial where GF2P8MULB's hardwired 0x11B would not). Its
+//     multi-row form is one pass: every output block is accumulated over all
+//     rows in registers, in 64-byte ZMM lanes where AVX-512 is enabled.
 //   - reference: the byte-wise mulTable loop in reference.go — the oracle
 //     all word/vector forms are differentially fuzzed against, never
 //     selected by auto dispatch.

@@ -1,5 +1,6 @@
 // amd64 constant-multiply primitives for the SIMD kernel arms
-// (kernel_simd_amd64.go). Each function applies one GF(2^8)
+// (kernel_simd_amd64.go), and at the end the gfni arm's one-pass
+// multi-row combine. Each primitive applies one GF(2^8)
 // multiply-by-constant to a whole slice:
 //
 //	gfMul*   : dst[i]  = c * src[i]
@@ -316,54 +317,203 @@ loop:
 	VZEROUPPER
 	RET
 
-// func gfMulAdd2GFNI(dst, a, b *byte, n int, matA, matB uint64)
-// dst[i] ^= cA*a[i] ^ cB*b[i], GFNI form.
-TEXT ·gfMulAdd2GFNI(SB), NOSPLIT, $0-48
+// func gfniCombineYMM(dst *byte, n int, rows *gfniRow, nrows, off int)
+// func gfniCombineZMM(dst *byte, n int, rows *gfniRow, nrows, off int)
+//
+// The one-pass multi-row combine of the GFNI arm, over a list of (source
+// pointer, bit matrix) pairs of 16 bytes each:
+//
+//	dst[j] = XOR over r < nrows of rows[r].mat applied to rows[r].src[off+j],  0 <= j < n
+//
+// Each output block is accumulated in registers across all rows and stored
+// once, so dst is written n bytes in total and never read, whatever the row
+// count. Four blocks (128 bytes in YMM, 256 in ZMM) share one load of each
+// row's pointer and matrix; what is left runs one block at a time. The first
+// row sets the accumulators, so nrows >= 1. n is a positive multiple of the
+// block (32 or 64 bytes) and dst overlaps no source. The ZMM body is
+// EVEX-encoded (AVX-512F/BW with GFNI) and ends in VZEROUPPER like the VEX
+// ones.
+TEXT ·gfniCombineYMM(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ n+24(FP), CX
-	MOVQ matA+32(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y0
-	MOVQ matB+40(FP), AX
-	VMOVQ AX, X3
-	VPBROADCASTQ X3, Y3
-	CMPQ CX, $64
-	JB   tail32
+	MOVQ n+8(FP), CX
+	MOVQ rows+16(FP), SI
+	MOVQ nrows+24(FP), R8
+	SHLQ $4, R8
+	ADDQ SI, R8               // end of the row list
+	MOVQ off+32(FP), R9
+	CMPQ CX, $128
+	JB   one
 
-loop64:
-	VMOVDQU (SI), Y1
-	VMOVDQU 32(SI), Y2
-	VMOVDQU (BX), Y4
-	VMOVDQU 32(BX), Y5
-	VGF2P8AFFINEQB $0, Y0, Y1, Y1
-	VGF2P8AFFINEQB $0, Y0, Y2, Y2
-	VGF2P8AFFINEQB $0, Y3, Y4, Y4
-	VGF2P8AFFINEQB $0, Y3, Y5, Y5
-	VPXOR Y4, Y1, Y1
-	VPXOR Y5, Y2, Y2
-	VPXOR (DI), Y1, Y1
-	VPXOR 32(DI), Y2, Y2
-	VMOVDQU Y1, (DI)
-	VMOVDQU Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, BX
-	ADDQ $64, DI
-	SUBQ $64, CX
-	CMPQ CX, $64
-	JAE  loop64
+four:
+	MOVQ (SI), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(SI), Y4
+	VMOVDQU (AX), Y0
+	VMOVDQU 32(AX), Y1
+	VMOVDQU 64(AX), Y2
+	VMOVDQU 96(AX), Y3
+	VGF2P8AFFINEQB $0, Y4, Y0, Y0
+	VGF2P8AFFINEQB $0, Y4, Y1, Y1
+	VGF2P8AFFINEQB $0, Y4, Y2, Y2
+	VGF2P8AFFINEQB $0, Y4, Y3, Y3
+	LEAQ 16(SI), BX
+	CMPQ BX, R8
+	JAE  fourStore
 
-tail32:
+fourRow:
+	MOVQ (BX), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(BX), Y4
+	VMOVDQU (AX), Y5
+	VMOVDQU 32(AX), Y6
+	VMOVDQU 64(AX), Y7
+	VMOVDQU 96(AX), Y8
+	VGF2P8AFFINEQB $0, Y4, Y5, Y5
+	VGF2P8AFFINEQB $0, Y4, Y6, Y6
+	VGF2P8AFFINEQB $0, Y4, Y7, Y7
+	VGF2P8AFFINEQB $0, Y4, Y8, Y8
+	VPXOR Y5, Y0, Y0
+	VPXOR Y6, Y1, Y1
+	VPXOR Y7, Y2, Y2
+	VPXOR Y8, Y3, Y3
+	ADDQ $16, BX
+	CMPQ BX, R8
+	JB   fourRow
+
+fourStore:
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R9
+	SUBQ $128, CX
+	CMPQ CX, $128
+	JAE  four
+
+one:
 	TESTQ CX, CX
 	JZ   done
-	VMOVDQU (SI), Y1
-	VMOVDQU (BX), Y4
-	VGF2P8AFFINEQB $0, Y0, Y1, Y1
-	VGF2P8AFFINEQB $0, Y3, Y4, Y4
-	VPXOR Y4, Y1, Y1
-	VPXOR (DI), Y1, Y1
-	VMOVDQU Y1, (DI)
+
+oneBlock:
+	MOVQ (SI), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(SI), Y4
+	VMOVDQU (AX), Y0
+	VGF2P8AFFINEQB $0, Y4, Y0, Y0
+	LEAQ 16(SI), BX
+	CMPQ BX, R8
+	JAE  oneStore
+
+oneRow:
+	MOVQ (BX), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(BX), Y4
+	VMOVDQU (AX), Y5
+	VGF2P8AFFINEQB $0, Y4, Y5, Y5
+	VPXOR Y5, Y0, Y0
+	ADDQ $16, BX
+	CMPQ BX, R8
+	JB   oneRow
+
+oneStore:
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R9
+	SUBQ $32, CX
+	JNE  oneBlock
+
+done:
+	VZEROUPPER
+	RET
+
+TEXT ·gfniCombineZMM(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ rows+16(FP), SI
+	MOVQ nrows+24(FP), R8
+	SHLQ $4, R8
+	ADDQ SI, R8               // end of the row list
+	MOVQ off+32(FP), R9
+	CMPQ CX, $256
+	JB   one
+
+four:
+	MOVQ (SI), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(SI), Z4
+	VMOVDQU64 (AX), Z0
+	VMOVDQU64 64(AX), Z1
+	VMOVDQU64 128(AX), Z2
+	VMOVDQU64 192(AX), Z3
+	VGF2P8AFFINEQB $0, Z4, Z0, Z0
+	VGF2P8AFFINEQB $0, Z4, Z1, Z1
+	VGF2P8AFFINEQB $0, Z4, Z2, Z2
+	VGF2P8AFFINEQB $0, Z4, Z3, Z3
+	LEAQ 16(SI), BX
+	CMPQ BX, R8
+	JAE  fourStore
+
+fourRow:
+	MOVQ (BX), AX
+	ADDQ R9, AX
+	VPBROADCASTQ 8(BX), Z4
+	VMOVDQU64 (AX), Z5
+	VMOVDQU64 64(AX), Z6
+	VMOVDQU64 128(AX), Z7
+	VMOVDQU64 192(AX), Z8
+	VGF2P8AFFINEQB $0, Z4, Z5, Z5
+	VGF2P8AFFINEQB $0, Z4, Z6, Z6
+	VGF2P8AFFINEQB $0, Z4, Z7, Z7
+	VGF2P8AFFINEQB $0, Z4, Z8, Z8
+	VPXORQ Z5, Z0, Z0
+	VPXORQ Z6, Z1, Z1
+	VPXORQ Z7, Z2, Z2
+	VPXORQ Z8, Z3, Z3
+	ADDQ $16, BX
+	CMPQ BX, R8
+	JB   fourRow
+
+fourStore:
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	VMOVDQU64 Z2, 128(DI)
+	VMOVDQU64 Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, R9
+	SUBQ $256, CX
+	CMPQ CX, $256
+	JAE  four
+
+one:
+	TESTQ CX, CX
+	JZ   done
+
+oneBlock:
+	MOVQ (SI), AX
+	ADDQ R9, AX
+	VMOVDQU64 (AX), Z0
+	VGF2P8AFFINEQB.BCST $0, 8(SI), Z0, Z0
+	LEAQ 16(SI), BX
+	CMPQ BX, R8
+	JAE  oneStore
+
+oneRow:
+	MOVQ (BX), AX
+	ADDQ R9, AX
+	VMOVDQU64 (AX), Z5
+	VGF2P8AFFINEQB.BCST $0, 8(BX), Z5, Z5
+	VPXORQ Z5, Z0, Z0
+	ADDQ $16, BX
+	CMPQ BX, R8
+	JB   oneRow
+
+oneStore:
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, R9
+	SUBQ $64, CX
+	JNE  oneBlock
 
 done:
 	VZEROUPPER

@@ -1,14 +1,23 @@
 package gf256
 
+import (
+	"unsafe"
+
+	"repro/internal/cpufeat"
+)
+
 // The amd64 SIMD kernel arms. Where the portable kernel decomposes a
 // multi-row combination into bit planes (kernel_generic.go), the SIMD arms
-// take the direct route: one constant-multiply-accumulate pass over the
-// payload per nonzero coefficient, each pass running 16 bytes (SSSE3
-// PSHUFB), 32 bytes (AVX2 VPSHUFB) or 32 bytes at one instruction per lane
-// (GFNI VGF2P8AFFINEQB) at a time. The per-coefficient acceleration state —
-// the 32-byte nibble product tables and the 8x8 affine bit matrices — is
-// precomputed for all 256 coefficients at package init (10 KiB total), so a
-// combine touches no scalar multiplication tables at all.
+// take the direct route. The pshufb arm makes one constant-multiply-
+// accumulate pass over the payload per nonzero coefficient (two fused per
+// pass in its AVX2 form), 16 bytes (SSSE3 PSHUFB) or 32 bytes (AVX2
+// VPSHUFB) at a time. The gfni arm makes one pass in all: each output block
+// is accumulated across every row in registers, one VGF2P8AFFINEQB per row
+// and 32-byte YMM or 64-byte ZMM lane, and stored once. The per-coefficient
+// acceleration state — the 32-byte nibble product tables and the 8x8 affine
+// bit matrices — is precomputed for all 256 coefficients at package init
+// (10 KiB total), so a combine touches no scalar multiplication tables at
+// all.
 //
 // Both arms must produce byte-identical output to the portable kernel and
 // the byte-wise reference; FuzzKernelEquivalence crosses all of them.
@@ -51,7 +60,7 @@ func init() {
 // the 32-byte AVX2 form when the CPU has it and the 16-byte SSSE3 form
 // otherwise.
 var (
-	gfniArm       = arm{name: KernelGFNI, mul: gfniMul, mulAdd: gfniMulAdd, mulAdd2: gfniMulAdd2}
+	gfniArm       = arm{name: KernelGFNI, mul: gfniMul, mulAdd: gfniMulAdd}
 	pshufbWideArm = arm{name: KernelPSHUFB, mul: pshufbMulWide, mulAdd: pshufbMulAddWide, mulAdd2: pshufbMulAdd2Wide}
 	pshufbArm     = arm{name: KernelPSHUFB, mul: pshufbMul, mulAdd: pshufbMulAdd}
 )
@@ -59,13 +68,13 @@ var (
 // archArms returns the accelerated arms this CPU supports, best-first.
 func archArms() []*arm {
 	var as []*arm
-	if cpuFeat.gfni {
+	if cpufeat.X86.GFNI {
 		as = append(as, &gfniArm)
 	}
 	switch {
-	case cpuFeat.avx2:
+	case cpufeat.X86.AVX2:
 		as = append(as, &pshufbWideArm)
-	case cpuFeat.ssse3:
+	case cpufeat.X86.SSSE3:
 		as = append(as, &pshufbArm)
 	}
 	return as
@@ -73,24 +82,38 @@ func archArms() []*arm {
 
 func newArchImpl(a *arm) kernelImpl { return &simdKernel{arm: a} }
 
-// simdKernel implements kernelImpl as one constant-multiply pass of its
-// arm's single-row pair per nonzero coefficient. setRows only snapshots the
-// rows (the per-coefficient tables are global), so SetRows is far cheaper
-// than the portable kernel's subset-table build.
+// simdKernel implements kernelImpl: on the gfni arm as the one-pass body
+// (gfniCombine), on the pshufb arm as one pass of its single-row pair per
+// nonzero coefficient. setRows only snapshots the rows (the per-coefficient
+// tables are global), so SetRows is far cheaper than the portable kernel's
+// subset-table build. The snapshot starts every row on a 64-byte boundary:
+// a vector load then never straddles two cache lines (CombineMany of 32 ×
+// 32 × 1500 B on the one-pass ZMM body: 22.2 µs with rows packed at a
+// 1500-byte stride, 15.4–18.3 µs aligned).
 type simdKernel struct {
 	*arm
 	size int
 	flat []byte   // row snapshot backing store
 	rows [][]byte // views into flat
 	sel  []int32  // scratch: indices of nonzero coefficients
+	// The gfni arm's one-pass scratch: the nonzero rows, in row order.
+	nonzero []gfniRow
+}
+
+// gfniRow is one source of the one-pass combine: the row's first byte and
+// its coefficient's bit matrix, as the assembly body reads them.
+type gfniRow struct {
+	src *byte
+	mat uint64
 }
 
 func (kn *simdKernel) setRows(rows [][]byte) {
 	size := len(rows[0])
 	kn.size = size
-	need := len(rows) * size
+	stride := (size + 63) &^ 63
+	need := len(rows) * stride
 	if cap(kn.flat) < need {
-		kn.flat = make([]byte, need)
+		kn.flat = aligned64(need)
 	}
 	kn.flat = kn.flat[:need]
 	if cap(kn.rows) < len(rows) {
@@ -98,9 +121,23 @@ func (kn *simdKernel) setRows(rows [][]byte) {
 	}
 	kn.rows = kn.rows[:len(rows)]
 	for i, r := range rows {
-		kn.rows[i] = kn.flat[i*size : (i+1)*size]
+		kn.rows[i] = kn.flat[i*stride : i*stride+size : i*stride+size]
 		copy(kn.rows[i], r)
 	}
+}
+
+// aligned64 returns n > 0 zero bytes starting on a 64-byte boundary. An
+// allocation of a multiple of 64 bytes from 1 KiB up is one already (every
+// size class there is a multiple of 64, and larger objects start on a
+// page), so only other shapes pay 63 bytes of slack.
+func aligned64(n int) []byte {
+	b := make([]byte, n)
+	if uintptr(unsafe.Pointer(&b[0]))&63 == 0 {
+		return b
+	}
+	b = make([]byte, n+63)
+	off := -int(uintptr(unsafe.Pointer(&b[0]))) & 63
+	return b[off : off+n]
 }
 
 func (kn *simdKernel) combine(dst, coeffs []byte) {
@@ -114,6 +151,10 @@ func (kn *simdKernel) combineMany(dsts [][]byte, coeffs [][]byte) {
 }
 
 func (kn *simdKernel) combineInto(dst []byte, srcs [][]byte, coeffs []byte) {
+	if kn.arm == &gfniArm && len(dst) >= 32 {
+		kn.gfniCombine(dst, srcs, coeffs)
+		return
+	}
 	sel := kn.sel[:0]
 	for i, c := range coeffs {
 		if c != 0 {
@@ -135,6 +176,56 @@ func (kn *simdKernel) combineInto(dst []byte, srcs [][]byte, coeffs []byte) {
 	}
 	for ; i < len(sel); i++ {
 		kn.mulAdd(dst, srcs[sel[i]], coeffs[sel[i]])
+	}
+}
+
+// gfniZMM selects the 64-byte ZMM body of the gfni arm's one-pass combine
+// over the 32-byte YMM one. It holds where the CPU has AVX-512F/BW with the
+// ZMM state enabled; the tests switch it to run both widths on such a host.
+var gfniZMM = cpufeat.X86.AVX512BW
+
+// gfniCombine is combineInto on the gfni arm for rows of at least one YMM
+// block: one assembly call accumulates every nonzero row into each output
+// block in registers and stores the block once. A row length that is not a
+// whole number of blocks is finished by one more pass over the last whole
+// block of the row, into a block on the stack whose final bytes are the
+// tail. The row list is the kernel's scratch, made once at its full
+// length, and is cleared afterwards so it keeps no payload alive.
+func (kn *simdKernel) gfniCombine(dst []byte, srcs [][]byte, coeffs []byte) {
+	if cap(kn.nonzero) < len(coeffs) {
+		kn.nonzero = make([]gfniRow, 0, len(coeffs))
+	}
+	rows := kn.nonzero[:0]
+	for i, c := range coeffs {
+		if c != 0 {
+			rows = append(rows, gfniRow{&srcs[i][0], gfniMat[c]})
+		}
+	}
+	if len(rows) == 0 {
+		clear(dst)
+		return
+	}
+	w := 32
+	if gfniZMM && len(dst) >= 64 {
+		w = 64
+	}
+	n := len(dst) &^ (w - 1)
+	gfniCombineBody(w, &dst[0], n, rows, 0)
+	if t := len(dst) - n; t > 0 {
+		var blk [64]byte
+		gfniCombineBody(w, &blk[0], w, rows, len(dst)-w)
+		copy(dst[n:], blk[w-t:w])
+	}
+	clear(rows)
+}
+
+// gfniCombineBody runs the w-byte body. The call is direct, not through a
+// function value, so the stack block stays on the stack.
+func gfniCombineBody(w int, dst *byte, n int, rows []gfniRow, off int) {
+	if w == 64 {
+		gfniCombineZMM(dst, n, &rows[0], len(rows), off)
+	} else {
+		gfniCombineYMM(dst, n, &rows[0], len(rows), off)
 	}
 }
 
@@ -165,8 +256,14 @@ func gfMulGFNI(dst, src *byte, n int, mat uint64)
 //go:noescape
 func gfMulAddGFNI(dst, src *byte, n int, mat uint64)
 
+// gfniCombineYMM and gfniCombineZMM set dst[j] = Σ rows[r].mat·rows[r].src[off+j]
+// for j < n over nrows ≥ 1 rows; n is a multiple of their block, 32 or 64.
+//
 //go:noescape
-func gfMulAdd2GFNI(dst, a, b *byte, n int, matA, matB uint64)
+func gfniCombineYMM(dst *byte, n int, rows *gfniRow, nrows, off int)
+
+//go:noescape
+func gfniCombineZMM(dst *byte, n int, rows *gfniRow, nrows, off int)
 
 // The Go-side wrappers run the vector body over the block-aligned prefix
 // and then once more for the tail, on zero-padded blocks on the stack:
@@ -292,22 +389,5 @@ func gfniMulAdd(dst, src []byte, c byte) {
 	if t := len(dst) - n; t > 0 {
 		s := tail32(src, t)
 		gfMulAddGFNI(&dst[len(dst)-32], &s[0], 32, gfniMat[c])
-	}
-}
-
-func gfniMulAdd2(dst, a, b []byte, c1, c2 byte) {
-	n := len(dst) &^ 31
-	if n == 0 {
-		if len(dst) > 0 {
-			d, sa, sb := pad32(dst), pad32(a), pad32(b)
-			gfMulAdd2GFNI(&d[0], &sa[0], &sb[0], 32, gfniMat[c1], gfniMat[c2])
-			copy(dst, d[:])
-		}
-		return
-	}
-	gfMulAdd2GFNI(&dst[0], &a[0], &b[0], n, gfniMat[c1], gfniMat[c2])
-	if t := len(dst) - n; t > 0 {
-		sa, sb := tail32(a, t), tail32(b, t)
-		gfMulAdd2GFNI(&dst[len(dst)-32], &sa[0], &sb[0], 32, gfniMat[c1], gfniMat[c2])
 	}
 }

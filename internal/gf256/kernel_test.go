@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -31,24 +32,82 @@ func randomRows(rng *rand.Rand, k, size int) ([][]byte, []byte) {
 }
 
 func TestKernelCombineMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	kn := NewKernel()
-	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 15, 32, 33, 128} {
-		for _, size := range kernelLengths {
-			rows, coeffs := randomRows(rng, k, size)
-			kn.SetRows(rows)
-			want := make([]byte, size)
-			combineRef(want, rows, coeffs)
-			got := make([]byte, size)
-			kn.Combine(got, coeffs)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("k=%d size=%d: Combine diverged from reference", k, size)
+	for _, w := range combineWidths(kn.Name()) {
+		rng := rand.New(rand.NewSource(1))
+		withCombineWidth(w, func() {
+			for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 15, 32, 33, 128} {
+				for _, size := range kernelLengths {
+					rows, coeffs := randomRows(rng, k, size)
+					kn.SetRows(rows)
+					want := make([]byte, size)
+					combineRef(want, rows, coeffs)
+					got := make([]byte, size)
+					kn.Combine(got, coeffs)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s width %d k=%d size=%d: Combine diverged from reference", kn.Name(), w, k, size)
+					}
+					got2 := make([]byte, size)
+					kn.CombineInto(got2, rows, coeffs)
+					if !bytes.Equal(got2, want) {
+						t.Fatalf("%s width %d k=%d size=%d: CombineInto diverged from reference", kn.Name(), w, k, size)
+					}
+				}
 			}
-			got2 := make([]byte, size)
-			kn.CombineInto(got2, rows, coeffs)
-			if !bytes.Equal(got2, want) {
-				t.Fatalf("k=%d size=%d: CombineInto diverged from reference", k, size)
-			}
+		})
+	}
+}
+
+// TestOnePassCombineWidths crosses every arm's multi-row form — the gfni
+// one-pass body at each width this host runs — with the byte-wise oracle
+// for every row count 1…40 and the lengths around one and two 32-byte
+// blocks plus a full packet. Every destination sits between guard bytes:
+// the tail pass over the last whole block must write nothing outside it.
+func TestOnePassCombineWidths(t *testing.T) {
+	const guard = 64
+	lengths := []int{1, 31, 32, 33, 63, 64, 65, 1500}
+	for _, name := range fuzzArms(t) {
+		kn, err := NewKernelNamed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths := combineWidths(name)
+		if name == KernelGFNI {
+			t.Logf("gfni one-pass combine ran at widths %v bytes", widths)
+		}
+		for _, w := range widths {
+			rng := rand.New(rand.NewSource(int64(w)))
+			withCombineWidth(w, func() {
+				for k := 1; k <= 40; k++ {
+					for _, size := range lengths {
+						rows, coeffs := randomRows(rng, k, size)
+						if k%3 == 0 {
+							coeffs[rng.Intn(k)] = 0 // a skipped row
+						}
+						want := make([]byte, size)
+						combineRef(want, rows, coeffs)
+						buf := bytes.Repeat([]byte{0xc3}, guard+size+guard)
+						dst := buf[guard : guard+size : guard+size]
+						kn.SetRows(rows)
+						for _, into := range []bool{false, true} {
+							if into {
+								kn.CombineInto(dst, rows, coeffs)
+							} else {
+								kn.Combine(dst, coeffs)
+							}
+							if !bytes.Equal(dst, want) {
+								t.Fatalf("%s width %d k=%d size=%d into=%v: diverged from reference", name, w, k, size, into)
+							}
+							for i, g := range buf {
+								if (i < guard || i >= guard+size) && g != 0xc3 {
+									t.Fatalf("%s width %d k=%d size=%d into=%v: wrote outside dst at %d", name, w, k, size, into, i-guard)
+								}
+							}
+							clear(dst)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -266,6 +325,26 @@ func BenchmarkKernelCombineInto32x1500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kn.CombineInto(dst, rows, coeffs)
+	}
+}
+
+// BenchmarkCombineIntoWidths is BenchmarkKernelCombineInto32x1500 at each
+// width the active arm's multi-row form runs at on this host.
+func BenchmarkCombineIntoWidths(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	rows, coeffs := randomRows(rng, 32, 1500)
+	kn := NewKernel()
+	dst := make([]byte, 1500)
+	for _, w := range combineWidths(kn.Name()) {
+		b.Run(fmt.Sprintf("%s/%dB", kn.Name(), w), func(b *testing.B) {
+			withCombineWidth(w, func() {
+				b.SetBytes(32 * 1500)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					kn.CombineInto(dst, rows, coeffs)
+				}
+			})
+		})
 	}
 }
 

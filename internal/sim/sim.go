@@ -151,9 +151,12 @@ type Counters struct {
 	UnicastSuccesses int64
 	UnicastFailures  int64 // unicast frames dropped after retry limit
 	AirTime          Time  // total on-air time of all transmissions
-	AirTimeByRate    map[Bitrate]Time
-	TxByRate         map[Bitrate]int64
-	TxByNode         []int64
+	// AirTimeByRate and TxByRate split AirTime and all transmissions (MAC
+	// ACKs included) by bitrate. They are brought up to date when RunWhile
+	// returns, not per frame.
+	AirTimeByRate map[Bitrate]Time
+	TxByRate      map[Bitrate]int64
+	TxByNode      []int64
 	// TxByFlow attributes data-frame transmissions (incl. MAC retries) to
 	// the flow stamped on each frame; key 0 collects control traffic and
 	// unattributed frames. Per-flow sums plus the 0 bucket always equal
@@ -232,6 +235,12 @@ type Simulator struct {
 	ackFree  FreeList[macAck]
 	Counters Counters
 
+	// rates is the per-bitrate air time and transmission count since
+	// RunWhile last folded it into Counters: a frame adds to its rate's
+	// record, found by a linear scan of the one to four rates a run uses,
+	// instead of hashing its float64 rate into two maps.
+	rates []rateTally
+
 	// Telem, when set, receives a typed telemetry.Event per medium and
 	// protocol event (see internal/telemetry). Nil costs one pointer check
 	// per emission site and nothing else.
@@ -254,6 +263,35 @@ type transmission struct {
 	overlaps []*transmission // other transmissions overlapping in time
 	refs     int32           // s.active while on the air + one per overlaps list holding it
 	endEv    Event           // takes the frame off the air at end; bound once, when made
+}
+
+// rateTally is one bitrate's share of the frames since the last fold.
+type rateTally struct {
+	rate Bitrate
+	air  Time
+	tx   int64
+}
+
+// tally records a frame of dur at rate.
+func (s *Simulator) tally(rate Bitrate, dur Time) {
+	for i := range s.rates {
+		if r := &s.rates[i]; r.rate == rate {
+			r.air += dur
+			r.tx++
+			return
+		}
+	}
+	s.rates = append(s.rates, rateTally{rate: rate, air: dur, tx: 1})
+}
+
+// foldRates adds the tallies to Counters.AirTimeByRate and TxByRate and
+// starts them afresh.
+func (s *Simulator) foldRates() {
+	for _, r := range s.rates {
+		s.Counters.AirTimeByRate[r.rate] += r.air
+		s.Counters.TxByRate[r.rate] += r.tx
+	}
+	s.rates = s.rates[:0]
 }
 
 // release drops one holder of tx and recycles it with the last.
@@ -465,6 +503,7 @@ func (s *Simulator) RunWhile(until Time, cond func() bool) Time {
 	if s.now > until {
 		s.now = until
 	}
+	s.foldRates()
 	return s.now
 }
 
@@ -601,8 +640,7 @@ func (s *Simulator) startTransmission(n *Node, f *Frame) {
 		s.Counters.TxByFlow[f.FlowID]++
 	}
 	s.Counters.AirTime += dur
-	s.Counters.AirTimeByRate[rate] += dur
-	s.Counters.TxByRate[rate]++
+	s.tally(rate, dur)
 
 	if s.Telem != nil {
 		var ack int64

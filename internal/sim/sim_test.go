@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -414,6 +415,37 @@ func TestAirtimeAccounting(t *testing.T) {
 	}
 	if s.Counters.TxByNode[0] != 1 {
 		t.Fatalf("TxByNode = %v", s.Counters.TxByNode)
+	}
+}
+
+// TestRateCountersFoldAtRunEnd: the per-rate counters split AirTime and
+// every transmission by bitrate exactly, and a second run adds to the
+// first's figures instead of replacing them.
+func TestRateCountersFoldAtRunEnd(t *testing.T) {
+	s, a, _ := pair(t, 1.0, DefaultConfig())
+	wantTx := map[Bitrate]int64{}
+	wantAir := map[Bitrate]Time{}
+	for run, rates := range [][]Bitrate{{Rate11, Rate1, Rate11, 0}, {Rate2, Rate11, Rate1}} {
+		for _, r := range rates {
+			a.enqueue(&Frame{From: 0, To: graph.Broadcast, Bytes: 700, Rate: r})
+			if r == 0 {
+				r = DefaultConfig().DataRate
+			}
+			wantTx[r]++
+			wantAir[r] += AirTime(700, r)
+		}
+		s.Run(Time(run+1) * Second)
+		if !reflect.DeepEqual(s.Counters.TxByRate, wantTx) || !reflect.DeepEqual(s.Counters.AirTimeByRate, wantAir) {
+			t.Fatalf("after run %d: TxByRate %v AirTimeByRate %v, want %v and %v",
+				run, s.Counters.TxByRate, s.Counters.AirTimeByRate, wantTx, wantAir)
+		}
+		var air Time
+		for _, d := range s.Counters.AirTimeByRate {
+			air += d
+		}
+		if air != s.Counters.AirTime {
+			t.Fatalf("after run %d: per-rate air %v, AirTime %v", run, air, s.Counters.AirTime)
+		}
 	}
 }
 
