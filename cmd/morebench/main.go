@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -80,17 +81,21 @@ func main() {
 
 // run executes the experiments the command line selects, writing reports to
 // stdout and diagnostics to stderr, and returns the exit code: 2 for an
-// unknown experiment or kernel or a count below 1, 1 for a failed gate or an
-// unwritable file.
+// unknown experiment or kernel, a count below 1 or a benchmark window of no
+// time, 1 for a failed gate or an unwritable file.
 func run(c *cli, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name string
 		n    int
-	}{{"-pairs", c.pairs}, {"-runs", c.runs}, {"-file", c.file}} {
+	}{{"-pairs", c.pairs}, {"-runs", c.runs}, {"-file", c.file}, {"-telemetry-runs", c.telRuns}} {
 		if f.n < 1 {
 			fmt.Fprintf(stderr, "%s: must be at least 1, got %d\n", f.name, f.n)
 			return 2
 		}
+	}
+	if !(c.benchSecs > 0) || math.IsInf(c.benchSecs, 1) {
+		fmt.Fprintf(stderr, "-bench-secs: must be a finite number above 0, got %g\n", c.benchSecs)
+		return 2
 	}
 	if c.gfKernel != "" {
 		if err := gf256.SetKernel(c.gfKernel); err != nil {

@@ -176,14 +176,19 @@ func TestFig43EmptyHalfIsNotAGain(t *testing.T) {
 // and counts below 1, which are refused before any experiment runs.
 func TestBadCommandLinesExit2(t *testing.T) {
 	for args, want := range map[string]string{
-		"-fig 9.9":            `unknown experiment: fig="9.9" table=""`,
-		"-gf256 abacus":       "-gf256: unknown or unsupported gf256 kernel",
-		"-table coverage":     `table="coverage"`,
-		"-fig 4.5 -runs -2":   "-runs: must be at least 1, got -2",
-		"-fig 4.2 -pairs 0":   "-pairs: must be at least 1, got 0",
-		"-fig 4.2 -pairs -3":  "-pairs: must be at least 1, got -3",
-		"-file 0":             "-file: must be at least 1, got 0",
-		"-table 4.1 -pairs 0": "-pairs: must be at least 1",
+		"-fig 9.9":                                  `unknown experiment: fig="9.9" table=""`,
+		"-gf256 abacus":                             "-gf256: unknown or unsupported gf256 kernel",
+		"-table coverage":                           `table="coverage"`,
+		"-fig 4.5 -runs -2":                         "-runs: must be at least 1, got -2",
+		"-fig 4.2 -pairs 0":                         "-pairs: must be at least 1, got 0",
+		"-fig 4.2 -pairs -3":                        "-pairs: must be at least 1, got -3",
+		"-file 0":                                   "-file: must be at least 1, got 0",
+		"-table 4.1 -pairs 0":                       "-pairs: must be at least 1",
+		"-telemetry-overhead -telemetry-runs -3":    "-telemetry-runs: must be at least 1, got -3",
+		"-telemetry-overhead -telemetry-runs 0":     "-telemetry-runs: must be at least 1, got 0",
+		"-baseline grid.json -bench-secs 0":         "-bench-secs: must be a finite number above 0, got 0",
+		"-check-baseline grid.json -bench-secs -1":  "-bench-secs: must be a finite number above 0, got -1",
+		"-check-baseline grid.json -bench-secs NaN": "-bench-secs: must be a finite number above 0, got NaN",
 	} {
 		code, out, errOut := runCLI(t, strings.Fields(args)...)
 		if code != 2 || out != "" || !strings.Contains(errOut, want) {
@@ -224,7 +229,11 @@ func TestGF256BaselineGate(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q:\n%s", code, errOut, out)
 	}
 	var res experiments.GF256BenchResult
-	if data, err := os.ReadFile(grid); err != nil || json.Unmarshal(data, &res) != nil || res.Cell("portable", "combine", 1500) <= 0 {
+	data, err := os.ReadFile(grid)
+	if err == nil {
+		err = json.Unmarshal(data, &res)
+	}
+	if v, _ := res.Cell("portable", "combine", 1500); err != nil || !(v > 0) {
 		t.Fatalf("-baseline wrote no portable grid: %v", err)
 	}
 

@@ -45,6 +45,8 @@ func writeSpec(t *testing.T, doc string) string {
 // TestSingleRunReport covers the one-run report in text and as the result
 // document, and the lines only some runs print: a spec's description,
 // fairness over several flows, the congestion layer, the measurement plane.
+// A spec file run with -json prints its golden byte for byte: the document
+// TestGoldenScenarios pins is the one the command prints.
 func TestSingleRunReport(t *testing.T) {
 	code, out, errOut := runCLI(t, toy...)
 	if code != 0 || errOut != "" {
@@ -73,6 +75,11 @@ func TestSingleRunReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("push-choke report lacks %q:\n%s", want, out)
 		}
+	}
+	code, out, _ = runCLI(t, "-scenario", filepath.Join("..", "..", "scenarios", "push-choke.json"), "-json")
+	golden, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "golden", "push-choke.json"))
+	if err != nil || code != 0 || out != string(golden) {
+		t.Errorf("push-choke -json: exit %d, %v; stdout is not the golden document", code, err)
 	}
 
 	learned := writeSpec(t, `{"name":"learned-diamond","seed":1,"deadline_s":60,"topology":{"kind":"diamond"},

@@ -60,6 +60,11 @@ func TestFwdListIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// TestFwdListRejectsMalformed: NewFwdList builds every forwarder list and
+// its position table, one slot per node ID. A node listed twice would make
+// its position ambiguous and a negative ID has no slot; no plan produces
+// either, so NewFwdList panics rather than build a table Index would answer
+// wrongly from.
 func TestFwdListRejectsMalformed(t *testing.T) {
 	for name, entries := range map[string][]FwdEntry{
 		"duplicate":     {{Node: 3}, {Node: 9}, {Node: 3}},

@@ -149,7 +149,8 @@ func (r *GF256BenchResult) Table() string {
 		for _, kn := range kernels {
 			fmt.Fprintf(&b, "  %-10s", kn)
 			for _, s := range cols {
-				fmt.Fprintf(&b, "%11.2f", r.Cell(kn, op, s))
+				v, _ := r.Cell(kn, op, s)
+				fmt.Fprintf(&b, "%11.2f", v)
 			}
 			b.WriteString("\n")
 		}
@@ -157,14 +158,16 @@ func (r *GF256BenchResult) Table() string {
 	return b.String()
 }
 
-// Cell returns the throughput for one (kernel, op, size) or 0 if absent.
-func (r *GF256BenchResult) Cell(kernel, op string, size int) float64 {
+// Cell returns the throughput for one (kernel, op, size) and whether the
+// result holds that cell at all: an arm the host lacks has no cells, while a
+// cell measured at 0 is present.
+func (r *GF256BenchResult) Cell(kernel, op string, size int) (float64, bool) {
 	for _, p := range r.Points {
 		if p.Kernel == kernel && p.Op == op && p.Size == size {
-			return p.GBps
+			return p.GBps, true
 		}
 	}
-	return 0
+	return 0, false
 }
 
 // CompareGF256Baselines returns one message per cell of cur that regressed
@@ -174,26 +177,32 @@ func (r *GF256BenchResult) Cell(kernel, op string, size int) float64 {
 // its throughput relative to the portable arm's in the same run — how many
 // times the vector form beats the table form does not depend on the host's
 // clock or load — so a SIMD arm that quietly falls back to a scalar loop
-// fails against a baseline from any machine with that arm. Cells present
-// in only one result are ignored (kernel availability differs across
-// hosts).
+// fails against a baseline from any machine with that arm. A baseline cell
+// that cur lacks is ignored (kernel availability differs across hosts); one
+// that cur measured at 0 is reported, since a run that timed nothing cannot
+// pass a gate.
 func CompareGF256Baselines(base, cur *GF256BenchResult, frac float64, kernels []string) []string {
 	var bad []string
 	for _, bp := range base.Points {
-		want, got, unit := bp.GBps, cur.Cell(bp.Kernel, bp.Op, bp.Size), "GB/s"
+		got, ok := cur.Cell(bp.Kernel, bp.Op, bp.Size)
+		switch {
+		case !ok:
+			continue
+		case !(got > 0):
+			bad = append(bad, fmt.Sprintf("%s/%s/%dB: measured %.2f GB/s", bp.Kernel, bp.Op, bp.Size, got))
+			continue
+		}
+		want, unit := bp.GBps, "GB/s"
 		if !slices.Contains(kernels, bp.Kernel) {
 			if bp.Kernel == gf256.KernelReference {
 				continue
 			}
-			basePortable := base.Cell(gf256.KernelPortable, bp.Op, bp.Size)
-			curPortable := cur.Cell(gf256.KernelPortable, bp.Op, bp.Size)
+			basePortable, _ := base.Cell(gf256.KernelPortable, bp.Op, bp.Size)
+			curPortable, _ := cur.Cell(gf256.KernelPortable, bp.Op, bp.Size)
 			if basePortable == 0 || curPortable == 0 {
 				continue
 			}
 			want, got, unit = want/basePortable, got/curPortable, "x portable"
-		}
-		if got == 0 {
-			continue
 		}
 		if got < want*(1-frac) {
 			bad = append(bad, fmt.Sprintf("%s/%s/%dB: %.2f %s vs baseline %.2f (-%.0f%%)",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,12 @@ func TestGF256BenchAndBaselineCompare(t *testing.T) {
 	if len(res.Points) != 12 { // 2 kernels x (2 combine ops x 2 sizes + muladd x 2 sizes)
 		t.Fatalf("got %d points, want 12", len(res.Points))
 	}
-	if res.Cell("portable", "muladd", 1500) == 0 || res.Cell("reference", "muladd", 32) == 0 {
-		t.Fatal("muladd cells missing")
+	for _, kernel := range []string{"portable", "reference"} {
+		for _, size := range []int{32, 1500} {
+			if _, ok := res.Cell(kernel, "muladd", size); !ok {
+				t.Fatalf("%s/muladd/%dB cell missing", kernel, size)
+			}
+		}
 	}
 	for _, p := range res.Points {
 		if p.GBps <= 0 {
@@ -62,5 +67,19 @@ func TestGF256BenchAndBaselineCompare(t *testing.T) {
 	}}
 	if bad := CompareGF256Baselines(base, scalarFallback, 0.20, nil); len(bad) != 1 || !strings.Contains(bad[0], "gfni/muladd/1500B") {
 		t.Fatalf("an arm at portable speed not flagged: %v", bad)
+	}
+
+	// A cell measured at 0 timed nothing and fails, whatever the arm and
+	// whatever the baseline held; a cell the host lacks (no gfni here) is
+	// skipped.
+	zero := &GF256BenchResult{K: 8, Points: []GF256Point{
+		{Kernel: "portable", Op: "muladd", Size: 1500, GBps: 0},
+		{Kernel: "reference", Op: "muladd", Size: 1500, GBps: 0},
+	}}
+	withReference := &GF256BenchResult{K: 8, Points: append(base.Points[:2:2],
+		GF256Point{Kernel: "reference", Op: "muladd", Size: 1500, GBps: 0})}
+	bad = CompareGF256Baselines(withReference, zero, 0.20, []string{"portable"})
+	if want := []string{"portable/muladd/1500B: measured 0.00 GB/s", "reference/muladd/1500B: measured 0.00 GB/s"}; !slices.Equal(bad, want) {
+		t.Fatalf("zero cells: got %v, want %v", bad, want)
 	}
 }

@@ -39,13 +39,10 @@ func telemetryWorkload() (*graph.Topology, Pair, Options) {
 	return topo, Pair{Src: 0, Dst: 19}, opts
 }
 
-// TelemetryBench runs the workload `runs` times per mode and keeps the
-// minimum — the standard way to strip scheduler noise from a
+// TelemetryBench runs the workload `runs` (at least 1) times per mode and
+// keeps the minimum — the standard way to strip scheduler noise from a
 // deterministic, allocation-stable benchmark.
 func TelemetryBench(runs int) *TelemetryBenchResult {
-	if runs <= 0 {
-		runs = 5
-	}
 	topo, pair, opts := telemetryWorkload()
 	res := &TelemetryBenchResult{Workload: "more-testbed-128k", Runs: runs}
 

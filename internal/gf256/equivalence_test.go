@@ -288,6 +288,9 @@ func checkArmEquivalence(t *testing.T, fc fuzzCase, name, label string, wantComb
 	}
 }
 
+// FuzzKernelEquivalence crosses every kernel arm this host supports, SIMD
+// included, against the byte-wise reference, multi-row and single-row, at
+// fuzzer-chosen row counts, sizes and offsets.
 func FuzzKernelEquivalence(f *testing.F) {
 	// Seeds cover: tiny payloads, exact block multiples, off-by-one around
 	// 16/32/64, unaligned offsets, single-row, and many-row cases.

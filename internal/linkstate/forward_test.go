@@ -19,7 +19,11 @@ func (silentProto) Sent(*sim.Frame, bool) {}
 
 // TestForwardTimersRecycled drives handleLSA on an agent whose node runs no
 // probe or advertise timers, so every pending event is a forward timer or
-// the MAC's own contention.
+// the MAC's own contention. The rebroadcast jitter runs on timer records
+// recycled through the agent's free list: each LSA in jitter holds its own
+// record until it fires, so none is lost in jitter to a record re-armed while
+// pending; a superseded LSA floods nothing but returns its record; and a
+// warm forward allocates nothing.
 func TestForwardTimersRecycled(t *testing.T) {
 	const n, lsas = 6, 400
 	const origins = n - 2 // 1..origins send fresh LSAs; n-1 is kept for the superseded one

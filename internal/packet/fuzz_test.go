@@ -90,9 +90,11 @@ func noErr[T any](encode func(*T, []byte) []byte) func(*T) ([]byte, error) {
 	return func(v *T) ([]byte, error) { return encode(v, nil), nil }
 }
 
-// FuzzDecoders feeds the same bytes to all six wire decoders. The headers'
-// sizes are the functions senders charge frames by (EncodedSize is defined
-// through them).
+// FuzzDecoders feeds the same bytes to all six wire decoders: none may
+// panic, and whatever decodes re-encodes to its size function's length and
+// decodes again to an equal value. The headers' sizes are the functions
+// senders charge frames by (EncodedSize is defined through them). The seeds
+// are the round-trip tests' encodings and what fuzzing found.
 func FuzzDecoders(f *testing.F) {
 	for _, seed := range decoderSeeds(f) {
 		f.Add(seed)

@@ -36,7 +36,19 @@ func TestGoldenScenarios(t *testing.T) {
 	if len(paths) < 6 {
 		t.Fatalf("golden corpus shrank to %d specs; keep at least 6", len(paths))
 	}
-	sawPushChoke := false
+	// The specs the corpus must keep: push-choke pins AQM drops firing; the
+	// rest are the failure, churn, scoped-learned-state and hotspot runs
+	// whose end-to-end coverage lives only here, so deleting one of them
+	// (with its golden) must fail rather than drop out of the suite.
+	required := map[string]bool{
+		"push-choke":                   false,
+		"node-failure-reroute":         false,
+		"node-failure-reroute-learned": false,
+		"churn-2000":                   false,
+		"soak-churn":                   false,
+		"learned-512":                  false,
+		"hotspot-512":                  false,
+	}
 	for _, path := range paths {
 		path := path
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
@@ -93,12 +105,14 @@ func TestGoldenScenarios(t *testing.T) {
 				t.Errorf("result diverged from golden %s;\nif the change is intended, regenerate with -update", goldenPath)
 			}
 		})
-		if name == "push-choke" {
-			sawPushChoke = true
+		if _, ok := required[name]; ok {
+			required[name] = true
 		}
 	}
-	if !sawPushChoke {
-		t.Error("corpus lost the push-choke scenario that pins AQM drops firing")
+	for name, seen := range required {
+		if !seen {
+			t.Errorf("corpus lost the required scenario %s", name)
+		}
 	}
 }
 

@@ -493,7 +493,16 @@ func TestEventQueueDifferential(t *testing.T) {
 	t.Logf("%d firings: %d DIFS waits, %d wakes", fired, ref.laneFired, ref.wakeDone)
 }
 
-// FuzzEventQueueOrder takes the operation stream from the fuzzer.
+// FuzzEventQueueOrder takes the operation stream from the fuzzer: schedule
+// with same-instant ties, cancel, cancel twice, re-arm owned and near timers,
+// schedule from inside a callback, arm, re-arm and cancel DIFS waits, and
+// Node.WakeAfter in and out of time order. The event core runs it beside the
+// container/heap reference, where each of those is a plain one-shot timer,
+// and firing order, Now() at each firing and Pending() after every operation
+// must agree. Three seeds under testdata/fuzz/ exercise the near heap: a near
+// timer re-armed and canceled (near-rearm-cancel), all four sources due at
+// one instant (four-source-tie), and the near heap under a deep far heap
+// (near-under-deep-far).
 func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 3, 0, 6, 0, 0, 12, 3, 15})           // tie, cancel one, run
 	f.Add([]byte{9, 0, 2, 9, 0, 5, 11, 0, 0, 9, 0, 1, 12, 3, 15}) // re-arm pending, cancel, re-arm

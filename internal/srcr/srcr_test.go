@@ -74,11 +74,12 @@ func TestPullSinkRejectsAnotherSeed(t *testing.T) {
 	}
 }
 
+// TestPerfectChainHiddenTerminalLoss: even with perfect links, a 3-hop
+// chain suffers hidden-terminal collisions (node 0 and node 2 cannot sense
+// each other), so a few frames exhaust their retries; the end-to-end ARQ's
+// passes bring them back and the file completes verified. RTS/CTS is
+// disabled as in §4.1.
 func TestPerfectChainHiddenTerminalLoss(t *testing.T) {
-	// Even with perfect links, a 3-hop chain suffers hidden-terminal
-	// collisions (node 0 and node 2 cannot sense each other), so a few
-	// frames exhaust their retries; the ARQ passes bring them back. RTS/CTS
-	// is disabled as in §4.1.
 	topo := graph.Line(4, 1.0, 10)
 	file := flow.NewFile(100*1500, 1500, 1)
 	res, s, _ := runSrcr(t, topo, DefaultConfig(), sim.DefaultConfig(), 0, 3, file, 300*sim.Second)
@@ -90,12 +91,12 @@ func TestPerfectChainHiddenTerminalLoss(t *testing.T) {
 	}
 }
 
+// TestLossyLinkLosesSomePackets is the lossy line that needs the ARQ's
+// repair pass. Per hop, the data gets through within 7 attempts with prob
+// 1-0.5^7 ≈ 0.992 (receiver-side dedup means an ACK-loss retry still counts
+// once), so two hops lose ≈ 2% of a pass to the MAC's retry limit; the
+// destination names them in its NACK and a later pass delivers them.
 func TestLossyLinkLosesSomePackets(t *testing.T) {
-	// Per hop, the data gets through within 7 attempts with prob
-	// 1-0.5^7 ≈ 0.992 (receiver-side dedup means an ACK-loss retry still
-	// counts once), so two hops lose ≈ 2% of a pass to the MAC's retry
-	// limit; the destination names them in its NACK and a later pass
-	// delivers them.
 	topo := graph.Line(3, 0.5, 10)
 	file := flow.NewFile(300*1500, 1500, 2)
 	res, _, nodes := runSrcr(t, topo, DefaultConfig(), sim.DefaultConfig(), 0, 2, file, 600*sim.Second)
