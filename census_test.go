@@ -2,9 +2,13 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/scenario"
@@ -307,4 +312,288 @@ func surfaceGaps(keys []string, vocab map[string][]string, docs []any) (unusedKe
 	}
 	sort.Strings(unusedValues)
 	return unusedKeys, unusedValues
+}
+
+// TestEveryExportedFuncHasACaller is the function census: every exported
+// function or method under internal/ must be referenced by a program — a
+// command, the benchmark, an example or another non-test file of the module —
+// from outside its own body. A test is not a caller: an exported function
+// only tests call is an oracle or fixture that belongs unexported in its
+// package, or dead code. A method also counts as called when its
+// type implements an interface the program uses that declares it, including
+// the ones fmt and encoding/json call behind the program's back
+// (dynamicInterfaces). The exceptions are testOnlyFuncs.
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	census, err := repoFuncCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d exported functions and methods under internal/", len(census))
+	for _, id := range uncalled(census) {
+		if _, kept := testOnlyFuncs[id]; !kept {
+			t.Errorf("%s is called by nothing but tests: unexport it, or delete it", id)
+		}
+	}
+}
+
+// testOnlyFuncs are the exported functions the function census lets tests
+// alone call, each needed by the tests of another package, which cannot
+// reach an unexported name.
+var testOnlyFuncs = map[string]string{
+	"internal/graph.Line":                   "the line topology of 14 test files in congest, experiments, linkstate, routing and srcr",
+	"internal/graph.Topology.Clone":         "core's TestDeadForwarderDoesNotStall plans over one topology and runs over a damaged copy",
+	"internal/graph.Topology.Validate":      "linkstate's TestTopologyMatchesSetDirected checks the learned topology is well formed",
+	"internal/graph.Topology.Edges":         "experiments' TestGoldenGeneratorTopologies pins each generator's edge count",
+	"internal/sim.Simulator.Pending":        "the timer tests of probe, linkstate, exor and srcr count queued events",
+	"internal/telemetry.Report.FlowMetrics": "experiments' and scenario's telemetry tests read one flow's metrics",
+	"internal/packet.ResolveForwarders":     "routing's TestPlanSurvivesWireFormat resolves a decoded forwarder list",
+	"internal/packet.CreditToWire":          "routing's TestPlanSurvivesWireFormat puts a plan's credits on the wire",
+	"internal/packet.CreditFromWire":        "routing's TestPlanSurvivesWireFormat reads them back",
+	"internal/gf256.Mul":                    "coding's fullwidth_test eliminates byte by byte through it, sharing no code with the kernel arms",
+}
+
+// TestTestOnlyFuncsAreTestOnly keeps the function census's allowlist exact:
+// every entry still exists, and no program calls it (it would then need no
+// entry, and its entry would only let it lose that caller unnoticed).
+func TestTestOnlyFuncsAreTestOnly(t *testing.T) {
+	census, err := repoFuncCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, reason := range testOnlyFuncs {
+		switch called, exists := census[id]; {
+		case !exists:
+			t.Errorf("testOnlyFuncs keeps %s, which no longer exists (%s)", id, reason)
+		case called:
+			t.Errorf("%s is called by a program now: drop it from testOnlyFuncs (%s)", id, reason)
+		}
+	}
+}
+
+// TestFuncCensusNamesProblems runs the census over the fixture module under
+// testdata/funccensus, which holds one uncalled exported function, one
+// uncalled method, one method called only through an interface and one
+// function that calls only itself, and expects exactly the first, second and
+// fourth named: a census that cannot fail is not a census.
+func TestFuncCensusNamesProblems(t *testing.T) {
+	census, err := funcCensus("testdata/funccensus", "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := uncalled(census)
+	want := []string{"internal/shape.Spin", "internal/shape.Square.Side", "internal/shape.Unused"}
+	if !slices.Equal(got, want) {
+		t.Errorf("uncalled %v, want %v", got, want)
+	}
+}
+
+// repoFuncCensus runs funcCensus over this module once for both tests that
+// read it.
+var repoFuncCensus = sync.OnceValues(func() (map[string]bool, error) { return funcCensus(".", "repro") })
+
+// uncalled lists, sorted, the census entries no program calls.
+func uncalled(census map[string]bool) []string {
+	var out []string
+	for id, called := range census {
+		if !called {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// dynamicInterfaces are the interfaces the standard library calls through
+// on values the program hands it, named by package and type.
+var dynamicInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"encoding", "TextMarshaler"},
+	{"encoding", "TextUnmarshaler"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+}
+
+// funcCensus type-checks every non-test Go file for the host under root, the
+// tree of module path module, and reports, for every exported function or
+// method under root's internal/ (keyed "dir.Func" or "dir.Type.Method"),
+// whether a program calls it: references it from outside its own body, or,
+// for a method, implements an interface the program uses that declares it.
+// The standard library is type-checked from source.
+func funcCensus(root, module string) (map[string]bool, error) {
+	fset := token.NewFileSet()
+	// files[dir] holds the parsed non-test files of the package in dir.
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		files[rel] = append(files[rel], file)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	check := func(dir string) (*types.Package, error) {
+		if pkg := checked[dir]; pkg != nil {
+			return pkg, nil
+		}
+		path := module
+		if dir != "." {
+			path += "/" + dir
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[dir], info)
+		checked[dir] = pkg
+		return pkg, err
+	}
+	imp = func(path string) (*types.Package, error) {
+		if path == module || strings.HasPrefix(path, module+"/") {
+			dir := strings.TrimPrefix(strings.TrimPrefix(path, module), "/")
+			if dir == "" {
+				dir = "."
+			}
+			if files[dir] == nil {
+				return nil, fmt.Errorf("no package %s under %s", path, root)
+			}
+			return check(dir)
+		}
+		return std.Import(path)
+	}
+	for dir := range files {
+		if _, err := check(dir); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", dir, err)
+		}
+	}
+
+	// The candidates: exported funcs declared under internal/, with the span
+	// of their declaration, inside which a reference is recursion.
+	type candidate struct {
+		id         string
+		start, end token.Pos
+	}
+	candidates := map[*types.Func]candidate{}
+	for dir, pkgFiles := range files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, file := range pkgFiles {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				obj := info.Defs[fn.Name].(*types.Func)
+				id := dir + "." + fn.Name.Name
+				if recv := receiverNamed(obj); recv != nil {
+					id = dir + "." + recv.Obj().Name() + "." + fn.Name.Name
+				}
+				candidates[obj] = candidate{id, fn.Pos(), fn.End()}
+			}
+		}
+	}
+	census := make(map[string]bool, len(candidates))
+	for _, c := range candidates {
+		census[c.id] = false
+	}
+	for ident, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if c, ok := candidates[fn.Origin()]; ok && (ident.Pos() < c.start || ident.Pos() >= c.end) {
+			census[c.id] = true
+		}
+	}
+
+	// The interfaces the program uses: the type of any expression, any
+	// parameter or result of a function value, and the dynamic ones.
+	ifaces := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+	}
+	for _, tv := range info.Types {
+		addIface(tv.Type)
+		if sig, ok := tv.Type.(*types.Signature); ok {
+			for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					addIface(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, d := range dynamicInterfaces {
+		pkg, err := std.Import(d[0])
+		if err != nil {
+			return nil, err
+		}
+		addIface(pkg.Scope().Lookup(d[1]).Type())
+	}
+	for fn, c := range candidates {
+		recv := receiverNamed(fn)
+		if census[c.id] || recv == nil {
+			continue
+		}
+		for it := range ifaces {
+			// *T's method set holds T's as well.
+			if m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); m != nil && types.Implements(types.NewPointer(recv), it) {
+				census[c.id] = true
+				break
+			}
+		}
+	}
+	return census, nil
+}
+
+// importerFunc is a types.Importer written as a func.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// receiverNamed is the named type a method is declared on, or nil for a
+// function.
+func receiverNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, _ := typ.(*types.Named)
+	return named
 }

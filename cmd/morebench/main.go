@@ -39,13 +39,13 @@ const plotWidth = 64
 
 // cli is the parsed command line.
 type cli struct {
-	fig, table                string
-	pairs, file, runs         int
-	parallel, telRuns         int
-	seed                      int64
-	jsonOut, telOver          bool
-	gfKernel, baseline, check string
-	benchSecs                 float64
+	fig, table        string
+	pairs, file, runs int
+	parallel, telRuns int
+	seed              int64
+	jsonOut, telOver  bool
+	baseline, check   string
+	benchSecs         float64
 }
 
 // parseFlags registers morebench's flags on fs and parses args.
@@ -59,7 +59,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.IntVar(&c.runs, "runs", 10, "random runs per point for Fig 4-5 (paper: 40)")
 	fs.IntVar(&c.parallel, "parallel", experiments.AutoParallel(), "worker goroutines for the figure drivers (results are identical for any value)")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit results as JSON instead of text tables")
-	fs.StringVar(&c.gfKernel, "gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm; see gf256.AvailableKernels)")
 	fs.StringVar(&c.baseline, "baseline", "", "write per-kernel GF(256) throughput grid to this JSON file (BENCH_gf256.json)")
 	fs.StringVar(&c.check, "check-baseline", "", "compare current GF(256) throughput against this baseline; exit 1 on a >20% drop in portable GB/s or in any SIMD arm's speedup over portable")
 	fs.Float64Var(&c.benchSecs, "bench-secs", 0.25, "seconds per benchmark cell for -baseline/-check-baseline")
@@ -96,12 +95,6 @@ func run(c *cli, stdout, stderr io.Writer) int {
 	if !(c.benchSecs > 0) || math.IsInf(c.benchSecs, 1) {
 		fmt.Fprintf(stderr, "-bench-secs: must be a finite number above 0, got %g\n", c.benchSecs)
 		return 2
-	}
-	if c.gfKernel != "" {
-		if err := gf256.SetKernel(c.gfKernel); err != nil {
-			fmt.Fprintf(stderr, "-gf256: %v\n", err)
-			return 2
-		}
 	}
 
 	opts := experiments.DefaultOptions()

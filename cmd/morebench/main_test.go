@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/gf256"
 )
 
 // toy keeps every figure driver to a few small transfers.
@@ -172,12 +171,10 @@ func TestFig43EmptyHalfIsNotAGain(t *testing.T) {
 	}
 }
 
-// TestBadCommandLinesExit2 covers an unknown experiment, an unknown kernel
-// and counts below 1, which are refused before any experiment runs.
+// TestBadCommandLinesExit2 covers an unknown experiment and counts below 1, which are refused before any experiment runs.
 func TestBadCommandLinesExit2(t *testing.T) {
 	for args, want := range map[string]string{
 		"-fig 9.9":                                  `unknown experiment: fig="9.9" table=""`,
-		"-gf256 abacus":                             "-gf256: unknown or unsupported gf256 kernel",
 		"-table coverage":                           `table="coverage"`,
 		"-fig 4.5 -runs -2":                         "-runs: must be at least 1, got -2",
 		"-fig 4.2 -pairs 0":                         "-pairs: must be at least 1, got 0",
@@ -194,18 +191,6 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		if code != 2 || out != "" || !strings.Contains(errOut, want) {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2 and %q", args, code, out, errOut, want)
 		}
-	}
-}
-
-// TestKernelPin: -gf256 pins the arm the run computes on.
-func TestKernelPin(t *testing.T) {
-	defer gf256.SetKernel(gf256.ActiveKernel())
-	code, out, _ := runCLI(t, "-gf256", gf256.KernelPortable, "-table", "overhead")
-	if code != 0 || !strings.Contains(out, "MORE header:") {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	if got := gf256.ActiveKernel(); got != gf256.KernelPortable {
-		t.Errorf("active kernel %q, want %q", got, gf256.KernelPortable)
 	}
 }
 

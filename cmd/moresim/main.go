@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -47,7 +48,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/experiments"
-	"repro/internal/gf256"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/scenario"
@@ -57,18 +57,18 @@ import (
 
 // cli is the parsed command line.
 type cli struct {
-	proto, topo, state, metric, cc     string
-	scale, scopeRings, scenario, gf256 string
-	parallel, nodes, flows             int
-	degree, floors, src, dst           int
-	file, k, window, ccQueue           int
-	seed                               int64
-	drop, warmup, advertise, damp      float64
-	summaryS, simDeadline              float64
-	jsonOut, piggyback, ccSweep        bool
-	verbose, trace                     bool
-	tc                                 telemetryCLI
-	prof                               profileCLI
+	proto, topo, state, metric, cc string
+	scale, scopeRings, scenario    string
+	parallel, nodes, flows         int
+	degree, floors, src, dst       int
+	file, k, window, ccQueue       int
+	seed                           int64
+	drop, warmup, advertise, damp  float64
+	summaryS, simDeadline          float64
+	jsonOut, piggyback, ccSweep    bool
+	verbose, trace                 bool
+	tc                             telemetryCLI
+	prof                           profileCLI
 
 	// set holds the flags given on the command line: a knob that does not
 	// apply to the run is carried into the spec only when it was asked for,
@@ -111,7 +111,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.BoolVar(&c.verbose, "verbose", false, "print the first flow's forwarding plan")
 	fs.BoolVar(&c.trace, "trace", false, "print a per-node medium activity timeline")
 	fs.StringVar(&c.scenario, "scenario", "", "run a declarative scenario spec file (scenarios/*.json) instead of compiling one from flags; run-shaping flags do not combine with it")
-	fs.StringVar(&c.gf256, "gf256", "", "pin the GF(256) kernel (auto, portable, reference, or a SIMD arm); coded bytes are identical under every kernel")
 
 	fs.StringVar(&c.tc.metrics, "metrics", "", "write the telemetry metrics report (per-packet latency percentiles, per-node counters, stall count) as JSON to this file (\"-\" for stdout)")
 	fs.StringVar(&c.tc.trace, "trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
@@ -141,12 +140,6 @@ func main() {
 // that does not compile to valid specs, 1 for a failed run, an unwritable
 // artifact or a flow that missed its schedule.
 func run(c *cli, stdout, stderr io.Writer) int {
-	if c.gf256 != "" {
-		if err := gf256.SetKernel(c.gf256); err != nil {
-			fmt.Fprintf(stderr, "-gf256: %v\n", err)
-			return 2
-		}
-	}
 	specs, reduce, err := compile(c)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -245,12 +238,20 @@ type reducer func(c *cli, w io.Writer, runs []specRun) (bool, error)
 // compile turns the command line into the specs it asks for and the reducer
 // that reports them.
 func compile(c *cli) ([]*scenario.Spec, reducer, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"deadline-ms", c.tc.deadlineMS}, {"progress", c.tc.progressS}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return nil, nil, fmt.Errorf("-%s must be a finite number >= 0 (0 disables), got %g", f.name, f.v)
+		}
+	}
 	if c.scenario != "" {
 		// The file is the whole run; a flag that would shape it is a
 		// contradiction, not a default to drop.
 		for name := range c.set {
 			switch name {
-			case "scenario", "json", "gf256", "parallel", "verbose", "trace",
+			case "scenario", "json", "parallel", "verbose", "trace",
 				"metrics", "trace-out", "deadline-ms", "progress", "cpuprofile", "memprofile":
 			default:
 				return nil, nil, fmt.Errorf("-%s does not combine with -scenario: the spec file describes the whole run", name)
@@ -425,8 +426,10 @@ func specFromFlags(c *cli) (*scenario.Spec, error) {
 	// Flows: one explicit pair, or seeded random reachable pairs — which a
 	// geometric mesh needs even for one flow, since no fixed pair is known
 	// to be connected there.
-	flows, explicit := max(c.flows, 1), c.set["src"] || c.set["dst"]
+	flows, explicit := c.flows, c.set["src"] || c.set["dst"]
 	switch {
+	case flows < 1:
+		return nil, fmt.Errorf("-flows must be >= 1, got %d", flows)
 	case explicit && (flows > 1 || c.scale != ""):
 		return nil, fmt.Errorf("-flows > 1 and -scale draw random pairs; they cannot be combined with -src/-dst")
 	case geometric && c.set["src"] != c.set["dst"]:

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gf256"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -256,14 +255,17 @@ func TestProfiles(t *testing.T) {
 }
 
 // TestExitCodes: 2 for what does not compile to a run, 1 for a flow that
-// misses its schedule (the report still prints); -gf256 pins the arm.
+// misses its schedule (the report still prints).
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 		err  string
 	}{
-		{[]string{"-gf256", "abacus"}, 2, "-gf256: unknown or unsupported gf256 kernel"},
+		{[]string{"-flows", "0"}, 2, "-flows must be >= 1, got 0"},
+		{[]string{"-scale", "60", "-flows", "-3"}, 2, "-flows must be >= 1, got -3"},
+		{[]string{"-deadline-ms", "-5"}, 2, "-deadline-ms must be a finite number >= 0"},
+		{[]string{"-scenario", "x.json", "-progress", "-1"}, 2, "-progress must be a finite number >= 0"},
 		{[]string{"-k", "1"}, 2, "batch must be >= 2"},
 		{toyArgs("-file", "65536", "-sim-deadline", "0.01"), 1, ""},
 	} {
@@ -271,11 +273,6 @@ func TestExitCodes(t *testing.T) {
 		if code != tc.code || !strings.Contains(errOut, tc.err) {
 			t.Errorf("%v: exit %d, stderr %q; want %d and %q", tc.args, code, errOut, tc.code, tc.err)
 		}
-	}
-
-	defer gf256.SetKernel(gf256.ActiveKernel())
-	if code, _, _ := runCLI(t, toyArgs("-gf256", gf256.KernelPortable)...); code != 0 || gf256.ActiveKernel() != gf256.KernelPortable {
-		t.Errorf("-gf256 portable: exit %d, active kernel %q", code, gf256.ActiveKernel())
 	}
 }
 

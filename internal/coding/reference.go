@@ -6,7 +6,7 @@ import (
 	"repro/internal/gf256"
 )
 
-// ReferenceDecode is a one-shot Gauss–Jordan decoder over a full matrix of
+// referenceDecode is a one-shot Gauss–Jordan decoder over a full matrix of
 // received coded packets. It exists as an independent oracle for the
 // progressive Decoder: tests feed both the same packets and require
 // identical output. It is also how a naive implementation without §3.2.3's
@@ -14,7 +14,7 @@ import (
 //
 // pkts must contain at least k linearly independent packets with K-length
 // vectors and equal payload sizes. The input packets are not modified.
-func ReferenceDecode(k int, pkts []*Packet) ([][]byte, error) {
+func referenceDecode(k int, pkts []*Packet) ([][]byte, error) {
 	if len(pkts) == 0 {
 		return nil, errors.New("coding: no packets")
 	}
@@ -77,9 +77,9 @@ func ReferenceDecode(k int, pkts []*Packet) ([][]byte, error) {
 	return out, nil
 }
 
-// Rank computes the rank of a set of code vectors without touching
+// rank computes the rank of a set of code vectors without touching
 // payloads — the pure-algebra form of the Buffer's incremental tracking.
-func Rank(k int, vectors [][]byte) int {
+func rank(k int, vectors [][]byte) int {
 	buf := NewBuffer(k, 1)
 	for _, v := range vectors {
 		if len(v) != k {

@@ -30,7 +30,7 @@ func TestReferenceDecodeMatchesProgressive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		reference, err := ReferenceDecode(k, pkts)
+		reference, err := referenceDecode(k, pkts)
 		if err != nil {
 			return false
 		}
@@ -56,15 +56,15 @@ func TestReferenceDecodeRankDeficient(t *testing.T) {
 	p := src.Next()
 	// Two dependent packets only.
 	dup := p.Clone()
-	if _, err := ReferenceDecode(4, []*Packet{p, dup}); err == nil {
+	if _, err := referenceDecode(4, []*Packet{p, dup}); err == nil {
 		t.Fatal("rank-deficient decode succeeded")
 	}
-	if _, err := ReferenceDecode(4, nil); err == nil {
+	if _, err := referenceDecode(4, nil); err == nil {
 		t.Fatal("empty decode succeeded")
 	}
 	bad := src.Next()
 	bad.Vector = bad.Vector[:2]
-	if _, err := ReferenceDecode(4, []*Packet{bad}); err == nil {
+	if _, err := referenceDecode(4, []*Packet{bad}); err == nil {
 		t.Fatal("malformed packet accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestRank(t *testing.T) {
 		vectors = append(vectors, src.Next().Vector)
 	}
 	// Random vectors over GF(256) are independent w.h.p.
-	if got := Rank(6, vectors); got != 3 {
+	if got := rank(6, vectors); got != 3 {
 		t.Fatalf("rank = %d, want 3", got)
 	}
 	// Adding a linear combination of existing ones must not raise rank...
@@ -88,12 +88,12 @@ func TestRank(t *testing.T) {
 		sum[i] ^= vectors[1][i]
 	}
 	vectors = append(vectors, sum)
-	if got := Rank(6, vectors); got != 3 {
+	if got := rank(6, vectors); got != 3 {
 		t.Fatalf("rank after dependent vector = %d, want 3", got)
 	}
 	// ...and malformed vectors are skipped.
 	vectors = append(vectors, []byte{1})
-	if got := Rank(6, vectors); got != 3 {
+	if got := rank(6, vectors); got != 3 {
 		t.Fatalf("rank after malformed vector = %d", got)
 	}
 }
@@ -130,7 +130,7 @@ func BenchmarkReferenceDecode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReferenceDecode(k, pkts); err != nil {
+		if _, err := referenceDecode(k, pkts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -527,8 +527,10 @@ func TestTraceHookPlumbed(t *testing.T) {
 
 func TestSpatialReuseUtilization(t *testing.T) {
 	// On a corridor flow with concurrent first/last hops, MORE's medium
-	// utilization (air time / wall time) should exceed ExOR's — the direct
-	// signature of §4.2.3's spatial reuse.
+	// utilization (air time / wall time) should exceed ExOR's. Above 1,
+	// transmissions overlapped — the direct signature of §4.2.3's spatial
+	// reuse: a strictly scheduled protocol like ExOR cannot exceed 1 for a
+	// single flow, while MORE can.
 	opts := quickOpts()
 	var topo *graph.Topology
 	var pair Pair
@@ -547,7 +549,7 @@ func TestSpatialReuseUtilization(t *testing.T) {
 		if !rs[0].Completed {
 			t.Fatalf("%v transfer failed", p)
 		}
-		return counters.Utilization(rs[0].End)
+		return float64(counters.AirTime) / float64(rs[0].End)
 	}
 	um := utilization(MORE)
 	ue := utilization(ExOR)

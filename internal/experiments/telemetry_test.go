@@ -110,8 +110,8 @@ func TestTelemetryStallDump(t *testing.T) {
 	opts.Repair = 2 * sim.Second
 	opts.Deadline = 12 * sim.Second
 
-	var cbDumps int
-	hub := telemetry.NewHub(telemetry.Config{OnStall: func(d telemetry.StallDump) { cbDumps++ }})
+	var dumps []telemetry.StallDump
+	hub := telemetry.NewHub(telemetry.Config{OnStall: func(d telemetry.StallDump) { dumps = append(dumps, d) }})
 	opts.Telemetry = hub
 	flows := []Flow{{Proto: MORE, Src: 0, Dst: 19, File: opts.file(opts.Seed)}}
 	info := Execute(topo, opts, flows, []Action{
@@ -121,12 +121,11 @@ func TestTelemetryStallDump(t *testing.T) {
 		t.Fatal("transfer completed despite dead destination")
 	}
 
-	dumps := hub.Stalls()
 	if len(dumps) == 0 {
 		t.Fatal("stalled flow produced no flight-recorder dump")
 	}
-	if cbDumps != int(info.Telemetry.Stalls) {
-		t.Fatalf("OnStall fired %d times, report counts %d stalls", cbDumps, info.Telemetry.Stalls)
+	if len(dumps) != int(info.Telemetry.Stalls) {
+		t.Fatalf("OnStall fired %d times, report counts %d stalls", len(dumps), info.Telemetry.Stalls)
 	}
 	d := dumps[0]
 	if d.Node != 0 || d.Flow != 1 || d.Reason != "batch-stall" {

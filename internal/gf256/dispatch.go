@@ -4,11 +4,11 @@ package gf256
 // supports at startup; the GF256_KERNEL environment variable forces a
 // specific one (the CI matrix runs the whole test suite with
 // GF256_KERNEL=portable so the fallback arm can never rot), and SetKernel
-// switches at runtime (cmd flags: `-gf256 portable`). The selection is one
-// atomic pointer to the active arm. The slice operations MulSlice,
-// MulAddSlice and ScaleSlice load it on every call, so they follow a switch
-// at once; kernels created afterwards are built on it, while existing
-// Kernel values keep the implementation they were built with.
+// switches at runtime (the coding microbenchmarks time each arm). The
+// selection is one atomic pointer to the active arm. The slice operations
+// MulSlice, MulAddSlice and ScaleSlice load it on every call, so they follow
+// a switch at once; kernels created afterwards are built on it, while
+// existing Kernel values keep the implementation they were built with.
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 )
 
-// Names of the kernel implementations accepted by SetKernel, NewKernelNamed
+// Names of the kernel implementations accepted by SetKernel, newKernelNamed
 // and the GF256_KERNEL environment variable.
 const (
 	// KernelAuto re-runs the hardware detection and selects the best
@@ -78,15 +78,21 @@ const simdCutoff = 32
 var active atomic.Pointer[arm]
 
 func init() {
-	name := os.Getenv("GF256_KERNEL")
-	if name == "" {
-		name = KernelAuto
-	}
-	if err := SetKernel(name); err != nil {
+	if err := setKernelFromEnv(); err != nil {
 		// A bad GF256_KERNEL must be loud, not silently fall back: the CI
 		// portable leg depends on the variable actually forcing the arm.
-		panic(fmt.Sprintf("gf256: GF256_KERNEL=%q: %v", os.Getenv("GF256_KERNEL"), err))
+		panic(err)
 	}
+}
+
+// setKernelFromEnv selects the arm the GF256_KERNEL environment variable
+// names, the one override of the automatic choice (unset means auto).
+func setKernelFromEnv() error {
+	name := os.Getenv("GF256_KERNEL")
+	if err := SetKernel(name); err != nil {
+		return fmt.Errorf("gf256: GF256_KERNEL=%q: %v", name, err)
+	}
+	return nil
 }
 
 // arms returns the implementations supported on this machine, best-first.

@@ -3,13 +3,14 @@ package gf256
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestSetKernelWhileSliceOpsRun is the dispatch pointer's concurrency
 // contract: experiment workers multiply on whatever arm is active while
-// another goroutine switches it (`-gf256`, tests), and since every arm is
+// another goroutine switches it (the coding benchmark, tests), and since every arm is
 // byte-identical the products never change. Run under -race in CI.
 func TestSetKernelWhileSliceOpsRun(t *testing.T) {
 	restoreActive(t)
@@ -53,6 +54,25 @@ func TestSetKernelWhileSliceOpsRun(t *testing.T) {
 	wg.Wait()
 }
 
+// TestKernelEnvOverride: GF256_KERNEL, the one override, pins the arm, an
+// unset variable means auto, and a name this machine cannot run is an error
+// that names the variable and leaves the selection alone.
+func TestKernelEnvOverride(t *testing.T) {
+	restoreActive(t)
+	t.Setenv("GF256_KERNEL", KernelPortable)
+	if err := setKernelFromEnv(); err != nil || ActiveKernel() != KernelPortable {
+		t.Fatalf("GF256_KERNEL=portable: %v, active %s", err, ActiveKernel())
+	}
+	t.Setenv("GF256_KERNEL", "abacus")
+	if err := setKernelFromEnv(); err == nil || !strings.Contains(err.Error(), `GF256_KERNEL="abacus"`) || ActiveKernel() != KernelPortable {
+		t.Fatalf("GF256_KERNEL=abacus: %v, active %s", err, ActiveKernel())
+	}
+	t.Setenv("GF256_KERNEL", "")
+	if err := setKernelFromEnv(); err != nil || ActiveKernel() != AvailableKernels()[0] {
+		t.Fatalf("GF256_KERNEL unset: %v, active %s, want %s", err, ActiveKernel(), AvailableKernels()[0])
+	}
+}
+
 func TestSetKernelSelection(t *testing.T) {
 	restoreActive(t)
 	if err := SetKernel(KernelReference); err != nil {
@@ -64,7 +84,7 @@ func TestSetKernelSelection(t *testing.T) {
 	if got := ActiveKernel(); got != KernelReference {
 		t.Fatalf("a rejected SetKernel changed the selection to %s", got)
 	}
-	if got := NewKernel().Name(); got != KernelReference {
+	if got := NewKernel().name; got != KernelReference {
 		t.Fatalf("NewKernel built %s with reference active", got)
 	}
 	if err := SetKernel(KernelAuto); err != nil {

@@ -215,7 +215,7 @@ func buildFuzzCase(seed int64, kRaw, sizeRaw, offRaw, npRaw uint8) fuzzCase {
 // on the first byte diverging from the reference.
 func checkKernelEquivalence(t *testing.T, fc fuzzCase) {
 	t.Helper()
-	ref, err := NewKernelNamed(KernelReference)
+	ref, err := newKernelNamed(KernelReference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func checkKernelEquivalence(t *testing.T, fc fuzzCase) {
 // entry points and compares each with the oracle's output.
 func checkArmEquivalence(t *testing.T, fc fuzzCase, name, label string, wantCombine, wantMany [][]byte, wantInto []byte) {
 	t.Helper()
-	kn, err := NewKernelNamed(name)
+	kn, err := newKernelNamed(name)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -30,8 +30,8 @@ const Poly = 0x11D
 
 var (
 	// expTable[i] = g^i where g = 2 is a generator of the multiplicative
-	// group. It is doubled in length so that Mul can index it without a
-	// modular reduction of the exponent sum.
+	// group. It is doubled in length so that a product can index it without
+	// a modular reduction of the exponent sum.
 	expTable [510]byte
 
 	// logTable[x] = log_g(x) for x != 0. logTable[0] is unused.
@@ -80,13 +80,6 @@ func initBaseTables() {
 	}
 }
 
-// Add returns a + b in GF(2^8). Addition and subtraction coincide (XOR).
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8); identical to Add because the field has
-// characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8) via the precomputed 64 KiB table.
 func Mul(a, b byte) byte { return mulTable[a][b] }
 
@@ -97,34 +90,6 @@ func Inv(a byte) byte {
 		panic("gf256: inverse of zero")
 	}
 	return invTable[a]
-}
-
-// Div returns a / b. It panics if b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+255-int(logTable[b])]
-}
-
-// Exp returns g^e for the generator g = 2, with e taken modulo 255.
-func Exp(e int) byte {
-	e %= 255
-	if e < 0 {
-		e += 255
-	}
-	return expTable[e]
-}
-
-// Log returns log_g(a). It panics if a == 0.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
@@ -234,20 +199,3 @@ func AddSlice(dst, src []byte) {
 
 // ScaleSlice multiplies every byte of v by c in place.
 func ScaleSlice(v []byte, c byte) { MulSlice(v, v, c) }
-
-// DotProduct returns the GF(2^8) inner product of a and b, which must have
-// equal lengths. A coded payload byte is the dot product of the code vector
-// with the column of native payload bytes at that offset. Unlike the slice
-// products, both operands vary per position, so there is no word-wise
-// decomposition: this stays one table lookup per byte. Column-major callers
-// should use Kernel instead.
-func DotProduct(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf256: DotProduct length mismatch")
-	}
-	var s byte
-	for i := range a {
-		s ^= mulTable[a[i]][b[i]]
-	}
-	return s
-}

@@ -35,13 +35,13 @@ package gf256
 // on random shapes, tails, alignments and exact dst == src aliasing.
 
 // Kernel is a reusable multi-row combine engine. A zero-value Kernel is not
-// usable; obtain one with NewKernel (the active implementation) or
-// NewKernelNamed. Kernels hold scratch state and are not safe for
+// usable; obtain one with NewKernel (the active implementation; the
+// package's tests pick an arm with newKernelNamed). Kernels hold scratch state and are not safe for
 // concurrent use — the packet pipeline owns one per flow.
 type Kernel struct {
-	k    int // rows captured by SetRows
-	size int // row length
-	name string
+	k    int    // rows captured by SetRows (0 before the first SetRows)
+	size int    // row length
+	name string // the arm backing this kernel
 	impl kernelImpl
 }
 
@@ -63,23 +63,16 @@ type kernelImpl interface {
 // overrides).
 func NewKernel() *Kernel { return newKernel(active.Load()) }
 
-// NewKernelNamed returns an empty kernel backed by the named implementation
+// newKernelNamed returns an empty kernel backed by the named implementation
 // regardless of the active selection. It errors if the implementation is
 // unknown or not supported on this CPU.
-func NewKernelNamed(name string) (*Kernel, error) {
+func newKernelNamed(name string) (*Kernel, error) {
 	a, err := findArm(name)
 	if err != nil {
 		return nil, err
 	}
 	return newKernel(a), nil
 }
-
-// Name returns the name of the implementation backing this kernel.
-func (kn *Kernel) Name() string { return kn.name }
-
-// K returns the number of rows captured by SetRows (0 before the first
-// SetRows).
-func (kn *Kernel) K() int { return kn.k }
 
 // SetRows captures rows for repeated Combine calls, building whatever
 // per-batch acceleration state the implementation uses (subset tables for
@@ -105,7 +98,7 @@ func (kn *Kernel) SetRows(rows [][]byte) {
 }
 
 // Combine sets dst = Σ coeffs[i]·rows[i] over the rows captured by SetRows.
-// len(coeffs) must equal K() and len(dst) must equal the row length; dst
+// len(coeffs) must equal the number of rows and len(dst) must equal the row length; dst
 // must not alias the captured rows' storage (it never does — SetRows
 // copies).
 func (kn *Kernel) Combine(dst, coeffs []byte) {

@@ -17,9 +17,9 @@ func allKernels(t testing.TB) []*Kernel {
 	t.Helper()
 	var kns []*Kernel
 	for _, name := range AvailableKernels() {
-		kn, err := NewKernelNamed(name)
+		kn, err := newKernelNamed(name)
 		if err != nil {
-			t.Fatalf("NewKernelNamed(%q): %v", name, err)
+			t.Fatalf("newKernelNamed(%q): %v", name, err)
 		}
 		kns = append(kns, kn)
 	}
@@ -76,7 +76,7 @@ func TestKernelPanicPathsAllArms(t *testing.T) {
 	}
 	for _, kn := range allKernels(t) {
 		for _, tc := range cases {
-			t.Run(kn.Name()+"/"+tc.name, func(t *testing.T) {
+			t.Run(kn.name+"/"+tc.name, func(t *testing.T) {
 				defer func() {
 					r := recover()
 					if r == nil {
@@ -87,7 +87,7 @@ func TestKernelPanicPathsAllArms(t *testing.T) {
 						t.Fatalf("%s panicked with %v, want prefix %q", tc.name, r, tc.want)
 					}
 				}()
-				kn2, err := NewKernelNamed(kn.Name())
+				kn2, err := newKernelNamed(kn.name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func TestKernelPanicPathsAllArms(t *testing.T) {
 // TestKernelNonPanicEdges pins the boundary calls that must NOT panic.
 func TestKernelNonPanicEdges(t *testing.T) {
 	for _, kn := range allKernels(t) {
-		t.Run(kn.Name(), func(t *testing.T) {
+		t.Run(kn.name, func(t *testing.T) {
 			// CombineMany with zero products is a no-op, not an error.
 			kn.SetRows([][]byte{{1, 2}})
 			kn.CombineMany(nil, nil)
@@ -126,12 +126,12 @@ func TestKernelSetRowsReuse(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, kn := range allKernels(t) {
-		ref, err := NewKernelNamed(KernelReference)
+		ref, err := newKernelNamed(KernelReference)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for si, sh := range shapes {
-			t.Run(fmt.Sprintf("%s/batch%d_k%d_size%d", kn.Name(), si, sh.k, sh.size), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/batch%d_k%d_size%d", kn.name, si, sh.k, sh.size), func(t *testing.T) {
 				rows := make([][]byte, sh.k)
 				for i := range rows {
 					rows[i] = make([]byte, sh.size)
@@ -139,8 +139,8 @@ func TestKernelSetRowsReuse(t *testing.T) {
 				}
 				kn.SetRows(rows)
 				ref.SetRows(rows)
-				if kn.K() != sh.k {
-					t.Fatalf("K() = %d, want %d", kn.K(), sh.k)
+				if kn.k != sh.k {
+					t.Fatalf("k = %d, want %d", kn.k, sh.k)
 				}
 				coeffs := make([]byte, sh.k)
 				for trial := 0; trial < 4; trial++ {
@@ -150,7 +150,7 @@ func TestKernelSetRowsReuse(t *testing.T) {
 					kn.Combine(got, coeffs)
 					ref.Combine(want, coeffs)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%s diverges after reuse at shape k=%d size=%d", kn.Name(), sh.k, sh.size)
+						t.Fatalf("%s diverges after reuse at shape k=%d size=%d", kn.name, sh.k, sh.size)
 					}
 				}
 			})

@@ -51,7 +51,7 @@ func withCombineWidth(w int, f func()) {
 // grown, so no vector load of it straddles two cache lines.
 func TestSetRowsAlignsRows(t *testing.T) {
 	for _, name := range []string{KernelGFNI, KernelPSHUFB} {
-		kn, err := NewKernelNamed(name)
+		kn, err := newKernelNamed(name)
 		if err != nil {
 			continue // not on this CPU
 		}

@@ -33,7 +33,7 @@ func randomRows(rng *rand.Rand, k, size int) ([][]byte, []byte) {
 
 func TestKernelCombineMatchesReference(t *testing.T) {
 	kn := NewKernel()
-	for _, w := range combineWidths(kn.Name()) {
+	for _, w := range combineWidths(kn.name) {
 		rng := rand.New(rand.NewSource(1))
 		withCombineWidth(w, func() {
 			for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 15, 32, 33, 128} {
@@ -45,12 +45,12 @@ func TestKernelCombineMatchesReference(t *testing.T) {
 					got := make([]byte, size)
 					kn.Combine(got, coeffs)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%s width %d k=%d size=%d: Combine diverged from reference", kn.Name(), w, k, size)
+						t.Fatalf("%s width %d k=%d size=%d: Combine diverged from reference", kn.name, w, k, size)
 					}
 					got2 := make([]byte, size)
 					kn.CombineInto(got2, rows, coeffs)
 					if !bytes.Equal(got2, want) {
-						t.Fatalf("%s width %d k=%d size=%d: CombineInto diverged from reference", kn.Name(), w, k, size)
+						t.Fatalf("%s width %d k=%d size=%d: CombineInto diverged from reference", kn.name, w, k, size)
 					}
 				}
 			}
@@ -67,7 +67,7 @@ func TestOnePassCombineWidths(t *testing.T) {
 	const guard = 64
 	lengths := []int{1, 31, 32, 33, 63, 64, 65, 1500}
 	for _, name := range fuzzArms(t) {
-		kn, err := NewKernelNamed(name)
+		kn, err := newKernelNamed(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,8 +335,8 @@ func BenchmarkCombineIntoWidths(b *testing.B) {
 	rows, coeffs := randomRows(rng, 32, 1500)
 	kn := NewKernel()
 	dst := make([]byte, 1500)
-	for _, w := range combineWidths(kn.Name()) {
-		b.Run(fmt.Sprintf("%s/%dB", kn.Name(), w), func(b *testing.B) {
+	for _, w := range combineWidths(kn.name) {
+		b.Run(fmt.Sprintf("%s/%dB", kn.name, w), func(b *testing.B) {
 			withCombineWidth(w, func() {
 				b.SetBytes(32 * 1500)
 				b.ReportAllocs()

@@ -26,7 +26,7 @@ func checkConverged(t *testing.T, topo *graph.Topology, agents []*Agent, dst gra
 			t.Fatalf("node %d knows %d/%d origins", i, a.KnownOrigins(), topo.N())
 		}
 		v := NewView(a, opt, 0)
-		mean, max, disagree := v.ETXError(topo, dst)
+		mean, max, disagree := v.etxError(topo, dst)
 		if disagree != 0 {
 			t.Errorf("node %d: learned reachability toward %d disagrees with oracle at %d nodes",
 				i, dst, disagree)
@@ -82,16 +82,16 @@ func TestViewRecomputeHoldoff(t *testing.T) {
 	s.Run(10 * sim.Second)
 	_ = v.Graph()
 	ver := v.Version()
-	builds := v.Builds()
+	builds := v.builds
 	s.Run(40 * sim.Second)
 	_ = v.Graph()
-	if v.Builds() != builds || v.Version() != ver {
+	if v.builds != builds || v.Version() != ver {
 		t.Fatalf("holdoff ignored: builds %d -> %d, version %d -> %d",
-			builds, v.Builds(), ver, v.Version())
+			builds, v.builds, ver, v.Version())
 	}
 	// A zero-holdoff view rebuilt over the same agent does advance.
 	v2 := NewView(agents[0], routing.DefaultETXOptions(), 0)
-	if v2.Version() == 0 && agents[0].Version() != 0 {
+	if v2.Version() == 0 && agents[0].version != 0 {
 		t.Fatal("zero-holdoff view did not build")
 	}
 }
@@ -112,7 +112,7 @@ func TestViewETXErrorPerfectInput(t *testing.T) {
 	}
 	s.Run(90 * sim.Second)
 	v := NewView(agents[0], routing.DefaultETXOptions(), 0)
-	mean, max, disagree := v.ETXError(topo, graph.NodeID(topo.N()-1))
+	mean, max, disagree := v.etxError(topo, graph.NodeID(topo.N()-1))
 	if disagree != 0 || math.IsNaN(mean) {
 		t.Fatalf("unexpected disagreement: %d (mean %.3f)", disagree, mean)
 	}

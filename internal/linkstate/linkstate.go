@@ -504,9 +504,6 @@ func (a *Agent) seqOf(origin graph.NodeID) uint32 {
 	return a.hot[origin].seq
 }
 
-// Version counts LSA database changes (see View).
-func (a *Agent) Version() uint64 { return a.version }
-
 // Node returns the simulated node this agent runs on (nil before Init).
 func (a *Agent) Node() *sim.Node { return a.node }
 

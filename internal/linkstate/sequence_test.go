@@ -83,15 +83,15 @@ func TestAcceptRefusesMalformedLSA(t *testing.T) {
 				t.Fatal("well-formed LSA refused")
 			}
 		}
-		version, known := a.Version(), a.KnownOrigins()
+		version, known := a.version, a.KnownOrigins()
 		for name, l := range malformed {
 			if a.accept(l) {
 				t.Errorf("installed=%v: %s: accepted", installed, name)
 			}
 		}
-		if a.Version() != version || a.KnownOrigins() != known {
+		if a.version != version || a.KnownOrigins() != known {
 			t.Errorf("installed=%v: refusals moved the database: version %d -> %d, origins %d -> %d",
-				installed, version, a.Version(), known, a.KnownOrigins())
+				installed, version, a.version, known, a.KnownOrigins())
 		}
 		if a.knows(n) || a.knows(-1) {
 			t.Errorf("installed=%v: out-of-range origin reported as known", installed)

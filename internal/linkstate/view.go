@@ -33,7 +33,7 @@ type View struct {
 	tables  map[graph.NodeID]*routing.ETXTable
 	version uint64 // agent version the cache was built from
 	builtAt sim.Time
-	builds  int64
+	builds  int64 // how many times refresh recomputed the topology
 }
 
 // NewView wraps an agent in a RoutingState. opt configures ETX path
@@ -76,9 +76,6 @@ func (v *View) Version() uint64 {
 	return v.version
 }
 
-// Builds returns how many times the view recomputed its topology.
-func (v *View) Builds() int64 { return v.builds }
-
 func (v *View) table(dst graph.NodeID) *routing.ETXTable {
 	v.refresh()
 	tab, ok := v.tables[dst]
@@ -102,12 +99,12 @@ func (v *View) Path(src, dst graph.NodeID) []graph.NodeID {
 	return v.table(dst).Path(src)
 }
 
-// ETXError compares this view's learned ETX distances toward dst against
+// etxError compares this view's learned ETX distances toward dst against
 // the distances an oracle computes over the ground-truth topology: the mean
 // and max absolute relative error over nodes the oracle can reach. Nodes
 // the learned view believes unreachable while the oracle does not (or vice
 // versa) count as disagreements.
-func (v *View) ETXError(truth *graph.Topology, dst graph.NodeID) (meanRel, maxRel float64, disagree int) {
+func (v *View) etxError(truth *graph.Topology, dst graph.NodeID) (meanRel, maxRel float64, disagree int) {
 	want := routing.ETXToDestination(truth, dst, v.opt)
 	got := v.table(dst)
 	count := 0

@@ -42,13 +42,13 @@ func ExORHeaderSize(batchMap, forwarders int) int {
 	return 4 + 4 + 1 + 1 + 1 + 1 + 1 + batchMap + 1 + forwarders
 }
 
-// EncodedSize returns the on-air header size.
-func (h *ExORHeader) EncodedSize() int {
+// encodedSize returns the on-air header size.
+func (h *ExORHeader) encodedSize() int {
 	return ExORHeaderSize(len(h.BatchMap), len(h.Forwarders))
 }
 
-// Encode appends the wire form of h to dst.
-func (h *ExORHeader) Encode(dst []byte) ([]byte, error) {
+// encode appends the wire form of h to dst.
+func (h *ExORHeader) encode(dst []byte) ([]byte, error) {
 	if len(h.BatchMap) > 255 || len(h.Forwarders) > 255 {
 		return nil, ErrTooMany
 	}
@@ -62,8 +62,8 @@ func (h *ExORHeader) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeExORHeader parses an ExOR header.
-func DecodeExORHeader(b []byte) (*ExORHeader, int, error) {
+// decodeExORHeader parses an ExOR header.
+func decodeExORHeader(b []byte) (*ExORHeader, int, error) {
 	if len(b) < 13 {
 		return nil, 0, ErrTruncated
 	}
@@ -116,8 +116,8 @@ func SrcrHeaderSize(hops int) int { return 4 + 4 + 1 + 1 + 2*hops }
 // EncodedSize returns the on-air header size.
 func (h *SrcrHeader) EncodedSize() int { return SrcrHeaderSize(len(h.Route)) }
 
-// Encode appends the wire form of h to dst.
-func (h *SrcrHeader) Encode(dst []byte) ([]byte, error) {
+// encode appends the wire form of h to dst.
+func (h *SrcrHeader) encode(dst []byte) ([]byte, error) {
 	if len(h.Route) > 255 {
 		return nil, ErrTooMany
 	}
@@ -130,8 +130,8 @@ func (h *SrcrHeader) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSrcrHeader parses a Srcr header.
-func DecodeSrcrHeader(b []byte) (*SrcrHeader, int, error) {
+// decodeSrcrHeader parses a Srcr header.
+func decodeSrcrHeader(b []byte) (*SrcrHeader, int, error) {
 	if len(b) < 10 {
 		return nil, 0, ErrTruncated
 	}
@@ -164,15 +164,15 @@ type Probe struct {
 // EncodedSize returns the probe body size.
 func (p *Probe) EncodedSize() int { return 2 + 4 + 2 }
 
-// Encode appends the wire form of p to dst.
-func (p *Probe) Encode(dst []byte) []byte {
+// encode appends the wire form of p to dst.
+func (p *Probe) encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(p.Origin))
 	dst = binary.BigEndian.AppendUint32(dst, p.Seq)
 	return binary.BigEndian.AppendUint16(dst, p.Window)
 }
 
-// DecodeProbe parses a probe body.
-func DecodeProbe(b []byte) (*Probe, int, error) {
+// decodeProbe parses a probe body.
+func decodeProbe(b []byte) (*Probe, int, error) {
 	if len(b) < 8 {
 		return nil, 0, ErrTruncated
 	}

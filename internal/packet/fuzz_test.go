@@ -32,17 +32,17 @@ func decoderSeeds(t testing.TB) [][]byte {
 		}).Encode(nil)),
 		must((&MOREHeader{Type: TypeACK, FlowID: 9, BatchID: 255}).Encode(nil)),
 		must((&MOREHeader{Type: TypeData, CodeVector: make([]byte, 32), Forwarders: make([]Forwarder, MaxForwarders)}).Encode(nil)),
-		(&ACK{FlowID: 5, BatchID: 77, Final: true}).Encode(nil),
-		(&ACK{FlowID: 1 << 31, BatchID: 0}).Encode(nil),
+		(&ACK{FlowID: 5, BatchID: 77, Final: true}).encode(nil),
+		(&ACK{FlowID: 1 << 31, BatchID: 0}).encode(nil),
 		must((&ExORHeader{
 			FlowID: 3, BatchID: 11, PktIdx: 4, BatchSize: 8, FragRemaining: 2, SenderPrio: 1,
 			BatchMap:   []uint8{0, 1, BatchMapUnknown, 2, 0, 0, 1, BatchMapUnknown},
 			Forwarders: []uint8{NodeHash(5), NodeHash(2), NodeHash(8)},
-		}).Encode(nil)),
-		must((&ExORHeader{}).Encode(nil)),
-		must((&SrcrHeader{FlowID: 8, Seq: 1234, Hop: 1, Route: []graph.NodeID{0, 4, 7, 19}}).Encode(nil)),
-		must((&SrcrHeader{}).Encode(nil)),
-		(&Probe{Origin: 12, Seq: 99, Window: 10}).Encode(nil),
+		}).encode(nil)),
+		must((&ExORHeader{}).encode(nil)),
+		must((&SrcrHeader{FlowID: 8, Seq: 1234, Hop: 1, Route: []graph.NodeID{0, 4, 7, 19}}).encode(nil)),
+		must((&SrcrHeader{}).encode(nil)),
+		(&Probe{Origin: 12, Seq: 99, Window: 10}).encode(nil),
 		must(lsa.Encode(nil)),
 		loadFlaggedLSAs[0],
 		must(withTTL.Encode(nil)),
@@ -103,14 +103,14 @@ func FuzzDecoders(f *testing.F) {
 		checkDecoder(t, "MOREHeader", b, DecodeMOREHeader,
 			func(h *MOREHeader) ([]byte, error) { return h.Encode(nil) },
 			func(h *MOREHeader) int { return MOREHeaderSize(len(h.CodeVector), len(h.Forwarders)) })
-		checkDecoder(t, "ACK", b, DecodeACK, noErr((*ACK).Encode), (*ACK).EncodedSize)
-		checkDecoder(t, "ExORHeader", b, DecodeExORHeader,
-			func(h *ExORHeader) ([]byte, error) { return h.Encode(nil) },
+		checkDecoder(t, "ACK", b, decodeACK, noErr((*ACK).encode), (*ACK).EncodedSize)
+		checkDecoder(t, "ExORHeader", b, decodeExORHeader,
+			func(h *ExORHeader) ([]byte, error) { return h.encode(nil) },
 			func(h *ExORHeader) int { return ExORHeaderSize(len(h.BatchMap), len(h.Forwarders)) })
-		checkDecoder(t, "SrcrHeader", b, DecodeSrcrHeader,
-			func(h *SrcrHeader) ([]byte, error) { return h.Encode(nil) },
+		checkDecoder(t, "SrcrHeader", b, decodeSrcrHeader,
+			func(h *SrcrHeader) ([]byte, error) { return h.encode(nil) },
 			func(h *SrcrHeader) int { return SrcrHeaderSize(len(h.Route)) })
-		checkDecoder(t, "Probe", b, DecodeProbe, noErr((*Probe).Encode), (*Probe).EncodedSize)
+		checkDecoder(t, "Probe", b, decodeProbe, noErr((*Probe).encode), (*Probe).EncodedSize)
 		checkDecoder(t, "LSA", b, DecodeLSA,
 			func(l *LSA) ([]byte, error) { return l.Encode(nil) }, (*LSA).EncodedSize)
 	})

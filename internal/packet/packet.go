@@ -4,6 +4,11 @@
 // ETX probe frames. Each format has a binary encoding with round-trip
 // encode/decode; the simulator charges frames for their encoded size, so
 // header overhead (§4.6) is paid on the air exactly as in the real system.
+// No run encodes a frame: the simulator prices one with the *HeaderSize and
+// EncodedSize arithmetic, and the codecs are the oracle that arithmetic is
+// tested against (TestHeaderSizeMatchesEncode, FuzzDecoders). Only the MORE
+// header's and the LSA's codecs are exported, for the benchmark's per-layer
+// timings.
 //
 // All multi-byte integers are big-endian.
 package packet
@@ -64,8 +69,8 @@ type Forwarder struct {
 // compressed on-air form of §4.6(c): node addresses are 1-byte hashes of
 // the IP (only nodes closer to the destination than the source may forward,
 // so the hash resolves unambiguously), and the batch ID is a few bits
-// because routers only keep the current batch — we spend one byte and
-// compare modulo 256 with BatchNewer. Grey (required) fields are always
+// because routers only keep the current batch — we spend one byte, the
+// batch sequence modulo 256. Grey (required) fields are always
 // present; the code vector and forwarder list appear only in data packets.
 //
 // With K = 32 and the 10-forwarder bound the header is exactly 70 bytes,
@@ -83,12 +88,6 @@ type MOREHeader struct {
 
 	// Forwarders is the ordered candidate forwarder list with TX credits.
 	Forwarders []Forwarder
-}
-
-// BatchNewer reports whether batch a is newer than b under the modulo-256
-// wire encoding, using a half-window comparison.
-func BatchNewer(a, b uint8) bool {
-	return a != b && uint8(a-b) < 128
 }
 
 // dataHeaderFixed is the encoded size of the required fields plus the two
@@ -227,8 +226,8 @@ type ACK struct {
 // EncodedSize returns the encoded ACK body size.
 func (a *ACK) EncodedSize() int { return 9 }
 
-// Encode appends the wire form of a to dst.
-func (a *ACK) Encode(dst []byte) []byte {
+// encode appends the wire form of a to dst.
+func (a *ACK) encode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, a.FlowID)
 	dst = binary.BigEndian.AppendUint32(dst, a.BatchID)
 	final := byte(0)
@@ -238,8 +237,8 @@ func (a *ACK) Encode(dst []byte) []byte {
 	return append(dst, final)
 }
 
-// DecodeACK parses an ACK body.
-func DecodeACK(b []byte) (*ACK, int, error) {
+// decodeACK parses an ACK body.
+func decodeACK(b []byte) (*ACK, int, error) {
 	if len(b) < 9 {
 		return nil, 0, ErrTruncated
 	}

@@ -90,18 +90,18 @@ func TestMOREHeaderBadType(t *testing.T) {
 
 func TestACKRoundTrip(t *testing.T) {
 	a := &ACK{FlowID: 5, BatchID: 17, Final: true}
-	buf := a.Encode(nil)
+	buf := a.encode(nil)
 	if len(buf) != a.EncodedSize() {
 		t.Fatalf("size %d != %d", len(buf), a.EncodedSize())
 	}
-	got, n, err := DecodeACK(buf)
+	got, n, err := decodeACK(buf)
 	if err != nil || n != len(buf) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, a) {
 		t.Fatalf("%+v != %+v", got, a)
 	}
-	if _, _, err := DecodeACK(buf[:5]); err == nil {
+	if _, _, err := decodeACK(buf[:5]); err == nil {
 		t.Fatal("short ACK decoded")
 	}
 }
@@ -118,14 +118,14 @@ func TestExORHeaderRoundTrip(t *testing.T) {
 		Forwarders:    []uint8{NodeHash(1), NodeHash(2)},
 	}
 	h.BatchMap[3] = 1
-	buf, err := h.Encode(nil)
+	buf, err := h.encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != h.EncodedSize() {
-		t.Fatalf("size mismatch %d != %d", len(buf), h.EncodedSize())
+	if len(buf) != h.encodedSize() {
+		t.Fatalf("size mismatch %d != %d", len(buf), h.encodedSize())
 	}
-	got, n, err := DecodeExORHeader(buf)
+	got, n, err := decodeExORHeader(buf)
 	if err != nil || n != len(buf) {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExORHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("%+v != %+v", got, h)
 	}
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeExORHeader(buf[:cut]); err == nil {
+		if _, _, err := decodeExORHeader(buf[:cut]); err == nil {
 			t.Fatalf("short decode at %d succeeded", cut)
 		}
 	}
@@ -141,14 +141,14 @@ func TestExORHeaderRoundTrip(t *testing.T) {
 
 func TestSrcrHeaderRoundTrip(t *testing.T) {
 	h := &SrcrHeader{FlowID: 1, Seq: 999, Hop: 1, Route: []graph.NodeID{4, 7, 2}}
-	buf, err := h.Encode(nil)
+	buf, err := h.encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(buf) != h.EncodedSize() {
 		t.Fatalf("size mismatch")
 	}
-	got, n, err := DecodeSrcrHeader(buf)
+	got, n, err := decodeSrcrHeader(buf)
 	if err != nil || n != len(buf) {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestSrcrHeaderRoundTrip(t *testing.T) {
 
 func TestProbeRoundTrip(t *testing.T) {
 	p := &Probe{Origin: 13, Seq: 77, Window: 100}
-	buf := p.Encode(nil)
-	got, n, err := DecodeProbe(buf)
+	buf := p.encode(nil)
+	got, n, err := decodeProbe(buf)
 	if err != nil || n != len(buf) || !reflect.DeepEqual(got, p) {
 		t.Fatalf("probe round trip failed: %+v %v", got, err)
 	}
-	if _, _, err := DecodeProbe(buf[:3]); err == nil {
+	if _, _, err := decodeProbe(buf[:3]); err == nil {
 		t.Fatal("short probe decoded")
 	}
 }
@@ -244,30 +244,10 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		b := make([]byte, rng.Intn(100))
 		rng.Read(b)
 		DecodeMOREHeader(b)
-		DecodeACK(b)
-		DecodeExORHeader(b)
-		DecodeSrcrHeader(b)
-		DecodeProbe(b)
-	}
-}
-
-func TestBatchNewer(t *testing.T) {
-	cases := []struct {
-		a, b uint8
-		want bool
-	}{
-		{1, 0, true},
-		{0, 1, false},
-		{5, 5, false},
-		{0, 255, true}, // wraparound
-		{255, 0, false},
-		{130, 5, true},
-		{5, 130, false},
-	}
-	for _, c := range cases {
-		if got := BatchNewer(c.a, c.b); got != c.want {
-			t.Errorf("BatchNewer(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
-		}
+		decodeACK(b)
+		decodeExORHeader(b)
+		decodeSrcrHeader(b)
+		decodeProbe(b)
 	}
 }
 
@@ -334,14 +314,14 @@ func TestHeaderSizeMatchesEncode(t *testing.T) {
 					a, b, len(buf), err, MOREHeaderSize(a, b), more.EncodedSize())
 			}
 			exor.BatchMap, exor.Forwarders = vector[:a], hashes[:b]
-			buf, err = exor.Encode(buf[:0])
-			if err != nil || len(buf) != ExORHeaderSize(a, b) || len(buf) != exor.EncodedSize() {
+			buf, err = exor.encode(buf[:0])
+			if err != nil || len(buf) != ExORHeaderSize(a, b) || len(buf) != exor.encodedSize() {
 				t.Fatalf("ExOR batch map %d priority list %d: encoded %d B (%v), ExORHeaderSize %d, EncodedSize %d",
-					a, b, len(buf), err, ExORHeaderSize(a, b), exor.EncodedSize())
+					a, b, len(buf), err, ExORHeaderSize(a, b), exor.encodedSize())
 			}
 		}
 		srcr := &SrcrHeader{Route: make([]graph.NodeID, a)}
-		buf, err = srcr.Encode(buf[:0])
+		buf, err = srcr.encode(buf[:0])
 		if err != nil || len(buf) != SrcrHeaderSize(a) || len(buf) != srcr.EncodedSize() {
 			t.Fatalf("Srcr route %d: encoded %d B (%v), SrcrHeaderSize %d, EncodedSize %d",
 				a, len(buf), err, SrcrHeaderSize(a), srcr.EncodedSize())

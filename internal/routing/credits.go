@@ -99,12 +99,6 @@ func (p *Plan) Participants() []graph.NodeID {
 	return out
 }
 
-// Contains reports whether node id participates in the plan.
-func (p *Plan) Contains(id graph.NodeID) bool {
-	_, ok := p.Z[id]
-	return ok
-}
-
 // BuildPlan constructs the forwarding plan for a flow: it computes the
 // ordering metric to dst, selects candidate forwarders strictly closer to
 // the destination than the source, computes z_i with Algorithm 1, prunes
@@ -363,12 +357,12 @@ func capForwarders(order []graph.NodeID, z []float64, src, dst graph.NodeID, max
 	return out
 }
 
-// LoadDistribution is Algorithm 6: given the EOTX cost order, it retrieves
+// loadDistribution is Algorithm 6: given the EOTX cost order, it retrieves
 // the optimal per-node transmission counts z and the per-edge information
 // flow x by distributing unit load from the source downhill. It returns z
 // indexed by position in order and the flow matrix x[i][j] (positions in
 // order), where x[i][j] > 0 only for j < i.
-func LoadDistribution(t *graph.Topology, order []graph.NodeID) (z []float64, x [][]float64) {
+func loadDistribution(t *graph.Topology, order []graph.NodeID) (z []float64, x [][]float64) {
 	n := len(order)
 	z = make([]float64, n)
 	x = make([][]float64, n)
@@ -408,8 +402,8 @@ func LoadDistribution(t *graph.Topology, order []graph.NodeID) (z []float64, x [
 	return z, x
 }
 
-// TotalCost sums finite z values.
-func TotalCost(z []float64) float64 {
+// totalCost sums finite z values.
+func totalCost(z []float64) float64 {
 	var s float64
 	for _, v := range z {
 		if !math.IsInf(v, 1) && !math.IsNaN(v) {

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,7 +185,7 @@ func TestLoadDistributionConservation(t *testing.T) {
 		}
 		order = append(order, src)
 		sortByDist(order, d)
-		z, x := LoadDistribution(topo, order)
+		z, x := loadDistribution(topo, order)
 		n := len(order)
 		for i := 0; i < n; i++ {
 			var in, out float64
@@ -209,8 +210,8 @@ func TestLoadDistributionConservation(t *testing.T) {
 		}
 		// §5.6.2: Σz via Alg 6 equals EOTX(src) and matches Algorithm 1
 		// under the same (EOTX) order.
-		if !almost(TotalCost(z), d[src], 1e-6) {
-			t.Fatalf("seed %d: Alg6 total %v != EOTX %v", seed, TotalCost(z), d[src])
+		if !almost(totalCost(z), d[src], 1e-6) {
+			t.Fatalf("seed %d: Alg6 total %v != EOTX %v", seed, totalCost(z), d[src])
 		}
 		z1 := transmissionCounts(topo, order)
 		for i := range z {
@@ -241,11 +242,11 @@ func TestPruningDropsMinorForwarders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pruned.Forwarders()) >= len(noPrune.Forwarders()) && noPrune.Contains(2) && pruned.Contains(2) {
+	if len(pruned.Forwarders()) >= len(noPrune.Forwarders()) && slices.Contains(noPrune.Order, 2) && slices.Contains(pruned.Order, 2) {
 		t.Fatalf("marginal forwarder not pruned: before=%v after=%v",
 			noPrune.Forwarders(), pruned.Forwarders())
 	}
-	if !pruned.Contains(1) {
+	if !slices.Contains(pruned.Order, 1) {
 		t.Fatal("main forwarder wrongly pruned")
 	}
 }

@@ -69,11 +69,11 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 	return d
 }
 
-// EOTXBellmanFord computes the same metric with the Bellman–Ford-style
+// eotxBellmanFord computes the same metric with the Bellman–Ford-style
 // Algorithm 4, calling the Recompute procedure (Algorithm 3) for every node
 // each round. It exists to validate Algorithm 5 and because the thesis
 // argues the BF framework suits distributed computation.
-func EOTXBellmanFord(t *graph.Topology, dst graph.NodeID) []float64 {
+func eotxBellmanFord(t *graph.Topology, dst graph.NodeID) []float64 {
 	n := t.N()
 	d := make([]float64, n)
 	for i := range d {
@@ -136,12 +136,12 @@ func recompute(t *graph.Topology, i graph.NodeID, d []float64) float64 {
 	return x
 }
 
-// EOTXFixedPoint solves definition (5.14) directly by value iteration with
+// eotxFixedPoint solves definition (5.14) directly by value iteration with
 // subset enumeration of the neighbor reception events, assuming independent
 // losses. It is exponential in the neighborhood size (≤ maxNbrs neighbors
 // per node) and exists purely as an oracle for cross-validating the two
 // fast algorithms. It panics if a node's neighborhood exceeds maxNbrs.
-func EOTXFixedPoint(t *graph.Topology, dst graph.NodeID, maxNbrs int) []float64 {
+func eotxFixedPoint(t *graph.Topology, dst graph.NodeID, maxNbrs int) []float64 {
 	n := t.N()
 	d := make([]float64, n)
 	for i := range d {
@@ -158,7 +158,7 @@ func EOTXFixedPoint(t *graph.Topology, dst graph.NodeID, maxNbrs int) []float64 
 			nbrs[i] = append(nbrs[i], nbr{e.Node, e.P})
 		}
 		if len(nbrs[i]) > maxNbrs {
-			panic("routing: EOTXFixedPoint neighborhood too large")
+			panic("routing: eotxFixedPoint neighborhood too large")
 		}
 	}
 	// Value-iterate: each sweep recomputes d(s) = 1 + Σ_K p_K min_{k∈K} d(k)

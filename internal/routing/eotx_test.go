@@ -77,8 +77,8 @@ func TestEOTXAlgorithmsAgree(t *testing.T) {
 		for dst := 0; dst < topo.N(); dst++ {
 			dd := graph.NodeID(dst)
 			a := EOTX(topo, dd, DefaultEOTXOptions())
-			b := EOTXBellmanFord(topo, dd)
-			c := EOTXFixedPoint(topo, dd, 8)
+			b := eotxBellmanFord(topo, dd)
+			c := eotxFixedPoint(topo, dd, 8)
 			for i := range a {
 				if !almost(a[i], b[i], 1e-6) {
 					t.Fatalf("seed %d dst %d node %d: Dijkstra %v != BF %v", seed, dst, i, a[i], b[i])
@@ -172,7 +172,7 @@ func TestEOTXUnreachable(t *testing.T) {
 	if !math.IsInf(d[0], 1) || !math.IsInf(d[1], 1) {
 		t.Fatalf("EOTX of disconnected nodes = %v", d)
 	}
-	b := EOTXBellmanFord(topo, 2)
+	b := eotxBellmanFord(topo, 2)
 	if !math.IsInf(b[0], 1) {
 		t.Fatal("BF should agree on unreachability")
 	}
@@ -183,7 +183,7 @@ func TestEOTXQuickAgreement(t *testing.T) {
 	f := func(seed int64) bool {
 		topo := randomTopology(rand.New(rand.NewSource(seed)), 6, 0.5)
 		a := EOTX(topo, 0, DefaultEOTXOptions())
-		b := EOTXBellmanFord(topo, 0)
+		b := eotxBellmanFord(topo, 0)
 		for i := range a {
 			if !almost(a[i], b[i], 1e-6) {
 				return false

@@ -38,13 +38,6 @@ func DefaultETXOptions() ETXOptions {
 	return ETXOptions{Threshold: graph.RouteThreshold, AckAware: true}
 }
 
-// LinkETX returns the expected number of transmissions to get a packet
-// across link i->j (with MAC retransmissions), or Inf if the link is not
-// usable.
-func LinkETX(t *graph.Topology, i, j graph.NodeID, opt ETXOptions) float64 {
-	return linkETXFwd(t, i, j, t.Prob(i, j), opt)
-}
-
 // ETXTable holds, for a fixed destination, each node's ETX distance to it
 // and the next hop along the best path. It is the "closer to destination"
 // order that MORE and ExOR use (Table 3.1).
@@ -104,8 +97,10 @@ func ETXToDestination(t *graph.Topology, dst graph.NodeID, opt ETXOptions) *ETXT
 	return tab
 }
 
-// linkETXFwd is LinkETX with the forward delivery probability already in
-// hand (the in-edge iteration of ETXToDestination supplies it).
+// linkETXFwd returns the expected number of transmissions to get a packet
+// across link i->j (with MAC retransmissions), or Inf if the link is not
+// usable, given the link's forward delivery probability pf (the in-edge
+// iteration of ETXToDestination supplies it).
 func linkETXFwd(t *graph.Topology, i, j graph.NodeID, pf float64, opt ETXOptions) float64 {
 	if pf <= opt.Threshold {
 		return Inf
@@ -138,12 +133,6 @@ func (tab *ETXTable) Path(src graph.NodeID) []graph.NodeID {
 		}
 	}
 	return path
-}
-
-// Closer reports whether node a is strictly closer to the destination than
-// node b in the ETX metric (Table 3.1's "closer to destination").
-func (tab *ETXTable) Closer(a, b graph.NodeID) bool {
-	return tab.Dist[a] < tab.Dist[b]
 }
 
 type distEntry struct {

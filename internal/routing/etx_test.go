@@ -20,15 +20,15 @@ func TestLinkETX(t *testing.T) {
 	topo := graph.New(2)
 	topo.SetLink(0, 1, 0.5)
 	opt := ETXOptions{Threshold: 0.1, AckAware: false}
-	if got := LinkETX(topo, 0, 1, opt); !almost(got, 2, 1e-12) {
+	if got := linkETXFwd(topo, 0, 1, topo.Prob(0, 1), opt); !almost(got, 2, 1e-12) {
 		t.Fatalf("forward-only ETX = %v, want 2", got)
 	}
 	opt.AckAware = true
-	if got := LinkETX(topo, 0, 1, opt); !almost(got, 4, 1e-12) {
+	if got := linkETXFwd(topo, 0, 1, topo.Prob(0, 1), opt); !almost(got, 4, 1e-12) {
 		t.Fatalf("ack-aware ETX = %v, want 4", got)
 	}
 	topo.SetDirected(1, 0, 0.05)
-	if got := LinkETX(topo, 0, 1, opt); !math.IsInf(got, 1) {
+	if got := linkETXFwd(topo, 0, 1, topo.Prob(0, 1), opt); !math.IsInf(got, 1) {
 		t.Fatalf("link with dead reverse should be unusable, got %v", got)
 	}
 }
@@ -61,9 +61,6 @@ func TestETXLine(t *testing.T) {
 	}
 	if got := tab.Path(0); len(got) != 4 {
 		t.Fatalf("path = %v", got)
-	}
-	if !tab.Closer(2, 1) || tab.Closer(1, 2) {
-		t.Fatal("Closer ordering wrong")
 	}
 }
 

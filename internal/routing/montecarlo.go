@@ -8,7 +8,7 @@ import (
 	"repro/internal/graph"
 )
 
-// SimulateOpportunistic estimates, by Monte Carlo, the expected number of
+// simulateOpportunistic estimates, by Monte Carlo, the expected number of
 // transmissions to deliver one packet from src to dst under the idealized
 // opportunistic forwarding rule of §5.4: after each broadcast, of all nodes
 // that received it (including the transmitter itself), the one with the
@@ -19,7 +19,7 @@ import (
 // different priority order.
 //
 // Reception draws are independent per receiver, matching the §5.3.1 model.
-func SimulateOpportunistic(t *graph.Topology, src, dst graph.NodeID, metric []float64, trials int, seed int64) (float64, error) {
+func simulateOpportunistic(t *graph.Topology, src, dst graph.NodeID, metric []float64, trials int, seed int64) (float64, error) {
 	if math.IsInf(metric[src], 1) {
 		return 0, errors.New("routing: source unreachable under the supplied metric")
 	}
@@ -47,22 +47,4 @@ func SimulateOpportunistic(t *graph.Topology, src, dst graph.NodeID, metric []fl
 		}
 	}
 	return total / float64(trials), nil
-}
-
-// Fig21Fortunate computes the two "benefits of fortunate receptions"
-// quantities of Figure 2-1:
-//
-//   - ManyForwarders: with n independent forwarders each receiving with
-//     probability p, the chance at least one receives is 1-(1-p)^n, and the
-//     expected transmissions until someone receives drops from 1/p to
-//     1/(1-(1-p)^n) — §2.2's hundredfold example.
-//   - The function returns both the designated-nexthop cost and the
-//     any-forwarder cost.
-func Fig21Fortunate(p float64, n int) (designated, anyForwarder float64) {
-	if p <= 0 || p > 1 || n < 1 {
-		return math.Inf(1), math.Inf(1)
-	}
-	designated = 1 / p
-	anyForwarder = 1 / (1 - math.Pow(1-p, float64(n)))
-	return designated, anyForwarder
 }

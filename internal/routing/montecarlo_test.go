@@ -18,7 +18,7 @@ func TestSimulateOpportunisticMatchesEOTX(t *testing.T) {
 		if math.IsInf(d[src], 1) {
 			continue
 		}
-		got, err := SimulateOpportunistic(topo, src, 0, d, 20000, 99)
+		got, err := simulateOpportunistic(topo, src, 0, d, 20000, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +36,11 @@ func TestSimulateOpportunisticETXOrderCostsMore(t *testing.T) {
 	src, dst := graph.NodeID(0), graph.NodeID(3+k)
 	etx := ETXToDestination(topo, dst, ETXOptions{Threshold: 0, AckAware: false}).Dist
 	eotx := EOTX(topo, dst, DefaultEOTXOptions())
-	cETX, err := SimulateOpportunistic(topo, src, dst, etx, 20000, 7)
+	cETX, err := simulateOpportunistic(topo, src, dst, etx, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cEOTX, err := SimulateOpportunistic(topo, src, dst, eotx, 20000, 7)
+	cEOTX, err := simulateOpportunistic(topo, src, dst, eotx, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,31 +56,7 @@ func TestSimulateOpportunisticUnreachable(t *testing.T) {
 	topo := graph.New(3)
 	topo.SetLink(0, 1, 0.9)
 	d := EOTX(topo, 2, DefaultEOTXOptions())
-	if _, err := SimulateOpportunistic(topo, 0, 2, d, 10, 1); err == nil {
+	if _, err := simulateOpportunistic(topo, 0, 2, d, 10, 1); err == nil {
 		t.Fatal("unreachable simulation succeeded")
-	}
-}
-
-func TestFig21Fortunate(t *testing.T) {
-	// §2.2's example: 100 forwarders at p=0.1 cut the expected
-	// transmissions from 10 to ~1.
-	designated, anyFw := Fig21Fortunate(0.1, 100)
-	if designated != 10 {
-		t.Fatalf("designated cost %v", designated)
-	}
-	if anyFw > 1.01 {
-		t.Fatalf("any-forwarder cost %v, want ≈1", anyFw)
-	}
-	// Success probability 1-0.9^100 > 0.9999 as the thesis states.
-	if pAny := 1 - math.Pow(0.9, 100); pAny <= 0.9999 {
-		t.Fatalf("pAny = %v", pAny)
-	}
-	if d, a := Fig21Fortunate(0, 5); !math.IsInf(d, 1) || !math.IsInf(a, 1) {
-		t.Fatal("degenerate inputs should return Inf")
-	}
-	// One forwarder: both costs coincide.
-	d, a := Fig21Fortunate(0.3, 1)
-	if math.Abs(d-a) > 1e-12 {
-		t.Fatalf("single-forwarder costs differ: %v vs %v", d, a)
 	}
 }

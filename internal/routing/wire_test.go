@@ -79,7 +79,7 @@ func TestLoadDistributionHandExample(t *testing.T) {
 	topo.SetDirected(0, 2, q)
 	// EOTX order: dst(0), relay(1, d=1), src(2).
 	order := []graph.NodeID{0, 1, 2}
-	z, x := LoadDistribution(topo, order)
+	z, x := loadDistribution(topo, order)
 	// Source: q_2(dst,relay) = 1 - (1-q)(1-1) = 1, so z_src = 1;
 	// x(src->dst) = q, x(src->relay) = 1-q.
 	if !almost(z[2], 1, 1e-12) {
@@ -100,8 +100,8 @@ func TestLoadDistributionHandExample(t *testing.T) {
 		t.Fatalf("z(dst) = %v", z[0])
 	}
 	// Total cost = 2-q, matching Algorithm 1 and the Fig 1-1 arithmetic.
-	if !almost(TotalCost(z), 2-q, 1e-12) {
-		t.Fatalf("total cost %v, want %v", TotalCost(z), 2-q)
+	if !almost(totalCost(z), 2-q, 1e-12) {
+		t.Fatalf("total cost %v, want %v", totalCost(z), 2-q)
 	}
 }
 

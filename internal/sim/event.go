@@ -67,12 +67,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called since the event was last armed.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
-// At returns the event's scheduled time.
-func (e *Event) At() Time { return e.at }
-
 // pending reports whether the event is queued to fire.
 func (e *Event) pending() bool { return e.pos >= 0 }
 

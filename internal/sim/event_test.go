@@ -594,11 +594,11 @@ func TestOwnedEventRearm(t *testing.T) {
 		{"re-arm after cancel", func(t *testing.T, f *fixture) {
 			f.s.armAt(&f.ev, 10)
 			f.ev.Cancel()
-			if !f.ev.Canceled() || f.ev.pending() || f.s.Pending() != 0 {
-				t.Fatalf("after Cancel: canceled=%v pending=%v queue=%d", f.ev.Canceled(), f.ev.pending(), f.s.Pending())
+			if !f.ev.canceled || f.ev.pending() || f.s.Pending() != 0 {
+				t.Fatalf("after Cancel: canceled=%v pending=%v queue=%d", f.ev.canceled, f.ev.pending(), f.s.Pending())
 			}
 			f.s.armAt(&f.ev, 15)
-			if f.ev.Canceled() {
+			if f.ev.canceled {
 				t.Fatal("re-armed event still reports Canceled")
 			}
 			f.s.Run(40)
@@ -654,8 +654,8 @@ func TestOwnedEventRearm(t *testing.T) {
 		other := s.After(12, func() { fired += 10 })
 		s.armAt(&ev, 10)
 		s.Run(40)
-		if fired != 12 || other.Canceled() || s.Pending() != 0 {
-			t.Fatalf("fired=%d otherCanceled=%v pending=%d; want 12, false, 0", fired, other.Canceled(), s.Pending())
+		if fired != 12 || other.canceled || s.Pending() != 0 {
+			t.Fatalf("fired=%d otherCanceled=%v pending=%d; want 12, false, 0", fired, other.canceled, s.Pending())
 		}
 	})
 }

@@ -71,8 +71,8 @@ func TestScheduleInPastClamps(t *testing.T) {
 		// Scheduling with zero delay from inside an event must fire at the
 		// current time, not before it.
 		ev := s.After(0, func() {})
-		if ev.At() < s.Now() {
-			t.Errorf("event scheduled in the past: %v < %v", ev.At(), s.Now())
+		if ev.at < s.Now() {
+			t.Errorf("event scheduled in the past: %v < %v", ev.at, s.Now())
 		}
 	})
 	s.Run(Second)
@@ -238,7 +238,7 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
 		s := New(graph.New(1), cfg)
-		return s.Rand().Int63()
+		return s.rng.Int63()
 	}
 	if draw(1) != draw(1) {
 		t.Fatal("same seed differs")
@@ -485,7 +485,7 @@ func TestSilenceCancelsOwnedTimers(t *testing.T) {
 	if got := s.Pending(); got != before-3 {
 		t.Fatalf("Pending %d -> %d across silence, want down by 3", before, got)
 	}
-	if m.difsPending() || m.backoffTimer.pending() || m.ackTimer.pending() || other.Canceled() {
+	if m.difsPending() || m.backoffTimer.pending() || m.ackTimer.pending() || other.canceled {
 		t.Fatal("silence left a MAC timer queued or cancelled a stranger")
 	}
 	s.Run(10 * Millisecond) // nothing of node 0's may fire

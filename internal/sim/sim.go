@@ -422,10 +422,6 @@ func (s *Simulator) Config() Config { return s.cfg }
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand returns the simulation's RNG. Protocols must use this (or a
-// derived generator) so runs stay deterministic.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
 // Attach installs a protocol on a node and calls its Init hook.
 func (s *Simulator) Attach(id graph.NodeID, p Protocol) {
 	n := s.nodes[id]
@@ -796,16 +792,4 @@ func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, p float64) rxO
 		return rxChannelLoss
 	}
 	return rxOK
-}
-
-// Utilization returns the medium utilization over an elapsed interval:
-// total on-air transmission time divided by wall time. Values above 1 mean
-// transmissions overlapped — the direct signature of spatial reuse (§4.2.3):
-// a strictly scheduled protocol like ExOR cannot exceed 1 for a single
-// flow, while MORE can.
-func (c *Counters) Utilization(elapsed Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.AirTime) / float64(elapsed)
 }

@@ -345,15 +345,15 @@ func TestTimersAndCancel(t *testing.T) {
 	ev1 := s.Node(0).After(Millisecond, func() { fired++ })
 	ev2 := s.Node(0).After(2*Millisecond, func() { fired += 10 })
 	ev2.Cancel()
-	if !ev2.Canceled() || ev1.Canceled() {
+	if !ev2.canceled || ev1.canceled {
 		t.Fatal("cancel state wrong")
 	}
 	s.Run(Second)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	if ev1.At() != Millisecond {
-		t.Fatalf("event time %v", ev1.At())
+	if ev1.at != Millisecond {
+		t.Fatalf("event time %v", ev1.at)
 	}
 }
 

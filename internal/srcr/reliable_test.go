@@ -186,10 +186,11 @@ func TestLaterPassDuplicatesCountOnce(t *testing.T) {
 	file := flow.NewFile(total*1500, 1500, 11)
 	completions := 0
 	dst.ExpectFlow(1, file, func() { completions++ })
-	if err := src.StartFlow(1, 2, file, nil); err != nil {
+	finished := false
+	if err := src.StartFlow(1, 2, file, func() { finished = true }); err != nil {
 		t.Fatal(err)
 	}
-	s.RunWhile(600*sim.Second, func() bool { return !src.SourceFinished(1) })
+	s.RunWhile(600*sim.Second, func() bool { return !finished })
 
 	res := dst.Result(1)
 	if !res.Completed || !res.Verified || res.PacketsDelivered != total || completions != 1 {
@@ -220,6 +221,8 @@ type diamondRun struct {
 	// told of the failure, or with lag a second view that is not.
 	others *flow.Oracle
 	failAt sim.Time
+	// finished is set by the source's completion callback.
+	finished *bool
 }
 
 func killBetterRelay(t *testing.T, cfg Config, lag bool) diamondRun {
@@ -231,7 +234,7 @@ func killBetterRelay(t *testing.T, cfg Config, lag bool) diamondRun {
 	topo.SetLink(2, 3, 0.8)
 	etx := routing.ETXOptions{Threshold: 0.15, AckAware: true}
 	srcView := flow.NewOracle(topo, etx)
-	r := diamondRun{s: sim.New(topo, sim.DefaultConfig()), tel: &eventCount{perSeq: map[int64]int{}}, others: srcView}
+	r := diamondRun{s: sim.New(topo, sim.DefaultConfig()), tel: &eventCount{perSeq: map[int64]int{}}, others: srcView, finished: new(bool)}
 	if lag {
 		r.others = flow.NewOracle(topo, etx)
 	}
@@ -242,7 +245,7 @@ func killBetterRelay(t *testing.T, cfg Config, lag bool) diamondRun {
 	}
 	file := flow.NewFile(diamondPackets*1500, 1500, 12)
 	r.nodes[3].ExpectFlow(1, file, nil)
-	if err := r.nodes[0].StartFlow(1, 3, file, nil); err != nil {
+	if err := r.nodes[0].StartFlow(1, 3, file, func() { *r.finished = true }); err != nil {
 		t.Fatal(err)
 	}
 	if route := r.nodes[0].sources[1].route; !reflect.DeepEqual(route, []graph.NodeID{0, 1, 3}) {
@@ -265,7 +268,7 @@ func killBetterRelay(t *testing.T, cfg Config, lag bool) diamondRun {
 
 func (r diamondRun) finishOverSurvivor(t *testing.T) {
 	t.Helper()
-	r.s.RunWhile(r.s.Now()+60*sim.Second, func() bool { return !r.nodes[0].SourceFinished(1) })
+	r.s.RunWhile(r.s.Now()+60*sim.Second, func() bool { return !*r.finished })
 	res := r.nodes[3].Result(1)
 	if !res.Completed || !res.Verified || res.PacketsDelivered != diamondPackets {
 		t.Fatalf("transfer did not finish over the surviving relay: %v", res)

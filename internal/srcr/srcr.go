@@ -189,16 +189,6 @@ func (n *Node) Result(id flow.ID) flow.Result {
 	return flow.Result{}
 }
 
-// SourceFinished reports whether the source has seen the destination
-// acknowledge the whole file.
-func (n *Node) SourceFinished(id flow.ID) bool {
-	s, ok := n.sources[id]
-	return ok && s.done
-}
-
-// QueueLen exposes the forwarding queue depth (for tests).
-func (n *Node) QueueLen() int { return len(n.queue) }
-
 // Backlog counts every frame this node holds but has not yet offered to
 // the MAC: forwarding queue, bare-mode push queue, and queued control.
 // The scenario executor's drain phase runs until backlogs empty.

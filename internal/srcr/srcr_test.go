@@ -31,16 +31,17 @@ func runSrcrExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 		s.Attach(graph.NodeID(i), nodes[i])
 	}
 	nodes[dst].ExpectFlow(1, sinkFile, nil)
-	if err := nodes[src].StartFlow(1, dst, file, nil); err != nil {
+	finished := false
+	if err := nodes[src].StartFlow(1, dst, file, func() { finished = true }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunWhile(deadline, func() bool {
-		if !nodes[src].SourceFinished(1) {
+		if !finished {
 			return true
 		}
 		// Stop once the pipeline drains.
 		for _, n := range nodes {
-			if n.QueueLen() > 0 || n.node.TxQueueActive() {
+			if len(n.queue) > 0 || n.node.TxQueueActive() {
 				return true
 			}
 		}
@@ -103,7 +104,7 @@ func TestLossyLinkLosesSomePackets(t *testing.T) {
 	if res.PacketsDelivered != 300 || !res.Completed || !res.Verified {
 		t.Fatalf("lossy line did not complete: %v", res)
 	}
-	if !nodes[0].SourceFinished(1) {
+	if !nodes[0].sources[1].done {
 		t.Fatal("source never saw the empty NACK")
 	}
 	if pass := nodes[0].sources[1].pass; pass < 1 {

@@ -137,14 +137,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.Values))
 }
 
-// Quantile returns the value at cumulative fraction q in [0,1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.Values) == 0 {
-		return 0
-	}
-	return Percentile(c.Values, q*100)
-}
-
 // AsciiPlot renders one or more CDFs as a crude fixed-width chart: x axis
 // spans [0, xmax], y axis 0..1. Each series is drawn with its rune.
 func AsciiPlot(series map[rune]*CDF, xmax float64, width, height int) string {

@@ -42,9 +42,6 @@ func (h *Hist) Observe(ns int64) {
 	}
 }
 
-// Count returns how many samples were observed.
-func (h *Hist) Count() int64 { return h.count }
-
 // Quantile returns the p-th percentile (0..100) in nanoseconds, 0 for an
 // empty histogram.
 func (h *Hist) Quantile(p float64) float64 {

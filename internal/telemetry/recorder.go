@@ -3,16 +3,11 @@ package telemetry
 // recorderState is the flight recorder: one bounded ring of recent events
 // per node, retained so a stall watchdog can dump the lead-up.
 type recorderState struct {
-	rings  map[int32]*eventRing
-	stalls []StallDump
+	rings map[int32]*eventRing
 }
 
 // ringCap bounds each node's flight-recorder ring (events).
 const ringCap = 256
-
-// maxStallDumps bounds the retained post-mortems; later stalls still fire
-// OnStall but are only counted.
-const maxStallDumps = 16
 
 type eventRing struct {
 	buf   []Event
@@ -77,8 +72,7 @@ func stallReason(aux int64) string {
 	}
 }
 
-// dump captures the post-mortem for a KindStall event and retains it
-// (bounded by maxStallDumps).
+// dump captures the post-mortem for a KindStall event.
 func (m *recorderState) dump(ev Event) StallDump {
 	d := StallDump{
 		At:     ev.At,
@@ -90,9 +84,6 @@ func (m *recorderState) dump(ev Event) StallDump {
 	}
 	if r := m.rings[ev.Node]; r != nil {
 		d.Seen = r.total
-	}
-	if len(m.stalls) < maxStallDumps {
-		m.stalls = append(m.stalls, d)
 	}
 	return d
 }

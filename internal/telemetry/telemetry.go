@@ -247,11 +247,8 @@ func (h *Hub) Emit(ev Event) {
 	h.lastAt.Store(ev.At)
 	h.metrics.observe(ev)
 	h.rec.observe(ev)
-	if ev.Kind == KindStall {
-		dump := h.rec.dump(ev)
-		if h.cfg.OnStall != nil {
-			h.cfg.OnStall(dump)
-		}
+	if ev.Kind == KindStall && h.cfg.OnStall != nil {
+		h.cfg.OnStall(h.rec.dump(ev))
 	}
 	if h.cfg.ChromeTrace {
 		h.chrome.observe(ev, chromeCap)
@@ -260,7 +257,3 @@ func (h *Hub) Emit(ev Event) {
 		s.Emit(ev)
 	}
 }
-
-// Stalls returns the stall post-mortems captured so far (bounded; see
-// recorderState.dump).
-func (h *Hub) Stalls() []StallDump { return h.rec.stalls }

@@ -32,8 +32,8 @@ func TestHistExactQuantiles(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i * 1000)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
+	if h.Summary().Count != 100 {
+		t.Fatalf("count %d", h.Summary().Count)
 	}
 	// Exact percentiles over 1000..100000 with linear interpolation.
 	if p := h.Quantile(50); math.Abs(p-50500) > 1 {
@@ -54,8 +54,8 @@ func TestHistExactQuantiles(t *testing.T) {
 func TestHistNegativeClamp(t *testing.T) {
 	var h Hist
 	h.Observe(-5)
-	if h.Count() != 1 || h.Quantile(50) != 0 {
-		t.Fatalf("negative sample not clamped: count %d p50 %v", h.Count(), h.Quantile(50))
+	if h.Summary().Count != 1 || h.Quantile(50) != 0 {
+		t.Fatalf("negative sample not clamped: count %d p50 %v", h.Summary().Count, h.Quantile(50))
 	}
 }
 
@@ -108,12 +108,12 @@ func (f sinkFunc) Emit(ev Event) { f(ev) }
 // checks the stall dump window holds exactly the last ringCap events.
 func TestFlightRecorderBounds(t *testing.T) {
 	const emitted = ringCap + 6
-	h := NewHub(Config{})
+	var dumps []StallDump
+	h := NewHub(Config{OnStall: func(d StallDump) { dumps = append(dumps, d) }})
 	for i := int64(0); i < emitted; i++ {
 		h.Emit(Event{At: i, Node: 7, Kind: KindTx})
 	}
 	h.Emit(Event{At: 1 << 40, Node: 7, Flow: 3, Batch: 2, Aux: StallBatch, Kind: KindStall})
-	dumps := h.Stalls()
 	if len(dumps) != 1 {
 		t.Fatalf("%d dumps", len(dumps))
 	}
@@ -135,20 +135,20 @@ func TestFlightRecorderBounds(t *testing.T) {
 	}
 }
 
-func TestStallDumpRetentionBound(t *testing.T) {
-	var fired int
-	h := NewHub(Config{OnStall: func(StallDump) { fired++ }})
-	for i := 0; i < maxStallDumps+5; i++ {
+// TestOnStallFiresForEveryStall checks the hub hands every stall's dump to
+// OnStall, however many there are: it keeps none itself.
+func TestOnStallFiresForEveryStall(t *testing.T) {
+	var dumps []StallDump
+	h := NewHub(Config{OnStall: func(d StallDump) { dumps = append(dumps, d) }})
+	const stalls = 21
+	for i := 0; i < stalls; i++ {
 		h.Emit(Event{At: int64(i), Node: 0, Aux: StallFin, Kind: KindStall})
 	}
-	if fired != maxStallDumps+5 {
-		t.Fatalf("OnStall fired %d times", fired)
+	if len(dumps) != stalls {
+		t.Fatalf("OnStall fired %d times for %d stalls", len(dumps), stalls)
 	}
-	if len(h.Stalls()) != maxStallDumps {
-		t.Fatalf("retained %d dumps", len(h.Stalls()))
-	}
-	if h.Stalls()[0].Reason != "fin-stall" {
-		t.Fatalf("reason %q", h.Stalls()[0].Reason)
+	if dumps[0].Reason != "fin-stall" {
+		t.Fatalf("reason %q", dumps[0].Reason)
 	}
 }
 
