@@ -342,6 +342,10 @@ type ControlPlane struct {
 	oracle    *flow.Oracle
 	cc        congest.Config
 	layers    []*congest.Layer
+
+	// convAt is converged's cursor: every agent before it held all n
+	// origins when converged last looked.
+	convAt int
 }
 
 // viewRecompute rate-limits each node's learned-view rebuilds: at most one
@@ -385,9 +389,21 @@ func (cp *ControlPlane) attach(s *sim.Simulator, id graph.NodeID, p sim.Protocol
 }
 
 // converged reports whether every agent's LSA database covers every origin.
+// It is asked after every warm-up event, so it resumes at the first agent
+// that was short last time, and checks every agent again only when that
+// cursor reaches the end: aging (MaxAge) can take an origin from an agent
+// the cursor has passed.
 func (cp *ControlPlane) converged() bool {
-	for _, a := range cp.agents {
+	for i := cp.convAt; i < len(cp.agents); i++ {
+		if cp.agents[i].KnownOrigins() < cp.n {
+			cp.convAt = i
+			return false
+		}
+	}
+	cp.convAt = len(cp.agents)
+	for i, a := range cp.agents {
 		if a.KnownOrigins() < cp.n {
+			cp.convAt = i
 			return false
 		}
 	}

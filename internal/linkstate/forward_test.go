@@ -68,17 +68,17 @@ func TestForwardTimersRecycled(t *testing.T) {
 	s.RunWhile(s.Now()+sim.Second, func() bool {
 		// A record is on the free list exactly when its LSA has been handed
 		// on: the two counts move together, event by event.
-		if free() != len(a.pendingFwd) {
-			t.Fatalf("%d records free after %d of %d timers fired", free(), len(a.pendingFwd), origins)
+		if free() != a.pendingFwd.len() {
+			t.Fatalf("%d records free after %d of %d timers fired", free(), a.pendingFwd.len(), origins)
 		}
 		return true
 	})
 	records := free()
-	if records != origins || len(a.pendingFwd) != origins {
-		t.Fatalf("%d records and %d queued LSAs after %d LSAs in jitter at once", records, len(a.pendingFwd), origins)
+	if records != origins || a.pendingFwd.len() != origins {
+		t.Fatalf("%d records and %d queued LSAs after %d LSAs in jitter at once", records, a.pendingFwd.len(), origins)
 	}
 	queued := map[*packet.LSA]bool{}
-	for _, p := range a.pendingFwd {
+	for _, p := range a.pendingFwd.live() {
 		queued[p.lsa] = true
 	}
 	for _, l := range inJitter {
@@ -88,7 +88,7 @@ func TestForwardTimersRecycled(t *testing.T) {
 	}
 
 	// A superseded LSA floods nothing, and its record still comes back.
-	a.pendingFwd = a.pendingFwd[:0]
+	a.pendingFwd.reset()
 	stale := &packet.LSA{Origin: n - 1, Seq: 1, Heard: graph.NewNodeSet(n)}
 	a.handleLSA(stale)
 	if free() != records-1 {
@@ -98,18 +98,18 @@ func TestForwardTimersRecycled(t *testing.T) {
 		t.Fatal("the newer LSA was not installed")
 	}
 	settle()
-	if len(a.pendingFwd) != 0 || free() != records {
-		t.Fatalf("superseded LSA: %d queued for flooding (want 0), %d of %d records free", len(a.pendingFwd), free(), records)
+	if a.pendingFwd.len() != 0 || free() != records {
+		t.Fatalf("superseded LSA: %d queued for flooding (want 0), %d of %d records free", a.pendingFwd.len(), free(), records)
 	}
 
 	// Steady state: accept, draw the jitter, arm, fire, queue — no Event, no
 	// closure, nothing.
 	round := func() {
-		a.pendingFwd = a.pendingFwd[:0]
+		a.pendingFwd.reset()
 		a.handleLSA(take())
 		settle()
-		if len(a.pendingFwd) != 1 || free() != records {
-			t.Fatalf("a forwarded LSA queued %d and left %d of %d records free", len(a.pendingFwd), free(), records)
+		if a.pendingFwd.len() != 1 || free() != records {
+			t.Fatalf("a forwarded LSA queued %d and left %d of %d records free", a.pendingFwd.len(), free(), records)
 		}
 	}
 	round()

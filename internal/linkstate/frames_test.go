@@ -49,13 +49,13 @@ func TestFloodSendAllocatesNothing(t *testing.T) {
 	a := agents[0]
 	own := &packet.LSA{Origin: 0, Seq: 1, Heard: graph.NewNodeSet(6)}
 	fwd := &packet.LSA{Origin: 1, Seq: 1, Heard: graph.NewNodeSet(6)}
-	for _, q := range []*[]pendingLSA{&a.pendingAdv, &a.pendingFwd} {
+	for _, q := range []*lsaQueue{&a.pendingAdv, &a.pendingFwd} {
 		l := own
 		if q == &a.pendingFwd {
 			l = fwd
 		}
 		cycle := func() {
-			*q = append(*q, pendingLSA{lsa: l})
+			q.push(pendingLSA{lsa: l})
 			f := a.Pull()
 			if f == nil || f.Payload != l {
 				t.Fatal("a queued LSA was not flooded")
@@ -81,10 +81,10 @@ func TestFloodSendAllocatesNothing(t *testing.T) {
 	// The first advertisement floods, naming all five neighbors; the ones
 	// after it find nothing moved.
 	a.advertise()
-	if l := a.pendingAdv[len(a.pendingAdv)-1].lsa; len(l.Neighbors) != 5 {
+	if l := a.pendingAdv.live()[a.pendingAdv.len()-1].lsa; len(l.Neighbors) != 5 {
 		t.Fatalf("the advertisement names %d neighbors, want 5", len(l.Neighbors))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { a.advertised = false; a.pendingAdv = a.pendingAdv[:0]; a.advertise() }); allocs > 4 {
+	if allocs := testing.AllocsPerRun(100, func() { a.advertised = false; a.pendingAdv.reset(); a.advertise() }); allocs > 4 {
 		t.Errorf("an advertisement allocates %v objects, want at most 4", allocs)
 	}
 	suppressed := a.SuppressedAdv
@@ -103,7 +103,7 @@ func TestReleasedControlFrameIsPoisoned(t *testing.T) {
 	_, agents := probedClique(t, DefaultConfig(), 2)
 	a, b := agents[0], agents[1]
 	l := &packet.LSA{Origin: 0, Seq: 1, Heard: graph.NewNodeSet(2)}
-	a.pendingAdv = append(a.pendingAdv, pendingLSA{lsa: l})
+	a.pendingAdv.push(pendingLSA{lsa: l})
 	f := a.Pull()
 	a.Sent(f, true)
 	if !reflect.DeepEqual(*f, sim.Frame{}) {
@@ -113,7 +113,7 @@ func TestReleasedControlFrameIsPoisoned(t *testing.T) {
 	if b.Receive(f); b.KnownOrigins() != known {
 		t.Fatal("a released frame installed an LSA")
 	}
-	a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: l})
+	a.pendingFwd.push(pendingLSA{lsa: l})
 	if g := a.Pull(); g != f || g.Payload != l || g.From != 0 {
 		t.Fatal("the next flood did not reuse the released frame")
 	}
@@ -137,7 +137,7 @@ func TestOutwardCopySharedPerHop(t *testing.T) {
 	src := agents[origin]
 	src.advertise() // the bootstrap summary, unscoped
 	src.advertise()
-	lsa := src.pendingAdv[1].lsa
+	lsa := src.pendingAdv.live()[1].lsa
 	if lsa.TTL != 3 {
 		t.Fatalf("the second advertisement has TTL %d, want 3", lsa.TTL)
 	}
@@ -151,7 +151,7 @@ func TestOutwardCopySharedPerHop(t *testing.T) {
 		}
 		s.Run(s.Now() + floodJitter + 10*sim.Millisecond)
 		for _, i := range []int{origin - hop, origin + hop} {
-			for _, p := range agents[i].pendingFwd {
+			for _, p := range agents[i].pendingFwd.live() {
 				flooded = append(flooded, p.lsa)
 			}
 		}

@@ -15,7 +15,39 @@ type heardRun struct {
 	agents   []*Agent
 	counters sim.Counters
 	sets     []graph.NodeSet // every heard-set an advertise allocated
+	handed   []handedFrame   // every frame but a flood, as a node's stack was handed it
+	floods   int             // flood frames handed up a stack
 }
+
+// handedFrame is one frame handed up a node's stack: what a layer other than
+// the agent could have reacted to.
+type handedFrame struct {
+	at          sim.Time
+	node, from  graph.NodeID
+	bytes       int
+	flow        uint32
+	probe, ride bool // a probe; a frame carrying piggybacked LSAs
+}
+
+// frameLog is a stack layer that sends nothing and logs what it is handed.
+type frameLog struct {
+	node *sim.Node
+	run  *heardRun
+}
+
+func (l *frameLog) Init(n *sim.Node) { l.node = n }
+func (l *frameLog) Receive(f *sim.Frame) {
+	if _, flood := f.Payload.(*packet.LSA); flood {
+		l.run.floods++
+		return
+	}
+	l.run.handed = append(l.run.handed, handedFrame{
+		at: l.node.Now(), node: l.node.ID(), from: f.From, bytes: f.Bytes, flow: f.FlowID,
+		probe: f.Payload != nil, ride: len(f.Piggyback) > 0, // chatter's frames carry no payload
+	})
+}
+func (l *frameLog) Pull() *sim.Frame      { return nil }
+func (l *frameLog) Sent(*sim.Frame, bool) {}
 
 // runHeardNetwork floods a 64-node geometric mesh for 90 simulated seconds
 // with everything that keeps several sequences of one origin alive at once or
@@ -51,11 +83,11 @@ func runHeardNetwork(t *testing.T, newSet func(n int) graph.NodeSet) heardRun {
 	run.agents = make([]*Agent, n)
 	for i := range run.agents {
 		run.agents[i] = NewAgent(cfg, n)
+		layers := []sim.Protocol{run.agents[i]}
 		if i%4 == 0 {
-			s.Attach(graph.NodeID(i), sim.NewStack(run.agents[i], &chatter{}))
-		} else {
-			s.Attach(graph.NodeID(i), run.agents[i])
+			layers = append(layers, &chatter{})
 		}
+		s.Attach(graph.NodeID(i), sim.NewStack(append(layers, &frameLog{run: &run})...))
 	}
 	const victim = 9
 	s.Run(30 * sim.Second)
@@ -80,15 +112,33 @@ func sameLSA(a, b *packet.LSA) bool {
 
 // TestHeardSetExact runs the same network once as built and once with the
 // heard-set stripped from every advertisement, so that every reception goes
-// through the hot-row check alone. The set is a filter in front of that
-// check, not a second opinion: every agent's database, its counters and the
-// medium's must come out equal.
+// through the hot-row check alone and the medium hands every flood copy up
+// (a flood frame's sim.Frame.Heard is its LSA's set). The set is a filter in
+// front of that check, not a second opinion: every agent's database, its
+// counters and the medium's must come out equal, and a layer stacked beside
+// each agent must be handed the same frames but floods, at the same times.
 func TestHeardSetExact(t *testing.T) {
 	with := runHeardNetwork(t, graph.NewNodeSet)
 	without := runHeardNetwork(t, func(int) graph.NodeSet { return nil })
 
 	if !reflect.DeepEqual(with.counters, without.counters) {
 		t.Errorf("sim.Counters differ:\n with    %+v\n without %+v", with.counters, without.counters)
+	}
+	if !reflect.DeepEqual(with.handed, without.handed) {
+		t.Errorf("the layers beside the agents were handed %d frames other than floods, %d without the set", len(with.handed), len(without.handed))
+	}
+	rides := 0
+	for _, h := range with.handed {
+		if h.ride {
+			rides++
+		}
+	}
+	if rides == 0 || len(with.handed) == rides {
+		t.Errorf("of %d frames handed up, %d carried LSAs: the log does not see both probes and rides", len(with.handed), rides)
+	}
+	if without.floods != int(without.counters.Deliveries)-len(without.handed) || with.floods >= without.floods/2 {
+		t.Errorf("%d flood copies handed up, %d without the set (of %d decodes): the medium is not skipping heard receivers",
+			with.floods, without.floods, without.counters.Deliveries)
 	}
 	for i, a := range with.agents {
 		b := without.agents[i]
@@ -136,8 +186,8 @@ func TestHeardSetExact(t *testing.T) {
 		t.Errorf("%d sets allocated (%d when stripped), %d receivers marked: the set is not in use",
 			len(with.sets), len(without.sets), marked)
 	}
-	t.Logf("%d advertisements, %d (flood, node) pairs marked, %d floods, %d rides, %d expiries",
-		len(with.sets), marked, floods, piggy, expired)
+	t.Logf("%d advertisements, %d (flood, node) pairs marked, %d floods, %d rides, %d expiries; %d flood copies handed up, %d without the set",
+		len(with.sets), marked, floods, piggy, expired, with.floods, without.floods)
 }
 
 // TestHeardSetSharedByScopedCopies: the TTL-decremented copy a forwarder

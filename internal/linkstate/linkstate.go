@@ -112,8 +112,8 @@ type Agent struct {
 	prober *probe.Prober
 
 	seq        uint32
-	pendingAdv []pendingLSA            // own advertisement awaiting transmission
-	pendingFwd []pendingLSA            // LSAs to rebroadcast
+	pendingAdv lsaQueue                // own advertisement awaiting transmission
+	pendingFwd lsaQueue                // LSAs to rebroadcast
 	fwdFree    *fwdTimer               // jitter timers not waiting on an LSA, linked through next
 	floodFree  sim.FreeList[sim.Frame] // flood frames Sent handed back, zeroed, for floodFrame to reuse
 
@@ -226,7 +226,7 @@ func NewAgent(cfg Config, n int) *Agent {
 	a := &Agent{
 		cfg:    cfg,
 		n:      n,
-		prober: probe.NewProber(cfg.Probe),
+		prober: probe.NewProber(cfg.Probe, n),
 	}
 	if cfg.TriggerDelta > 0 {
 		a.maxQuiet = maxQuietIntervals * cfg.AdvertiseInterval
@@ -352,10 +352,9 @@ func (a *Agent) advertise() {
 		// A dead radio cannot drain its queue; keep only the newest own LSA
 		// so arbitrarily long outages do not grow the backlog. On recovery
 		// the single queued advertisement re-announces the node.
-		clear(a.pendingAdv)
-		a.pendingAdv = a.pendingAdv[:0]
+		a.pendingAdv.reset()
 	}
-	a.pendingAdv = append(a.pendingAdv, pendingLSA{lsa: lsa, due: a.holdUntil()})
+	a.pendingAdv.push(pendingLSA{lsa: lsa, due: a.holdUntil()})
 	a.node.Wake()
 }
 
@@ -569,7 +568,7 @@ func (a *Agent) forwardDue(t *fwdTimer) {
 	t.lsa = nil
 	t.next, a.fwdFree = a.fwdFree, t
 	if a.seqOf(fwd.Origin) == fwd.Seq {
-		a.pendingFwd = append(a.pendingFwd, pendingLSA{lsa: fwd, due: a.holdUntil()})
+		a.pendingFwd.push(pendingLSA{lsa: fwd, due: a.holdUntil()})
 		a.node.Wake()
 	}
 }
@@ -579,34 +578,61 @@ func (a *Agent) forwardDue(t *fwdTimer) {
 // not passed are skipped — they wait for a data frame — but never block the
 // prober behind them.
 func (a *Agent) Pull() *sim.Frame {
-	if l, ok := a.popDue(&a.pendingAdv); ok {
+	now := a.node.Now()
+	if l := a.pendingAdv.popDue(now); l != nil {
 		return a.floodFrame(l)
 	}
-	if l, ok := a.popDue(&a.pendingFwd); ok {
+	if l := a.pendingFwd.popDue(now); l != nil {
 		return a.floodFrame(l)
 	}
 	return a.prober.Pull()
 }
 
-// popDue pops the queue head if its dedicated-flood deadline has passed.
-// Queues are appended in time order, so the head always has the earliest
-// deadline.
-func (a *Agent) popDue(q *[]pendingLSA) (*packet.LSA, bool) {
-	if len(*q) == 0 || (*q)[0].due > a.node.Now() {
-		return nil, false
-	}
-	return popHead(q), true
+// lsaQueue is a FIFO of pending LSAs in a ring: n live entries from
+// buf[head] on, wrapping at the end. A pop is O(1) and copies nothing; a
+// push into a full ring doubles it, so a warm queue never reallocates.
+type lsaQueue struct {
+	buf     []pendingLSA // len(buf) is a power of two, or zero
+	head, n int
 }
 
-// popHead removes and returns the head of a non-empty queue by copying the
-// rest down: the queue keeps its backing array, so appends stop
-// reallocating once it is warm, and the vacated tail slot drops its LSA.
-func popHead(q *[]pendingLSA) *packet.LSA {
-	l := (*q)[0].lsa
-	n := copy(*q, (*q)[1:])
-	(*q)[n] = pendingLSA{}
-	*q = (*q)[:n]
+func (q *lsaQueue) len() int { return q.n }
+
+func (q *lsaQueue) push(p pendingLSA) {
+	if q.n == len(q.buf) {
+		buf := make([]pendingLSA, max(2*len(q.buf), 4))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
+}
+
+// pop removes and returns the head of a non-empty queue; the slot lets go
+// of its LSA.
+func (q *lsaQueue) pop() *packet.LSA {
+	l := q.buf[q.head].lsa
+	q.buf[q.head] = pendingLSA{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return l
+}
+
+// popDue pops the head if its dedicated-flood deadline is not after now, and
+// returns nil otherwise. Entries are pushed in time order, so the head
+// always has the earliest deadline.
+func (q *lsaQueue) popDue(now sim.Time) *packet.LSA {
+	if q.n == 0 || q.buf[q.head].due > now {
+		return nil
+	}
+	return q.pop()
+}
+
+// reset empties the queue, dropping every LSA it held.
+func (q *lsaQueue) reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
 }
 
 // floodFrame frames l in a frame off the agent's free list: once the list is
@@ -616,7 +642,9 @@ func (a *Agent) floodFrame(l *packet.LSA) *sim.Frame {
 	a.FloodTx++
 	a.node.Emit(telemetry.Event{Aux: int64(l.Origin), Kind: telemetry.KindLSAFlood})
 	f := a.floodFree.Get()
-	*f = sim.Frame{From: a.node.ID(), To: graph.Broadcast, Bytes: l.EncodedSize(), Payload: l}
+	// A receiver in the heard-set would drop the copy at accept's first
+	// test, and no other layer reads an LSA: the medium need not hand it up.
+	*f = sim.Frame{From: a.node.ID(), To: graph.Broadcast, Bytes: l.EncodedSize(), Payload: l, Heard: l.Heard}
 	return f
 }
 
@@ -635,10 +663,10 @@ func (a *Agent) Piggyback(f *sim.Frame) {
 	}
 	for n := 0; n < piggybackMax; n++ {
 		var l *packet.LSA
-		if len(a.pendingAdv) > 0 {
-			l = popHead(&a.pendingAdv)
-		} else if len(a.pendingFwd) > 0 {
-			l = popHead(&a.pendingFwd)
+		if a.pendingAdv.len() > 0 {
+			l = a.pendingAdv.pop()
+		} else if a.pendingFwd.len() > 0 {
+			l = a.pendingFwd.pop()
 		} else {
 			return
 		}
@@ -657,7 +685,7 @@ func (a *Agent) Sent(f *sim.Frame, ok bool) {
 	} else {
 		a.prober.Sent(f, ok)
 	}
-	if len(a.pendingAdv) > 0 || len(a.pendingFwd) > 0 {
+	if a.pendingAdv.len() > 0 || a.pendingFwd.len() > 0 {
 		a.node.Wake()
 	}
 }

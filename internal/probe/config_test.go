@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,14 +20,26 @@ func TestFixedParameters(t *testing.T) {
 // TestPartlyFilledConfigKeepsItsFields: NewProber defaults a zero Window and
 // keeps every field that is set.
 func TestPartlyFilledConfigKeepsItsFields(t *testing.T) {
-	if got := NewProber(Config{}).cfg; got != DefaultConfig() {
+	if got := NewProber(Config{}, 2).cfg; got != DefaultConfig() {
 		t.Errorf("zero Config = %+v, want DefaultConfig() %+v", got, DefaultConfig())
 	}
-	if got := NewProber(Config{Window: 60}).cfg; got.Window != 60 {
+	if got := NewProber(Config{Window: 60}, 2).cfg; got.Window != 60 {
 		t.Errorf("Config{Window: 60} became %+v; the window must stay", got)
 	}
-	got := NewProber(Config{DeadInterval: 4 * sim.Second}).cfg
+	got := NewProber(Config{DeadInterval: 4 * sim.Second}, 2).cfg
 	if got.DeadInterval != 4*sim.Second || got.Window != 10 {
 		t.Errorf("Config{DeadInterval: 4s} became %+v, want the interval kept and Window 10", got)
 	}
+}
+
+// TestProberNetworkBound: a prober numbers its records in two bytes, so it
+// refuses a network of more than 65 535 nodes at construction instead of
+// wrapping a record number.
+func TestProberNetworkBound(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewProber accepted 65 536 nodes")
+		}
+	}()
+	NewProber(Config{}, math.MaxUint16+1)
 }

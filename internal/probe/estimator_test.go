@@ -20,7 +20,7 @@ func hear(p *Prober, origin graph.NodeID, seq uint32) {
 func TestDuplicateProbeDoesNotInflateDelivery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 10
-	p := NewProber(cfg)
+	p := NewProber(cfg, 8)
 	// All 10 window slots heard, one of them replayed: a duplicate-counting
 	// estimator reports 11/10 here.
 	for seq := uint32(1); seq <= 10; seq++ {
@@ -31,7 +31,7 @@ func TestDuplicateProbeDoesNotInflateDelivery(t *testing.T) {
 		t.Fatalf("delivery with replayed probe = %v, want exactly 1.0", d)
 	}
 	// A lossier window with a replay inside it must count the seq once.
-	q := NewProber(cfg)
+	q := NewProber(cfg, 8)
 	for _, seq := range []uint32{1, 2, 5, 5, 9} {
 		hear(q, 3, seq)
 	}
@@ -44,7 +44,7 @@ func TestDuplicateProbeDoesNotInflateDelivery(t *testing.T) {
 func TestDeliveryNeverExceedsOne(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 5
-	p := NewProber(cfg)
+	p := NewProber(cfg, 8)
 	for seq := uint32(1); seq <= 8; seq++ {
 		hear(p, 1, seq)
 		hear(p, 1, seq) // every probe replayed
@@ -57,7 +57,7 @@ func TestDeliveryNeverExceedsOne(t *testing.T) {
 func TestReorderedProbeDoesNotRegressTrimHorizon(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 10
-	p := NewProber(cfg)
+	p := NewProber(cfg, 8)
 	for seq := uint32(11); seq <= 30; seq++ {
 		hear(p, 2, seq)
 	}
@@ -65,7 +65,7 @@ func TestReorderedProbeDoesNotRegressTrimHorizon(t *testing.T) {
 	// (horizon 15-10=5) instead of lastSeq (30-10=20) would re-admit it and
 	// keep every stale entry alive.
 	hear(p, 2, 15)
-	o := p.heard[2]
+	o := p.record(2)
 	horizon := o.last - uint32(cfg.Window)
 	for _, s := range o.window {
 		if s <= horizon {
@@ -89,7 +89,7 @@ func TestDeliveryFromStandaloneWithDeadInterval(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 10
 	cfg.DeadInterval = 5 * sim.Second
-	p := NewProber(cfg)
+	p := NewProber(cfg, 8)
 	for seq := uint32(1); seq <= 10; seq++ {
 		hear(p, 4, seq)
 	}

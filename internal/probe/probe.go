@@ -64,8 +64,18 @@ type Prober struct {
 	pending int        // probes due but not yet transmitted
 	tick    *sim.Event // the probe clock, re-armed every tick
 
-	// heard holds one record per origin a probe arrived from.
-	heard map[graph.NodeID]*record
+	// slot[o] numbers origin o's record from 1 in the order origins were
+	// first heard, or is 0 when no probe from o arrived: one index lookup
+	// per reception and per DeliveryFrom (advertise asks about every node),
+	// at two bytes for each of the n nodes, allocated at the first probe
+	// heard so that building a control plane stays cheap. The records sit
+	// in blocks of recordBlock that never move, so a prober that hears k
+	// origins allocates about k records, not the doubling slices append
+	// leaves behind.
+	n      int
+	slot   []uint16
+	blocks []*[recordBlock]record
+	heard  int // records in use
 	// free holds probes Sent handed back, for Pull to reuse.
 	free sim.FreeList[probeMsg]
 
@@ -74,8 +84,11 @@ type Prober struct {
 	ProbeTx int64
 }
 
-// record is what a prober knows of one origin's probes, reached with one map
-// lookup.
+// recordBlock is how many records a block holds: a prober hears its
+// in-neighbours, about a dozen to a few dozen of them.
+const recordBlock = 8
+
+// record is what a prober knows of one origin's probes.
 type record struct {
 	// window holds the sequence numbers heard within the window horizon.
 	// Its capacity is Window+1: a fresh seq joins before the trim, and at
@@ -95,13 +108,17 @@ type probeMsg struct {
 	frame sim.Frame
 }
 
-// NewProber creates a prober; attach with sim.Attach. A zero Window is
-// defaulted, so the zero Config is DefaultConfig().
-func NewProber(cfg Config) *Prober {
+// NewProber creates a prober for a network of n nodes; attach with
+// sim.Attach. A zero Window is defaulted, so the zero Config is
+// DefaultConfig().
+func NewProber(cfg Config, n int) *Prober {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
 	}
-	return &Prober{cfg: cfg, heard: make(map[graph.NodeID]*record), free: sim.FreeList[probeMsg]{Reset: poison}}
+	if n > math.MaxUint16 {
+		panic("probe: a slot indexes at most 65535 origins")
+	}
+	return &Prober{cfg: cfg, n: n, free: sim.FreeList[probeMsg]{Reset: poison}}
 }
 
 // Init implements sim.Protocol.
@@ -130,14 +147,13 @@ func (p *Prober) scheduleNext() {
 // Receive implements sim.Protocol.
 func (p *Prober) Receive(f *sim.Frame) {
 	m, ok := f.Payload.(*probeMsg)
-	if !ok {
-		return
+	if !ok || uint(m.Origin) >= uint(p.n) {
+		return // no origin outside the network; a released probe (poison) names -1
 	}
-	o := p.heard[m.Origin]
-	if o == nil {
-		o = &record{window: make([]uint32, 0, p.cfg.Window+1)}
-		p.heard[m.Origin] = o
+	if p.slot == nil {
+		p.slot = make([]uint16, p.n)
 	}
+	o := p.record(m.Origin)
 	if p.node != nil { // tests drive Receive without a simulated node
 		o.at = p.node.Now()
 	}
@@ -167,6 +183,27 @@ func (p *Prober) Receive(f *sim.Frame) {
 		}
 	}
 	o.window = keep
+}
+
+// record returns origin's record, making it at the origin's first probe.
+func (p *Prober) record(origin graph.NodeID) *record {
+	if k := p.slot[origin]; k != 0 {
+		return p.numbered(k)
+	}
+	if p.heard%recordBlock == 0 {
+		p.blocks = append(p.blocks, new([recordBlock]record))
+	}
+	p.heard++
+	p.slot[origin] = uint16(p.heard)
+	o := p.numbered(p.slot[origin])
+	o.window = make([]uint32, 0, p.cfg.Window+1)
+	return o
+}
+
+// numbered returns record k, counted from 1.
+func (p *Prober) numbered(k uint16) *record {
+	k--
+	return &p.blocks[k/recordBlock][k%recordBlock]
 }
 
 // Pull implements sim.Protocol: the next due probe, in a message off the
@@ -205,8 +242,11 @@ func poison(m *probeMsg) { *m = probeMsg{Probe: packet.Probe{Origin: -1}} }
 // node: the fraction of the last Window probes that arrived. It returns
 // 0 if nothing was heard from origin.
 func (p *Prober) DeliveryFrom(origin graph.NodeID) float64 {
-	o := p.heard[origin]
-	if o == nil || o.last == 0 {
+	if uint(origin) >= uint(len(p.slot)) || p.slot[origin] == 0 {
+		return 0
+	}
+	o := p.numbered(p.slot[origin])
+	if o.last == 0 {
 		return 0
 	}
 	// A standalone prober has no clock. One that has: silent past the
@@ -238,7 +278,7 @@ func Measure(topo *graph.Topology, cfg Config, simCfg sim.Config, duration sim.T
 	s := sim.New(topo, simCfg)
 	probers := make([]*Prober, topo.N())
 	for i := range probers {
-		probers[i] = NewProber(cfg)
+		probers[i] = NewProber(cfg, topo.N())
 		s.Attach(graph.NodeID(i), probers[i])
 	}
 	s.Run(duration)

@@ -67,9 +67,16 @@ func TestProbersShareMediumOnTestbed(t *testing.T) {
 }
 
 func TestDeliveryFromUnknownOrigin(t *testing.T) {
-	p := NewProber(DefaultConfig())
-	if p.DeliveryFrom(5) != 0 {
+	p := NewProber(DefaultConfig(), 8)
+	if p.DeliveryFrom(5) != 0 || p.DeliveryFrom(8) != 0 || p.DeliveryFrom(-1) != 0 {
 		t.Fatal("unknown origin should estimate 0")
+	}
+	// Sequence numbers start at 1: a probe numbered 0 leaves a record that
+	// estimates nothing. A probe from outside the network leaves none.
+	hear(p, 5, 0)
+	hear(p, 8, 1)
+	if p.heard != 1 || p.DeliveryFrom(5) != 0 || p.DeliveryFrom(8) != 0 {
+		t.Fatalf("%d records, estimates %v and %v, want one record and 0, 0", p.heard, p.DeliveryFrom(5), p.DeliveryFrom(8))
 	}
 }
 
@@ -80,7 +87,7 @@ func TestProbeClockRearmsOneTimer(t *testing.T) {
 	topo := graph.New(2)
 	topo.SetLink(0, 1, 1)
 	s := sim.New(topo, sim.DefaultConfig())
-	p := NewProber(DefaultConfig())
+	p := NewProber(DefaultConfig(), 2)
 	s.Attach(0, p)
 	s.FailNode(0)
 	tick := p.tick
@@ -99,7 +106,7 @@ func TestReleasedControlFrameIsPoisoned(t *testing.T) {
 	topo := graph.New(2)
 	topo.SetLink(0, 1, 1)
 	s := sim.New(topo, sim.DefaultConfig())
-	p, q := NewProber(DefaultConfig()), NewProber(DefaultConfig())
+	p, q := NewProber(DefaultConfig(), 2), NewProber(DefaultConfig(), 2)
 	s.Attach(0, p)
 	s.Attach(1, q)
 	p.pending = 1
@@ -109,8 +116,12 @@ func TestReleasedControlFrameIsPoisoned(t *testing.T) {
 	if want := (probeMsg{Probe: packet.Probe{Origin: -1}}); !reflect.DeepEqual(*m, want) {
 		t.Fatalf("released probe %+v, want %+v", *m, want)
 	}
-	if q.Receive(f); len(q.heard) != 0 {
+	if q.Receive(f); q.heard != 0 {
 		t.Fatal("a released frame was counted as a probe")
+	}
+	// The message itself, handed up in another frame, names origin -1.
+	if q.Receive(&sim.Frame{Payload: m}); q.heard != 0 {
+		t.Fatal("a released probe left a record")
 	}
 	p.pending = 1
 	if g := p.Pull(); g != f || g.Payload != m || m.Origin != 0 || m.Seq != 2 {

@@ -122,7 +122,7 @@ func (m *mac) init(n *Node) {
 
 // wake is called by the protocol when it has traffic.
 func (m *mac) wake() {
-	if m.node.failed {
+	if m.sim.failed.Has(m.node.id) {
 		return
 	}
 	m.backlogged = true
@@ -289,7 +289,7 @@ func (m *mac) transmitNow() {
 
 // txFinished is called when this node's own transmission leaves the air.
 func (m *mac) txFinished(tx *transmission) {
-	if m.node.failed {
+	if m.sim.failed.Has(m.node.id) {
 		return // silenced mid-flight: no callbacks, no new contention
 	}
 	f := tx.frame
@@ -414,7 +414,7 @@ func (m *mac) scheduleMACAck(dataTx *transmission) {
 // send puts the ACK on the air when its SIFS is over.
 func (a *macAck) send() {
 	n := a.m.node
-	if a.m.onAir > 0 || n.failed {
+	if a.m.onAir > 0 || n.Failed() {
 		n.sim.ackFree.Put(a) // radio busy (or dead); sender will time out and retry
 		return
 	}

@@ -18,7 +18,8 @@ type Protocol interface {
 	// Receive is called for every frame this node successfully decodes,
 	// including frames addressed elsewhere (promiscuous listening, which
 	// both MORE and ExOR depend on). Duplicate unicast retransmissions
-	// are suppressed by the MAC.
+	// are suppressed by the MAC, and so is a frame whose Heard set names
+	// this node.
 	Receive(f *Frame)
 
 	// Pull is called when the MAC is ready to transmit. The protocol
@@ -48,11 +49,10 @@ type FrameSink interface {
 
 // Node is a simulated wireless router.
 type Node struct {
-	sim    *Simulator
-	id     graph.NodeID
-	proto  Protocol
-	mac    *mac
-	failed bool
+	sim   *Simulator
+	id    graph.NodeID
+	proto Protocol
+	mac   *mac
 
 	// Requested WakeAfter firings, earliest first from wakeHead on; wakeEv
 	// is in the event heap under the earliest one's key (event.go).
@@ -107,7 +107,7 @@ func (n *Node) WatchStall(interval Time, progress func() (batch int, done bool),
 		if done {
 			return
 		}
-		if !n.failed && batch == last {
+		if !n.Failed() && batch == last {
 			stalled()
 		}
 		last, _ = progress()
@@ -119,9 +119,6 @@ func (n *Node) WatchStall(interval Time, progress func() (batch int, done bool),
 // Wake tells the MAC the protocol has traffic; the MAC will contend for the
 // medium and eventually call Pull. Failed nodes ignore wakes.
 func (n *Node) Wake() {
-	if n.failed {
-		return
-	}
 	n.mac.wake()
 }
 
@@ -142,7 +139,7 @@ func (n *Node) Emit(ev telemetry.Event) {
 }
 
 // Failed reports whether the node has been silenced by Simulator.FailNode.
-func (n *Node) Failed() bool { return n.failed }
+func (n *Node) Failed() bool { return n.sim.failed.Has(n.id) }
 
 // TxQueueActive reports whether the MAC is currently working on a frame
 // (contending, transmitting, or awaiting a MAC ACK).

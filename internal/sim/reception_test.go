@@ -3,10 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/telemetry"
 )
 
 // TestLinkProbMemo drives the per-link lookup the way endTransmission does —
@@ -85,6 +87,79 @@ func TestLinkProbMemo(t *testing.T) {
 	stale := &linkMemo{recent: []probSlot{{pRef: 0.5, rate: Rate11, val: 0.9}}}
 	if got := s.linkProb(stale, 0, 0.5, Rate11, s.effectiveBytes(700)); got != 0.5 {
 		t.Errorf("size-independent channel: linkProb = %v, want the reference 0.5", got)
+	}
+}
+
+// rxLog is a telemetry sink that keeps every event.
+type rxLog []telemetry.Event
+
+func (l *rxLog) Emit(ev telemetry.Event) { *l = append(*l, ev) }
+
+// TestHeardReceiverIsNotHandedTheFrame sends the same broadcasts over lossy
+// links twice, once with node 1 in every frame's Heard set: node 1's
+// receptions still draw from the channel, count in Counters.Deliveries and
+// emit KindRx — the event stream and the counters are the same event for
+// event — but its protocol is handed none of them, while the other
+// receivers get exactly what they got without the set.
+func TestHeardReceiverIsNotHandedTheFrame(t *testing.T) {
+	type run struct {
+		events   rxLog
+		counters Counters
+		received []int
+	}
+	send := func(heard graph.NodeSet) run {
+		topo := graph.New(4)
+		topo.SetLink(0, 1, 0.7)
+		topo.SetLink(0, 2, 0.6)
+		topo.SetLink(0, 3, 0.8)
+		s := New(topo, DefaultConfig())
+		var r run
+		s.Telem = &r.events
+		protos := make([]*testProto, 4)
+		for i := range protos {
+			protos[i] = &testProto{}
+			s.Attach(graph.NodeID(i), protos[i])
+		}
+		for i := 0; i < 200; i++ {
+			protos[0].queue = append(protos[0].queue, &Frame{To: graph.Broadcast, Bytes: 1000, Heard: heard})
+		}
+		protos[0].node.Wake()
+		s.Run(10 * Second)
+		r.counters = s.Counters
+		for _, p := range protos {
+			r.received = append(r.received, len(p.received))
+		}
+		return r
+	}
+	heard := graph.NewNodeSet(4)
+	heard.Add(1)
+	plain, skip := send(nil), send(heard)
+
+	if !reflect.DeepEqual(plain.events, skip.events) {
+		t.Fatalf("the event streams differ: %d events, %d with node 1 in Heard", len(plain.events), len(skip.events))
+	}
+	if !reflect.DeepEqual(plain.counters, skip.counters) {
+		t.Fatalf("counters differ:\n without %+v\n with    %+v", plain.counters, skip.counters)
+	}
+	rx := 0
+	for _, ev := range skip.events {
+		if ev.Kind == telemetry.KindRx && ev.Node == 1 {
+			rx++
+		}
+	}
+	if rx == 0 || rx != plain.received[1] || rx == 200 {
+		t.Fatalf("node 1 decoded %d frames with the set and was handed %d without it: want the same count, some but not all of 200", rx, plain.received[1])
+	}
+	if skip.received[1] != 0 {
+		t.Errorf("node 1 was handed %d frames it had heard", skip.received[1])
+	}
+	for id := 2; id < 4; id++ {
+		if skip.received[id] != plain.received[id] {
+			t.Errorf("node %d was handed %d frames, %d without the set", id, skip.received[id], plain.received[id])
+		}
+	}
+	if want := int64(plain.received[1] + plain.received[2] + plain.received[3]); skip.counters.Deliveries != want {
+		t.Errorf("Deliveries = %d, want the %d decodes", skip.counters.Deliveries, want)
 	}
 }
 
@@ -211,14 +286,19 @@ func TestRelevantRowsAfterRestore(t *testing.T) {
 
 // TestEventAndTransmissionSizeClasses pins the two objects every timer and
 // every frame on the air allocate to their allocator size classes (32 and
-// 112 bytes). alloc_b_per_rx is bounded at 3 %: three words more in Event
-// moved it 6 % on soak-churn (PERFORMANCE.md, PR 19), which is why the DIFS
-// lane links through mac and the wake FIFO keeps its keys in Node.
+// 112 bytes), and Frame, which every protocol message embeds, to the
+// 128-byte class. alloc_b_per_rx is bounded at 3 %: three words more in
+// Event moved it 6 % on soak-churn (PERFORMANCE.md, "the reception path"),
+// which is why the DIFS lane links through mac and the wake FIFO keeps its
+// keys in Node, and why Frame.isMACAck sits in the padding after FlowID.
 func TestEventAndTransmissionSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 32 {
 		t.Errorf("sizeof(Event) = %d, want 32", got)
 	}
 	if got := unsafe.Sizeof(transmission{}); got <= 96 || got > 112 {
 		t.Errorf("sizeof(transmission) = %d, want within the 112-byte size class (97..112)", got)
+	}
+	if got := unsafe.Sizeof(Frame{}); got != 128 {
+		t.Errorf("sizeof(Frame) = %d, want 128", got)
 	}
 }

@@ -123,7 +123,8 @@ type Frame struct {
 	// transmission accounting (Counters.TxByFlow) and per-flow queueing in
 	// the congestion layer. Zero marks control traffic (probes, LSAs,
 	// credit grants) and unattributed frames.
-	FlowID uint32
+	FlowID   uint32
+	isMACAck bool // beside FlowID, in the padding after it: a Frame is 128 bytes
 
 	// Piggyback carries control payloads riding this frame (opportunistic
 	// LSA dissemination; see Piggybacker). Receivers scan it in addition
@@ -136,9 +137,17 @@ type Frame struct {
 	// Autorate algorithms feed on it.
 	Retries int
 
-	seq      uint64 // MAC sequence number for duplicate suppression
-	isMACAck bool
-	ack      *macAck // a MAC ACK's own record; it names the data frame acknowledged
+	// Heard names the receivers for which this frame is a copy of something
+	// they have already processed, so that no layer would do anything with
+	// it (a link-state flood's heard-set). Such a receiver's reception is
+	// still resolved in full — channel draw, Counters.Deliveries, the
+	// KindRx event — but the frame is not handed up its stack. Nil hands
+	// every decoded frame up. Only a broadcast may carry one: the MAC ACK
+	// of a unicast is sent on the way up.
+	Heard graph.NodeSet
+
+	seq uint64  // MAC sequence number for duplicate suppression
+	ack *macAck // a MAC ACK's own record; it names the data frame acknowledged
 }
 
 // Counters aggregates statistics over a run.
@@ -185,6 +194,11 @@ type Simulator struct {
 	// without loading the Node (5 % of learned-512's wall time).
 	nodes []*Node
 	macs  []mac
+
+	// failed holds the nodes FailNode silenced and RecoverNode has not
+	// revived: the one record of it, so that the receiver loop tests a bit
+	// instead of loading each receiver's Node.
+	failed graph.NodeSet
 
 	// sense[i] is the set of nodes (i itself among them) whose carrier sense
 	// detects a transmission by i: its out-neighbors above the sense threshold
@@ -320,6 +334,7 @@ func New(topo *graph.Topology, cfg Config) *Simulator {
 	for i := range s.nodes {
 		s.nodes[i] = newNode(s, graph.NodeID(i))
 	}
+	s.failed = graph.NewNodeSet(topo.N())
 	s.sense = make([]graph.NodeSet, topo.N())
 	s.listening = graph.NewNodeSet(topo.N())
 	s.busy = make([]int32, topo.N())
@@ -439,12 +454,10 @@ func (s *Simulator) Attach(id graph.NodeID, p Protocol) {
 // a carrier-sense set is the reach its transmitter had at its first frame,
 // and the dead node's own matters only for frames it no longer sends).
 func (s *Simulator) FailNode(id graph.NodeID) {
-	n := s.nodes[id]
-	if n.failed {
+	if s.failed.Add(id) {
 		return
 	}
-	n.failed = true
-	n.mac.silence()
+	s.macs[id].silence()
 	if s.Telem != nil {
 		s.Telem.Emit(telemetry.Event{At: int64(s.now), Node: int32(id), Kind: telemetry.KindNodeFail})
 	}
@@ -460,11 +473,11 @@ func (s *Simulator) FailNode(id graph.NodeID) {
 // should pair this with graph.Topology.Restore so the links return with
 // the radio. Recovering a live node is a no-op.
 func (s *Simulator) RecoverNode(id graph.NodeID) {
-	n := s.nodes[id]
-	if !n.failed {
+	if !s.failed.Has(id) {
 		return
 	}
-	n.failed = false
+	s.failed.Remove(id)
+	n := s.nodes[id]
 	n.mac.revive()
 	if s.Telem != nil {
 		s.Telem.Emit(telemetry.Event{At: int64(s.now), Node: int32(id), Kind: telemetry.KindNodeRecover})
@@ -677,16 +690,21 @@ func (s *Simulator) endTransmission(tx *transmission) {
 	for _, other := range tx.overlaps {
 		s.interferers = append(s.interferers, s.topo.OutEdges(other.from.id))
 	}
+	heard := tx.frame.Heard
 	for k, e := range out {
-		rcv := s.nodes[e.Node]
-		if rcv.failed {
+		rcv := e.Node
+		if s.failed.Has(rcv) {
 			continue // a dead radio decodes nothing (and draws no RNG)
 		}
 		outcome := s.receptionOutcome(tx, rcv, s.linkProb(memo, k, e.P, tx.rate, effBytes))
 		switch outcome {
 		case rxOK:
 			s.Counters.Deliveries++
-			rcv.mac.deliver(tx)
+			// Read per receiver: an earlier one's protocol may have just
+			// joined the set.
+			if !heard.Has(rcv) {
+				s.macs[rcv].deliver(tx)
+			}
 		case rxCollision:
 			s.Counters.Collisions++
 		case rxChannelLoss:
@@ -696,7 +714,7 @@ func (s *Simulator) endTransmission(tx *transmission) {
 		if s.Telem != nil && outcome != rxOutOfRange {
 			ev := telemetry.Event{
 				At: int64(s.now), Flow: tx.frame.FlowID,
-				Node: int32(rcv.id), Peer: int32(tx.from.id),
+				Node: int32(rcv), Peer: int32(tx.from.id),
 				Bytes: int32(tx.frame.Bytes),
 			}
 			switch outcome {
@@ -756,25 +774,25 @@ const (
 // receivers in ascending ID and every out-edge row is sorted the same way, so
 // an interferer's link to rcv is found by moving a cursor along its row
 // (s.interferers[i], for tx.overlaps[i]) — a merge, not a search per pair.
-func (s *Simulator) receptionOutcome(tx *transmission, rcv *Node, p float64) rxOutcome {
+func (s *Simulator) receptionOutcome(tx *transmission, rcv graph.NodeID, p float64) rxOutcome {
 	if p <= 0 {
 		return rxOutOfRange
 	}
 	// A half-duplex radio cannot receive while transmitting.
 	for _, other := range tx.overlaps {
-		if other.from.id == rcv.id {
+		if other.from.id == rcv {
 			return rxCollision
 		}
 	}
 	// Interference from overlapping transmissions audible at rcv.
 	for i, other := range tx.overlaps {
 		row := s.interferers[i]
-		for len(row) > 0 && row[0].Node < rcv.id {
+		for len(row) > 0 && row[0].Node < rcv {
 			row = row[1:]
 		}
 		s.interferers[i] = row
 		pi := 0.0 // no link from the interferer to rcv
-		if len(row) > 0 && row[0].Node == rcv.id {
+		if len(row) > 0 && row[0].Node == rcv {
 			pi = row[0].P
 		}
 		// Interference strength uses the raw (reference) probability: a

@@ -11,9 +11,12 @@ package sim
 // walks the layers front to back and sends the first frame offered, so the
 // first layer has strict priority (the control plane's small periodic
 // frames preempt bulk data, like a real driver's priority queue). Every
-// decoded frame is delivered to every layer — each protocol already ignores
-// payload types it does not own — and the Sent callback is routed to the
-// layer that supplied the frame, however long a congestion queue held it.
+// frame the node decodes is delivered to every layer — each protocol already
+// ignores payload types it does not own — unless the frame's Heard set names
+// the node: that frame is a copy of something the node has processed (a
+// link-state flood it has seen), every layer would ignore it, and the
+// medium does not hand it up (Frame.Heard). The Sent callback is routed to
+// the layer that supplied the frame, however long a congestion queue held it.
 // A frame no layer pulled (a push frame injected below the stack) fans out
 // to every layer, as Receive does. A frame that is never Sent stays listed:
 // the MAC abandons its frame when its node fails (Simulator.FailNode), so

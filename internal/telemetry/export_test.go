@@ -1,0 +1,5 @@
+package telemetry
+
+// ActivityAtFailedNode lets the external tests run the invariant over a
+// whole scenario's event stream.
+var ActivityAtFailedNode = activityAtFailedNode

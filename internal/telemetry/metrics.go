@@ -306,8 +306,8 @@ type Report struct {
 	Events int64
 	// DeadlineNS echoes the configured per-packet deadline (0 = none).
 	DeadlineNS int64 `json:",omitempty"`
-	// Stalls counts watchdog stall declarations (full post-mortems via
-	// Hub.Stalls).
+	// Stalls counts watchdog stall declarations (full post-mortems go to
+	// Config.OnStall).
 	Stalls int64 `json:",omitempty"`
 	Flows  []FlowReport
 	Nodes  []NodeReport
