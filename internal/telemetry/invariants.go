@@ -8,16 +8,14 @@ package telemetry
 // KindNodeRecover. A failed radio decodes nothing and sends nothing, so a
 // correct run returns none.
 func activityAtFailedNode(events []Event) []Event {
-	failed := map[int32]bool{}
+	var failed []bool // by node ID
 	var bad []Event
 	for _, ev := range events {
 		switch ev.Kind {
-		case KindNodeFail:
-			failed[ev.Node] = true
-		case KindNodeRecover:
-			delete(failed, ev.Node)
+		case KindNodeFail, KindNodeRecover:
+			*at(&failed, ev.Node) = ev.Kind == KindNodeFail
 		case KindRx, KindDrop, KindDequeue, KindGrant:
-			if failed[ev.Node] {
+			if *at(&failed, ev.Node) {
 				bad = append(bad, ev)
 			}
 		}

@@ -120,8 +120,11 @@ func (h *Hist) Summary() LatencySummary {
 	}
 }
 
-// nodeMetrics aggregates per-node counters and the queue-wait histogram.
-type nodeMetrics struct {
+// nodeState is everything a Hub keeps about one node, found once per
+// event: the counters of its NodeReport row, the queue-wait histogram and
+// the flight-recorder ring.
+type nodeState struct {
+	row                    bool // a counted kind reached the node
 	tx, macAcks, rx        int64
 	collisions, chanLosses int64
 	enqueued, queueDrops   int64
@@ -129,6 +132,7 @@ type nodeMetrics struct {
 	grants, floods         int64
 	replans, stalls        int64
 	queueWait              Hist
+	ring                   eventRing
 }
 
 // flowMetrics aggregates per-flow delivery accounting and latency.
@@ -140,95 +144,71 @@ type flowMetrics struct {
 	decode         Hist // per-batch start-to-decode latency
 }
 
-// metricsState is the Hub's registry.
-type metricsState struct {
-	deadlineNS int64
-	nodes      map[int32]*nodeMetrics
-	flows      map[uint32]*flowMetrics
-	// batchStart and pktSend correlate start events with their matching
-	// decode/delivery: key flow<<32|batch (or |seq), value the first-seen
-	// timestamp. Entries are deleted on the matching completion, so the
-	// maps stay bounded by in-flight work.
-	batchStart map[uint64]int64
-	pktSend    map[uint64]int64
-}
-
-func (m *metricsState) init(deadlineNS int64) {
-	m.deadlineNS = deadlineNS
-	m.nodes = make(map[int32]*nodeMetrics)
-	m.flows = make(map[uint32]*flowMetrics)
-	m.batchStart = make(map[uint64]int64)
-	m.pktSend = make(map[uint64]int64)
-}
-
-func (m *metricsState) node(id int32) *nodeMetrics {
-	n := m.nodes[id]
-	if n == nil {
-		n = &nodeMetrics{}
-		m.nodes[id] = n
-	}
-	return n
-}
-
-func (m *metricsState) flow(id uint32) *flowMetrics {
-	f := m.flows[id]
-	if f == nil {
-		f = &flowMetrics{}
-		m.flows[id] = f
-	}
-	return f
-}
-
 func flowKey(flow uint32, sub uint32) uint64 {
 	return uint64(flow)<<32 | uint64(sub)
 }
 
-func (m *metricsState) observe(ev Event) {
+// count adds ev to its node's counters. The kinds counted here give the
+// node its report row; the rest reach only its flight recorder and, for
+// the flow kinds, the flow metrics.
+func (h *Hub) count(n *nodeState, ev Event) {
 	switch ev.Kind {
 	case KindTx:
-		n := m.node(ev.Node)
 		if ev.Aux != 0 {
 			n.macAcks++
 		} else {
 			n.tx++
 		}
 	case KindRx:
-		m.node(ev.Node).rx++
+		n.rx++
 	case KindDrop:
-		n := m.node(ev.Node)
 		if ev.Aux == DropCollision {
 			n.collisions++
 		} else {
 			n.chanLosses++
 		}
 	case KindEnqueue:
-		n := m.node(ev.Node)
 		n.enqueued++
 		if ev.Aux > n.queueMax {
 			n.queueMax = ev.Aux
 		}
 	case KindDequeue:
-		m.node(ev.Node).queueWait.Observe(ev.Dur)
+		n.queueWait.Observe(ev.Dur)
 	case KindQueueDrop:
-		m.node(ev.Node).queueDrops++
+		n.queueDrops++
 	case KindGrant:
-		m.node(ev.Node).grants++
+		n.grants++
 	case KindLSAFlood:
-		m.node(ev.Node).floods++
+		n.floods++
+	case KindReplan:
+		n.replans++
+	case KindStall:
+		n.stalls++
+	default:
+		h.countFlow(ev)
+		return
+	}
+	n.row = true
+}
+
+// countFlow correlates the flow kinds. A flow gets its report row from a
+// decode or a delivery, the two kinds that count in it.
+func (h *Hub) countFlow(ev Event) {
+	switch ev.Kind {
 	case KindBatchStart:
 		key := flowKey(ev.Flow, ev.Batch)
-		if _, seen := m.batchStart[key]; !seen {
+		if _, seen := h.batchStart[key]; !seen {
 			// A stall-repair restart re-announces the batch; latency is
 			// measured from the first start, when the data became due.
-			m.batchStart[key] = ev.At
+			h.batchStart[key] = ev.At
 		}
 	case KindBatchDecode:
-		f := m.flow(ev.Flow)
+		f := at(&h.flows, ev.Flow)
 		f.batches++
 		f.delivered += ev.Aux
 		key := flowKey(ev.Flow, ev.Batch)
-		if start, ok := m.batchStart[key]; ok {
-			delete(m.batchStart, key)
+		if start, ok := h.batchStart[key]; ok {
+			delete(h.batchStart, key)
 			lat := ev.At - start
 			f.decode.Observe(lat)
 			// Every packet in the batch becomes usable at decode time:
@@ -238,31 +218,27 @@ func (m *metricsState) observe(ev Event) {
 			for i := int64(0); i < ev.Aux; i++ {
 				f.delivery.Observe(lat)
 			}
-			if m.deadlineNS > 0 && lat > m.deadlineNS {
+			if h.cfg.DeadlineNS > 0 && lat > h.cfg.DeadlineNS {
 				f.deadlineMisses += ev.Aux
 			}
 		}
 	case KindPktSend:
 		key := flowKey(ev.Flow, uint32(ev.Aux))
-		if _, seen := m.pktSend[key]; !seen {
-			m.pktSend[key] = ev.At
+		if _, seen := h.pktSend[key]; !seen {
+			h.pktSend[key] = ev.At
 		}
 	case KindPktDeliver:
-		f := m.flow(ev.Flow)
+		f := at(&h.flows, ev.Flow)
 		f.delivered++
 		key := flowKey(ev.Flow, uint32(ev.Aux))
-		if start, ok := m.pktSend[key]; ok {
-			delete(m.pktSend, key)
+		if start, ok := h.pktSend[key]; ok {
+			delete(h.pktSend, key)
 			lat := ev.At - start
 			f.delivery.Observe(lat)
-			if m.deadlineNS > 0 && lat > m.deadlineNS {
+			if h.cfg.DeadlineNS > 0 && lat > h.cfg.DeadlineNS {
 				f.deadlineMisses++
 			}
 		}
-	case KindReplan:
-		m.node(ev.Node).replans++
-	case KindStall:
-		m.node(ev.Node).stalls++
 	}
 }
 
@@ -291,16 +267,15 @@ type NodeReport struct {
 	Collisions, ChanLosses int64
 	Enqueued, QueueDrops   int64
 	QueueMax               int64
-	// QueueWait is the congestion-layer queue-wait distribution.
-	QueueWait               Hist `json:"-"`
+	// QueueWaitSummary is the congestion-layer queue-wait distribution.
 	QueueWaitSummary        LatencySummary
 	Grants, Floods, Replans int64
 	Stalls                  int64
 }
 
-// Report is the Hub's exported snapshot: deterministic (sorted) and
-// JSON-stable, the block moresim -metrics writes and scenario results
-// embed when telemetry is on.
+// Report is the Hub's exported snapshot: deterministic (ascending flow and
+// node IDs) and JSON-stable, the block moresim -metrics writes and scenario
+// results embed when telemetry is on.
 type Report struct {
 	// Events is the total event count the Hub received.
 	Events int64
@@ -315,37 +290,30 @@ type Report struct {
 
 // Report builds the exported snapshot.
 func (h *Hub) Report() *Report {
-	m := &h.metrics
-	r := &Report{Events: h.events.Load(), DeadlineNS: m.deadlineNS}
-	flowIDs := make([]uint32, 0, len(m.flows))
-	for id := range m.flows {
-		flowIDs = append(flowIDs, id)
-	}
-	sort.Slice(flowIDs, func(i, j int) bool { return flowIDs[i] < flowIDs[j] })
-	for _, id := range flowIDs {
-		f := m.flows[id]
+	r := &Report{Events: h.events.Load(), DeadlineNS: h.cfg.DeadlineNS}
+	for id, f := range h.flows {
+		if f.batches == 0 && f.delivered == 0 {
+			continue // no decode or delivery reached this ID
+		}
 		fr := FlowReport{
-			Flow:           id,
+			Flow:           uint32(id),
 			Delivered:      f.delivered,
 			Batches:        f.batches,
 			Delivery:       f.delivery.Summary(),
 			Decode:         f.decode.Summary(),
 			DeadlineMisses: f.deadlineMisses,
 		}
-		if m.deadlineNS > 0 && f.delivery.count > 0 {
+		if h.cfg.DeadlineNS > 0 && f.delivery.count > 0 {
 			fr.DeadlineMissRate = float64(f.deadlineMisses) / float64(f.delivery.count)
 		}
 		r.Flows = append(r.Flows, fr)
 	}
-	nodeIDs := make([]int32, 0, len(m.nodes))
-	for id := range m.nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-	for _, id := range nodeIDs {
-		n := m.nodes[id]
+	for id, n := range h.nodes {
+		if !n.row {
+			continue
+		}
 		r.Nodes = append(r.Nodes, NodeReport{
-			Node: id, Tx: n.tx, MACAcks: n.macAcks, Rx: n.rx,
+			Node: int32(id), Tx: n.tx, MACAcks: n.macAcks, Rx: n.rx,
 			Collisions: n.collisions, ChanLosses: n.chanLosses,
 			Enqueued: n.enqueued, QueueDrops: n.queueDrops, QueueMax: n.queueMax,
 			QueueWaitSummary: n.queueWait.Summary(),

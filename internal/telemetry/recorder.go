@@ -1,25 +1,19 @@
 package telemetry
 
-// recorderState is the flight recorder: one bounded ring of recent events
-// per node, retained so a stall watchdog can dump the lead-up.
-type recorderState struct {
-	rings map[int32]*eventRing
-}
-
 // ringCap bounds each node's flight-recorder ring (events).
 const ringCap = 256
 
+// eventRing is one node's flight recorder: a bounded ring of its recent
+// events, retained so a stall watchdog can dump the lead-up.
 type eventRing struct {
 	buf   []Event
 	next  int
 	total int64
 }
 
-func (m *recorderState) observe(ev Event) {
-	r := m.rings[ev.Node]
-	if r == nil {
-		r = &eventRing{buf: make([]Event, 0, ringCap)}
-		m.rings[ev.Node] = r
+func (r *eventRing) push(ev Event) {
+	if r.buf == nil {
+		r.buf = make([]Event, 0, ringCap)
 	}
 	if len(r.buf) < ringCap {
 		r.buf = append(r.buf, ev)
@@ -28,18 +22,6 @@ func (m *recorderState) observe(ev Event) {
 		r.next = (r.next + 1) % ringCap
 	}
 	r.total++
-}
-
-// recent returns the node's retained events, oldest first.
-func (m *recorderState) recent(node int32) []Event {
-	r := m.rings[node]
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
 }
 
 // StallDump is the structured post-mortem a repair watchdog's KindStall
@@ -72,18 +54,19 @@ func stallReason(aux int64) string {
 	}
 }
 
-// dump captures the post-mortem for a KindStall event.
-func (m *recorderState) dump(ev Event) StallDump {
-	d := StallDump{
+// dump captures the post-mortem for a KindStall event at the ring's node,
+// its retained events oldest first.
+func (r *eventRing) dump(ev Event) StallDump {
+	recent := make([]Event, 0, len(r.buf))
+	recent = append(recent, r.buf[r.next:]...)
+	recent = append(recent, r.buf[:r.next]...)
+	return StallDump{
 		At:     ev.At,
 		Node:   ev.Node,
 		Flow:   ev.Flow,
 		Batch:  ev.Batch,
 		Reason: stallReason(ev.Aux),
-		Recent: m.recent(ev.Node),
+		Seen:   r.total,
+		Recent: recent,
 	}
-	if r := m.rings[ev.Node]; r != nil {
-		d.Seen = r.total
-	}
-	return d
 }

@@ -8,13 +8,14 @@
 // structured post-mortem when a flow stalls.
 //
 // The overhead contract: with no sink installed (sim.Simulator.Telem nil)
-// every emission site is a single nil check — runs are byte-identical to
-// the pre-telemetry code and within measurement noise of its speed
-// (cmd/morebench -telemetry-overhead gates this in CI). With a Hub
-// installed the cost is one fixed-size struct per event, no allocation on
-// the emit path beyond amortized ring/histogram storage; telemetry is
-// observation-only and never changes simulation behavior (the golden suite
-// pins this).
+// every emission site is a single nil check, and runs are byte-identical to
+// the pre-telemetry code. With a Hub installed the cost is one fixed-size
+// struct per event and one lookup of the node's record in a slice, with no
+// allocation on the emit path beyond amortized ring/histogram storage.
+// Telemetry is observation-only and never changes simulation behavior (the
+// golden suite pins this). CI's cmd/morebench -telemetry-overhead step
+// bounds the Hub's cost at 10 % on an 8 ms testbed transfer, a reading too
+// noisy to hold and far from where the events are (ROADMAP item 17(c)).
 package telemetry
 
 import (
@@ -170,7 +171,8 @@ type Event struct {
 	Flow uint32
 	// Batch is the coded batch index for batch-keyed kinds.
 	Batch uint32
-	// Node is the node the event happened at.
+	// Node is the node the event happened at: a node ID, never negative
+	// (a Hub indexes its per-node records by it).
 	Node int32
 	// Peer is the other party where one exists (-1 broadcast/none).
 	Peer int32
@@ -214,19 +216,23 @@ type Hub struct {
 	events atomic.Int64
 	lastAt atomic.Int64
 
-	metrics metricsState
-	rec     recorderState
-	chrome  chromeState
+	nodes []nodeState   // by node ID
+	flows []flowMetrics // by flow ID
+	// batchStart and pktSend correlate start events with their matching
+	// decode/delivery: key flow<<32|batch (or |seq), value the first-seen
+	// timestamp. Entries are deleted on the matching completion, so the
+	// maps stay bounded by in-flight work.
+	batchStart map[uint64]int64
+	pktSend    map[uint64]int64
+
+	chrome chromeState
 
 	extra []Sink
 }
 
 // NewHub builds a Hub with the given configuration.
 func NewHub(cfg Config) *Hub {
-	h := &Hub{cfg: cfg}
-	h.metrics.init(cfg.DeadlineNS)
-	h.rec.rings = make(map[int32]*eventRing)
-	return h
+	return &Hub{cfg: cfg, batchStart: make(map[uint64]int64), pktSend: make(map[uint64]int64)}
 }
 
 // AddSink fans emitted events out to an additional sink (e.g. moresim's
@@ -245,10 +251,11 @@ func (h *Hub) LastAt() int64 { return h.lastAt.Load() }
 func (h *Hub) Emit(ev Event) {
 	h.events.Add(1)
 	h.lastAt.Store(ev.At)
-	h.metrics.observe(ev)
-	h.rec.observe(ev)
+	n := at(&h.nodes, ev.Node)
+	n.ring.push(ev)
+	h.count(n, ev)
 	if ev.Kind == KindStall && h.cfg.OnStall != nil {
-		h.cfg.OnStall(h.rec.dump(ev))
+		h.cfg.OnStall(n.ring.dump(ev))
 	}
 	if h.cfg.ChromeTrace {
 		h.chrome.observe(ev, chromeCap)
@@ -256,4 +263,12 @@ func (h *Hub) Emit(ev Event) {
 	for _, s := range h.extra {
 		s.Emit(ev)
 	}
+}
+
+// at returns &(*s)[id], first growing *s with zero values to hold it.
+func at[T any, I int32 | uint32](s *[]T, id I) *T {
+	if int(id) >= len(*s) {
+		*s = append(*s, make([]T, int(id)+1-len(*s))...)
+	}
+	return &(*s)[id]
 }

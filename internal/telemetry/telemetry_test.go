@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -210,6 +211,9 @@ func TestChromeTraceEmpty(t *testing.T) {
 // their delivery, and the deadline bills every late packet.
 func TestMetricsCorrelation(t *testing.T) {
 	h := NewHub(Config{DeadlineNS: 1000})
+	h.Emit(Event{At: 50, Flow: 5, Aux: 1, Kind: KindPktDeliver})
+	h.Emit(Event{At: 60, Flow: 4, Batch: 0, Kind: KindBatchStart}) // no decode: no row
+	h.Emit(Event{At: 70, Flow: 3, Aux: 1, Kind: KindPktSend})      // no delivery: no row
 	h.Emit(Event{At: 100, Flow: 1, Batch: 0, Kind: KindBatchStart})
 	h.Emit(Event{At: 500, Flow: 1, Batch: 0, Kind: KindBatchStart}) // repair restart: ignored
 	h.Emit(Event{At: 600, Flow: 1, Batch: 0, Aux: 3, Node: 9, Kind: KindBatchDecode})
@@ -219,6 +223,13 @@ func TestMetricsCorrelation(t *testing.T) {
 	h.Emit(Event{At: 6000, Flow: 2, Aux: 8, Kind: KindPktDeliver}) // no matching send: counted, unsampled
 
 	r := h.Report()
+	var ids []uint32
+	for _, f := range r.Flows {
+		ids = append(ids, f.Flow)
+	}
+	if !slices.Equal(ids, []uint32{1, 2, 5}) {
+		t.Fatalf("flow rows %v, want [1 2 5]", ids)
+	}
 	f1 := r.FlowMetrics(1)
 	if f1.Delivered != 3 || f1.Batches != 1 {
 		t.Fatalf("flow 1 accounting %+v", f1)
@@ -244,9 +255,14 @@ func TestMetricsCorrelation(t *testing.T) {
 	}
 }
 
-// TestNodeMetrics checks the per-node counter classification.
+// TestNodeMetrics checks the per-node counter classification, that rows
+// come out in ascending node order whatever order the nodes first emitted
+// in, and that a node only ring-only kinds reached gets no row while its
+// flight recorder still holds those events for a later stall's dump.
 func TestNodeMetrics(t *testing.T) {
-	h := NewHub(Config{})
+	var dumps []StallDump
+	h := NewHub(Config{OnStall: func(d StallDump) { dumps = append(dumps, d) }})
+	h.Emit(Event{Node: 9, Kind: KindTx})
 	h.Emit(Event{Node: 4, Kind: KindTx})
 	h.Emit(Event{Node: 4, Aux: 1, Kind: KindTx}) // MAC ack
 	h.Emit(Event{Node: 4, Kind: KindRx})
@@ -258,13 +274,20 @@ func TestNodeMetrics(t *testing.T) {
 	h.Emit(Event{Node: 4, Kind: KindGrant})
 	h.Emit(Event{Node: 4, Kind: KindLSAFlood})
 	h.Emit(Event{Node: 4, Aux: ReplanDrift, Kind: KindReplan})
+	h.Emit(Event{Node: 2, Kind: KindRx})
+	h.Emit(Event{At: 1, Node: 6, Kind: KindNodeFail})
+	h.Emit(Event{At: 2, Node: 6, Flow: 1, Kind: KindBatchStart})
 
 	r := h.Report()
-	if len(r.Nodes) != 1 {
-		t.Fatalf("%d nodes", len(r.Nodes))
+	var ids []int32
+	for _, n := range r.Nodes {
+		ids = append(ids, n.Node)
 	}
-	n := r.Nodes[0]
-	if n.Node != 4 || n.Tx != 1 || n.MACAcks != 1 || n.Rx != 1 ||
+	if !slices.Equal(ids, []int32{2, 4, 9}) {
+		t.Fatalf("node rows %v, want [2 4 9]", ids)
+	}
+	n := r.Nodes[1]
+	if n.Tx != 1 || n.MACAcks != 1 || n.Rx != 1 ||
 		n.Collisions != 1 || n.ChanLosses != 1 ||
 		n.Enqueued != 1 || n.QueueMax != 6 || n.QueueDrops != 1 ||
 		n.Grants != 1 || n.Floods != 1 || n.Replans != 1 {
@@ -272,5 +295,17 @@ func TestNodeMetrics(t *testing.T) {
 	}
 	if n.QueueWaitSummary.Count != 1 || n.QueueWaitSummary.MaxMs != 2500*msPerNs {
 		t.Fatalf("queue wait %+v", n.QueueWaitSummary)
+	}
+	if r.Nodes[0].Rx != 1 || r.Nodes[2].Tx != 1 {
+		t.Fatalf("rows 2 and 9 %+v %+v", r.Nodes[0], r.Nodes[2])
+	}
+
+	h.Emit(Event{At: 3, Node: 6, Aux: StallBatch, Kind: KindStall})
+	if len(dumps) != 1 || dumps[0].Seen != 3 || len(dumps[0].Recent) != 3 ||
+		dumps[0].Recent[0].Kind != KindNodeFail || dumps[0].Recent[1].Kind != KindBatchStart {
+		t.Fatalf("stall dump at node 6 %+v", dumps)
+	}
+	if r := h.Report(); len(r.Nodes) != 4 || r.Nodes[2].Node != 6 || r.Nodes[2].Stalls != 1 || r.Stalls != 1 {
+		t.Fatalf("the stall gives node 6 its row: %+v", r.Nodes)
 	}
 }
