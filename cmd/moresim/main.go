@@ -20,7 +20,8 @@
 //	moresim -scale 128,256 -flows 4 -cc-sweep    # ... per congestion policy as well
 //
 // The telemetry plane rides on any single run: -metrics writes latency
-// percentiles and per-node counters, -trace-out a Chrome-trace-event file,
+// percentiles and per-node counters, -trace-out a Chrome-trace-event file
+// (either one, given "-", to stdout ahead of the run's own output),
 // -deadline-ms arms the per-packet miss rate, -progress a stderr heartbeat,
 // -trace prints a per-node activity timeline; stall post-mortems print to
 // stderr the moment a repair watchdog fires. -cpuprofile and -memprofile
@@ -113,7 +114,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.StringVar(&c.scenario, "scenario", "", "run a declarative scenario spec file (scenarios/*.json) instead of compiling one from flags; run-shaping flags do not combine with it")
 
 	fs.StringVar(&c.tc.metrics, "metrics", "", "write the telemetry metrics report (per-packet latency percentiles, per-node counters, stall count) as JSON to this file (\"-\" for stdout)")
-	fs.StringVar(&c.tc.trace, "trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing)")
+	fs.StringVar(&c.tc.trace, "trace-out", "", "write a Chrome-trace-event JSON file of every telemetry event (load in Perfetto or chrome://tracing; \"-\" for stdout)")
 	fs.Float64Var(&c.tc.deadlineMS, "deadline-ms", 0, "per-packet delivery deadline for the telemetry miss rate, in milliseconds (0 disables)")
 	fs.Float64Var(&c.simDeadline, "sim-deadline", 0, "simulated transfer deadline in seconds, measured from flow start (0: the 3600 s default); bounds slow learned-state runs at scale")
 	fs.Float64Var(&c.tc.progressS, "progress", 0, "print a progress heartbeat (events seen and events/s, simulated clock and sim-seconds per wall-second since the last tick) to stderr every N wall-clock seconds (0 disables)")
@@ -245,6 +246,9 @@ func compile(c *cli) ([]*scenario.Spec, reducer, error) {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return nil, nil, fmt.Errorf("-%s must be a finite number >= 0 (0 disables), got %g", f.name, f.v)
 		}
+	}
+	if c.tc.metrics == "-" && c.tc.trace == "-" {
+		return nil, nil, fmt.Errorf("-metrics - and -trace-out - would both write to stdout: send one of them to a file")
 	}
 	if c.scenario != "" {
 		// The file is the whole run; a flag that would shape it is a
@@ -911,18 +915,17 @@ func (tc telemetryCLI) startProgress(hub *telemetry.Hub, stderr io.Writer) func(
 }
 
 // finish writes the artifacts the flags requested from a completed run
-// ("-metrics -" to stdout), naming on stderr any it could not write.
+// ("-metrics -" or "-trace-out -" to stdout), naming on stderr any it could
+// not write.
 func (tc telemetryCLI) finish(hub *telemetry.Hub, stdout, stderr io.Writer) bool {
 	ok := true
 	if tc.metrics != "" {
 		out, err := json.MarshalIndent(hub.Report(), "", "  ")
 		if err == nil {
-			out = append(out, '\n')
-			if tc.metrics == "-" {
-				_, err = stdout.Write(out)
-			} else {
-				err = os.WriteFile(tc.metrics, out, 0o644)
-			}
+			err = writeArtifact(tc.metrics, stdout, func(w io.Writer) error {
+				_, err := w.Write(append(out, '\n'))
+				return err
+			})
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "-metrics: %v\n", err)
@@ -930,14 +933,7 @@ func (tc telemetryCLI) finish(hub *telemetry.Hub, stdout, stderr io.Writer) bool
 		}
 	}
 	if tc.trace != "" {
-		f, err := os.Create(tc.trace)
-		if err == nil {
-			err = hub.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := writeArtifact(tc.trace, stdout, hub.WriteChromeTrace); err != nil {
 			fmt.Fprintf(stderr, "-trace-out: %v\n", err)
 			ok = false
 		}
@@ -946,4 +942,22 @@ func (tc telemetryCLI) finish(hub *telemetry.Hub, stdout, stderr io.Writer) bool
 		}
 	}
 	return ok
+}
+
+// writeArtifact writes one artifact to the named file, or to stdout for "-":
+// appended to what stdout already carries, where reopening /dev/stdout would
+// truncate a redirected file.
+func writeArtifact(name string, stdout io.Writer, write func(io.Writer) error) error {
+	if name == "-" {
+		return write(stdout)
+	}
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -183,6 +183,34 @@ func TestTelemetryArtifacts(t *testing.T) {
 	}
 }
 
+// TestTraceOutToStdout: "-trace-out -" writes the Chrome trace on stdout
+// ahead of the run's own output, as "-metrics -" does the report: the
+// scenario's -json document follows it whole, as the run prints it with the
+// trace sent to a file. Both on stdout at once is a usage error.
+func TestTraceOutToStdout(t *testing.T) {
+	spec := filepath.Join("..", "..", "scenarios", "push-choke.json")
+	code, out, errOut := runCLI(t, "-scenario", spec, "-json", "-trace-out", "-")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	var events []map[string]any
+	if err := dec.Decode(&events); err != nil || len(events) == 0 {
+		t.Fatalf("stdout does not open with the Chrome trace: %v", err)
+	}
+	// What follows the trace is what the run prints with its trace sent
+	// to a file.
+	code, want, _ := runCLI(t, "-scenario", spec, "-json", "-trace-out", filepath.Join(t.TempDir(), "trace.json"))
+	if rest := strings.TrimPrefix(out[dec.InputOffset():], "\n"); code != 0 || rest != want {
+		t.Errorf("after the trace, stdout holds\n%s\nwant\n%s", rest, want)
+	}
+
+	code, out, errOut = runCLI(t, toyArgs("-metrics", "-", "-trace-out", "-")...)
+	if code != 2 || out != "" || !strings.Contains(errOut, "would both write to stdout") {
+		t.Errorf("-metrics - -trace-out -: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}
+
 // TestStallDumpsPrintLive: a repair watchdog that fires under a hub prints
 // its flight-recorder post-mortem on stderr — here ExOR's, on the golden
 // that runs its stalled-batch repair.

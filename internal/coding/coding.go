@@ -10,12 +10,14 @@
 //   - Buffer: a forwarder's batch buffer that keeps the code vectors of
 //     stored packets in row-echelon form and admits only innovative packets
 //     using Algorithm 2 (§3.2.3(a),(b)). Payloads stay as received: a K×K
-//     transform records each echelon row as a combination of them, so a
-//     relay combines payload bytes only for a packet that goes on the air.
+//     transform records each echelon row as a combination of them, and each
+//     slot's echelon vector and transform row sit side by side in one
+//     2K-byte row of one matrix, so a relay combines payload bytes only for
+//     a packet a receiver reads.
 //   - PreCoder: the pre-computed next transmission (§3.2.3(c)), held as a
 //     code vector plus its coefficients over the received payloads and
-//     updated incrementally as innovative packets arrive; Take combines the
-//     payload.
+//     updated incrementally as innovative packets arrive. Take hands out a
+//     packet whose payload is combined on first read (see Packet).
 //   - Decoder: innovativeness tracking over code vectors as packets arrive;
 //     once K innovative packets are stored the natives are recovered by
 //     inverting the K×K coefficient matrix and running K word-wise
@@ -47,17 +49,32 @@ import (
 
 // Packet is a coded packet: the code vector describing how it was derived
 // from the batch's native packets, plus the coded payload bytes.
+//
+// A packet PreCoder.Take hands out is pending: its payload is combined when
+// it is first read, through CopyFrom or Clone, the paths a receiver copies
+// it by, and not at all if it goes back to its Pool unread. Until then its
+// Payload is nil and the bytes are parked in an unexported field, so a read
+// that skips those paths finds no bytes rather than stale ones.
 type Packet struct {
 	// Vector has length K (the batch size). Vector[i] is the coefficient
 	// of native packet i.
 	Vector []byte
 	// Payload is the coded data, the same length for every packet of a
-	// batch.
+	// batch; nil while the packet is pending.
 	Payload []byte
+
+	// While pending: src is the buffer whose received payloads the packet
+	// combines, at is its index in src.pending, and parked holds the
+	// payload bytes the combine fills. src is nil otherwise.
+	src    *Buffer
+	at     int
+	parked []byte
 }
 
-// Clone returns a deep copy of p.
+// Clone returns a deep copy of p, combining p's payload first if it is
+// pending.
 func (p *Packet) Clone() *Packet {
+	p.resolve()
 	q := &Packet{
 		Vector:  make([]byte, len(p.Vector)),
 		Payload: make([]byte, len(p.Payload)),
@@ -67,14 +84,33 @@ func (p *Packet) Clone() *Packet {
 	return q
 }
 
-// CopyFrom overwrites p with q's contents. The shapes must match; it is the
-// pool-friendly alternative to Clone.
+// CopyFrom overwrites p with q's contents, combining q's payload first if it
+// is pending. The shapes must match; it is the pool-friendly alternative to
+// Clone.
 func (p *Packet) CopyFrom(q *Packet) {
+	q.resolve()
 	if len(p.Vector) != len(q.Vector) || len(p.Payload) != len(q.Payload) {
 		panic("coding: CopyFrom shape mismatch")
 	}
 	copy(p.Vector, q.Vector)
 	copy(p.Payload, q.Payload)
+}
+
+// size returns the payload length, pending or not, without combining it.
+func (p *Packet) size() int {
+	if p.src != nil {
+		return len(p.parked)
+	}
+	return len(p.Payload)
+}
+
+// resolve combines a pending packet's payload from its buffer's rows and the
+// weights Take recorded, and ends its pending state.
+func (p *Packet) resolve() {
+	if b := p.src; b != nil {
+		b.materialize(p.parked, b.weights(p.at))
+		b.unpend(p)
+	}
 }
 
 // IsZero reports whether the packet's code vector is all-zero (it then
@@ -185,26 +221,37 @@ func (s *Source) Next() *Packet {
 // (Algorithm 2). Payloads stay as received: a k×k transform records each
 // echelon row's payload as a combination of the received ones, so admitting
 // a packet does vector arithmetic only, and payload bytes are combined
-// once, when a packet goes on the air (Recode, PreCoder.Take).
+// once, when a packet is read (Recode, and a pending packet's first read).
+//
+// Each slot's echelon vector and transform row are one 2k-byte row of one
+// matrix, so elimination, pre-coding and updates walk contiguous rows with
+// one field operation per row, and never touch the received packets.
 type Buffer struct {
 	k    int
 	size int
-	// rows[i] is nil if slot i is empty; otherwise its Vector is the echelon
-	// row with its leading 1 at i and its Payload the bytes as received.
+	// rows[i] is nil if slot i is empty; otherwise the packet admitted into
+	// it, whose Payload is the bytes as received (its Vector is not read).
 	rows []*Packet
+	// m holds slot i's row at m[2k·i:2k·(i+1)]: the echelon vector with its
+	// leading 1 at i, then the transform row t_i, so slot i's echelon
+	// payload is Σ_j t_i[j]·rows[j].Payload. A transform row refers only to
+	// slots filled no later than its own, so rows never change once written.
+	m    []byte
 	rank int
 	last int   // slot most recently admitted
 	gen  int   // Reset count: a pre-coder's prepared transmission refers to one generation's rows
 	pool *Pool // optional; recycles rejected and flushed packets
 
-	// t is the transform, one k-byte row per slot, indexed by slot:
-	// slot i's echelon payload is Σ_j t[i·k+j]·rows[j].Payload. A row
-	// refers only to slots filled no later than its own, so rows never
-	// change once written.
-	t []byte
+	// pending lists the packets Take handed out whose payloads are not
+	// combined yet; pw holds their weights over the received payloads, k
+	// bytes each, in the same order. Reset combines them before the rows
+	// go, and a packet put back unread leaves without being combined.
+	pending []*Packet
+	pw      []byte
 
 	// Reusable scratch so the steady state allocates nothing. rowScratch
-	// is Innovative's vector, Add's transform row and Recode's weights.
+	// (2k) is Innovative's vector, Add's row and Recode's vector and
+	// weights.
 	rowScratch  []byte
 	coefScratch []byte
 	payScratch  [][]byte
@@ -213,23 +260,23 @@ type Buffer struct {
 
 // NewBuffer creates an empty buffer for batch size k and payload size.
 func NewBuffer(k, size int) *Buffer {
-	backing := make([]byte, k*k+2*k)
+	backing := make([]byte, 2*k*k+3*k)
 	return &Buffer{
 		k:           k,
 		size:        size,
 		rows:        make([]*Packet, k),
 		last:        -1,
-		t:           backing[:k*k],
-		rowScratch:  backing[k*k : k*k+k],
-		coefScratch: backing[k*k+k:],
+		m:           backing[:2*k*k],
+		rowScratch:  backing[2*k*k : 2*k*k+2*k],
+		coefScratch: backing[2*k*k+2*k:],
 		payScratch:  make([][]byte, 0, k),
 		kern:        gf256.NewKernel(),
 	}
 }
 
-// UsePool attaches a packet pool: Recode draws from it, and Add and Reset
-// recycle rejected or flushed packets into it. The pool's shape must match
-// the buffer's.
+// UsePool attaches a packet pool: Recode and Take draw from it, and Add and
+// Reset recycle rejected or flushed packets into it. The pool's shape must
+// match the buffer's.
 func (b *Buffer) UsePool(p *Pool) {
 	if p.K() != b.k || p.PayloadSize() != b.size {
 		panic("coding: Buffer.UsePool shape mismatch")
@@ -245,8 +292,9 @@ func (b *Buffer) Rank() int { return b.rank }
 // whole batch can be decoded.
 func (b *Buffer) Full() bool { return b.rank == b.k }
 
-// tRow returns slot i's transform row.
-func (b *Buffer) tRow(i int) []byte { return b.t[i*b.k : (i+1)*b.k] }
+// row returns slot i's 2k-byte row: its echelon vector, then its transform
+// row.
+func (b *Buffer) row(i int) []byte { return b.m[2*i*b.k : 2*(i+1)*b.k] }
 
 // Innovative reports whether a packet with the given code vector would be
 // innovative (linearly independent of the stored packets) without modifying
@@ -257,7 +305,7 @@ func (b *Buffer) Innovative(vector []byte) bool {
 	if len(vector) != b.k || b.rank == b.k {
 		return false
 	}
-	u := b.rowScratch
+	u := b.rowScratch[:b.k]
 	copy(u, vector)
 	for i := 0; i < b.k; i++ {
 		if u[i] == 0 {
@@ -266,50 +314,50 @@ func (b *Buffer) Innovative(vector []byte) bool {
 		if b.rows[i] == nil {
 			return true
 		}
-		// u -= rows[i]*u[i]. Both are zero before i, so the suffix would
+		// u -= vec_i*u[i]. Both are zero before i, so the suffix would
 		// suffice — but at K = 32 the whole vector is one SIMD block and
 		// every proper suffix falls back to the table loop.
-		gf256.MulAddSlice(u, b.rows[i].Vector, u[i])
+		gf256.MulAddSlice(u, b.row(i)[:b.k], u[i])
 	}
 	return false
 }
 
-// Add runs Algorithm 2 on the packet's code vector: it reduces the vector
-// against the stored rows and, if the result is nonzero, admits the packet
-// into the empty slot it lands in and returns true (rank increased). The
-// row operations are recorded in the slot's transform row; the payload is
-// stored as received. Non-innovative packets are discarded and Add returns
-// false. The packet is consumed either way: Add may modify its vector in
-// place, and with a pool attached a rejected packet is recycled.
+// Add runs Algorithm 2 on the packet's code vector: it reduces the vector,
+// with a transform row beside it, against the stored rows and, if the
+// result is nonzero, admits the packet into the empty slot it lands in and
+// returns true (rank increased). The reduced row becomes the slot's row;
+// the packet is stored as received. Non-innovative packets are discarded
+// and Add returns false. The packet is consumed either way: with a pool
+// attached a rejected packet is recycled.
 func (b *Buffer) Add(p *Packet) bool {
 	if len(p.Vector) != b.k || len(p.Payload) != b.size {
 		return false
 	}
 	if b.rank < b.k {
-		t := b.rowScratch
-		clear(t)
-		for i := 0; i < b.k; i++ {
-			c := p.Vector[i]
+		k := b.k
+		u := b.rowScratch
+		copy(u, p.Vector)
+		clear(u[k:])
+		for i := 0; i < k; i++ {
+			c := u[i]
 			if c == 0 {
 				continue
 			}
 			if b.rows[i] == nil {
 				// Admit: normalize the leading coefficient to 1. Slot i
-				// was empty, so no transform row refers to it yet and t[i]
-				// is still zero: the received payload enters with weight 1.
-				inv := gf256.Inv(c)
-				gf256.ScaleSlice(p.Vector, inv)
-				t[i] = 1
-				gf256.ScaleSlice(t, inv)
-				copy(b.tRow(i), t)
+				// was empty, so no transform row refers to it yet and its
+				// weight is still zero: the received payload enters with
+				// weight 1.
+				u[k+i] = 1
+				gf256.ScaleSlice(u, gf256.Inv(c))
+				copy(b.row(i), u)
 				b.rows[i] = p
 				b.last = i
 				b.rank++
 				return true
 			}
-			// p -= row * c, on the vector and on its transform row.
-			gf256.MulAddSlice(p.Vector, b.rows[i].Vector, c)
-			gf256.MulAddSlice(t, b.tRow(i), c)
+			// u -= row_i * c, vector and transform row in one pass.
+			gf256.MulAddSlice(u, b.row(i), c)
 		}
 	}
 	if b.pool != nil {
@@ -339,18 +387,17 @@ func draw(rng *rand.Rand, coefs []byte) {
 	coefs[len(coefs)-1] = randNonZero(rng)
 }
 
-// combine sets vec = Σ coefs[j]·row_j over the stored rows in slot order
-// and w to the same combination of their transform rows.
-func (b *Buffer) combine(vec, w, coefs []byte) {
-	clear(vec)
-	clear(w)
+// combine sets out (2k bytes) to Σ coefs[j]·row_j over the stored rows in
+// slot order: the combination's code vector, then its weights over the
+// received payloads.
+func (b *Buffer) combine(out, coefs []byte) {
+	clear(out)
 	j := 0
 	for i, row := range b.rows {
 		if row == nil {
 			continue
 		}
-		gf256.MulAddSlice(vec, row.Vector, coefs[j])
-		gf256.MulAddSlice(w, b.tRow(i), coefs[j])
+		gf256.MulAddSlice(out, b.row(i), coefs[j])
 		j++
 	}
 }
@@ -373,9 +420,10 @@ func (b *Buffer) materialize(dst, w []byte) {
 }
 
 // Recode produces a fresh random linear combination of the stored innovative
-// packets (what a forwarder transmits, §3.1.2). It returns nil if the buffer
-// is empty. A linear combination of coded packets is itself a coded packet
-// whose vector is expressed in terms of the natives.
+// packets (what a forwarder transmits, §3.1.2), its payload combined at
+// once. It returns nil if the buffer is empty. A linear combination of
+// coded packets is itself a coded packet whose vector is expressed in terms
+// of the natives.
 func (b *Buffer) Recode(rng *rand.Rand) *Packet {
 	if b.rank == 0 {
 		return nil
@@ -383,14 +431,45 @@ func (b *Buffer) Recode(rng *rand.Rand) *Packet {
 	p := b.newPacket()
 	coefs := b.coefScratch[:b.rank]
 	draw(rng, coefs)
-	b.combine(p.Vector, b.rowScratch, coefs)
-	b.materialize(p.Payload, b.rowScratch)
+	b.combine(b.rowScratch, coefs)
+	copy(p.Vector, b.rowScratch[:b.k])
+	b.materialize(p.Payload, b.rowScratch[b.k:])
 	return p
 }
 
+// pend makes p pending on b with weights w (copied): its payload moves to
+// p.parked until it is read, put back, or b is Reset.
+func (b *Buffer) pend(p *Packet, w []byte) {
+	p.src, p.at = b, len(b.pending)
+	p.parked, p.Payload = p.Payload, nil
+	b.pending = append(b.pending, p)
+	b.pw = append(b.pw, w...)
+}
+
+// weights returns the weights of pending packet i.
+func (b *Buffer) weights(i int) []byte { return b.pw[i*b.k : (i+1)*b.k] }
+
+// unpend ends p's pending state, whatever its payload bytes hold: the last
+// pending packet takes p's place in the list.
+func (b *Buffer) unpend(p *Packet) {
+	last := len(b.pending) - 1
+	if q := b.pending[last]; q != p {
+		b.pending[p.at], q.at = q, p.at
+		copy(b.weights(p.at), b.weights(last))
+	}
+	b.pending[last] = nil
+	b.pending = b.pending[:last]
+	b.pw = b.pw[:last*b.k]
+	p.Payload, p.parked, p.src = p.parked, nil, nil
+}
+
 // Reset drops all stored packets (batch flush: overheard ACK or newer batch,
-// §3.2.2), recycling them when a pool is attached.
+// §3.2.2), recycling them when a pool is attached. The payload of every
+// packet still pending is combined first, from the rows about to go.
 func (b *Buffer) Reset() {
+	for len(b.pending) > 0 {
+		b.pending[len(b.pending)-1].resolve()
+	}
 	for i, row := range b.rows {
 		if row != nil && b.pool != nil {
 			b.pool.Put(row)
@@ -405,8 +484,9 @@ func (b *Buffer) Reset() {
 // PreCoder maintains the next transmission ready for the instant the MAC
 // offers an opportunity (§3.2.3(c)). It keeps the prepared packet as its
 // code vector plus the coefficients of its payload over the buffer's
-// received payloads, so preparing and updating it is vector arithmetic, and
-// Take combines the payload once, for the packet that goes on the air.
+// received payloads, so preparing and updating it is vector arithmetic.
+// Take hands the packet out pending: its payload is combined when a
+// receiver first reads it, or never, if it goes back to the pool unread.
 // After handing a packet out it prepares the next; when an innovative
 // packet arrives in between, Update folds it in with a fresh random
 // coefficient, so the prepared packet reflects everything the node knows.
@@ -416,14 +496,12 @@ type PreCoder struct {
 	buf      *Buffer
 	rng      *rand.Rand
 	prepared int    // buf.gen when the transmission was prepared; −1 for none
-	vec      []byte // the prepared packet's code vector
-	coef     []byte // its payload's coefficients, indexed by slot like a transform row
+	row      []byte // the prepared packet's code vector, then its payload's coefficients by slot
 }
 
 // NewPreCoder creates a PreCoder over the given buffer.
 func NewPreCoder(buf *Buffer, rng *rand.Rand) *PreCoder {
-	s := make([]byte, 2*buf.k)
-	return &PreCoder{buf: buf, rng: rng, prepared: -1, vec: s[:buf.k], coef: s[buf.k:]}
+	return &PreCoder{buf: buf, rng: rng, prepared: -1, row: make([]byte, 2*buf.k)}
 }
 
 // Ready reports whether a packet is prepared.
@@ -439,7 +517,7 @@ func (pc *PreCoder) Refresh() {
 	}
 	coefs := b.coefScratch[:b.rank]
 	draw(pc.rng, coefs)
-	b.combine(pc.vec, pc.coef, coefs)
+	b.combine(pc.row, coefs)
 	pc.prepared = b.gen
 }
 
@@ -452,14 +530,13 @@ func (pc *PreCoder) Update() {
 		return
 	}
 	b := pc.buf
-	r := randNonZero(pc.rng)
-	gf256.MulAddSlice(pc.vec, b.rows[b.last].Vector, r)
-	gf256.MulAddSlice(pc.coef, b.tRow(b.last), r)
+	gf256.MulAddSlice(pc.row, b.row(b.last), randNonZero(pc.rng))
 }
 
 // Take hands out the prepared packet (or codes one on the spot if none is
-// prepared — the "naive" path pre-coding exists to avoid), combining its
-// payload now, and prepares the next. Returns nil if the buffer is empty.
+// prepared — the "naive" path pre-coding exists to avoid), pending on the
+// buffer with a copy of its weights, and prepares the next. Returns nil if
+// the buffer is empty.
 func (pc *PreCoder) Take() *Packet {
 	if !pc.Ready() {
 		if pc.Refresh(); !pc.Ready() {
@@ -468,8 +545,8 @@ func (pc *PreCoder) Take() *Packet {
 	}
 	b := pc.buf
 	p := b.newPacket()
-	copy(p.Vector, pc.vec)
-	b.materialize(p.Payload, pc.coef)
+	copy(p.Vector, pc.row[:b.k])
+	b.pend(p, pc.row[b.k:])
 	pc.Refresh()
 	return p
 }

@@ -422,17 +422,17 @@ func TestRowsEchelonInvariant(t *testing.T) {
 		// Invariant: row i (if present) has leading 1 at index i and zeros
 		// before it.
 		for slot := 0; slot < k; slot++ {
-			row := buf.rows[slot]
-			if row == nil {
+			if buf.rows[slot] == nil {
 				continue
 			}
+			vec := buf.row(slot)[:k]
 			for j := 0; j < slot; j++ {
-				if row.Vector[j] != 0 {
+				if vec[j] != 0 {
 					t.Fatalf("row %d has nonzero at %d", slot, j)
 				}
 			}
-			if row.Vector[slot] != 1 {
-				t.Fatalf("row %d pivot not normalized: %d", slot, row.Vector[slot])
+			if vec[slot] != 1 {
+				t.Fatalf("row %d pivot not normalized: %d", slot, vec[slot])
 			}
 		}
 	}

@@ -192,10 +192,17 @@ func samePacket(t *testing.T, what string, got, want *Packet) {
 // one drew, in the same order. A sequence fills its batch about twice
 // between Resets. The pooled half recycles every packet it hands out
 // through a poisoned free list, and its Reset releases the buffer to the
-// pool and takes it back, transform rows poisoned.
+// pool and takes it back, rows poisoned.
+//
+// A packet Take hands out stays pending until a random later step reads it
+// through CopyFrom or Clone, as a receiver does, or puts it back unread:
+// reads land after further Adds and Updates, after Resets, and after other
+// pending packets left the buffer's weight table, and each must still
+// match the eager packet taken at the same step.
 func TestBufferMatchesEagerReference(t *testing.T) {
 	sizes := []int{1, 7, 31, 33, 47, 100, 161}
 	forEachArm(t, func(t *testing.T) {
+		afterAdd, afterReset := 0, 0
 		for k := 1; k <= 40; k++ {
 			for _, pooled := range []bool{false, true} {
 				seed := int64(2 * k)
@@ -212,6 +219,12 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 				if pooled {
 					pool = &Pool{k: k, size: size, free: new(sync.Pool)}
 					buf = pool.GetBuffer()
+				}
+				// unread takes back a packet nobody read; an unpooled
+				// buffer's packets go to a pool of their own.
+				unread := pool
+				if unread == nil {
+					unread = &Pool{k: k, size: size, free: new(sync.Pool)}
 				}
 				pre := NewPreCoder(buf, rngD)
 				eager := newEagerBuffer(k, size)
@@ -232,9 +245,41 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 						pool.Put(p)
 					}
 				}
+				// taken holds the packets Take handed out and not yet read,
+				// each with its eager twin and the Add and Reset counts at
+				// the time.
+				type take struct {
+					got, want    *Packet
+					adds, resets int
+				}
+				var taken []take
+				adds, resets := 0, 0
+				read := func(at string, i int) {
+					tk := taken[i]
+					taken = append(taken[:i], taken[i+1:]...)
+					if tk.adds != adds {
+						afterAdd++
+					}
+					if tk.resets != resets {
+						afterReset++
+					}
+					q := recv(tk.got)
+					samePacket(t, at+" Take", q, tk.want)
+					sent(q)
+					sent(tk.got)
+				}
 				var fed []*Packet
 				for step := 0; step < 20*k+40; step++ {
 					at := fmt.Sprintf("K=%d size=%d pooled=%v step %d", k, size, pooled, step)
+					if len(taken) > 0 && ops.Intn(4) == 0 {
+						i := ops.Intn(len(taken))
+						if ops.Intn(4) == 0 {
+							unread.Put(taken[i].got)
+							taken = append(taken[:i], taken[i+1:]...)
+						} else {
+							read(at, i)
+						}
+					}
 					switch op := ops.Intn(10); {
 					case ops.Intn(5*k+10) == 0:
 						if pooled && op < 5 {
@@ -247,6 +292,7 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 						eager.Reset()
 						epre.Reset()
 						fed = fed[:0]
+						resets++
 					case op < 5: // a reception, handled as a relay handles it
 						var p *Packet
 						if op == 0 && eager.rank > 0 {
@@ -263,6 +309,7 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 							if got, want := buf.Add(recv(p)), eager.Add(p.Clone()); got != want || got != innov {
 								t.Fatalf("%s: Add = %v, eager %v, Innovative %v", at, got, want, innov)
 							}
+							adds++
 						}
 						if innov && op < 4 {
 							pre.Update()
@@ -273,8 +320,15 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 						epre.Update()
 					case op < 8:
 						got, want := pre.Take(), epre.Take()
-						samePacket(t, at+" Take", got, want)
-						sent(got)
+						if (got == nil) != (want == nil) {
+							samePacket(t, at+" Take", got, want)
+						}
+						if got != nil {
+							if got.Payload != nil {
+								t.Fatalf("%s: Take handed out a payload before it was read", at)
+							}
+							taken = append(taken, take{got, want, adds, resets})
+						}
 					case op < 9:
 						got, want := buf.Recode(rngD), eager.Recode(rngE)
 						samePacket(t, at+" Recode", got, want)
@@ -288,10 +342,16 @@ func TestBufferMatchesEagerReference(t *testing.T) {
 							at, buf.Rank(), pre.Ready(), eager.rank, epre.Ready())
 					}
 				}
+				for len(taken) > 0 {
+					read(fmt.Sprintf("K=%d pooled=%v after the sequence", k, pooled), 0)
+				}
 				if rngD.Int63() != rngE.Int63() {
 					t.Fatalf("K=%d pooled=%v: rng states differ after the sequence", k, pooled)
 				}
 			}
+		}
+		if afterAdd == 0 || afterReset == 0 {
+			t.Fatalf("%d reads after a further Add, %d after a Reset: the sequences do not exercise the pending path", afterAdd, afterReset)
 		}
 	})
 }

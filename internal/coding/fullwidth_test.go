@@ -108,7 +108,7 @@ func TestEliminationFullWidthMatchesSuffix(t *testing.T) {
 					case (row == nil) != (ref.vecs[i] == nil) || (dec.ech[i] == nil) != (ref.vecs[i] == nil):
 						t.Fatalf("%s K=%d packet %d: slot %d occupancy differs", arm, k, n, i)
 					case row == nil:
-					case !bytes.Equal(row.Vector, ref.vecs[i]) || !bytes.Equal(echelonPayload(buf, i), ref.pays[i]):
+					case !bytes.Equal(buf.row(i)[:k], ref.vecs[i]) || !bytes.Equal(echelonPayload(buf, i), ref.pays[i]):
 						t.Fatalf("%s K=%d packet %d: buffer row %d differs from the suffix form's", arm, k, n, i)
 					case !bytes.Equal(dec.ech[i], ref.vecs[i]):
 						t.Fatalf("%s K=%d packet %d: decoder row %d differs from the suffix form's", arm, k, n, i)
@@ -134,7 +134,7 @@ func echelonPayload(buf *Buffer, i int) []byte {
 	out := make([]byte, buf.size)
 	for j, row := range buf.rows {
 		if row != nil {
-			mulAddSuffix(out, row.Payload, buf.tRow(i)[j], 0)
+			mulAddSuffix(out, row.Payload, buf.row(i)[buf.k+j], 0)
 		}
 	}
 	return out

@@ -26,7 +26,10 @@ import (
 // back. A component holding a pool (Buffer, Source, Decoder) recycles the
 // packets it consumes — in particular Buffer.Add and Decoder.Add recycle
 // rejected (non-innovative) packets, and Reset recycles stored ones — so a
-// caller that hands a packet to Add must not touch it afterwards. The
+// caller that hands a packet to Add must not touch it afterwards. A packet
+// PreCoder.Take handed out stays pending on its buffer until it is read or
+// put back; whoever holds it may Put it unread, and the buffer's Reset
+// combines what is still pending before its rows go. The
 // contents of a packet from Get are undefined and every caller overwrites
 // all of them, so no output depends on which packet comes back, or whether
 // one does.
@@ -90,18 +93,26 @@ func (p *Pool) Get() *Packet {
 	return &Packet{Payload: buf[:p.size:p.size], Vector: buf[p.size:n]}
 }
 
-// Put returns a packet to the free list. A packet of another payload size,
-// or whose vector has no room for the pool's K, is dropped (it would corrupt
-// later Gets); nil is ignored.
+// Put returns a packet to the free list. A pending packet (PreCoder.Take)
+// goes back unread: its payload is never combined. A packet of another
+// payload size, or whose vector has no room for the pool's K, is dropped (it
+// would corrupt later Gets); nil is ignored.
 func (p *Pool) Put(q *Packet) {
-	if q != nil && len(q.Payload) == p.size && cap(q.Vector) >= p.k {
+	if q == nil {
+		return
+	}
+	if q.src != nil {
+		q.src.unpend(q)
+	}
+	if len(q.Payload) == p.size && cap(q.Vector) >= p.k {
 		p.free.Put(q)
 	}
 }
 
-// Fits reports whether a packet has this pool's shape.
+// Fits reports whether a packet has this pool's shape. It reads a pending
+// packet's payload length without combining it.
 func (p *Pool) Fits(q *Packet) bool {
-	return q != nil && len(q.Vector) == p.k && len(q.Payload) == p.size
+	return q != nil && len(q.Vector) == p.k && q.size() == p.size
 }
 
 // GetBuffer returns an empty Buffer of the pool's shape with the pool
@@ -118,9 +129,9 @@ func (p *Pool) GetBuffer() *Buffer {
 }
 
 // PutBuffer takes back a buffer with this pool attached: its packets go back
-// onto the free list, and it is poisoned — no slots, rank −1, transform
-// rows 0xA5 — until a GetBuffer hands it out again, so any use of a
-// released buffer faults. Releasing a buffer twice, or one attached to
+// onto the free list, packets still pending on it combined first, and it is
+// poisoned — no slots, rank −1, rows 0xA5 — until a GetBuffer hands it out
+// again, so any use of a released buffer faults. Releasing a buffer twice, or one attached to
 // another pool, panics.
 func (p *Pool) PutBuffer(b *Buffer) {
 	if b.pool != p || b.rank < 0 {
@@ -129,8 +140,8 @@ func (p *Pool) PutBuffer(b *Buffer) {
 	b.Reset()
 	b.rows = b.rows[:0]
 	b.rank = -1
-	for i := range b.t {
-		b.t[i] = 0xA5
+	for i := range b.m {
+		b.m[i] = 0xA5
 	}
 	p.bufs.Put(b)
 }

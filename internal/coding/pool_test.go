@@ -395,6 +395,21 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("Buffer.Recode allocates %.1f/op in steady state", n)
 	}
 
+	// A relay send: Take hands out a pending packet, the receiver copies
+	// it, and it goes back; or it goes back unread. The weight table the
+	// pending packets share grows once, not per packet.
+	pc := NewPreCoder(buf, rng)
+	rx := pool.Get()
+	if n := testing.AllocsPerRun(200, func() {
+		p := pc.Take()
+		rx.CopyFrom(p)
+		pool.Put(p)
+		pool.Put(pc.Take())
+	}); n > 0 {
+		t.Errorf("PreCoder.Take and a read allocate %.1f/op in steady state", n)
+	}
+	pool.Put(rx)
+
 	pkts := make([]*Packet, k+4)
 	for i := range pkts {
 		pkts[i] = src.Next()
@@ -463,8 +478,8 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	takeFree(pool)
 	pool.PutBuffer(buf)
 	checkRecycled(t, pool, k, "PutBuffer")
-	if buf.Rank() != -1 || len(buf.rows) != 0 || bytes.Count(buf.t, []byte{0xA5}) != len(buf.t) {
-		t.Fatalf("released buffer: rank %d, %d slots, transform %x", buf.Rank(), len(buf.rows), buf.t)
+	if buf.Rank() != -1 || len(buf.rows) != 0 || bytes.Count(buf.m, []byte{0xA5}) != len(buf.m) {
+		t.Fatalf("released buffer: rank %d, %d slots, rows %x", buf.Rank(), len(buf.rows), buf.m)
 	}
 	vec := make([]byte, k)
 	vec[0] = 1
@@ -499,5 +514,74 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	got, want := again.Recode(rand.New(rand.NewSource(seed))), fresh.Recode(rand.New(rand.NewSource(seed)))
 	if !bytes.Equal(got.Vector, want.Vector) || !bytes.Equal(got.Payload, want.Payload) {
 		t.Fatal("a reused buffer codes differently from a new one")
+	}
+}
+
+// TestUnreadPacketIsNeverCombined counts combines: of twelve packets Take
+// hands out, pending on one buffer at once, the seven put back unread leave
+// their payload bytes as they were — not at Put, not at the buffer's next
+// Reset, not at its release — and the five read are combined once each, to
+// the bytes their code vectors name, whether read before the Reset or by it.
+func TestUnreadPacketIsNeverCombined(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const k, size = 6, 40
+	natives := randomNatives(rng, k, size)
+	src, _ := NewSource(natives, rng)
+	pool := privatePool(t, k, size)
+	buf := pool.GetBuffer()
+	for !buf.Full() {
+		buf.Add(src.Next())
+	}
+	pc := NewPreCoder(buf, rng)
+	var taken, parked [][]byte
+	var pkts []*Packet
+	for range 12 {
+		p := pc.Take()
+		if p.Payload != nil || len(p.parked) != size {
+			t.Fatalf("Take handed out payload %v, parked %d B: not pending", p.Payload, len(p.parked))
+		}
+		for i := range p.parked {
+			p.parked[i] = 0xA5
+		}
+		pkts = append(pkts, p)
+		taken = append(taken, append([]byte(nil), p.Vector...))
+		parked = append(parked, p.parked)
+	}
+	// The receiver's copy is its own, so a read never lands in a packet
+	// put back earlier.
+	rx := &Packet{Vector: make([]byte, k), Payload: make([]byte, size)}
+	read := map[int]bool{1: true, 4: true, 9: true} // read now; 6 and 11 by Reset
+	for i, p := range pkts {
+		switch {
+		case read[i]:
+			rx.CopyFrom(p)
+		case i != 6 && i != 11:
+			pool.Put(p)
+		}
+	}
+	if len(buf.pending) != 2 {
+		t.Fatalf("%d packets pending after three reads and seven puts, want 2", len(buf.pending))
+	}
+	pool.PutBuffer(buf)
+	read[6], read[11] = true, true
+	combined := 0
+	for i, pay := range parked {
+		want := make([]byte, size)
+		for j, c := range taken[i] {
+			mulAddSuffix(want, natives[j], c, 0)
+		}
+		switch untouched := bytes.Count(pay, []byte{0xA5}) == size; {
+		case read[i] && !bytes.Equal(pay, want):
+			t.Errorf("packet %d was read but holds the wrong payload", i)
+		case !read[i] && !untouched:
+			t.Errorf("packet %d went back unread but its payload was combined", i)
+		}
+		if !bytes.Equal(pay, want) {
+			continue
+		}
+		combined++
+	}
+	if combined != len(read) {
+		t.Fatalf("%d payloads combined, want the %d read", combined, len(read))
 	}
 }

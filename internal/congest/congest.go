@@ -298,7 +298,7 @@ func New(cfg Config, proto sim.Protocol) *Layer {
 	cfg.fillDefaults()
 	l := &Layer{cfg: cfg, proto: proto, grantFree: sim.FreeList[CreditMsg]{Reset: poisonGrant}}
 	if cfg.Policy == Credit {
-		l.credit = newCreditState()
+		l.credit = new(creditState)
 	}
 	return l
 }

@@ -456,7 +456,7 @@ func TestReleasedGrantIsPoisoned(t *testing.T) {
 		t.Fatalf("released grant %+v, want %+v", *g, want)
 	}
 	other, _, _ := grantLayer(t, 1)
-	if other.Receive(f); len(other.credit.grants) != 0 {
+	if other.Receive(f); len(other.credit.grants.Rows()) != 0 {
 		t.Fatal("a released grant was accepted")
 	}
 	p.needed = 0

@@ -78,20 +78,13 @@ type advertised struct {
 	valid  bool
 }
 
+// creditState is a node's credit state, by flow ID.
 type creditState struct {
 	// grants holds, per flow, one entry per granter ever heard on it, in
 	// order of first word (about a dozen: the granters in earshot).
-	grants map[uint32][]grantInfo
-	flows  map[uint32]*creditFlow
-	adv    map[uint32]*advertised
-}
-
-func newCreditState() *creditState {
-	return &creditState{
-		grants: make(map[uint32][]grantInfo),
-		flows:  make(map[uint32]*creditFlow),
-		adv:    make(map[uint32]*advertised),
-	}
+	grants flow.Table[[]grantInfo]
+	flows  flow.Table[*creditFlow] // nil until the node sends on the flow
+	adv    flow.Table[advertised]
 }
 
 // acceptGrant records a downstream node's latest need and releases any
@@ -99,23 +92,23 @@ func newCreditState() *creditState {
 func (l *Layer) acceptGrant(f *sim.Frame, g *CreditMsg) {
 	c := l.credit
 	word := grantInfo{granter: f.From, batch: g.Batch, needed: g.Needed, at: l.node.Now()}
-	heard := c.grants[uint32(g.Flow)]
-	if i := slices.IndexFunc(heard, func(gi grantInfo) bool { return gi.granter == f.From }); i >= 0 {
-		heard[i] = word
+	heard := c.grants.At(g.Flow)
+	if i := slices.IndexFunc(*heard, func(gi grantInfo) bool { return gi.granter == f.From }); i >= 0 {
+		(*heard)[i] = word
 	} else {
-		if heard == nil {
+		if *heard == nil {
 			// Room for the dozen or so granters in earshot at once, not
 			// one reallocation per doubling as they are first heard.
-			heard = make([]grantInfo, 0, 16)
+			*heard = make([]grantInfo, 0, 16)
 		}
-		c.grants[uint32(g.Flow)] = append(heard, word)
+		*heard = append(*heard, word)
 	}
 	if g.Needed > 0 {
 		// Fresh demand: reset the probe backoff so a re-opened gate reacts
 		// quickly, and grant the advertised credit upstream — if this node
 		// forwards the flow and its reception-driven credit drained, the
 		// receiver's word is its new transmission budget.
-		if cf, ok := c.flows[uint32(g.Flow)]; ok {
+		if cf := c.flows.Get(g.Flow); cf != nil {
 			cf.backoff = 0
 		}
 		if l.top != nil {
@@ -166,13 +159,7 @@ func (l *Layer) maybeGrant(f *sim.Frame, m *core.DataMsg) {
 	if !ok {
 		return
 	}
-	fid := uint32(m.Flow)
-	c := l.credit
-	a, have := c.adv[fid]
-	if !have {
-		a = &advertised{}
-		c.adv[fid] = a
-	}
+	a := l.credit.adv.At(m.Flow)
 	now := l.node.Now()
 	advMax := endgameThreshold(m.K)
 	if a.valid && a.batch == batch {
@@ -235,14 +222,14 @@ func poisonGrant(g *CreditMsg) {
 // creditFlowFor returns (creating and batch-syncing) the sender-side gate
 // state for the frame's flow.
 func (l *Layer) creditFlowFor(info frameInfo) *creditFlow {
-	c := l.credit
-	cf, ok := c.flows[info.flow]
-	if !ok {
+	slot := l.credit.flows.At(flow.ID(info.flow))
+	cf := *slot
+	if cf == nil {
 		cf = &creditFlow{batch: info.batch}
 		if info.more != nil {
 			cf.fwdSig = info.more.Forwarders.Sig()
 		}
-		c.flows[info.flow] = cf
+		*slot = cf
 	}
 	if cf.batch != info.batch {
 		cf.batch = info.batch
@@ -279,7 +266,7 @@ func (l *Layer) creditSuppressed(info frameInfo) bool {
 	isSrc, myIdx := m.Src == me, m.Forwarders.Index(me)
 	horizon := l.node.Now() - grantTTL
 	heard := false
-	for _, gi := range l.credit.grants[info.flow] {
+	for _, gi := range l.credit.grants.Get(flow.ID(info.flow)) {
 		if gi.batch != info.batch || !granterDownstream(gi.granter, m, isSrc, myIdx) {
 			continue
 		}

@@ -82,15 +82,18 @@ type DataMsg struct {
 	K     int
 	// TotalBatches lets the destination recognize the final batch.
 	TotalBatches int
-	// Packet is the coded packet (code vector + payload).
+	// Packet is the coded packet (code vector + payload). A relay's is
+	// pending (coding.PreCoder.Take): a receiver reads it through CopyFrom
+	// or Clone, and its size through pool.
 	Packet *coding.Packet
 	// Forwarders is the ordered candidate list with TX credits, copied
 	// from the source's plan into every packet (§3.3.1) — by reference:
 	// every packet and relay of a plan shares the source's one list.
 	Forwarders *FwdList
 
-	// pool is the free list Packet came from; Sent puts it back there, even
-	// when the sender's state has moved on to another shape or is gone.
+	// pool is the free list Packet came from, and the shape every size
+	// query reads; Sent puts the packet back there, even when the sender's
+	// state has moved on to another shape or is gone.
 	pool *coding.Pool
 
 	// frame carries the message (dataFrame): message and frame are one
@@ -102,9 +105,10 @@ type DataMsg struct {
 // after release finds no state.
 const releasedFlow = ^flow.ID(0)
 
-// wireBytes returns the on-air frame size for the message.
+// wireBytes returns the on-air frame size for the message. It reads the
+// payload size from the pool's shape, so it never combines a pending payload.
 func (m *DataMsg) wireBytes() int {
-	return packet.MOREHeaderSize(len(m.Packet.Vector), len(m.Forwarders.Entries)) + len(m.Packet.Payload)
+	return packet.MOREHeaderSize(len(m.Packet.Vector), len(m.Forwarders.Entries)) + m.pool.PayloadSize()
 }
 
 // AckMsg is the payload of a MORE batch ACK, unicast hop by hop along the
@@ -128,9 +132,10 @@ type Node struct {
 	node  *sim.Node
 	state flow.RoutingState
 
-	sources map[flow.ID]*sourceState
-	relays  map[flow.ID]*relayState
-	sinks   map[flow.ID]*sinkState
+	// Per-flow state by flow ID; nil where the node has none.
+	sources flow.Table[*sourceState]
+	relays  flow.Table[*relayState]
+	sinks   flow.Table[*sinkState]
 
 	// ackQueue holds ACKs awaiting transmission; they take priority over
 	// data at every node (§3.2.2).
@@ -165,14 +170,7 @@ func NewNode(cfg Config, state flow.RoutingState) *Node {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	return &Node{
-		cfg:     cfg,
-		state:   state,
-		sources: make(map[flow.ID]*sourceState),
-		relays:  make(map[flow.ID]*relayState),
-		sinks:   make(map[flow.ID]*sinkState),
-		free:    sim.FreeList[DataMsg]{Reset: poison},
-	}
+	return &Node{cfg: cfg, state: state, free: sim.FreeList[DataMsg]{Reset: poison}}
 }
 
 // Init implements sim.Protocol.
@@ -190,9 +188,9 @@ func (n *Node) scheduleSweep() {
 
 func (n *Node) sweepStale() {
 	cutoff := n.node.Now() - flowTimeout
-	for id, r := range n.relays {
-		if r.lastActivity < cutoff {
-			n.dropRelay(id, r)
+	for _, r := range n.relays.Rows() {
+		if r != nil && r.lastActivity < cutoff {
+			n.dropRelay(r)
 		}
 	}
 	// A sink registered by ExpectFlow belongs to the application, not to
@@ -200,10 +198,10 @@ func (n *Node) sweepStale() {
 	// heard its first packet yet, or has stalled, loses what it delivered,
 	// and the next packet makes a fresh sink with no verifier, no callback
 	// and no file size.
-	for id, s := range n.sinks {
-		if s.lastActivity < cutoff && !s.result.Completed && s.verify == nil {
+	for _, s := range n.sinks.Rows() {
+		if s != nil && s.lastActivity < cutoff && !s.result.Completed && s.verify == nil {
 			s.flush()
-			delete(n.sinks, id)
+			*n.sinks.At(s.id) = nil
 		}
 	}
 }
@@ -214,11 +212,15 @@ func (n *Node) sweepStale() {
 // instead of allocating. Call it once the run is over and its results are
 // read: the node is left with no relays and with empty sinks.
 func (n *Node) Close() {
-	for id, r := range n.relays {
-		n.dropRelay(id, r)
+	for _, r := range n.relays.Rows() {
+		if r != nil {
+			n.dropRelay(r)
+		}
 	}
-	for _, s := range n.sinks {
-		s.flush()
+	for _, s := range n.sinks.Rows() {
+		if s != nil {
+			s.flush()
+		}
 	}
 }
 
@@ -247,7 +249,7 @@ type sourceState struct {
 // routing state view and starts pumping coded packets. onDone, if non-nil,
 // fires when the final batch is acked.
 func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone func()) error {
-	if _, dup := n.sources[id]; dup {
+	if n.sources.Get(id) != nil {
 		return fmt.Errorf("core: duplicate flow %d", id)
 	}
 	plan, err := routing.BuildPlan(n.state.Graph(), n.node.ID(), dst, n.cfg.Plan)
@@ -273,7 +275,7 @@ func (n *Node) StartFlow(id flow.ID, dst graph.NodeID, file flow.File, onDone fu
 		return err
 	}
 	n.node.Emit(telemetry.Event{Flow: uint32(id), Kind: telemetry.KindBatchStart})
-	n.sources[id] = st
+	*n.sources.At(id) = st
 	n.rrAdd(id)
 	if n.cfg.RepairInterval > 0 {
 		n.node.WatchStall(n.cfg.RepairInterval,
@@ -426,8 +428,8 @@ func (r *relayState) clonePacket(p *coding.Packet) *coding.Packet {
 }
 
 func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
-	r, ok := n.relays[m.Flow]
-	if !ok {
+	r := n.relays.Get(m.Flow)
+	if r == nil {
 		r = &relayState{
 			id:           m.Flow,
 			src:          m.Src,
@@ -437,7 +439,7 @@ func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 			myCredit:     myCredit,
 		}
 		r.resetBatch(n, m)
-		n.relays[m.Flow] = r
+		*n.relays.At(m.Flow) = r
 		n.rrAdd(m.Flow)
 	}
 	return r
@@ -446,11 +448,12 @@ func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 // resetBatch points the relay at m's batch. The previous batch's packets go
 // back onto their free list whatever the new batch's shape; a batch of the
 // same shape reuses the buffer and pre-coder outright, another releases the
-// buffer and takes one of its own shape.
+// buffer and takes one of its own shape. The payload size is the sender's
+// pool's, so a pending payload stays uncombined.
 func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 	r.curBatch = m.Batch
 	r.k = m.K
-	size := len(m.Packet.Payload)
+	size := m.pool.PayloadSize()
 	if r.buffer != nil {
 		if r.pool.K() == m.K && r.pool.PayloadSize() == size {
 			r.flush()
@@ -474,9 +477,9 @@ func (n *Node) releaseBuffer(r *relayState) {
 }
 
 // dropRelay deletes a relay's state, releasing its buffer.
-func (n *Node) dropRelay(id flow.ID, r *relayState) {
+func (n *Node) dropRelay(r *relayState) {
 	n.releaseBuffer(r)
-	delete(n.relays, id)
+	*n.relays.At(r.id) = nil
 }
 
 // flush purges the relay's batch (§3.2.2): its rows go back onto their
@@ -515,12 +518,12 @@ func (n *Node) ExpectFlow(id flow.ID, file flow.File, onDone func()) {
 }
 
 func (n *Node) sinkFor(id flow.ID) *sinkState {
-	s, ok := n.sinks[id]
-	if !ok {
+	s := n.sinks.Get(id)
+	if s == nil {
 		s = &sinkState{id: id, decodedUpTo: -1}
 		s.result.Dst = n.node.ID()
 		s.result.Verified = true
-		n.sinks[id] = s
+		*n.sinks.At(id) = s
 	}
 	return s
 }
@@ -541,8 +544,8 @@ func (n *Node) HasControl() bool { return len(n.ackQueue) > 0 }
 // (rather than adding) keeps repeated grants idempotent: a forwarder never
 // accumulates more rights than the latest word from downstream justifies.
 func (n *Node) TopUpRelayCredit(id flow.ID, batch uint32, granter graph.NodeID, c float64) {
-	r, ok := n.relays[id]
-	if !ok || r.buffer == nil || r.curBatch != batch || int64(batch) <= r.ackedThrough {
+	r := n.relays.Get(id)
+	if r == nil || r.buffer == nil || r.curBatch != batch || int64(batch) <= r.ackedThrough {
 		return
 	}
 	if r.buffer.Rank() < r.k {
@@ -576,7 +579,7 @@ func (n *Node) TopUpRelayCredit(id flow.ID, batch uint32, granter graph.NodeID, 
 // congest.NeedReporter). ok is false when the node holds no receive-side
 // state for the flow (e.g. it is the source, or never heard the flow).
 func (n *Node) BatchNeeded(id flow.ID) (batch uint32, needed int, ok bool) {
-	if s, ok := n.sinks[id]; ok {
+	if s := n.sinks.Get(id); s != nil {
 		if s.decoder != nil && int64(s.curBatch) > s.decodedUpTo {
 			return s.curBatch, s.k - s.decoder.Rank(), true
 		}
@@ -585,7 +588,7 @@ func (n *Node) BatchNeeded(id flow.ID) (batch uint32, needed int, ok bool) {
 		}
 		return 0, 0, false
 	}
-	if r, ok := n.relays[id]; ok && r.buffer != nil {
+	if r := n.relays.Get(id); r != nil && r.buffer != nil {
 		if int64(r.curBatch) <= r.ackedThrough {
 			return r.curBatch, 0, true
 		}
@@ -597,7 +600,7 @@ func (n *Node) BatchNeeded(id flow.ID) (batch uint32, needed int, ok bool) {
 // Result returns the flow's result as its destination keeps it: a zero
 // Result on any other node.
 func (n *Node) Result(id flow.ID) flow.Result {
-	if s, ok := n.sinks[id]; ok {
+	if s := n.sinks.Get(id); s != nil {
 		return s.result
 	}
 	return flow.Result{}
@@ -621,7 +624,7 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		n.sinkReceive(m)
 		return
 	}
-	if _, ok := n.sources[m.Flow]; ok && m.Src == me {
+	if m.Src == me && n.sources.Get(m.Flow) != nil {
 		return // our own flow echoed back through the mesh; ignore.
 	}
 	// Forwarder path: only if listed in the packet's forwarder list.
@@ -705,7 +708,7 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		}
 		s.curBatch = m.Batch
 		s.k = m.K
-		size := len(m.Packet.Payload)
+		size := m.pool.PayloadSize()
 		// One decoder per flow: the last batch's decodes the next of its
 		// shape, and hands back what it holds before any shape change.
 		s.flush()
@@ -789,13 +792,13 @@ func (n *Node) enqueueAck(a *AckMsg) {
 func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 	// Every node that hears an ACK purges the batch (§3.2.2) — overheard
 	// or addressed.
-	if r, ok := n.relays[a.Flow]; ok {
+	if r := n.relays.Get(a.Flow); r != nil {
 		if int64(a.Batch) > r.ackedThrough {
 			r.ackedThrough = int64(a.Batch)
 		}
 		switch {
 		case a.Final:
-			n.dropRelay(a.Flow, r)
+			n.dropRelay(r)
 		case a.Batch >= r.curBatch:
 			r.flush()
 		}
@@ -803,7 +806,7 @@ func (n *Node) receiveAck(f *sim.Frame, a *AckMsg) {
 	if f.To != n.node.ID() {
 		return
 	}
-	if src, ok := n.sources[a.Flow]; ok && a.Target == n.node.ID() {
+	if src := n.sources.Get(a.Flow); src != nil && a.Target == n.node.ID() {
 		n.advanceBatch(src, a.Batch)
 		return
 	}
@@ -843,7 +846,7 @@ func (n *Node) Pull() *sim.Frame {
 }
 
 func (n *Node) pullFlow(id flow.ID) *sim.Frame {
-	if st, ok := n.sources[id]; ok && !st.done {
+	if st := n.sources.Get(id); st != nil && !st.done {
 		return n.dataFrame(DataMsg{
 			Flow:         id,
 			Src:          n.node.ID(),
@@ -856,7 +859,8 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			pool:         st.pool,
 		})
 	}
-	if r, ok := n.relays[id]; ok && r.credit > 0 && r.buffer.Rank() > 0 {
+	r := n.relays.Get(id)
+	if r != nil && r.credit > 0 && r.buffer.Rank() > 0 {
 		pkt := r.pre.Take()
 		if pkt == nil {
 			return nil
@@ -874,7 +878,7 @@ func (n *Node) pullFlow(id flow.ID) *sim.Frame {
 			pool:         r.pool,
 		})
 	}
-	if r, ok := n.relays[id]; ok && r.credit <= 0 && r.buffer != nil && r.buffer.Rank() > 0 {
+	if r != nil && r.credit <= 0 && r.buffer != nil && r.buffer.Rank() > 0 {
 		n.CreditDenied++
 	}
 	return nil
@@ -933,14 +937,14 @@ func (n *Node) wakeIfBacklogged() {
 		n.node.Wake()
 		return
 	}
-	for _, st := range n.sources {
-		if !st.done {
+	for _, st := range n.sources.Rows() {
+		if st != nil && !st.done {
 			n.node.Wake()
 			return
 		}
 	}
-	for _, r := range n.relays {
-		if r.credit > 0 && r.buffer != nil && r.buffer.Rank() > 0 {
+	for _, r := range n.relays.Rows() {
+		if r != nil && r.credit > 0 && r.buffer != nil && r.buffer.Rank() > 0 {
 			n.node.Wake()
 			return
 		}

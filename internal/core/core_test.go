@@ -43,6 +43,17 @@ func runMOREExpecting(t *testing.T, topo *graph.Topology, cfg Config, simCfg sim
 	return res, s, nodes
 }
 
+// live counts the flows a table holds state for.
+func live[T any](t *flow.Table[*T]) int {
+	n := 0
+	for _, v := range t.Rows() {
+		if v != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func smallCfg(k int) Config {
 	cfg := DefaultConfig()
 	cfg.BatchSize = k
@@ -263,13 +274,13 @@ func TestFlowStateTimeout(t *testing.T) {
 	// Idle simulated time is cheap: run up to just short of the timeout,
 	// then past the sweep (every flowTimeout/2) that must find it expired.
 	s.Run(failedAt + flowTimeout - sim.Second)
-	if len(nodes[1].relays) != 1 || len(nodes[2].sinks) != 2 {
-		t.Fatalf("state expired early: %d relay, %d sink flows", len(nodes[1].relays), len(nodes[2].sinks))
+	if live(&nodes[1].relays) != 1 || live(&nodes[2].sinks) != 2 {
+		t.Fatalf("state expired early: %d relay, %d sink flows", live(&nodes[1].relays), live(&nodes[2].sinks))
 	}
 	s.Run(failedAt + flowTimeout + flowTimeout/2 + sim.Second)
-	if len(nodes[1].relays) != 0 || len(nodes[2].sinks) != 1 || nodes[2].sinks[2] == nil {
+	if live(&nodes[1].relays) != 0 || live(&nodes[2].sinks) != 1 || nodes[2].sinks.Get(2) == nil {
 		t.Fatalf("state survived timeout, or the expected sink did not: %d relay, %d sink flows %v",
-			len(nodes[1].relays), len(nodes[2].sinks), nodes[2].sinks)
+			live(&nodes[1].relays), live(&nodes[2].sinks), nodes[2].sinks.Rows())
 	}
 }
 
@@ -364,7 +375,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	decoders := map[*coding.Decoder]bool{}
 	var batches []uint32
 	nodes[2].OnDeliver = func(id flow.ID, batch uint32, natives [][]byte) {
-		decoders[nodes[2].sinks[id].decoder] = true
+		decoders[nodes[2].sinks.Get(id).decoder] = true
 		batches = append(batches, batch)
 		for i, p := range natives {
 			if !file.Matches(int(batch)*k+i, p) {
@@ -377,7 +388,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	if err := nodes[0].StartFlow(1, 2, file, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
-	src := nodes[0].sources[1].src
+	src := nodes[0].sources.Get(1).src
 	s.RunWhile(120*sim.Second, func() bool { return !done })
 	if res := nodes[2].Result(1); !res.Completed || !res.Verified || res.PacketsDelivered != 3*k {
 		t.Fatalf("transfer failed: %v", res)
@@ -388,7 +399,7 @@ func TestSinkDecodesEveryBatchWithOneDecoder(t *testing.T) {
 	if len(decoders) != 1 {
 		t.Fatalf("the sink decoded 3 batches with %d decoders, want 1", len(decoders))
 	}
-	if nodes[0].sources[1].src != src {
+	if nodes[0].sources.Get(1).src != src {
 		t.Fatal("the source built a new coding source for a batch of the same shape")
 	}
 }
@@ -437,7 +448,7 @@ func TestDataSendAllocatesNothing(t *testing.T) {
 	f := src.Pull()
 	relay.Receive(f)
 	src.Sent(f, true)
-	r := relay.relays[1]
+	r := relay.relays.Get(1)
 	if r == nil || r.buffer.Rank() != 1 {
 		t.Fatal("the relay did not buffer the source's packet")
 	}
@@ -467,8 +478,8 @@ func TestReleasedMessageIsPoisoned(t *testing.T) {
 	if !reflect.DeepEqual(*m, want) {
 		t.Fatalf("released message %+v, want %+v", *m, want)
 	}
-	if nodes[1].Receive(f); len(nodes[1].relays) != 0 {
-		t.Fatal("a released frame made relay state")
+	if nodes[1].Receive(f); len(nodes[1].relays.Rows()) != 0 || len(nodes[1].sinks.Rows()) != 0 {
+		t.Fatal("a released frame made or grew flow state")
 	}
 	if g := src.Pull(); g != f || g.Payload != m || m.Flow != 1 || m.Packet == nil {
 		t.Fatal("the next send did not reuse the released message")
@@ -490,11 +501,11 @@ func TestSentAfterFinalAckReturnsPacket(t *testing.T) {
 	f := src.Pull()
 	relay.Receive(f)
 	src.Sent(f, true)
-	relay.relays[1].credit = 1
+	relay.relays.Get(1).credit = 1
 	g := relay.Pull()
 	pkt := g.Payload.(*DataMsg).Packet
 	relay.Receive(&sim.Frame{From: 2, To: 0, Payload: &AckMsg{Flow: 1, Batch: 0, Final: true, Target: 0}})
-	if len(relay.relays) != 0 {
+	if live(&relay.relays) != 0 {
 		t.Fatal("the final ACK left the relay's state")
 	}
 	relay.Sent(g, true)
@@ -508,6 +519,41 @@ func TestSentAfterFinalAckReturnsPacket(t *testing.T) {
 	t.Fatal("the packet sent after the final ACK did not come back")
 }
 
+func TestFlushWhileOnAirDeliversRightBytes(t *testing.T) {
+	// A relay's coded packet leaves pending: its payload is combined when a
+	// receiver first reads it. Here the relay flushes its batch (what an
+	// overheard ACK or a newer batch does) while each of its packets is
+	// still on the air, then refills from the source, so the rows the
+	// packet combines are gone by the time the sink reads it. The sink
+	// hears only the relay and must still decode and verify the batch.
+	nodes := relayLine(t)
+	src, relay, sink := nodes[0], nodes[1], nodes[2]
+	sink.ExpectFlow(1, flow.NewFile(8*1500, 1500, 1), nil)
+	for sent := 0; !sink.Result(1).Completed; sent++ {
+		if sent == 40 {
+			t.Fatalf("the sink did not decode after %d relay packets: %+v", sent, sink.Result(1))
+		}
+		r := relay.relays.Get(1)
+		for r == nil || r.buffer.Rank() < 8 {
+			f := src.Pull()
+			relay.Receive(f)
+			src.Sent(f, true)
+			r = relay.relays.Get(1)
+		}
+		r.credit = 1
+		g := relay.Pull()
+		if pkt := g.Payload.(*DataMsg).Packet; pkt.Payload != nil {
+			t.Fatal("the relay combined its packet's payload before a receiver read it")
+		}
+		r.flush()
+		sink.Receive(g)
+		relay.Sent(g, true)
+	}
+	if res := sink.Result(1); !res.Verified || res.PacketsDelivered != 8 {
+		t.Fatalf("the sink decoded wrong bytes: %+v", res)
+	}
+}
+
 func TestPullRotatesWithoutAllocating(t *testing.T) {
 	// A Pull that walks the round-robin past relays without credit and
 	// returns nil allocates nothing, with one backlogged flow (whose
@@ -518,7 +564,7 @@ func TestPullRotatesWithoutAllocating(t *testing.T) {
 		for id := flow.ID(1); id <= flow.ID(flows); id++ {
 			buf := coding.NewBuffer(2, 4)
 			buf.Add(&coding.Packet{Vector: []byte{1, 0}, Payload: make([]byte, 4)})
-			n.relays[id] = &relayState{id: id, buffer: buf}
+			*n.relays.At(id) = &relayState{id: id, buffer: buf}
 			n.rrAdd(id)
 		}
 		order := slices.Clone(n.rr)
@@ -552,7 +598,7 @@ func TestRelayBuffersReleasedOnce(t *testing.T) {
 		f := src.Pull()
 		relay.Receive(f)
 		src.Sent(f, true)
-		return relay.relays[1]
+		return relay.relays.Get(1)
 	}
 	check := func(when string, taken, released int) {
 		t.Helper()
@@ -565,20 +611,20 @@ func TestRelayBuffersReleasedOnce(t *testing.T) {
 	check("first reception", 1, 0)
 	relay.Receive(&sim.Frame{From: 2, To: 1, Payload: &AckMsg{Flow: 1, Batch: 0, Final: true, Target: 0}})
 	check("final ACK", 1, 1)
-	if len(relay.relays) != 0 || r.buffer != nil || r.pre != nil {
+	if live(&relay.relays) != 0 || r.buffer != nil || r.pre != nil {
 		t.Fatal("the final ACK left the relay or its buffer")
 	}
 	r = receive() // a stale frame makes the relay anew (ROADMAP item 2(b))
 	r.lastActivity = -2 * flowTimeout
 	relay.sweepStale()
 	check("sweep", 2, 2)
-	if len(relay.relays) != 0 || r.buffer != nil {
+	if live(&relay.relays) != 0 || r.buffer != nil {
 		t.Fatal("the sweep left the relay or its buffer")
 	}
 	r = receive()
 	relay.Close()
 	check("Close", 3, 3)
-	if len(relay.relays) != 0 || r.buffer != nil {
+	if live(&relay.relays) != 0 || r.buffer != nil {
 		t.Fatal("Close left the relay or its buffer")
 	}
 
@@ -604,8 +650,8 @@ func TestRelayBuffersReleasedOnce(t *testing.T) {
 	s.Run(s.Now() + 5*sim.Second)
 	releasedInRun := 0
 	for i, n := range nodes {
-		if held := n.buffersTaken - n.buffersReleased; held != len(n.relays) {
-			t.Fatalf("node %d holds %d buffers for %d relays", i, held, len(n.relays))
+		if held := n.buffersTaken - n.buffersReleased; held != live(&n.relays) {
+			t.Fatalf("node %d holds %d buffers for %d relays", i, held, live(&n.relays))
 		}
 		releasedInRun += n.buffersReleased
 	}
@@ -614,9 +660,9 @@ func TestRelayBuffersReleasedOnce(t *testing.T) {
 	}
 	for i, n := range nodes {
 		n.Close()
-		if len(n.relays) != 0 || n.buffersReleased != n.buffersTaken {
+		if live(&n.relays) != 0 || n.buffersReleased != n.buffersTaken {
 			t.Fatalf("node %d after Close: %d relays, %d buffers taken, %d released",
-				i, len(n.relays), n.buffersTaken, n.buffersReleased)
+				i, live(&n.relays), n.buffersTaken, n.buffersReleased)
 		}
 	}
 }

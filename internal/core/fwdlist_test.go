@@ -83,14 +83,17 @@ func TestFwdListRejectsMalformed(t *testing.T) {
 
 // TestWireBytesAllocatesNothing: sizing a data frame is arithmetic on
 // lengths, whatever the list length (it used to build a header to ask it).
+// The payload size is the pool's shape: the packet here carries no payload,
+// as a relay's does until a receiver reads it.
 func TestWireBytesAllocatesNothing(t *testing.T) {
 	entries := make([]FwdEntry, 378)
 	for i := range entries {
 		entries[i].Node = graph.NodeID(i)
 	}
 	m := &DataMsg{
-		Packet:     &coding.Packet{Vector: make([]byte, 32), Payload: make([]byte, 1500)},
+		Packet:     &coding.Packet{Vector: make([]byte, 32)},
 		Forwarders: NewFwdList(entries),
+		pool:       coding.NewPool(32, 1500),
 	}
 	const want = 8 + 32 + 3*378 + 1500
 	if got := m.wireBytes(); got != want {

@@ -79,7 +79,7 @@ func TelemetryBench(runs int) *TelemetryBenchResult {
 // Table renders the result.
 func (r *TelemetryBenchResult) Table() string {
 	return fmt.Sprintf(
-		"telemetry overhead (%s, min of %d runs):\n  off %8.2f ms/run\n  on  %8.2f ms/run  (+%.1f%%, %d events)\n",
+		"telemetry overhead (%s, min of %d runs):\n  off %8.2f ms/run\n  on  %8.2f ms/run  (%+.1f%%, %d events)\n",
 		r.Workload, r.Runs, r.OffNsPerRun/1e6, r.OnNsPerRun/1e6, r.OverheadPct, r.Events)
 }
 

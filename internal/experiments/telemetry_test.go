@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -160,5 +161,22 @@ func TestTelemetryBenchGate(t *testing.T) {
 	heavy := &TelemetryBenchResult{OffNsPerRun: 100, OnNsPerRun: 120, OverheadPct: 20}
 	if bad := CompareTelemetryBaselines(heavy); len(bad) != 1 {
 		t.Fatalf("overhead violation not flagged: %v", bad)
+	}
+}
+
+// TestTelemetryBenchTableSign: the overhead prints with its own sign, so a
+// run where telemetry-on timed faster reads -28.7 %, not +-28.7 %.
+func TestTelemetryBenchTableSign(t *testing.T) {
+	for _, tc := range []struct {
+		pct  float64
+		want string
+	}{
+		{-28.7, "(-28.7%, 9 events)"},
+		{3.9, "(+3.9%, 9 events)"},
+	} {
+		r := &TelemetryBenchResult{Workload: "w", Runs: 1, OffNsPerRun: 1e6, OnNsPerRun: 1e6, OverheadPct: tc.pct, Events: 9}
+		if got := r.Table(); !strings.Contains(got, tc.want) {
+			t.Errorf("overhead %v prints %q, want it to contain %q", tc.pct, got, tc.want)
+		}
 	}
 }

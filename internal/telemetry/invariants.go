@@ -22,3 +22,45 @@ func activityAtFailedNode(events []Event) []Event {
 	}
 	return bad
 }
+
+// queueDepthMismatch is the congestion queue's conservation invariant (ROADMAP
+// item 1), as a pure function of the events in emission order. A node's
+// resident count is its enqueues − dequeues − stale drops − CHOKe drops/2 so
+// far: a stale drop purges a queued frame, a CHOKe pair drops one queued
+// frame and one arrival, and a tail drop turns an arrival away. At each
+// KindEnqueue, Aux (the depth after the admit) must be 1 + the resident
+// count before it, and the count must never go negative. It returns every
+// enqueue whose depth disagrees and every event that takes a count below
+// zero; a correct run returns none.
+func queueDepthMismatch(events []Event) []Event {
+	type queue struct{ enq, deq, stale, choke int64 }
+	var nodes []queue // by node ID
+	var bad []Event
+	for _, ev := range events {
+		q := at(&nodes, ev.Node)
+		switch ev.Kind {
+		case KindEnqueue:
+			if ev.Aux != 1+q.enq-q.deq-q.stale-q.choke/2 {
+				bad = append(bad, ev)
+			}
+			q.enq++
+		case KindDequeue:
+			q.deq++
+		case KindQueueDrop:
+			switch ev.Aux {
+			case QDropStale:
+				q.stale++
+			case QDropChoke:
+				q.choke++
+			default:
+				continue
+			}
+		default:
+			continue
+		}
+		if q.enq-q.deq-q.stale-q.choke/2 < 0 {
+			bad = append(bad, ev)
+		}
+	}
+	return bad
+}

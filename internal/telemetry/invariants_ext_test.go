@@ -63,3 +63,47 @@ func TestNoActivityAtFailedNodeInReroute(t *testing.T) {
 		})
 	}
 }
+
+// TestQueueDepthsConserved runs the queue invariant over the event streams
+// of two specs that queue data at a congestion layer: push-choke, whose
+// Srcr push flows overflow a CHOKe queue, and multi-flow-congestion-512, the
+// fastest credit golden, whose MORE queues lose frames to stale purges.
+// Every admit must report the depth the node's earlier admits, releases and
+// drops predict.
+func TestQueueDepthsConserved(t *testing.T) {
+	for _, name := range []string{"push-choke", "multi-flow-congestion-512"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.Load("../../scenarios/" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log eventLog
+			hub := telemetry.NewHub(telemetry.Config{})
+			hub.AddSink(&log)
+			if _, err := scenario.RunWith(spec, hub); err != nil {
+				t.Fatal(err)
+			}
+			counts := map[telemetry.Kind]int{}
+			drops := map[int64]int{}
+			for _, ev := range log {
+				counts[ev.Kind]++
+				if ev.Kind == telemetry.KindQueueDrop {
+					drops[ev.Aux]++
+				}
+			}
+			purged := drops[telemetry.QDropChoke]
+			if name != "push-choke" {
+				purged = drops[telemetry.QDropStale]
+			}
+			if counts[telemetry.KindEnqueue] == 0 || counts[telemetry.KindDequeue] == 0 || purged == 0 {
+				t.Fatalf("%d enqueues, %d dequeues, queue drops by reason %v: the stream does not exercise the invariant",
+					counts[telemetry.KindEnqueue], counts[telemetry.KindDequeue], drops)
+			}
+			if bad := telemetry.QueueDepthMismatch(log); len(bad) != 0 {
+				t.Fatalf("%d violations, the first %+v", len(bad), bad[0])
+			}
+			t.Logf("%d enqueues, %d dequeues, queue drops by reason %v",
+				counts[telemetry.KindEnqueue], counts[telemetry.KindDequeue], drops)
+		})
+	}
+}

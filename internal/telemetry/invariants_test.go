@@ -39,3 +39,44 @@ func TestActivityAtFailedNodeFindsViolations(t *testing.T) {
 		t.Fatalf("an empty stream has violations %+v", got)
 	}
 }
+
+// TestQueueDepthMismatchFindsViolations feeds the queue invariant a
+// hand-built stream. Node 1 admits, releases, loses a queued frame to a
+// stale purge, a CHOKe pair and a tail drop, each admit reporting the depth
+// the count predicts, and then reports a depth two too deep. Node 2 releases
+// a frame it never admitted (the count goes negative) and then reports the
+// depth its history cannot have. Exactly those three events are
+// violations, in stream order; receptions and reception losses are not
+// this invariant's concern.
+func TestQueueDepthMismatchFindsViolations(t *testing.T) {
+	ev := func(at int64, node int32, k Kind, aux int64) Event {
+		return Event{At: at, Node: node, Peer: -1, Kind: k, Aux: aux}
+	}
+	stream := []Event{
+		ev(1, 1, KindEnqueue, 1),
+		ev(2, 1, KindEnqueue, 2),
+		ev(3, 1, KindDequeue, 0),
+		ev(4, 1, KindEnqueue, 2),
+		ev(5, 1, KindQueueDrop, QDropStale),
+		ev(6, 1, KindEnqueue, 2),
+		ev(7, 1, KindQueueDrop, QDropChoke),
+		ev(8, 1, KindQueueDrop, QDropChoke),
+		ev(9, 1, KindQueueDrop, QDropTail),
+		ev(10, 1, KindDrop, DropCollision),
+		ev(11, 1, KindEnqueue, 2),
+		ev(12, 1, KindEnqueue, 5),
+		ev(13, 2, KindDequeue, 0),
+		ev(14, 2, KindEnqueue, 1),
+		ev(15, 2, KindRx, 0),
+	}
+	want := []Event{stream[11], stream[12], stream[13]}
+	if got := queueDepthMismatch(stream); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations %+v, want %+v", got, want)
+	}
+	if got := queueDepthMismatch(stream[:11]); len(got) != 0 {
+		t.Fatalf("a clean stream has violations %+v", got)
+	}
+	if got := queueDepthMismatch(nil); len(got) != 0 {
+		t.Fatalf("an empty stream has violations %+v", got)
+	}
+}
