@@ -96,7 +96,7 @@ func GapTopology(k int, p float64) *Topology {
 	t.Pos[a] = Position{20, 20, 0}
 	t.Pos[b] = Position{20, -20, 0}
 	for i := 0; i < k; i++ {
-		t.Pos[3+i] = Position{40, -10 - 3*float64(i), 0}
+		t.Pos[3+i] = Position{40, -10 - float64(3*float64(i)), 0}
 	}
 	t.Pos[dst] = Position{60, 0, 0}
 	return t
@@ -163,7 +163,7 @@ func Testbed(seed int64) *Topology {
 			// Crossing floors is harder than the straight-line distance
 			// suggests: add an effective distance penalty per floor crossed.
 			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / floorSep
-			eff := d + 8*floors
+			eff := d + float64(8*floors)
 			p := DeliveryFromDistance(eff, MidRange)
 			if p <= 0 {
 				continue
@@ -171,8 +171,9 @@ func Testbed(seed int64) *Topology {
 			// Symmetric shadowing plus small asymmetry, in log-odds space.
 			sym := rng.NormFloat64() * shadowing
 			asym := rng.NormFloat64() * shadowing * 0.25
-			pij := logistic(logit(p) + sym + asym)
-			pji := logistic(logit(p) + sym - asym)
+			l := logit(p)
+			pij := logistic(l + float64(sym) + float64(asym))
+			pji := logistic(l + float64(sym) - float64(asym))
 			if pij >= minProb {
 				t.SetDirected(NodeID(i), NodeID(j), pij)
 			}
@@ -211,27 +212,43 @@ func ConnectedTestbed(seed int64) (*Topology, int64) {
 	}
 }
 
+// fullyConnected reports whether the links usable in both directions
+// (delivery above threshold each way) join every node into one component.
+// Rows are walked in ascending node order, so the reverse of each link
+// u -> v sits at or after a cursor into v's row: no search per link.
 func (t *Topology) fullyConnected(threshold float64) bool {
 	n := t.N()
-	if n == 0 {
-		return true
+	parent := make([]int32, n) // union-find forest over the usable links
+	cursor := make([]int32, n) // cursor[v]: first entry of v's row at or above the current u
+	for i := range parent {
+		parent[i] = int32(i)
 	}
-	seen := make([]bool, n)
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range t.OutEdges(u) {
-			if !seen[e.Node] && e.P > threshold && t.Prob(e.Node, u) > threshold {
-				seen[e.Node] = true
-				count++
-				stack = append(stack, e.Node)
+	root := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	components := n
+	for u, row := range t.out {
+		for _, e := range row {
+			back := t.out[e.Node]
+			k := cursor[e.Node]
+			for int(k) < len(back) && back[k].Node < NodeID(u) {
+				k++
+			}
+			cursor[e.Node] = k
+			if e.P <= threshold || int(k) == len(back) || back[k].Node != NodeID(u) || back[k].P <= threshold {
+				continue
+			}
+			if a, b := root(int32(u)), root(int32(e.Node)); a != b {
+				parent[a] = b
+				components--
 			}
 		}
 	}
-	return count == n
+	return components <= 1
 }
 
 // Grid returns an r x c grid with the given spacing and distance-derived
@@ -246,19 +263,11 @@ func Grid(rows, cols int, spacing, midRange float64) *Topology {
 		}
 	}
 	cutoff := DeliveryCutoff(midRange)
-	idx := NewSpatialIndex(t.Pos, cutoff)
-	for i := 0; i < t.N(); i++ {
-		iid := NodeID(i)
-		for _, j := range idx.Near(iid, cutoff) {
-			if j <= iid {
-				continue
-			}
-			d := t.Pos[i].Distance(t.Pos[j])
-			if p := DeliveryFromDistance(d, midRange); p > 0 {
-				t.SetLink(iid, j, p)
-			}
+	NewSpatialIndex(t.Pos, cutoff).Pairs(cutoff, func(i, j NodeID) {
+		if p := DeliveryFromDistance(t.Pos[i].Distance(t.Pos[j]), midRange); p > 0 {
+			t.SetLink(i, j, p)
 		}
-	}
+	})
 	return t
 }
 
@@ -282,26 +291,16 @@ func Corridor(n int, length, width, midRange float64, seed int64) *Topology {
 		}
 	}
 	cutoff := DeliveryCutoff(midRange)
-	idx := NewSpatialIndex(t.Pos, cutoff)
-	for i := 0; i < n; i++ {
-		iid := NodeID(i)
-		for _, j := range idx.Near(iid, cutoff) {
-			if j <= iid {
-				continue
-			}
-			d := t.Pos[i].Distance(t.Pos[j])
-			p := DeliveryFromDistance(d, midRange)
-			if p <= 0 {
-				continue
-			}
-			sym := rng.NormFloat64() * 0.5
-			pij := logistic(logit(p) + sym)
-			pji := logistic(logit(p) + sym)
-			if pij >= 0.05 {
-				t.SetDirected(iid, j, pij)
-				t.SetDirected(j, iid, pji)
-			}
+	NewSpatialIndex(t.Pos, cutoff).Pairs(cutoff, func(i, j NodeID) {
+		p := DeliveryFromDistance(t.Pos[i].Distance(t.Pos[j]), midRange)
+		if p <= 0 {
+			return
 		}
-	}
+		pij := logistic(logit(p) + float64(rng.NormFloat64()*0.5))
+		if pij >= 0.05 {
+			t.SetDirected(i, j, pij)
+			t.SetDirected(j, i, pij)
+		}
+	})
 	return t
 }

@@ -65,31 +65,25 @@ func Geometric(cfg GeometricConfig, seed int64) *Topology {
 	// delivery is exactly zero (and the floor penalty only shrinks it), so
 	// the spatial search is exhaustive, not approximate.
 	cutoff := DeliveryCutoff(MidRange)
-	idx := NewSpatialIndex(t.Pos, cutoff)
-	for i := 0; i < cfg.Nodes; i++ {
-		iid := NodeID(i)
-		for _, j := range idx.Near(iid, cutoff) {
-			if j <= iid {
-				continue
-			}
-			d := t.Pos[i].Distance(t.Pos[j])
-			floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / floorSep
-			p := DeliveryFromDistance(d+8*floors, MidRange)
-			if p <= 0 {
-				continue
-			}
-			sym := rng.NormFloat64() * shadowing
-			asym := rng.NormFloat64() * shadowing * 0.25
-			pij := logistic(logit(p) + sym + asym)
-			pji := logistic(logit(p) + sym - asym)
-			if pij >= minProb {
-				t.SetDirected(iid, j, pij)
-			}
-			if pji >= minProb {
-				t.SetDirected(j, iid, pji)
-			}
+	NewSpatialIndex(t.Pos, cutoff).Pairs(cutoff, func(i, j NodeID) {
+		d := t.Pos[i].Distance(t.Pos[j])
+		floors := math.Abs(t.Pos[i].Z-t.Pos[j].Z) / floorSep
+		p := DeliveryFromDistance(d+float64(8*floors), MidRange)
+		if p <= 0 {
+			return
 		}
-	}
+		sym := rng.NormFloat64() * shadowing
+		asym := rng.NormFloat64() * shadowing * 0.25
+		l := logit(p)
+		pij := logistic(l + float64(sym) + float64(asym))
+		pji := logistic(l + float64(sym) - float64(asym))
+		if pij >= minProb {
+			t.SetDirected(i, j, pij)
+		}
+		if pji >= minProb {
+			t.SetDirected(j, i, pji)
+		}
+	})
 	return t
 }
 

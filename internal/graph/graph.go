@@ -72,10 +72,13 @@ type Position struct {
 	X, Y, Z float64
 }
 
-// Distance returns the Euclidean distance between two positions.
+// Distance returns the Euclidean distance between two positions. Each square
+// is rounded before it is summed, on every architecture (the conversions
+// forbid a fused multiply-add), so a range test at its edge resolves the
+// same everywhere.
 func (p Position) Distance(q Position) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // Edge is one directed link in a neighbor list: delivery probability P along
@@ -143,12 +146,23 @@ func (t *Topology) SetLink(a, b NodeID, p float64) {
 }
 
 // SetDirected sets the delivery probability a -> b only; p <= 0 removes the
-// link. A node has no link to itself, so a == b is ignored.
+// link. A node has no link to itself, so a == b is ignored. A link to a peer
+// above every one the row holds, which is every link a generator sets,
+// appends without a search.
 func (t *Topology) SetDirected(a, b NodeID, p float64) {
 	if a == b {
 		return
 	}
+	if t.in.Load() != nil {
+		t.in.Store(nil)
+	}
 	row := t.out[a]
+	if len(row) == 0 || row[len(row)-1].Node < b {
+		if p > 0 {
+			t.out[a] = append(row, Edge{Node: b, P: p})
+		}
+		return
+	}
 	k := sort.Search(len(row), func(i int) bool { return row[i].Node >= b })
 	switch {
 	case k < len(row) && row[k].Node == b:
@@ -163,7 +177,6 @@ func (t *Topology) SetDirected(a, b NodeID, p float64) {
 		row[k] = Edge{Node: b, P: p}
 		t.out[a] = row
 	}
-	t.in.Store(nil)
 }
 
 // Prob returns the delivery probability from a to b.
@@ -519,7 +532,7 @@ func DeliveryFromDistance(d, midRange float64) float64 {
 // can safely stop at. (The logistic floors at p < 0.005, reached at
 // x = ln(1/0.005 - 1) ≈ 5.29 slope units.)
 func DeliveryCutoff(midRange float64) float64 {
-	return midRange * (1 + 0.22*math.Log(1/0.005-1))
+	return midRange * (1 + float64(0.22*math.Log(1/0.005-1)))
 }
 
 // RateScale scales a delivery probability measured at the 5.5 Mb/s reference

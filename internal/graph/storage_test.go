@@ -229,57 +229,6 @@ func TestIndexInvalidatedOnMutation(t *testing.T) {
 	}
 }
 
-func TestSpatialIndexMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pos := make([]Position, 300)
-	for i := range pos {
-		pos[i] = Position{rng.Float64()*400 - 200, rng.Float64()*400 - 200, rng.Float64() * 12}
-	}
-	for _, cell := range []float64{7, 30, 95} {
-		idx := NewSpatialIndex(pos, cell)
-		for trial := 0; trial < 20; trial++ {
-			center := pos[rng.Intn(len(pos))]
-			r := rng.Float64() * 120
-			got := idx.Within(center, r)
-			var want []NodeID
-			for i, p := range pos {
-				if p.Distance(center) <= r {
-					want = append(want, NodeID(i))
-				}
-			}
-			if !reflect.DeepEqual(got, append([]NodeID{}, want...)) && !(len(got) == 0 && len(want) == 0) {
-				t.Fatalf("cell %v r %v: got %v want %v", cell, r, got, want)
-			}
-		}
-	}
-	idx := NewSpatialIndex(pos, 30)
-	near := idx.Near(0, 50)
-	for _, id := range near {
-		if id == 0 {
-			t.Fatal("Near includes the node itself")
-		}
-	}
-}
-
-func TestWithinAllocatesOnlyItsResult(t *testing.T) {
-	// A query makes one allocation, its result at the exact size: no
-	// growth steps, no sort closure.
-	rng := rand.New(rand.NewSource(5))
-	pos := make([]Position, 300)
-	for i := range pos {
-		pos[i] = Position{rng.Float64() * 200, rng.Float64() * 200, 0}
-	}
-	idx := NewSpatialIndex(pos, 40)
-	var got []NodeID
-	allocs := testing.AllocsPerRun(50, func() { got = idx.Within(pos[0], 40) })
-	if len(got) < 2 || cap(got) != len(got) {
-		t.Fatalf("Within found %d nodes in a result of capacity %d", len(got), cap(got))
-	}
-	if allocs != 1 {
-		t.Errorf("Within allocates %v objects, want 1", allocs)
-	}
-}
-
 func TestGeometricDeterministicAndSane(t *testing.T) {
 	cfg := DefaultGeometric(300)
 	a := Geometric(cfg, 9)

@@ -192,18 +192,26 @@ func buildPlan(t *graph.Topology, src, dst graph.NodeID, opt PlanOptions, etx ET
 		plan.Z[id] = z[idx]
 		plan.TotalCost += z[idx]
 	}
-	// Eq. (3.3): TX_credit_i = z_i / Σ_{j>i} z_j (1 − ε_ji).
+	// Eq. (3.3): TX_credit_i = z_i / Σ_{j>i} z_j (1 − ε_ji). Each node's
+	// out-edges add its term to the sums of the nodes before it in order.
+	// Transmitters run in ascending position, so every sum adds its terms
+	// in ascending j, and a pair with no link adds nothing, as its +0 term
+	// would: the credits are those of a walk over every pair.
+	pos := positions(t.N(), order)
+	expectedRx := make([]float64, len(order))
+	for jdx := 1; jdx < len(order); jdx++ {
+		for _, e := range t.OutEdges(order[jdx]) {
+			if idx := int(pos[e.Node]); idx >= 0 && idx < jdx {
+				expectedRx[idx] += float64(z[jdx] * e.P)
+			}
+		}
+	}
 	for idx, id := range order {
 		if id == src {
 			continue
 		}
-		var expectedRx float64
-		for jdx := idx + 1; jdx < len(order); jdx++ {
-			j := order[jdx]
-			expectedRx += z[jdx] * t.Prob(j, id)
-		}
-		if expectedRx > 0 {
-			plan.Credit[id] = z[idx] / expectedRx
+		if expectedRx[idx] > 0 {
+			plan.Credit[id] = z[idx] / expectedRx[idx]
 		} else {
 			plan.Credit[id] = 0
 		}
@@ -234,16 +242,10 @@ func transmissionCounts(t *graph.Topology, order []graph.NodeID) []float64 {
 	if n < 2 {
 		return z
 	}
-	// pos[v] is v's index in order, or -1. Each forwarder's losses to the
-	// nodes closer than it are read from one dense row, scattered from its
-	// out-edges: eps[k] = ε(order[i], order[k]) = 1 − p, or 1 with no link.
-	pos := make([]int32, t.N())
-	for v := range pos {
-		pos[v] = -1
-	}
-	for idx, id := range order {
-		pos[id] = int32(idx)
-	}
+	// Each forwarder's losses to the nodes closer than it are read from one
+	// dense row, scattered from its out-edges: eps[k] = ε(order[i],
+	// order[k]) = 1 − p, or 1 with no link.
+	pos := positions(t.N(), order)
 	eps := make([]float64, n)
 	L[n-1] = 1 // the source generates the packet
 	for i := n - 1; i >= 1; i-- {
@@ -280,10 +282,22 @@ func transmissionCounts(t *graph.Topology, order []graph.NodeID) []float64 {
 		P := 1.0
 		for j := 1; j < i; j++ {
 			P *= row[j-1] // P = Π_{k<j} ε_ik
-			L[j] += z[i] * P * (1 - row[j])
+			L[j] += float64(z[i] * P * (1 - row[j]))
 		}
 	}
 	return z
+}
+
+// positions returns, for each of n nodes, its index in order, or -1.
+func positions(n int, order []graph.NodeID) []int32 {
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = -1
+	}
+	for idx, id := range order {
+		pos[id] = int32(idx)
+	}
+	return pos
 }
 
 // filterUseless removes forwarders whose z is infinite (no onward
@@ -392,7 +406,7 @@ func loadDistribution(t *graph.Topology, order []graph.NodeID) (z []float64, x [
 		P := 1.0
 		prevQ := 0.0
 		for j := 0; j < i; j++ {
-			P *= t.Loss(order[i], order[j])
+			P = float64(P * t.Loss(order[i], order[j]))
 			qj := 1 - P
 			x[i][j] = (qj - prevQ) * z[i]
 			L[j] += x[i][j]

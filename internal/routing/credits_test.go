@@ -459,3 +459,78 @@ func TestTransmissionCountsMatchSearch(t *testing.T) {
 		check("random order", topo, order)
 	}
 }
+
+// creditsByProb is Eq. (3.3) term by term, the reference for buildPlan's
+// scattered sums: for each node, a walk over every node after it in order,
+// each term read with Prob.
+func creditsByProb(topo *graph.Topology, plan *Plan) map[graph.NodeID]float64 {
+	credit := make(map[graph.NodeID]float64, len(plan.Order))
+	for idx, id := range plan.Order {
+		if id == plan.Src {
+			continue
+		}
+		var rx float64
+		for jdx := idx + 1; jdx < len(plan.Order); jdx++ {
+			j := plan.Order[jdx]
+			rx += float64(plan.Z[j] * topo.Prob(j, id))
+		}
+		credit[id] = 0
+		if rx > 0 {
+			credit[id] = plan.Z[id] / rx
+		}
+	}
+	return credit
+}
+
+// TestCreditsMatchProbReference: buildPlan's credits equal creditsByProb bit
+// for bit — on multi-flow-congestion-512's 33 -> 15 plan (378 forwarders),
+// and on random meshes under both orders, pruned and unpruned, with and
+// without degraded links.
+func TestCreditsMatchProbReference(t *testing.T) {
+	check := func(what string, topo *graph.Topology, plan *Plan) {
+		t.Helper()
+		want := creditsByProb(topo, plan)
+		if len(plan.Credit) != len(want) {
+			t.Fatalf("%s: %d credits, want %d", what, len(plan.Credit), len(want))
+		}
+		for id, w := range want {
+			if got, ok := plan.Credit[id]; !ok || math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("%s: credit(%d) = %v, Prob form %v", what, id, got, w)
+			}
+		}
+	}
+	cfg := graph.DefaultGeometric(512)
+	topo, _ := graph.ConnectedGeometric(cfg, 1)
+	plan, err := BuildPlan(topo, 33, 15, DefaultPlanOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(plan.Forwarders()); n != 378 {
+		t.Fatalf("the 33 -> 15 plan lists %d forwarders, not the 378 this test pins", n)
+	}
+	check("multi-flow-congestion-512 33 -> 15", topo, plan)
+
+	rng := rand.New(rand.NewSource(41))
+	plans := 0
+	for trial := 0; trial < 80; trial++ {
+		n := 3 + rng.Intn(70)
+		topo, _ := graph.ConnectedGeometric(graph.DefaultGeometric(n), rng.Int63())
+		if trial%3 == 0 {
+			topo.Degrade(0.3)
+		}
+		opt := PlanOptions{Metric: OrderMetric(trial % 2)}
+		if trial%4 >= 2 {
+			opt = DefaultPlanOptions()
+		}
+		src, dst := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		plan, err := BuildPlan(topo, src, dst, opt)
+		if err != nil {
+			continue
+		}
+		check("random plan", topo, plan)
+		plans++
+	}
+	if plans < 40 {
+		t.Fatalf("only %d of 80 random draws built a plan", plans)
+	}
+}

@@ -65,12 +65,13 @@ type Result struct {
 	Fairness experiments.FairnessReport
 
 	// Telemetry is the metrics snapshot when the run was executed via
-	// RunWith and a hub; nil (and omitted from the encoding, keeping every
-	// pre-telemetry digest byte-identical) otherwise.
+	// RunWith and a hub; nil (and omitted from the encoding) otherwise. It
+	// is outside the digest: a run with a hub seals its golden's digest.
 	Telemetry *telemetry.Report `json:",omitempty"`
 
 	// Digest is the SHA-256 of the canonical encoding with this field
-	// empty — one line a regression diff can compare scenarios by.
+	// empty and Telemetry left out — one line a regression diff can compare
+	// scenarios by.
 	Digest string
 }
 
@@ -85,10 +86,12 @@ func (r *Result) Done() bool {
 }
 
 // ComputeDigest returns the SHA-256 hex digest of the result's canonical
-// encoding, taken with the Digest field empty.
+// encoding, taken with the Digest field empty and without the Telemetry
+// block, which observes the run and does not change it.
 func (r *Result) ComputeDigest() (string, error) {
 	stripped := *r
 	stripped.Digest = ""
+	stripped.Telemetry = nil
 	body, err := json.Marshal(&stripped)
 	if err != nil {
 		return "", err

@@ -120,3 +120,47 @@ func TestNodeCountsSumToRunTotals(t *testing.T) {
 		t.Errorf("the specs lost %d receptions to collisions and %d to the channel: a sum of zeros checks nothing", collisions, losses)
 	}
 }
+
+// TestHubRunSealsGoldenDigest: the Telemetry block is outside the digest,
+// so a run with a hub seals its golden's digest — here push-choke and the
+// learned node-failure-reroute-learned — and ValidateResult accepts the
+// document the run writes, telemetry block and all.
+func TestHubRunSealsGoldenDigest(t *testing.T) {
+	for _, name := range []string{"push-choke", "node-failure-reroute-learned"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := Load(filepath.Join(specDir, name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(goldenDir, name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := ValidateResult(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunWith(spec, telemetry.NewHub(telemetry.Config{ChromeTrace: true}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Telemetry == nil || res.Telemetry.Events == 0 {
+				t.Fatal("the hub run carries no telemetry")
+			}
+			if res.Digest != golden.Digest {
+				t.Fatalf("hub run digest %s, golden %s", res.Digest, golden.Digest)
+			}
+			enc, err := res.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := ValidateResult(enc)
+			if err != nil {
+				t.Fatalf("the hub run's document fails validation: %v", err)
+			}
+			if back.Telemetry == nil || back.Digest != golden.Digest {
+				t.Fatalf("the document decodes with telemetry %v and digest %s", back.Telemetry != nil, back.Digest)
+			}
+		})
+	}
+}

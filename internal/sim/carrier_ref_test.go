@@ -10,12 +10,14 @@ import (
 
 // carrierRef is the carrier sense the listening set replaced, kept as the
 // reference: the sense sets as sorted slices built for every node at
-// construction, and a count for every node — contending or not, alive or not
-// — that every transmission in range moves twice. Its edge rules are the old
-// ones: the first sensed transmission cancels a DIFS wait and freezes a
-// backoff, crediting whole elapsed slots; the last one to end starts a DIFS
-// wait at a contending MAC, in ascending node order; a MAC that starts to
-// contend waits out a DIFS only when its count is zero.
+// construction (their geometric part by an all-pairs scan, not through the
+// spatial index the simulator reads), and a count for every node —
+// contending or not, alive or not — that every transmission in range moves
+// twice. Its edge rules are the old ones: the first sensed transmission
+// cancels a DIFS wait and freezes a backoff, crediting whole elapsed slots;
+// the last one to end starts a DIFS wait at a contending MAC, in ascending
+// node order; a MAC that starts to contend waits out a DIFS only when its
+// count is zero.
 type carrierRef struct {
 	sense [][]graph.NodeID
 	busy  []int32
@@ -24,10 +26,6 @@ type carrierRef struct {
 func newCarrierRef(topo *graph.Topology, cfg Config) *carrierRef {
 	n := topo.N()
 	r := &carrierRef{sense: make([][]graph.NodeID, n), busy: make([]int32, n)}
-	var spatial *graph.SpatialIndex
-	if cfg.SenseRange > 0 {
-		spatial = graph.NewSpatialIndex(topo.Pos, cfg.SenseRange)
-	}
 	for i := range r.sense {
 		id := graph.NodeID(i)
 		set := []graph.NodeID{id}
@@ -36,8 +34,12 @@ func newCarrierRef(topo *graph.Topology, cfg Config) *carrierRef {
 				set = append(set, e.Node)
 			}
 		}
-		if spatial != nil {
-			set = append(set, spatial.Near(id, cfg.SenseRange)...)
+		if cfg.SenseRange > 0 {
+			for j, p := range topo.Pos {
+				if p.Distance(topo.Pos[i]) <= cfg.SenseRange {
+					set = append(set, graph.NodeID(j))
+				}
+			}
 		}
 		slices.Sort(set)
 		r.sense[i] = slices.Compact(set)

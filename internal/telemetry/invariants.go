@@ -64,3 +64,25 @@ func queueDepthMismatch(events []Event) []Event {
 	}
 	return bad
 }
+
+// airOverlap is the single-radio half of "every tx-start has exactly one
+// tx-end" (ROADMAP item 1), as a pure function of the events in emission
+// order: a node's own frames never overlap on the air. Each KindTx at a
+// node, MAC ACKs included, must start no earlier than the previous one
+// there ends (its At + Dur). It returns every KindTx that starts early; a
+// correct run returns none.
+func airOverlap(events []Event) []Event {
+	var free []int64 // by node ID: when its last frame left the air
+	var bad []Event
+	for _, ev := range events {
+		if ev.Kind != KindTx {
+			continue
+		}
+		end := at(&free, ev.Node)
+		if ev.At < *end {
+			bad = append(bad, ev)
+		}
+		*end = ev.At + ev.Dur
+	}
+	return bad
+}

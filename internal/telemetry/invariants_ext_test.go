@@ -107,3 +107,44 @@ func TestQueueDepthsConserved(t *testing.T) {
 		})
 	}
 }
+
+// TestNoFrameOverlapsItsSender runs the single-radio invariant over the
+// event streams of more-testbed-3flows, whose three MORE flows keep the
+// testbed's relays sending data and MAC ACKs, and soak-churn, whose nodes
+// crash and recover under a Srcr push stream with unicast retries. No
+// node's frame may start while its previous one is still on the air.
+func TestNoFrameOverlapsItsSender(t *testing.T) {
+	for _, name := range []string{"more-testbed-3flows", "soak-churn"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.Load("../../scenarios/" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log eventLog
+			hub := telemetry.NewHub(telemetry.Config{})
+			hub.AddSink(&log)
+			if _, err := scenario.RunWith(spec, hub); err != nil {
+				t.Fatal(err)
+			}
+			counts := map[telemetry.Kind]int{}
+			acks := 0
+			for _, ev := range log {
+				counts[ev.Kind]++
+				if ev.Kind == telemetry.KindTx && ev.Aux == 1 {
+					acks++
+				}
+			}
+			if counts[telemetry.KindTx] == 0 || acks == 0 {
+				t.Fatalf("%d transmissions, %d of them MAC ACKs: the stream does not exercise the invariant", counts[telemetry.KindTx], acks)
+			}
+			if name == "soak-churn" && counts[telemetry.KindNodeFail] == 0 {
+				t.Fatal("no node failed: the stream does not run churn")
+			}
+			if bad := telemetry.AirOverlap(log); len(bad) != 0 {
+				t.Fatalf("%d violations, the first %+v", len(bad), bad[0])
+			}
+			t.Logf("%d transmissions, %d of them MAC ACKs, %d node failures",
+				counts[telemetry.KindTx], acks, counts[telemetry.KindNodeFail])
+		})
+	}
+}

@@ -80,3 +80,36 @@ func TestQueueDepthMismatchFindsViolations(t *testing.T) {
 		t.Fatalf("an empty stream has violations %+v", got)
 	}
 }
+
+// TestAirOverlapFindsViolations feeds the single-radio invariant a
+// hand-built stream. Node 1 sends a data frame and a MAC ACK back to back,
+// the second starting the nanosecond the first ends; then an ACK that starts
+// inside a data frame, and a data frame that starts inside that ACK. Node 2
+// transmits while node 1 is on the air, which is not this invariant's
+// concern, and a reception at node 1 during its own frame is not either.
+// Exactly node 1's two early starts are violations, in stream order.
+func TestAirOverlapFindsViolations(t *testing.T) {
+	tx := func(at, dur int64, node int32, ack int64) Event {
+		return Event{At: at, Dur: dur, Node: node, Peer: -1, Kind: KindTx, Aux: ack}
+	}
+	stream := []Event{
+		tx(10, 100, 1, 0),
+		tx(50, 100, 2, 0),
+		tx(110, 20, 1, 1),
+		{At: 120, Node: 1, Peer: 2, Kind: KindRx},
+		tx(200, 100, 1, 0),
+		tx(299, 20, 1, 1),
+		tx(310, 100, 1, 0),
+		tx(319, 5, 2, 1),
+	}
+	want := []Event{stream[5], stream[6]}
+	if got := airOverlap(stream); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations %+v, want %+v", got, want)
+	}
+	if got := airOverlap(stream[:5]); len(got) != 0 {
+		t.Fatalf("a clean stream has violations %+v", got)
+	}
+	if got := airOverlap(nil); len(got) != 0 {
+		t.Fatalf("an empty stream has violations %+v", got)
+	}
+}
