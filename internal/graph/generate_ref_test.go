@@ -112,7 +112,8 @@ func sameTopology(got, want *Topology) error {
 
 // TestGeneratorsMatchAllPairsReference: Geometric, Grid and Corridor equal
 // their all-pairs references over a range of seeds and sizes — flat and
-// multi-floor meshes, sparse and dense, grids whose spacing puts pairs on
+// multi-floor meshes (20 floors span 76 m, more than the delivery cutoff,
+// so the index stacks two layers of cells), sparse and dense, grids whose spacing puts pairs on
 // and across the index's cell boundaries, short and long corridors.
 func TestGeneratorsMatchAllPairsReference(t *testing.T) {
 	check := func(what string, got, want *Topology) {
@@ -126,7 +127,7 @@ func TestGeneratorsMatchAllPairsReference(t *testing.T) {
 	}
 	seed := int64(1)
 	for _, n := range []int{2, 17, 60, 150, 400} {
-		for _, floors := range []int{1, 3} {
+		for _, floors := range []int{1, 3, 20} {
 			for _, degree := range []float64{4, 10, 25} {
 				cfg := GeometricConfig{Nodes: n, TargetDegree: degree, Floors: floors}
 				seed++

@@ -18,20 +18,26 @@ type spatialWorld struct {
 
 // spatialWorlds are the worlds the index tests share: points exactly on cell
 // boundaries (a lattice at the cell width, so lattice distances hit the
-// radius exactly), negative coordinates, several floors, radii below, equal
+// radius exactly, once with its floors inside one layer of cells and once
+// with a floor on every layer boundary), negative coordinates, several
+// floors, heights spread continuously, a box neither square nor flat (so a
+// z stride or span that mixes up the axes misses cells), radii below, equal
 // to and above the cell width, a box sparse enough that the index widens
 // its cells, and the empty and one-node indexes.
 func spatialWorlds() []spatialWorld {
 	rng := rand.New(rand.NewSource(11))
-	var lattice []Position
-	for z := 0; z < 3; z++ {
-		for y := -4; y <= 4; y++ {
-			for x := -5; x <= 5; x++ {
-				lattice = append(lattice, Position{float64(x) * 10, float64(y) * 10, float64(z) * 4})
+	lattice := func(zstep float64) []Position {
+		var pos []Position
+		for z := 0; z < 3; z++ {
+			for y := -4; y <= 4; y++ {
+				for x := -5; x <= 5; x++ {
+					pos = append(pos, Position{float64(x) * 10, float64(y) * 10, float64(z) * zstep})
+				}
 			}
 		}
+		rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+		return pos
 	}
-	rng.Shuffle(len(lattice), func(i, j int) { lattice[i], lattice[j] = lattice[j], lattice[i] })
 	random := func(n int, side, floors float64) []Position {
 		pos := make([]Position, n)
 		for i := range pos {
@@ -39,10 +45,22 @@ func spatialWorlds() []spatialWorld {
 		}
 		return pos
 	}
+	heights := make([]Position, 300)
+	for i := range heights {
+		heights[i] = Position{rng.Float64()*400 - 200, rng.Float64()*400 - 200, rng.Float64() * 12}
+	}
+	tower := make([]Position, 400)
+	for i := range tower {
+		tower[i] = Position{rng.Float64()*120 - 60, rng.Float64() * 60, float64(rng.Intn(5)*12) - 20}
+	}
 	sparse := []Position{{0, 0, 0}, {1e4, -3, 0}, {-1e4, 7, 2}, {5000, 5000, 0}, {1, 1, 1}}
 	return []spatialWorld{
-		{"lattice", lattice, 10, []float64{0, 4, 10, 14.142135623730951, 20, 30, 200}},
+		{"lattice", lattice(4), 10, []float64{0, 4, 10, 14.142135623730951, 20, 30, 200}},
+		{"lattice-floors-on-boundaries", lattice(10), 10, []float64{0, 9.9, 10, 14.142135623730951, 17.320508075688775, 20, 35}},
 		{"random-3-floors", random(300, 400, 3), 30, []float64{7, 29.9, 30, 30.1, 61, 120}},
+		{"continuous-heights", heights, 7, []float64{3, 7, 12, 40, 120}},
+		{"continuous-heights-wide-cells", heights, 95, []float64{3, 95, 120}},
+		{"tower-5-floors", tower, 10, []float64{5, 10, 12, 12.5, 24, 30, 50}},
 		{"random-fine-cells", random(200, 300, 1), 7, []float64{3, 7, 20, 95}},
 		{"sparse-widened", sparse, 1, []float64{0.5, 2, 1e4, 2e4}},
 		{"one-node", []Position{{-3, 2, 8}}, 5, []float64{0, 5, 50}},
@@ -65,8 +83,10 @@ func queryPoints(pos []Position) []Position {
 // all-pairs scan finds within r (inclusive), ascending, and Near the same
 // minus the node itself, in every world of spatialWorlds.
 func TestSpatialIndexMatchesBruteForce(t *testing.T) {
+	layered := false
 	for _, w := range spatialWorlds() {
 		idx := NewSpatialIndex(w.pos, w.cell)
+		layered = layered || idx.nz > 2 && idx.nx != idx.ny
 		for _, r := range w.radii {
 			for qi, center := range queryPoints(w.pos) {
 				var want []NodeID
@@ -91,6 +111,9 @@ func TestSpatialIndexMatchesBruteForce(t *testing.T) {
 		if got := idx.Within(Position{}, -1); got != nil {
 			t.Fatalf("%s: a negative radius finds %v", w.name, got)
 		}
+	}
+	if !layered {
+		t.Fatal("no world builds a grid with several layers of cells over a non-square floor, so the z stride goes unchecked")
 	}
 }
 
