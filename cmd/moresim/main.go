@@ -62,7 +62,7 @@ type cli struct {
 	scale, scopeRings, scenario    string
 	parallel, nodes, flows         int
 	degree, floors, src, dst       int
-	file, k, window, ccQueue       int
+	file, k, ccQueue               int
 	seed                           int64
 	drop, warmup, advertise, damp  float64
 	summaryS, simDeadline          float64
@@ -100,7 +100,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cli, error) {
 	fs.StringVar(&c.metric, "metric", "etx", "forwarder ordering: "+oneOf("metric"))
 	fs.StringVar(&c.state, "state", "oracle", "routing state: oracle (global ground truth) or learned (in-sim probes + LSA floods; also runs the oracle twin and reports the gap)")
 	fs.Float64Var(&c.warmup, "warmup", 30, "learned-state measurement warmup before flows start (seconds; 0 starts flows cold)")
-	fs.IntVar(&c.window, "window", 10, "learned-state probe window (probes per estimate, > 0)")
 	fs.Float64Var(&c.advertise, "advertise", 5, "learned-state LSA advertise interval (seconds, > 0)")
 	fs.Float64Var(&c.damp, "damp", 0, "learned-state LSA flood damping trigger: advertise only when an estimate moved this much (0 disables; try 0.2)")
 	fs.StringVar(&c.scopeRings, "scope-rings", "", "learned-state fisheye scope rings: comma-separated ascending hop radii (e.g. 2,8); near rings get every update, the rest wait for summaries (empty disables scoping)")
@@ -370,8 +369,8 @@ func admit(s *scenario.Spec) (*scenario.Spec, error) {
 // knob under the oracle) is carried only when its flag was given, so the
 // loader refuses the contradiction instead of the run dropping it.
 func specFromFlags(c *cli) (*scenario.Spec, error) {
-	if c.k == 0 || c.window == 0 || c.advertise == 0 {
-		return nil, fmt.Errorf("-k, -window and -advertise must be > 0 (a spec reads 0 as \"the default\")")
+	if c.k == 0 || c.advertise == 0 {
+		return nil, fmt.Errorf("-k and -advertise must be > 0 (a spec reads 0 as \"the default\")")
 	}
 	spec := &scenario.Spec{
 		Name:      "moresim",
@@ -413,9 +412,6 @@ func specFromFlags(c *cli) (*scenario.Spec, error) {
 		if c.warmup <= 0 {
 			state.WarmupS = -1 // cold start (0 would read as "the 30 s default")
 		}
-	}
-	if learned || c.set["window"] {
-		state.Window = c.window
 	}
 	if learned || c.set["advertise"] {
 		state.AdvertiseS = c.advertise

@@ -134,7 +134,6 @@ func TestSpecFromFlags(t *testing.T) {
   "state": {
     "mode": "learned",
     "warmup_s": -1,
-    "window": 10,
     "advertise_s": 5,
     "damp": 0.2,
     "scope_rings": [
@@ -205,7 +204,7 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-drop 1.5":                        "outside [0,1)",
 		"-state learned -scope-rings 8,2":  "scope_rings must be ascending",
 		"-state learned -scope-rings 2,x":  "bad -scope-rings entry",
-		"-state learned -window 0":         "must be > 0",
+		"-state learned -advertise 0":      "must be > 0",
 		"-state learned -advertise -1":     "state knobs must be non-negative",
 		"-topo torus":                      "unknown topology kind",
 		"-proto tcp":                       "unknown protocol",
@@ -218,7 +217,7 @@ func TestBadFlagsAreValidateErrors(t *testing.T) {
 		"-sim-deadline -5":                 "deadline_s must be > 0",
 		"-topo testbed -nodes 50":          "fixed size of 20 nodes",
 		"-topo chain -degree 12":           "degree/floors apply to geometric",
-		"-window 20":                       "state knobs apply to mode learned only",
+		"-advertise 2":                     "state knobs apply to mode learned only",
 		"-piggyback":                       "state knobs apply to mode learned only",
 		"-warmup 10":                       "state knobs apply to mode learned only",
 		"-topo testbed -src 3 -dst 40":     "outside topology of 20 nodes",

@@ -18,10 +18,11 @@
 //     code vector plus its coefficients over the received payloads and
 //     updated incrementally as innovative packets arrive. Take hands out a
 //     packet whose payload is combined on first read (see Packet).
-//   - Decoder: innovativeness tracking over code vectors as packets arrive;
-//     once K innovative packets are stored the natives are recovered by
-//     inverting the K×K coefficient matrix and running K word-wise
-//     multi-row combines over the stored payloads (§3.1.3).
+//   - Decoder: a Buffer run to full rank (§3.1.3). The destination admits
+//     packets the way a forwarder does; once K innovative packets are
+//     stored, back-substitution over the buffer's rows turns each transform
+//     row into one native's weights over the received payloads, and one
+//     word-wise multi-row combine over them recovers all K natives.
 //   - Pool: a handle on the process-wide, GC-aware free list of packets of
 //     one shape, shared by every node; with pools attached the whole
 //     pipeline is allocation-free in steady state, and its output does not
@@ -32,8 +33,8 @@
 // the portable word-wise form): payloads only in multi-row combines —
 // coding at the source, a forwarder's transmission, decoding at the
 // destination — through gf256.Kernel, and the single-row steps on code
-// vectors and transform rows — echelon elimination, pre-coder updates —
-// through gf256.MulAddSlice/ScaleSlice.
+// vectors and transform rows — echelon elimination, back-substitution,
+// pre-coder updates — through gf256.MulAddSlice/ScaleSlice.
 //
 // All randomness is drawn from a caller-supplied *rand.Rand so simulations
 // are deterministic under a fixed seed.
@@ -94,14 +95,6 @@ func (p *Packet) CopyFrom(q *Packet) {
 	}
 	copy(p.Vector, q.Vector)
 	copy(p.Payload, q.Payload)
-}
-
-// size returns the payload length, pending or not, without combining it.
-func (p *Packet) size() int {
-	if p.src != nil {
-		return len(p.parked)
-	}
-	return len(p.Payload)
 }
 
 // resolve combines a pending packet's payload from its buffer's rows and the
@@ -235,7 +228,8 @@ type Buffer struct {
 	// m holds slot i's row at m[2k·i:2k·(i+1)]: the echelon vector with its
 	// leading 1 at i, then the transform row t_i, so slot i's echelon
 	// payload is Σ_j t_i[j]·rows[j].Payload. A transform row refers only to
-	// slots filled no later than its own, so rows never change once written.
+	// slots filled no later than its own, so rows never change once written
+	// (until a Decoder's Decode reduces the full matrix).
 	m    []byte
 	rank int
 	last int   // slot most recently admitted
@@ -551,111 +545,36 @@ func (pc *PreCoder) Take() *Packet {
 	return p
 }
 
-// Decoder recovers the K native packets at the destination. As packets
-// arrive it runs the innovativeness elimination over code vectors only —
-// K-byte rows, a few hundred byte operations — and stores innovative
-// packets untouched. Once K innovative packets are in, Decode inverts the
-// K×K matrix of their code vectors (cheap: vectors, not payloads) and
-// recovers each native as one word-wise multi-row combine of the stored
-// payloads. Deferring all payload arithmetic to the batched combine is what
-// lets decoding ride the same kernel as source coding (§3.1.3 budgets ~2NS
+// Decoder recovers the K native packets at the destination (§3.1.3). It is
+// a Buffer run to full rank: Add, Rank, Reset and UsePool are the relay's,
+// so it keeps only innovative packets, stored as received. Once K are in,
+// the echelon half of the buffer's matrix is upper triangular with a unit
+// diagonal, and Decode back-substitutes over the 2K-byte rows until that
+// half is the identity. Each slot's transform row then holds one native's
+// weights over the received payloads, and one word-wise multi-row combine
+// over those payloads recovers all K natives (§3.1.3 budgets ~2NS
 // multiplications per packet; the kernel does the equivalent work
 // word-wide).
 type Decoder struct {
-	k, size int
-	rank    int
-	rows    []*Packet // innovative originals, arrival order
-	ech     [][]byte  // ech[i]: reduced vector with leading 1 at i, or nil
-	echBuf  []byte
-	scratch []byte
-	pool    *Pool
-	kern    *gf256.Kernel
-
-	decoded    bool
-	natives    [][]byte // decode output, reused across Reset
-	inv        []byte   // k×2k Gauss–Jordan scratch
-	payScratch [][]byte
-	coefRows   [][]byte
+	Buffer
+	decoded  bool
+	natives  [][]byte // decode output, reused across Reset
+	coefRows [][]byte // coefRows[i]: slot i's transform row, native i's weights once decoded
 }
 
 // NewDecoder creates a decoder for batch size k and payload size.
 func NewDecoder(k, size int) *Decoder {
-	return &Decoder{
-		k:          k,
-		size:       size,
-		rows:       make([]*Packet, 0, k),
-		ech:        make([][]byte, k),
-		echBuf:     make([]byte, k*k),
-		scratch:    make([]byte, k),
-		kern:       gf256.NewKernel(),
-		payScratch: make([][]byte, 0, k),
-	}
-}
-
-// UsePool attaches a packet pool: Add recycles non-innovative packets and
-// Reset recycles the stored batch. The pool's shape must match.
-func (d *Decoder) UsePool(p *Pool) {
-	if p.K() != d.k || p.PayloadSize() != d.size {
-		panic("coding: Decoder.UsePool shape mismatch")
-	}
-	d.pool = p
-}
-
-// Rank returns the number of innovative packets received.
-func (d *Decoder) Rank() int { return d.rank }
-
-// Add feeds a received packet into the decoder, returning true if it was
-// innovative. The decoder takes ownership of the packet either way; with a
-// pool attached, rejected packets are recycled.
-func (d *Decoder) Add(p *Packet) bool {
-	if len(p.Vector) != d.k || len(p.Payload) != d.size {
-		return false
-	}
-	u := d.scratch
-	copy(u, p.Vector)
-	for i := 0; i < d.k; i++ {
-		c := u[i]
-		if c == 0 {
-			continue
-		}
-		if d.ech[i] == nil {
-			// Admit: normalize the reduced vector and keep the original.
-			gf256.ScaleSlice(u[i:], gf256.Inv(c))
-			row := d.echBuf[i*d.k : (i+1)*d.k]
-			copy(row, u)
-			d.ech[i] = row
-			d.rows = append(d.rows, p)
-			d.rank++
-			return true
-		}
-		// Zeros before i on both sides; whole vectors for the reason
-		// Buffer.Innovative gives.
-		gf256.MulAddSlice(u, d.ech[i], c)
-	}
-	if d.pool != nil {
-		d.pool.Put(p)
-	}
-	return false
+	return &Decoder{Buffer: *NewBuffer(k, size)}
 }
 
 // Complete reports whether enough innovative packets have arrived to decode
 // the whole batch.
-func (d *Decoder) Complete() bool { return d.rank == d.k }
+func (d *Decoder) Complete() bool { return d.Full() }
 
 // Reset flushes the decoder for a new batch, recycling stored packets into
 // the pool. The decode output buffers are retained for reuse.
 func (d *Decoder) Reset() {
-	for i, p := range d.rows {
-		if d.pool != nil {
-			d.pool.Put(p)
-		}
-		d.rows[i] = nil
-	}
-	d.rows = d.rows[:0]
-	for i := range d.ech {
-		d.ech[i] = nil
-	}
-	d.rank = 0
+	d.Buffer.Reset()
 	d.decoded = false
 }
 
@@ -663,65 +582,31 @@ func (d *Decoder) Reset() {
 // not yet complete. It is idempotent; the returned slices are owned by the
 // decoder and remain valid until the next Reset.
 func (d *Decoder) Decode() ([][]byte, error) {
-	if d.rank != d.k {
+	if !d.Full() {
 		return nil, fmt.Errorf("coding: batch incomplete, rank %d of %d", d.rank, d.k)
 	}
 	if d.decoded {
 		return d.natives, nil
 	}
 	k := d.k
-	// Invert the coefficient matrix C (rows = stored code vectors) by
-	// Gauss–Jordan on [C | I]. The batch has full rank by construction, so
-	// a pivot always exists.
-	if d.inv == nil {
-		d.inv = make([]byte, k*2*k)
-	}
-	m := d.inv
-	w := 2 * k
-	for r := 0; r < k; r++ {
-		row := m[r*w : (r+1)*w]
-		clear(row)
-		copy(row, d.rows[r].Vector)
-		row[k+r] = 1
-	}
-	for col := 0; col < k; col++ {
-		pivot := -1
-		for r := col; r < k; r++ {
-			if m[r*w+col] != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return nil, errors.New("coding: internal rank error")
-		}
-		if pivot != col {
-			pr := m[pivot*w : (pivot+1)*w]
-			cr := m[col*w : (col+1)*w]
-			for i := range pr {
-				pr[i], cr[i] = cr[i], pr[i]
-			}
-		}
-		// Columns before col are already eliminated in every row, so all
-		// row operations can start at col.
-		cr := m[col*w : (col+1)*w]
-		gf256.ScaleSlice(cr[col:], gf256.Inv(cr[col]))
-		for r := 0; r < k; r++ {
-			if r == col {
-				continue
-			}
-			if c := m[r*w+col]; c != 0 {
-				gf256.MulAddSlice(m[r*w+col:(r+1)*w], cr[col:], c)
+	// Back-substitution, bottom row first: row k-1 is already e_{k-1}, and
+	// once the rows below row i are unit vectors, clearing each of row i's
+	// entries past its pivot with the row it names leaves e_i.
+	for i := k - 2; i >= 0; i-- {
+		row := d.row(i)
+		for j := i + 1; j < k; j++ {
+			if c := row[j]; c != 0 {
+				gf256.MulAddSlice(row, d.row(j), c)
 			}
 		}
 	}
-	// native_i = Σ_j inv[i][j] · payload_j: K multi-row combines over the
-	// stored payloads, sharing one set of kernel tables.
 	if d.natives == nil {
 		backing := make([]byte, k*d.size)
 		d.natives = make([][]byte, k)
+		d.coefRows = make([][]byte, k)
 		for i := range d.natives {
 			d.natives[i] = backing[i*d.size : (i+1)*d.size]
+			d.coefRows[i] = d.row(i)[k:]
 		}
 	}
 	pays := d.payScratch[:0]
@@ -730,12 +615,6 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	}
 	d.kern.SetRows(pays)
 	d.payScratch = pays[:0]
-	if d.coefRows == nil {
-		d.coefRows = make([][]byte, k)
-	}
-	for i := 0; i < k; i++ {
-		d.coefRows[i] = m[i*w+k : (i+1)*w]
-	}
 	// All K natives in one strip-interleaved pass: the kernel reuses each
 	// table strip across products while it is hot in L1.
 	d.kern.CombineMany(d.natives, d.coefRows)

@@ -64,64 +64,68 @@ func (e *suffixElim) add(p *Packet) bool {
 	return false
 }
 
-// TestEliminationFullWidthMatchesSuffix: Buffer.Innovative, Buffer.Add and
-// Decoder.Add eliminate on whole vectors (one SIMD block at K = 32) where
-// they used to eliminate on suffixes; both operands are zero before the
-// pivot, so every verdict, rank, stored row (a buffer row's payload through
-// its transform row) and decoded payload must equal the suffix form's — on
-// every kernel arm the host has, at batch sizes below, at and above the
-// arms' 32-byte block.
+// TestEliminationFullWidthMatchesSuffix: Buffer.Innovative and Buffer.Add
+// eliminate on whole vectors (one SIMD block at K = 32) where they used to
+// eliminate on suffixes; both operands are zero before the pivot, so every
+// verdict, rank and stored row (a row's payload through its transform row)
+// must equal the suffix form's. A Decoder is a Buffer, so it runs the same
+// checks, and its Decode by back-substitution must return the natives and
+// referenceDecode's output over every packet fed — for two batches through
+// one decoder, across Reset. All on every kernel arm the host has, at batch
+// sizes below, at and above the arms' 32-byte block.
 func TestEliminationFullWidthMatchesSuffix(t *testing.T) {
 	const size = 48
 	forEachArm(t, func(t *testing.T) {
 		arm := gf256.ActiveKernel()
 		for _, k := range []int{1, 8, 31, 32, 33, 64} {
 			rng := rand.New(rand.NewSource(int64(k)))
-			natives := randomNatives(rng, k, size)
-			buf, dec := NewBuffer(k, size), NewDecoder(k, size)
-			ref := &suffixElim{k: k, vecs: make([][]byte, k), pays: make([][]byte, k)}
-			var fed []*Packet
-			for n := 0; !dec.Complete(); n++ {
-				if n > 40*k+100 {
-					t.Fatalf("%s K=%d: rank %d after %d packets", arm, k, dec.Rank(), n)
-				}
-				p := randomFill(rng, natives, fed)
-				fed = append(fed, p)
-				want := ref.innovative(p.Vector)
-				if got := buf.Innovative(p.Vector); got != want {
-					t.Fatalf("%s K=%d packet %d: Innovative = %v, suffix form %v", arm, k, n, got, want)
-				}
-				if got := buf.Add(p.Clone()); got != want {
-					t.Fatalf("%s K=%d packet %d: Buffer.Add = %v, suffix form %v", arm, k, n, got, want)
-				}
-				if got := dec.Add(p.Clone()); got != want {
-					t.Fatalf("%s K=%d packet %d: Decoder.Add = %v, suffix form %v", arm, k, n, got, want)
-				}
-				if ref.add(p) != want {
-					t.Fatalf("%s K=%d packet %d: suffix form disagrees with itself", arm, k, n)
-				}
-				if buf.Rank() != ref.rank || dec.Rank() != ref.rank {
-					t.Fatalf("%s K=%d packet %d: ranks %d/%d, suffix form %d", arm, k, n, buf.Rank(), dec.Rank(), ref.rank)
-				}
-				for i := 0; i < k; i++ {
-					switch row := buf.rows[i]; {
-					case (row == nil) != (ref.vecs[i] == nil) || (dec.ech[i] == nil) != (ref.vecs[i] == nil):
-						t.Fatalf("%s K=%d packet %d: slot %d occupancy differs", arm, k, n, i)
-					case row == nil:
-					case !bytes.Equal(buf.row(i)[:k], ref.vecs[i]) || !bytes.Equal(echelonPayload(buf, i), ref.pays[i]):
-						t.Fatalf("%s K=%d packet %d: buffer row %d differs from the suffix form's", arm, k, n, i)
-					case !bytes.Equal(dec.ech[i], ref.vecs[i]):
-						t.Fatalf("%s K=%d packet %d: decoder row %d differs from the suffix form's", arm, k, n, i)
+			dec := NewDecoder(k, size)
+			for batch := 0; batch < 2; batch++ {
+				dec.Reset()
+				natives := randomNatives(rng, k, size)
+				ref := &suffixElim{k: k, vecs: make([][]byte, k), pays: make([][]byte, k)}
+				var fed []*Packet
+				for n := 0; !dec.Complete(); n++ {
+					if n > 40*k+100 {
+						t.Fatalf("%s K=%d: rank %d after %d packets", arm, k, dec.Rank(), n)
+					}
+					p := randomFill(rng, natives, fed)
+					fed = append(fed, p)
+					want := ref.innovative(p.Vector)
+					if got := dec.Innovative(p.Vector); got != want {
+						t.Fatalf("%s K=%d packet %d: Innovative = %v, suffix form %v", arm, k, n, got, want)
+					}
+					if got := dec.Add(p.Clone()); got != want {
+						t.Fatalf("%s K=%d packet %d: Add = %v, suffix form %v", arm, k, n, got, want)
+					}
+					if ref.add(p) != want {
+						t.Fatalf("%s K=%d packet %d: suffix form disagrees with itself", arm, k, n)
+					}
+					if dec.Rank() != ref.rank {
+						t.Fatalf("%s K=%d packet %d: rank %d, suffix form %d", arm, k, n, dec.Rank(), ref.rank)
+					}
+					for i := 0; i < k; i++ {
+						switch row := dec.rows[i]; {
+						case (row == nil) != (ref.vecs[i] == nil):
+							t.Fatalf("%s K=%d packet %d: slot %d occupancy differs", arm, k, n, i)
+						case row == nil:
+						case !bytes.Equal(dec.row(i)[:k], ref.vecs[i]) || !bytes.Equal(echelonPayload(&dec.Buffer, i), ref.pays[i]):
+							t.Fatalf("%s K=%d packet %d: row %d differs from the suffix form's", arm, k, n, i)
+						}
 					}
 				}
-			}
-			decoded, err := dec.Decode()
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", arm, k, err)
-			}
-			for i := range natives {
-				if !bytes.Equal(decoded[i], natives[i]) {
-					t.Fatalf("%s K=%d: native %d decoded wrong", arm, k, i)
+				decoded, err := dec.Decode()
+				if err != nil {
+					t.Fatalf("%s K=%d: %v", arm, k, err)
+				}
+				reference, err := referenceDecode(k, fed)
+				if err != nil {
+					t.Fatalf("%s K=%d: referenceDecode: %v", arm, k, err)
+				}
+				for i := range natives {
+					if !bytes.Equal(decoded[i], natives[i]) || !bytes.Equal(reference[i], natives[i]) {
+						t.Fatalf("%s K=%d batch %d: native %d decoded wrong", arm, k, batch, i)
+					}
 				}
 			}
 		}

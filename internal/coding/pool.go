@@ -24,7 +24,7 @@ import (
 //
 // Ownership rules: Get transfers ownership to the caller; Put transfers it
 // back. A component holding a pool (Buffer, Source, Decoder) recycles the
-// packets it consumes — in particular Buffer.Add and Decoder.Add recycle
+// packets it consumes — in particular Buffer.Add (a Decoder's too) recycles
 // rejected (non-innovative) packets, and Reset recycles stored ones — so a
 // caller that hands a packet to Add must not touch it afterwards. A packet
 // PreCoder.Take handed out stays pending on its buffer until it is read or
@@ -107,12 +107,6 @@ func (p *Pool) Put(q *Packet) {
 	if len(q.Payload) == p.size && cap(q.Vector) >= p.k {
 		p.free.Put(q)
 	}
-}
-
-// Fits reports whether a packet has this pool's shape. It reads a pending
-// packet's payload length without combining it.
-func (p *Pool) Fits(q *Packet) bool {
-	return q != nil && len(q.Vector) == p.k && q.size() == p.size
 }
 
 // GetBuffer returns an empty Buffer of the pool's shape with the pool

@@ -78,9 +78,6 @@ func TestPoolShapes(t *testing.T) {
 	if len(q.Vector) != 4 || len(q.Payload) != 16 {
 		t.Fatalf("pool packet shape %d/%d", len(q.Vector), len(q.Payload))
 	}
-	if !p.Fits(q) {
-		t.Fatal("pool rejects its own packet")
-	}
 	p.Put(q)
 	checkRecycled(t, p, 1, "Put")
 	// Wrong shapes are dropped, nil ignored.

@@ -8,8 +8,9 @@
 // list them in the forwarder list add TX credit (Eq. 3.3); innovative
 // packets enter the batch buffer; when the MAC polls a forwarder with
 // positive credit it broadcasts a pre-coded random recombination and
-// decrements the counter (§3.2.1, §3.3.3). The destination collects K
-// innovative packets, decodes by matrix inversion, and sends a batch ACK
+// decrements the counter (§3.2.1, §3.3.3). The destination admits packets
+// the way a forwarder does, decodes once it holds K innovative ones (its
+// decoder is a forwarder's buffer run to full rank), and sends a batch ACK
 // back along the shortest ETX path — prioritized over data and reliably
 // delivered hop by hop; every node that overhears the ACK purges the batch
 // (§3.2.2).
@@ -92,7 +93,8 @@ type DataMsg struct {
 	Forwarders *FwdList
 
 	// pool is the free list Packet came from, and the shape every size
-	// query reads; Sent puts the packet back there, even when the sender's
+	// query reads; a receiver copies what it keeps into storage from it
+	// (keep), and Sent puts the packet back there, even when the sender's
 	// state has moved on to another shape or is gone.
 	pool *coding.Pool
 
@@ -104,6 +106,16 @@ type DataMsg struct {
 // releasedFlow is the Flow of a released message: no flow has it, so a read
 // after release finds no state.
 const releasedFlow = ^flow.ID(0)
+
+// keep copies the coded packet into storage off its free list for a relay or
+// a sink to store, combining it first if it is pending. Received frames are
+// shared between all overhearing nodes, so a receiver never stores m.Packet
+// itself, and it copies only a packet it has found innovative.
+func (m *DataMsg) keep() *coding.Packet {
+	q := m.pool.Get()
+	q.CopyFrom(m.Packet)
+	return q
+}
 
 // wireBytes returns the on-air frame size for the message. It reads the
 // payload size from the pool's shape, so it never combines a pending payload.
@@ -414,19 +426,6 @@ type relayState struct {
 	lastActivity sim.Time
 }
 
-// clonePacket copies a received packet into relay-owned storage, drawing
-// from the free list of the batch's shape when the packet has it. Received
-// frames are shared between all overhearing nodes, so the buffer must never
-// store m.Packet itself.
-func (r *relayState) clonePacket(p *coding.Packet) *coding.Packet {
-	if r.pool != nil && r.pool.Fits(p) {
-		q := r.pool.Get()
-		q.CopyFrom(p)
-		return q
-	}
-	return p.Clone()
-}
-
 func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 	r := n.relays.Get(m.Flow)
 	if r == nil {
@@ -448,20 +447,20 @@ func (n *Node) relayFor(m *DataMsg, myCredit float64) *relayState {
 // resetBatch points the relay at m's batch. The previous batch's packets go
 // back onto their free list whatever the new batch's shape; a batch of the
 // same shape reuses the buffer and pre-coder outright, another releases the
-// buffer and takes one of its own shape. The payload size is the sender's
-// pool's, so a pending payload stays uncombined.
+// buffer and takes one of its own shape. The shape is the sender's pool's
+// (coding.NewPool has one handle per shape), so a pending payload stays
+// uncombined.
 func (r *relayState) resetBatch(n *Node, m *DataMsg) {
 	r.curBatch = m.Batch
 	r.k = m.K
-	size := m.pool.PayloadSize()
 	if r.buffer != nil {
-		if r.pool.K() == m.K && r.pool.PayloadSize() == size {
+		if r.pool == m.pool {
 			r.flush()
 			return
 		}
 		n.releaseBuffer(r)
 	}
-	r.pool = coding.NewPool(m.K, size)
+	r.pool = m.pool
 	r.buffer = r.pool.GetBuffer()
 	n.buffersTaken++
 	r.pre = coding.NewPreCoder(r.buffer, n.node.Rand())
@@ -656,7 +655,7 @@ func (n *Node) receiveData(f *sim.Frame, m *DataMsg) {
 		r.credit += r.myCredit
 	}
 	if innovative {
-		r.buffer.Add(r.clonePacket(m.Packet))
+		r.buffer.Add(m.keep())
 		n.Innovative++
 		// Fold the fresh arrival into the prepared packet (§3.2.3(c)).
 		r.pre.Update()
@@ -708,27 +707,22 @@ func (n *Node) sinkReceive(m *DataMsg) {
 		}
 		s.curBatch = m.Batch
 		s.k = m.K
-		size := m.pool.PayloadSize()
 		// One decoder per flow: the last batch's decodes the next of its
 		// shape, and hands back what it holds before any shape change.
 		s.flush()
-		if s.decoder == nil || s.pool.K() != m.K || s.pool.PayloadSize() != size {
-			s.pool = coding.NewPool(m.K, size)
-			s.decoder = coding.NewDecoder(m.K, size)
+		if s.pool != m.pool {
+			s.pool = m.pool
+			s.decoder = coding.NewDecoder(m.K, s.pool.PayloadSize())
 			s.decoder.UsePool(s.pool)
 		}
 	}
-	var pkt *coding.Packet
-	if s.pool.Fits(m.Packet) {
-		pkt = s.pool.Get()
-		pkt.CopyFrom(m.Packet)
-	} else {
-		pkt = m.Packet.Clone()
-	}
-	if !s.decoder.Add(pkt) {
+	// Admitted the way a relay admits (receiveData): the innovation check
+	// reads the vector only, so a packet the sink already spans is never
+	// copied, nor its payload combined if it is pending.
+	if !s.decoder.Innovative(m.Packet.Vector) {
 		return
 	}
-	if !s.decoder.Complete() {
+	if s.decoder.Add(m.keep()); !s.decoder.Complete() {
 		return
 	}
 	// Kth innovative packet: ACK before decoding (§3.2.2), then decode.
@@ -922,7 +916,7 @@ func (n *Node) Sent(f *sim.Frame, ok bool) {
 		}
 	case *DataMsg:
 		// Broadcasts always "succeed". The frame is off the air and every
-		// receiver copied what it kept (clonePacket, sinkReceive), so the
+		// receiver copied what it kept (DataMsg.keep), so the
 		// coded packet goes back to the free list it came from, whether or
 		// not the flow's state at this node still exists. The stopping rule
 		// (ACKs, batch advance) governs whether more traffic exists.

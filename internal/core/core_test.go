@@ -554,6 +554,53 @@ func TestFlushWhileOnAirDeliversRightBytes(t *testing.T) {
 	}
 }
 
+func TestSinkCopiesOnlyInnovativePackets(t *testing.T) {
+	// A destination admits a packet the way a relay does: the innovation
+	// check reads the code vector alone. A relay's packet whose vector the
+	// sink already spans stays pending, its payload never combined, and the
+	// sink draws nothing off its free list for it. On one P with the
+	// collector off, the free list's next Get finds the marked packet put
+	// there just before, unwritten.
+	nodes := relayLine(t)
+	src, relay, sink := nodes[0], nodes[1], nodes[2]
+	f := src.Pull()
+	relay.Receive(f)
+	sink.Receive(f)
+	src.Sent(f, true)
+	relay.relays.Get(1).credit = 1
+	g := relay.Pull() // a nonzero multiple of f's vector: the relay holds f alone
+	pkt := g.Payload.(*DataMsg).Packet
+	if pkt.Payload != nil {
+		t.Fatal("the relay combined its packet's payload before a receiver read it")
+	}
+	var pool *coding.Pool
+	var marked *coding.Packet
+	if !raceEnabled { // sync.Pool drops Puts under the race detector
+		procs := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(procs)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		pool = coding.NewPool(8, 1500)
+		marked = pool.Get()
+		for i := range marked.Payload {
+			marked.Payload[i] = 0xEE
+		}
+		pool.Put(marked)
+	}
+	sink.Receive(g)
+	if pkt.Payload != nil {
+		t.Fatal("the sink combined the payload of a packet it already spans")
+	}
+	if rank := sink.sinks.Get(1).decoder.Rank(); rank != 1 {
+		t.Fatalf("sink rank %d after one innovative packet and one it spans, want 1", rank)
+	}
+	if pool != nil {
+		if q := pool.Get(); q != marked || slices.ContainsFunc(q.Payload, func(b byte) bool { return b != 0xEE }) {
+			t.Fatal("the sink drew a packet off its free list for a packet it already spans")
+		}
+	}
+	relay.Sent(g, true)
+}
+
 func TestPullRotatesWithoutAllocating(t *testing.T) {
 	// A Pull that walks the round-robin past relays without credit and
 	// returns nil allocates nothing, with one backlogged flow (whose

@@ -150,7 +150,7 @@ func Table41CodingCost(k, payload, iters int) Table41Result {
 	checkCost := time.Since(start) / time.Duration(iters)
 	_ = sink
 
-	// Decoding: K innovative packets plus the matrix inversion and batched
+	// Decoding: K innovative packets plus the back-substitution and batched
 	// native recovery, amortized per packet. One decoder and one pool serve
 	// every batch, as at a real destination.
 	pkts := make([]*coding.Packet, k+8)

@@ -240,7 +240,7 @@ func QuantizeProb(p float64) uint8 {
 	if p >= 1 {
 		return 255
 	}
-	return uint8(p*255 + 0.5)
+	return uint8(float64(p*255) + 0.5)
 }
 
 // UnquantizeProb inverts QuantizeProb.

@@ -200,7 +200,7 @@ func ResolveForwarders(fw []Forwarder, candidates []graph.NodeID) {
 
 // CreditToWire converts a float credit to wire fixed point, saturating.
 func CreditToWire(c float64) uint16 {
-	v := c * CreditScale
+	v := float64(c * CreditScale)
 	if v < 0 {
 		return 0
 	}

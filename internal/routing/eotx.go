@@ -57,8 +57,8 @@ func EOTX(t *graph.Topology, dst graph.NodeID, opt EOTXOptions) []float64 {
 				continue
 			}
 			p := in.P
-			T[i] += p * P[i] * d[k]
-			P[i] *= 1 - p
+			T[i] += float64(p * P[i] * d[k])
+			P[i] = float64(P[i] * (1 - p))
 			nd := T[i] / (1 - P[i])
 			if nd < d[i] {
 				d[i] = nd
@@ -129,8 +129,8 @@ func recompute(t *graph.Topology, i graph.NodeID, d []float64) float64 {
 			break // admitting k cannot improve and k is not a valid forwarder
 		}
 		p := t.Prob(i, k)
-		T += p * P * d[k]
-		P *= 1 - p
+		T += float64(p * P * d[k])
+		P = float64(P * (1 - p))
 		x = T / (1 - P)
 	}
 	return x
@@ -200,7 +200,7 @@ func eotxFixedPoint(t *graph.Topology, dst graph.NodeID, maxNbrs int) []float64 
 						}
 					}
 					if minD < x {
-						contrib += pr * minD
+						contrib += float64(pr * minD)
 					} else {
 						pKeep += pr
 					}

@@ -96,8 +96,6 @@ type StateSpec struct {
 	// WarmupS runs the measurement plane this long before flows start
 	// (learned only; 0 means the 30 s default, negative starts flows cold).
 	WarmupS float64 `json:"warmup_s,omitempty"`
-	// Window is the probe window (probes per estimate; learned only).
-	Window int `json:"window,omitempty"`
 	// AdvertiseS is the LSA advertise interval in seconds (learned only).
 	AdvertiseS float64 `json:"advertise_s,omitempty"`
 	// Damp is the triggered-update delta (0 disables damping).
@@ -417,7 +415,7 @@ func (s *Spec) Validate() error {
 		// silently would betray a spec author who believes they took effect.
 		return fmt.Errorf("scenario %s: state knobs apply to mode learned only", s.Name)
 	}
-	if s.State.Window < 0 || s.State.AdvertiseS < 0 || s.State.Damp < 0 ||
+	if s.State.AdvertiseS < 0 || s.State.Damp < 0 ||
 		s.State.DeadIntervalS < 0 || s.State.MaxAgeS < 0 || s.State.SummaryIntervalS < 0 {
 		return fmt.Errorf("scenario %s: state knobs must be non-negative", s.Name)
 	}
@@ -768,9 +766,6 @@ func (s *Spec) Options() experiments.Options {
 	if s.State.Mode == "learned" {
 		opts.State = experiments.StateLearned
 		lcfg := linkstate.DefaultConfig()
-		if s.State.Window > 0 {
-			lcfg.Probe.Window = s.State.Window
-		}
 		if s.State.AdvertiseS > 0 {
 			lcfg.AdvertiseInterval = secs(s.State.AdvertiseS)
 		}

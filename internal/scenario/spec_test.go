@@ -225,8 +225,11 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 			m["metric"] = "hops"
 		}, "unknown metric"},
 		{"learned knobs under oracle state", func(m map[string]interface{}) {
-			m["state"] = map[string]interface{}{"mode": "oracle", "window": 20}
+			m["state"] = map[string]interface{}{"mode": "oracle", "advertise_s": 2}
 		}, "apply to mode learned only"},
+		{"the probe window is an unknown field", func(m map[string]interface{}) {
+			m["state"] = map[string]interface{}{"mode": "learned", "window": 20}
+		}, `unknown field "window"`},
 		{"learned knobs with the mode left to default", func(m map[string]interface{}) {
 			m["state"] = map[string]interface{}{"piggyback": true}
 		}, "apply to mode learned only"},
